@@ -44,7 +44,9 @@ from .linalg import (
     rank,
     transpose,
     unit_vector,
+    vec,
 )
+from .kernel import AlternativitySweep, first_homomorphism_violation
 from .numth import (
     four_squares_fraction,
     sqrt_fraction,
@@ -277,17 +279,7 @@ def _homomorphism_violation(
             return ("unit",)
         if mat_vec(iso, source.one().coords) != target.one().coords:
             return ("unit",)
-    images = [Element(col) for col in transpose(iso)]
-    for i in range(n):
-        for j in range(n):
-            lhs = target.zero()
-            for k, c in enumerate(source.constants[i][j]):
-                if c:
-                    lhs = lhs + images[k].scale(c)
-            rhs = target.multiply(images[i], images[j])
-            if lhs.coords != rhs.coords:
-                return (i, j)
-    return None
+    return first_homomorphism_violation(iso, source, target)
 
 
 def verify_iso(iso: Matrix, source: Algebra, target: Algebra) -> None:
@@ -321,6 +313,12 @@ def recognize_alternative_division(algebra: Algebra) -> RecognitionResult:
     lc = is_locally_complex(algebra)
     if not lc.holds:
         raise NotLocallyComplexError("input is not locally complex")
+    return _recognize_division(algebra)
+
+
+def _recognize_division(algebra: Algebra) -> RecognitionResult:
+    """The recognizer proper, for an algebra already known to be alternative
+    and locally complex."""
     n = algebra.dim
     if n not in (1, 2, 4, 8):
         raise InconsistentInputError(
@@ -426,14 +424,20 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     if not sa.holds:
         raise NotAlternativeError("input is not super-alternative for this grading")
     if grading.odd.dim == 0:
-        return recognize_alternative_division(algebra)
+        # The sweep above ran u over a basis of the whole algebra and its
+        # pairwise sums, which is the alternativity check itself; local
+        # complexity was decided just before it.
+        return _recognize_division(algebra)
     if grading.even.dim != grading.odd.dim:
         raise InconsistentInputError(
             "nonzero odd part must match the even part's dimension"
         )
     even_rows = _even_part_rows(algebra, grading)
     even_alg, even_rb = _induced_algebra(algebra, even_rows)
-    rec0 = recognize_alternative_division(even_alg)
+    # The even part is a unital subalgebra.  The sweep above covered even u
+    # against even x, so it is alternative; quadratic relations and the
+    # positive definite norm form restrict to it, so it is locally complex.
+    rec0 = _recognize_division(even_alg)
     inv0 = mat_inv(rec0.iso)
     # Standard generators of the even part, as elements of the ambient algebra.
     def even_std(k: int) -> Element:
@@ -574,34 +578,19 @@ def alter_scalar_space(algebra: Algebra) -> AlterScalarSpace:
     scalars.
     """
     n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
+    sweep = AlternativitySweep(algebra, identity(n))
     rows: list[Vector] = []
-    for x in _pair_family_elements(basis):
-        x2 = algebra.multiply(x, x)
-        # Column k of the constraint matrix is x^2 b_k - x(x b_k).
-        cols = [
-            (
-                algebra.multiply(x2, bk) - algebra.multiply(x, algebra.multiply(x, bk))
-            ).coords
-            for bk in basis
-        ]
-        for r in range(n):
-            row = tuple(cols[k][r] for k in range(n))
-            if any(c != 0 for c in row):
-                rows.append(row)
+    for p, q in sweep.family():
+        # Column k of the left defect is x^2 b_k - x(x b_k), up to a positive
+        # scale that leaves the solution space unchanged.
+        for row in sweep.left(p, q).tolist():
+            if any(row):
+                rows.append(vec(row))
     if not rows:
         solutions = Subspace(identity(n), n)
     else:
         solutions = Subspace(nullspace(rows, n), n)
     return AlterScalarSpace(solutions, solutions.dim >= 2)
-
-
-def _pair_family_elements(vectors: Sequence[Element]) -> list[Element]:
-    fam = list(vectors)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            fam.append(vectors[i] + vectors[j])
-    return fam
 
 
 def annihilator(algebra: Algebra, x: Element) -> Subspace:

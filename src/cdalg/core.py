@@ -72,7 +72,7 @@ class Element:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_nonzero")
+    __slots__ = ("dim", "constants", "unit", "labels", "_nonzero", "_scaled")
 
     def __init__(
         self,
@@ -105,6 +105,8 @@ class Algebra:
             )
             for i in range(n)
         )
+        # Integer-scaled constants for the exact kernels, built on first use.
+        self._scaled = None
         if unit is not None:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")

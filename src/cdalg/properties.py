@@ -7,6 +7,15 @@ that family is equivalent to vanishing identically), and the quadraticity
 check expands the relevant cubic coefficient system symbolically.  A "no"
 always carries a concrete counterexample; a "yes" carries a certificate or
 the exhaustively checked family.
+
+The alternativity sweeps run on the integer kernel of ``cdalg.kernel``: the
+structure constants are scaled once over their common denominator to an
+integer tensor, and the defects of each family element are integer
+matrices.  These are ``int64`` only when a stated worst-case bound on every
+intermediate is below 2^63, and Python ints otherwise; no float is involved.
+The family is walked in the same order as an element-by-element loop would
+take (part, then basis rows before pairwise sums, then the basis vector x,
+left law before right), so the witness is the first failing one in that order.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .linalg import (
     nonpositive_direction,
     rank,
 )
+from .kernel import first_alternativity_defect
 from .numth import sqrt_fraction
 
 
@@ -355,21 +365,17 @@ class IdentityCheck:
     witness: tuple[Element, Element, str] | None = None  # (squared var, other, law)
 
 
-def _pair_family(vectors: Sequence[Element]) -> list[Element]:
-    fam = list(vectors)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            fam.append(vectors[i] + vectors[j])
-    return fam
-
-
-def _alternative_defect(
-    algebra: Algebra, x: Element, y: Element
-) -> tuple[Element, Element]:
-    x2 = algebra.multiply(x, x)
-    left = algebra.multiply(x2, y) - algebra.multiply(x, algebra.multiply(x, y))
-    right = algebra.multiply(y, x2) - algebra.multiply(algebra.multiply(y, x), x)
-    return left, right
+def _first_defect(
+    algebra: Algebra, rows: Sequence[Vector]
+) -> tuple[Element, Element, str] | None:
+    """The witness ``(u, y, law)`` of the first nonzero alternativity defect
+    over ``u`` in the polarized family of ``rows`` and ``y`` in the basis."""
+    hit = first_alternativity_defect(algebra, rows)
+    if hit is None:
+        return None
+    p, q, c, law = hit
+    u = Element(rows[p]) if q is None else Element(rows[p]) + Element(rows[q])
+    return u, algebra.basis_element(c), law
 
 
 def is_alternative(algebra: Algebra) -> IdentityCheck:
@@ -379,15 +385,8 @@ def is_alternative(algebra: Algebra) -> IdentityCheck:
     basis vectors and pairwise sums and y over basis vectors is equivalent to
     the full identities.
     """
-    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
-    for x in _pair_family(basis):
-        for y in basis:
-            left, right = _alternative_defect(algebra, x, y)
-            if not left.is_zero():
-                return IdentityCheck(False, (x, y, "left"))
-            if not right.is_zero():
-                return IdentityCheck(False, (x, y, "right"))
-    return IdentityCheck(True)
+    witness = _first_defect(algebra, identity(algebra.dim))
+    return IdentityCheck(witness is None, witness)
 
 
 def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
@@ -397,16 +396,10 @@ def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
     vectors and pairwise sums within each part, x over the full basis.
     """
     grading.validate(algebra)
-    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
     for rows in (grading.even_rows, grading.odd_rows):
-        homogeneous = [Element(r) for r in rows]
-        for u in _pair_family(homogeneous):
-            for x in basis:
-                left, right = _alternative_defect(algebra, u, x)
-                if not left.is_zero():
-                    return IdentityCheck(False, (u, x, "left"))
-                if not right.is_zero():
-                    return IdentityCheck(False, (u, x, "right"))
+        witness = _first_defect(algebra, rows)
+        if witness is not None:
+            return IdentityCheck(False, witness)
     return IdentityCheck(True)
 
 

@@ -458,6 +458,11 @@ def run_claim(claim_id: str) -> ClaimOutcome:
             except ClaimFailure as exc:
                 detail = str(exc)
                 passed = False
+            except Exception as exc:
+                # Any other error fails this claim and the report goes on;
+                # interrupts and exits still propagate.
+                detail = f"{type(exc).__name__}: {exc}"
+                passed = False
             elapsed = (time.perf_counter() - start) * 1000
             return ClaimOutcome(cid, description, passed, elapsed, detail)
     raise KeyError(f"unknown claim id {claim_id!r}")

@@ -41,3 +41,35 @@ def test_single_sign_flip_is_detected():
     q = is_quadratic(corrupted)
     assert not q.holds and q.witness is not None
     assert not is_locally_complex(corrupted).holds
+
+
+def test_unexpected_exception_is_recorded_as_failure(monkeypatch):
+    from cdalg import verify
+    from cdalg.errors import InconsistentInputError
+
+    def broken() -> str:
+        raise InconsistentInputError("kernel exploded")
+
+    def fine() -> str:
+        return "ok"
+
+    monkeypatch.setattr(
+        verify, "CLAIMS", (("AC01", "raises", broken), ("AC02", "passes", fine))
+    )
+    report = verify.run_verification()
+    first, second = report.outcomes
+    assert not first.passed
+    assert first.detail == "InconsistentInputError: kernel exploded"
+    assert second.passed and second.detail == "ok"
+    assert not report.all_passed
+
+
+def test_interrupt_still_propagates(monkeypatch):
+    from cdalg import verify
+
+    def interrupted() -> str:
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "CLAIMS", (("AC01", "interrupted", interrupted),))
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_claim("AC01")
