@@ -46,7 +46,11 @@ from .linalg import (
     unit_vector,
     vec,
 )
-from .kernel import AlternativitySweep, first_homomorphism_violation
+from .kernel import (
+    AlternativitySweep,
+    anticommutator_table,
+    first_homomorphism_violation,
+)
 from .numth import (
     four_squares_fraction,
     sqrt_fraction,
@@ -154,13 +158,36 @@ def _anticommutes_with_all(algebra: Algebra, x: Element, family: Sequence[Elemen
     )
 
 
+def _candidate_terms(k: int) -> list[tuple[tuple[int, int], ...]]:
+    """Signed index terms of the candidates v_p, then v_p + v_q and v_p - v_q
+    for p < q, in search order."""
+    terms = [((p, 1),) for p in range(k)]
+    for p in range(k):
+        for q in range(p + 1, k):
+            terms += [((p, 1), (q, 1)), ((p, 1), (q, -1))]
+    return terms
+
+
+def _combine(vectors: Sequence[Element], terms: tuple[tuple[int, int], ...]) -> Element:
+    (p, _), *rest = terms
+    out = vectors[p]
+    for q, sign in rest:
+        out = out + vectors[q] if sign > 0 else out - vectors[q]
+    return out
+
+
 def _candidate_pool(vectors: Sequence[Element]) -> list[Element]:
-    pool = list(vectors)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            pool.append(vectors[i] + vectors[j])
-            pool.append(vectors[i] - vectors[j])
-    return pool
+    return [_combine(vectors, terms) for terms in _candidate_terms(len(vectors))]
+
+
+def _unit_square(x: Element, sq: Fraction | None) -> Element | None:
+    """x scaled to square -1, given x^2 = sq * 1 (sq None: not scalar)."""
+    if sq is None or sq >= 0:
+        return None
+    root = sqrt_fraction(-sq)
+    if root is None:
+        return None
+    return x.scale(F1 / root)
 
 
 def find_unit_square_vector(
@@ -177,60 +204,76 @@ def find_unit_square_vector(
     multiplied by a subalgebra element of the reciprocal squared length read
     off a two- or four-square decomposition.  Raises
     UnsupportedRationalClassError when everything fails.
+
+    The candidates are v_p and v_p +- v_q over a basis of the part of the
+    space that anticommutes with the family, so they all anticommute with it.
+    Their squares and pairwise anticommutators are read off one integer
+    table of the anticommutators v_p v_q + v_q v_p; only the products of
+    candidates are multiplied out.
     """
+    n, u = algebra.dim, algebra.unit
     if anticommute_with:
-        rows = []
-        for e in anticommute_with:
-            le = algebra.left_mul_matrix(e)
-            re = algebra.right_mul_matrix(e)
-            summed = tuple(
-                tuple(le[r][c] + re[r][c] for c in range(algebra.dim))
-                for r in range(algebra.dim)
-            )
-            rows.extend(summed)
-        space_rows = [v.coords for v in space]
-        coeff_cols = transpose(space_rows)
-        constraint = mat_mul(rows, coeff_cols)
-        kernel = nullspace(constraint, len(space))
+        # Row (e, k): coordinate k of e v + v e for each v in the space.
+        table, _ = anticommutator_table(
+            algebra, [e.coords for e in anticommute_with], [v.coords for v in space]
+        )
+        constraint = [
+            [Fraction(entry[k]) for entry in row] for row in table for k in range(n)
+        ]
         restricted = []
-        for coeffs in kernel:
+        for coeffs in nullspace(constraint, len(space)):
             w = algebra.zero()
             for c, v in zip(coeffs, space):
                 if c:
                     w = w + v.scale(c)
             restricted.append(w)
         space = restricted
-    candidates = [c for c in _candidate_pool(space) if not c.is_zero()]
+    table, scale = anticommutator_table(
+        algebra, [v.coords for v in space], [v.coords for v in space]
+    )
 
-    def finish(x: Element) -> Element | None:
-        sq = _square_scalar(algebra, x)
-        if sq is None or sq >= 0:
+    def anticommutator(a, b) -> list[int]:
+        """scale * (ab + ba) for candidates given by their terms."""
+        out = [0] * n
+        for p, s in a:
+            for q, t in b:
+                for k, entry in enumerate(table[p][q]):
+                    out[k] += s * t * entry
+        return out
+
+    def square(terms) -> Fraction | None:
+        twice = anticommutator(terms, terms)
+        if any(c for k, c in enumerate(twice) if k != u):
             return None
-        root = sqrt_fraction(-sq)
-        if root is None:
-            return None
-        out = x.scale(F1 / root)
-        if not _anticommutes_with_all(algebra, out, anticommute_with):
+        return Fraction(twice[u], 2 * scale)
+
+    candidates = []
+    for terms in _candidate_terms(len(space)):
+        x = _combine(space, terms)
+        if not x.is_zero():
+            candidates.append((terms, x, square(terms)))
+
+    def finish_product(x: Element) -> Element | None:
+        out = _unit_square(x, _square_scalar(algebra, x))
+        if out is None or not _anticommutes_with_all(algebra, out, anticommute_with):
             return None
         return out
 
-    for cand in candidates:
-        out = finish(cand)
+    for _, x, sq in candidates:
+        out = _unit_square(x, sq)
         if out is not None:
             return out
     # Orthogonal pairs multiply their squared lengths, which can turn two
     # equal non-square classes into a square.
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            a, b = candidates[i], candidates[j]
-            if not (algebra.multiply(a, b) + algebra.multiply(b, a)).is_zero():
+    for i, (terms_a, a, _) in enumerate(candidates):
+        for terms_b, b, _ in candidates[i + 1 :]:
+            if any(anticommutator(terms_a, terms_b)):
                 continue
-            out = finish(algebra.multiply(a, b))
+            out = finish_product(algebra.multiply(a, b))
             if out is not None:
                 return out
     if closure is not None:
-        for cand in candidates:
-            sq = _square_scalar(algebra, cand)
+        for _, cand, sq in candidates:
             if sq is None or sq >= 0:
                 continue
             target = F1 / (-sq)
@@ -244,7 +287,7 @@ def find_unit_square_vector(
             for c, b in zip(decomp, closure):
                 if c:
                     p = p + b.scale(c)
-            out = finish(algebra.multiply(cand, p))
+            out = finish_product(algebra.multiply(cand, p))
             if out is not None:
                 return out
     raise UnsupportedRationalClassError(

@@ -171,12 +171,11 @@ def _params_from_args(args) -> tuple:
 
 def cmd_gen(args) -> int:
     bundle = named_algebra(args.name)
-    payload = algebra_to_dict(bundle.algebra, bundle.grading)
     if args.out:
         save_algebra(args.out, bundle.algebra, bundle.grading)
         _emit({"written": args.out, "dim": bundle.algebra.dim}, args.format)
     else:
-        print(json.dumps(payload, indent=1))
+        _emit(algebra_to_dict(bundle.algebra, bundle.grading), args.format)
     return EXIT_OK
 
 
@@ -290,7 +289,11 @@ def cmd_classify3(args) -> int:
 
 
 def cmd_classify4(args) -> int:
-    if args.T or args.file and args.file.endswith(".json") and not _looks_like_algebra(args.file):
+    if (
+        args.T
+        or not args.file
+        or args.file.endswith(".json") and not _looks_like_algebra(args.file)
+    ):
         T, u = _params_from_args(args)
     else:
         algebra, _, _ = _load_source(args.file)

@@ -67,6 +67,10 @@ def algebra_to_dict(
     return out
 
 
+def _is_list_of(value: Any, length: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length
+
+
 def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
     if not isinstance(data, dict):
         raise MalformedInputError("top-level JSON value must be an object")
@@ -75,17 +79,24 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         raw = data["constants"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError("missing or bad 'dim'/'constants'") from exc
-    if len(raw) != n or any(len(row) != n for row in raw):
-        raise MalformedInputError("constants tensor shape does not match dim")
+    if not (
+        _is_list_of(raw, n)
+        and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
+    ):
+        raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
     constants = [
         [[_fraction_from_json(c) for c in raw[i][j]] for j in range(n)]
         for i in range(n)
     ]
     unit = data.get("unit")
-    if unit is not None:
-        unit = int(unit)
+    if unit is not None and (
+        not isinstance(unit, int) or isinstance(unit, bool) or not 0 <= unit < n
+    ):
+        raise MalformedInputError(f"'unit' must be an index in 0..{n - 1}, got {unit!r}")
     labels = data.get("labels")
     if labels is not None:
+        if not _is_list_of(labels, n):
+            raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
     try:
         algebra = Algebra(constants, unit=unit, labels=labels)

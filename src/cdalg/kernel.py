@@ -1,4 +1,5 @@
-"""Exact integer kernels behind the polarized identity and homomorphism checks.
+"""Exact integer kernels behind the polarized identity checks, the
+quadraticity test, the anticommutator tables and the homomorphism check.
 
 An algebra's rational structure constants are scaled once, over their common
 denominator ``D``, to an integer tensor ``C`` with
@@ -168,3 +169,58 @@ def first_homomorphism_violation(
         if bad.any():
             return i, int(np.argmax(bad))
     return None
+
+
+def quadratic_identity_holds(algebra) -> bool:
+    """Whether ``x^2`` lies in ``span(1, x)`` for every ``x`` of a unital algebra.
+
+    With ``x = l 1 + v``, ``v`` over the non-unit indices, the condition only
+    involves ``v``: the non-unit coordinates ``q(v)`` of ``v^2`` must satisfy
+    ``v_i q_j(v) = v_j q_i(v)``.  With two or more non-unit indices this
+    forces ``q(v) = ell(v) v`` for a linear form ``ell`` (and with fewer it
+    holds trivially), which polarized over the basis reads
+    ``C[a,b,k] + C[b,a,k] = ell_a [b = k] + ell_b [a = k]`` for non-unit
+    ``a, b, k``, where ``ell_a = C[a,a,a]``.
+    """
+    st = scaled_tensor(algebra)
+    # Both sides of the identity, and their difference, are at most 2 max|C|.
+    c = st.array(2 * st.max_abs < INT64_LIMIT)
+    rest = [i for i in range(algebra.dim) if i != algebra.unit]
+    sub = c[np.ix_(rest, rest, rest)]
+    r = np.arange(len(rest))
+    ell = sub[r, r, r]
+    defect = sub + sub.transpose(1, 0, 2)
+    defect[r, :, r] -= ell  # ell_b at [a, b, a]
+    defect[:, r, r] -= ell[:, None]  # ell_a at [a, b, b]
+    return bool((defect == 0).all())
+
+
+def anticommutator_table(
+    algebra, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]
+) -> tuple[list, int]:
+    """The anticommutators ``x_p y_q + y_q x_p`` of two lists of rows.
+
+    Returns nested lists ``table[p][q][k]`` of Python ints and their positive
+    common scale ``s``: coordinate ``k`` of ``x_p y_q + y_q x_p`` is
+    ``table[p][q][k] / s``.  Being bilinear, the table gives the
+    anticommutator of any two combinations of the rows.
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    x_ints, sx = _common_scale([c for r in xs for c in r])
+    y_ints, sy = _common_scale([c for r in ys for c in r])
+    mx, my = max(map(abs, x_ints), default=0), max(map(abs, y_ints), default=0)
+    # Contracting one row with C gives entries at most n*mx*c (or n*my*c),
+    # the second contraction at most n^2*mx*my*c, and the sum of both orders
+    # twice that.  C and the rows must fit too, which the products miss when
+    # a factor is 0.
+    fits = max(2 * n * n * mx * my * st.max_abs, n * max(mx, my) * st.max_abs,
+               st.max_abs, mx, my) < INT64_LIMIT
+    c = st.array(fits)
+    x = _exact(x_ints, (len(xs), n), fits)
+    y = _exact(y_ints, (len(ys), n), fits)
+    # xy[p, k, q] = (x_p y_q)_k and yx[q, k, p] = (y_q x_p)_k, both scaled.
+    xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
+    yx = np.tensordot(y, np.tensordot(c, x, axes=(1, 1)), axes=(1, 0))
+    table = xy.transpose(0, 2, 1) + yx.transpose(2, 0, 1)
+    return table.tolist(), sx * sy * st.den

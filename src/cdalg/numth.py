@@ -4,9 +4,14 @@ The basis-building engines need rational vectors of squared length exactly 1.
 When a candidate has squared length q != 1 they multiply it by an element of
 a subalgebra whose norm form is a sum of two or four squares, so they need
 representations of 1/q in that shape.  Everything here is deterministic and
-sized for the small numbers that arise from test algebras; the searches are
-plain descending loops with an iteration guard rather than factorization
-machinery.
+avoids factorization machinery: the searches are descending loops that
+return the representation with the largest leading terms.  Two- and
+three-square searches first divide out the largest power 4^k of n, since
+every square in such a representation of a multiple of 4 is even, which
+makes them 2^k times shorter.  Past that reduction the two- and
+three-square searches can still give up after ``_SEARCH_CAP`` steps and
+report no representation; the four-square search has no cap of its own and
+moves on to the next leading term when a three-square search gives up.
 """
 
 from __future__ import annotations
@@ -32,24 +37,33 @@ def is_square_fraction(q: Fraction) -> bool:
     return sqrt_fraction(q) is not None
 
 
-def two_squares(n: int) -> tuple[int, int] | None:
-    """n = a^2 + b^2 over the integers, or None.
+def _strip_fours(n: int) -> tuple[int, int]:
+    """(m, k) with n = 4^k m and 4 not dividing m; (0, 0) for n = 0."""
+    k = 0
+    while n and n % 4 == 0:
+        n //= 4
+        k += 1
+    return n, k
 
-    Plain descending search; fine for the sizes produced by clearing small
-    denominators.  Gives up (returns None) past the iteration cap so callers
-    can fall back to a different candidate vector.
+
+def two_squares(n: int) -> tuple[int, int] | None:
+    """n = a^2 + b^2 over the integers with a >= b maximal, or None.
+
+    When 4 divides a^2 + b^2 both a and b are even, so the search runs on
+    n / 4^k and scales the result by 2^k.  It is a plain descending search
+    past that; it gives up (returns None) after the step cap, so callers can
+    fall back to a different candidate vector.
     """
     if n < 0:
         return None
-    if n == 0:
-        return (0, 0)
+    m, k = _strip_fours(n)
     steps = 0
-    a = isqrt(n)
-    while a * a * 2 >= n:
-        rest = n - a * a
+    a = isqrt(m)
+    while a * a * 2 >= m:
+        rest = m - a * a
         b = isqrt(rest)
         if b * b == rest:
-            return (a, b)
+            return (a << k, b << k)
         a -= 1
         steps += 1
         if steps > _SEARCH_CAP:
@@ -59,20 +73,24 @@ def two_squares(n: int) -> tuple[int, int] | None:
 
 def _is_three_square(n: int) -> bool:
     # n is a sum of three squares unless it has the form 4^a (8b + 7).
-    while n % 4 == 0 and n > 0:
-        n //= 4
-    return n % 8 != 7
+    return _strip_fours(n)[0] % 8 != 7
 
 
 def three_squares(n: int) -> tuple[int, int, int] | None:
+    """n = a^2 + b^2 + c^2 with a maximal, then b, or None.
+
+    As in :func:`two_squares`, 4 dividing the sum makes every square even,
+    so the search runs on n / 4^k and scales the result by 2^k.
+    """
     if n < 0 or not _is_three_square(n):
         return None
+    m, k = _strip_fours(n)
     steps = 0
-    a = isqrt(n)
+    a = isqrt(m)
     while a >= 0:
-        two = two_squares(n - a * a)
+        two = two_squares(m - a * a)
         if two is not None:
-            return (a, *two)
+            return (a << k, two[0] << k, two[1] << k)
         a -= 1
         steps += 1
         if steps > _SEARCH_CAP:

@@ -3,19 +3,27 @@
 Every verdict here is a finite exact computation, not a sampling argument:
 identity checks run over polarized families of basis vectors and pairwise
 sums (the defects are quadratic in the squared variable, so vanishing on
-that family is equivalent to vanishing identically), and the quadraticity
-check expands the relevant cubic coefficient system symbolically.  A "no"
-always carries a concrete counterexample; a "yes" carries a certificate or
-the exhaustively checked family.
+that family is equivalent to vanishing identically), and quadraticity is
+the polarized identity that x^2 lies in span(1, x).  A "no" always carries
+a concrete counterexample; a "yes" carries a certificate or the
+exhaustively checked family.
 
-The alternativity sweeps run on the integer kernel of ``cdalg.kernel``: the
-structure constants are scaled once over their common denominator to an
-integer tensor, and the defects of each family element are integer
-matrices.  These are ``int64`` only when a stated worst-case bound on every
-intermediate is below 2^63, and Python ints otherwise; no float is involved.
-The family is walked in the same order as an element-by-element loop would
-take (part, then basis rows before pairwise sums, then the basis vector x,
-left law before right), so the witness is the first failing one in that order.
+The alternativity sweeps and the quadraticity test run on the integer
+kernel of ``cdalg.kernel``: the structure constants are scaled once over
+their common denominator to an integer tensor, and each check is a handful
+of integer array operations.  These are ``int64`` only when a stated
+worst-case bound on every intermediate is below 2^63, and Python ints
+otherwise; no float is involved.  The alternativity family is walked in the
+same order as an element-by-element loop would take (part, then basis rows
+before pairwise sums, then the basis vector x, left law before right), so
+the witness is the first failing one in that order.
+
+Local complexity is then decided without multiplying in the algebra: the
+traces t_i of the non-unit basis vectors are read off the diagonal of the
+table, the Gram matrix of the norm form on the imaginary part has the closed
+form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
+rational elimination on it, and the Gram-Schmidt of the certificate runs on
+coefficient vectors against it.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .construct import Grading
-from .core import Algebra, Element, minimal_quadratic
+from .core import Algebra, Element
 from .errors import (
     InconsistentInputError,
     NonUnitalError,
@@ -42,8 +50,13 @@ from .linalg import (
     mat_vec,
     nonpositive_direction,
     rank,
+    transpose,
+    unit_vector,
+    vec_dot,
+    vec_scale,
+    vec_sub,
 )
-from .kernel import first_alternativity_defect
+from .kernel import first_alternativity_defect, quadratic_identity_holds
 from .numth import sqrt_fraction
 
 
@@ -58,20 +71,6 @@ class QuadraticCheck:
     witness: Element | None = None  # x with 1, x, x^2 independent
 
 
-def _square_coefficient_forms(algebra: Algebra) -> list[dict[tuple[int, int], Fraction]]:
-    """Coordinate k of x^2 as the quadratic form sum q[k][(a,b)] x_a x_b, a <= b."""
-    n = algebra.dim
-    forms: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for k, c in enumerate(algebra.constants[a][b]):
-                if c == 0:
-                    continue
-                key = (a, b) if a <= b else (b, a)
-                forms[k][key] = forms[k].get(key, F0) + c
-    return forms
-
-
 def _dependent_with_unit(algebra: Algebra, x: Element) -> bool:
     sq = algebra.multiply(x, x)
     return rank([algebra.one().coords, x.coords, sq.coords]) <= 2
@@ -80,43 +79,18 @@ def _dependent_with_unit(algebra: Algebra, x: Element) -> bool:
 def is_quadratic(algebra: Algebra) -> QuadraticCheck:
     """Whether 1, x, x^2 are linearly dependent for every element x.
 
-    The wedge 1 ^ x ^ x^2 has coordinates that are homogeneous cubics in the
-    coordinates of x; with the unit as a basis vector they reduce to
-    x_i q_j(x) - x_j q_i(x) over non-unit index pairs, where q_k is the
-    k-th coordinate form of x^2.  All cubic coefficients must vanish.
+    Decided on the integer structure tensor by the polarized identity of
+    :func:`cdalg.kernel.quadratic_identity_holds`; a "no" carries an element
+    found by a small deterministic search.
     """
     if algebra.unit is None:
         raise NonUnitalError("quadraticity is defined for unital algebras")
-    n = algebra.dim
-    u = algebra.unit
-    if n <= 2:
-        return QuadraticCheck(True)
-    forms = _square_coefficient_forms(algebra)
-    bad_pair: tuple[int, int] | None = None
-    for i in range(n):
-        if i == u:
-            continue
-        for j in range(i + 1, n):
-            if j == u:
-                continue
-            cubic: dict[tuple[int, int, int], Fraction] = {}
-            for (a, b), c in forms[j].items():
-                key = tuple(sorted((i, a, b)))
-                cubic[key] = cubic.get(key, F0) + c
-            for (a, b), c in forms[i].items():
-                key = tuple(sorted((j, a, b)))
-                cubic[key] = cubic.get(key, F0) - c
-            if any(c != 0 for c in cubic.values()):
-                bad_pair = (i, j)
-                break
-        if bad_pair:
-            break
-    if bad_pair is None:
+    if quadratic_identity_holds(algebra):
         return QuadraticCheck(True)
     witness = _quadratic_witness(algebra)
     if witness is None:
         raise InconsistentInputError(
-            "cubic system is nonzero but no witness was found"
+            "the quadratic identity fails but no witness was found"
         )
     return QuadraticCheck(False, witness)
 
@@ -186,6 +160,22 @@ class LocallyComplexCheck:
     reason: str = ""
 
 
+def _traces(algebra: Algebra) -> list[tuple[int, Fraction]]:
+    """``(i, t_i)`` over the non-unit indices, where ``b_i^2 = t_i b_i - n_i 1``."""
+    u = algebra.unit
+    out = []
+    for i in range(algebra.dim):
+        if i == u:
+            continue
+        square = algebra.constants[i][i]
+        if any(c != 0 for k, c in enumerate(square) if k not in (i, u)):
+            raise InconsistentInputError(
+                f"basis vector {i} has no quadratic relation; algebra is not quadratic"
+            )
+        out.append((i, square[i]))
+    return out
+
+
 def imaginary_basis(algebra: Algebra) -> list[Element]:
     """Basis of U = {u not in R : u^2 in R} + {0} for a quadratic algebra.
 
@@ -193,44 +183,23 @@ def imaginary_basis(algebra: Algebra) -> list[Element]:
     """
     if algebra.unit is None:
         raise NonUnitalError("imaginary part needs a unital algebra")
-    out = []
-    for i in range(algebra.dim):
-        if i == algebra.unit:
-            continue
-        mq = minimal_quadratic(algebra, algebra.basis_element(i))
-        if mq.kind == "not_quadratic":
-            raise InconsistentInputError(
-                f"basis vector {i} has no quadratic relation; algebra is not quadratic"
-            )
-        shift = (mq.trace or F0) / 2
-        out.append(algebra.basis_element(i) - algebra.one().scale(shift))
-    return out
+    one = algebra.one()
+    return [algebra.basis_element(i) - one.scale(t / 2) for i, t in _traces(algebra)]
 
 
-def _scalar_coefficient(algebra: Algebra, x: Element) -> Fraction | None:
-    """lam with x = lam * 1, or None if x is not scalar."""
-    u = algebra.unit
-    for i, c in enumerate(x.coords):
-        if i != u and c != 0:
-            return None
-    return x.coords[u]
+def _imaginary_gram(algebra: Algebra) -> Matrix:
+    """Gram matrix of <u, v> = -(uv + vu)/2 on :func:`imaginary_basis`.
 
-
-def inner_product_gram(algebra: Algebra, vectors: Sequence[Element]) -> Matrix:
-    """Gram matrix of <u, v> = -(uv + vu)/2 on vectors with scalar symmetrized products."""
-    m = len(vectors)
-    g = [[F0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            s = algebra.multiply(vectors[i], vectors[j]) + algebra.multiply(
-                vectors[j], vectors[i]
-            )
-            lam = _scalar_coefficient(algebra, s)
-            if lam is None:
-                raise InconsistentInputError(
-                    "uv + vu is not scalar on the imaginary part"
-                )
-            g[i][j] = g[j][i] = -lam / 2
+    For v_i = b_i - t_i/2 the product v_i v_j + v_j v_i is scalar in a
+    quadratic algebra, and its unit coordinate is
+    c_iju + c_jiu + t_i t_j / 2.
+    """
+    c, u = algebra.constants, algebra.unit
+    traces = _traces(algebra)
+    g = [[F0] * len(traces) for _ in traces]
+    for p, (i, ti) in enumerate(traces):
+        for q, (j, tj) in enumerate(traces[p:], start=p):
+            g[p][q] = g[q][p] = -((c[i][j][u] + c[j][i][u]) + ti * tj / 2) / 2
     return tuple(tuple(row) for row in g)
 
 
@@ -245,47 +214,41 @@ def _certificate_from_orthonormal(
     return LocallyComplexCertificate(tuple(basis), mat_inv(cols))
 
 
-def orthonormalize(
-    algebra: Algebra, vectors: Sequence[Element], gram: Matrix
-) -> list[Element] | None:
+def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | None:
     """Gram-Schmidt over the rationals, normalized to squared length one.
 
-    Returns None when some orthogonalized vector has a squared length that is
-    not a perfect rational square, in which case no certificate basis can be
-    produced by scaling alone.
+    ``gram[i][j]`` is the inner product of ``vectors[i]`` and ``vectors[j]``,
+    positive definite on their span; the work is done on coefficient vectors
+    against it, without multiplying in the algebra.  Candidates are taken in
+    order, preferring one whose orthogonalized length is already a square.
+    Returns None when every remaining orthogonalized vector has a squared
+    length that is not a perfect rational square, in which case no
+    certificate basis can be produced by scaling alone.
     """
-    done: list[Element] = []
-    pending = list(vectors)
-
-    def ip(a: Element, b: Element) -> Fraction:
-        s = algebra.multiply(a, b) + algebra.multiply(b, a)
-        lam = _scalar_coefficient(algebra, s)
-        assert lam is not None
-        return -lam / 2
-
+    m = len(vectors)
+    done: list[tuple[Vector, Vector]] = []  # (coefficients e, gram @ e), orthonormal
+    pending = [unit_vector(m, i) for i in range(m)]
     while pending:
-        # Prefer a vector whose orthogonalized length is already a square.
-        chosen = None
         for idx, cand in enumerate(pending):
             v = cand
-            for e in done:
-                v = v - e.scale(ip(v, e))
-            if v.is_zero():
+            for e, ge in done:
+                c = vec_dot(cand, ge)
+                if c:
+                    v = vec_sub(v, vec_scale(c, e))
+            gv = mat_vec(gram, v)
+            norm = vec_dot(v, gv)
+            if norm == 0:  # v is the zero vector
                 pending.pop(idx)
-                chosen = "skip"
                 break
-            norm = ip(v, v)
             root = sqrt_fraction(norm)
-            if root is not None and root != 0:
-                done.append(v.scale(F1 / root))
+            if root is not None:
+                done.append((vec_scale(F1 / root, v), vec_scale(F1 / root, gv)))
                 pending.pop(idx)
-                chosen = "ok"
                 break
-        if chosen == "skip":
-            continue
-        if chosen is None:
+        else:
             return None
-    return done
+    columns = transpose([x.coords for x in vectors])
+    return [Element(mat_vec(columns, e)) for e, _ in done]
 
 
 def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
@@ -311,20 +274,19 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
             reason="not quadratic",
         )
     imag = imaginary_basis(algebra)
-    gram = inner_product_gram(algebra, imag)
+    gram = _imaginary_gram(algebra)
     direction = nonpositive_direction(gram)
     if direction is not None:
         bad = algebra.zero()
         for c, v in zip(direction, imag):
             if c:
                 bad = bad + v.scale(c)
-        sq = algebra.multiply(bad, bad)
-        lam = _scalar_coefficient(algebra, sq)
+        lam = -vec_dot(direction, mat_vec(gram, direction))  # bad^2 = lam * 1
         kind = "nonpositive-norm"
         witness = bad
         if lam == 0:
             kind = "square-zero"
-        elif lam is not None and lam > 0:
+        elif lam > 0:
             root = sqrt_fraction(lam)
             if root is not None:
                 # (1 - bad/root)/2 squares to itself: a nontrivial idempotent.
@@ -336,7 +298,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind=kind,
             reason="norm form is not positive definite",
         )
-    ortho = orthonormalize(algebra, imag, gram)
+    ortho = orthonormalize(imag, gram)
     cert = None
     if ortho is not None:
         cert = _certificate_from_orthonormal(algebra, ortho)

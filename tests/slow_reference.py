@@ -1,17 +1,47 @@
 """Element-loop reference implementations of the kernel-backed checks.
 
 These are the original ``Algebra.multiply`` loops over ``Fraction``
-coordinates, kept as an independent oracle for ``cdalg.kernel``: the
-alternativity sweep over basis vectors and pairwise sums, and the
-double loop of the homomorphism check.  They are slow by design.
+coordinates, kept as an independent oracle for ``cdalg.kernel`` and the
+closed forms built on it: the alternativity sweep over basis vectors and
+pairwise sums, the double loop of the homomorphism check, the cubic
+coefficient system of quadraticity, the multiply-based imaginary basis,
+Gram matrix and Gram-Schmidt of local complexity, the unit-square search
+that multiplies every candidate and pair, and the sum-of-squares searches
+without the 4^k reduction.  They are slow by design.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from cdalg import Algebra, Element
-from cdalg.linalg import Matrix, mat_vec, transpose
+from cdalg.core import minimal_quadratic
+from cdalg.errors import (
+    InconsistentInputError,
+    NonUnitalError,
+    UnsupportedRationalClassError,
+)
+from cdalg.linalg import (
+    F0,
+    F1,
+    Matrix,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    nonpositive_direction,
+    nullspace,
+    transpose,
+)
+from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
+from cdalg.properties import (
+    LocallyComplexCertificate,
+    LocallyComplexCheck,
+    QuadraticCheck,
+    _quadratic_witness,
+)
 
 
 def pair_family(vectors: Sequence[Element]) -> list[Element]:
@@ -76,3 +106,273 @@ def homomorphism_violation(iso: Matrix, source: Algebra, target: Algebra) -> tup
             if lhs.coords != rhs.coords:
                 return (i, j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# local complexity: the cubic-coefficient quadraticity system and the
+# multiply-based imaginary basis, Gram matrix and Gram-Schmidt
+# ---------------------------------------------------------------------------
+
+
+def _square_coefficient_forms(algebra: Algebra) -> list[dict]:
+    """Coordinate k of x^2 as the quadratic form sum q[k][(a,b)] x_a x_b, a <= b."""
+    n = algebra.dim
+    forms: list[dict] = [dict() for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k, c in enumerate(algebra.constants[a][b]):
+                if c == 0:
+                    continue
+                key = (a, b) if a <= b else (b, a)
+                forms[k][key] = forms[k].get(key, F0) + c
+    return forms
+
+
+def is_quadratic(algebra: Algebra) -> QuadraticCheck:
+    """All cubic coefficients of x_i q_j(x) - x_j q_i(x), over non-unit
+    index pairs, must vanish."""
+    if algebra.unit is None:
+        raise NonUnitalError("quadraticity is defined for unital algebras")
+    n = algebra.dim
+    u = algebra.unit
+    if n <= 2:
+        return QuadraticCheck(True)
+    forms = _square_coefficient_forms(algebra)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if u in (i, j):
+                continue
+            cubic: dict = {}
+            for (a, b), c in forms[j].items():
+                key = tuple(sorted((i, a, b)))
+                cubic[key] = cubic.get(key, F0) + c
+            for (a, b), c in forms[i].items():
+                key = tuple(sorted((j, a, b)))
+                cubic[key] = cubic.get(key, F0) - c
+            if any(c != 0 for c in cubic.values()):
+                witness = _quadratic_witness(algebra)
+                if witness is None:
+                    raise InconsistentInputError("cubic system is nonzero but no witness")
+                return QuadraticCheck(False, witness)
+    return QuadraticCheck(True)
+
+
+def imaginary_basis(algebra: Algebra) -> list[Element]:
+    out = []
+    for i in range(algebra.dim):
+        if i == algebra.unit:
+            continue
+        mq = minimal_quadratic(algebra, algebra.basis_element(i))
+        if mq.kind == "not_quadratic":
+            raise InconsistentInputError(f"basis vector {i} has no quadratic relation")
+        shift = (mq.trace or F0) / 2
+        out.append(algebra.basis_element(i) - algebra.one().scale(shift))
+    return out
+
+
+def _scalar_coefficient(algebra: Algebra, x: Element):
+    u = algebra.unit
+    if any(c != 0 for i, c in enumerate(x.coords) if i != u):
+        return None
+    return x.coords[u]
+
+
+def inner_product(algebra: Algebra, a: Element, b: Element):
+    lam = _scalar_coefficient(algebra, algebra.multiply(a, b) + algebra.multiply(b, a))
+    if lam is None:
+        raise InconsistentInputError("uv + vu is not scalar on the imaginary part")
+    return -lam / 2
+
+
+def inner_product_gram(algebra: Algebra, vectors: Sequence[Element]) -> Matrix:
+    return tuple(tuple(inner_product(algebra, a, b) for b in vectors) for a in vectors)
+
+
+def orthonormalize(algebra: Algebra, vectors: Sequence[Element]) -> list[Element] | None:
+    done: list[Element] = []
+    pending = list(vectors)
+    while pending:
+        for idx, cand in enumerate(pending):
+            v = cand
+            for e in done:
+                v = v - e.scale(inner_product(algebra, v, e))
+            if v.is_zero():
+                pending.pop(idx)
+                break
+            root = sqrt_fraction(inner_product(algebra, v, v))
+            if root is not None and root != 0:
+                done.append(v.scale(F1 / root))
+                pending.pop(idx)
+                break
+        else:
+            return None
+    return done
+
+
+def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
+    if algebra.unit is None:
+        raise NonUnitalError("local complexity is defined for unital algebras")
+    if algebra.dim == 1:
+        cert = LocallyComplexCertificate((algebra.one(),), identity(1))
+        return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
+    q = is_quadratic(algebra)
+    if not q.holds:
+        return LocallyComplexCheck(
+            False,
+            counterexample=q.witness,
+            counterexample_kind="independent-square",
+            reason="not quadratic",
+        )
+    imag = imaginary_basis(algebra)
+    direction = nonpositive_direction(inner_product_gram(algebra, imag))
+    if direction is not None:
+        bad = algebra.zero()
+        for c, v in zip(direction, imag):
+            if c:
+                bad = bad + v.scale(c)
+        lam = _scalar_coefficient(algebra, algebra.multiply(bad, bad))
+        kind = "nonpositive-norm"
+        witness = bad
+        if lam == 0:
+            kind = "square-zero"
+        elif lam is not None and lam > 0:
+            root = sqrt_fraction(lam)
+            if root is not None:
+                witness = (algebra.one() - bad.scale(F1 / root)).scale(Fraction(1, 2))
+                kind = "idempotent"
+        return LocallyComplexCheck(
+            False,
+            counterexample=witness,
+            counterexample_kind=kind,
+            reason="norm form is not positive definite",
+        )
+    ortho = orthonormalize(algebra, imag)
+    cert = None
+    if ortho is not None:
+        basis = [algebra.one()] + ortho
+        cols = tuple(tuple(b.coords[k] for b in basis) for k in range(algebra.dim))
+        cert = LocallyComplexCertificate(tuple(basis), mat_inv(cols))
+    return LocallyComplexCheck(True, certificate=cert)
+
+
+# ---------------------------------------------------------------------------
+# unit-square search: one multiply per square, two per anticommutator
+# ---------------------------------------------------------------------------
+
+
+def _square_scalar(algebra: Algebra, x: Element):
+    return _scalar_coefficient(algebra, algebra.multiply(x, x))
+
+
+def _anticommute(algebra: Algebra, a: Element, b: Element) -> bool:
+    return (algebra.multiply(a, b) + algebra.multiply(b, a)).is_zero()
+
+
+def find_unit_square_vector(algebra, space, anticommute_with=(), closure=None) -> Element:
+    if anticommute_with:
+        rows = []
+        for e in anticommute_with:
+            le, re = algebra.left_mul_matrix(e), algebra.right_mul_matrix(e)
+            rows.extend(
+                tuple(le[r][c] + re[r][c] for c in range(algebra.dim))
+                for r in range(algebra.dim)
+            )
+        constraint = mat_mul(rows, transpose([v.coords for v in space]))
+        restricted = []
+        for coeffs in nullspace(constraint, len(space)):
+            w = algebra.zero()
+            for c, v in zip(coeffs, space):
+                if c:
+                    w = w + v.scale(c)
+            restricted.append(w)
+        space = restricted
+    candidates = list(space)
+    for i in range(len(space)):
+        for j in range(i + 1, len(space)):
+            candidates += [space[i] + space[j], space[i] - space[j]]
+    candidates = [c for c in candidates if not c.is_zero()]
+
+    def finish(x):
+        sq = _square_scalar(algebra, x)
+        if sq is None or sq >= 0:
+            return None
+        root = sqrt_fraction(-sq)
+        if root is None:
+            return None
+        out = x.scale(F1 / root)
+        if not all(_anticommute(algebra, out, e) for e in anticommute_with):
+            return None
+        return out
+
+    for cand in candidates:
+        out = finish(cand)
+        if out is not None:
+            return out
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            a, b = candidates[i], candidates[j]
+            if _anticommute(algebra, a, b):
+                out = finish(algebra.multiply(a, b))
+                if out is not None:
+                    return out
+    if closure is not None:
+        for cand in candidates:
+            sq = _square_scalar(algebra, cand)
+            if sq is None or sq >= 0:
+                continue
+            target = F1 / (-sq)
+            if len(closure) == 2:
+                decomp = two_squares_fraction(target)
+            else:
+                decomp = four_squares_fraction(target)
+            if decomp is None:
+                continue
+            p = algebra.zero()
+            for c, b in zip(decomp, closure):
+                if c:
+                    p = p + b.scale(c)
+            out = finish(algebra.multiply(cand, p))
+            if out is not None:
+                return out
+    raise UnsupportedRationalClassError("no rational vector of square -1 found")
+
+
+# ---------------------------------------------------------------------------
+# sums of squares: plain descending searches, largest leading term first
+# ---------------------------------------------------------------------------
+
+
+def two_squares(n: int) -> tuple[int, int] | None:
+    if n < 0:
+        return None
+    a = isqrt(n)
+    while a * a * 2 >= n:
+        rest = n - a * a
+        b = isqrt(rest)
+        if b * b == rest:
+            return (a, b)
+        a -= 1
+    return None
+
+
+def three_squares(n: int) -> tuple[int, int, int] | None:
+    if n < 0:
+        return None
+    m = n
+    while m and m % 4 == 0:
+        m //= 4
+    if m % 8 == 7:  # Legendre: 4^a (8b + 7) is not a sum of three squares
+        return None
+    for a in range(isqrt(n), -1, -1):
+        two = two_squares(n - a * a)
+        if two is not None:
+            return (a, *two)
+    return None
+
+
+def four_squares(n: int) -> tuple[int, int, int, int]:
+    for a in range(isqrt(n), -1, -1):
+        three = three_squares(n - a * a)
+        if three is not None:
+            return (a, *three)
+    raise AssertionError("every n >= 0 is a sum of four squares")

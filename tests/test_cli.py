@@ -31,6 +31,14 @@ def test_gen_stdout_round_trips(capsys):
     assert data["grading"] == {"even": [0, 1, 2, 3], "odd": [4, 5, 6, 7]}
 
 
+def test_gen_stdout_follows_format(capsys):
+    code, out, _ = run_cli(capsys, "gen", "C", "--format", "md")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "dim: 2"
+    assert "grading: " + json.dumps({"even": [0], "odd": [1]}) in lines
+
+
 def test_table_formats(capsys):
     code, out, _ = run_cli(capsys, "table", "C", "--format", "csv")
     assert code == 0
@@ -168,6 +176,47 @@ def test_exit_code_bad_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "recognize", str(bad))
     assert code == 3
     assert "malformed-input" in err
+
+
+def _mangled_quaternions(tmp_path, mangle):
+    from cdalg import algebra_to_dict
+
+    data = algebra_to_dict(named_algebra("H").algebra)
+    mangle(data)
+    path = tmp_path / "mangled.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _ragged(data):
+    data["constants"][1][2] = data["constants"][1][2][:3]
+
+
+def _unit_out_of_range(data):
+    data["unit"] = 7
+
+
+def _scalar_constants(data):
+    data["constants"] = 5
+
+
+def _short_labels(data):
+    data["labels"] = ["1", "i"]
+
+
+@pytest.mark.parametrize(
+    "mangle", [_ragged, _unit_out_of_range, _scalar_constants, _short_labels]
+)
+def test_malformed_algebra_file_exits_3(tmp_path, capsys, mangle):
+    code, out, err = run_cli(capsys, "check", _mangled_quaternions(tmp_path, mangle))
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
+def test_classify4_without_operand_exits_3(capsys):
+    code, out, err = run_cli(capsys, "classify4")
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
 
 
 def test_exit_code_math_failure(capsys):

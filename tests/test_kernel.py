@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from cdalg import Algebra, Grading, is_alternative, is_super_alternative, named_algebra
 from cdalg.analysis import _homomorphism_violation, rotated_copy
 from cdalg.core import change_of_basis
-from cdalg.kernel import INT64_LIMIT, AlternativitySweep, scaled_tensor
+from cdalg.kernel import (
+    INT64_LIMIT,
+    AlternativitySweep,
+    anticommutator_table,
+    scaled_tensor,
+)
 from cdalg.linalg import identity, mat_inv, transpose
 
 import slow_reference as ref
@@ -287,3 +292,19 @@ def test_entries_beyond_int64_with_an_empty_part_or_a_zero_map():
     zero = tuple((F0,) * 4 for _ in range(4))
     assert _homomorphism_violation(zero, nonunital, alg) is None
     assert ref.homomorphism_violation(zero, nonunital, alg) is None
+
+
+@pytest.mark.parametrize("big", [2**28, 2**29, 2**31, 2**33])
+def test_anticommutator_table_exact_around_int64_bound(big):
+    """Rows of size ``big`` in H put the table's bound just under (2^28) or
+    over 2^63; past it int64 would wrap, so the table must switch to
+    Python ints and still equal the products taken in Fractions."""
+    h = named_algebra("H").algebra
+    xs = [[Fraction(big), Fraction(big), -Fraction(big), Fraction(big)], [F0, Fraction(1), F0, F0]]
+    ys = [[Fraction(big), -Fraction(big), Fraction(big), Fraction(big)], [F0, F0, Fraction(big, 3), F0]]
+    table, scale = anticommutator_table(h, xs, ys)
+    for p, x in enumerate(xs):
+        for q, y in enumerate(ys):
+            x_el, y_el = h.element(x), h.element(y)
+            expected = h.multiply(x_el, y_el) + h.multiply(y_el, x_el)
+            assert tuple(Fraction(v, scale) for v in table[p][q]) == expected.coords

@@ -1,5 +1,6 @@
 """Square detection and the two/four-square decompositions."""
 
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from cdalg.numth import (
     two_squares,
     two_squares_fraction,
 )
+
+import slow_reference as ref
 
 
 def test_sqrt_fraction():
@@ -59,3 +62,29 @@ def test_two_squares_fraction():
 def test_four_squares_fraction_always(q):
     quad = four_squares_fraction(q)
     assert sum(x * x for x in quad) == q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6 - 1))
+def test_searches_match_plain_descent(n):
+    """The 4^k reduction returns the same maximal-first representation."""
+    assert two_squares(n) == ref.two_squares(n)
+    assert three_squares(n) == ref.three_squares(n)
+    assert four_squares(n) == ref.four_squares(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=1000))
+def test_searches_match_plain_descent_on_multiples_of_four(k, m):
+    n = 4**k * m
+    assert two_squares(n) == ref.two_squares(n)
+    assert three_squares(n) == ref.three_squares(n)
+    assert four_squares(n) == ref.four_squares(n)
+
+
+def test_four_squares_of_a_large_multiple_of_four_is_fast():
+    """n - a^2 for the leading a is 4^11 times a small number here, which the
+    plain descent needed about a minute to decompose."""
+    start = time.perf_counter()
+    assert four_squares(107856673503394201600) == (10385406720, 866304, 81920, 79872)
+    assert time.perf_counter() - start < 2.0
