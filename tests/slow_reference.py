@@ -6,8 +6,10 @@ closed forms built on it: the alternativity sweep over basis vectors and
 pairwise sums, the double loop of the homomorphism check, the cubic
 coefficient system of quadraticity, the multiply-based imaginary basis,
 Gram matrix and Gram-Schmidt of local complexity, the unit-square search
-that multiplies every candidate and pair, and the sum-of-squares searches
-without the 4^k reduction.  They are slow by design.
+that multiplies every candidate and pair, the sum-of-squares searches
+without the 4^k reduction, ``Fraction`` Gauss-Jordan elimination, and the
+annihilator and subalgebra closure built from ``Algebra.multiply``.  They
+are slow by design.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from cdalg.linalg import (
     F1,
     Matrix,
     identity,
-    mat_inv,
     mat_mul,
     mat_vec,
     nonpositive_direction,
-    nullspace,
     transpose,
 )
 from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
@@ -376,3 +376,104 @@ def four_squares(n: int) -> tuple[int, int, int, int]:
         if three is not None:
             return (a, *three)
     raise AssertionError("every n >= 0 is a sum of four squares")
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: Gauss-Jordan elimination on Fraction rows
+# ---------------------------------------------------------------------------
+
+
+def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
+    work = [[Fraction(x) for x in row] for row in rows if any(x != 0 for x in row)]
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = F1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[0])
+
+
+def nullspace(rows, ncols: int) -> Matrix:
+    reduced, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [F0] * ncols
+        v[fc] = F1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return rref(basis)[0]
+
+
+def mat_inv(m) -> Matrix:
+    n = len(m)
+    aug = [list(row) + [F1 if i == j else F0 for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots = rref(aug)
+    if len(reduced) != n or any(p != i for i, p in enumerate(pivots)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def det(m) -> Fraction:
+    n = len(m)
+    work = [[Fraction(x) for x in row] for row in m]
+    result = F1
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot_row is None:
+            return F0
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            result = -result
+        result *= work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] / work[c][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return result
+
+
+def in_span(reduced: Matrix, v) -> bool:
+    """Membership in the span of reduced echelon rows, by subtraction."""
+    rem = [Fraction(x) for x in v]
+    for row in reduced:
+        pc = next(i for i, x in enumerate(row) if x != 0)
+        f = rem[pc]
+        rem = [a - f * b for a, b in zip(rem, row)]
+    return all(x == 0 for x in rem)
+
+
+def annihilator(algebra: Algebra, x: Element) -> Matrix:
+    """Canonical basis of {y : xy = 0} from the Fraction left-multiplication matrix."""
+    return nullspace(algebra.left_mul_matrix(x), algebra.dim)
+
+
+def generated_subalgebra(algebra: Algebra, gens, include_unit: bool = True) -> Matrix:
+    """Echelon basis of the closure, with every product multiplied out."""
+    span = rref([g.coords for g in gens] + ([algebra.one().coords] if include_unit else []))[0]
+    while True:
+        products = [algebra.multiply(Element(a), Element(b)).coords for a in span for b in span]
+        grown = rref(list(span) + products)[0]
+        if len(grown) == len(span):
+            return span
+        span = grown

@@ -216,6 +216,29 @@ def test_classifier_rejects_ungraded_nonsense(sedenions):
         )
 
 
+def test_classifier_validates_the_grading_once(twisted_octonions, monkeypatch):
+    from cdalg import Grading
+
+    calls = []
+    validate = Grading.validate
+    monkeypatch.setattr(Grading, "validate", lambda self, alg: calls.append(1) or validate(self, alg))
+    rec = classify_super_alternative(twisted_octonions.algebra, twisted_octonions.grading)
+    assert rec.tag == "TO" and len(calls) == 1
+
+
+def test_bad_grading_is_reported_before_local_complexity():
+    from cdalg import Grading, InvalidGradingError
+
+    # J3 with b1 b1 = 0 is not locally complex; b1 b2 = b2 leaves the grading.
+    alg = named_algebra("J3").algebra
+    consts = [[list(cell) for cell in row] for row in alg.constants]
+    consts[1][1] = [F(0)] * 3
+    consts[1][2] = [F(0), F(0), F(1)]
+    broken = type(alg)(consts, unit=0)
+    with pytest.raises(InvalidGradingError):
+        classify_super_alternative(broken, Grading.from_indices(3, [0, 2], [1]))
+
+
 # -- alter-scalars -----------------------------------------------------------
 
 

@@ -204,8 +204,18 @@ def _short_labels(data):
     data["labels"] = ["1", "i"]
 
 
+def _boolean_constant(data):
+    data["constants"][0][1][1] = True  # was "1"
+
+
+def _boolean_grading_index(data):
+    data["grading"] = {"even": [0, True], "odd": [2, 3]}  # True was read as 1
+
+
 @pytest.mark.parametrize(
-    "mangle", [_ragged, _unit_out_of_range, _scalar_constants, _short_labels]
+    "mangle",
+    [_ragged, _unit_out_of_range, _scalar_constants, _short_labels,
+     _boolean_constant, _boolean_grading_index],
 )
 def test_malformed_algebra_file_exits_3(tmp_path, capsys, mangle):
     code, out, err = run_cli(capsys, "check", _mangled_quaternions(tmp_path, mangle))

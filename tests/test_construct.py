@@ -155,6 +155,13 @@ def test_named_lookup_aliases():
         named_algebra("Jx")
 
 
+def test_named_lookup_is_shared_between_calls():
+    assert named_algebra("s") is named_algebra("S") is named_algebra("A4")
+    assert named_algebra("TS").grading is named_algebra("ts").grading
+    with pytest.raises(UnknownAlgebraError, match="'q'"):
+        named_algebra("q")
+
+
 def test_cayley_dickson_rejects_broken_involution(complexes):
     alg = complexes.algebra
     not_an_involution = ((F(1), F(1)), (F(0), F(1)))

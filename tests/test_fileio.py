@@ -45,6 +45,9 @@ def test_dict_validation_errors():
         )
     with pytest.raises(MalformedInputError):
         algebra_from_dict([1, 2, 3])
+    for dim in (True, 1.0, "1", float("inf")):
+        with pytest.raises(MalformedInputError):
+            algebra_from_dict({"dim": dim, "unit": 0, "constants": [[["1"]]]})
 
 
 def test_bad_grading_rejected(sedenions):

@@ -1,0 +1,115 @@
+"""Mutated algebra files at the parse boundary.
+
+Valid files of small named algebras are mutated in shape, literals, unit,
+labels, dimension and grading.  ``algebra_from_dict`` must either build an
+algebra or raise ``MalformedInputError``, and ``cdalg check`` must exit with
+0, 1 or 3 (2 is argparse's usage error), printing a JSON error on stderr
+whenever it fails.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
+
+from cdalg import MalformedInputError, algebra_from_dict, algebra_to_dict, named_algebra
+from cdalg.cli import main
+
+ODD_VALUES = st.one_of(
+    st.sampled_from(["1/2", "-3", "0", "1/0", "abc", "", " 2", "1.5", "1e3", "0x10", "-0/5"]),
+    st.integers(-3, 3),
+    st.integers(2**63, 2**70),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.just([]),
+    st.just({"p": 1}),
+)
+
+
+def _table(name):
+    bundle = named_algebra(name)
+    return algebra_to_dict(bundle.algebra, bundle.grading)
+
+
+@st.composite
+def mutated_files(draw):
+    data = json.loads(json.dumps(_table(draw(st.sampled_from(["C", "H", "J3"])))))
+    n = data["dim"]
+    for _ in range(draw(st.integers(1, 3))):
+        what = draw(st.sampled_from(
+            ["rational", "rational", "rational", "partition", "literal", "literal",
+             "cell", "row", "unit", "labels", "dim", "grading", "drop"]
+        ))
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        constants = data.get("constants")
+        intact = (
+            isinstance(constants, list) and len(constants) == n
+            and all(isinstance(r, list) and len(r) == n for r in constants)
+            and all(isinstance(c, list) and len(c) == n for r in constants for c in r)
+        )
+        if what == "rational" and intact and 0 not in (i, j):
+            # A valid entry off the unit's row and column keeps the unit axioms.
+            constants[i][j][k] = draw(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"]))
+        elif what == "partition":
+            odd = [m for m in range(1, n) if draw(st.booleans())]
+            data["grading"] = {"even": [m for m in range(n) if m not in odd], "odd": odd}
+        elif what == "literal" and intact:
+            constants[i][j][k] = draw(ODD_VALUES)
+        elif what == "cell" and intact:
+            constants[i][j] = draw(st.sampled_from(
+                [constants[i][j][:-1], constants[i][j] + ["0"], "0", None]
+            ))
+        elif what == "row" and intact:
+            constants[i] = draw(st.sampled_from([constants[i][:-1], [], 7]))
+        elif what == "unit":
+            data["unit"] = draw(st.one_of(st.integers(-2, n + 1), ODD_VALUES))
+        elif what == "labels":
+            data["labels"] = draw(st.one_of(
+                st.lists(st.one_of(st.text(max_size=3), ODD_VALUES), max_size=n + 1), ODD_VALUES
+            ))
+        elif what == "dim":
+            data["dim"] = draw(st.one_of(st.integers(-1, n + 1), ODD_VALUES))
+        elif what == "grading":
+            index = st.one_of(st.integers(-1, n), ODD_VALUES)
+            data["grading"] = draw(st.one_of(
+                st.fixed_dictionaries({"even": st.lists(index, max_size=n),
+                                       "odd": st.lists(index, max_size=n)}),
+                st.fixed_dictionaries({"even": st.lists(index, max_size=n)}),
+                ODD_VALUES,
+            ))
+        elif what == "drop" and data:
+            data.pop(draw(st.sampled_from(sorted(data))))
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_files())
+@example({"dim": float("inf"), "constants": [[["1"]]], "unit": 0})
+@example({"dim": True, "constants": [[["1"]]], "unit": 0})
+@example({"dim": 1, "constants": [[[True]]], "unit": 0})
+@example({"dim": 1, "constants": [[["1"]]], "unit": 0, "grading": {"even": [False]}})
+def test_algebra_from_dict_builds_or_rejects(data):
+    try:
+        algebra_from_dict(data)
+    except MalformedInputError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_files())
+def test_check_exits_cleanly_on_mutated_files(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "algebra.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path), "--budget", "20"])
+    event(f"exit {code}")
+    assert code in (0, 1, 3)
+    if code == 0:
+        assert set(json.loads(out.getvalue())) == {"flags", "witnesses"}
+    else:
+        error = json.loads(err.getvalue())
+        assert error["kind"] == "malformed-input" if code == 3 else error["kind"] != "malformed-input"

@@ -1,9 +1,16 @@
-"""Exact linear algebra: canonical echelon forms, kernels, inverses."""
+"""Exact linear algebra: canonical echelon forms, kernels, inverses.
+
+The fraction-free elimination core is checked against the Fraction
+Gauss-Jordan elimination kept in slow_reference.
+"""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import slow_reference as ref
 
 from cdalg.linalg import (
     Subspace,
@@ -110,3 +117,98 @@ def test_transpose_shape():
 
 def test_rank():
     assert rank(mat([[1, 2], [2, 4], [1, 0]])) == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination core against the Fraction reference
+# ---------------------------------------------------------------------------
+
+BIG = 2**64
+SMALL_INTS = st.integers(-3, 3)
+INTS = st.one_of(SMALL_INTS, st.integers(-4 * BIG, 4 * BIG))
+FRACTIONS = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-BIG * BIG, BIG * BIG), st.integers(1, BIG * BIG)),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(rows, ncols): rows of Python ints or of Fractions, with zero rows,
+    repeated rows and combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(1, 5))
+    nrows = ncols if square else draw(st.integers(0, 6))
+    integral = draw(st.booleans())
+    entries = INTS if integral else st.one_of(FRACTIONS, SMALL_INTS.map(Fraction))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "new" and not rows):
+            row = [0 if integral else Fraction(0)] * ncols
+            if kind != "zero":
+                row = [draw(entries) for _ in range(ncols)]
+        elif kind == "new":
+            row = [draw(entries) for _ in range(ncols)]
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(INTS), draw(INTS if integral else entries)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        rows.append(tuple(row))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_matches_fraction_reference(case, data):
+    rows, ncols = case
+    expected = ref.rref(rows)
+    assert rref(rows) == expected
+    assert rank(rows) == len(expected[0])
+    assert nullspace(rows, ncols) == ref.nullspace(rows, ncols)
+    space = Subspace(rows, ncols)
+    assert space.rows == expected[0]
+    probes = list(rows) + [
+        tuple(data.draw(FRACTIONS) for _ in range(ncols)),
+        tuple(sum(data.draw(SMALL_INTS) * r[i] for r in rows) for i in range(ncols)),
+    ]
+    for v in probes:
+        assert space.contains(v) == ref.in_span(expected[0], v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_inverse_and_determinant_match_fraction_reference(case):
+    m, _ = case
+    d = ref.det(m)
+    assert det(m) == d
+    if d == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            mat_inv(m)
+    else:
+        assert mat_inv(m) == ref.mat_inv(m)
+
+
+def test_empty_and_zero_inputs():
+    assert rref([]) == ((), ())
+    assert rref([(0, 0), (Fraction(0), 0)]) == ((), ())
+    assert rank([]) == 0
+    assert nullspace([], 2) == identity(2)
+    assert nullspace([(0, 0)]) == identity(2)
+    assert Subspace([], 3).dim == 0
+    assert Subspace([], 3).contains((0, 0, 0))
+    assert det(()) == 1
+    assert det(((0, 1), (1, 0))) == -1
+    assert det(((0, 0, 2), (0, 3, 0), (Fraction(1, 2), 0, 0))) == -3
+
+
+def test_entries_past_int64():
+    big = 2**70 + 1
+    rows = [(big, Fraction(1, big)), (Fraction(big, 3), Fraction(1, 3 * big))]
+    assert rank(rows) == 1
+    assert rref(rows) == (((Fraction(1), Fraction(1, big * big)),), (0,))
+    m = ((Fraction(big), Fraction(1)), (Fraction(1), Fraction(1, big)))
+    assert det(m) == 0
+    m = ((Fraction(big), Fraction(1)), (Fraction(0), Fraction(1, big)))
+    assert det(m) == 1 and mat_inv(m) == ref.mat_inv(m)
