@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .construct import Grading, named_algebra
 from .core import Algebra, Element, change_of_basis, generated_subalgebra
@@ -50,6 +51,7 @@ from .kernel import (
     anticommutator_table,
     first_homomorphism_violation,
     left_mul_rows,
+    singularity_screen,
 )
 from .numth import (
     four_squares_fraction,
@@ -714,48 +716,70 @@ def _from_certificate(algebra: Algebra, cert, coords: Sequence[Fraction]) -> Ele
     return out
 
 
+# Candidates screened together; a find stops the search at most this many
+# candidates after the one it needed.
+_SCREEN_CHUNK = 32
+
+
+def _zero_divisor_candidates(algebra: Algebra, budget: int, seed: int) -> Iterator[Element]:
+    """The candidates of :func:`zero_divisor_search`, in order and built lazily.
+
+    Basis vectors, then b_i - b_j and b_i + b_j for i < j, then products of
+    a few of these, then ``budget`` seeded random rational elements.
+    """
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(n)]
+    structured = list(basis)
+    yield from basis
+    for i in range(n):
+        for j in range(i + 1, n):
+            for x in (basis[i] - basis[j], basis[i] + basis[j]):
+                structured.append(x)
+                yield x
+    for i in range(0, len(structured), 7):
+        for j in range(i + 1, min(i + 4, len(structured))):
+            yield algebra.multiply(structured[i], structured[j])
+    rng = random.Random(seed)
+    draws = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in (1, 2)}
+    for _ in range(budget):
+        yield Element(tuple(draws[rng.randint(-3, 3), rng.randint(1, 2)] for _ in range(n)))
+
+
 def zero_divisor_search(
     algebra: Algebra, budget: int = 10_000, seed: int = 0
 ) -> ZeroDivisorSearch:
     """Search for x, y != 0 with xy = 0, exactly.
 
     Structured candidates run first and deterministically: basis vectors,
-    all differences and sums b_i +- b_j, and their pairwise products; each
-    candidate's annihilator kernel provides the exact partner.  Locally
-    complex algebras of dimension <= 4 are settled definitively through the
-    canonical parameters instead.  Afterwards, seeded random rational
-    elements are tried up to the budget.
+    all differences and sums b_i +- b_j, and some of their pairwise
+    products; each candidate's annihilator kernel provides the exact
+    partner.  Locally complex algebras of dimension <= 4 are settled
+    definitively through the canonical parameters instead.  Afterwards,
+    seeded random rational elements are tried up to the budget.
+
+    Candidates are screened in chunks by
+    :func:`cdalg.kernel.singularity_screen`: a candidate whose left
+    multiplication is nonsingular modulo a prime is nonsingular over the
+    rationals, so it is skipped exactly, and every other one gets the exact
+    kernel.  The screen changes no verdict, witness or ``tried`` count.
+    "exhausted" still means only that the search gave up, not that there is
+    no zero divisor.
     """
     exact = _lowdim_exact_route(algebra)
     if exact is not None:
         return exact
-    n = algebra.dim
+    screen = singularity_screen(algebra)
+    candidates = _zero_divisor_candidates(algebra, budget, seed)
     tried = 0
-    basis = [algebra.basis_element(i) for i in range(n)]
-    structured: list[Element] = list(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            structured.append(basis[i] - basis[j])
-            structured.append(basis[i] + basis[j])
-    extra: list[Element] = []
-    for i in range(0, len(structured), 7):
-        for j in range(i + 1, min(i + 4, len(structured))):
-            extra.append(algebra.multiply(structured[i], structured[j]))
-    for x in structured + extra:
-        tried += 1
-        y = _kernel_partner(algebra, x)
-        if y is not None:
-            return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        tried += 1
-        coords = [
-            Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)
-        ]
-        x = Element(tuple(coords))
-        y = _kernel_partner(algebra, x)
-        if y is not None:
-            return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
+    while chunk := list(islice(candidates, _SCREEN_CHUNK)):
+        regular = screen([x.coords for x in chunk]) if screen else [False] * len(chunk)
+        for x, skip in zip(chunk, regular):
+            tried += 1
+            if skip:
+                continue
+            y = _kernel_partner(algebra, x)
+            if y is not None:
+                return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
     return ZeroDivisorSearch("exhausted", tried=tried)
 
 

@@ -562,6 +562,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if [] in vars(args).values():
+            # argparse drops a "--" given as an option's value
+            # ("--element=--"), leaving an empty list in place of the string.
+            raise MalformedInputError("'--' is not accepted as an option value")
         return args.func(args)
     except MalformedInputError as exc:
         print(json.dumps({"error": str(exc), "kind": "malformed-input"}), file=sys.stderr)

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError, NonUnitalError
 from .linalg import (
     F0,
+    F1,
     Matrix,
     Subspace,
     Vector,
@@ -72,7 +73,7 @@ class Element:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_nonzero", "_scaled")
+    __slots__ = ("dim", "constants", "unit", "labels", "_nonzero", "_scaled", "_lc")
 
     def __init__(
         self,
@@ -99,23 +100,22 @@ class Algebra:
         # Per-pair nonzero entries; iteration stays cheap for the sparse
         # tables of the doubling construction while storage remains dense.
         self._nonzero = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(tensor[i][j]) if c != 0)
-                for j in range(n)
-            )
-            for i in range(n)
+            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            for row in tensor
         )
-        # Integer-scaled constants for the exact kernels, built on first use.
+        # Derived facts, computed on first use: the integer-scaled constants
+        # for the exact kernels and the local-complexity check.
         self._scaled = None
+        self._lc = None
         if unit is not None:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")
-            e = unit_vector(n, unit)
+            # 1 * b_i and b_i * 1 are the table entries [unit][i] and [i][unit].
             for i in range(n):
-                bi = unit_vector(n, i)
-                if self.multiply(Element(e), Element(bi)).coords != bi:
+                bi = ((i, F1),)
+                if self._nonzero[unit][i] != bi:
                     raise ValueError(f"unit axiom fails: 1 * b_{i} != b_{i}")
-                if self.multiply(Element(bi), Element(e)).coords != bi:
+                if self._nonzero[i][unit] != bi:
                     raise ValueError(f"unit axiom fails: b_{i} * 1 != b_{i}")
 
     # -- constructors -------------------------------------------------

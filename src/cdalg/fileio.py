@@ -177,7 +177,10 @@ def parse_element(expr: str, algebra: Algebra) -> Element:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("label") is None):
             raise MalformedInputError(f"cannot parse term {chunk!r} in {expr!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise MalformedInputError("division by zero in element expression") from exc
         if m.group("div"):
             div = int(m.group("div"))
             if div == 0:

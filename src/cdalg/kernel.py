@@ -1,6 +1,7 @@
 """Exact integer kernels behind the polarized identity checks, the
-quadraticity test, the product and anticommutator tables, left
-multiplication matrices and the homomorphism check.
+quadraticity and nicely-normed tests, the product and anticommutator
+tables, left multiplication matrices, the zero-divisor screen and the
+homomorphism check.
 
 An algebra's rational structure constants are scaled once, over their common
 denominator ``D``, to an integer tensor ``C`` with
@@ -205,6 +206,28 @@ def quadratic_identity_holds(algebra) -> bool:
     return bool((defect == 0).all())
 
 
+def commutators_are_imaginary(algebra) -> bool:
+    """Whether every commutator ``[b_i, b_j]`` of a quadratic unital algebra
+    has no real part.
+
+    The real part is ``sigma(x) = x_u + sum_{k != u} x_k t_k / 2``, the
+    projection onto ``R 1`` along the imaginary part, with ``u`` the unit
+    index and ``t_k = c_kkk`` the traces.  Scaled by ``2 D^2`` it reads
+    ``2 D (C[i,j,u] - C[j,i,u]) + sum_{k != u} (C[i,j,k] - C[j,i,k]) C[k,k,k]``;
+    the unit's own rows commute, so every pair may be tested.
+    """
+    st = scaled_tensor(algebra)
+    c, u, n, den = st.max_abs, algebra.unit, algebra.dim, st.den
+    # Commutator entries are at most 2c; the unit term adds 2D * 2c and the
+    # others (n-1) * 2c * c.  The weight 2D must fit as well.
+    fits = max(4 * den * c + 2 * (n - 1) * c * c, 2 * den) < INT64_LIMIT
+    t = st.array(fits)
+    weights = t[np.arange(n), np.arange(n), np.arange(n)].copy()
+    weights[u] = 2 * den
+    commutators = t - t.transpose(1, 0, 2)
+    return bool((commutators @ weights == 0).all())
+
+
 def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
     """The matrix of ``y -> x y`` times a positive integer, as rows of Python ints.
 
@@ -220,6 +243,68 @@ def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
     fits = max(n * big * st.max_abs, st.max_abs, big) < INT64_LIMIT
     xs = _exact(ints, (n,), fits)
     return np.tensordot(xs, st.array(fits), axes=(0, 0)).T.tolist()
+
+
+SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
+
+
+def _screen_fits(n: int, p: int) -> bool:
+    """Whether the screen modulo ``p`` stays in int64 for dimension ``n``.
+
+    Residues are below p: each entry of L_x mod p is reduced from a sum of
+    n products below p^2, and each elimination step from a*b - c*d with all
+    four below p.  With SCREEN_PRIME this holds for n <= 128.
+    """
+    return n * p * p < INT64_LIMIT
+
+
+def singularity_screen(algebra):
+    """A batched test of which left multiplications ``y -> x y`` are
+    nonsingular, or None when :func:`_screen_fits` rules out int64.
+
+    The returned ``regular(rows)`` gives one bool per row ``x``: True when
+    the integer matrix of ``L_x`` (any positive multiple, as in
+    :func:`left_mul_rows`) is nonsingular modulo the prime ``SCREEN_PRIME``.
+    Its determinant is then not divisible by the prime, hence not zero, so
+    ``L_x`` is nonsingular over the rationals and ``x`` is not a left zero
+    divisor.  False decides nothing.
+    """
+    n, p = algebra.dim, SCREEN_PRIME
+    if not _screen_fits(n, p):
+        return None
+    st = scaled_tensor(algebra)
+    residues = (st.array(st.max_abs < INT64_LIMIT) % p).astype(np.int64)
+
+    def regular(rows: Sequence[Sequence]) -> list[bool]:
+        x = np.array([[v % p for v in _common_scale(r)[0]] for r in rows],
+                     dtype=np.int64).reshape(len(rows), n)
+        # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
+        return _nonsingular_mod(np.tensordot(x, residues, axes=(1, 0)) % p, p).tolist()
+
+    return regular
+
+
+def _nonsingular_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a stack of int64 residues are nonsingular mod ``p``.
+
+    Fraction-free forward elimination on the whole stack at once: row ``r``
+    below the pivot row ``v`` becomes ``v[c] r - r[c] v``, which clears
+    column ``c`` and, ``v[c]`` being invertible mod ``p``, keeps the rank.
+    """
+    b, n, _ = m.shape
+    ok = np.ones(b, dtype=bool)
+    every = np.arange(b)
+    for col in range(n):
+        nonzero = m[:, col:, col] != 0
+        ok &= nonzero.any(axis=1)
+        piv = col + nonzero.argmax(axis=1)
+        pivot_rows = m[every, piv, col:]  # a copy
+        m[every, piv, col:] = m[:, col, col:]  # row col is not read again
+        below = m[:, col + 1:, col:]
+        m[:, col + 1:, col:] = (
+            pivot_rows[:, None, :1] * below - below[:, :, :1] * pivot_rows[:, None, :]
+        ) % p
+    return ok
 
 
 def product_table(

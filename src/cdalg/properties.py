@@ -23,7 +23,14 @@ traces t_i of the non-unit basis vectors are read off the diagonal of the
 table, the Gram matrix of the norm form on the imaginary part has the closed
 form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
 rational elimination on it, and the Gram-Schmidt of the certificate runs on
-coefficient vectors against it.
+coefficient vectors against it.  The algebra is immutable, so the check is
+computed once and kept on it.
+
+Being nicely normed is decided without the certificate vectors as well:
+the products e_i e_j of a normalized basis have no real part exactly when
+no commutator [b_i, b_j] of the original basis has one, where the real part
+of x is x_u + sum_{k != u} x_k t_k / 2.  That is one integer contraction of
+the tensor with the traces (see :func:`is_nicely_normed`).
 """
 
 from __future__ import annotations
@@ -56,7 +63,11 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .kernel import first_alternativity_defect, quadratic_identity_holds
+from .kernel import (
+    commutators_are_imaginary,
+    first_alternativity_defect,
+    quadratic_identity_holds,
+)
 from .numth import sqrt_fraction
 
 
@@ -258,10 +269,18 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
     definiteness of the symmetrized product form on the imaginary part, both
     checked over the rationals.  The certificate basis does need exact square
     roots of the Gram-Schmidt lengths; when one is irrational the verdict is
-    still returned, with certificate None.
+    still returned, with certificate None.  The algebra is immutable, so the
+    result is computed once and kept in its ``_lc`` slot.
     """
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
+    lc = algebra._lc
+    if lc is None:
+        lc = algebra._lc = _decide_local_complexity(algebra)
+    return lc
+
+
+def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     if algebra.dim == 1:
         cert = LocallyComplexCertificate((algebra.one(),), identity(1))
         return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
@@ -403,10 +422,20 @@ def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int
 def is_nicely_normed(algebra: Algebra) -> bool:
     """Whether the algebra carries the standard positive involution.
 
-    Equivalent, for finite dimension >= 2, to the products e_i e_j of a
-    normalized basis staying inside the span of e_1..e_{n-1}; dimension 1 is
-    nicely normed by convention.  Returns False for algebras that are not
-    locally complex.
+    Equivalent, for finite dimension >= 2, to the products e_i e_j (i != j)
+    of a normalized basis 1, e_1, ..., e_{n-1} having no real part; dimension
+    1 is nicely normed by convention.  Returns False for algebras that are
+    not locally complex, and raises UnsupportedRationalClassError when there
+    is no rational normalized basis.
+
+    The test itself needs neither the basis nor a product.  The real part
+    sigma is the projection onto R 1 along the imaginary part U, whatever
+    basis U is given in.  The e_i anticommute, so sigma(e_i e_j) is
+    sigma([e_i, e_j]) / 2; the commutator is bilinear and alternating, and
+    [b_i - t_i/2, b_j - t_j/2] = [b_i, b_j].  So the condition holds exactly
+    when sigma([b_i, b_j]) = 0 for the non-unit basis pairs, which
+    :func:`cdalg.kernel.commutators_are_imaginary` tests on the integer
+    tensor.
     """
     if algebra.unit is None:
         raise NonUnitalError("nicely normed is defined for unital algebras")
@@ -419,16 +448,7 @@ def is_nicely_normed(algebra: Algebra) -> bool:
         raise UnsupportedRationalClassError(
             "cannot test nicely normed without a rational normalized basis"
         )
-    cert = res.certificate
-    m = len(cert.basis)
-    for i in range(1, m):
-        for j in range(1, m):
-            if i == j:
-                continue
-            p = algebra.multiply(cert.basis[i], cert.basis[j])
-            if cert.to_certificate_coords(p)[0] != 0:
-                return False
-    return True
+    return commutators_are_imaginary(algebra)
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,22 @@ pairwise sums, the double loop of the homomorphism check, the cubic
 coefficient system of quadraticity, the multiply-based imaginary basis,
 Gram matrix and Gram-Schmidt of local complexity, the unit-square search
 that multiplies every candidate and pair, the sum-of-squares searches
-without the 4^k reduction, ``Fraction`` Gauss-Jordan elimination, and the
-annihilator and subalgebra closure built from ``Algebra.multiply``.  They
-are slow by design.
+without the 4^k reduction, ``Fraction`` Gauss-Jordan elimination, the
+annihilator and subalgebra closure built from ``Algebra.multiply``, the
+nicely-normed test that multiplies certificate vectors, and the
+zero-divisor search that builds every structured candidate up front and
+takes the kernel of each.  They are slow by design.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 from cdalg import Algebra, Element
+from cdalg.analysis import ZeroDivisorSearch, _lowdim_exact_route
 from cdalg.core import minimal_quadratic
 from cdalg.errors import (
     InconsistentInputError,
@@ -477,3 +481,74 @@ def generated_subalgebra(algebra: Algebra, gens, include_unit: bool = True) -> M
         if len(grown) == len(span):
             return span
         span = grown
+
+
+# ---------------------------------------------------------------------------
+# nicely normed and the zero-divisor search
+# ---------------------------------------------------------------------------
+
+
+def is_nicely_normed(algebra: Algebra) -> bool:
+    """Every product e_i e_j (i != j) of the certificate basis, multiplied
+    out and read in certificate coordinates, has real coordinate 0."""
+    if algebra.unit is None:
+        raise NonUnitalError("nicely normed is defined for unital algebras")
+    if algebra.dim == 1:
+        return True
+    res = is_locally_complex(algebra)
+    if not res.holds:
+        return False
+    if res.certificate is None:
+        raise UnsupportedRationalClassError(
+            "cannot test nicely normed without a rational normalized basis"
+        )
+    cert = res.certificate
+    m = len(cert.basis)
+    for i in range(1, m):
+        for j in range(1, m):
+            if i == j:
+                continue
+            p = algebra.multiply(cert.basis[i], cert.basis[j])
+            if cert.to_certificate_coords(p)[0] != 0:
+                return False
+    return True
+
+
+def zero_divisor_search(algebra: Algebra, budget: int = 10_000, seed: int = 0):
+    """All structured candidates built first, then the seeded random ones,
+    each tried by the kernel of its multiply-built left multiplication."""
+    exact = _lowdim_exact_route(algebra)
+    if exact is not None:
+        return exact
+    n = algebra.dim
+    tried = 0
+    basis = [algebra.basis_element(i) for i in range(n)]
+    structured = list(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            structured.append(basis[i] - basis[j])
+            structured.append(basis[i] + basis[j])
+    extra = []
+    for i in range(0, len(structured), 7):
+        for j in range(i + 1, min(i + 4, len(structured))):
+            extra.append(algebra.multiply(structured[i], structured[j]))
+
+    def partner(x):
+        if x.is_zero():
+            return None
+        ker = annihilator(algebra, x)
+        return Element(ker[0]) if ker else None
+
+    for x in structured + extra:
+        tried += 1
+        y = partner(x)
+        if y is not None:
+            return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
+    rng = random.Random(seed)
+    for _ in range(budget):
+        tried += 1
+        x = Element(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)))
+        y = partner(x)
+        if y is not None:
+            return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
+    return ZeroDivisorSearch("exhausted", tried=tried)

@@ -1,0 +1,321 @@
+"""The three properties behind ``cdalg check`` -- local complexity, nicely
+normed, zero divisors -- against the reference loops in slow_reference.
+
+The library tests nicely-normedness in closed form on the integer tensor,
+keeps one local-complexity check per algebra, and screens zero-divisor
+candidates modulo a prime before the exact kernel.  Verdicts, errors, pairs
+and ``tried`` counts must match the reference, which multiplies certificate
+vectors and takes the kernel of every candidate.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdalg import (
+    Algebra,
+    build_4d,
+    change_of_basis,
+    is_locally_complex,
+    is_nicely_normed,
+    named_algebra,
+    zero_divisor_search,
+)
+from cdalg import analysis
+from cdalg.analysis import rotated_copy
+from cdalg.errors import UnsupportedRationalClassError
+from cdalg import kernel
+from cdalg.kernel import INT64_LIMIT, SCREEN_PRIME, scaled_tensor, singularity_screen
+
+import slow_reference as ref
+from test_local_complexity import SMALL, outcome, sheared, tables
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def square_root_table(square):
+    """The 2-dimensional unital algebra with b_1^2 = square * 1."""
+    return Algebra([[[F1, F0], [F0, F1]], [[F0, F1], [Fraction(square), F0]]], unit=0)
+
+
+def assert_nicely_normed_matches(algebra):
+    assert outcome(is_nicely_normed, algebra) == outcome(ref.is_nicely_normed, algebra)
+
+
+def assert_search_matches(algebra, budget, seed):
+    got = zero_divisor_search(algebra, budget=budget, seed=seed)
+    assert got == ref.zero_divisor_search(algebra, budget=budget, seed=seed)
+
+
+# -- nicely normed ---------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_nicely_normed_matches_reference(algebra):
+    assert_nicely_normed_matches(algebra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(SMALL), min_size=9, max_size=9),
+    st.lists(st.sampled_from(SMALL), min_size=3, max_size=3).filter(any),
+)
+def test_nicely_normed_4d_with_nonzero_u(flat, u):
+    """build_4d with u != 0: the "no" cases of the 4-dimensional family."""
+    algebra = build_4d([flat[0:3], flat[3:6], flat[6:9]], u)
+    assert_nicely_normed_matches(algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["C", "H", "O", "TO", "J3"]), st.data())
+def test_nicely_normed_sheared(name, data):
+    """Sheared bases give the basis vectors nonzero traces, so a commutator
+    with no real part can still have a unit coordinate."""
+    assert_nicely_normed_matches(sheared(named_algebra(name).algebra, data.draw))
+
+
+@pytest.mark.parametrize("name", ["C", "H", "O", "TO", "S", "TS", "A5", "J6"])
+def test_nicely_normed_named(name):
+    assert_nicely_normed_matches(named_algebra(name).algebra)
+
+
+@pytest.mark.parametrize("name", ["O", "TO", "S", "TS"])
+def test_nicely_normed_rotated(name):
+    bundle = named_algebra(name)
+    rotated = rotated_copy(bundle.algebra, random.Random(f"nn:{name}"), bundle.grading)[0]
+    assert_nicely_normed_matches(rotated)
+
+
+def test_nicely_normed_without_rational_certificate():
+    """b_1^2 = -2 is locally complex, but b_1 / sqrt(2) is not rational."""
+    algebra = square_root_table(-2)
+    assert is_locally_complex(algebra).holds
+    assert is_locally_complex(algebra).certificate is None
+    with pytest.raises(UnsupportedRationalClassError):
+        is_nicely_normed(algebra)
+    assert outcome(ref.is_nicely_normed, algebra) is UnsupportedRationalClassError
+
+
+def test_nicely_normed_past_int64_bound():
+    """Scaling b_1 of H by 2^40 puts the closed form on Python ints; an
+    antisymmetric change of the unit coordinates keeps local complexity and
+    gives the commutator [b_1, b_2] a real part."""
+    h = named_algebra("H").algebra
+    rows = [[F1 if r == s else F0 for s in range(4)] for r in range(4)]
+    rows[1][1] = Fraction(2**40)
+    big = change_of_basis(h, rows, unit_index=0)
+    assert scaled_tensor(big).max_abs >= INT64_LIMIT
+    assert is_nicely_normed(big)
+    assert_nicely_normed_matches(big)
+    c = [[list(cell) for cell in row] for row in big.constants]
+    c[1][2][0] += 1
+    c[2][1][0] -= 1
+    broken = Algebra(c, unit=0)
+    assert is_locally_complex(broken).certificate is not None
+    assert not is_nicely_normed(broken)
+    assert_nicely_normed_matches(broken)
+
+
+def test_local_complexity_is_computed_once():
+    algebra = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+    assert algebra._lc is None
+    first = is_locally_complex(algebra)
+    assert is_locally_complex(algebra) is first
+    assert algebra._lc is first
+
+
+# -- zero-divisor search ---------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(tables(), st.integers(0, 40), st.integers(0, 1000))
+def test_zero_divisor_search_matches_reference(algebra, budget, seed):
+    assert_search_matches(algebra, budget, seed)
+
+
+@st.composite
+def nonunital_tables(draw):
+    """Small tables without a unit, where the lowdim route never applies and
+    zero divisors often show up only among the products or random elements."""
+    n = draw(st.integers(1, 3))
+    entries = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+    return Algebra([[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonunital_tables(), st.integers(0, 20), st.integers(0, 1000))
+def test_zero_divisor_search_nonunital(algebra, budget, seed):
+    assert_search_matches(algebra, budget, seed)
+
+
+def test_zero_divisor_found_among_products():
+    """b_0 (b_0 - b_1) = -2 b_0 + b_1 is the first candidate with a kernel:
+    the second product, after the four basis and pair candidates."""
+    c = [[[0, 1], [2, 0]], [[0, 2], [-1, 0]]]
+    algebra = Algebra(c)
+    got = zero_divisor_search(algebra, budget=0)
+    assert got.status == "found" and got.tried == 6
+    assert got.pair[0] == algebra.multiply(algebra.basis_element(0),
+                                           algebra.basis_element(0) - algebra.basis_element(1))
+    assert_search_matches(algebra, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["C", "H", "O", "TO", "S", "TS", "J6"])
+@pytest.mark.parametrize("budget, seed", [(0, 0), (5, 3), (70, 11)])
+def test_zero_divisor_search_named(name, budget, seed):
+    assert_search_matches(named_algebra(name).algebra, budget, seed)
+
+
+def test_zero_divisor_search_a5():
+    """The first zero divisor of A5 comes after 110 nonsingular candidates."""
+    algebra = named_algebra("A5").algebra
+    got = zero_divisor_search(algebra, budget=0)
+    assert got.status == "found" and got.tried == 111
+    assert_search_matches(algebra, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["O", "TO", "S"])
+def test_zero_divisor_search_rotated(name):
+    bundle = named_algebra(name)
+    rotated = rotated_copy(bundle.algebra, random.Random(f"zd:{name}"), bundle.grading)[0]
+    assert_search_matches(rotated, 12, 5)
+
+
+@pytest.mark.parametrize("square", [-2, 3, 5, SCREEN_PRIME])
+@pytest.mark.parametrize("budget, seed", [(0, 0), (30, 4)])
+def test_zero_divisor_search_square_roots(square, budget, seed):
+    """Locally complex without a rational certificate (-2), split with
+    irrational idempotents (3, 5), and b_1^2 = p, whose L_{b_1} is singular
+    mod the screen's prime only."""
+    assert_search_matches(square_root_table(square), budget, seed)
+
+
+# -- the screen ------------------------------------------------------------
+
+
+def det_mod(matrix, p):
+    return ref.det(matrix) % p
+
+
+def left_mul_ints(constants, x):
+    """L_x of an integer table, entry [k][j] = coordinate k of x b_j."""
+    n = len(constants)
+    return [[sum(x[i] * constants[i][j][k] for i in range(n)) for j in range(n)]
+            for k in range(n)]
+
+
+@st.composite
+def integer_tables_and_rows(draw):
+    """Dense integer tables (no unit) and rows, with entries that reduce to
+    residues near the prime as well as multiples of it."""
+    p = SCREEN_PRIME
+    entries = st.sampled_from([0, 1, -1, 2, -3, p, -p, p - 1, 2 * p + 1, 2**40, -(2**70)])
+    n = draw(st.integers(1, 5))
+    constants = [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=6))
+    return constants, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables_and_rows())
+def test_screen_is_the_rank_mod_p(case):
+    constants, rows = case
+    algebra = Algebra(constants)
+    regular = singularity_screen(algebra)(rows)
+    want = [det_mod(left_mul_ints(constants, x), SCREEN_PRIME) != 0 for x in rows]
+    assert regular == want
+
+
+def test_screen_zero_mod_p_but_nonsingular():
+    """p b_1 has L_x = p L_{b_1}, which is 0 mod p but nonsingular over Q."""
+    algebra = square_root_table(-1)
+    p = SCREEN_PRIME
+    regular = singularity_screen(algebra)([[0, p], [0, 1], [p, p], [1, 0]])
+    assert regular == [False, True, False, True]
+
+
+def test_search_sends_undecided_candidates_to_the_kernel(monkeypatch):
+    """b_0^2 = p b_0: L_{b_0} = [p] is 0 mod p, so b_0 reaches the exact
+    kernel, which finds it nonsingular; the random candidates are
+    multiples of b_0 (zero included) and reach it too."""
+    algebra = Algebra([[[Fraction(SCREEN_PRIME)]]])
+    seen = []
+    original = analysis._kernel_partner
+
+    def recording(alg, x):
+        seen.append(x)
+        return original(alg, x)
+
+    monkeypatch.setattr(analysis, "_kernel_partner", recording)
+    got = zero_divisor_search(algebra, budget=20, seed=2)
+    assert got == ref.zero_divisor_search(algebra, budget=20, seed=2)
+    assert got.status == "exhausted" and got.tried == 21
+    assert len(seen) == 21 and seen[0] == algebra.basis_element(0)
+
+
+def test_search_without_screen_matches(monkeypatch):
+    """With the screen ruled out every candidate goes to the exact kernel."""
+    monkeypatch.setattr(analysis, "singularity_screen", lambda algebra: None)
+    for name in ("O", "S"):
+        assert_search_matches(named_algebra(name).algebra, 10, 1)
+
+
+# Primes on either side of n p^2 = 2^63 for n = 16.
+UNDER, OVER = 759250111, 759250133
+
+
+def test_screen_int64_bound(monkeypatch):
+    assert 16 * UNDER**2 < INT64_LIMIT <= 16 * OVER**2
+    assert kernel._screen_fits(16, UNDER) and not kernel._screen_fits(16, OVER)
+    # n = 128 is the largest dimension the screen's prime admits.
+    assert kernel._screen_fits(128, SCREEN_PRIME) and not kernel._screen_fits(129, SCREEN_PRIME)
+    s = named_algebra("S").algebra
+    assert singularity_screen(s) is not None
+    monkeypatch.setattr(kernel, "SCREEN_PRIME", OVER)
+    assert singularity_screen(s) is None
+    monkeypatch.setattr(kernel, "SCREEN_PRIME", UNDER)
+    assert singularity_screen(s) is not None
+
+
+def bound_cases():
+    """16-dimensional integer tables and rows whose residues mod UNDER make
+    every sum of 16 products come close to 2^63.
+
+    b_i b_j = sum_k B[j][k] b_k with entries -1..-3 and rows 2m and 2m + 1
+    of B equal (every L_x singular), plus dense tables of small negative
+    entries.
+    """
+    n = 16
+    rng = random.Random(16)
+    shared = [[-(1 + (j // 2 + k) % 3) for k in range(n)] for j in range(n)]
+    tables = [[shared] * n]
+    tables += [[[[-rng.randint(1, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+               for _ in range(2)]
+    rows = [[-1] * n, [-rng.randint(1, 2) for _ in range(n)], [UNDER - 1] + [0] * (n - 1)]
+    return tables, rows
+
+
+def test_screen_just_under_the_bound(monkeypatch):
+    """The whole screen with its prime set just under the int64 bound: the
+    verdicts must still be the exact ranks mod that prime."""
+    monkeypatch.setattr(kernel, "SCREEN_PRIME", UNDER)
+    tables, rows = bound_cases()
+    for constants in tables:
+        regular = singularity_screen(Algebra(constants))(rows)
+        assert regular == [det_mod(left_mul_ints(constants, x), UNDER) != 0 for x in rows]
+    assert singularity_screen(Algebra(tables[0]))(rows) == [False] * 3
+
+
+@pytest.mark.parametrize("p", [UNDER, SCREEN_PRIME, 3])
+def test_nonsingular_mod(p):
+    """The batched elimination alone, on residues of L_x below p."""
+    tables, rows = bound_cases()
+    stack = [[[v % p for v in row] for row in zip(*left_mul_ints(constants, x))]
+             for constants in tables for x in rows]
+    got = kernel._nonsingular_mod(np.array(stack, dtype=np.int64), p).tolist()
+    assert got == [det_mod(m, p) != 0 for m in stack]

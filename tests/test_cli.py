@@ -229,6 +229,25 @@ def test_classify4_without_operand_exits_3(capsys):
     assert json.loads(err)["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize("element", ["1/0", "2/0*e1", "e1/0"])
+def test_zero_denominator_in_element_exits_3(capsys, element):
+    code, out, err = run_cli(capsys, "ann", "O", "--element", element)
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ann", "O", "--element=--"], ["zerodiv", "S", "--seed=--"], ["check", "H", "--budget=--"]],
+)
+def test_double_dash_option_value_exits_3(capsys, argv):
+    """argparse turns "--opt=--" into an empty list, which used to escape
+    as a traceback, or pass unnoticed while the value went unused."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
 def test_exit_code_math_failure(capsys):
     code, _, err = run_cli(capsys, "recognize", "S")
     assert code == 1
@@ -245,3 +264,4 @@ def test_deterministic_output(capsys):
     code1, out1, _ = run_cli(capsys, "zerodiv", "S", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "zerodiv", "S", "--seed", "7")
     assert (code1, out1) == (code2, out2)
+

@@ -221,6 +221,31 @@ def test_unit_validation_rejects_fake_unit():
         Algebra(c, unit=0)
 
 
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        # Both axioms fail for b_1: the left one is reported.
+        ({(0, 1): (0, 0), (1, 0): (0, 0)}, "unit axiom fails: 1 * b_1 != b_1"),
+        # b_1 * 1 fails before 1 * b_2 does: basis order comes first.
+        ({(1, 0): (1, 2), (0, 2): (1, 1)}, "unit axiom fails: b_1 * 1 != b_1"),
+        # An extra nonzero coordinate breaks the axiom too.
+        ({(2, 0): (2, 1)}, "unit axiom fails: b_2 * 1 != b_2"),
+    ],
+)
+def test_first_failing_unit_axiom_is_reported(breaks, message):
+    """Cells of the unit's row and column of a 3-dimensional table are
+    replaced by (coordinate 1, coordinate 2) of the product."""
+    n = 3
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        c[0][i][i] = c[i][0][i] = F(1)
+    for (i, j), (a, b) in breaks.items():
+        c[i][j] = [F(0), F(a), F(b)]
+    with pytest.raises(ValueError) as exc:
+        Algebra(c, unit=0)
+    assert str(exc.value) == message
+
+
 def test_algebra_equality_and_labels(quaternions):
     alg = quaternions.algebra
     assert alg.label(0) == "1" and alg.label(3) == "e3"

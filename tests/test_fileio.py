@@ -99,7 +99,7 @@ def test_parse_unknown_label(quaternions):
 
 
 def test_parse_malformed(quaternions):
-    for bad in ("", "++", "e1*", "1//2", "e1/0"):
+    for bad in ("", "++", "e1*", "1//2", "e1/0", "1/0", "2/0*e1", "e2 - 0/0*e1"):
         with pytest.raises(MalformedInputError):
             parse_element(bad, quaternions.algebra)
 

@@ -1,10 +1,11 @@
-"""Mutated algebra files at the parse boundary.
+"""Mutated algebra files and element expressions at the parse boundary.
 
 Valid files of small named algebras are mutated in shape, literals, unit,
 labels, dimension and grading.  ``algebra_from_dict`` must either build an
 algebra or raise ``MalformedInputError``, and ``cdalg check`` must exit with
 0, 1 or 3 (2 is argparse's usage error), printing a JSON error on stderr
-whenever it fails.
+whenever it fails.  Random element expressions go through ``parse_element``
+and ``cdalg ann`` under the same rules.
 """
 
 import contextlib
@@ -14,7 +15,15 @@ import json
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from cdalg import MalformedInputError, algebra_from_dict, algebra_to_dict, named_algebra
+from cdalg import (
+    CdalgError,
+    Element,
+    MalformedInputError,
+    algebra_from_dict,
+    algebra_to_dict,
+    named_algebra,
+    parse_element,
+)
 from cdalg.cli import main
 
 ODD_VALUES = st.one_of(
@@ -110,6 +119,50 @@ def test_check_exits_cleanly_on_mutated_files(tmp_path_factory, data):
     assert code in (0, 1, 3)
     if code == 0:
         assert set(json.loads(out.getvalue())) == {"flags", "witnesses"}
+    else:
+        error = json.loads(err.getvalue())
+        assert error["kind"] == "malformed-input" if code == 3 else error["kind"] != "malformed-input"
+
+
+# Labels of O and J3 (e1, E_1, e_7, ...), digits, the operators and spaces.
+EXPRESSIONS = st.lists(
+    st.one_of(
+        st.sampled_from(["e1", "e7", "E_1", "e_3", "e8", "x", "1", "e"]),
+        st.sampled_from(list("0123456789+-*/ ")),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS, st.sampled_from(["O", "J3"]))
+@example("1/0", "O")
+@example("2/0*e1", "O")
+@example("0/0", "J3")
+def test_parse_element_builds_or_rejects(expr, name):
+    algebra = named_algebra(name).algebra
+    try:
+        x = parse_element(expr, algebra)
+    except CdalgError:
+        return
+    assert isinstance(x, Element) and x.dim == algebra.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPRESSIONS, st.sampled_from(["O", "J3"]))
+@example("1/0", "O")
+@example("-e1", "O")
+@example("--", "O")
+def test_ann_exits_cleanly_on_random_elements(expr, name):
+    # "--element=" keeps an expression that starts with "-" from being read
+    # as an option.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["ann", name, f"--element={expr}"])
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert set(json.loads(out.getvalue())) == {"element", "dim", "basis"}
     else:
         error = json.loads(err.getvalue())
         assert error["kind"] == "malformed-input" if code == 3 else error["kind"] != "malformed-input"
