@@ -37,7 +37,6 @@ from .construct import (
     NamedAlgebra,
     cayley_dickson,
     cayley_dickson_tower,
-    involution_apply,
     jordan_spin_algebra,
     named_algebra,
     natural_grading,
@@ -48,10 +47,7 @@ from .core import (
     MinimalQuadratic,
     change_of_basis,
     generated_subalgebra,
-    left_mul_matrix,
     minimal_quadratic,
-    multiply,
-    right_mul_matrix,
 )
 from .errors import (
     CdalgError,

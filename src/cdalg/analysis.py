@@ -43,7 +43,6 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
-    transpose,
     unit_vector,
 )
 from .kernel import (
@@ -52,6 +51,7 @@ from .kernel import (
     first_homomorphism_violation,
     left_mul_rows,
     singularity_screen,
+    table_in_rows,
 )
 from .numth import (
     four_squares_fraction,
@@ -60,10 +60,13 @@ from .numth import (
 )
 from .properties import (
     _super_alternative_sweep,
+    combination,
+    coordinate_map,
     imaginary_basis,
     is_alternative,
     is_locally_complex,
     is_quadratic,
+    symmetrized_scalars,
 )
 
 
@@ -78,15 +81,12 @@ def compute_u_subspace(algebra: Algebra) -> Subspace:
     if not q.holds:
         raise NotQuadraticError("the imaginary-part decomposition needs a quadratic algebra")
     basis = imaginary_basis(algebra)
-    unit = algebra.unit
-    for i, u in enumerate(basis):
-        sq = algebra.multiply(u, u)
-        if any(c != 0 for k, c in enumerate(sq.coords) if k != unit):
+    sym = symmetrized_scalars(algebra, basis)
+    for i in range(len(basis)):
+        if sym[i][i] is None:
             raise InconsistentInputError("imaginary vector has nonscalar square")
-        for v in basis[i + 1 :]:
-            s = algebra.multiply(u, v) + algebra.multiply(v, u)
-            if any(c != 0 for k, c in enumerate(s.coords) if k != unit):
-                raise InconsistentInputError("symmetrized product is not scalar")
+        if any(c is None for c in sym[i][i + 1:]):
+            raise InconsistentInputError("symmetrized product is not scalar")
     return Subspace([u.coords for u in basis], algebra.dim)
 
 
@@ -110,13 +110,12 @@ def extend_anticommuting_basis(
     lc = is_locally_complex(algebra)
     if not lc.holds:
         raise NotLocallyComplexError("extension requires a locally complex algebra")
-    minus_one = (-algebra.one()).coords
-    for i, e in enumerate(existing):
-        if algebra.multiply(e, e).coords != minus_one:
+    sym = symmetrized_scalars(algebra, existing)
+    for i in range(len(existing)):
+        if sym[i][i] != -2:
             raise ValueError(f"existing[{i}] does not square to -1")
-        for f in existing[i + 1 :]:
-            if not (algebra.multiply(e, f) + algebra.multiply(f, e)).is_zero():
-                raise ValueError("existing vectors do not pairwise anticommute")
+        if any(c != 0 for c in sym[i][i + 1:]):
+            raise ValueError("existing vectors do not pairwise anticommute")
     imag = imaginary_basis(algebra)
     span = Subspace([e.coords for e in existing], algebra.dim)
     if span.dim >= len(imag):
@@ -220,14 +219,8 @@ def find_unit_square_vector(
             algebra, [e.coords for e in anticommute_with], [v.coords for v in space]
         )
         constraint = [[entry[k] for entry in row] for row in table for k in range(n)]
-        restricted = []
-        for coeffs in nullspace(constraint, len(space)):
-            w = algebra.zero()
-            for c, v in zip(coeffs, space):
-                if c:
-                    w = w + v.scale(c)
-            restricted.append(w)
-        space = restricted
+        space = [combination(algebra, coeffs, space)
+                 for coeffs in nullspace(constraint, len(space))]
     table, scale = anticommutator_table(
         algebra, [v.coords for v in space], [v.coords for v in space]
     )
@@ -283,10 +276,7 @@ def find_unit_square_vector(
                 decomp = four_squares_fraction(target)
             if decomp is None:
                 continue
-            p = algebra.zero()
-            for c, b in zip(decomp, closure):
-                if c:
-                    p = p + b.scale(c)
+            p = combination(algebra, decomp, closure)
             out = finish_product(algebra.multiply(cand, p))
             if out is not None:
                 return out
@@ -332,14 +322,6 @@ def verify_iso(iso: Matrix, source: Algebra, target: Algebra) -> None:
         raise InconsistentInputError(f"map is not multiplicative: {violation}")
     if source.dim != target.dim or rank(iso) != source.dim:
         raise InconsistentInputError("map is not invertible")
-
-
-def _iso_from_basis(algebra: Algebra, basis: Sequence[Element]) -> Matrix:
-    cols = tuple(
-        tuple(basis[j].coords[k] for j in range(len(basis)))
-        for k in range(algebra.dim)
-    )
-    return mat_inv(cols)
 
 
 def recognize_alternative_division(algebra: Algebra) -> RecognitionResult:
@@ -394,7 +376,7 @@ def _recognize_division(algebra: Algebra) -> RecognitionResult:
         e7 = algebra.multiply(basis[3], e4)
         basis += [e4, e5, e6, e7]
         tag = "O"
-    iso = _iso_from_basis(algebra, basis)
+    iso = coordinate_map(basis)
     verify_iso(iso, algebra, named_algebra(tag).algebra)
     return RecognitionResult(tag, iso)
 
@@ -404,37 +386,12 @@ def _recognize_division(algebra: Algebra) -> RecognitionResult:
 # ---------------------------------------------------------------------------
 
 
-class _RowBasis:
-    """Coordinates with respect to an independent family of rows."""
-
-    def __init__(self, rows: Sequence[Vector]):
-        self.rows = mat(rows)
-        gram = mat_mul(self.rows, transpose(self.rows))
-        self.project = mat_mul(mat_inv(gram), self.rows)
-
-    def coords(self, v: Vector) -> Vector:
-        c = mat_vec(self.project, v)
-        recovered = mat_vec(transpose(self.rows), c)
-        if recovered != tuple(v):
-            raise InconsistentInputError("vector is outside the spanned subspace")
-        return c
-
-
-def _induced_algebra(algebra: Algebra, rows: Sequence[Vector]) -> tuple[Algebra, _RowBasis]:
+def _induced_algebra(algebra: Algebra, rows: Sequence[Vector]) -> Algebra:
     """The multiplication table of a multiplicatively closed subspace.
 
     The first row must be the unit of the ambient algebra.
     """
-    rb = _RowBasis(rows)
-    k = len(rows)
-    constants = []
-    for i in range(k):
-        line = []
-        for j in range(k):
-            p = algebra.multiply(Element(rows[i]), Element(rows[j]))
-            line.append(rb.coords(p.coords))
-        constants.append(line)
-    return Algebra(constants, unit=0), rb
+    return Algebra(table_in_rows(algebra, rows), unit=0)
 
 
 def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Vector]:
@@ -476,20 +433,17 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
             "nonzero odd part must match the even part's dimension"
         )
     even_rows = _even_part_rows(algebra, grading)
-    even_alg, even_rb = _induced_algebra(algebra, even_rows)
+    even_alg = _induced_algebra(algebra, even_rows)
     # The even part is a unital subalgebra.  The sweep above covered even u
     # against even x, so it is alternative; quadratic relations and the
     # positive definite norm form restrict to it, so it is locally complex.
     rec0 = _recognize_division(even_alg)
     inv0 = mat_inv(rec0.iso)
+    even_elements = [Element(r) for r in even_rows]
+
     # Standard generators of the even part, as elements of the ambient algebra.
     def even_std(k: int) -> Element:
-        coeffs = tuple(inv0[r][k] for r in range(even_alg.dim))
-        out = algebra.zero()
-        for c, row in zip(coeffs, even_rows):
-            if c:
-                out = out + Element(row).scale(c)
-        return out
+        return combination(algebra, [row[k] for row in inv0], even_elements)
 
     odd_elements = [Element(r) for r in grading.odd_rows]
     one = algebra.one()
@@ -531,7 +485,7 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     else:  # rec0.tag == "O"
         e_std = [None] + [even_std(k) for k in range(1, 8)]
         tag, basis = _classify_sedenion_like(algebra, e_std, odd_elements)
-    iso = _iso_from_basis(algebra, basis)
+    iso = coordinate_map(basis)
     verify_iso(iso, algebra, named_algebra(tag).algebra)
     return RecognitionResult(tag, iso)
 
@@ -701,19 +655,11 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
         return ZeroDivisorSearch("none_found", definitive=True)
     pair = lowdim.exact_zero_divisor_pair(params)
     if pair is not None:
-        x = _from_certificate(algebra, cert, pair[0])
-        y = _from_certificate(algebra, cert, pair[1])
+        x = combination(algebra, pair[0], cert.basis)
+        y = combination(algebra, pair[1], cert.basis)
         if algebra.multiply(x, y).is_zero() and not x.is_zero() and not y.is_zero():
             return ZeroDivisorSearch("found", (x, y), definitive=True)
     return None
-
-
-def _from_certificate(algebra: Algebra, cert, coords: Sequence[Fraction]) -> Element:
-    out = algebra.zero()
-    for c, b in zip(coords, cert.basis):
-        if c:
-            out = out + b.scale(c)
-    return out
 
 
 # Candidates screened together; a find stops the search at most this many

@@ -23,6 +23,7 @@ from .errors import (
     NonUnitalError,
     UnknownAlgebraError,
 )
+from .kernel import product_table
 from .linalg import (
     F0,
     F1,
@@ -115,18 +116,17 @@ class Grading:
                                 f"product b_{i} b_{j} escapes its part"
                             )
             return
-        parts = {0: self.even, 1: self.odd}
-        rows = {0: self.even.rows, 1: self.odd.rows}
+        parts = (self.even, self.odd)
         for gi in (0, 1):
             for gj in (0, 1):
+                # Positive multiples of the products, row-major over the two parts.
+                table, _ = product_table(algebra, parts[gi].rows, parts[gj].rows)
                 target = parts[(gi + gj) % 2]
-                for a in rows[gi]:
-                    for b in rows[gj]:
-                        p = algebra.multiply(Element(a), Element(b))
-                        if not target.contains(p.coords):
-                            raise InvalidGradingError(
-                                f"product of parts {gi},{gj} escapes part {(gi + gj) % 2}"
-                            )
+                for p in table.reshape(-1, n).tolist():
+                    if not target.contains(p):
+                        raise InvalidGradingError(
+                            f"product of parts {gi},{gj} escapes part {(gi + gj) % 2}"
+                        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grading):
@@ -199,10 +199,6 @@ class InvolutiveAlgebra:
 
 def _is_scalar(x: Element, unit: int) -> bool:
     return all(c == 0 for i, c in enumerate(x.coords) if i != unit)
-
-
-def involution_apply(inv: InvolutiveAlgebra, x: Element) -> Element:
-    return inv.apply(x)
 
 
 def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:

@@ -4,6 +4,10 @@ An algebra is a dimension, a dense rank-3 tensor c[i][j][k] with
 b_i * b_j = sum_k c[i][j][k] b_k, and optionally the index of a basis vector
 acting as the unit.  Elements are exact rational coordinate vectors.  All
 values are immutable after construction and safe to share across threads.
+
+``change_of_basis`` does not multiply elements: the new constants are the
+product table of the basis rows transported into their own basis, read off
+the integer structure tensor by :func:`cdalg.kernel.table_in_rows`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from .linalg import (
     Subspace,
     Vector,
     is_zero_vec,
-    mat_inv,
-    mat_vec,
     unit_vector,
     vec,
 )
@@ -225,18 +227,6 @@ class MinimalQuadratic:
     norm: Fraction | None = None
 
 
-def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
-    return algebra.multiply(x, y)
-
-
-def left_mul_matrix(algebra: Algebra, x: Element) -> Matrix:
-    return algebra.left_mul_matrix(x)
-
-
-def right_mul_matrix(algebra: Algebra, x: Element) -> Matrix:
-    return algebra.right_mul_matrix(x)
-
-
 def minimal_quadratic(algebra: Algebra, x: Element) -> MinimalQuadratic:
     """Trace and norm of x, if 1, x, x^2 are linearly dependent."""
     if algebra.unit is None:
@@ -308,25 +298,17 @@ def change_of_basis(algebra: Algebra, basis_rows: Sequence[Sequence[Fraction]],
 
     basis_rows[i] holds the coordinates (in the old basis) of the new basis
     vector b'_i.  The map b'_i -> old vector is an isomorphism onto the same
-    algebra by construction.
+    algebra by construction.  The new constants are the product table of
+    the rows transported into their own basis (:func:`cdalg.kernel.table_in_rows`).
     """
     n = algebra.dim
     if len(basis_rows) != n:
         raise DimensionMismatchError("need exactly dim basis vectors")
     m = tuple(vec(r) for r in basis_rows)
-    # Columns of the transform send new coordinates to old ones.
-    to_old = tuple(tuple(m[j][k] for j in range(n)) for k in range(n))
-    to_new = mat_inv(to_old)
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = algebra.multiply(Element(m[i]), Element(m[j]))
-            row.append(mat_vec(to_new, prod.coords))
-        constants.append(row)
+    from .kernel import table_in_rows  # see generated_subalgebra
+
+    constants = table_in_rows(algebra, m)
     if unit_index is None and algebra.unit is not None:
-        one_new = mat_vec(to_new, algebra.one().coords)
-        hits = [k for k, c in enumerate(one_new) if c != 0]
-        if len(hits) == 1 and one_new[hits[0]] == 1:
-            unit_index = hits[0]
+        one = algebra.one().coords
+        unit_index = next((k for k, r in enumerate(m) if r == one), None)
     return Algebra(constants, unit=unit_index, labels=labels)

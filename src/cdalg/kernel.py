@@ -3,6 +3,13 @@ quadraticity and nicely-normed tests, the product and anticommutator
 tables, left multiplication matrices, the zero-divisor screen and the
 homomorphism check.
 
+One transport of the product table serves every change of basis: the
+products of a list of independent rows, written in the basis of those rows
+(:func:`table_in_rows`).  It gives ``change_of_basis`` (the rows are a
+basis) and the induced algebra of a closed subspace such as the even part
+of a grading; the grading closure check and the middle Moufang identity
+read the same :func:`product_table`.
+
 An algebra's rational structure constants are scaled once, over their common
 denominator ``D``, to an integer tensor ``C`` with
 ``b_i b_j = (1/D) sum_k C[i, j, k] b_k``; the result is cached on the
@@ -22,6 +29,9 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .errors import DimensionMismatchError, InconsistentInputError
+from .linalg import F0, _echelon, mat_inv
 
 INT64_LIMIT = 2**63
 
@@ -317,6 +327,8 @@ def product_table(
     dtype leaves room to add two such tables.
     """
     n = algebra.dim
+    if any(len(r) != n for r in (*xs, *ys)):
+        raise DimensionMismatchError("element does not conform to algebra")
     st = scaled_tensor(algebra)
     x_ints, sx = _common_scale([c for r in xs for c in r])
     y_ints, sy = _common_scale([c for r in ys for c in r])
@@ -330,9 +342,45 @@ def product_table(
     c = st.array(fits)
     x = _exact(x_ints, (len(xs), n), fits)
     y = _exact(y_ints, (len(ys), n), fits)
-    # [p, k, q] = (x_p y_q)_k, scaled.
-    xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
+    # [p, k, q] = (x_p y_q)_k, scaled; the shorter list meets C first.
+    if len(xs) <= len(ys):
+        xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
+    else:
+        xy = np.tensordot(x, np.tensordot(c, y, axes=(1, 1)), axes=(1, 0))
     return xy.transpose(0, 2, 1), sx * sy * st.den
+
+
+def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> list[list[list[Fraction]]]:
+    """The structure constants of ``span(rows)`` in the basis ``rows``.
+
+    Entry ``[p][q][m]`` is coordinate ``m`` of ``r_p r_q`` in that basis.
+    Raises ``ValueError("matrix is singular")`` when the rows are dependent
+    and :class:`InconsistentInputError` when a product leaves their span.
+
+    With the rows scaled to integers ``R`` and ``A`` their columns at the
+    pivot columns of an echelon form, ``A`` is invertible, so a product
+    ``P`` has the coordinates ``P_A A^-1``; they are exact only when they
+    give back ``P`` in every column, which is checked.  ``Fraction``s are
+    built for the k^3 coordinates alone.
+    """
+    k, n = len(rows), algebra.dim
+    table, scale = product_table(algebra, rows, rows)  # the products are table / scale
+    ints, s = _common_scale([c for r in rows for c in r])
+    r = [ints[i * n:(i + 1) * n] for i in range(k)]  # R = s * rows
+    pivots = _echelon(r, reduce=False)[1]
+    if len(pivots) < k:
+        raise ValueError("matrix is singular")
+    a_inv = mat_inv([[x[c] for c in pivots] for x in r])
+    inv, d = _common_scale([c for row in a_inv for c in row])  # A^-1 = inv / d
+    products = table.astype(object)
+    # The coordinates are (table_A / scale) (A / s)^-1 = num * s / (scale d),
+    # and num R = d table exactly when every product lies in the span.
+    num = products[:, :, pivots] @ np.array(inv, dtype=object).reshape(k, k)
+    if (num @ np.array(r, dtype=object).reshape(k, n) != products * d).any():
+        raise InconsistentInputError("vector is outside the spanned subspace")
+    den = scale * d
+    return [[[Fraction(x * s, den) if x else F0 for x in cell] for cell in row]
+            for row in num.tolist()]
 
 
 def anticommutator_table(

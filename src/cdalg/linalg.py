@@ -90,10 +90,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
 
 
-def mat_neg(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in m)
-
-
 def _primitive(row: Sequence) -> list[int] | None:
     """The row times a positive rational, as coprime Python ints; None if zero.
 
@@ -229,22 +225,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> M
             v[c] = -x * (d // p)
         basis.append(v)
     return rref(basis)[0]
-
-
-def solve(m: Sequence[Sequence[Fraction]], b: Vector) -> Vector | None:
-    """One solution of M x = b, or None if inconsistent."""
-    rows = [list(row) + [bb] for row, bb in zip(m, b, strict=True)]
-    ncols = len(m[0]) if m else 0
-    reduced, pivots = rref(rows)
-    x = [F0] * ncols
-    for row, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
-    for row, pc in zip(reduced, pivots):
-        x[pc] = row[ncols]
-    # Verify: with free columns fixed at zero this is only valid if the
-    # residual vanishes, which rref already guarantees for consistent systems.
-    return tuple(x)
 
 
 def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:

@@ -204,15 +204,6 @@ def skew_axis(T: Matrix) -> Vector:
     return (R[1][2], R[2][0], R[0][1])
 
 
-def skew_from_axis(c: Sequence) -> Matrix:
-    c = vec(c)
-    return (
-        (F0, c[2], -c[1]),
-        (-c[2], F0, c[0]),
-        (c[1], -c[0], F0),
-    )
-
-
 def symmetric_part_definite(T: Matrix) -> bool:
     """Exact rational test: is (T + T^T)/2 positive or negative definite?"""
     P = symmetric_part(mat(T))

@@ -33,10 +33,6 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
-def is_square_fraction(q: Fraction) -> bool:
-    return sqrt_fraction(q) is not None
-
-
 def _strip_fours(n: int) -> tuple[int, int]:
     """(m, k) with n = 4^k m and 4 not dividing m; (0, 0) for n = 0."""
     k = 0

@@ -64,9 +64,12 @@ from .linalg import (
     vec_sub,
 )
 from .kernel import (
+    anticommutator_table,
     commutators_are_imaginary,
     first_alternativity_defect,
+    product_table,
     quadratic_identity_holds,
+    scaled_tensor,
 )
 from .numth import sqrt_fraction
 
@@ -146,15 +149,13 @@ class LocallyComplexCertificate:
         one = self.basis[0]
         if one.coords != algebra.one().coords:
             raise ValueError("certificate must start with the unit")
-        minus_one = (-algebra.one()).coords
-        for i, e in enumerate(self.basis[1:], start=1):
-            if algebra.multiply(e, e).coords != minus_one:
+        sym = symmetrized_scalars(algebra, self.basis)
+        for i in range(1, len(self.basis)):
+            if sym[i][i] != -2:
                 raise ValueError(f"certificate vector {i} does not square to -1")
         for i in range(1, len(self.basis)):
             for j in range(i + 1, len(self.basis)):
-                ab = algebra.multiply(self.basis[i], self.basis[j])
-                ba = algebra.multiply(self.basis[j], self.basis[i])
-                if (ab + ba).coords != algebra.zero().coords:
+                if sym[i][j] != 0:
                     raise ValueError(f"certificate vectors {i},{j} do not anticommute")
 
     def to_certificate_coords(self, x: Element) -> Vector:
@@ -214,15 +215,37 @@ def _imaginary_gram(algebra: Algebra) -> Matrix:
     return tuple(tuple(row) for row in g)
 
 
-def _certificate_from_orthonormal(
-    algebra: Algebra, vectors: Sequence[Element]
-) -> LocallyComplexCertificate:
-    basis = [algebra.one()] + list(vectors)
-    cols = tuple(
-        tuple(basis[j].coords[k] for j in range(len(basis)))
-        for k in range(algebra.dim)
-    )
-    return LocallyComplexCertificate(tuple(basis), mat_inv(cols))
+def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[list]:
+    """``s[p][q]`` with ``v_p v_q + v_q v_p = s[p][q] * 1``, or None where that
+    product is not a multiple of 1, read off one anticommutator table.
+
+    ``s[p][p]`` is twice the scalar square of ``v_p``.
+    """
+    u = algebra.unit
+    rows = [v.coords for v in vectors]
+    table, scale = anticommutator_table(algebra, rows, rows)
+    return [
+        [None if any(c for k, c in enumerate(cell) if k != u) else Fraction(cell[u], scale)
+         for cell in row]
+        for row in table
+    ]
+
+
+def combination(algebra: Algebra, coeffs: Sequence[Fraction], vectors: Sequence[Element]) -> Element:
+    """The element ``sum_p coeffs[p] vectors[p]``."""
+    out = [F0] * algebra.dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v.coords):
+                if x:
+                    out[k] += c * x
+    return Element(tuple(out))
+
+
+def coordinate_map(basis: Sequence[Element]) -> Matrix:
+    """The matrix sending coordinates to coordinates in ``basis``: the
+    inverse of the matrix whose columns are the basis vectors."""
+    return mat_inv(transpose([b.coords for b in basis]))
 
 
 def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | None:
@@ -296,10 +319,7 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     gram = _imaginary_gram(algebra)
     direction = nonpositive_direction(gram)
     if direction is not None:
-        bad = algebra.zero()
-        for c, v in zip(direction, imag):
-            if c:
-                bad = bad + v.scale(c)
+        bad = combination(algebra, direction, imag)
         lam = -vec_dot(direction, mat_vec(gram, direction))  # bad^2 = lam * 1
         kind = "nonpositive-norm"
         witness = bad
@@ -320,7 +340,8 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     ortho = orthonormalize(imag, gram)
     cert = None
     if ortho is not None:
-        cert = _certificate_from_orthonormal(algebra, ortho)
+        basis = (algebra.one(), *ortho)
+        cert = LocallyComplexCertificate(basis, coordinate_map(basis))
     return LocallyComplexCheck(True, certificate=cert)
 
 
@@ -394,23 +415,24 @@ def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int
 
     Unlike the alternativity check this is not polarized to a complete
     verdict; it is the identity evaluated on the basis cube, which is what
-    table-level verification needs.
+    table-level verification needs.  Both sides for one x = b_i come from
+    :func:`cdalg.kernel.product_table` on the integer table rows
+    ``D b_j b_k`` (row ``j n + k``), so every product carries the scale
+    ``D^3`` and the two sides compare entry for entry; the first failing
+    ``(i, j, k)`` in lexicographic order is the witness.
     """
     n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
+    rows = scaled_tensor(algebra).array(False).reshape(n * n, n).tolist()
+    eye = identity(n)
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = algebra.multiply(
-                    algebra.multiply(basis[i], basis[j]),
-                    algebra.multiply(basis[k], basis[i]),
-                )
-                rhs = algebra.multiply(
-                    algebra.multiply(basis[i], algebra.multiply(basis[j], basis[k])),
-                    basis[i],
-                )
-                if lhs.coords != rhs.coords:
-                    return False, (i, j, k)
+        # [j, k]: (b_i b_j)(b_k b_i).
+        lhs, _ = product_table(algebra, rows[i * n:(i + 1) * n], rows[i::n])
+        # [0, j n + k]: b_i (b_j b_k), then [j n + k, 0]: (b_i (b_j b_k)) b_i.
+        inner, _ = product_table(algebra, [eye[i]], rows)
+        rhs, _ = product_table(algebra, inner[0].tolist(), [eye[i]])
+        bad = (lhs.reshape(n * n, n) != rhs.reshape(n * n, n)).any(axis=1)
+        if bad.any():
+            return False, (i, *divmod(int(bad.argmax()), n))
     return True, None
 
 

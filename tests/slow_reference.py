@@ -9,9 +9,12 @@ Gram matrix and Gram-Schmidt of local complexity, the unit-square search
 that multiplies every candidate and pair, the sum-of-squares searches
 without the 4^k reduction, ``Fraction`` Gauss-Jordan elimination, the
 annihilator and subalgebra closure built from ``Algebra.multiply``, the
-nicely-normed test that multiplies certificate vectors, and the
+nicely-normed test that multiplies certificate vectors, the
 zero-divisor search that builds every structured candidate up front and
-takes the kernel of each.  They are slow by design.
+takes the kernel of each, and the transports of the product table that
+multiply every pair of rows -- change of basis, the induced algebra of a
+closed subspace, the closure check of a grading -- and the middle Moufang
+identity on the basis cube.  They are slow by design.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from cdalg import Algebra, Element
 from cdalg.analysis import ZeroDivisorSearch, _lowdim_exact_route
 from cdalg.core import minimal_quadratic
 from cdalg.errors import (
+    DimensionMismatchError,
     InconsistentInputError,
+    InvalidGradingError,
     NonUnitalError,
     UnsupportedRationalClassError,
 )
@@ -38,6 +43,7 @@ from cdalg.linalg import (
     mat_vec,
     nonpositive_direction,
     transpose,
+    vec,
 )
 from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
 from cdalg.properties import (
@@ -552,3 +558,85 @@ def zero_divisor_search(algebra: Algebra, budget: int = 10_000, seed: int = 0):
         if y is not None:
             return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
     return ZeroDivisorSearch("exhausted", tried=tried)
+
+
+# ---------------------------------------------------------------------------
+# transports of the product table and the middle Moufang cube
+# ---------------------------------------------------------------------------
+
+
+def change_of_basis(algebra: Algebra, basis_rows, unit_index=None, labels=None) -> Algebra:
+    """Every product of two new basis vectors multiplied out and mapped to
+    new coordinates by the inverse of the matrix with the rows as columns."""
+    n = algebra.dim
+    if len(basis_rows) != n:
+        raise DimensionMismatchError("need exactly dim basis vectors")
+    m = tuple(vec(r) for r in basis_rows)
+    to_old = tuple(tuple(m[j][k] for j in range(n)) for k in range(n))
+    to_new = mat_inv(to_old)
+    constants = [
+        [mat_vec(to_new, algebra.multiply(Element(m[i]), Element(m[j])).coords) for j in range(n)]
+        for i in range(n)
+    ]
+    if unit_index is None and algebra.unit is not None:
+        one_new = mat_vec(to_new, algebra.one().coords)
+        hits = [k for k, c in enumerate(one_new) if c != 0]
+        if len(hits) == 1 and one_new[hits[0]] == 1:
+            unit_index = hits[0]
+    return Algebra(constants, unit=unit_index, labels=labels)
+
+
+def table_in_rows(algebra: Algebra, rows) -> list:
+    """Coordinates of each product r_p r_q in the rows, through the
+    projector (R R^T)^-1 R, checked by mapping them back."""
+    rows = [vec(r) for r in rows]
+    project = mat_mul(mat_inv(mat_mul(rows, transpose(rows))), rows)
+    back = transpose(rows)
+    table = []
+    for a in rows:
+        line = []
+        for b in rows:
+            p = algebra.multiply(Element(a), Element(b)).coords
+            c = mat_vec(project, p)
+            if mat_vec(back, c) != p:
+                raise InconsistentInputError("vector is outside the spanned subspace")
+            line.append(list(c))
+        table.append(line)
+    return table
+
+
+def induced_algebra(algebra: Algebra, rows) -> Algebra:
+    """The multiplication table of a closed subspace whose first row is the unit."""
+    return Algebra(table_in_rows(algebra, rows), unit=0)
+
+
+def grading_closure(algebra: Algebra, grading) -> None:
+    """Raise unless every product of two parts lies in the part of the sum
+    of their degrees, multiplying every pair of echelon rows."""
+    parts = {0: grading.even, 1: grading.odd}
+    for gi in (0, 1):
+        for gj in (0, 1):
+            target = rref(parts[(gi + gj) % 2].rows)[0]
+            for a in parts[gi].rows:
+                for b in parts[gj].rows:
+                    p = algebra.multiply(Element(a), Element(b))
+                    if not in_span(target, p.coords):
+                        raise InvalidGradingError(
+                            f"product of parts {gi},{gj} escapes part {(gi + gj) % 2}"
+                        )
+
+
+def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int] | None]:
+    """(xy)(zx) = (x(yz))x on all basis triples, multiplied out, first failure
+    in lexicographic order."""
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(n)]
+    mul = algebra.multiply
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = mul(mul(basis[i], basis[j]), mul(basis[k], basis[i]))
+                rhs = mul(mul(basis[i], mul(basis[j], basis[k])), basis[i])
+                if lhs != rhs:
+                    return False, (i, j, k)
+    return True, None

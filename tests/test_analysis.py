@@ -89,6 +89,21 @@ def test_extension_rejects_bad_family(quaternions):
         extend_anticommuting_basis(alg, [alg.basis_element(1).scale(2)])
 
 
+def test_extension_checks_each_vector_then_its_pairs(octonions):
+    """existing[i] is checked for its square, then against the later vectors,
+    before existing[i + 1] is looked at."""
+    alg = octonions.algebra
+    e = [alg.basis_element(k) for k in range(8)]
+    with pytest.raises(ValueError, match=r"existing vectors do not pairwise anticommute"):
+        extend_anticommuting_basis(alg, [e[1], e[2], -e[1], e[3].scale(2)])
+    with pytest.raises(ValueError, match=r"existing vectors do not pairwise anticommute"):
+        extend_anticommuting_basis(alg, [e[1], -e[1]])
+    with pytest.raises(ValueError, match=r"existing\[2\] does not square to -1"):
+        extend_anticommuting_basis(alg, [e[1], e[2], e[3].scale(2), e[3]])
+    ext = extend_anticommuting_basis(alg, [e[1], e[2], -e[4]])
+    assert ext.square == -1
+
+
 # -- recognizers --------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from cdalg import (
     natural_grading,
 )
 from cdalg.analysis import random_rational_orthogonal
-from cdalg.linalg import mat_mul, mat_neg, mat_vec, transpose, det
+from cdalg.linalg import mat_mul, mat_vec, transpose, det
 
 F = Fraction
 
@@ -77,7 +77,7 @@ def test_orbit_members_share_property_reports():
         dq = det(q)
         t2 = mat_mul(mat_mul(q, T), transpose(q))
         if dq == -1:
-            t2 = mat_neg(t2)
+            t2 = tuple(tuple(-x for x in row) for row in t2)
         u2 = mat_vec(q, u)
         if dq == -1:
             u2 = tuple(-x for x in u2)

@@ -25,7 +25,6 @@ from cdalg.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
     transpose,
 )
 
@@ -73,9 +72,8 @@ def test_solve_and_inverse():
     m = mat([[2, 1], [1, 1]])
     inv = mat_inv(m)
     assert mat_mul(m, inv) == identity(2)
-    x = solve(m, (Fraction(3), Fraction(2)))
+    x = mat_vec(inv, (Fraction(3), Fraction(2)))
     assert mat_vec(m, x) == (Fraction(3), Fraction(2))
-    assert solve(mat([[1, 1], [1, 1]]), (Fraction(0), Fraction(1))) is None
 
 
 def test_det_singular_and_product():

@@ -28,11 +28,16 @@ from cdalg import (
 from cdalg.lowdim import (
     multiply_4d,
     multiply_4d_exact,
-    skew_from_axis,
     symmetric_part_definite,
 )
 
 F = Fraction
+
+
+def skew_from_axis(c):
+    """The skew matrix R_c = [[0, c3, -c2], [-c3, 0, c1], [c2, -c1, 0]]."""
+    c = [F(x) for x in c]
+    return ((F(0), c[2], -c[1]), (-c[2], F(0), c[0]), (c[1], -c[0], F(0)))
 
 
 # -- three dimensions ----------------------------------------------------------

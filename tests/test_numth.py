@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cdalg.numth import (
     four_squares,
     four_squares_fraction,
-    is_square_fraction,
     sqrt_fraction,
     three_squares,
     two_squares,
@@ -24,7 +23,7 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(0)) == 0
     assert sqrt_fraction(Fraction(2)) is None
     assert sqrt_fraction(Fraction(-1)) is None
-    assert is_square_fraction(Fraction(49, 16))
+    assert sqrt_fraction(Fraction(49, 16)) == Fraction(7, 4)
 
 
 def test_two_squares_known_values():

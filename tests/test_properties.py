@@ -75,6 +75,35 @@ def test_sedenions_locally_complex(sedenions):
     res.certificate.validate(sedenions.algebra)
 
 
+@pytest.mark.parametrize("picks, message", [
+    ((0, 1, 2, 3), None),
+    ((0, 1, 2, -3, 4), None),
+    ((2, 1), "certificate must start with the unit"),
+    ((0, 1, 1, "2e2"), "certificate vector 3 does not square to -1"),
+    ((0, "2e2", 1), "certificate vector 1 does not square to -1"),
+    ((0, 1, 2, 1, 3), "certificate vectors 1,3 do not anticommute"),
+    ((0, 1, 2, 3, 2), "certificate vectors 2,4 do not anticommute"),
+])
+def test_certificate_validate_checks_squares_then_pairs(octonions, picks, message):
+    """All squares are checked before any pair, pairs in row-major order."""
+    from cdalg.properties import LocallyComplexCertificate
+
+    alg = octonions.algebra
+
+    def vector(p):
+        if p == "2e2":
+            return alg.basis_element(2).scale(2)
+        return alg.basis_element(abs(p)).scale(-1 if p < 0 else 1)
+
+    basis = tuple(vector(p) for p in picks)
+    cert = LocallyComplexCertificate(basis, ())
+    if message is None:
+        cert.validate(alg)
+    else:
+        with pytest.raises(ValueError, match=message):
+            cert.validate(alg)
+
+
 def test_spin_factor_locally_complex():
     for k in (2, 3, 6):
         res = is_locally_complex(jordan_spin_algebra(k))
