@@ -649,12 +649,11 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
         if algebra.multiply(x, y).is_zero() and not x.is_zero() and not y.is_zero():
             return ZeroDivisorSearch("found", (x, y), definitive=True)
         return None
-    params = lowdim.extract_params_4d(algebra)
-    definite = lowdim.symmetric_part_definite(params.t_matrix)
-    if definite:
+    pair = lowdim.exact_zero_divisor_pair(lowdim.extract_params_4d(algebra))
+    if pair is None:
         return ZeroDivisorSearch("none_found", definitive=True)
-    pair = lowdim.exact_zero_divisor_pair(params)
-    if pair is not None:
+    # A pair over Q(sqrt(m)) is no element of the rational algebra.
+    if all(type(c) is Fraction for c in pair[0] + pair[1]):
         x = combination(algebra, pair[0], cert.basis)
         y = combination(algebra, pair[1], cert.basis)
         if algebra.multiply(x, y).is_zero() and not x.is_zero() and not y.is_zero():

@@ -192,8 +192,11 @@ def first_homomorphism_violation(
     return None
 
 
-def quadratic_identity_holds(algebra) -> bool:
-    """Whether ``x^2`` lies in ``span(1, x)`` for every ``x`` of a unital algebra.
+def first_quadratic_defect(algebra) -> tuple[int, int, int] | None:
+    """The first non-unit ``(a, b, k)`` where the polarized quadratic
+    identity fails, or None when ``x^2`` lies in ``span(1, x)`` for every
+    ``x`` of the unital algebra.  The triples with ``a = b`` come first, then
+    all of them in lexicographic order.
 
     With ``x = l 1 + v``, ``v`` over the non-unit indices, the condition only
     involves ``v``: the non-unit coordinates ``q(v)`` of ``v^2`` must satisfy
@@ -201,7 +204,9 @@ def quadratic_identity_holds(algebra) -> bool:
     forces ``q(v) = ell(v) v`` for a linear form ``ell`` (and with fewer it
     holds trivially), which polarized over the basis reads
     ``C[a,b,k] + C[b,a,k] = ell_a [b = k] + ell_b [a = k]`` for non-unit
-    ``a, b, k``, where ``ell_a = C[a,a,a]``.
+    ``a, b, k``, where ``ell_a = C[a,a,a]``.  The same argument on the plane
+    ``span(b_a, b_b)`` shows that a defect at ``(a, b, k)`` means the identity
+    already fails on that plane.
     """
     st = scaled_tensor(algebra)
     # Both sides of the identity, and their difference, are at most 2 max|C|.
@@ -213,7 +218,16 @@ def quadratic_identity_holds(algebra) -> bool:
     defect = sub + sub.transpose(1, 0, 2)
     defect[r, :, r] -= ell  # ell_b at [a, b, a]
     defect[:, r, r] -= ell[:, None]  # ell_a at [a, b, b]
-    return bool((defect == 0).all())
+    # Squares first: a defect at (a, a, k) makes b_a itself the witness.
+    bad = np.argwhere(defect[r, r] != 0)
+    if len(bad):
+        a, k = bad[0]
+        return rest[a], rest[a], rest[k]
+    bad = np.argwhere(defect != 0)
+    if not len(bad):
+        return None
+    a, b, k = bad[0]
+    return rest[a], rest[b], rest[k]
 
 
 def commutators_are_imaginary(algebra) -> bool:

@@ -229,6 +229,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> M
 
 def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     work, pivots = _echelon(aug)
     if len(work) != n or any(p != i for i, p in enumerate(pivots)):
@@ -275,9 +277,47 @@ def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
     return None
 
 
-def is_positive_definite(m: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test via the LDL pivots of a symmetric rational matrix."""
-    return nonpositive_direction(m) is None
+def congruence_diagonal(m: Sequence[Sequence[Fraction]]) -> tuple[Vector, Matrix]:
+    """Pivots d and rows L with L M L^T = diag(d), for symmetric rational M.
+
+    LDL elimination with symmetric pivoting: each step pivots on the first
+    remaining nonzero diagonal entry.  When every remaining diagonal entry is
+    zero but the block is not, row i becomes row i + row j for the first
+    nonzero (i, j), whose new diagonal entry is 2 M_ij.  Once the remaining
+    block is zero its rows are kernel vectors of M, with pivot 0.  By
+    Sylvester's law of inertia the signs of d are the signature of M.
+    """
+    n = len(m)
+    a = [list(vec(row)) for row in m]
+    rows = [list(unit_vector(n, i)) for i in range(n)]
+    left = list(range(n))
+    pivots: list[Fraction] = []
+    order: list[int] = []
+    while left:
+        k = next((i for i in left if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in left for j in left if i < j and a[i][j]), None)
+            if pair is None:
+                pivots += [F0] * len(left)
+                order += left
+                break
+            k, j = pair
+            for c in left:
+                a[k][c] += a[j][c]
+            for r in left:
+                a[r][k] += a[r][j]
+            rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
+        p = a[k][k]
+        left.remove(k)
+        for i in left:
+            if a[i][k]:
+                f = a[i][k] / p
+                for c in left:
+                    a[i][c] -= f * a[k][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(p)
+        order.append(k)
+    return tuple(pivots), tuple(tuple(rows[k]) for k in order)
 
 
 class Subspace:

@@ -8,10 +8,21 @@ with (T, u) and (T', u') isomorphic exactly when T' = (det Q) Q T Q^T and
 u' = (det Q) Q u for an orthogonal Q.
 
 Everything that can stay rational does: building the algebras, extracting
-parameters, round trips, the definiteness test behind the division
-criterion, and zero-divisor pairs when a rational isotropic direction
-exists.  Spectral work (canonical forms of the symmetric part, orbit
-comparison, geometric typing) runs in floating point with an explicit
+parameters and round trips.  The division criterion is exact for every
+finite input, floats included (read as the rationals they denote): one
+congruence diagonalization (LDL) of the symmetric part P of T decides
+definiteness, and on "no" yields an isotropic vector z of P, from which
+the zero-divisor pair is built and verified exactly.  z is rational when a
+zero diagonal entry or pivot, a binary subform with a square discriminant,
+or Legendre's descent on the diagonal form (``numth.ternary_zero``) gives
+one.  Float entries have pivots too large to factor for the descent; for
+them a small zero is found as a common zero of the decimal part of P and
+its rounding error.  Otherwise z lies in Q(sqrt(m)) for m = -d_i d_j, a
+pair of pivots of opposite signs, and the pair has ``numth.Surd`` entries.
+The same pivots
+give the exact signature for ``geometric_type`` on int/Fraction input.
+Spectral work (canonical forms of the symmetric part, orbit comparison, and
+geometric typing of float input) runs in floating point with an explicit
 tolerance, default 1e-9.
 """
 
@@ -20,14 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
 from .core import Algebra
-from .errors import DimensionMismatchError
-from .linalg import F0, F1, Matrix, Vector, is_positive_definite, mat, nullspace, vec
-from .numth import sqrt_fraction
+from .errors import DimensionMismatchError, MalformedInputError
+from .linalg import F0, F1, Matrix, Vector, _primitive, congruence_diagonal, mat, unit_vector, vec
+from .numth import Surd, rational_roots, sqrt_fraction, sqrt_rational, ternary_zero
 from .properties import certificate_or_raise
 
 DEFAULT_TOL = 1e-9
@@ -206,38 +218,157 @@ def skew_axis(T: Matrix) -> Vector:
 
 def symmetric_part_definite(T: Matrix) -> bool:
     """Exact rational test: is (T + T^T)/2 positive or negative definite?"""
-    P = symmetric_part(mat(T))
-    neg = tuple(tuple(-x for x in row) for row in P)
-    return is_positive_definite(P) or is_positive_definite(neg)
+    return _definite(congruence_diagonal(symmetric_part(mat(T)))[0])
 
 
-def _rational_isotropic(P: Matrix) -> Vector | None:
-    """A rational z != 0 with z^T P z = 0, if one is easy to find."""
-    kernel = nullspace(P, 3)
-    if kernel:
-        return kernel[0]
-    bound = 6
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                z = (Fraction(a), Fraction(b), Fraction(c))
-                val = _dot(z, tuple(_dot(row, z) for row in P))
-                if val == 0:
-                    return z
+def _definite(pivots: Vector) -> bool:
+    return all(d > 0 for d in pivots) or all(d < 0 for d in pivots)
+
+
+def _isotropic(T: Matrix, P: Matrix, pivots: Vector, rows: Matrix) -> tuple:
+    """z != 0 with z^T P z = 0, for P = (T + T^T)/2 not definite, where
+    ``rows P rows^T = diag(pivots)``: rational when :func:`_rational_isotropic`
+    or :func:`_decimal_zero` finds one, otherwise in Q(sqrt(m)) with
+    m = -d_i d_j for a pair of pivots of opposite signs."""
+    z = _rational_isotropic(P, pivots, rows)
+    if z is None:
+        z = _decimal_zero(T, P)
+    if z is not None:
+        return z
+    i, j = next((i, j) for i in range(3) for j in range(i + 1, 3) if pivots[i] * pivots[j] < 0)
+    # d_i + d_j y^2 = 0 at y = sqrt(-d_i d_j) / d_j.
+    y = sqrt_rational(-pivots[i] * pivots[j]) / pivots[j]
+    return _combine((F1, y), (rows[i], rows[j]))
+
+
+def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> Vector | None:
+    """A rational z != 0 with z^T P z = 0 from a zero diagonal entry of P, a
+    zero pivot, a 2x2 principal block of P or a pair of pivots whose binary
+    form has a square discriminant, or the descent of
+    :func:`cdalg.numth.ternary_zero`; None if none of them gives one."""
+    for i in range(3):
+        if P[i][i] == 0:
+            return unit_vector(3, i)
+    for d, row in zip(pivots, rows):
+        if d == 0:
+            return _primitive_vector(row)
+    # P_ii x^2 + 2 P_ij x y + P_jj y^2 = 0 at x = r - P_ij, y = P_ii.
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        r = sqrt_fraction(P[i][j] * P[i][j] - P[i][i] * P[j][j])
+        if r is not None:
+            z = [F0, F0, F0]
+            z[i], z[j] = r - P[i][j], P[i][i]
+            return _primitive_vector(z)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            y = sqrt_fraction(-pivots[i] * pivots[j])
+            if y is not None:
+                return _primitive_vector(_combine((F1, y / pivots[j]), (rows[i], rows[j])))
+    ys = ternary_zero(pivots)
+    if ys is not None:
+        return _primitive_vector(_combine(ys, rows))
     return None
 
 
-def exact_zero_divisor_pair(params: Params4) -> tuple[Vector, Vector] | None:
-    """A rational pair (x, y) with x y = 0 in the algebra of these parameters,
-    in (scalar, vector) coordinates, when a rational isotropic direction of
-    the symmetric part exists."""
+def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
+    """A rational zero of P that is also a zero of A, the symmetric part of T
+    with each entry that is a float read as the shortest decimal rounding to
+    it (``0.1`` for 3602879701896397/2^55), or None.
+
+    P = A + E, where A has small denominators, so its pivots factor, and E
+    holds the rounding errors.  A zero z of P with small entries is a zero of
+    both: z^T A z is a multiple of 1/den(A), and |z^T E z| is far smaller.
+    From one rational zero z0 of A every zero of A is
+    z(w) = A(w) z0 - 2 (z0^T A w) w with w = r p1 + p2 (or w = p1) in a plane
+    spanned by unit vectors p1, p2 with z0 outside it, and E(z(w)) = 0 is a
+    quartic in r whose rational roots (:func:`cdalg.numth.rational_roots`)
+    give the common zeros.
+    """
+    A = symmetric_part(tuple(tuple(_shortest_decimal(x) for x in row) for row in T))
+    if A == P:
+        return None
+    pivots, rows = congruence_diagonal(A)
+    z0 = None if _definite(pivots) else _rational_isotropic(A, pivots, rows)
+    if z0 is None:
+        return None
+    # Both forms scaled to integers; z0 is a primitive integer vector.
+    E = _integer_form(tuple(tuple(p - a for p, a in zip(rp, ra)) for rp, ra in zip(P, A)))
+    A = _integer_form(A)
+    z0 = tuple(int(c) for c in z0)
+    if _form(E, z0, z0) == 0:
+        return vec(z0)
+    k = next(i for i in range(3) if z0[i])
+    p1, p2 = (tuple(int(i == j) for j in range(3)) for i in range(3) if i != k)
+    a01, a02 = _form(A, z0, p1), _form(A, z0, p2)
+    # z(r p1 + p2) = r^2 c2 + r c1 + c0.
+    c2 = _combine((_form(A, p1, p1), -2 * a01), (z0, p1))
+    c1 = _combine((2 * _form(A, p1, p2), -2 * a01, -2 * a02), (z0, p2, p1))
+    c0 = _combine((_form(A, p2, p2), -2 * a02), (z0, p2))
+    quartic = [
+        _form(E, c2, c2),
+        2 * _form(E, c2, c1),
+        2 * _form(E, c2, c0) + _form(E, c1, c1),
+        2 * _form(E, c1, c0),
+        _form(E, c0, c0),
+    ]
+    if not any(quartic):
+        return None
+    candidates = [c2] if quartic[0] == 0 else []
+    while quartic[0] == 0:
+        quartic.pop(0)
+    for r in rational_roots(quartic):
+        p, q = r.numerator, r.denominator
+        candidates.append(_combine((p * p, p * q, q * q), (c2, c1, c0)))
+    for z in candidates:
+        if any(z) and _form(P, z, z) == 0:
+            return _primitive_vector(z)
+    return None
+
+
+def _shortest_decimal(x: Fraction) -> Fraction:
+    """The shortest decimal that rounds to x when x is a float, else x."""
+    d = x.denominator
+    if d & (d - 1) == 0 and x.numerator.bit_length() <= 53 and float(x) == x:
+        return Fraction(repr(float(x)))
+    return x
+
+
+def _form(M, x, y):
+    return _dot(x, tuple(_dot(row, y) for row in M))
+
+
+def _integer_form(M: Matrix) -> list[list[int]]:
+    """M times the lcm of its denominators."""
+    d = math.lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in M]
+
+
+def _combine(coeffs, rows) -> tuple:
+    return tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(3))
+
+
+def _primitive_vector(v: Sequence[Fraction]) -> Vector:
+    return tuple(Fraction(x) for x in _primitive(v))
+
+
+def exact_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | None:
+    """A pair (x, y) of nonzero elements with x y = 0 in the algebra of these
+    parameters, in (scalar, vector) coordinates, or None exactly when the
+    symmetric part P of T is definite.
+
+    The entries are ``Fraction``s when :func:`_isotropic` finds a rational
+    isotropic vector z of P: always when P has one and the descent can
+    factor its pivots, and for a small z when T has float entries.  They
+    lie in Q(sqrt(m)) (:class:`cdalg.numth.Surd`) otherwise.  With
+    w = -T z, x = (0, w) and y = (1, (z x w)/|w|^2 + (z.u / |w|^2) w); when
+    T z = 0, w is any vector orthogonal to z and y has scalar part 0.
+    """
     T = mat(params.t_matrix)
     P = symmetric_part(T)
-    z = _rational_isotropic(P)
-    if z is None:
+    pivots, rows = congruence_diagonal(P)
+    if _definite(pivots):
         return None
+    z = _isotropic(T, P, pivots, rows)
     tz = tuple(_dot(row, z) for row in T)
     if all(x == 0 for x in tz):
         w = _any_orthogonal(z)
@@ -254,7 +385,7 @@ def exact_zero_divisor_pair(params: Params4) -> tuple[Vector, Vector] | None:
     return (x, y)
 
 
-def _any_orthogonal(z: Vector) -> Vector:
+def _any_orthogonal(z) -> tuple:
     for trial in ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1)):
         c = _cross(z, trial)
         if any(x != 0 for x in c):
@@ -262,24 +393,13 @@ def _any_orthogonal(z: Vector) -> Vector:
     raise ValueError("zero vector has no orthogonal complement direction")
 
 
-def multiply_4d(t_matrix, u, x, y):
-    """Float product in the (T, u) algebra, for verifying numeric witnesses."""
-    T = np.asarray(t_matrix, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    lam, xv = float(x[0]), np.asarray(x[1:], dtype=float)
-    mu, yv = float(y[0]), np.asarray(y[1:], dtype=float)
-    cr = np.cross(xv, yv)
-    scalar = lam * mu - xv @ yv + cr @ uu
-    vector = lam * yv + mu * xv + T @ cr
-    return np.concatenate(([scalar], vector))
-
-
-def multiply_4d_exact(t_matrix, u, x, y) -> tuple[Fraction, ...]:
-    """Exact rational product in the (T, u) algebra."""
+def multiply_4d_exact(t_matrix, u, x, y) -> tuple:
+    """Exact product in the (T, u) algebra; x and y may have
+    :class:`cdalg.numth.Surd` entries."""
     T = mat(t_matrix)
     uu = vec(u)
-    x = vec(x)
-    y = vec(y)
+    x = tuple(c if isinstance(c, Surd) else Fraction(c) for c in x)
+    y = tuple(c if isinstance(c, Surd) else Fraction(c) for c in y)
     lam, xv = x[0], x[1:]
     mu, yv = y[0], y[1:]
     cr = _cross(xv, yv)
@@ -313,13 +433,28 @@ def _sym_eigen(T) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def geometric_type(T, tol: float = DEFAULT_TOL) -> GeometricType:
-    """Rank and signature class of the symmetric part, up to a global sign."""
+def _signature(T, tol: float) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of the symmetric part of T:
+    exact for int and ``Fraction`` entries, with ``tol`` otherwise."""
+    if all(isinstance(x, Rational) for row in T for x in row):
+        pivots = congruence_diagonal(symmetric_part(mat(T)))[0]
+        return sum(1 for d in pivots if d > 0), sum(1 for d in pivots if d < 0)
     Tf = np.asarray(T, dtype=float)
     scale = 1.0 + np.abs(Tf).max()
     w, _ = _sym_eigen(Tf)
-    pos = int(np.sum(w > tol * scale))
-    neg = int(np.sum(w < -tol * scale))
+    return int(np.sum(w > tol * scale)), int(np.sum(w < -tol * scale))
+
+
+def geometric_type(T, tol: float = DEFAULT_TOL) -> GeometricType:
+    """Rank and signature class of the symmetric part, up to a global sign.
+
+    When every entry of T is an int or a ``Fraction`` the signature is
+    exact: the signs of the pivots of :func:`cdalg.linalg.congruence_diagonal`
+    (Sylvester's law of inertia), the same pivots that decide
+    :func:`is_division_4d`, and ``tol`` is unused.  Otherwise the eigenvalues
+    of the float symmetric part count as zero within ``tol * (1 + max|T_ij|)``.
+    """
+    pos, neg = _signature(T, tol)
     rank = pos + neg
     if rank == 3:
         kind = "ellipsoid" if pos == 3 or neg == 3 else "hyperboloid"
@@ -342,81 +477,27 @@ class DivisionCheck:
 def is_division_4d(T, u=None, tol: float = DEFAULT_TOL) -> DivisionCheck:
     """Division criterion: the symmetric part of T must be definite.
 
-    On "no", a zero-divisor pair is produced by the isotropic-direction
-    recipe, exactly when the inputs are rational and a rational isotropic
-    vector is found, otherwise in floating point verified to the tolerance.
+    Decided exactly for every finite real input (floats are read as the
+    rationals they denote) by one LDL of the symmetric part, so ``tol`` is
+    unused.  A "no" carries a zero-divisor pair from
+    :func:`exact_zero_divisor_pair`, verified exactly, with ``exact`` True;
+    its entries are rational when a rational isotropic vector of the
+    symmetric part is found, and lie in Q(sqrt(m)) otherwise.  NaN or
+    infinite entries raise :class:`MalformedInputError`.
     """
-    if u is None:
-        u = (0, 0, 0)
-    exactable = _all_rational(T) and _all_rational_vec(u)
-    if exactable:
-        Tm = mat(T)
-        if symmetric_part_definite(Tm):
-            return DivisionCheck(True)
-        pair = exact_zero_divisor_pair(Params4(Tm, vec(u)))
-        if pair is not None:
-            prod = multiply_4d_exact(Tm, u, pair[0], pair[1])
-            if any(c != 0 for c in prod):
-                raise ArithmeticError("exact zero-divisor pair failed verification")
-            return DivisionCheck(False, pair, exact=True)
-    Tf = np.asarray(T, dtype=float)
-    scale = 1.0 + np.abs(Tf).max()
-    w, V = _sym_eigen(Tf)
-    if w[0] < -tol * scale or w[2] > tol * scale:
-        return DivisionCheck(True)
-    if not exactable and (np.all(w > tol * scale) or np.all(w < -tol * scale)):
-        return DivisionCheck(True)
-    # Indefinite or singular: build a float witness.
-    if abs(w[1]) <= tol * scale:
-        z = V[:, 1]
-    elif abs(w[2]) <= tol * scale:
-        z = V[:, 2]
-    elif abs(w[0]) <= tol * scale:
-        z = V[:, 0]
-    else:
-        lam_p, lam_m = w[0], w[2]
-        z = math.sqrt(lam_p) * V[:, 2] + math.sqrt(-lam_m) * V[:, 0]
-        z = z / np.linalg.norm(z)
-    tz = Tf @ z
-    if np.linalg.norm(tz) < tol * scale:
-        w_vec = _float_orthogonal(z)
-        t_scalar = 0.0
-    else:
-        w_vec = -tz
-        t_scalar = 1.0
-    wnorm = float(w_vec @ w_vec)
-    v = np.cross(z, w_vec) / wnorm
-    s = -float(z @ np.asarray(u, dtype=float)) / wnorm
-    y = np.concatenate(([t_scalar], v - s * w_vec))
-    x = np.concatenate(([0.0], w_vec))
-    prod = multiply_4d(T, u, x, y)
-    if np.abs(prod).max() > 1e-8 * scale:
-        raise ArithmeticError("zero-divisor witness failed numeric verification")
-    return DivisionCheck(False, (tuple(x), tuple(y)), exact=False)
-
-
-def _float_orthogonal(z: np.ndarray) -> np.ndarray:
-    for trial in np.eye(3):
-        c = np.cross(z, trial)
-        if np.linalg.norm(c) > 1e-12:
-            return c / np.linalg.norm(c)
-    raise ValueError("zero vector")
-
-
-def _all_rational(T) -> bool:
     try:
-        mat(T)
-        return True
-    except (TypeError, ValueError):
-        return False
-
-
-def _all_rational_vec(u) -> bool:
-    try:
-        vec(u)
-        return True
-    except (TypeError, ValueError):
-        return False
+        params = Params4(mat(T), vec((0, 0, 0) if u is None else u))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"4d parameters must be finite real numbers: {exc}") from None
+    if len(params.t_matrix) != 3 or any(len(r) != 3 for r in params.t_matrix) or len(params.u) != 3:
+        raise DimensionMismatchError("T must be 3x3 and u length 3")
+    pair = exact_zero_divisor_pair(params)
+    if pair is None:
+        return DivisionCheck(True)
+    x, y = pair
+    if any(multiply_4d_exact(params.t_matrix, params.u, x, y)) or not any(x) or not any(y):
+        raise ArithmeticError("exact zero-divisor pair failed verification")
+    return DivisionCheck(False, pair, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -637,18 +718,16 @@ def hyperboloid_config(p, tol: float = DEFAULT_TOL) -> HyperboloidConfig:
 
     Applies the global sign flip if needed so two eigenvalues are positive,
     then rotates the symmetric part to a sorted diagonal with a determinant-1
-    matrix, transporting the skew axis and the vector along.
+    matrix, transporting the skew axis and the vector along.  The type test
+    and the flip read the signature as :func:`geometric_type` does, exactly
+    for int and ``Fraction`` entries; the frame is computed in floats.
     """
-    T, u = _as_params(p)
-    scale = 1.0 + np.abs(T).max()
-    w, _ = _sym_eigen(T)
-    pos = int(np.sum(w > tol * scale))
-    neg = int(np.sum(w < -tol * scale))
+    pos, neg = _signature(p.t_matrix if isinstance(p, Params4) else p[0], tol)
     if pos + neg != 3 or pos == 3 or neg == 3:
         raise ValueError("parameters are not of hyperboloid type")
+    T, u = _as_params(p)
     if pos == 1:
         T = -T
-        w, _ = _sym_eigen(T)
     w, V = _sym_eigen(T)
     Q = V.T
     c = np.array(skew_axis_float(T))

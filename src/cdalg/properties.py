@@ -67,8 +67,8 @@ from .kernel import (
     anticommutator_table,
     commutators_are_imaginary,
     first_alternativity_defect,
+    first_quadratic_defect,
     product_table,
-    quadratic_identity_holds,
     scaled_tensor,
 )
 from .numth import sqrt_fraction
@@ -94,39 +94,24 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
     """Whether 1, x, x^2 are linearly dependent for every element x.
 
     Decided on the integer structure tensor by the polarized identity of
-    :func:`cdalg.kernel.quadratic_identity_holds`; a "no" carries an element
-    found by a small deterministic search.
+    :func:`cdalg.kernel.first_quadratic_defect`.  A defect at ``(a, b, k)``
+    means the identity fails on ``span(b_a, b_b)``, so some coordinate of
+    ``v_i q_j(v) - v_j q_i(v)`` along the line ``v = b_a + t b_b`` is a
+    nonzero polynomial of degree at most 3 in t.  It has at most three
+    roots, so one of t = 0, 1, 2, 3 gives the witness (Schwartz-Zippel).
     """
     if algebra.unit is None:
         raise NonUnitalError("quadraticity is defined for unital algebras")
-    if quadratic_identity_holds(algebra):
+    defect = first_quadratic_defect(algebra)
+    if defect is None:
         return QuadraticCheck(True)
-    witness = _quadratic_witness(algebra)
-    if witness is None:
-        raise InconsistentInputError(
-            "the quadratic identity fails but no witness was found"
-        )
-    return QuadraticCheck(False, witness)
-
-
-def _quadratic_witness(algebra: Algebra) -> Element | None:
-    """A concrete x with 1, x, x^2 independent, by a small deterministic search."""
-    n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
-    candidates: list[Element] = list(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(basis[i] + basis[j])
-            candidates.append(basis[i] - basis[j])
-    for scale in (1, 2, 3):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    candidates.append(basis[i].scale(scale) + basis[j])
-    for x in candidates:
+    a, b, _ = defect
+    base, step = algebra.basis_element(a), algebra.basis_element(b)
+    for t in range(4):
+        x = base + step.scale(t)
         if not _dependent_with_unit(algebra, x):
-            return x
-    return None
+            return QuadraticCheck(False, x)
+    raise AssertionError("a nonzero cubic in t vanished at t = 0, 1, 2, 3")
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ zero-divisor search that builds every structured candidate up front and
 takes the kernel of each, and the transports of the product table that
 multiply every pair of rows -- change of basis, the induced algebra of a
 closed subspace, the closure check of a grading -- and the middle Moufang
-identity on the basis cube.  They are slow by design.
+identity on the basis cube.  Two bounded searches the library no longer
+runs stay here as oracles: the candidate list for a "not quadratic"
+witness and the box search for a rational isotropic vector of a 3x3
+symmetric form.  They are slow by design.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 from cdalg import Algebra, Element
@@ -50,7 +53,7 @@ from cdalg.properties import (
     LocallyComplexCertificate,
     LocallyComplexCheck,
     QuadraticCheck,
-    _quadratic_witness,
+    _dependent_with_unit,
 )
 
 
@@ -136,6 +139,26 @@ def _square_coefficient_forms(algebra: Algebra) -> list[dict]:
                 key = (a, b) if a <= b else (b, a)
                 forms[k][key] = forms[k].get(key, F0) + c
     return forms
+
+
+def _quadratic_witness(algebra: Algebra) -> Element | None:
+    """A concrete x with 1, x, x^2 independent, by a small deterministic search."""
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(n)]
+    candidates: list[Element] = list(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates.append(basis[i] + basis[j])
+            candidates.append(basis[i] - basis[j])
+    for scale in (1, 2, 3):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    candidates.append(basis[i].scale(scale) + basis[j])
+    for x in candidates:
+        if not _dependent_with_unit(algebra, x):
+            return x
+    return None
 
 
 def is_quadratic(algebra: Algebra) -> QuadraticCheck:
@@ -640,3 +663,29 @@ def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int
                 if lhs != rhs:
                     return False, (i, j, k)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# four dimensions: the bounded search for a rational isotropic vector
+# ---------------------------------------------------------------------------
+
+
+def rational_isotropic(P) -> tuple | None:
+    """A kernel vector of P, else the first integer z in {0..6} x {-6..6}^2
+    with z^T P z = 0, else None."""
+    kernel = nullspace(P, 3)
+    if kernel:
+        return kernel[0]
+    # The same test on P scaled to integers.
+    den = lcm(*(Fraction(x).denominator for row in P for x in row))
+    M = [[int(Fraction(x) * den) for x in row] for row in P]
+    bound = 6
+    for a in range(0, bound + 1):
+        for b in range(-bound, bound + 1):
+            for c in range(-bound, bound + 1):
+                if a == 0 and b == 0 and c == 0:
+                    continue
+                z = (a, b, c)
+                if sum(z[i] * M[i][j] * z[j] for i in range(3) for j in range(3)) == 0:
+                    return tuple(Fraction(x) for x in z)
+    return None

@@ -265,3 +265,22 @@ def test_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, "zerodiv", "S", "--seed", "7")
     assert (code1, out1) == (code2, out2)
 
+
+def test_division4_prints_exact_surd_pairs(capsys):
+    code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,-3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["division"] is False and data["pair_exact"] is True
+    entries = data["zero_divisor_pair"][0] + data["zero_divisor_pair"][1]
+    assert any("sqrt(3)" in e for e in entries)
+    code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,-2")
+    assert code == 0 and "sqrt" not in out and json.loads(out)["pair_exact"] is True
+
+
+def test_classify4_kind_agrees_with_division_near_a_tiny_eigenvalue(capsys):
+    for last, kind, division in (("1/1000000000000", "ellipsoid", True),
+                                 ("-1/1000000000000", "hyperboloid", False)):
+        code, out, _ = run_cli(capsys, "classify4", "--T", f"1,0,0,0,1,0,0,0,{last}")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["kind"], data["division"]) == (kind, division)

@@ -14,9 +14,9 @@ import slow_reference as ref
 
 from cdalg.linalg import (
     Subspace,
+    congruence_diagonal,
     det,
     identity,
-    is_positive_definite,
     mat,
     mat_inv,
     mat_mul,
@@ -84,8 +84,7 @@ def test_det_singular_and_product():
 
 
 def test_positive_definite_and_witness():
-    assert is_positive_definite(mat([[2, 1], [1, 2]]))
-    assert not is_positive_definite(mat([[1, 2], [2, 1]]))
+    assert nonpositive_direction(mat([[2, 1], [1, 2]])) is None
     w = nonpositive_direction(mat([[1, 2], [2, 1]]))
     q = sum(w[i] * sum(Fraction(v) * w[j] for j, v in enumerate([[1, 2], [2, 1]][i]))
             for i in range(2))
@@ -210,3 +209,48 @@ def test_entries_past_int64():
     assert det(m) == 0
     m = ((Fraction(big), Fraction(1)), (Fraction(0), Fraction(1, big)))
     assert det(m) == 1 and mat_inv(m) == ref.mat_inv(m)
+
+
+def test_mat_inv_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        mat_inv(mat([[1, 0], [0, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="not square"):
+        mat_inv(mat([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="not square"):
+        mat_inv(mat([[1, 0], [0, 1, 0]]))
+
+
+def _symmetric(entries, n):
+    it = iter(entries)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(it)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))))
+def test_congruence_diagonal_is_an_invertible_congruence(case):
+    n, entries = case
+    m = _symmetric(entries, n)
+    pivots, rows = congruence_diagonal(m)
+    assert mat_mul(mat_mul(rows, m), transpose(rows)) == tuple(
+        tuple(pivots[i] if i == j else 0 for j in range(n)) for i in range(n))
+    assert rank(rows) == n
+    assert sum(1 for d in pivots if d) == rank(m)
+    for d, row in zip(pivots, rows):
+        if d == 0:
+            assert not any(mat_vec(m, row))
+    # Definiteness agrees with the unpivoted elimination of nonpositive_direction.
+    assert (nonpositive_direction(m) is None) == all(d > 0 for d in pivots)
+
+
+def test_congruence_diagonal_without_a_nonzero_diagonal_entry():
+    m = mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    pivots, rows = congruence_diagonal(m)
+    assert pivots == (2, Fraction(-1, 2), 0)
+    assert rows[2] == (0, 0, 1)

@@ -5,9 +5,11 @@ The library decides quadraticity by one polarized identity on the integer
 tensor, reads the Gram matrix off the table in closed form, runs
 Gram-Schmidt on coefficient vectors, and reads the squares and
 anticommutators of the search candidates off one bilinear table.  Every
-field of the results must match the reference, which multiplies elements.
+field of the results must match the reference, which multiplies elements,
+except the element witnessing "not quadratic", which must be valid in both.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -27,8 +29,9 @@ from cdalg import (
     named_algebra,
 )
 from cdalg.analysis import rotated_copy
-from cdalg.kernel import INT64_LIMIT, scaled_tensor
-from cdalg.properties import imaginary_basis
+from cdalg.kernel import INT64_LIMIT, first_quadratic_defect, scaled_tensor
+from cdalg.linalg import rank
+from cdalg.properties import QuadraticCheck, imaginary_basis
 
 import slow_reference as ref
 
@@ -45,9 +48,23 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def independent_square(algebra, x):
+    return rank([algebra.one().coords, x.coords, algebra.multiply(x, x).coords]) == 3
+
+
 def assert_same_verdicts(algebra):
-    assert outcome(is_quadratic, algebra) == outcome(ref.is_quadratic, algebra)
-    assert outcome(is_locally_complex, algebra) == outcome(ref.is_locally_complex, algebra)
+    """Equal results, except that a "not quadratic" witness comes from the
+    first polarized defect in the library and from a candidate list in the
+    reference: there both must be valid, and nothing else may differ."""
+    q, q_ref = outcome(is_quadratic, algebra), outcome(ref.is_quadratic, algebra)
+    lc, lc_ref = outcome(is_locally_complex, algebra), outcome(ref.is_locally_complex, algebra)
+    if isinstance(q_ref, QuadraticCheck) and not q_ref.holds:
+        assert independent_square(algebra, q_ref.witness)
+        assert not q.holds and independent_square(algebra, q.witness)
+        assert lc == dataclasses.replace(lc_ref, counterexample=q.witness)
+    else:
+        assert q == q_ref
+        assert lc == lc_ref
 
 
 def constants_of(algebra):
@@ -236,3 +253,38 @@ def test_unit_square_search_on_sheared_bases(name, data):
     algebra = sheared(named_algebra(name).algebra, data.draw)
     for got, want in recognition_calls(algebra):
         assert got == want
+
+
+# -- the constructive quadratic witness ----------------------------------------
+
+
+def first_defect_by_loops(algebra):
+    """The first non-unit (a, b, k) with C[a,b,k] + C[b,a,k] !=
+    ell_a [b = k] + ell_b [a = k], ell_a = C[a,a,a], in Fraction loops:
+    squares (a = b) first, then every triple in lexicographic order."""
+    c, rest = algebra.constants, [i for i in range(algebra.dim) if i != algebra.unit]
+    triples = [(a, a, k) for a in rest for k in rest]
+    triples += [(a, b, k) for a in rest for b in rest for k in rest]
+    for a, b, k in triples:
+        want = (c[a][a][a] if b == k else 0) + (c[b][b][b] if a == k else 0)
+        if c[a][b][k] + c[b][a][k] != want:
+            return a, b, k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_quadratic_witness_on_the_plane_of_the_first_defect(algebra):
+    if algebra.unit is None:
+        return
+    defect = first_defect_by_loops(algebra)
+    assert first_quadratic_defect(algebra) == defect
+    res = is_quadratic(algebra)
+    assert res.holds == (defect is None)
+    if defect is not None:
+        a, b, _ = defect
+        x = res.witness
+        assert independent_square(algebra, x)
+        # x = b_a + t b_b with t in {0, 1, 2, 3} (x = (1 + t) b_a when a = b).
+        assert any(x.coords == (algebra.basis_element(a) + algebra.basis_element(b).scale(t)).coords
+                   for t in range(4))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdalg import (
     CanonicalForm3,
@@ -25,11 +27,19 @@ from cdalg import (
     rank0_equiv,
     recognize_alternative_division,
 )
+from cdalg import lowdim
+from cdalg.errors import MalformedInputError
+from cdalg.linalg import congruence_diagonal, mat
 from cdalg.lowdim import (
-    multiply_4d,
+    _isotropic,
+    exact_zero_divisor_pair,
     multiply_4d_exact,
+    symmetric_part,
     symmetric_part_definite,
 )
+from cdalg.numth import Surd, ternary_zero
+
+import slow_reference as ref
 
 F = Fraction
 
@@ -273,27 +283,193 @@ def test_division_matches_ellipsoid_type():
         res = is_division_4d(T)
         assert res.is_division == (geometric_type(T).kind == "ellipsoid")
         if not res.is_division:
-            assert res.pair is not None
-            prod = multiply_4d(T, [0, 0, 0],
-                               [float(c) for c in res.pair[0]],
-                               [float(c) for c in res.pair[1]])
-            scale = 1.0 + max(abs(float(c)) for row in T for c in row)
-            assert np.abs(prod).max() < 1e-8 * scale
+            assert res.exact and res.pair is not None
+            assert not any(multiply_4d_exact(T, [0, 0, 0], *res.pair))
 
 
 def test_division_float_witness():
     T = np.diag([1.0, 0.5, -0.25]) + 0.3 * np.array(skew_from_axis([1, 0, 0]), dtype=float)
     res = is_division_4d(T, [0.5, 0.5, 0.5])
-    assert not res.is_division
+    assert not res.is_division and res.exact
     x, y = res.pair
-    prod = multiply_4d(T, [0.5, 0.5, 0.5], x, y)
-    assert np.abs(prod).max() < 1e-8
+    assert not any(multiply_4d_exact(T, [0.5, 0.5, 0.5], x, y))
+    assert any(x) and any(y)
 
 
 def test_exact_definiteness_helper():
     assert symmetric_part_definite([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert symmetric_part_definite([[-2, 1, 0], [-1, -2, 0], [0, 0, -1]])
     assert not symmetric_part_definite([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+# -- the exact division witness ----------------------------------------------------
+
+
+def signature(P):
+    """(positive, negative) eigenvalue counts of a symmetric rational 3x3, by
+    Descartes' rule of signs on the characteristic polynomial, which has only
+    real roots."""
+    tr = P[0][0] + P[1][1] + P[2][2]
+    m2 = sum(P[i][i] * P[j][j] - P[i][j] * P[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (P[0][0] * (P[1][1] * P[2][2] - P[1][2] * P[2][1])
+           - P[0][1] * (P[1][0] * P[2][2] - P[1][2] * P[2][0])
+           + P[0][2] * (P[1][0] * P[2][1] - P[1][1] * P[2][0]))
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes((1, -tr, m2, -det)), changes((-1, -tr, -m2, -det))
+
+
+def product_4d(T, u, x, y):
+    """(l + v)(m + w) = (lm - v.w + (v x w).u) + (lw + mv + T(v x w)), with
+    nothing but +, - and * on the entries."""
+    lam, v, mu, w = x[0], x[1:], y[0], y[1:]
+    c = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
+    scalar = lam * mu - sum(p * q for p, q in zip(v, w)) + sum(p * q for p, q in zip(c, u))
+    return (scalar, *(lam * w[r] + mu * v[r] + sum(p * q for p, q in zip(T[r], c)) for r in range(3)))
+
+
+def is_rational(pair):
+    return all(type(c) is Fraction for c in pair[0] + pair[1])
+
+
+rational_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+tenth_entries = st.integers(-30, 30).map(lambda k: k / 10)
+
+
+def check_division_against_oracles(T, u):
+    exact_T = [[Fraction(x) for x in row] for row in T]
+    exact_u = [Fraction(x) for x in u]
+    P = symmetric_part(exact_T)
+    pos, neg = signature(P)
+    res = is_division_4d(T, u)
+    assert res.is_division == (3 in (pos, neg))
+    kind = geometric_type(exact_T)
+    assert (kind.rank, kind.kind == "ellipsoid") == (pos + neg, 3 in (pos, neg))
+    if res.is_division:
+        assert res.pair is None
+        return res
+    assert res.exact
+    x, y = res.pair
+    assert any(x) and any(y)
+    assert not any(product_4d(exact_T, exact_u, x, y))
+    # Whenever the removed bounded search finds a rational zero of P, the
+    # pair is rational too.
+    if ref.rational_isotropic(P) is not None:
+        assert is_rational(res.pair)
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rational_entries, min_size=12, max_size=12))
+def test_division_oracle_rational(entries):
+    check_division_against_oracles([entries[0:3], entries[3:6], entries[6:9]], entries[9:12])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(tenth_entries, min_size=12, max_size=12))
+def test_division_oracle_tenths(entries):
+    T = [entries[0:3], entries[3:6], entries[6:9]]
+    res = check_division_against_oracles(T, entries[9:12])
+    assert not any(isinstance(c, np.generic) for c in (res.pair or ((), ()))[0])
+
+
+def test_sum_of_two_squares_minus_three_squares_has_no_rational_zero():
+    T = [[1, 0, 0], [0, 1, 0], [0, 0, -3]]
+    P = symmetric_part(mat(T))
+    assert ref.rational_isotropic(P) is None
+    z = _isotropic(P, P, *congruence_diagonal(P))
+    assert any(isinstance(c, Surd) for c in z)
+    assert sum(z[i] * z[i] * P[i][i] for i in range(3)) == 0
+    res = is_division_4d(T, [1, 2, 3])
+    assert not res.is_division and res.exact and not is_rational(res.pair)
+    assert {c.m for c in res.pair[0] + res.pair[1] if isinstance(c, Surd)} == {3}
+    assert not any(multiply_4d_exact(T, [1, 2, 3], *res.pair))
+
+
+def test_sum_of_two_squares_minus_two_squares_has_a_rational_zero():
+    T = [[1, 0, 0], [0, 1, 0], [0, 0, -2]]
+    P = symmetric_part(mat(T))
+    z = _isotropic(P, P, *congruence_diagonal(P))
+    assert all(type(c) is Fraction for c in z) and any(z)
+    assert sum(z[i] * z[i] * P[i][i] for i in range(3)) == 0
+    res = is_division_4d(T, [1, 2, 3])
+    assert not res.is_division and res.exact and is_rational(res.pair)
+
+
+def test_singular_symmetric_part_gives_a_kernel_vector():
+    # Rank 2, and neither a diagonal entry nor a 2x2 principal block of P is
+    # isotropic, so the vector comes from the zero pivot.
+    T = [[1, 1, 1], [1, 3, 0], [1, 0, Fraction(3, 2)]]
+    P = symmetric_part(mat(T))
+    pivots, rows = congruence_diagonal(P)
+    assert pivots[2] == 0
+    z = _isotropic(T, P, pivots, rows)
+    assert z == (-3, 1, 2)
+    assert all(sum(P[i][j] * z[j] for j in range(3)) == 0 for i in range(3))
+    T = [[1, 2, 0], [-2, 1, 0], [0, 0, 0]]  # P = diag(1, 1, 0)
+    res = is_division_4d(T, [0, 1, 0])
+    assert not res.is_division and is_rational(res.pair)
+    assert not any(multiply_4d_exact(T, [0, 1, 0], *res.pair))
+
+
+def test_decimal_floats_get_a_rational_pair_without_factoring():
+    # z = (1, 3, -1) is a zero of P, but the pivots of P, with numerators of
+    # 50 to 160 bits, do not factor, so the descent cannot run; z is a common
+    # zero of the decimal part of P and of its rounding error.
+    T = [[1.7, -2.8, -1.1], [-2.9, 2.9, 2.8], [-1.4, 2.2, 1.8]]
+    Tx = mat(T)
+    P = symmetric_part(Tx)
+    pivots, rows = congruence_diagonal(P)
+    assert ternary_zero(pivots) is None
+    assert lowdim._rational_isotropic(P, pivots, rows) is None
+    z = lowdim._decimal_zero(Tx, P)
+    assert z is not None and any(z)
+    assert sum(z[i] * P[i][j] * z[j] for i in range(3) for j in range(3)) == 0
+    res = is_division_4d(T, [0.1, 0.2, 0.3])
+    assert not res.is_division and is_rational(res.pair)
+    # Exact rational input has no rounding error to split off.
+    R = mat([[1, 0, 0], [0, 1, 0], [0, 0, Fraction(-1, 10)]])
+    assert lowdim._decimal_zero(R, symmetric_part(R)) is None
+
+
+def test_exact_pair_is_none_only_for_definite_parts():
+    assert exact_zero_divisor_pair(extract_params_4d(build_4d(np.eye(3).tolist(), [0, 0, 0]))) is None
+    params = extract_params_4d(build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -3]], [0, 0, 0]))
+    assert exact_zero_divisor_pair(params) is not None
+
+
+def test_division_uses_no_numpy(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used")
+
+    monkeypatch.setattr(lowdim, "np", NoNumpy())
+    for T in ([[0.1, 0.2, -0.3], [0.4, -0.5, 0.6], [0.7, 0.8, -0.9]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]):
+        res = is_division_4d(T, [0.5, 0, 0])
+        assert res.is_division or res.exact
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_division_rejects_non_finite_entries(bad):
+    with pytest.raises(MalformedInputError):
+        is_division_4d([[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(MalformedInputError):
+        is_division_4d(np.eye(3), [0, bad, 0])
+
+
+def test_geometric_type_is_exact_for_rational_input():
+    # An eigenvalue of 10^-12: inside the float tolerance, but nonzero.
+    tiny = Fraction(1, 10**12)
+    T = [[1, 0, 0], [0, 1, 0], [0, 0, tiny]]
+    assert geometric_type(T).kind == "ellipsoid"
+    assert is_division_4d(T).is_division
+    assert geometric_type([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1e-12]]).kind == "elliptic-cylinder"
+    T = [[1, 0, 0], [0, 1, 0], [0, 0, -tiny]]
+    assert geometric_type(T).kind == "hyperboloid"
+    assert not is_division_4d(T).is_division
 
 
 # -- hyperboloid configurations ---------------------------------------------------
