@@ -50,6 +50,9 @@ from .kernel import (
     anticommutator_table,
     first_homomorphism_violation,
     left_mul_rows,
+    left_mul_stack,
+    primitive_row,
+    product_table,
     singularity_screen,
     table_in_rows,
 )
@@ -169,16 +172,13 @@ def _candidate_terms(k: int) -> list[tuple[tuple[int, int], ...]]:
     return terms
 
 
-def _combine(vectors: Sequence[Element], terms: tuple[tuple[int, int], ...]) -> Element:
+def _combine(vectors: Sequence, terms: tuple[tuple[int, int], ...]):
+    """The candidate of the given terms: elements, or rows of integers."""
     (p, _), *rest = terms
     out = vectors[p]
     for q, sign in rest:
         out = out + vectors[q] if sign > 0 else out - vectors[q]
     return out
-
-
-def _candidate_pool(vectors: Sequence[Element]) -> list[Element]:
-    return [_combine(vectors, terms) for terms in _candidate_terms(len(vectors))]
 
 
 def _unit_square(x: Element, sq: Fraction | None) -> Element | None:
@@ -490,48 +490,85 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     return RecognitionResult(tag, iso)
 
 
+# The relations (i, j) of the dimension-16 branch, with the sign s of
+# e_{ij} y = s e_i (e_j y) for e_{ij} = e_i e_j.  The odd vector is remedied
+# along each in turn; when a remedy vanishes it is replaced by e_k times the
+# vector before it, k given here (None keeps that vector).  The first three
+# signs must be -1, and the last one tells S (-1) from TS (+1).
+_RELATIONS = (((1, 2), 3), ((1, 4), 2), ((2, 4), 1), ((3, 4), None))
+
+
 def _classify_sedenion_like(
     algebra: Algebra, e_std: list, odd_elements: list[Element]
 ) -> tuple[str, list[Element]]:
-    """The dimension-16 branch: remedy an odd vector, normalize, read the sign."""
+    """The dimension-16 branch: remedy an odd vector, normalize, read the sign.
 
-    def lmul(a: Element, b: Element) -> Element:
-        return algebra.multiply(a, b)
+    The remedy along (i, j) is p + e_{ij}(e_i(e_j p)).  Everything runs on
+    integer matrices: one contraction of the tensor gives sigma L_x, for one
+    positive integer sigma, for x = e_1, ..., e_7 and the four e_{ij}.  A
+    vector is kept as a primitive integer vector w and a positive rational
+    lam with the vector equal to lam w; the zero tests and the relation
+    signs do not see lam, and neither does f8 = y / sqrt(-y^2), so only the
+    square reported for a rejected y needs it.
+    """
+    u = algebra.unit
+    gens = [e.coords for e in e_std[1:]]
+    pairs, pair_scale = product_table(
+        algebra,
+        [gens[i - 1] for (i, _), _ in _RELATIONS],
+        [gens[j - 1] for (_, j), _ in _RELATIONS],
+    )
+    # e_pairs[r] = e_i e_j for relation r.
+    e_pairs = [[Fraction(x, pair_scale) for x in pairs[r, r].tolist()] for r in range(4)]
+    stack, sigma = left_mul_stack(algebra, gens + e_pairs)
+    stack = stack.astype(object)
+    lmul = [None, *stack[:7]]  # lmul[i] = sigma L_{e_i}
+    lmul_pairs = stack[7:]  # sigma L_{e_ij} per relation
+    cube = sigma**3
 
-    def remedy(p: Element, i: int, j: int) -> Element:
-        eij = lmul(e_std[i], e_std[j])
-        return p + lmul(eij, lmul(e_std[i], lmul(e_std[j], p)))
+    def remedy(w, r: int):
+        """sigma^3 times the remedy of w along relation r."""
+        (i, j), _ = _RELATIONS[r]
+        return cube * w + lmul_pairs[r] @ (lmul[i] @ (lmul[j] @ w))
 
-    def relation_sign(y: Element, i: int, j: int) -> int | None:
-        eij = lmul(e_std[i], e_std[j])
-        lhs = lmul(eij, y)
-        rhs = lmul(e_std[i], lmul(e_std[j], y))
-        if (lhs + rhs).is_zero():
+    def relation_sign(w, r: int) -> int | None:
+        # sigma^2 e_ij w and sigma^2 e_i (e_j w).
+        (i, j), _ = _RELATIONS[r]
+        lhs, rhs = sigma * (lmul_pairs[r] @ w), lmul[i] @ (lmul[j] @ w)
+        if not (lhs + rhs).any():
             return -1
-        if (lhs - rhs).is_zero():
+        if not (lhs - rhs).any():
             return 1
         return None
 
+    # odd[p] = odd_elements[p] / odd_scale, rows of Python ints.
+    odd, odd_scale = primitive_row([c for e in odd_elements for c in e.coords])
+    odd = odd.reshape(len(odd_elements), algebra.dim)
     last_error = "no odd starting vector produced a normalizable result"
-    for start in _candidate_pool(odd_elements):
-        if start.is_zero():
+    for terms in _candidate_terms(len(odd_elements)):
+        start = _combine(odd, terms)
+        if not start.any():
             continue
-        v = remedy(start, 1, 2)
-        if v.is_zero():
-            v = lmul(e_std[3], start)
-        w = remedy(v, 1, 4)
-        if w.is_zero():
-            w = lmul(e_std[2], v)
-        x = remedy(w, 2, 4)
-        if x.is_zero():
-            x = lmul(e_std[1], w)
-        y = remedy(x, 3, 4)
-        if y.is_zero():
-            y = x
-        if y.is_zero():
+        w, lam = primitive_row(start.tolist())
+        lam *= odd_scale
+        for r, (_, fallback) in enumerate(_RELATIONS):
+            out, scale = remedy(w, r), cube
+            if not out.any():
+                if fallback is None:
+                    break
+                out, scale = lmul[fallback] @ w, sigma
+            if out.any():
+                out, g = primitive_row(out.tolist())
+                lam = lam * g / scale
+            w = out
+        if not w.any():
             continue
-        sq = _square_scalar(algebra, y)
-        if sq is None or sq >= 0:
+        table, table_scale = product_table(algebra, [w.tolist()], [w.tolist()])
+        square = table[0, 0].tolist()
+        if any(c for k, c in enumerate(square) if k != u):
+            continue
+        sq = lam * lam * Fraction(square[u], table_scale)  # y^2 = sq * 1
+        if sq >= 0:
             continue
         root = sqrt_fraction(-sq)
         if root is None:
@@ -540,17 +577,15 @@ def _classify_sedenion_like(
                 f"{sq}, whose negative is not a perfect rational square"
             )
             continue
-        f8 = y.scale(F1 / root)
-        if (
-            relation_sign(f8, 1, 2) != -1
-            or relation_sign(f8, 1, 4) != -1
-            or relation_sign(f8, 2, 4) != -1
-        ):
+        if any(relation_sign(w, r) != -1 for r in range(3)):
             continue
-        sign = relation_sign(f8, 3, 4)
+        sign = relation_sign(w, 3)
         if sign is None:
             continue
-        basis = [algebra.one()] + e_std[1:] + [f8] + [lmul(e_std[i], f8) for i in range(1, 8)]
+        f8 = lam / root  # f8 = (lam / root) w
+        basis = [algebra.one(), *e_std[1:], Element(tuple(f8 * x for x in w.tolist()))]
+        basis += [Element(tuple(f8 / sigma * x for x in (lmul[i] @ w).tolist()))
+                  for i in range(1, 8)]
         return ("TS" if sign == 1 else "S", basis)
     raise UnsupportedRationalClassError(last_error)
 

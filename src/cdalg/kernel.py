@@ -7,19 +7,32 @@ One transport of the product table serves every change of basis: the
 products of a list of independent rows, written in the basis of those rows
 (:func:`table_in_rows`).  It gives ``change_of_basis`` (the rows are a
 basis) and the induced algebra of a closed subspace such as the even part
-of a grading; the grading closure check and the middle Moufang identity
-read the same :func:`product_table`.
+of a grading; the grading closure check reads the same
+:func:`product_table`.
 
 An algebra's rational structure constants are scaled once, over their common
 denominator ``D``, to an integer tensor ``C`` with
 ``b_i b_j = (1/D) sum_k C[i, j, k] b_k``; the result is cached on the
 algebra, which is immutable.  Each check is then a handful of integer
-contractions.  The arrays are ``int64`` only when a worst-case bound on every
-intermediate, stated where the choice is made, stays below 2^63; otherwise
-they hold Python ints (numpy ``object`` dtype).  Both are exact and no float
-dtype appears.  Only operations numpy 1.24 supports on object arrays are
-used: ``@``, ``tensordot`` and elementwise arithmetic (object ``einsum``
-needs 1.25).
+contractions, and no float dtype appears.  The arithmetic is chosen from a
+worst-case bound on every intermediate, stated where the choice is made:
+
+- below 2^63 the arrays are ``int64``;
+- past it, a check that only asks whether entries are zero (the
+  alternativity sweep, the homomorphism check, the middle Moufang cube)
+  runs in ``int64`` modulo the first primes of :data:`ZERO_TEST_PRIMES`
+  whose product exceeds the bound.  An integer of absolute value at most
+  the bound is then zero exactly when it is zero modulo each of them
+  (Chinese remaindering), so the verdict and the first witness are those of
+  the exact computation.  The primes are a batch axis of every contraction;
+  the residues of ``C`` are cached on the tensor;
+- the arrays hold Python ints (numpy ``object`` dtype) where values are
+  returned rather than tested for zero, where the dimension passes 128
+  (:func:`_screen_fits` rules ``int64`` residues out) and where the
+  product of all the primes does not exceed the bound.
+
+Only operations numpy 1.24 supports on object arrays are used: ``@``,
+``tensordot`` and elementwise arithmetic (object ``einsum`` needs 1.25).
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ def _exact(ints: list[int], shape: tuple[int, ...], fits_int64: bool) -> np.ndar
 class ScaledTensor:
     """The integer tensor ``C``, its denominator ``den`` and ``max |C|``."""
 
-    __slots__ = ("den", "max_abs", "_ints", "_int64")
+    __slots__ = ("den", "max_abs", "_ints", "_int64", "_residues")
 
     def __init__(self, algebra) -> None:
         n = algebra.dim
@@ -67,6 +80,7 @@ class ScaledTensor:
         flat[index] = np.array(ints, dtype=object)
         self._ints = flat.reshape(n, n, n)
         self._int64 = None
+        self._residues = None  # (primes, C modulo each of them)
 
     def array(self, fits_int64: bool) -> np.ndarray:
         """``C`` as int64 (the caller has bounded its intermediates) or as Python ints."""
@@ -75,6 +89,27 @@ class ScaledTensor:
         if self._int64 is None:
             self._int64 = self._ints.astype(np.int64)
         return self._int64
+
+    def residues(self, primes: np.ndarray) -> np.ndarray:
+        """``C`` modulo each prime, stacked along a leading axis, as int64.
+
+        Entries are congruent to ``C`` and below each prime in absolute
+        value, which is all the zero tests' contractions need: when every
+        ``|C|`` is already below the smallest prime, ``C`` itself is
+        returned with a leading axis of length one that broadcasts.  The
+        zero tests ask for prefixes of one tuple of primes: the last stack
+        built is kept, and a prefix of its primes is a slice of it.
+        """
+        want = primes.tolist()
+        if self.max_abs < min(want):
+            return self.array(True)[None]
+        if self._residues is None or self._residues[0][:len(want)] != want:
+            c = self.array(self.max_abs < INT64_LIMIT)
+            stack = np.empty((len(want), *c.shape), dtype=np.int64)
+            for t, p in enumerate(want):
+                stack[t] = c % p
+            self._residues = want, stack
+        return self._residues[1][:len(want)]
 
 
 def scaled_tensor(algebra) -> ScaledTensor:
@@ -94,30 +129,39 @@ class AlternativitySweep:
     defect ``L_{u^2} - L_u L_u`` and the right defect ``R_{u^2} - R_u R_u``
     are integer matrices (``L_u y = uy``, ``R_u y = yu``) whose column ``c``
     is the defect at ``y = b_c``, scaled by ``(s D)^2`` for the rows' common
-    denominator ``s``; ``L_{r_p + r_q} = L_p + L_q``.
+    denominator ``s``; ``L_{r_p + r_q} = L_p + L_q``.  The matrices are built
+    on first use.
     """
 
     def __init__(self, algebra, rows: Sequence[Sequence[Fraction]]) -> None:
         n = algebra.dim
-        st = scaled_tensor(algebra)
-        ints, _ = _common_scale([c for r in rows for c in r])
-        mu = 2 * max(map(abs, ints), default=0)  # bounds every |u_i|
+        self._st = st = scaled_tensor(algebra)
+        self._shape = (len(rows), n)
+        self._ints, _ = _common_scale([c for r in rows for c in r])
+        mu = 2 * max(map(abs, self._ints), default=0)  # bounds every |u_i|
         # With c = max|C|: entries of L_u and R_u are at most n*mu*c, of
         # u^2 = L_u u at most n^2*mu^2*c, of L_{u^2}, R_{u^2}, L_u L_u and
         # R_u R_u at most n^3*mu^2*c^2, and of each defect at most twice that.
         # C itself must fit too, which the product misses when there are no rows.
-        fits = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs) < INT64_LIMIT
-        c = st.array(fits)
-        self.dtype = c.dtype
-        self._tensor = c
-        self._rows = _exact(ints, (len(rows), n), fits)
-        # _left[p] = L_{r_p}: entry [k, j] is coordinate k of r_p b_j.
-        self._left = np.tensordot(self._rows, c, axes=(1, 0)).transpose(0, 2, 1)
-        # _right[p] = R_{r_p}: entry [k, j] is coordinate k of b_j r_p.
-        self._right = np.tensordot(self._rows, c, axes=(1, 1)).transpose(0, 2, 1)
+        self.bound = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs)
+        self.dtype = np.dtype(np.int64 if self.bound < INT64_LIMIT else object)
+        self._built = None
+
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``C``, the rows, and the stacks of ``L_{r_p}`` and ``R_{r_p}``."""
+        if self._built is None:
+            fits = self.dtype == np.int64
+            c = self._st.array(fits)
+            rows = _exact(self._ints, self._shape, fits)
+            # left[p] = L_{r_p}: entry [k, j] is coordinate k of r_p b_j.
+            left = np.tensordot(rows, c, axes=(1, 0)).transpose(0, 2, 1)
+            # right[p] = R_{r_p}: entry [k, j] is coordinate k of b_j r_p.
+            right = np.tensordot(rows, c, axes=(1, 1)).transpose(0, 2, 1)
+            self._built = c, rows, left, right
+        return self._built
 
     def family(self) -> Iterator[tuple[int, int | None]]:
-        m = len(self._rows)
+        m = self._shape[0]
         for p in range(m):
             yield p, None
         for p in range(m):
@@ -125,19 +169,72 @@ class AlternativitySweep:
                 yield p, q
 
     def _member(self, stack: np.ndarray, p: int, q: int | None):
+        rows = self._stacks()[1]
         if q is None:
-            return self._rows[p], stack[p]
-        return self._rows[p] + self._rows[q], stack[p] + stack[q]
+            return rows[p], stack[p]
+        return rows[p] + rows[q], stack[p] + stack[q]
 
     def left(self, p: int, q: int | None) -> np.ndarray:
-        u, lu = self._member(self._left, p, q)
+        c, _, left, _ = self._stacks()
+        u, lu = self._member(left, p, q)
         u2 = lu @ u
-        return np.tensordot(u2, self._tensor, axes=(0, 0)).T - lu @ lu
+        return np.tensordot(u2, c, axes=(0, 0)).T - lu @ lu
 
     def right(self, p: int, q: int | None) -> np.ndarray:
-        u, ru = self._member(self._right, p, q)
+        c, _, _, right = self._stacks()
+        u, ru = self._member(right, p, q)
         u2 = ru @ u
-        return np.tensordot(self._tensor, u2, axes=(1, 0)).T - ru @ ru
+        return np.tensordot(c, u2, axes=(1, 0)).T - ru @ ru
+
+    def first_defect_mod(self, primes: np.ndarray) -> tuple[int, int | None, int, str] | None:
+        """:func:`first_alternativity_defect` from the residues modulo
+        ``primes``, whose product must exceed :attr:`bound`.
+
+        The same matrices as :meth:`left` and :meth:`right`, modulo each
+        prime at once, for a chunk of family members at a time; a defect
+        entry is nonzero exactly when it is nonzero modulo some prime.
+        """
+        (m, n), k = self._shape, len(primes)
+        mod3, mod4 = primes.reshape(k, 1, 1), primes.reshape(k, 1, 1, 1)
+        c = self._st.residues(primes)
+        c_left = c.reshape(len(c), n, n * n)  # [a, (j, l)] = C[a, j, l]
+        c_right = c.transpose(0, 2, 1, 3).reshape(len(c), n, n * n)  # [a, (j, l)] = C[j, a, l]
+        # Row m is zero, so the member (p, None) is r_p + r_m.
+        u = np.zeros((k, m + 1, n), dtype=np.int64)
+        u[:, :m] = _residues(self._ints, primes).reshape(k, m, n)
+
+        def transposed(products: np.ndarray) -> np.ndarray:
+            # [.., (j, l)] -> [.., l, j]: the matrix whose column j is the
+            # product with b_j.
+            return products.reshape(*products.shape[:-1], n, n).swapaxes(-1, -2)
+
+        left, right = transposed(u @ c_left % mod3), transposed(u @ c_right % mod3)
+        family = list(self.family())
+        size = max(1, ZERO_TEST_CHUNK // (n * n))
+        for start in range(0, len(family), size):
+            chunk = family[start:start + size]
+            ps = [p for p, _ in chunk]
+            qs = [m if q is None else q for _, q in chunk]
+            # In place, to keep the temporaries few: L_u, R_u and u.
+            lu, ru, uu = left[:, ps], right[:, ps], u[:, ps]
+            lu += left[:, qs]
+            ru += right[:, qs]
+            uu += u[:, qs]
+            lu %= mod4
+            ru %= mod4
+            u2 = (lu @ uu[..., None])[..., 0] % mod3
+            # [b, c]: the defect at y = b_c is nonzero modulo some prime.
+            bad_left, bad_right = (
+                _nonzero_mod(transposed(u2 @ c_side), mat @ mat, mod4).any(axis=(0, 2))
+                for mat, c_side in ((lu, c_left), (ru, c_right))
+            )
+            bad = bad_left | bad_right
+            hits = bad.any(axis=1)
+            if hits.any():
+                b = int(hits.argmax())
+                col = int(bad[b].argmax())
+                return (*chunk[b], col, "left" if bad_left[b, col] else "right")
+        return None
 
 
 def first_alternativity_defect(
@@ -149,6 +246,10 @@ def first_alternativity_defect(
     one; None when every defect vanishes.
     """
     sweep = AlternativitySweep(algebra, rows)
+    if sweep.dtype == object:
+        primes = _zero_test_primes(sweep.bound, algebra.dim)
+        if primes is not None:
+            return sweep.first_defect_mod(primes)
     for p, q in sweep.family():
         bad_left = (sweep.left(p, q) != 0).any(axis=0)
         bad = bad_left | (sweep.right(p, q) != 0).any(axis=0)
@@ -177,10 +278,14 @@ def first_homomorphism_violation(
     # the scales must fit as well, which the products miss when a factor is 0.
     g = gcd(s * tgt.den, src.den)
     lhs_scale, rhs_scale = s * tgt.den // g, src.den // g
-    fits = max(
+    bound = max(
         n * src.max_abs * big * lhs_scale + m * m * big * big * tgt.max_abs * rhs_scale,
         src.max_abs, tgt.max_abs, lhs_scale, rhs_scale,
-    ) < INT64_LIMIT
+    )
+    fits = bound < INT64_LIMIT
+    primes = None if fits else _zero_test_primes(bound, max(n, m))
+    if primes is not None:
+        return _first_violation_mod(ints, (m, n), src, tgt, lhs_scale, rhs_scale, primes)
     f = _exact(ints, (m, n), fits)
     c_src, c_tgt = src.array(fits), tgt.array(fits)
     for i in range(n):
@@ -189,6 +294,87 @@ def first_homomorphism_violation(
         bad = (lhs * lhs_scale != rhs * rhs_scale).any(axis=1)
         if bad.any():
             return i, int(np.argmax(bad))
+    return None
+
+
+def _first_violation_mod(
+    ints: list[int], shape: tuple[int, int], src: ScaledTensor, tgt: ScaledTensor,
+    lhs_scale: int, rhs_scale: int, primes: np.ndarray,
+) -> tuple[int, int] | None:
+    """:func:`first_homomorphism_violation` modulo ``primes``, whose product
+    exceeds the bound stated there, for a chunk of rows ``i`` at a time."""
+    (m, n), k = shape, len(primes)
+    mod = primes.reshape(k, 1, 1, 1)
+    f = _residues(ints, primes).reshape(k, m, n)
+    ft = f.swapaxes(1, 2)  # [j, b] = f[b, j]
+    c_src = src.residues(primes)
+    c_tgt = tgt.residues(primes)
+    c_tgt = c_tgt.reshape(len(c_tgt), m, m * m)
+    scales = _residues([lhs_scale, rhs_scale], primes).reshape(k, 2, 1, 1, 1)
+    size = max(1, ZERO_TEST_CHUNK // (n * m))
+    for i0 in range(0, n, size):
+        i1 = min(n, i0 + size)
+        # [i, j, l]: s*D_src * f(b_i b_j)_l, times the left scale.
+        lhs = (c_src[:, i0:i1].reshape(len(c_src), -1, n) @ ft).reshape(k, i1 - i0, n, m)
+        lhs %= mod
+        lhs *= scales[:, 0]
+        # [i, b, l]: s*D_tgt * (f(b_i) b_b)_l, then [i, j, l]: s^2*D_tgt *
+        # (f(b_i) f(b_j))_l, times the right scale.
+        left = (f[:, :, i0:i1].swapaxes(1, 2) @ c_tgt).reshape(k, i1 - i0, m, m)
+        left %= mod
+        rhs = ft[:, None] @ left
+        rhs %= mod
+        rhs *= scales[:, 1]
+        bad = _nonzero_mod(lhs, rhs, mod).any(axis=(0, 3))
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            return i0 + i, j
+    return None
+
+
+def _nonzero_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """``(a - b) % mod != 0`` elementwise, overwriting ``a``."""
+    a -= b
+    a %= mod
+    return a != 0
+
+
+def first_middle_moufang_defect(algebra) -> tuple[int, int, int] | None:
+    """The first basis triple ``(i, j, k)``, in lexicographic order, with
+    ``(b_i b_j)(b_k b_i) != (b_i (b_j b_k)) b_i``, or None.
+
+    Scaled by ``D^3``, both sides for one ``i`` are direct contractions of
+    the tensor: ``lhs[j, k, l] = sum_{a, b} C[i, j, a] C[k, i, b] C[a, b, l]``
+    and ``rhs[j, k, l] = sum_a C[j, k, a] M[a, l]`` with
+    ``M[a, l] = sum_b C[i, a, b] C[b, i, l]``.
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    # Each side sums n^2 products of three entries, and the difference is at
+    # most twice that; C itself must fit too.
+    bound = max(2 * n * n * st.max_abs**3, st.max_abs)
+    fits = bound < INT64_LIMIT
+    primes = None if fits else _zero_test_primes(bound, n)
+    if primes is None:  # exact, with a batch axis of length one
+        c, mod = st.array(fits)[None], None
+    else:
+        c, mod = st.residues(primes), primes.reshape(-1, 1, 1)
+
+    def reduce(x: np.ndarray) -> np.ndarray:
+        return x if mod is None else x % mod
+
+    t = len(c)
+    by_middle = c.transpose(0, 2, 1, 3).reshape(t, n, n * n)  # [b, (a, l)] = C[a, b, l]
+    pairs = c.reshape(t, n * n, n)  # [(j, k), a] = C[j, k, a]
+    for i in range(n):
+        left, right = c[:, i], c[:, :, i]  # [j, a] = C[i, j, a] and [k, b] = C[k, i, b]
+        # [k, a, l] = sum_b C[k, i, b] C[a, b, l], then [a, (k, l)].
+        inner = reduce(right @ by_middle).reshape(-1, n, n, n).swapaxes(1, 2)
+        lhs = reduce(left @ inner.reshape(-1, n, n * n)).reshape(-1, n * n, n)
+        rhs = pairs @ reduce(left @ right)
+        bad = (reduce(lhs - rhs) != 0).any(axis=(0, 2))
+        if bad.any():
+            return (i, *divmod(int(bad.argmax()), n))
     return None
 
 
@@ -252,24 +438,51 @@ def commutators_are_imaginary(algebra) -> bool:
     return bool((commutators @ weights == 0).all())
 
 
-def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
-    """The matrix of ``y -> x y`` times a positive integer, as rows of Python ints.
+def left_mul_stack(algebra, xs: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
+    """The matrices of ``y -> x y`` for a list of rows ``x``, times one
+    positive integer ``sigma``.
 
-    Entry ``[k][j]`` is coordinate ``k`` of ``x b_j`` scaled by ``s D`` for
-    the common denominator ``s`` of ``x``; the scale leaves the kernel, and
-    any echelon form of the rows, unchanged.
+    Returns ``stack[p, k, j]``, coordinate ``k`` of ``x_p b_j`` scaled by
+    ``sigma = s D`` for the common denominator ``s`` of the rows (int64 or
+    Python ints), and ``sigma``.  The scale leaves kernels, echelon forms and
+    zero tests unchanged.
     """
     n = algebra.dim
     st = scaled_tensor(algebra)
-    ints, _ = _common_scale(x)
+    ints, s = _common_scale([c for r in xs for c in r])
     big = max(map(abs, ints), default=0)
     # Each entry sums n products of a coordinate and a constant.
     fits = max(n * big * st.max_abs, st.max_abs, big) < INT64_LIMIT
-    xs = _exact(ints, (n,), fits)
-    return np.tensordot(xs, st.array(fits), axes=(0, 0)).T.tolist()
+    x = _exact(ints, (len(xs), n), fits)
+    return np.tensordot(x, st.array(fits), axes=(1, 0)).transpose(0, 2, 1), s * st.den
+
+
+def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
+    """The matrix of ``y -> x y`` times a positive integer, as rows of Python
+    ints (:func:`left_mul_stack` of the one row)."""
+    return left_mul_stack(algebra, [x])[0][0].tolist()
+
+
+def primitive_row(values: Sequence[Fraction | int]) -> tuple[np.ndarray, Fraction]:
+    """A primitive integer vector ``w`` (Python ints, coprime entries) and a
+    positive rational ``lam`` with ``values = lam * w``; ``lam`` is 1 for a
+    zero row."""
+    ints, d = _common_scale(values)
+    g = gcd(*ints)
+    if g == 0:
+        return np.array(ints, dtype=object), Fraction(1)
+    return np.array([v // g for v in ints], dtype=object), Fraction(g, d)
 
 
 SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
+
+# The sixteen largest primes below 2^28, descending from SCREEN_PRIME; their
+# product passes 2^447.  A zero test takes the shortest prefix it needs.
+ZERO_TEST_PRIMES = tuple(2**28 - d for d in (
+    57, 89, 95, 119, 125, 143, 165, 183, 213, 273, 285, 299, 309, 323, 327, 335,
+))
+# Entries per prime in one batch of a zero test modulo primes.
+ZERO_TEST_CHUNK = 2048
 
 
 def _screen_fits(n: int, p: int) -> bool:
@@ -280,6 +493,33 @@ def _screen_fits(n: int, p: int) -> bool:
     four below p.  With SCREEN_PRIME this holds for n <= 128.
     """
     return n * p * p < INT64_LIMIT
+
+
+def _zero_test_primes(bound: int, n: int) -> np.ndarray | None:
+    """The shortest prefix of :data:`ZERO_TEST_PRIMES` whose product exceeds
+    ``bound``, as an int64 array, for a zero test whose contractions sum at
+    most ``n`` products of residues.
+
+    An integer of absolute value at most ``bound`` that vanishes modulo each
+    of these primes is a multiple of their product, hence zero.  None when
+    :func:`_screen_fits` rules out int64 residues for ``n`` or when the
+    product of all the primes does not exceed the bound.
+    """
+    primes = ZERO_TEST_PRIMES
+    if not _screen_fits(n, max(primes)):
+        return None
+    product = 1
+    for k, p in enumerate(primes, start=1):
+        product *= p
+        if product > bound:
+            return np.array(primes[:k], dtype=np.int64)
+    return None
+
+
+def _residues(ints: Sequence[int], primes: np.ndarray) -> np.ndarray:
+    """``[t, i]``: ``ints[i]`` modulo ``primes[t]``, as int64."""
+    return np.array([[v % p for v in ints] for p in primes.tolist()],
+                    dtype=np.int64).reshape(len(primes), len(ints))
 
 
 def singularity_screen(algebra):
@@ -296,8 +536,7 @@ def singularity_screen(algebra):
     n, p = algebra.dim, SCREEN_PRIME
     if not _screen_fits(n, p):
         return None
-    st = scaled_tensor(algebra)
-    residues = (st.array(st.max_abs < INT64_LIMIT) % p).astype(np.int64)
+    residues = scaled_tensor(algebra).residues(np.array([p]))[0]
 
     def regular(rows: Sequence[Sequence]) -> list[bool]:
         x = np.array([[v % p for v in _common_scale(r)[0]] for r in rows],

@@ -67,9 +67,8 @@ from .kernel import (
     anticommutator_table,
     commutators_are_imaginary,
     first_alternativity_defect,
+    first_middle_moufang_defect,
     first_quadratic_defect,
-    product_table,
-    scaled_tensor,
 )
 from .numth import sqrt_fraction
 
@@ -400,25 +399,13 @@ def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int
 
     Unlike the alternativity check this is not polarized to a complete
     verdict; it is the identity evaluated on the basis cube, which is what
-    table-level verification needs.  Both sides for one x = b_i come from
-    :func:`cdalg.kernel.product_table` on the integer table rows
-    ``D b_j b_k`` (row ``j n + k``), so every product carries the scale
-    ``D^3`` and the two sides compare entry for entry; the first failing
+    table-level verification needs.  Both sides for one x = b_i are direct
+    contractions of the integer tensor
+    (:func:`cdalg.kernel.first_middle_moufang_defect`); the first failing
     ``(i, j, k)`` in lexicographic order is the witness.
     """
-    n = algebra.dim
-    rows = scaled_tensor(algebra).array(False).reshape(n * n, n).tolist()
-    eye = identity(n)
-    for i in range(n):
-        # [j, k]: (b_i b_j)(b_k b_i).
-        lhs, _ = product_table(algebra, rows[i * n:(i + 1) * n], rows[i::n])
-        # [0, j n + k]: b_i (b_j b_k), then [j n + k, 0]: (b_i (b_j b_k)) b_i.
-        inner, _ = product_table(algebra, [eye[i]], rows)
-        rhs, _ = product_table(algebra, inner[0].tolist(), [eye[i]])
-        bad = (lhs.reshape(n * n, n) != rhs.reshape(n * n, n)).any(axis=1)
-        if bad.any():
-            return False, (i, *divmod(int(bad.argmax()), n))
-    return True, None
+    witness = first_middle_moufang_defect(algebra)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ nicely-normed test that multiplies certificate vectors, the
 zero-divisor search that builds every structured candidate up front and
 takes the kernel of each, and the transports of the product table that
 multiply every pair of rows -- change of basis, the induced algebra of a
-closed subspace, the closure check of a grading -- and the middle Moufang
-identity on the basis cube.  Two bounded searches the library no longer
+closed subspace, the closure check of a grading -- the middle Moufang
+identity on the basis cube, and the dimension-16 branch of the classifier
+on dense elements.  The alternativity sweep and the homomorphism check are
+also kept on exact integers, never reduced modulo primes, as the oracle of
+the multi-prime zero tests.  Two bounded searches the library no longer
 runs stay here as oracles: the candidate list for a "not quadratic"
 witness and the box search for a rational isotropic vector of a 3x3
 symmetric form.  They are slow by design.
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
+
+import numpy as np
 
 from cdalg import Algebra, Element
 from cdalg.analysis import ZeroDivisorSearch, _lowdim_exact_route
@@ -48,6 +53,7 @@ from cdalg.linalg import (
     transpose,
     vec,
 )
+from cdalg.kernel import AlternativitySweep, scaled_tensor
 from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
@@ -118,6 +124,44 @@ def homomorphism_violation(iso: Matrix, source: Algebra, target: Algebra) -> tup
             rhs = target.multiply(images[i], images[j])
             if lhs.coords != rhs.coords:
                 return (i, j)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the kernel's zero tests on exact integers, never modulo primes
+# ---------------------------------------------------------------------------
+
+
+def alternativity_defect_ints(algebra: Algebra, rows: Sequence[Sequence]) -> tuple | None:
+    """``first_alternativity_defect`` from the exact defect matrices of
+    ``AlternativitySweep`` (Python ints past int64), one member at a time."""
+    sweep = AlternativitySweep(algebra, rows)
+    for p, q in sweep.family():
+        bad_left = (sweep.left(p, q) != 0).any(axis=0)
+        bad = bad_left | (sweep.right(p, q) != 0).any(axis=0)
+        if bad.any():
+            c = int(bad.argmax())
+            return p, q, c, "left" if bad_left[c] else "right"
+    return None
+
+
+def homomorphism_violation_ints(iso: Matrix, source: Algebra, target: Algebra) -> tuple | None:
+    """``first_homomorphism_violation`` on Python ints, one row i at a time."""
+    n, m = source.dim, target.dim
+    src, tgt = scaled_tensor(source), scaled_tensor(target)
+    entries = [Fraction(c) for row in iso for c in row]
+    s = lcm(*(c.denominator for c in entries))
+    f = np.array([c.numerator * (s // c.denominator) for c in entries], dtype=object)
+    f = f.reshape(m, n)
+    g = gcd(s * tgt.den, src.den)
+    lhs_scale, rhs_scale = s * tgt.den // g, src.den // g
+    c_src, c_tgt = src.array(False), tgt.array(False)
+    for i in range(n):
+        lhs = c_src[i] @ f.T
+        rhs = f.T @ np.tensordot(f[:, i], c_tgt, axes=(0, 0))
+        bad = (lhs * lhs_scale != rhs * rhs_scale).any(axis=1)
+        if bad.any():
+            return i, int(bad.argmax())
     return None
 
 
@@ -368,6 +412,79 @@ def find_unit_square_vector(algebra, space, anticommute_with=(), closure=None) -
             if out is not None:
                 return out
     raise UnsupportedRationalClassError("no rational vector of square -1 found")
+
+
+# ---------------------------------------------------------------------------
+# the dimension-16 branch of the classifier, on dense elements
+# ---------------------------------------------------------------------------
+
+
+def classify_sedenion_like(algebra: Algebra, e_std: list, odd_elements: list[Element]):
+    """Remedy an odd vector, normalize, read the sign: every product is an
+    ``Algebra.multiply`` of dense elements."""
+
+    def lmul(a: Element, b: Element) -> Element:
+        return algebra.multiply(a, b)
+
+    def remedy(p: Element, i: int, j: int) -> Element:
+        eij = lmul(e_std[i], e_std[j])
+        return p + lmul(eij, lmul(e_std[i], lmul(e_std[j], p)))
+
+    def relation_sign(y: Element, i: int, j: int) -> int | None:
+        eij = lmul(e_std[i], e_std[j])
+        lhs = lmul(eij, y)
+        rhs = lmul(e_std[i], lmul(e_std[j], y))
+        if (lhs + rhs).is_zero():
+            return -1
+        if (lhs - rhs).is_zero():
+            return 1
+        return None
+
+    candidates = list(odd_elements)
+    for p in range(len(odd_elements)):
+        for q in range(p + 1, len(odd_elements)):
+            candidates += [odd_elements[p] + odd_elements[q], odd_elements[p] - odd_elements[q]]
+    last_error = "no odd starting vector produced a normalizable result"
+    for start in candidates:
+        if start.is_zero():
+            continue
+        v = remedy(start, 1, 2)
+        if v.is_zero():
+            v = lmul(e_std[3], start)
+        w = remedy(v, 1, 4)
+        if w.is_zero():
+            w = lmul(e_std[2], v)
+        x = remedy(w, 2, 4)
+        if x.is_zero():
+            x = lmul(e_std[1], w)
+        y = remedy(x, 3, 4)
+        if y.is_zero():
+            y = x
+        if y.is_zero():
+            continue
+        sq = _square_scalar(algebra, y)
+        if sq is None or sq >= 0:
+            continue
+        root = sqrt_fraction(-sq)
+        if root is None:
+            last_error = (
+                "remedied odd vector has square "
+                f"{sq}, whose negative is not a perfect rational square"
+            )
+            continue
+        f8 = y.scale(F1 / root)
+        if (
+            relation_sign(f8, 1, 2) != -1
+            or relation_sign(f8, 1, 4) != -1
+            or relation_sign(f8, 2, 4) != -1
+        ):
+            continue
+        sign = relation_sign(f8, 3, 4)
+        if sign is None:
+            continue
+        basis = [algebra.one()] + e_std[1:] + [f8] + [lmul(e_std[i], f8) for i in range(1, 8)]
+        return ("TS" if sign == 1 else "S", basis)
+    raise UnsupportedRationalClassError(last_error)
 
 
 # ---------------------------------------------------------------------------

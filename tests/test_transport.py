@@ -3,8 +3,9 @@ a closed subspace, the closure check of a grading -- and the middle Moufang
 identity on the basis cube, against the multiply-based reference loops in
 slow_reference.
 
-The library reads all four off ``cdalg.kernel.product_table``; the table of
-a span in its own basis comes from ``cdalg.kernel.table_in_rows``.  Tables,
+The library reads the first three off ``cdalg.kernel.product_table``; the
+table of a span in its own basis comes from ``cdalg.kernel.table_in_rows``,
+and the middle Moufang cube is a direct contraction of the tensor.  Tables,
 unit indices, errors and witnesses must match the reference entry for
 entry, and none of the four may call ``Algebra.multiply``.
 """
@@ -26,6 +27,7 @@ from cdalg import (
     middle_moufang_on_basis,
     named_algebra,
 )
+from cdalg import analysis
 from cdalg.analysis import _even_part_rows, _induced_algebra, rotated_basis_rows, rotated_copy
 from cdalg.core import Element
 from cdalg.errors import DimensionMismatchError, InconsistentInputError, InvalidGradingError
@@ -288,8 +290,9 @@ def test_middle_moufang_rotated_matches_reference(name):
 
 def test_transports_make_no_multiply_calls(monkeypatch):
     """change_of_basis, the even-part transport of classify_super_alternative,
-    the non-aligned Grading.validate and middle_moufang_on_basis read every
-    product off the integer tensor."""
+    the non-aligned Grading.validate, middle_moufang_on_basis and the
+    dimension-16 branch of the classifier read every product off the integer
+    tensor."""
     bundle = named_algebra("TS")
     rows = rotated_basis_rows(bundle.algebra, random.Random(1))
     mixed = change_of_basis(bundle.algebra, rows)
@@ -312,6 +315,19 @@ def test_transports_make_no_multiply_calls(monkeypatch):
     middle_moufang_on_basis(mixed)
     middle_moufang_on_basis(named_algebra("O").algebra)
     assert calls == []
-    # The guard counts: the classifier still multiplies elsewhere.
-    classify_super_alternative(mixed, non_aligned)
+    # The dimension-16 branch of the classifier reads its products off
+    # integer left-multiplication matrices; the classifier still multiplies
+    # elsewhere, which shows that the guard counts.
+    branch_calls = []
+    branch = analysis._classify_sedenion_like
+
+    def counted_branch(*args):
+        before = len(calls)
+        out = branch(*args)
+        branch_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(analysis, "_classify_sedenion_like", counted_branch)
+    assert classify_super_alternative(mixed, non_aligned).tag == "TS"
+    assert branch_calls == [0]
     assert calls

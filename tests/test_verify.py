@@ -3,7 +3,14 @@ mutation test showing the checks have teeth."""
 
 import pytest
 
-from cdalg import Grading, is_locally_complex, is_quadratic, is_super_alternative
+from cdalg import (
+    Grading,
+    annihilator,
+    is_locally_complex,
+    is_quadratic,
+    is_super_alternative,
+    named_algebra,
+)
 from cdalg.tables import TWISTED_OCTONION_TABLE, algebra_from_signed_table
 from cdalg.verify import CLAIMS, ClaimOutcome, VerificationReport, run_claim
 
@@ -73,3 +80,27 @@ def test_interrupt_still_propagates(monkeypatch):
     monkeypatch.setattr(verify, "CLAIMS", (("AC01", "interrupted", interrupted),))
     with pytest.raises(KeyboardInterrupt):
         verify.run_claim("AC01")
+
+
+def test_paired_basis_zero_divisors_of_the_sedenions_are_the_42_assessors():
+    """de Marrais, "The 42 Assessors and the Box-Kites They Fly" (2000): the
+    zero divisors e_i +- e_j among pairs of basis vectors of the sedenions
+    are the pairs 1 <= i <= 7, 9 <= j <= 15 with j != i + 8, each with both
+    signs -- the 84 that AC05 counts, every one with a 4-dimensional
+    annihilator."""
+    sedenions = named_algebra("S").algebra
+    e = sedenions.basis_element
+    found = {}
+    for i in range(1, 16):
+        for j in range(i + 1, 16):
+            for sign in (1, -1):
+                dim = annihilator(sedenions, e(i) + e(j).scale(sign)).dim
+                if dim:
+                    found[i, j, sign] = dim
+    assessors = {(i, j) for i in range(1, 8) for j in range(9, 16) if j != i + 8}
+    assert len(assessors) == 42
+    assert set(found) == {(i, j, sign) for i, j in assessors for sign in (1, -1)}
+    assert set(found.values()) == {4}
+    outcome = run_claim("AC05")
+    assert outcome.passed
+    assert "84 paired-basis zero divisors" in outcome.detail
