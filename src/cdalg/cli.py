@@ -471,96 +471,79 @@ def cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, options
+
+
+_TARGET = _arg("target")
+_SEED = _arg("--seed", type=int, default=0)
+_TOL = _arg("--tol", type=float, default=1e-9)
+_PARAMS = (_arg("file", nargs="?"), _arg("--T"), _arg("--u"), _TOL)
+
+# name -> (handler, help line, arguments after --format), in help order.
+_COMMANDS: dict[str, tuple[Any, str, tuple]] = {
+    "gen": (cmd_gen, "emit a built-in algebra as a JSON file", (_arg("name"), _arg("--out"))),
+    "table": (cmd_table, "print a multiplication table", (_arg("name"),)),
+    "check": (cmd_check, "property report for an algebra", (
+        _TARGET,
+        _arg("--property", choices=("all", "quadratic", "lc", "alt", "superalt", "nn"),
+             default="all"),
+        _arg("--budget", type=int, default=500),
+        _SEED,
+    )),
+    "recognize": (cmd_recognize, "recognize an alternative division algebra", (_TARGET,)),
+    "classify-super": (cmd_classify_super,
+                       "classify a graded super-alternative locally complex algebra", (_TARGET,)),
+    "classify3": (cmd_classify3, "canonical form of a 3-dimensional algebra",
+                  (_arg("file", nargs="?"), _arg("--params", nargs=2, metavar=("T", "S")))),
+    "classify4": (cmd_classify4, "canonical data of a 4-dimensional algebra", _PARAMS),
+    "iso4": (cmd_iso4, "equivalence of two parameter pairs",
+             (_arg("--a", required=True), _arg("--b", required=True), _TOL)),
+    "division4": (cmd_division4, "division criterion for parameters (T, u)", _PARAMS),
+    "ann": (cmd_ann, "annihilator of an element", (_TARGET, _arg("--element", required=True))),
+    "zerodiv": (cmd_zerodiv, "zero divisor search",
+                (_TARGET, _arg("--budget", type=int, default=10_000), _SEED)),
+    "alterscalar": (cmd_alterscalar, "solution space of x^2 a = x(xa)", (_TARGET,)),
+    "embed-check": (cmd_embed_check, "verify a homomorphism matrix", (
+        _arg("--map", required=True), _arg("--from", required=True), _arg("--to", required=True),
+    )),
+    "subalg": (cmd_subalg, "bounded subalgebra census",
+               (_TARGET, _arg("--dims"), _arg("--budget", type=int, default=100), _SEED)),
+    "verify-paper": (cmd_verify_paper, "run the built-in verification suite", ()),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every sub-command or, when the first token of ``argv``
+    names one, of that one only; its metavar then lists every command, so
+    usage lines are the same.  No command, an unknown one or a leading
+    option gets the full parser, whose errors name the command argument."""
     parser = argparse.ArgumentParser(
         prog="cdalg",
         description="Construct, check and classify finite-dimensional real "
         "nonassociative algebras given by structure constants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "md", "csv"), default="json")
-        return p
-
-    p = add("gen", cmd_gen, help="emit a built-in algebra as a JSON file")
-    p.add_argument("name")
-    p.add_argument("--out")
-
-    p = add("table", cmd_table, help="print a multiplication table")
-    p.add_argument("name")
-
-    p = add("check", cmd_check, help="property report for an algebra")
-    p.add_argument("target")
-    p.add_argument(
-        "--property",
-        choices=("all", "quadratic", "lc", "alt", "superalt", "nn"),
-        default="all",
-    )
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("recognize", cmd_recognize, help="recognize an alternative division algebra")
-    p.add_argument("target")
-
-    p = add("classify-super", cmd_classify_super,
-            help="classify a graded super-alternative locally complex algebra")
-    p.add_argument("target")
-
-    p = add("classify3", cmd_classify3, help="canonical form of a 3-dimensional algebra")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--params", nargs=2, metavar=("T", "S"))
-
-    p = add("classify4", cmd_classify4, help="canonical data of a 4-dimensional algebra")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--T")
-    p.add_argument("--u")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("iso4", cmd_iso4, help="equivalence of two parameter pairs")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("division4", cmd_division4, help="division criterion for parameters (T, u)")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--T")
-    p.add_argument("--u")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("ann", cmd_ann, help="annihilator of an element")
-    p.add_argument("target")
-    p.add_argument("--element", required=True)
-
-    p = add("zerodiv", cmd_zerodiv, help="zero divisor search")
-    p.add_argument("target")
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("alterscalar", cmd_alterscalar, help="solution space of x^2 a = x(xa)")
-    p.add_argument("target")
-
-    p = add("embed-check", cmd_embed_check, help="verify a homomorphism matrix")
-    p.add_argument("--map", required=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-
-    p = add("subalg", cmd_subalg, help="bounded subalgebra census")
-    p.add_argument("target")
-    p.add_argument("--dims")
-    p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    add("verify-paper", cmd_verify_paper, help="run the built-in verification suite")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if [] in vars(args).values():
             # argparse drops a "--" given as an option's value

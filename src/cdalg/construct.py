@@ -58,11 +58,13 @@ class Grading:
     def from_indices(cls, dim: int, even: Sequence[int], odd: Sequence[int]) -> "Grading":
         if sorted(list(even) + list(odd)) != list(range(dim)):
             raise InvalidGradingError("even/odd indices must partition the basis")
-        return cls(
-            [unit_vector(dim, i) for i in even],
-            [unit_vector(dim, i) for i in odd],
-            dim,
-        )
+        # Distinct unit vectors are independent and already in echelon form.
+        grading = cls.__new__(cls)
+        grading.even_rows = tuple(unit_vector(dim, i) for i in even)
+        grading.odd_rows = tuple(unit_vector(dim, i) for i in odd)
+        grading.even = Subspace._of_axes(even, dim)
+        grading.odd = Subspace._of_axes(odd, dim)
+        return grading
 
     @classmethod
     def trivial(cls, dim: int) -> "Grading":
@@ -71,19 +73,13 @@ class Grading:
     def index_partition(self) -> tuple[list[int], list[int]] | None:
         """Recover index lists when both parts are spanned by basis vectors."""
         def as_indices(rows: Matrix) -> list[int] | None:
-            out = []
-            for r in rows:
-                nz = [(i, c) for i, c in enumerate(r) if c != 0]
-                if len(nz) != 1 or nz[0][1] != 1:
-                    return None
-                out.append(nz[0][0])
-            return out
+            # Echelon rows: a row with one nonzero entry has its pivot 1 there.
+            if any(sum(map(bool, r)) != 1 for r in rows):
+                return None
+            return [r.index(F1) for r in rows]
 
-        ev = as_indices(self.even.rows)
-        od = as_indices(self.odd.rows)
-        if ev is None or od is None:
-            return None
-        return ev, od
+        ev, od = as_indices(self.even.rows), as_indices(self.odd.rows)
+        return None if ev is None or od is None else (ev, od)
 
     def validate(self, algebra: Algebra) -> None:
         """Check direct sum, multiplicative closure, and that 1 is even."""
@@ -101,20 +97,16 @@ class Grading:
             raise InvalidGradingError("unit is not in the even part")
         partition = self.index_partition()
         if partition is not None:
-            # Basis-aligned grading: closure reduces to index bookkeeping.
-            part_of = {}
-            for i in partition[0]:
-                part_of[i] = 0
-            for i in partition[1]:
-                part_of[i] = 1
-            for i in range(n):
-                for j in range(n):
-                    want = (part_of[i] + part_of[j]) % 2
-                    for k, c in enumerate(algebra.constants[i][j]):
-                        if c != 0 and part_of[k] != want:
-                            raise InvalidGradingError(
-                                f"product b_{i} b_{j} escapes its part"
-                            )
+            # Basis-aligned grading: closure reduces to index bookkeeping
+            # over the nonzero constants.
+            odd = set(partition[1])
+            part_of = [i in odd for i in range(n)]
+            for i, row in enumerate(algebra._nonzero):
+                for j, cell in enumerate(row):
+                    want = part_of[i] ^ part_of[j]
+                    for k, _ in cell:
+                        if part_of[k] != want:
+                            raise InvalidGradingError(f"product b_{i} b_{j} escapes its part")
             return
         parts = (self.even, self.odd)
         for gi in (0, 1):

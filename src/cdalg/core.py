@@ -20,7 +20,6 @@ from .errors import DimensionMismatchError, NonUnitalError
 from .linalg import (
     F0,
     F1,
-    Matrix,
     Subspace,
     Vector,
     is_zero_vec,
@@ -90,6 +89,24 @@ class Algebra:
         for i in range(n):
             if len(tensor[i]) != n or any(len(tensor[i][j]) != n for j in range(n)):
                 raise DimensionMismatchError("structure tensor is not n x n x n")
+        # Per-pair nonzero entries; iteration stays cheap for the sparse
+        # tables of the doubling construction while storage remains dense.
+        nonzero = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            for row in tensor
+        )
+        self._init(tensor, nonzero, unit, labels)
+
+    @classmethod
+    def _from_cells(cls, tensor, nonzero, unit, labels) -> "Algebra":
+        """From n x n x n ``Fraction`` tuples and each cell's nonzero entries,
+        as the file reader builds them; only labels and the unit are checked."""
+        algebra = cls.__new__(cls)
+        algebra._init(tensor, nonzero, unit, labels)
+        return algebra
+
+    def _init(self, tensor, nonzero, unit, labels) -> None:
+        n = len(tensor)
         self.dim = n
         self.constants = tensor
         self.unit = unit
@@ -99,12 +116,7 @@ class Algebra:
             self.labels = tuple(labels)
         else:
             self.labels = None
-        # Per-pair nonzero entries; iteration stays cheap for the sparse
-        # tables of the doubling construction while storage remains dense.
-        self._nonzero = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-            for row in tensor
-        )
+        self._nonzero = nonzero
         # Derived facts, computed on first use: the integer-scaled constants
         # for the exact kernels and the local-complexity check.
         self._scaled = None
@@ -115,9 +127,9 @@ class Algebra:
             # 1 * b_i and b_i * 1 are the table entries [unit][i] and [i][unit].
             for i in range(n):
                 bi = ((i, F1),)
-                if self._nonzero[unit][i] != bi:
+                if nonzero[unit][i] != bi:
                     raise ValueError(f"unit axiom fails: 1 * b_{i} != b_{i}")
-                if self._nonzero[i][unit] != bi:
+                if nonzero[i][unit] != bi:
                     raise ValueError(f"unit axiom fails: b_{i} * 1 != b_{i}")
 
     # -- constructors -------------------------------------------------
@@ -174,20 +186,6 @@ class Algebra:
 
     def table_entry(self, i: int, j: int) -> Element:
         return Element(self.constants[i][j])
-
-    def left_mul_matrix(self, x: Element) -> Matrix:
-        """M with M @ coords(y) = coords(x * y)."""
-        if x.dim != self.dim:
-            raise DimensionMismatchError("element does not conform to algebra")
-        cols = [self.multiply(x, self.basis_element(j)).coords for j in range(self.dim)]
-        return tuple(tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim))
-
-    def right_mul_matrix(self, x: Element) -> Matrix:
-        """M with M @ coords(y) = coords(y * x)."""
-        if x.dim != self.dim:
-            raise DimensionMismatchError("element does not conform to algebra")
-        cols = [self.multiply(self.basis_element(j), x).coords for j in range(self.dim)]
-        return tuple(tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim))
 
     def is_commutative(self) -> bool:
         return all(
@@ -262,8 +260,9 @@ def generated_subalgebra(
     under multiplication.
 
     Iterates products of the current echelon basis until the rank stops
-    growing; the rank strictly increases each round, so dim(A) rounds suffice.
-    Each round's products come from the integer structure tensor.
+    growing or reaches dim(A); the rank strictly increases each round, so
+    dim(A) rounds suffice.  Each round's products come from the integer
+    structure tensor.
     """
     seed: list[Vector] = [g.coords for g in gens]
     for g in gens:
@@ -274,7 +273,7 @@ def generated_subalgebra(
             raise NonUnitalError("include_unit requires a unital algebra")
         seed.append(algebra.one().coords)
     span = Subspace(seed, algebra.dim)
-    for _ in range(algebra.dim + 1):
+    while span.dim < algebra.dim:
         basis = span.rows
         # All k^2 products of the echelon rows, scaled by a positive integer,
         # which leaves their span unchanged.  The kernel is imported here:
@@ -286,7 +285,7 @@ def generated_subalgebra(
         products = table.reshape(-1, algebra.dim).tolist()
         grown = Subspace(list(basis) + products, algebra.dim)
         if grown.dim == span.dim:
-            return span
+            break
         span = grown
     return span
 

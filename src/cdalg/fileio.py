@@ -21,32 +21,67 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .construct import Grading
 from .core import Algebra, Element
 from .errors import InvalidGradingError, MalformedInputError, NonUnitalError
+from .linalg import F0
 
 
 def fraction_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_json(value: Any, parsed: dict) -> Fraction:
+def _fraction_from_json(value: Any, literals: dict[str, Fraction]) -> Fraction:
     """A rational from a JSON string "p/q" or integer; booleans are rejected.
 
-    ``parsed`` maps each literal already seen to its ``Fraction``, so a table
-    builds one object per distinct literal.
+    A string literal is kept in ``literals`` (an int is not: ``True`` would
+    find it); every zero is the shared ``F0``.
     """
-    if type(value) is str or type(value) is int:
-        frac = parsed.get(value)
-        if frac is None:
+    if type(value) is not str and type(value) is not int:
+        raise MalformedInputError(f"rationals must be strings or integers, got {value!r}")
+    try:
+        frac = Fraction(value) or F0
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"bad rational literal {value!r}") from exc
+    if type(value) is str:
+        literals[value] = frac
+    return frac
+
+
+def _parse_constants(raw: Sequence[Sequence[Sequence]]) -> tuple[tuple, tuple]:
+    """The cells as tuples of ``Fraction``s and the nonzero ``(k, c)``
+    entries of each, in one row-major pass over a tensor of checked shape.
+
+    A cell of string literals seen before is read by lookup and kept under
+    its spelling, so a cell spelled like it is shared (the doubling tables
+    have 2n distinct cells).  Any other cell goes through
+    :func:`_fraction_from_json` entry by entry, so its first bad entry
+    raises, and is not kept: a key holding an int would also match ``True``.
+    Zeros are ``F0``, found by identity.
+    """
+    literals: dict[str, Fraction] = {"0": F0}
+    known: dict[tuple, tuple] = {}
+    tensor, nonzero = [], []
+    for raw_row in raw:
+        row, nonzero_row = [], []
+        for raw_cell in raw_row:
             try:
-                frac = parsed[value] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedInputError(f"bad rational literal {value!r}") from exc
-        return frac
-    raise MalformedInputError(f"rationals must be strings or integers, got {value!r}")
+                cell, cell_nonzero = known[tuple(raw_cell)]
+            except (KeyError, TypeError):  # a new spelling, or an unhashable entry
+                try:
+                    cell, key = tuple(map(literals.__getitem__, raw_cell)), tuple(raw_cell)
+                except (KeyError, TypeError):  # an unseen literal, or not a string
+                    cell, key = tuple([_fraction_from_json(v, literals) for v in raw_cell]), None
+                cell_nonzero = tuple([(k, c) for k, c in enumerate(cell) if c is not F0])
+                if key is not None:
+                    known[key] = cell, cell_nonzero
+            row.append(cell)
+            nonzero_row.append(cell_nonzero)
+        tensor.append(tuple(row))
+        nonzero.append(tuple(nonzero_row))
+    return tuple(tensor), tuple(nonzero)
 
 
 def _index_from_json(value: Any) -> int:
@@ -94,11 +129,7 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
     ):
         raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
-    parsed: dict = {}
-    constants = [
-        [[_fraction_from_json(c, parsed) for c in raw[i][j]] for j in range(n)]
-        for i in range(n)
-    ]
+    constants, nonzero = _parse_constants(raw)
     unit = data.get("unit")
     if unit is not None and (
         not isinstance(unit, int) or isinstance(unit, bool) or not 0 <= unit < n
@@ -110,7 +141,7 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
             raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
     try:
-        algebra = Algebra(constants, unit=unit, labels=labels)
+        algebra = Algebra._from_cells(constants, nonzero, unit, labels)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     grading = None

@@ -44,10 +44,6 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -335,6 +331,17 @@ class Subspace:
         self.rows: Matrix = _unit_pivot_rows(self._ints, self._pivots)
         self.ambient_dim = ambient_dim
 
+    @classmethod
+    def _of_axes(cls, indices: Iterable[int], ambient_dim: int) -> "Subspace":
+        """The span of distinct unit vectors e_i, built in its echelon form."""
+        pivots = sorted(indices)
+        space = cls.__new__(cls)
+        space._ints = [[int(j == i) for j in range(ambient_dim)] for i in pivots]
+        space._pivots = pivots
+        space.rows = tuple(unit_vector(ambient_dim, i) for i in pivots)
+        space.ambient_dim = ambient_dim
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -347,9 +354,6 @@ class Subspace:
             if rem[c]:
                 rem = _cancel(rem, row, c)[0]
         return not any(rem)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

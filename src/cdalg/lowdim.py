@@ -129,11 +129,6 @@ class Params4:
     t_matrix: Matrix  # 3x3
     u: Vector  # length 3
 
-    def negated(self) -> "Params4":
-        return Params4(
-            tuple(tuple(-x for x in row) for row in self.t_matrix), self.u
-        )
-
 
 def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return (
@@ -206,14 +201,6 @@ def symmetric_part(T: Matrix) -> Matrix:
     return tuple(
         tuple((T[i][j] + T[j][i]) / 2 for j in range(3)) for i in range(3)
     )
-
-
-def skew_axis(T: Matrix) -> Vector:
-    """c with skew part R_c = [[0, c3, -c2], [-c3, 0, c1], [c2, -c1, 0]]."""
-    R = tuple(
-        tuple((T[i][j] - T[j][i]) / 2 for j in range(3)) for i in range(3)
-    )
-    return (R[1][2], R[2][0], R[0][1])
 
 
 def symmetric_part_definite(T: Matrix) -> bool:

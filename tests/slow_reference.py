@@ -14,8 +14,12 @@ zero-divisor search that builds every structured candidate up front and
 takes the kernel of each, and the transports of the product table that
 multiply every pair of rows -- change of basis, the induced algebra of a
 closed subspace, the closure check of a grading -- the middle Moufang
-identity on the basis cube, and the dimension-16 branch of the classifier
-on dense elements.  The alternativity sweep and the homomorphism check are
+identity on the basis cube, the dimension-16 branch of the classifier
+on dense elements, the left and right multiplication matrices built from
+products with basis vectors, and the three-pass file reader (parse every
+literal, then ``vec`` and the zero test in ``Algebra``) with the index
+grading's closure check over all n^3 dense constants.  The alternativity
+sweep and the homomorphism check are
 also kept on exact integers, never reduced modulo primes, as the oracle of
 the multi-prime zero tests.  Two bounded searches the library no longer
 runs stay here as oracles: the candidate list for a "not quadratic"
@@ -35,13 +39,16 @@ import numpy as np
 from cdalg import Algebra, Element
 from cdalg.analysis import ZeroDivisorSearch, _lowdim_exact_route
 from cdalg.core import minimal_quadratic
+from cdalg.construct import Grading
 from cdalg.errors import (
     DimensionMismatchError,
     InconsistentInputError,
     InvalidGradingError,
+    MalformedInputError,
     NonUnitalError,
     UnsupportedRationalClassError,
 )
+from cdalg.fileio import _index_from_json, _is_list_of
 from cdalg.linalg import (
     F0,
     F1,
@@ -51,6 +58,7 @@ from cdalg.linalg import (
     mat_vec,
     nonpositive_direction,
     transpose,
+    unit_vector,
     vec,
 )
 from cdalg.kernel import AlternativitySweep, scaled_tensor
@@ -349,7 +357,7 @@ def find_unit_square_vector(algebra, space, anticommute_with=(), closure=None) -
     if anticommute_with:
         rows = []
         for e in anticommute_with:
-            le, re = algebra.left_mul_matrix(e), algebra.right_mul_matrix(e)
+            le, re = left_mul_matrix(algebra, e), right_mul_matrix(algebra, e)
             rows.extend(
                 tuple(le[r][c] + re[r][c] for c in range(algebra.dim))
                 for r in range(algebra.dim)
@@ -613,9 +621,21 @@ def in_span(reduced: Matrix, v) -> bool:
     return all(x == 0 for x in rem)
 
 
+def left_mul_matrix(algebra: Algebra, x: Element) -> Matrix:
+    """M with M @ coords(y) = coords(x * y), column j = x b_j."""
+    cols = [algebra.multiply(x, algebra.basis_element(j)).coords for j in range(algebra.dim)]
+    return tuple(tuple(cols[j][k] for j in range(algebra.dim)) for k in range(algebra.dim))
+
+
+def right_mul_matrix(algebra: Algebra, x: Element) -> Matrix:
+    """M with M @ coords(y) = coords(y * x), column j = b_j x."""
+    cols = [algebra.multiply(algebra.basis_element(j), x).coords for j in range(algebra.dim)]
+    return tuple(tuple(cols[j][k] for j in range(algebra.dim)) for k in range(algebra.dim))
+
+
 def annihilator(algebra: Algebra, x: Element) -> Matrix:
     """Canonical basis of {y : xy = 0} from the Fraction left-multiplication matrix."""
-    return nullspace(algebra.left_mul_matrix(x), algebra.dim)
+    return nullspace(left_mul_matrix(algebra, x), algebra.dim)
 
 
 def generated_subalgebra(algebra: Algebra, gens, include_unit: bool = True) -> Matrix:
@@ -780,6 +800,83 @@ def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int
                 if lhs != rhs:
                     return False, (i, j, k)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# the file reader: every literal parsed, then vec and the zero test
+# ---------------------------------------------------------------------------
+
+
+def _fraction_from_json(value, parsed: dict) -> Fraction:
+    if type(value) is str or type(value) is int:
+        frac = parsed.get(value)
+        if frac is None:
+            try:
+                frac = parsed[value] = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedInputError(f"bad rational literal {value!r}") from exc
+        return frac
+    raise MalformedInputError(f"rationals must be strings or integers, got {value!r}")
+
+
+def algebra_from_dict(data) -> tuple[Algebra, Grading | None]:
+    """The reader that parses all n^3 literals into nested lists and hands
+    them to the ``Algebra`` constructor (``vec`` and the zero test again)."""
+    if not isinstance(data, dict):
+        raise MalformedInputError("top-level JSON value must be an object")
+    n, raw = data.get("dim"), data.get("constants")
+    if type(n) is not int or raw is None:
+        raise MalformedInputError("missing or bad 'dim'/'constants'")
+    if not (
+        _is_list_of(raw, n)
+        and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
+    ):
+        raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
+    parsed: dict = {}
+    constants = [
+        [[_fraction_from_json(c, parsed) for c in raw[i][j]] for j in range(n)]
+        for i in range(n)
+    ]
+    unit = data.get("unit")
+    if unit is not None and (
+        not isinstance(unit, int) or isinstance(unit, bool) or not 0 <= unit < n
+    ):
+        raise MalformedInputError(f"'unit' must be an index in 0..{n - 1}, got {unit!r}")
+    labels = data.get("labels")
+    if labels is not None:
+        if not _is_list_of(labels, n):
+            raise MalformedInputError(f"'labels' must be a list of {n} names")
+        labels = [str(x) for x in labels]
+    try:
+        algebra = Algebra(constants, unit=unit, labels=labels)
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
+    grading = None
+    if "grading" in data and data["grading"] is not None:
+        g = data["grading"]
+        try:
+            even = [_index_from_json(i) for i in g["even"]]
+            odd = [_index_from_json(i) for i in g.get("odd", [])]
+            if sorted(even + odd) != list(range(n)):
+                raise InvalidGradingError("even/odd indices must partition the basis")
+            # Unit vectors through the eliminating constructor.
+            grading = Grading([unit_vector(n, i) for i in even], [unit_vector(n, i) for i in odd], n)
+        except (KeyError, TypeError, ValueError, InvalidGradingError) as exc:
+            raise MalformedInputError(f"bad grading block: {exc}") from exc
+    return algebra, grading
+
+
+def index_grading_closure(algebra: Algebra, even, odd) -> None:
+    """Raise at the first b_i b_j (row-major) with a nonzero constant on a
+    basis vector of the wrong part, scanning all n^3 dense constants."""
+    part_of = {i: 0 for i in even} | {i: 1 for i in odd}
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            want = (part_of[i] + part_of[j]) % 2
+            for k, c in enumerate(algebra.constants[i][j]):
+                if c != 0 and part_of[k] != want:
+                    raise InvalidGradingError(f"product b_{i} b_{j} escapes its part")
 
 
 # ---------------------------------------------------------------------------

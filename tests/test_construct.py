@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cdalg import (
+    Algebra,
     Grading,
     InvalidGradingError,
     UnknownAlgebraError,
@@ -24,6 +25,8 @@ from cdalg.tables import (
     algebra_from_signed_table,
     signed_table_of,
 )
+
+import slow_reference as ref
 
 F = Fraction
 
@@ -112,6 +115,59 @@ def test_invalid_grading_rejected(quaternions):
     # The natural split is fine, and so is the one through span{1, e3}.
     Grading.from_indices(4, [0, 1], [2, 3]).validate(alg)
     Grading.from_indices(4, [0, 3], [1, 2]).validate(alg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bad_index_grading_names_the_first_escaping_product(twisted_sedenions, seed):
+    """The closure check of an index grading reads only the nonzero
+    constants and still reports the first b_i b_j, in row-major order, that
+    the dense n^3 scan reports."""
+    alg = twisted_sedenions.algebra
+    rng = random.Random(seed)
+    odd = sorted(rng.sample(range(1, 16), rng.randint(1, 15)))
+    even = [i for i in range(16) if i not in odd]
+    with pytest.raises(InvalidGradingError) as want:
+        ref.index_grading_closure(alg, even, odd)
+    with pytest.raises(InvalidGradingError) as got:
+        Grading.from_indices(16, even, odd).validate(alg)
+    assert str(got.value) == str(want.value)
+
+
+def test_index_grading_closure_on_random_dense_cells():
+    """Tables whose cells hold several nonzero constants: the check passes
+    or fails, and names the product, exactly as the dense scan does."""
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        c = [[[F(rng.choice((0, 0, 0, 0, 1, -2))) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+        odd = sorted(rng.sample(range(n), rng.randint(0, n)))
+        even = [i for i in range(n) if i not in odd]
+        if not even:
+            continue
+        alg = Algebra(c)
+        try:
+            ref.index_grading_closure(alg, even, odd)
+            want = None
+        except InvalidGradingError as exc:
+            want = str(exc)
+        try:
+            Grading.from_indices(n, even, odd).validate(alg)
+            got = None
+        except InvalidGradingError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_bad_index_grading_message_on_twisted_sedenions(twisted_sedenions):
+    alg = twisted_sedenions.algebra
+    even = [0, 1, 2, 3, 4, 5, 6, 8]
+    odd = [7, 9, 10, 11, 12, 13, 14, 15]
+    with pytest.raises(InvalidGradingError, match=r"^product b_1 b_6 escapes its part$"):
+        Grading.from_indices(16, even, odd).validate(alg)
 
 
 def test_grading_requires_partition():

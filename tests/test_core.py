@@ -19,7 +19,10 @@ from cdalg import (
     named_algebra,
     parse_element,
 )
+from cdalg.kernel import left_mul_rows, left_mul_stack
 from cdalg.linalg import identity, rank
+
+import slow_reference as ref
 
 F = Fraction
 
@@ -93,22 +96,36 @@ def test_bilinearity_sedenions_sampled(sedenions):
         assert alg.multiply(z, combo) == alg.multiply(z, x).scale(a) + alg.multiply(z, y).scale(b)
 
 
+def _left_mul(alg, x):
+    """The exact matrix of y -> x y, read off the kernel's scaled stack."""
+    stack, sigma = left_mul_stack(alg, [x.coords])
+    return tuple(tuple(Fraction(v, sigma) for v in row) for row in stack[0].tolist())
+
+
+def _opposite(alg):
+    """The algebra with product y * x, so its left multiplications are the
+    right multiplications of ``alg``."""
+    n = alg.dim
+    return Algebra([[alg.constants[j][i] for j in range(n)] for i in range(n)], unit=alg.unit)
+
+
 def test_left_mul_matrix_complex(complexes):
     alg = complexes.algebra
-    m = alg.left_mul_matrix(alg.basis_element(1))
-    assert m == ((F(0), F(-1)), (F(1), F(0)))
+    assert left_mul_rows(alg, alg.basis_element(1).coords) == [[0, -1], [1, 0]]
+    assert _left_mul(alg, alg.basis_element(1)) == ((F(0), F(-1)), (F(1), F(0)))
 
 
 def test_left_mul_matrix_unit_is_identity(octonions):
     alg = octonions.algebra
-    assert alg.left_mul_matrix(alg.one()) == identity(8)
+    assert _left_mul(alg, alg.one()) == identity(8)
 
 
 def test_left_mul_matrix_agrees_with_multiply(twisted_octonions):
     alg = twisted_octonions.algebra
     rng = random.Random(5)
     x = Element(tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(8)))
-    m = alg.left_mul_matrix(x)
+    m = _left_mul(alg, x)
+    assert m == ref.left_mul_matrix(alg, x)
     for j in range(8):
         y = alg.basis_element(j)
         prod = alg.multiply(x, y)
@@ -118,7 +135,7 @@ def test_left_mul_matrix_agrees_with_multiply(twisted_octonions):
 def test_left_mul_rank_matches_annihilator(twisted_octonions):
     alg = twisted_octonions.algebra
     x = parse_element("f1-f4", alg)
-    m = alg.left_mul_matrix(x)
+    m = left_mul_rows(alg, x.coords)
     # Independent routes: direct echelon rank, and rank-nullity against the
     # kernel dimension.
     from cdalg import annihilator
@@ -131,7 +148,8 @@ def test_left_mul_rank_matches_annihilator(twisted_octonions):
 def test_right_mul_matrix_agrees(sedenions):
     alg = sedenions.algebra
     x = parse_element("e8 - e3", alg)
-    m = alg.right_mul_matrix(x)
+    m = _left_mul(_opposite(alg), x)
+    assert m == ref.right_mul_matrix(alg, x)
     for j in range(16):
         y = alg.basis_element(j)
         assert tuple(row[j] for row in m) == alg.multiply(y, x).coords
@@ -212,6 +230,59 @@ def test_generated_subalgebra_idempotent(twisted_sedenions):
     span = generated_subalgebra(alg, gens, include_unit=True)
     again = generated_subalgebra(alg, [Element(r) for r in span.rows], include_unit=True)
     assert span == again
+
+
+def _census_generator_sets(alg, count, seed):
+    """Generator sets drawn as the subalgebra census draws its random ones."""
+    rng = random.Random(seed)
+    return [
+        [Element(tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(alg.dim)))
+         for _ in range(rng.randint(1, 2))]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", ["O", "TO", "S", "TS"])
+def test_generated_subalgebra_matches_round_based_closure(name):
+    """Named tables, their basis pairs and seeded census-style generator
+    sets, with and without the unit: the closure equals the reference that
+    multiplies out every product of every round until the rank is stable."""
+    alg = named_algebra(name).algebra
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    n = alg.dim
+    sets = [[basis[1], basis[2]], [basis[1] + basis[n - 1]],
+            [basis[1], basis[2], basis[4], basis[n // 2]]]
+    sets += _census_generator_sets(alg, 3 if n == 8 else 1, f"closure:{name}")
+    dims = set()
+    for gens in sets:
+        for unit in (True, False):
+            span = generated_subalgebra(alg, gens, include_unit=unit)
+            assert span.rows == ref.generated_subalgebra(alg, gens, unit)
+            dims.add(span.dim)
+    assert n in dims and len(dims) > 1
+
+
+def test_generated_subalgebra_stops_at_the_whole_algebra(monkeypatch, twisted_octonions):
+    """Once the span is the whole algebra no further products are taken:
+    every product table the closure asks for is of a proper subspace."""
+    import cdalg.kernel
+
+    alg = twisted_octonions.algebra
+    sizes = []
+    product_table = cdalg.kernel.product_table
+
+    def counting(algebra, rows, cols):
+        sizes.append(len(rows))
+        return product_table(algebra, rows, cols)
+
+    monkeypatch.setattr(cdalg.kernel, "product_table", counting)
+    full = 0
+    for gens in _census_generator_sets(alg, 6, "stop"):
+        sizes.clear()
+        span = generated_subalgebra(alg, gens)
+        assert sizes and max(sizes) < alg.dim
+        full += span.dim == alg.dim
+    assert full
 
 
 def test_unit_validation_rejects_fake_unit():

@@ -5,13 +5,16 @@ labels, dimension and grading.  ``algebra_from_dict`` must either build an
 algebra or raise ``MalformedInputError``, and ``cdalg check`` must exit with
 0, 1 or 3 (2 is argparse's usage error), printing a JSON error on stderr
 whenever it fails.  Random element expressions go through ``parse_element``
-and ``cdalg ann`` under the same rules.
+and ``cdalg ann`` under the same rules.  The one-pass reader is compared
+with the three-pass reference reader on valid and malformed files alike.
 """
 
 import contextlib
+import copy
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,8 @@ from cdalg import (
     parse_element,
 )
 from cdalg.cli import main
+
+import slow_reference as ref
 
 ODD_VALUES = st.one_of(
     st.sampled_from(["1/2", "-3", "0", "1/0", "abc", "", " 2", "1.5", "1e3", "0x10", "-0/5"]),
@@ -122,6 +127,97 @@ def test_check_exits_cleanly_on_mutated_files(tmp_path_factory, data):
     else:
         error = json.loads(err.getvalue())
         assert error["kind"] == "malformed-input" if code == 3 else error["kind"] != "malformed-input"
+
+
+def _read(reader, data):
+    """What a reader makes of ``data``: the algebra's tensor, nonzero
+    entries, unit and labels and the grading, or the error's type and text."""
+    try:
+        algebra, grading = reader(copy.deepcopy(data))
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+    nonzero = algebra._nonzero
+    assert all(c != 0 for row in nonzero for cell in row for _, c in cell)
+    parts = None if grading is None else (
+        grading.even_rows, grading.odd_rows, grading.even, grading.odd
+    )
+    return algebra.constants, nonzero, algebra.unit, algebra.labels, parts
+
+
+# Valid spellings of rationals, zeros among them, as strings and integers.
+LITERALS = st.one_of(
+    st.sampled_from(["0", "-0", "0/7", "+0", "00", "1", "-1", "2/4", "-3/2", " 2", "7/1"]),
+    st.integers(-3, 3),
+    st.integers(2**63, 2**70),
+)
+
+
+@st.composite
+def respelled_files(draw):
+    """A named table with entries off the unit's row and column respelled,
+    some as other valid literals, a few as invalid ones."""
+    data = _table(draw(st.sampled_from(["C", "H", "J3", "O", "TO"])))
+    n = data["dim"]
+    for _ in range(draw(st.integers(1, 12))):
+        i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        k = draw(st.integers(0, n - 1))
+        value = draw(st.one_of(LITERALS, LITERALS, LITERALS, ODD_VALUES))
+        data["constants"][i][j][k] = value
+    return data
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(respelled_files(), mutated_files()))
+def test_reader_agrees_with_three_pass_reference(data):
+    outcome = _read(algebra_from_dict, data)
+    event("rejected" if isinstance(outcome[0], type) else "built")
+    assert outcome == _read(ref.algebra_from_dict, data)
+
+
+def _set(i, j, k, value):
+    def mangle(data):
+        data["constants"][i][j][k] = value
+    return mangle
+
+
+def _set_cell(i, j, value):
+    def mangle(data):
+        data["constants"][i][j] = value
+    return mangle
+
+
+@pytest.mark.parametrize("mangle", [
+    _set(1, 2, 3, True), _set(1, 2, 3, False), _set(2, 2, 0, 1.0), _set(1, 1, 0, -1.5),
+    _set(1, 2, 3, ["1"]), _set(1, 2, 3, [[1]]), _set(1, 2, 3, {"p": 1}), _set(1, 2, 3, None),
+    _set(1, 2, 3, "1/0"), _set(1, 2, 3, "abc"), _set(1, 2, 3, ""),
+    _set(1, 2, 0, "-0"), _set(1, 2, 0, "0/7"), _set(1, 2, 3, 1), _set(1, 2, 0, 0),
+    _set(3, 3, 0, -1), _set(1, 2, 3, 2**64),
+    # Two bad entries: the first in row-major order is named.
+    lambda d: (_set(1, 2, 3, "x")(d), _set(2, 1, 0, True)(d)),
+    lambda d: (_set(3, 1, 0, "x")(d), _set(1, 3, 2, 1.5)(d)),
+    # A cell spelled like an earlier one, but with a bool or a float where
+    # that one has an int: the bad entry is still named.
+    lambda d: (_set_cell(1, 2, ["0", "0", "0", 1])(d), _set_cell(3, 1, ["0", "0", "0", True])(d)),
+    lambda d: (_set_cell(1, 2, ["0", "0", 0, "1"])(d), _set_cell(3, 1, ["0", "0", 0.0, "1"])(d)),
+    lambda d: (_set_cell(2, 3, ["0", "1", "0", "0"])(d), _set_cell(3, 2, ["0", True, "0", "0"])(d)),
+    # A bad shape is reported before any bad literal.
+    lambda d: (_set(1, 1, 0, "1/0")(d), _set_cell(3, 3, ["0", "0"])(d)),
+    _set_cell(1, 2, "0"), _set_cell(1, 2, ["0"] * 5), _set_cell(1, 2, None),
+    lambda d: d["constants"].append(d["constants"][0]),
+    lambda d: d["constants"][2].pop(),
+    lambda d: d.update(constants=[]),
+    lambda d: d.update(dim=3),
+    lambda d: d.update(unit=1),
+    lambda d: d.update(labels=["1", "i", "j"]),
+    lambda d: d.update(grading={"even": [0, 1], "odd": [2]}),
+    lambda d: d.update(grading={"even": [0, 3], "odd": [1, 2]}),
+    lambda d: d.update(grading={"even": [0, 1], "odd": [3, 2]}),
+    lambda d: d.update(grading={"even": [0, 1, 2], "odd": [3]}),
+])
+def test_reader_agrees_on_respelled_and_malformed_quaternions(mangle):
+    data = _table("H")
+    mangle(data)
+    assert _read(algebra_from_dict, data) == _read(ref.algebra_from_dict, data)
 
 
 # Labels of O and J3 (e1, E_1, e_7, ...), digits, the operators and spaces.
