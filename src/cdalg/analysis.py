@@ -612,10 +612,10 @@ def alter_scalar_space(algebra: Algebra) -> AlterScalarSpace:
     n = algebra.dim
     sweep = AlternativitySweep(algebra, identity(n))
     rows: list[list[int]] = []
-    for p, q in sweep.family():
-        # Column k of the left defect is x^2 b_k - x(x b_k), up to a positive
-        # scale that leaves the solution space unchanged.
-        rows += sweep.left(p, q).tolist()
+    for _, (left,) in sweep.defects(laws=("left",)):
+        # Column k of a member's left defect is x^2 b_k - x(x b_k), up to a
+        # positive scale that leaves the solution space unchanged.
+        rows += left[0].swapaxes(1, 2).reshape(-1, n).tolist()
     solutions = Subspace(nullspace(rows, n), n)
     return AlterScalarSpace(solutions, solutions.dim >= 2)
 

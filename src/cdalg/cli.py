@@ -189,10 +189,6 @@ def cmd_table(args) -> int:
     ]
     if args.format == "json":
         _emit({"labels": labels, "table": cells}, "json")
-    elif args.format == "csv":
-        print("," + ",".join(labels))
-        for lab, row in zip(labels, cells):
-            print(lab + "," + ",".join(row))
     else:
         width = max(len(c) for row in cells for c in row)
         width = max(width, max(len(l) for l in labels))
@@ -423,7 +419,10 @@ def cmd_embed_check(args) -> int:
 
 def cmd_subalg(args) -> int:
     algebra, _, _ = _load_source(args.target)
-    dims = [int(d) for d in args.dims.split(",")] if args.dims else []
+    try:
+        dims = [int(d) for d in args.dims.split(",")] if args.dims else []
+    except ValueError as exc:
+        raise MalformedInputError(f"bad integer in --dims: {exc}") from exc
     report = subalgebra_census(algebra, dims, budget=args.budget, seed=args.seed)
     payload = {
         "requested": list(report.requested),
@@ -535,7 +534,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         func, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("json", "md", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "md"), default="json")
         for flags, options in arguments:
             p.add_argument(*flags, **options)
     return parser

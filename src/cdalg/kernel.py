@@ -17,19 +17,21 @@ algebra, which is immutable.  Each check is then a handful of integer
 contractions, and no float dtype appears.  The arithmetic is chosen from a
 worst-case bound on every intermediate, stated where the choice is made:
 
-- below 2^63 the arrays are ``int64``;
-- past it, a check that only asks whether entries are zero (the
-  alternativity sweep, the homomorphism check, the middle Moufang cube)
-  runs in ``int64`` modulo the first primes of :data:`ZERO_TEST_PRIMES`
-  whose product exceeds the bound.  An integer of absolute value at most
-  the bound is then zero exactly when it is zero modulo each of them
-  (Chinese remaindering), so the verdict and the first witness are those of
-  the exact computation.  The primes are a batch axis of every contraction;
-  the residues of ``C`` are cached on the tensor;
-- the arrays hold Python ints (numpy ``object`` dtype) where values are
-  returned rather than tested for zero, where the dimension passes 128
-  (:func:`_screen_fits` rules ``int64`` residues out) and where the
-  product of all the primes does not exceed the bound.
+- values that are returned rather than tested for zero are ``int64``
+  arrays below 2^63 and hold Python ints (numpy ``object`` dtype) past it;
+- the three zero tests (the alternativity sweep, the homomorphism check,
+  the middle Moufang cube) run one body in every arithmetic.  Each operand
+  (``C``, the rows, the map, the scales) carries a leading prime axis.
+  Past 2^63 it holds the residues modulo the first primes of
+  :data:`ZERO_TEST_PRIMES` whose product exceeds the bound; exact
+  arithmetic is that axis at length one, ``int64`` below 2^63 and Python
+  ints where the dimension passes 128 (:func:`_screen_fits` rules ``int64``
+  residues out) or the product of all the primes does not exceed the
+  bound.  :func:`_reduce` reduces along the axis and leaves exact values
+  alone.  An integer of absolute value at most the bound is zero exactly
+  when it is zero modulo each prime (Chinese remaindering), so the verdict
+  and the first witness do not depend on the arithmetic.  The residues of
+  ``C`` are cached on the tensor.
 
 Only operations numpy 1.24 supports on object arrays are used: ``@``,
 ``tensordot`` and elementwise arithmetic (object ``einsum`` needs 1.25).
@@ -111,6 +113,12 @@ class ScaledTensor:
             self._residues = want, stack
         return self._residues[1][:len(want)]
 
+    def stacked(self, primes: np.ndarray | None, fits_int64: bool) -> np.ndarray:
+        """``C`` as a zero test's operand: :meth:`residues` modulo
+        ``primes``, or :meth:`array` on an axis of length one when primes is
+        None."""
+        return self.array(fits_int64)[None] if primes is None else self.residues(primes)
+
 
 def scaled_tensor(algebra) -> ScaledTensor:
     """The algebra's integer tensor, computed on first use and kept in its
@@ -121,6 +129,77 @@ def scaled_tensor(algebra) -> ScaledTensor:
     return st
 
 
+SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
+
+# The sixteen largest primes below 2^28, descending from SCREEN_PRIME; their
+# product passes 2^447.  A zero test takes the shortest prefix it needs.
+ZERO_TEST_PRIMES = tuple(2**28 - d for d in (
+    57, 89, 95, 119, 125, 143, 165, 183, 213, 273, 285, 299, 309, 323, 327, 335,
+))
+# Entries per prime in one batch of a zero test modulo primes.
+ZERO_TEST_CHUNK = 2048
+
+
+def _screen_fits(n: int, p: int) -> bool:
+    """Whether the screen modulo ``p`` stays in int64 for dimension ``n``.
+
+    Residues are below p: each entry of L_x mod p is reduced from a sum of
+    n products below p^2, and each elimination step from a*b - c*d with all
+    four below p.  With SCREEN_PRIME this holds for n <= 128.
+    """
+    return n * p * p < INT64_LIMIT
+
+
+def _zero_test_primes(bound: int, n: int) -> np.ndarray | None:
+    """The shortest prefix of :data:`ZERO_TEST_PRIMES` whose product exceeds
+    ``bound``, as an int64 array, for a zero test whose contractions sum at
+    most ``n`` products of residues.
+
+    An integer of absolute value at most ``bound`` that vanishes modulo each
+    of these primes is a multiple of their product, hence zero.  None when
+    :func:`_screen_fits` rules out int64 residues for ``n`` or when the
+    product of all the primes does not exceed the bound.
+    """
+    primes = ZERO_TEST_PRIMES
+    if not _screen_fits(n, max(primes)):
+        return None
+    product = 1
+    for k, p in enumerate(primes, start=1):
+        product *= p
+        if product > bound:
+            return np.array(primes[:k], dtype=np.int64)
+    return None
+
+
+def _zero_test_arithmetic(bound: int, n: int) -> np.ndarray | None:
+    """The primes a zero test works modulo when its entries are at most
+    ``bound`` in absolute value, or None for exact arithmetic: ``int64``
+    below 2^63, and Python ints past it when :func:`_zero_test_primes`
+    finds no prefix for a test whose contractions sum ``n`` products."""
+    return None if bound < INT64_LIMIT else _zero_test_primes(bound, n)
+
+
+def _stacked(ints: Sequence[int], shape: tuple[int, ...], primes: np.ndarray | None,
+             fits_int64: bool) -> np.ndarray:
+    """A zero test's operand: ``ints`` in ``shape`` under a leading axis that
+    holds their int64 residues modulo each prime, or the exact values (see
+    :func:`_exact`) on an axis of length one when primes is None."""
+    if primes is None:
+        return _exact(ints, shape, fits_int64)[None]
+    return np.array([[v % p for v in ints] for p in primes.tolist()],
+                    dtype=np.int64).reshape(len(primes), *shape)
+
+
+def _reduce(x: np.ndarray, primes: np.ndarray | None) -> np.ndarray:
+    """``x`` modulo ``primes[t]`` along its leading axis ``t``, or ``x``
+    itself when primes is None.  In place, unless that axis has length one
+    (an operand below every prime) and broadcasts over the primes."""
+    if primes is None:
+        return x
+    mod = primes.reshape(-1, *(1,) * (x.ndim - 1))
+    return np.remainder(x, mod, out=x if len(x) == len(primes) else None)
+
+
 class AlternativitySweep:
     """Alternativity defects over the polarized family of a list of rows.
 
@@ -129,8 +208,9 @@ class AlternativitySweep:
     defect ``L_{u^2} - L_u L_u`` and the right defect ``R_{u^2} - R_u R_u``
     are integer matrices (``L_u y = uy``, ``R_u y = yu``) whose column ``c``
     is the defect at ``y = b_c``, scaled by ``(s D)^2`` for the rows' common
-    denominator ``s``; ``L_{r_p + r_q} = L_p + L_q``.  The matrices are built
-    on first use.
+    denominator ``s``; ``L_{r_p + r_q} = L_p + L_q``.  They are computed as
+    their transposes, ``L_{u^2}^T - L_u^T L_u^T``, whose row ``j`` is the
+    product with ``b_j``.
     """
 
     def __init__(self, algebra, rows: Sequence[Sequence[Fraction]]) -> None:
@@ -145,20 +225,6 @@ class AlternativitySweep:
         # C itself must fit too, which the product misses when there are no rows.
         self.bound = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs)
         self.dtype = np.dtype(np.int64 if self.bound < INT64_LIMIT else object)
-        self._built = None
-
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``C``, the rows, and the stacks of ``L_{r_p}`` and ``R_{r_p}``."""
-        if self._built is None:
-            fits = self.dtype == np.int64
-            c = self._st.array(fits)
-            rows = _exact(self._ints, self._shape, fits)
-            # left[p] = L_{r_p}: entry [k, j] is coordinate k of r_p b_j.
-            left = np.tensordot(rows, c, axes=(1, 0)).transpose(0, 2, 1)
-            # right[p] = R_{r_p}: entry [k, j] is coordinate k of b_j r_p.
-            right = np.tensordot(rows, c, axes=(1, 1)).transpose(0, 2, 1)
-            self._built = c, rows, left, right
-        return self._built
 
     def family(self) -> Iterator[tuple[int, int | None]]:
         m = self._shape[0]
@@ -168,73 +234,50 @@ class AlternativitySweep:
             for q in range(p + 1, m):
                 yield p, q
 
-    def _member(self, stack: np.ndarray, p: int, q: int | None):
-        rows = self._stacks()[1]
-        if q is None:
-            return rows[p], stack[p]
-        return rows[p] + rows[q], stack[p] + stack[q]
+    def defects(
+        self, primes: np.ndarray | None = None, laws: Sequence[str] = ("left", "right")
+    ) -> Iterator[tuple[list[tuple[int, int | None]], list[np.ndarray]]]:
+        """The family in order, a chunk of members at a time, with one defect
+        stack per law.
 
-    def left(self, p: int, q: int | None) -> np.ndarray:
-        c, _, left, _ = self._stacks()
-        u, lu = self._member(left, p, q)
-        u2 = lu @ u
-        return np.tensordot(u2, c, axes=(0, 0)).T - lu @ lu
-
-    def right(self, p: int, q: int | None) -> np.ndarray:
-        c, _, _, right = self._stacks()
-        u, ru = self._member(right, p, q)
-        u2 = ru @ u
-        return np.tensordot(c, u2, axes=(1, 0)).T - ru @ ru
-
-    def first_defect_mod(self, primes: np.ndarray) -> tuple[int, int | None, int, str] | None:
-        """:func:`first_alternativity_defect` from the residues modulo
-        ``primes``, whose product must exceed :attr:`bound`.
-
-        The same matrices as :meth:`left` and :meth:`right`, modulo each
-        prime at once, for a chunk of family members at a time; a defect
-        entry is nonzero exactly when it is nonzero modulo some prime.
+        Yields ``(members, stacks)``: ``stacks[w][t, b, c, k]`` is
+        coordinate ``k`` of the ``laws[w]`` defect of ``members[b]`` at
+        ``y = b_c``, modulo ``primes[t]`` (whose product must exceed
+        :attr:`bound`), or exact in :attr:`dtype` on an axis of length one
+        when primes is None.  A law not asked for is not computed.
         """
-        (m, n), k = self._shape, len(primes)
-        mod3, mod4 = primes.reshape(k, 1, 1), primes.reshape(k, 1, 1, 1)
-        c = self._st.residues(primes)
-        c_left = c.reshape(len(c), n, n * n)  # [a, (j, l)] = C[a, j, l]
-        c_right = c.transpose(0, 2, 1, 3).reshape(len(c), n, n * n)  # [a, (j, l)] = C[j, a, l]
+        (m, n), fits = self._shape, self.dtype == np.int64
+        c = self._st.stacked(primes, fits)
         # Row m is zero, so the member (p, None) is r_p + r_m.
-        u = np.zeros((k, m + 1, n), dtype=np.int64)
-        u[:, :m] = _residues(self._ints, primes).reshape(k, m, n)
-
-        def transposed(products: np.ndarray) -> np.ndarray:
-            # [.., (j, l)] -> [.., l, j]: the matrix whose column j is the
-            # product with b_j.
-            return products.reshape(*products.shape[:-1], n, n).swapaxes(-1, -2)
-
-        left, right = transposed(u @ c_left % mod3), transposed(u @ c_right % mod3)
+        u = _stacked(self._ints + [0] * n, (m + 1, n), primes, fits)
+        sides = []
+        for law in laws:
+            # [a, (j, l)] = C[a, j, l] for the left law, C[j, a, l] for the right.
+            c_side = (c if law == "left" else c.swapaxes(1, 2)).reshape(len(c), n, n * n)
+            # [p, j, l]: coordinate l of r_p b_j (left) or of b_j r_p (right).
+            sides.append((c_side, _reduce(u @ c_side, primes).reshape(*u.shape, n)))
         family = list(self.family())
         size = max(1, ZERO_TEST_CHUNK // (n * n))
         for start in range(0, len(family), size):
-            chunk = family[start:start + size]
-            ps = [p for p, _ in chunk]
-            qs = [m if q is None else q for _, q in chunk]
-            # In place, to keep the temporaries few: L_u, R_u and u.
-            lu, ru, uu = left[:, ps], right[:, ps], u[:, ps]
-            lu += left[:, qs]
-            ru += right[:, qs]
+            members = family[start:start + size]
+            ps = [p for p, _ in members]
+            qs = [m if q is None else q for _, q in members]
+            # In place, to keep the temporaries few: u, then L_u^T or R_u^T.
+            # Each is reduced below p, since u^2 sums n products that
+            # _screen_fits only bounds for factors below p.
+            uu = u[:, ps]
             uu += u[:, qs]
-            lu %= mod4
-            ru %= mod4
-            u2 = (lu @ uu[..., None])[..., 0] % mod3
-            # [b, c]: the defect at y = b_c is nonzero modulo some prime.
-            bad_left, bad_right = (
-                _nonzero_mod(transposed(u2 @ c_side), mat @ mat, mod4).any(axis=(0, 2))
-                for mat, c_side in ((lu, c_left), (ru, c_right))
-            )
-            bad = bad_left | bad_right
-            hits = bad.any(axis=1)
-            if hits.any():
-                b = int(hits.argmax())
-                col = int(bad[b].argmax())
-                return (*chunk[b], col, "left" if bad_left[b, col] else "right")
-        return None
+            _reduce(uu, primes)
+            stacks = []
+            for c_side, mats in sides:
+                mat = mats[:, ps]
+                mat += mats[:, qs]
+                _reduce(mat, primes)
+                u2 = _reduce((uu[:, :, None] @ mat)[:, :, 0], primes)
+                defect = (u2 @ c_side).reshape(mat.shape)
+                defect -= mat @ mat
+                stacks.append(_reduce(defect, primes))
+            yield members, stacks
 
 
 def first_alternativity_defect(
@@ -243,19 +286,18 @@ def first_alternativity_defect(
     """The first ``(p, q, c, law)`` with a nonzero defect at ``u``, ``y = b_c``.
 
     Walks ``u`` in family order, then ``c``, the left law before the right
-    one; None when every defect vanishes.
+    one; None when every defect vanishes.  Past 2^63 a defect entry is
+    nonzero exactly when it is nonzero modulo some prime taken.
     """
+    n = algebra.dim
     sweep = AlternativitySweep(algebra, rows)
-    if sweep.dtype == object:
-        primes = _zero_test_primes(sweep.bound, algebra.dim)
-        if primes is not None:
-            return sweep.first_defect_mod(primes)
-    for p, q in sweep.family():
-        bad_left = (sweep.left(p, q) != 0).any(axis=0)
-        bad = bad_left | (sweep.right(p, q) != 0).any(axis=0)
+    for members, (left, right) in sweep.defects(_zero_test_arithmetic(sweep.bound, n)):
+        # [b, c]: the defect of member b at y = b_c is nonzero.
+        bad_left = (left != 0).any(axis=(0, 3))
+        bad = bad_left | (right != 0).any(axis=(0, 3))
         if bad.any():
-            c = int(np.argmax(bad))
-            return p, q, c, "left" if bad_left[c] else "right"
+            b, c = divmod(int(bad.argmax()), n)
+            return (*members[b], c, "left" if bad_left[b, c] else "right")
     return None
 
 
@@ -265,7 +307,8 @@ def first_homomorphism_violation(
     """The first basis pair ``(i, j)``, row-major, with f(b_i b_j) != f(b_i) f(b_j).
 
     ``iso`` is a target.dim x source.dim matrix acting on coordinate columns.
-    Blocked by ``i``: one contraction compares the whole row of products.
+    Blocked by ``i``: one contraction compares the rows of products of a
+    chunk of basis vectors ``b_i``.
     """
     n, m = source.dim, target.dim
     src, tgt = scaled_tensor(source), scaled_tensor(target)
@@ -283,60 +326,30 @@ def first_homomorphism_violation(
         src.max_abs, tgt.max_abs, lhs_scale, rhs_scale,
     )
     fits = bound < INT64_LIMIT
-    primes = None if fits else _zero_test_primes(bound, max(n, m))
-    if primes is not None:
-        return _first_violation_mod(ints, (m, n), src, tgt, lhs_scale, rhs_scale, primes)
-    f = _exact(ints, (m, n), fits)
-    c_src, c_tgt = src.array(fits), tgt.array(fits)
-    for i in range(n):
-        lhs = c_src[i] @ f.T  # [j, k]: s*D_src * f(b_i b_j)_k
-        rhs = f.T @ np.tensordot(f[:, i], c_tgt, axes=(0, 0))  # s^2*D_tgt * (f(b_i) f(b_j))_k
-        bad = (lhs * lhs_scale != rhs * rhs_scale).any(axis=1)
-        if bad.any():
-            return i, int(np.argmax(bad))
-    return None
-
-
-def _first_violation_mod(
-    ints: list[int], shape: tuple[int, int], src: ScaledTensor, tgt: ScaledTensor,
-    lhs_scale: int, rhs_scale: int, primes: np.ndarray,
-) -> tuple[int, int] | None:
-    """:func:`first_homomorphism_violation` modulo ``primes``, whose product
-    exceeds the bound stated there, for a chunk of rows ``i`` at a time."""
-    (m, n), k = shape, len(primes)
-    mod = primes.reshape(k, 1, 1, 1)
-    f = _residues(ints, primes).reshape(k, m, n)
+    primes = _zero_test_arithmetic(bound, max(n, m))
+    f = _stacked(ints, (m, n), primes, fits)
     ft = f.swapaxes(1, 2)  # [j, b] = f[b, j]
-    c_src = src.residues(primes)
-    c_tgt = tgt.residues(primes)
-    c_tgt = c_tgt.reshape(len(c_tgt), m, m * m)
-    scales = _residues([lhs_scale, rhs_scale], primes).reshape(k, 2, 1, 1, 1)
+    c_src = src.stacked(primes, fits)
+    c_tgt = tgt.stacked(primes, fits).reshape(-1, m, m * m)
+    scales = _stacked([lhs_scale, rhs_scale], (2, 1, 1, 1), primes, fits)
     size = max(1, ZERO_TEST_CHUNK // (n * m))
     for i0 in range(0, n, size):
         i1 = min(n, i0 + size)
         # [i, j, l]: s*D_src * f(b_i b_j)_l, times the left scale.
-        lhs = (c_src[:, i0:i1].reshape(len(c_src), -1, n) @ ft).reshape(k, i1 - i0, n, m)
-        lhs %= mod
+        lhs = (c_src[:, i0:i1].reshape(len(c_src), -1, n) @ ft).reshape(-1, i1 - i0, n, m)
+        _reduce(lhs, primes)
         lhs *= scales[:, 0]
         # [i, b, l]: s*D_tgt * (f(b_i) b_b)_l, then [i, j, l]: s^2*D_tgt *
         # (f(b_i) f(b_j))_l, times the right scale.
-        left = (f[:, :, i0:i1].swapaxes(1, 2) @ c_tgt).reshape(k, i1 - i0, m, m)
-        left %= mod
-        rhs = ft[:, None] @ left
-        rhs %= mod
+        left = (f[:, :, i0:i1].swapaxes(1, 2) @ c_tgt).reshape(-1, i1 - i0, m, m)
+        rhs = _reduce(ft[:, None] @ _reduce(left, primes), primes)
         rhs *= scales[:, 1]
-        bad = _nonzero_mod(lhs, rhs, mod).any(axis=(0, 3))
+        lhs -= rhs
+        bad = (_reduce(lhs, primes) != 0).any(axis=(0, 3))
         if bad.any():
             i, j = divmod(int(bad.argmax()), n)
             return i0 + i, j
     return None
-
-
-def _nonzero_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """``(a - b) % mod != 0`` elementwise, overwriting ``a``."""
-    a -= b
-    a %= mod
-    return a != 0
 
 
 def first_middle_moufang_defect(algebra) -> tuple[int, int, int] | None:
@@ -353,26 +366,17 @@ def first_middle_moufang_defect(algebra) -> tuple[int, int, int] | None:
     # Each side sums n^2 products of three entries, and the difference is at
     # most twice that; C itself must fit too.
     bound = max(2 * n * n * st.max_abs**3, st.max_abs)
-    fits = bound < INT64_LIMIT
-    primes = None if fits else _zero_test_primes(bound, n)
-    if primes is None:  # exact, with a batch axis of length one
-        c, mod = st.array(fits)[None], None
-    else:
-        c, mod = st.residues(primes), primes.reshape(-1, 1, 1)
-
-    def reduce(x: np.ndarray) -> np.ndarray:
-        return x if mod is None else x % mod
-
-    t = len(c)
-    by_middle = c.transpose(0, 2, 1, 3).reshape(t, n, n * n)  # [b, (a, l)] = C[a, b, l]
-    pairs = c.reshape(t, n * n, n)  # [(j, k), a] = C[j, k, a]
+    primes = _zero_test_arithmetic(bound, n)
+    c = st.stacked(primes, bound < INT64_LIMIT)
+    by_middle = c.transpose(0, 2, 1, 3).reshape(-1, n, n * n)  # [b, (a, l)] = C[a, b, l]
+    pairs = c.reshape(-1, n * n, n)  # [(j, k), a] = C[j, k, a]
     for i in range(n):
         left, right = c[:, i], c[:, :, i]  # [j, a] = C[i, j, a] and [k, b] = C[k, i, b]
         # [k, a, l] = sum_b C[k, i, b] C[a, b, l], then [a, (k, l)].
-        inner = reduce(right @ by_middle).reshape(-1, n, n, n).swapaxes(1, 2)
-        lhs = reduce(left @ inner.reshape(-1, n, n * n)).reshape(-1, n * n, n)
-        rhs = pairs @ reduce(left @ right)
-        bad = (reduce(lhs - rhs) != 0).any(axis=(0, 2))
+        inner = _reduce(right @ by_middle, primes).reshape(-1, n, n, n).swapaxes(1, 2)
+        lhs = _reduce(left @ inner.reshape(-1, n, n * n), primes).reshape(-1, n * n, n)
+        rhs = pairs @ _reduce(left @ right, primes)
+        bad = (_reduce(lhs - rhs, primes) != 0).any(axis=(0, 2))
         if bad.any():
             return (i, *divmod(int(bad.argmax()), n))
     return None
@@ -472,54 +476,6 @@ def primitive_row(values: Sequence[Fraction | int]) -> tuple[np.ndarray, Fractio
     if g == 0:
         return np.array(ints, dtype=object), Fraction(1)
     return np.array([v // g for v in ints], dtype=object), Fraction(g, d)
-
-
-SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
-
-# The sixteen largest primes below 2^28, descending from SCREEN_PRIME; their
-# product passes 2^447.  A zero test takes the shortest prefix it needs.
-ZERO_TEST_PRIMES = tuple(2**28 - d for d in (
-    57, 89, 95, 119, 125, 143, 165, 183, 213, 273, 285, 299, 309, 323, 327, 335,
-))
-# Entries per prime in one batch of a zero test modulo primes.
-ZERO_TEST_CHUNK = 2048
-
-
-def _screen_fits(n: int, p: int) -> bool:
-    """Whether the screen modulo ``p`` stays in int64 for dimension ``n``.
-
-    Residues are below p: each entry of L_x mod p is reduced from a sum of
-    n products below p^2, and each elimination step from a*b - c*d with all
-    four below p.  With SCREEN_PRIME this holds for n <= 128.
-    """
-    return n * p * p < INT64_LIMIT
-
-
-def _zero_test_primes(bound: int, n: int) -> np.ndarray | None:
-    """The shortest prefix of :data:`ZERO_TEST_PRIMES` whose product exceeds
-    ``bound``, as an int64 array, for a zero test whose contractions sum at
-    most ``n`` products of residues.
-
-    An integer of absolute value at most ``bound`` that vanishes modulo each
-    of these primes is a multiple of their product, hence zero.  None when
-    :func:`_screen_fits` rules out int64 residues for ``n`` or when the
-    product of all the primes does not exceed the bound.
-    """
-    primes = ZERO_TEST_PRIMES
-    if not _screen_fits(n, max(primes)):
-        return None
-    product = 1
-    for k, p in enumerate(primes, start=1):
-        product *= p
-        if product > bound:
-            return np.array(primes[:k], dtype=np.int64)
-    return None
-
-
-def _residues(ints: Sequence[int], primes: np.ndarray) -> np.ndarray:
-    """``[t, i]``: ``ints[i]`` modulo ``primes[t]``, as int64."""
-    return np.array([[v % p for v in ints] for p in primes.tolist()],
-                    dtype=np.int64).reshape(len(primes), len(ints))
 
 
 def singularity_screen(algebra):

@@ -11,12 +11,15 @@ exhaustively checked family.
 The alternativity sweeps and the quadraticity test run on the integer
 kernel of ``cdalg.kernel``: the structure constants are scaled once over
 their common denominator to an integer tensor, and each check is a handful
-of integer array operations.  These are ``int64`` only when a stated
-worst-case bound on every intermediate is below 2^63, and Python ints
-otherwise; no float is involved.  The alternativity family is walked in the
-same order as an element-by-element loop would take (part, then basis rows
-before pairwise sums, then the basis vector x, left law before right), so
-the witness is the first failing one in that order.
+of integer array operations; no float is involved.  The quadraticity test
+is ``int64`` when a stated worst-case bound on every intermediate is below
+2^63 and Python ints otherwise.  The sweep and the middle Moufang cube are
+zero tests with one body over a leading prime axis: past 2^63 their
+operands are residues modulo enough primes, and exact arithmetic (``int64``
+or Python ints) is that axis at length one.  The alternativity family is
+walked in the same order as an element-by-element loop would take (part,
+then basis rows before pairwise sums, then the basis vector x, left law
+before right), so the witness is the first failing one in that order.
 
 Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of the

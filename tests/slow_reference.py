@@ -3,28 +3,28 @@
 These are the original ``Algebra.multiply`` loops over ``Fraction``
 coordinates, kept as an independent oracle for ``cdalg.kernel`` and the
 closed forms built on it: the alternativity sweep over basis vectors and
-pairwise sums, the double loop of the homomorphism check, the cubic
-coefficient system of quadraticity, the multiply-based imaginary basis,
-Gram matrix and Gram-Schmidt of local complexity, the unit-square search
-that multiplies every candidate and pair, the sum-of-squares searches
-without the 4^k reduction, ``Fraction`` Gauss-Jordan elimination, the
-annihilator and subalgebra closure built from ``Algebra.multiply``, the
-nicely-normed test that multiplies certificate vectors, the
-zero-divisor search that builds every structured candidate up front and
-takes the kernel of each, and the transports of the product table that
-multiply every pair of rows -- change of basis, the induced algebra of a
-closed subspace, the closure check of a grading -- the middle Moufang
-identity on the basis cube, the dimension-16 branch of the classifier
-on dense elements, the left and right multiplication matrices built from
-products with basis vectors, and the three-pass file reader (parse every
-literal, then ``vec`` and the zero test in ``Algebra``) with the index
-grading's closure check over all n^3 dense constants.  The alternativity
-sweep and the homomorphism check are
-also kept on exact integers, never reduced modulo primes, as the oracle of
-the multi-prime zero tests.  Two bounded searches the library no longer
-runs stay here as oracles: the candidate list for a "not quadratic"
-witness and the box search for a rational isotropic vector of a 3x3
-symmetric form.  They are slow by design.
+pairwise sums and the alter-scalar nullspace over the same family, the
+double loop of the homomorphism check, the cubic coefficient system of
+quadraticity, the multiply-based imaginary basis, Gram matrix and
+Gram-Schmidt of local complexity, the unit-square search that multiplies
+every candidate and pair, the sum-of-squares searches without the 4^k
+reduction, ``Fraction`` Gauss-Jordan elimination, the annihilator and
+subalgebra closure built from ``Algebra.multiply``, the nicely-normed test
+that multiplies certificate vectors, the zero-divisor search that builds
+every structured candidate up front and takes the kernel of each, and the
+transports of the product table that multiply every pair of rows -- change
+of basis, the induced algebra of a closed subspace, the closure check of a
+grading -- the middle Moufang identity on the basis cube, the dimension-16
+branch of the classifier on dense elements, the left and right
+multiplication matrices built from products with basis vectors, and the
+three-pass file reader (parse every literal, then ``vec`` and the zero test
+in ``Algebra``) with the index grading's closure check over all n^3 dense
+constants.  The alternativity sweep and the homomorphism check are also
+kept on exact integers, never reduced modulo primes, as the oracle of the
+multi-prime zero tests.  Two bounded searches the library no longer runs
+stay here as oracles: the candidate list for a "not quadratic" witness and
+the box search for a rational isotropic vector of a 3x3 symmetric form.
+They are slow by design.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from cdalg.linalg import (
     unit_vector,
     vec,
 )
-from cdalg.kernel import AlternativitySweep, scaled_tensor
+from cdalg.kernel import scaled_tensor
 from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
@@ -113,6 +113,21 @@ def is_super_alternative_witness(algebra: Algebra, grading) -> tuple | None:
     return None
 
 
+def alter_scalar_space(algebra: Algebra) -> Matrix:
+    """Reduced rows spanning every a with x^2 a = x(xa) for all x: the
+    nullspace of the maps a -> x^2 a - x(xa) for x over the basis and its
+    pairwise sums, each written column by column from the basis."""
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(n)]
+    rows = []
+    for x in pair_family(basis):
+        x2 = algebra.multiply(x, x)
+        cols = [(algebra.multiply(x2, a) - algebra.multiply(x, algebra.multiply(x, a))).coords
+                for a in basis]
+        rows += [[col[k] for col in cols] for k in range(n)]
+    return nullspace(rows, n)
+
+
 def homomorphism_violation(iso: Matrix, source: Algebra, target: Algebra) -> tuple | None:
     n = source.dim
     if target.dim != len(iso) or any(len(r) != n for r in iso):
@@ -141,15 +156,44 @@ def homomorphism_violation(iso: Matrix, source: Algebra, target: Algebra) -> tup
 
 
 def alternativity_defect_ints(algebra: Algebra, rows: Sequence[Sequence]) -> tuple | None:
-    """``first_alternativity_defect`` from the exact defect matrices of
-    ``AlternativitySweep`` (Python ints past int64), one member at a time."""
-    sweep = AlternativitySweep(algebra, rows)
-    for p, q in sweep.family():
-        bad_left = (sweep.left(p, q) != 0).any(axis=0)
-        bad = bad_left | (sweep.right(p, q) != 0).any(axis=0)
+    """``first_alternativity_defect`` from exact defect matrices, one member
+    at a time.
+
+    The constants are scaled to Python ints over their common denominator,
+    and the rows over theirs; for each ``u`` of the polarized family the
+    matrices ``L_u[k, j] = (u b_j)_k`` and ``R_u[k, j] = (b_j u)_k`` give the
+    defects ``L_{u^2} - L_u L_u`` and ``R_{u^2} - R_u R_u``, whose column
+    ``c`` is the defect at ``y = b_c`` times a positive integer.
+    """
+    n = algebra.dim
+    flat = [c for row in algebra.constants for cell in row for c in cell]
+    d = lcm(*(c.denominator for c in flat))
+    c = np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object)
+    c = c.reshape(n, n, n)
+    entries = [Fraction(x) for r in rows for x in r]
+    s = lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (s // x.denominator) for x in entries]
+    basis = [np.array(ints[i * n:(i + 1) * n], dtype=object) for i in range(len(rows))]
+    family = [(p, None, basis[p]) for p in range(len(rows))]
+    family += [(p, q, basis[p] + basis[q])
+               for p in range(len(rows)) for q in range(p + 1, len(rows))]
+
+    def left_mul(u):  # [k, j] = sum_a u_a C[a, j, k]
+        return np.array([[sum(u[a] * c[a, j, k] for a in range(n)) for j in range(n)]
+                         for k in range(n)], dtype=object)
+
+    def right_mul(u):  # [k, j] = sum_a u_a C[j, a, k]
+        return np.array([[sum(u[a] * c[j, a, k] for a in range(n)) for j in range(n)]
+                         for k in range(n)], dtype=object)
+
+    for p, q, u in family:
+        lu, ru = left_mul(u), right_mul(u)
+        u2 = lu.dot(u)
+        bad_left = (left_mul(u2) - lu.dot(lu) != 0).any(axis=0)
+        bad = bad_left | (right_mul(u2) - ru.dot(ru) != 0).any(axis=0)
         if bad.any():
-            c = int(bad.argmax())
-            return p, q, c, "left" if bad_left[c] else "right"
+            col = int(bad.argmax())
+            return p, q, col, "left" if bad_left[col] else "right"
     return None
 
 

@@ -26,8 +26,11 @@ from cdalg import (
     zero_divisor_search,
 )
 from cdalg.analysis import random_rational_orthogonal, rotated_copy
+from cdalg.kernel import AlternativitySweep
 from cdalg.linalg import identity, mat_mul, transpose, unit_vector
 from cdalg.verify import embedding_matrix
+
+import slow_reference as ref
 
 F = Fraction
 
@@ -266,6 +269,34 @@ def test_alter_scalar_spaces_exact(sedenions, octonions, twisted_octonions, twis
         space = alter_scalar_space(bundle.algebra)
         assert space.solutions == Subspace([unit_vector(bundle.algebra.dim, 0)], bundle.algebra.dim)
         assert not space.has_alter_scalars
+
+
+def _alter_scalar_input(name: str):
+    if name == "rotated O":
+        return rotated_copy(named_algebra("O").algebra, random.Random(5))[0]
+    if name == "sheared S past int64":
+        # Diagonal entries near 2^31 push the sweep's bound past 2^63; the
+        # shear makes the basis non-orthogonal, so the transposed defect
+        # matrices would have another kernel.
+        rows = [[F(int(i == j) * (2**31 + 2 * i + 1 if i else 1)) for j in range(16)]
+                for i in range(16)]
+        rows[9][8] = F(1)
+        algebra = change_of_basis(named_algebra("S").algebra, rows, unit_index=0)
+        assert AlternativitySweep(algebra, identity(16)).dtype == object
+        return algebra
+    return named_algebra(name).algebra
+
+
+@pytest.mark.parametrize("name", ["O", "TO", "S", "TS", "rotated O", "sheared S past int64"])
+def test_alter_scalar_space_matches_element_loop(name):
+    """The whole solution space, not only its dimension, against the
+    nullspace of x^2 a - x(xa) built from Algebra.multiply."""
+    algebra = _alter_scalar_input(name)
+    space = alter_scalar_space(algebra)
+    expected = ref.alter_scalar_space(algebra)
+    assert space.solutions.rows == expected
+    assert space.solutions == Subspace(expected, algebra.dim)
+    assert space.has_alter_scalars == (len(expected) >= 2)
 
 
 def test_alter_scalar_brute_force_oracle(sedenions):

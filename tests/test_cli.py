@@ -40,11 +40,6 @@ def test_gen_stdout_follows_format(capsys):
 
 
 def test_table_formats(capsys):
-    code, out, _ = run_cli(capsys, "table", "C", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == ",1,e1"
-    assert lines[2] == "e1,e1,-1"
     code, out, _ = run_cli(capsys, "table", "C", "--format", "md")
     assert code == 0 and "-1" in out
     code, out, _ = run_cli(capsys, "table", "C", "--format", "json")
@@ -168,6 +163,14 @@ def test_subalg_census(capsys):
     data = json.loads(out)
     assert data["hits"]["1"] is True
     assert data["hits"]["4"] is True
+
+
+@pytest.mark.parametrize("dims", ["a,b", "1,,2"])
+def test_subalg_bad_dims_exit_3(capsys, dims):
+    code, out, err = run_cli(capsys, "subalg", "O", "--dims", dims)
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "malformed-input" and "--dims" in error["error"]
 
 
 def test_exit_code_bad_input(tmp_path, capsys):

@@ -61,14 +61,14 @@ options:
         ['gen', '--help'],
         0,
         """\
-usage: cdalg gen [-h] [--format {json,md,csv}] [--out OUT] name
+usage: cdalg gen [-h] [--format {json,md}] [--out OUT] name
 
 positional arguments:
   name
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --out OUT
 """,
         "",
@@ -77,14 +77,14 @@ options:
         ['table', '--help'],
         0,
         """\
-usage: cdalg table [-h] [--format {json,md,csv}] name
+usage: cdalg table [-h] [--format {json,md}] name
 
 positional arguments:
   name
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
 """,
         "",
     ),
@@ -92,7 +92,7 @@ options:
         ['check', '--help'],
         0,
         """\
-usage: cdalg check [-h] [--format {json,md,csv}]
+usage: cdalg check [-h] [--format {json,md}]
                    [--property {all,quadratic,lc,alt,superalt,nn}]
                    [--budget BUDGET] [--seed SEED]
                    target
@@ -102,7 +102,7 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --format {json,md,csv}
+  --format {json,md}
   --property {all,quadratic,lc,alt,superalt,nn}
   --budget BUDGET
   --seed SEED
@@ -113,14 +113,14 @@ options:
         ['recognize', '--help'],
         0,
         """\
-usage: cdalg recognize [-h] [--format {json,md,csv}] target
+usage: cdalg recognize [-h] [--format {json,md}] target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
 """,
         "",
     ),
@@ -128,14 +128,14 @@ options:
         ['classify-super', '--help'],
         0,
         """\
-usage: cdalg classify-super [-h] [--format {json,md,csv}] target
+usage: cdalg classify-super [-h] [--format {json,md}] target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
 """,
         "",
     ),
@@ -143,14 +143,14 @@ options:
         ['classify3', '--help'],
         0,
         """\
-usage: cdalg classify3 [-h] [--format {json,md,csv}] [--params T S] [file]
+usage: cdalg classify3 [-h] [--format {json,md}] [--params T S] [file]
 
 positional arguments:
   file
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --params T S
 """,
         "",
@@ -159,16 +159,15 @@ options:
         ['classify4', '--help'],
         0,
         """\
-usage: cdalg classify4 [-h] [--format {json,md,csv}] [--T T] [--u U]
-                       [--tol TOL]
+usage: cdalg classify4 [-h] [--format {json,md}] [--T T] [--u U] [--tol TOL]
                        [file]
 
 positional arguments:
   file
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --T T
   --u U
   --tol TOL
@@ -179,11 +178,11 @@ options:
         ['iso4', '--help'],
         0,
         """\
-usage: cdalg iso4 [-h] [--format {json,md,csv}] --a A --b B [--tol TOL]
+usage: cdalg iso4 [-h] [--format {json,md}] --a A --b B [--tol TOL]
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --a A
   --b B
   --tol TOL
@@ -194,16 +193,15 @@ options:
         ['division4', '--help'],
         0,
         """\
-usage: cdalg division4 [-h] [--format {json,md,csv}] [--T T] [--u U]
-                       [--tol TOL]
+usage: cdalg division4 [-h] [--format {json,md}] [--T T] [--u U] [--tol TOL]
                        [file]
 
 positional arguments:
   file
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --T T
   --u U
   --tol TOL
@@ -214,14 +212,14 @@ options:
         ['ann', '--help'],
         0,
         """\
-usage: cdalg ann [-h] [--format {json,md,csv}] --element ELEMENT target
+usage: cdalg ann [-h] [--format {json,md}] --element ELEMENT target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --element ELEMENT
 """,
         "",
@@ -230,16 +228,15 @@ options:
         ['zerodiv', '--help'],
         0,
         """\
-usage: cdalg zerodiv [-h] [--format {json,md,csv}] [--budget BUDGET]
-                     [--seed SEED]
+usage: cdalg zerodiv [-h] [--format {json,md}] [--budget BUDGET] [--seed SEED]
                      target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --budget BUDGET
   --seed SEED
 """,
@@ -249,14 +246,14 @@ options:
         ['alterscalar', '--help'],
         0,
         """\
-usage: cdalg alterscalar [-h] [--format {json,md,csv}] target
+usage: cdalg alterscalar [-h] [--format {json,md}] target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
 """,
         "",
     ),
@@ -264,12 +261,12 @@ options:
         ['embed-check', '--help'],
         0,
         """\
-usage: cdalg embed-check [-h] [--format {json,md,csv}] --map MAP --from FROM
-                         --to TO
+usage: cdalg embed-check [-h] [--format {json,md}] --map MAP --from FROM --to
+                         TO
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --map MAP
   --from FROM
   --to TO
@@ -280,16 +277,16 @@ options:
         ['subalg', '--help'],
         0,
         """\
-usage: cdalg subalg [-h] [--format {json,md,csv}] [--dims DIMS]
-                    [--budget BUDGET] [--seed SEED]
+usage: cdalg subalg [-h] [--format {json,md}] [--dims DIMS] [--budget BUDGET]
+                    [--seed SEED]
                     target
 
 positional arguments:
   target
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
   --dims DIMS
   --budget BUDGET
   --seed SEED
@@ -300,11 +297,11 @@ options:
         ['verify-paper', '--help'],
         0,
         """\
-usage: cdalg verify-paper [-h] [--format {json,md,csv}]
+usage: cdalg verify-paper [-h] [--format {json,md}]
 
 options:
-  -h, --help            show this help message and exit
-  --format {json,md,csv}
+  -h, --help          show this help message and exit
+  --format {json,md}
 """,
         "",
     ),
@@ -368,7 +365,7 @@ cdalg: error: unrecognized arguments: --bogus
         2,
         "",
         """\
-usage: cdalg check [-h] [--format {json,md,csv}]
+usage: cdalg check [-h] [--format {json,md}]
                    [--property {all,quadratic,lc,alt,superalt,nn}]
                    [--budget BUDGET] [--seed SEED]
                    target
@@ -380,7 +377,7 @@ cdalg check: error: the following arguments are required: target
         2,
         "",
         """\
-usage: cdalg ann [-h] [--format {json,md,csv}] --element ELEMENT target
+usage: cdalg ann [-h] [--format {json,md}] --element ELEMENT target
 cdalg ann: error: the following arguments are required: --element
 """,
     ),
@@ -400,7 +397,7 @@ cdalg: error: unrecognized arguments: extra
         2,
         "",
         """\
-usage: cdalg check [-h] [--format {json,md,csv}]
+usage: cdalg check [-h] [--format {json,md}]
                    [--property {all,quadratic,lc,alt,superalt,nn}]
                    [--budget BUDGET] [--seed SEED]
                    target
@@ -412,11 +409,11 @@ cdalg check: error: argument --property: invalid choice: 'bad' (choose from 'all
         2,
         "",
         """\
-usage: cdalg check [-h] [--format {json,md,csv}]
+usage: cdalg check [-h] [--format {json,md}]
                    [--property {all,quadratic,lc,alt,superalt,nn}]
                    [--budget BUDGET] [--seed SEED]
                    target
-cdalg check: error: argument --format: invalid choice: 'xml' (choose from 'json', 'md', 'csv')
+cdalg check: error: argument --format: invalid choice: 'xml' (choose from 'json', 'md')
 """,
     ),
     (
@@ -424,8 +421,8 @@ cdalg check: error: argument --format: invalid choice: 'xml' (choose from 'json'
         2,
         "",
         """\
-usage: cdalg subalg [-h] [--format {json,md,csv}] [--dims DIMS]
-                    [--budget BUDGET] [--seed SEED]
+usage: cdalg subalg [-h] [--format {json,md}] [--dims DIMS] [--budget BUDGET]
+                    [--seed SEED]
                     target
 cdalg subalg: error: argument --budget: invalid int value: 'many'
 """,

@@ -255,11 +255,16 @@ def test_entries_near_two_to_the_62_do_not_wrap():
     assert sweep.dtype == object
     # Every defect matrix is exactly zero, entry by entry, as in the reference.
     basis = [alg.basis_element(i) for i in range(4)]
-    for (p, q), u in zip(sweep.family(), ref.pair_family(basis)):
-        for y in basis:
-            left, right = ref.alternative_defect(alg, u, y)
-            assert left.is_zero() and right.is_zero()
-        assert not sweep.left(p, q).any() and not sweep.right(p, q).any()
+    family = iter(ref.pair_family(basis))
+    for members, (left, right) in sweep.defects():
+        assert left.dtype == right.dtype == object and len(left) == len(right) == 1
+        for b in range(len(members)):
+            u = next(family)
+            for y in basis:
+                lhs, rhs = ref.alternative_defect(alg, u, y)
+                assert lhs.is_zero() and rhs.is_zero()
+            assert not left[0, b].any() and not right[0, b].any()
+    assert next(family, None) is None
     assert is_alternative(alg).holds
     assert _homomorphism_violation(identity(4), alg, alg) is None
     # One entry off by one: the kernel and the reference find the same defect

@@ -7,11 +7,15 @@ check that the verdicts and witnesses are those of exact integer
 arithmetic: against the Python-int path kept in slow_reference, on tables
 with entries far past 2^63, with a defect that only the last prime taken
 can see, and with the tuple replaced by primes near 2^10, so that a bound
-needs dozens of them.
+needs dozens of them.  Each of the three tests is also run in each of its
+three arithmetics (exact int64, modulo primes, Python ints) against the
+references.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import isqrt, prod
 
 import pytest
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from cdalg import Algebra, change_of_basis, named_algebra
 from cdalg import kernel
-from cdalg.analysis import _homomorphism_violation
+from cdalg.analysis import _homomorphism_violation, rotated_copy
 from cdalg.kernel import (
     INT64_LIMIT,
     SCREEN_PRIME,
@@ -362,3 +366,81 @@ def test_middle_moufang_matches_reference_past_int64(primes, data):
     with zero_test_primes(primes):
         got = first_middle_moufang_defect(algebra)
     assert got == ref.middle_moufang_on_basis(algebra)[1]
+
+
+# ---------------------------------------------------------------------------
+# each zero test in each of its three arithmetics
+# ---------------------------------------------------------------------------
+
+ZERO_TESTS = {
+    "alternativity": (first_alternativity_defect, ref.alternativity_defect_ints),
+    "homomorphism": (first_homomorphism_violation, ref.homomorphism_violation_ints),
+    "middle-moufang": (first_middle_moufang_defect, lambda a: ref.middle_moufang_on_basis(a)[1]),
+}
+
+
+def _bent(matrix):
+    out = [list(r) for r in matrix]
+    out[5][3] += Fraction(1, 7)
+    return out
+
+
+@cache
+def _zero_test_inputs(check: str, past_int64: bool) -> list[tuple]:
+    """Arguments with and without a witness: named tables below 2^63;
+    rotated S and TS (graded parts and the whole basis) or copies of O and
+    TO in a basis with diagonal entries near 2^10 past it."""
+    o, to, s, ts = (named_algebra(name) for name in ("O", "TO", "S", "TS"))
+    if not past_int64:
+        return {
+            "alternativity": [
+                (o.algebra, identity(8)), (s.algebra, identity(16)),
+                (ts.algebra, ts.grading.odd_rows),
+            ],
+            "homomorphism": [
+                (identity(8), o.algebra, o.algebra),
+                (_bent(identity(8)), to.algebra, to.algebra),
+                (_bent(identity(16)), s.algebra, s.algebra),
+            ],
+            "middle-moufang": [(o.algebra,), (to.algebra,)],
+        }[check]
+    if check == "middle-moufang":
+        rows = [[Fraction(int(i == j) * (2**10 + 2 * i + 1 if i else 1)) for j in range(8)]
+                for i in range(8)]
+        return [(change_of_basis(b.algebra, rows, unit_index=0),) for b in (o, to)]
+    out = []
+    for seed, bundle in ((3, s), (4, ts)):
+        rotated, grading, rows = rotated_copy(bundle.algebra, random.Random(seed), bundle.grading)
+        if check == "alternativity":
+            out += [(rotated, grading.even_rows), (rotated, identity(16))]
+        else:
+            iso = transpose(rows)
+            out += [(iso, rotated, bundle.algebra), (_bent(iso), rotated, bundle.algebra)]
+    return out
+
+
+@pytest.mark.parametrize("arithmetic", ["int64", "primes", "python"])
+@pytest.mark.parametrize("check", list(ZERO_TESTS))
+def test_each_zero_test_in_each_arithmetic(check, arithmetic):
+    """Below 2^63 on named tables; past it on rotated or rescaled copies,
+    modulo the primes or, with a tuple of one prime too short for any of
+    their bounds, on Python ints.  The arithmetic each call took is read
+    off the choice itself."""
+    run, reference = ZERO_TESTS[check]
+    cases = _zero_test_inputs(check, arithmetic != "int64")
+    taken = []
+    choose = kernel._zero_test_arithmetic
+
+    def spy(bound, n):
+        primes = choose(bound, n)
+        taken.append("int64" if bound < INT64_LIMIT else "python" if primes is None else "primes")
+        return primes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_zero_test_arithmetic", spy)
+        if arithmetic == "python":
+            patch.setattr(kernel, "ZERO_TEST_PRIMES", (SCREEN_PRIME,))
+        got = [run(*args) for args in cases]
+    assert taken == [arithmetic] * len(cases)
+    assert got == [reference(*args) for args in cases]
+    assert None in got and any(w is not None for w in got)
