@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .construct import Grading, named_algebra
-from .core import Algebra, Element, change_of_basis, generated_subalgebra
+from .core import Algebra, Element, change_of_basis, generator_rows
 from .errors import (
     DimensionMismatchError,
     InconsistentInputError,
@@ -48,6 +48,7 @@ from .linalg import (
 from .kernel import (
     AlternativitySweep,
     anticommutator_table,
+    closure_dims,
     first_homomorphism_violation,
     left_mul_rows,
     left_mul_stack,
@@ -611,12 +612,15 @@ def alter_scalar_space(algebra: Algebra) -> AlterScalarSpace:
     """
     n = algebra.dim
     sweep = AlternativitySweep(algebra, identity(n))
-    rows: list[list[int]] = []
+    # Column k of a member's left defect is x^2 b_k - x(x b_k), up to a
+    # positive scale that leaves the solution space unchanged.  Most rows
+    # are zero or repeat (on A5, 60 distinct rows among 16,896), so only the
+    # distinct nonzero rows reach the elimination.
+    rows: set[tuple[int, ...]] = set()
     for _, (left,) in sweep.defects(laws=("left",)):
-        # Column k of a member's left defect is x^2 b_k - x(x b_k), up to a
-        # positive scale that leaves the solution space unchanged.
-        rows += left[0].swapaxes(1, 2).reshape(-1, n).tolist()
-    solutions = Subspace(nullspace(rows, n), n)
+        block = left[0].swapaxes(1, 2).reshape(-1, n)
+        rows.update(map(tuple, block[(block != 0).any(axis=1)].tolist()))
+    solutions = Subspace(nullspace(list(rows), n), n)
     return AlterScalarSpace(solutions, solutions.dim >= 2)
 
 
@@ -822,37 +826,39 @@ def subalgebra_census(
     extra_generator_sets: Sequence[Sequence[Element]] = (),
 ) -> CensusReport:
     """Close candidate generator sets under multiplication and record the
-    subalgebra dimensions that appear."""
-    realized: dict[int, CensusEntry] = {}
+    subalgebra dimensions that appear.
 
-    def record(gens: Sequence[Element]) -> None:
-        span = generated_subalgebra(algebra, list(gens), include_unit=True)
-        d = span.dim
-        if d not in realized:
-            realized[d] = CensusEntry(d, tuple(gens))
-
-    for gens in extra_generator_sets:
-        record(gens)
-    record([])
+    The candidates are the extra sets, the empty set, each basis vector,
+    the sums and differences of two basis vectors and ``budget`` random
+    sets of one or two elements, each with the unit; the first candidate
+    of each dimension is kept.  All of them are closed in batches
+    (:func:`cdalg.kernel.closure_dims`), and the census stops early once
+    every dimension from 1 to n has appeared.
+    """
     n = algebra.dim
     basis = [algebra.basis_element(i) for i in range(n)]
-    for b in basis:
-        record([b])
+    candidates = [*extra_generator_sets, [], *([b] for b in basis)]
     for i in range(n):
         for j in range(i + 1, n):
-            record([basis[i] + basis[j]])
-            record([basis[i] - basis[j]])
-            if len(realized) >= n:
-                break
+            candidates += [[basis[i] + basis[j]], [basis[i] - basis[j]]]
     rng = random.Random(seed)
+    coords = {(a, b): Fraction(a, b) for a in range(-2, 3) for b in (1, 2)}
     for _ in range(budget):
-        gens = [
-            Element(
-                tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
-            )
+        candidates.append([
+            Element(tuple(coords[rng.randint(-2, 2), rng.randint(1, 2)] for _ in range(n)))
             for _ in range(rng.randint(1, 2))
-        ]
-        record(gens)
+        ])
+    # The extra sets are checked as given; the others conform by construction.
+    extra = len(extra_generator_sets)
+    seed_sets = [generator_rows(algebra, gens) for gens in candidates[:extra + 1]]
+    one = seed_sets[-1][0]
+    seed_sets += [[one, *(g.coords for g in gens)] for gens in candidates[extra + 1:]]
+    realized: dict[int, CensusEntry] = {}
+    for gens, d in zip(candidates, closure_dims(algebra, seed_sets)):
+        if d not in realized:
+            realized[d] = CensusEntry(d, tuple(gens))
+            if len(realized) == n:
+                break
     return CensusReport(tuple(dims_of_interest), realized)
 
 

@@ -280,7 +280,7 @@ def cmd_classify3(args) -> int:
             raise MalformedInputError("classify3 needs a file or --params t,s")
         algebra, _, _ = _load_source(args.file)
     form = canonical_params_3d(algebra)
-    _emit({"t": form.t, "s": form.s}, args.format)
+    _emit({"t": form.t, "s": form.s, "s_squared": form.s_squared}, args.format)
     return EXIT_OK
 
 

@@ -253,41 +253,38 @@ def minimal_quadratic(algebra: Algebra, x: Element) -> MinimalQuadratic:
     return MinimalQuadratic("quadratic", trace=t, norm=n)
 
 
+def generator_rows(
+    algebra: Algebra, gens: Sequence[Element], include_unit: bool = True
+) -> list[Vector]:
+    """The coordinates of 1 (when asked for) and of the generators, checked
+    against the algebra."""
+    for g in gens:
+        if g.dim != algebra.dim:
+            raise DimensionMismatchError("generator does not conform to algebra")
+    rows = [g.coords for g in gens]
+    if include_unit:
+        if algebra.unit is None:
+            raise NonUnitalError("include_unit requires a unital algebra")
+        rows.insert(0, algebra.one().coords)
+    return rows
+
+
 def generated_subalgebra(
     algebra: Algebra, gens: Sequence[Element], include_unit: bool = True
 ) -> Subspace:
     """Smallest subspace containing the generators (and optionally 1) closed
     under multiplication.
 
-    Iterates products of the current echelon basis until the rank stops
-    growing or reaches dim(A); the rank strictly increases each round, so
-    dim(A) rounds suffice.  Each round's products come from the integer
-    structure tensor.
+    The closure runs modulo a prime on the integer structure tensor, and a
+    dimension below dim(A) is certified over Q or recomputed exactly
+    (:func:`cdalg.kernel.closure_span`).  The kernel is imported here:
+    importing it (and numpy) at the top of this module made `import cdalg`
+    about 10 ms slower on CPython 3.11.
     """
-    seed: list[Vector] = [g.coords for g in gens]
-    for g in gens:
-        if g.dim != algebra.dim:
-            raise DimensionMismatchError("generator does not conform to algebra")
-    if include_unit:
-        if algebra.unit is None:
-            raise NonUnitalError("include_unit requires a unital algebra")
-        seed.append(algebra.one().coords)
-    span = Subspace(seed, algebra.dim)
-    while span.dim < algebra.dim:
-        basis = span.rows
-        # All k^2 products of the echelon rows, scaled by a positive integer,
-        # which leaves their span unchanged.  The kernel is imported here:
-        # importing it (and numpy) at the top of this module made
-        # `import cdalg` about 10 ms slower on CPython 3.11.
-        from .kernel import product_table
+    rows = generator_rows(algebra, gens, include_unit)
+    from .kernel import closure_span
 
-        table, _ = product_table(algebra, basis, basis)
-        products = table.reshape(-1, algebra.dim).tolist()
-        grown = Subspace(list(basis) + products, algebra.dim)
-        if grown.dim == span.dim:
-            break
-        span = grown
-    return span
+    return closure_span(algebra, rows)
 
 
 def change_of_basis(algebra: Algebra, basis_rows: Sequence[Sequence[Fraction]],

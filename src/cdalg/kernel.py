@@ -1,7 +1,7 @@
 """Exact integer kernels behind the polarized identity checks, the
 quadraticity and nicely-normed tests, the product and anticommutator
-tables, left multiplication matrices, the zero-divisor screen and the
-homomorphism check.
+tables, left multiplication matrices, the zero-divisor screen, the
+homomorphism check and the closure of generator sets under multiplication.
 
 One transport of the product table serves every change of basis: the
 products of a list of independent rows, written in the basis of those rows
@@ -31,7 +31,19 @@ worst-case bound on every intermediate, stated where the choice is made:
   alone.  An integer of absolute value at most the bound is zero exactly
   when it is zero modulo each prime (Chinese remaindering), so the verdict
   and the first witness do not depend on the arithmetic.  The residues of
-  ``C`` are cached on the tensor.
+  ``C`` are cached on the tensor;
+- the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
+  modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
+  basis vector as a word: a seed row or the product of two earlier words.
+  Words independent mod ``p`` are independent over Q, so the dimension is
+  at least their number ``d``; ``d = n`` settles it.  Below ``n`` it is at
+  most ``d`` when the integer matrix ``[seeds; words; products of two
+  words]`` has rank at most ``d`` modulo each of the first primes of
+  :data:`ZERO_TEST_PRIMES` whose product exceeds the Hadamard bound on its
+  ``(d+1)``-minors (from bounds on the words' entries), by the zero-test
+  rule applied to every such minor.  Modulo ``p`` itself the closure has
+  shown it.  A set with no such primes, or with a rank above ``d``, is
+  closed again by an exact loop over Z.
 
 Only operations numpy 1.24 supports on object arrays are used: ``@``,
 ``tensordot`` and elementwise arithmetic (object ``einsum`` needs 1.25).
@@ -40,13 +52,13 @@ Only operations numpy 1.24 supports on object arrays are used: ``@``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InconsistentInputError
-from .linalg import F0, _echelon, mat_inv
+from .linalg import F0, Subspace, _cancel, _echelon, _primitive, mat_inv
 
 INT64_LIMIT = 2**63
 
@@ -495,35 +507,63 @@ def singularity_screen(algebra):
     residues = scaled_tensor(algebra).residues(np.array([p]))[0]
 
     def regular(rows: Sequence[Sequence]) -> list[bool]:
-        x = np.array([[v % p for v in _common_scale(r)[0]] for r in rows],
-                     dtype=np.int64).reshape(len(rows), n)
+        # One scale for all the rows keeps each a positive multiple of x; a
+        # row it makes zero mod p is only left to the exact kernel.
+        ints, _ = _common_scale([v for r in rows for v in r])
+        fits = max(map(abs, ints), default=0) < INT64_LIMIT
+        x = (_exact(ints, (len(rows), n), fits) % p).astype(np.int64)
         # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
-        return _nonsingular_mod(np.tensordot(x, residues, axes=(1, 0)) % p, p).tolist()
+        ranks = _row_basis_mod(np.tensordot(x, residues, axes=(1, 0)) % p, p).sum(axis=1)
+        return (ranks == n).tolist()
 
     return regular
 
 
-def _nonsingular_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of a stack of int64 residues are nonsingular mod ``p``.
+def _row_basis_mod(m: np.ndarray, p, companion: np.ndarray | None = None) -> np.ndarray:
+    """Which rows of each matrix in a stack of int64 residues mod ``p`` are
+    independent of the rows before them.
 
-    Fraction-free forward elimination on the whole stack at once: row ``r``
-    below the pivot row ``v`` becomes ``v[c] r - r[c] v``, which clears
-    column ``c`` and, ``v[c]`` being invertible mod ``p``, keeps the rank.
+    Returns ``kept[b, i]``: True when row ``i`` of matrix ``b`` is not in the
+    span mod ``p`` of its rows ``0..i-1``.  The kept rows are a basis of the
+    row space, so ``kept.sum(axis=1)`` is the rank.  ``p`` is a prime or an
+    array of primes that broadcasts against ``m`` (one per matrix).
+
+    Fraction-free elimination on the whole stack at once, column by column:
+    the first row ``t`` with a nonzero entry in column ``u`` is kept, and
+    every column ``v`` becomes ``t_u col_v - t_v col_u`` (mod ``p``).  That
+    maps each row ``x`` to ``t_u x - x_u t``, whose kernel is ``span(t)``:
+    ``t`` and column ``u`` become zero, and at the end every row is zero.
+    The rows of ``companion`` (``[b, v, :]`` moving with column ``v`` of
+    ``m``) get the same combinations, and its row ``u`` becomes zero.  Every
+    entry stays below ``p``, each product below ``p^2``.  Both arrays are
+    overwritten.
     """
-    b, n, _ = m.shape
-    ok = np.ones(b, dtype=bool)
+    b, r, _ = m.shape
+    kept = np.zeros((b, r), dtype=bool)
     every = np.arange(b)
-    for col in range(n):
-        nonzero = m[:, col:, col] != 0
-        ok &= nonzero.any(axis=1)
-        piv = col + nonzero.argmax(axis=1)
-        pivot_rows = m[every, piv, col:]  # a copy
-        m[every, piv, col:] = m[:, col, col:]  # row col is not read again
-        below = m[:, col + 1:, col:]
-        m[:, col + 1:, col:] = (
-            pivot_rows[:, None, :1] * below - below[:, :, :1] * pivot_rows[:, None, :]
-        ) % p
-    return ok
+    top = 0  # the rows before top are kept in every matrix, so they are zero now
+    # A column that is zero in every row stays zero.
+    for u in np.flatnonzero(m.any(axis=(0, 1))).tolist():
+        sub = m[:, top:, u:]
+        column = sub[:, :, 0] != 0
+        i = column.argmax(axis=1)
+        live = column[every, i]
+        kept[every, top + i] |= live
+        t = sub[every, i]  # a copy: the kept rows from column u on
+        tu = np.where(live, t[:, 0], 1)  # the identity where column u is zero
+        step = sub * tu[:, None, None]
+        step -= sub[:, :, :1] * t[:, None, :]
+        np.remainder(step, p, out=sub)
+        if companion is not None:
+            part = companion[:, u:]
+            step = part * tu[:, None, None]
+            step -= (t * live[:, None])[:, :, None] * part[:, :1]
+            np.remainder(step, p, out=part)
+        if kept[:, top].all():
+            top += 1
+            if top == r:
+                break
+    return kept
 
 
 def product_table(
@@ -605,3 +645,289 @@ def anticommutator_table(
     xy, scale = product_table(algebra, xs, ys)
     yx, _ = product_table(algebra, ys, xs)
     return (xy + yx.transpose(1, 0, 2)).tolist(), scale
+
+
+# About this many int64 entries per array of the subalgebra closure: its
+# state holds n^2 per generator set, and a round's products k n^2 per set
+# for the k words the set gained in the last round.
+CLOSURE_CHUNK = 2**13
+
+
+def _seed_ints(seeds: Sequence[Sequence]) -> list[list[int]]:
+    """The nonzero seed rows as primitive integer rows (Python ints)."""
+    return [row for row in map(_primitive, seeds) if row is not None]
+
+
+def _residues(rows: list[list[list[int]]], width: int, n: int, primes: np.ndarray) -> np.ndarray:
+    """``rows[b][s]`` modulo each prime as int64 ``[t, b, s, :]``, zero-padded
+    to ``width`` rows."""
+    out = np.zeros((len(primes), len(rows), width, n), dtype=np.int64)
+    flat = [row for seeds in rows for row in seeds]
+    if flat:
+        big = max(map(max, flat)) >= INT64_LIMIT or min(map(min, flat)) < -INT64_LIMIT
+        ints = np.array(flat, dtype=object if big else np.int64)
+        b = np.repeat(np.arange(len(rows)), [len(seeds) for seeds in rows])
+        s = np.concatenate([np.arange(len(seeds)) for seeds in rows])
+        out[:, b, s] = (ints[None] % primes[:, None, None]).astype(np.int64)
+    return out
+
+
+def _close_mod_p(algebra, seed_sets: list[list[list[int]]], p: int) -> list[tuple[int, list]]:
+    """The closure of each seed set modulo ``p``, all sets at once.
+
+    Returns ``(d, words)`` per set: ``d`` rows whose residues are independent
+    mod ``p`` and whose span mod ``p`` holds the seeds and every product of
+    two of them.  Word ``w`` is ``(-1, s)`` for seed ``s`` or ``(a, c)`` for
+    the product of words ``a < w`` and ``c < w``, in that order.
+
+    Each round multiplies only the words added in the last round by all
+    words (both orders), and keeps the products that extend the span.  The
+    span is held as the rows of its annihilator mod ``p``: a product is in
+    the span exactly when it is orthogonal to every annihilator row, and
+    :func:`_row_basis_mod` takes the first product that is not, in product
+    order, and updates the annihilator with it.  A set leaves the batch when
+    a round adds nothing or its span is the whole algebra.
+    """
+    n, count = algebra.dim, len(seed_sets)
+    c = scaled_tensor(algebra).residues(np.array([p]))[0]
+    by_left = c.reshape(n, n * n)  # [i, (j, k)] = C[i, j, k]
+    by_right = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)
+    width = max((len(s) for s in seed_sets), default=0)
+    seeds = _residues(seed_sets, width, n, np.array([p]))[0]
+    ids = np.arange(count)
+    words = np.zeros((count, n + 1, n), dtype=np.int64)  # row n stays zero
+    labels = np.zeros((count, n, 2), dtype=np.int64)
+    dims = np.zeros(count, dtype=np.int64)
+    ann = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n)).copy()
+    out: list = [None] * count
+
+    def take(lo: int, rows: np.ndarray, row_labels: np.ndarray) -> np.ndarray:
+        """Add the rows that extend the spans of sets lo, lo + 1, ..."""
+        hi = lo + len(rows)
+        kept = _row_basis_mod(rows @ ann[lo:hi].swapaxes(1, 2) % p, p, ann[lo:hi])
+        b, r = np.nonzero(kept)
+        pos = dims[lo + b] + np.arange(len(b)) - np.searchsorted(b, b)
+        words[lo + b, pos] = rows[b, r]
+        labels[lo + b, pos] = row_labels[b, r]
+        added = kept.sum(axis=1)
+        dims[lo:hi] += added
+        return added
+
+    def products(lo: int, hi: int, old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The products of sets lo..hi-1 with a word added in the last round,
+        and their labels: new word i times word c, then word a times new
+        word i."""
+        w, d, m = words[lo:hi], dims[lo:hi], hi - lo
+        k, top, top_old = int((d - old).max()), int(d.max()), int(old.max())
+        new = old[:, None] + np.arange(k)
+        new = np.where(new < d[:, None], new, n)  # [b, i]: word i of the round
+        fresh = w[np.arange(m)[:, None], new]
+        before = w[:, :top_old] * (np.arange(top_old) < old[:, None])[:, :, None]
+        halves = []
+        for by, factors in ((by_left, w[:, :top]), (by_right, before)):
+            # [b, i, j, l]: coordinate l of the new word i times b_j (by_left)
+            # or of b_j times it (by_right), then times each factor.
+            side = fresh @ by
+            side %= p
+            half = factors[:, None] @ side.reshape(m, k, n, n)
+            half %= p
+            halves.append(half.reshape(m, -1, n))
+        rows = np.concatenate(halves, axis=1)
+        pairs = (np.broadcast_arrays(new[:, :, None], np.arange(top)),
+                 np.broadcast_arrays(np.arange(top_old), new[:, :, None]))
+        row_labels = np.concatenate([np.stack(ac, -1).reshape(m, -1, 2) for ac in pairs], axis=1)
+        return rows, row_labels
+
+    seed_labels = np.stack(np.broadcast_arrays(-1, np.arange(width)), axis=-1)
+    added = take(0, seeds, np.broadcast_to(seed_labels, (count, width, 2)))
+    while True:
+        done = (added == 0) | (dims == n)
+        for b in np.flatnonzero(done).tolist():
+            out[ids[b]] = int(dims[b]), labels[b, :dims[b]].tolist()
+        if done.all():
+            return out
+        live = ~done
+        ids, words, labels, dims, ann, added = (
+            ids[live], words[live], labels[live], dims[live], ann[live], added[live])
+        # A round's arrays hold about k n^2 entries per set, k words new.
+        old = dims - added
+        step = max(1, CLOSURE_CHUNK // (int(added.max()) * n * n))
+        added = np.concatenate([take(lo, *products(lo, min(lo + step, len(ids)), old[lo:lo + step]))
+                                for lo in range(0, len(ids), step)])
+
+
+def _certificate_bound(seeds: list[list[int]], words: list, k: int, n: int) -> int:
+    """A bound on every ``(d+1)``-minor of ``[seeds; words; products of two
+    words]``, the words taken as exact integer rows.
+
+    A seed's entries are its own; a product of words whose entries are at
+    most ``h_a`` and ``h_c`` has entries at most ``k h_a h_c``, where ``k``
+    bounds ``sum_{i, j} |C[i, j, l]|`` over ``l``.  By Hadamard a minor is
+    at most the product of the Euclidean norms of its rows, and a row with
+    entries at most ``h`` has norm at most ``sqrt(n) h``: the ``d + 1``
+    largest ``h`` are taken.
+    """
+    heights: list[int] = []
+    for a, c in words:
+        heights.append(max(map(abs, seeds[c])) if a < 0 else k * heights[a] * heights[c])
+    rows = [max(map(abs, s)) for s in seeds] + heights
+    rows += [k * a * c for a in heights for c in heights]
+    rows.sort(reverse=True)
+    return isqrt(prod(n * h * h for h in rows[:len(words) + 1])) + 1
+
+
+def _certified(algebra, seed_sets: list[list[list[int]]], closed: list[tuple[int, list]],
+               primes: np.ndarray) -> np.ndarray:
+    """Whether ``[seeds; words; all products of two words]`` has rank at most
+    ``d`` modulo every prime, for each seed set and its closure mod ``p``.
+
+    The words are replayed from the exact seeds modulo each prime, so each
+    matrix is the integer matrix of the exact words reduced mod that prime.
+    """
+    n, count, q = algebra.dim, len(seed_sets), len(primes)
+    width = max(len(s) for s in seed_sets)
+    top = max(d for d, _ in closed)
+    c = scaled_tensor(algebra).residues(primes).reshape(-1, n, n * n)
+    mod = primes.reshape(-1, 1, 1)
+    seeds = _residues(seed_sets, width, n, primes)
+    dims = np.array([d for d, _ in closed])
+    labels = np.array([words + [[0, 0]] * (top - d) for d, words in closed],
+                      dtype=np.int64).reshape(count, top, 2)
+    words = np.zeros((q, count, top, n), dtype=np.int64)
+    for w in range(top):
+        a, s = labels[:, w, 0], labels[:, w, 1]
+        seeded = np.flatnonzero((w < dims) & (a < 0))
+        words[:, seeded, w] = seeds[:, seeded, s[seeded]]
+        made = np.flatnonzero((w < dims) & (a >= 0))
+        x = (words[:, made, a[made]] @ c % mod).reshape(q, -1, n, n)
+        words[:, made, w] = (words[:, made, s[made]][:, :, None] @ x)[:, :, 0] % mod
+    # [t, b, (a, c)]: word a times word c.
+    left = (words.reshape(q, -1, n) @ c % mod).reshape(q, count, top, n, n)
+    products = (words[:, :, None] @ left).reshape(q, count, -1, n) % mod[..., None]
+    stack = np.concatenate([seeds, words, products], axis=2)
+    ranks = _row_basis_mod(stack.reshape(q * count, -1, n),
+                           np.repeat(primes, count).reshape(-1, 1, 1)).sum(axis=1)
+    return (ranks.reshape(q, count) <= dims).all(axis=0)
+
+
+def _exact_closure(algebra, seeds: list[list[int]]) -> Subspace:
+    """The closure over the rationals, one round at a time.
+
+    Each round multiplies only the rows added in the last round by all rows
+    (both orders), reduces each product against the integer rows so far,
+    and keeps it when something is left.  Every kept row is zero at the
+    pivot columns of the rows before it, so reducing in the order the rows
+    were kept clears every pivot.  Stops as soon as the span is the whole
+    algebra.
+    """
+    n = algebra.dim
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+
+    def extend(rows) -> list[list[int]]:
+        added = []
+        for row in rows:
+            rem = _primitive(row)
+            if rem is None or len(basis) == n:
+                continue
+            for kept, col in zip(basis, pivots):
+                if rem[col]:
+                    rem = _cancel(rem, kept, col)[0]
+            if any(rem):
+                basis.append(rem)
+                pivots.append(next(i for i, v in enumerate(rem) if v))
+                added.append(rem)
+        return added
+
+    new = extend(seeds)
+    while new and len(basis) < n:
+        old = basis[:len(basis) - len(new)]
+        products = product_table(algebra, new, basis)[0].reshape(-1, n).tolist()
+        if old:
+            products += product_table(algebra, old, new)[0].reshape(-1, n).tolist()
+        new = extend(products)
+    return Subspace(basis, n)
+
+
+def _certify(algebra, chunk: list[list[list[int]]], closed: list[tuple[int, list]]) -> set[int]:
+    """The seed sets whose words mod ``p`` span their closure over Q.
+
+    ``d = n`` words settle it.  Below ``n``, words independent mod ``p``
+    give ``dim >= d``, and rank at most ``d`` of ``[seeds; words; products]``
+    over Q gives ``dim <= d``: by :func:`_certified` modulo the primes of
+    :func:`_zero_test_primes` for :func:`_certificate_bound`.  Modulo ``p``
+    itself the closure has reduced every seed and product, so ``p`` is left
+    out.  A set whose bound no prefix exceeds is not certified.
+    """
+    n = algebra.dim
+    ok = {b for b, (d, _) in enumerate(closed) if d == n}
+    if len(ok) == len(closed):
+        return ok
+    st = scaled_tensor(algebra)
+    k = int(abs(st.array(n * n * st.max_abs < INT64_LIMIT)).sum(axis=(0, 1)).max())
+    checks = {}
+    for b, (d, words) in enumerate(closed):
+        if d < n:
+            primes = _zero_test_primes(_certificate_bound(chunk[b], words, k, n), n)
+            if primes is not None:
+                checks[b] = primes[primes != SCREEN_PRIME]
+    ok.update(b for b, primes in checks.items() if not len(primes))
+    todo = [b for b, primes in checks.items() if len(primes)]
+    if todo:
+        # The longest prefix serves every set: more primes only add checks.
+        primes = max((checks[b] for b in todo), key=len)
+        step = max(1, CLOSURE_CHUNK // (len(primes) * max(closed[b][0] for b in todo) * n * n))
+        for lo in range(0, len(todo), step):
+            group = todo[lo:lo + step]
+            passed = _certified(algebra, [chunk[b] for b in group], [closed[b] for b in group],
+                                primes)
+            ok.update(b for b, good in zip(group, passed.tolist()) if good)
+    return ok
+
+
+def _closures(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[tuple]:
+    """``(dim, seeds, how)`` for the subalgebra each seed set generates, in
+    order: ``seeds`` are the primitive integer seed rows, and ``how`` is the
+    list of words of :func:`_close_mod_p` when :func:`_certify` accepts them,
+    else the :class:`Subspace` of :func:`_exact_closure`."""
+    n = algebra.dim
+    size = max(1, CLOSURE_CHUNK // n**2)
+    for start in range(0, len(seed_sets), size):
+        chunk = [_seed_ints(s) for s in seed_sets[start:start + size]]
+        closed, ok = [], set()
+        if _screen_fits(n, SCREEN_PRIME):
+            closed = _close_mod_p(algebra, chunk, SCREEN_PRIME)
+            ok = _certify(algebra, chunk, closed)
+        for b, seeds in enumerate(chunk):
+            if b in ok:
+                d, words = closed[b]
+                yield d, seeds, words
+            else:
+                span = _exact_closure(algebra, seeds)
+                yield span.dim, seeds, span
+
+
+def closure_dims(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[int]:
+    """The dimension of the subalgebra each seed set generates, in order.
+
+    Closed in batches modulo :data:`SCREEN_PRIME`; a dimension below
+    ``dim(A)`` is certified over Q by the ranks of :func:`_certified` or
+    comes from the exact loop.
+    """
+    for dim, _, _ in _closures(algebra, seed_sets):
+        yield dim
+
+
+def closure_span(algebra, seeds: Sequence[Sequence]) -> Subspace:
+    """The subalgebra the rows ``seeds`` generate, as an exact subspace."""
+    ((dim, rows, how),) = _closures(algebra, [seeds])
+    n = algebra.dim
+    if isinstance(how, Subspace):
+        return how
+    if dim == n:
+        return Subspace._of_axes(range(n), n)
+    exact: list[list[int]] = []
+    for a, c in how:  # replay the words over Z
+        exact.append(rows[c] if a < 0 else
+                     _primitive(product_table(algebra, [exact[a]], [exact[c]])[0][0, 0].tolist()))
+    return Subspace(exact, n)

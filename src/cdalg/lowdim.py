@@ -52,14 +52,20 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CanonicalForm3:
-    """Canonical parameters (t, s), both nonnegative.
+    """Canonical parameters (t, s), both nonnegative, and s^2.
 
-    Fields are Fractions when the extraction stayed exact and floats when a
-    square root was irrational.
+    ``t`` and ``s^2`` are Fractions when the extraction is exact; ``s`` is a
+    Fraction when ``s^2`` is a rational square and otherwise the float
+    nearest its root.  ``s_squared`` defaults to ``s * s``.
     """
 
     t: Fraction | float
     s: Fraction | float
+    s_squared: Fraction | float | None = None
+
+    def __post_init__(self):
+        if self.s_squared is None:
+            object.__setattr__(self, "s_squared", self.s * self.s)
 
 
 def build_raw_3d(t, z1, z2) -> Algebra:
@@ -107,13 +113,14 @@ def canonical_params_3d(algebra: Algebra) -> CanonicalForm3:
     s_sq = z1 * z1 + z2 * z2
     root = sqrt_fraction(s_sq)
     s: Fraction | float = root if root is not None else math.sqrt(float(s_sq))
-    return CanonicalForm3(abs(t_raw), s)
+    return CanonicalForm3(abs(t_raw), s, s_sq)
 
 
 def params_equal_3d(c1: CanonicalForm3, c2: CanonicalForm3, tol=0) -> bool:
-    """Componentwise comparison; tol 0 means exact (for rational forms)."""
+    """Componentwise comparison; tol 0 means exact, on ``(t, s^2)``, so an
+    irrational ``s`` is never compared through its float."""
     if tol == 0:
-        return c1.t == c2.t and c1.s == c2.s
+        return c1.t == c2.t and c1.s_squared == c2.s_squared
     return abs(float(c1.t) - float(c2.t)) <= tol and abs(float(c1.s) - float(c2.s)) <= tol
 
 

@@ -9,22 +9,23 @@ quadraticity, the multiply-based imaginary basis, Gram matrix and
 Gram-Schmidt of local complexity, the unit-square search that multiplies
 every candidate and pair, the sum-of-squares searches without the 4^k
 reduction, ``Fraction`` Gauss-Jordan elimination, the annihilator and
-subalgebra closure built from ``Algebra.multiply``, the nicely-normed test
-that multiplies certificate vectors, the zero-divisor search that builds
-every structured candidate up front and takes the kernel of each, and the
-transports of the product table that multiply every pair of rows -- change
-of basis, the induced algebra of a closed subspace, the closure check of a
-grading -- the middle Moufang identity on the basis cube, the dimension-16
-branch of the classifier on dense elements, the left and right
-multiplication matrices built from products with basis vectors, and the
-three-pass file reader (parse every literal, then ``vec`` and the zero test
-in ``Algebra``) with the index grading's closure check over all n^3 dense
-constants.  The alternativity sweep and the homomorphism check are also
-kept on exact integers, never reduced modulo primes, as the oracle of the
-multi-prime zero tests.  Two bounded searches the library no longer runs
-stay here as oracles: the candidate list for a "not quadratic" witness and
-the box search for a rational isotropic vector of a 3x3 symmetric form.
-They are slow by design.
+subalgebra closure built from ``Algebra.multiply``, the round-based closure
+over Z and the census that closes one candidate at a time with it, the
+nicely-normed test that multiplies certificate vectors, the zero-divisor
+search that builds every structured candidate up front and takes the kernel
+of each, and the transports of the product table that multiply every pair
+of rows -- change of basis, the induced algebra of a closed subspace, the
+closure check of a grading -- the middle Moufang identity on the basis
+cube, the dimension-16 branch of the classifier on dense elements, the
+left and right multiplication matrices built from products with basis
+vectors, and the three-pass file reader (parse every literal, then ``vec``
+and the zero test in ``Algebra``) with the index grading's closure check
+over all n^3 dense constants.  The alternativity sweep and the
+homomorphism check are also kept on exact integers, never reduced modulo
+primes, as the oracle of the multi-prime zero tests.  Two bounded
+searches the library no longer runs stay here as oracles: the candidate
+list for a "not quadratic" witness and the box search for a rational
+isotropic vector of a 3x3 symmetric form.  They are slow by design.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from cdalg import Algebra, Element
-from cdalg.analysis import ZeroDivisorSearch, _lowdim_exact_route
+from cdalg.analysis import CensusEntry, CensusReport, ZeroDivisorSearch, _lowdim_exact_route
 from cdalg.core import minimal_quadratic
 from cdalg.construct import Grading
 from cdalg.errors import (
@@ -53,6 +54,7 @@ from cdalg.linalg import (
     F0,
     F1,
     Matrix,
+    Subspace,
     identity,
     mat_mul,
     mat_vec,
@@ -61,7 +63,7 @@ from cdalg.linalg import (
     unit_vector,
     vec,
 )
-from cdalg.kernel import scaled_tensor
+from cdalg.kernel import product_table, scaled_tensor
 from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
@@ -691,6 +693,62 @@ def generated_subalgebra(algebra: Algebra, gens, include_unit: bool = True) -> M
         if len(grown) == len(span):
             return span
         span = grown
+
+
+def generated_subalgebra_rounds(algebra: Algebra, gens, include_unit: bool = True) -> Subspace:
+    """The closure one candidate at a time over Z: each round re-eliminates
+    the echelon rows together with all k^2 of their products, read off the
+    integer tensor, until the rank stops growing or reaches dim(A)."""
+    seed = [g.coords for g in gens] + ([algebra.one().coords] if include_unit else [])
+    span = Subspace(seed, algebra.dim)
+    while span.dim < algebra.dim:
+        basis = span.rows
+        table, _ = product_table(algebra, basis, basis)
+        grown = Subspace(list(basis) + table.reshape(-1, algebra.dim).tolist(), algebra.dim)
+        if grown.dim == span.dim:
+            break
+        span = grown
+    return span
+
+
+def subalgebra_census(algebra: Algebra, dims_of_interest, budget: int = 100, seed: int = 0,
+                      extra_generator_sets=()) -> CensusReport:
+    """The census closing one candidate after another with
+    :func:`generated_subalgebra_rounds`, in the candidate order and with the
+    early exit of the pair loop."""
+    realized: dict = {}
+
+    def record(gens) -> None:
+        for g in gens:
+            if g.dim != algebra.dim:
+                raise DimensionMismatchError("generator does not conform to algebra")
+        if algebra.unit is None:
+            raise NonUnitalError("include_unit requires a unital algebra")
+        d = generated_subalgebra_rounds(algebra, list(gens)).dim
+        if d not in realized:
+            realized[d] = CensusEntry(d, tuple(gens))
+
+    for gens in extra_generator_sets:
+        record(gens)
+    record([])
+    n = algebra.dim
+    basis = [algebra.basis_element(i) for i in range(n)]
+    for b in basis:
+        record([b])
+    for i in range(n):
+        for j in range(i + 1, n):
+            record([basis[i] + basis[j]])
+            record([basis[i] - basis[j]])
+            if len(realized) >= n:
+                break
+    rng = random.Random(seed)
+    for _ in range(budget):
+        gens = [
+            Element(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        record(gens)
+    return CensusReport(tuple(dims_of_interest), realized)
 
 
 # ---------------------------------------------------------------------------

@@ -313,9 +313,10 @@ def test_screen_just_under_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("p", [UNDER, SCREEN_PRIME, 3])
 def test_nonsingular_mod(p):
-    """The batched elimination alone, on residues of L_x below p."""
+    """The batched elimination alone, on residues of L_x below p: a matrix
+    is nonsingular when all of its rows are kept."""
     tables, rows = bound_cases()
     stack = [[[v % p for v in row] for row in zip(*left_mul_ints(constants, x))]
              for constants in tables for x in rows]
-    got = kernel._nonsingular_mod(np.array(stack, dtype=np.int64), p).tolist()
-    assert got == [det_mod(m, p) != 0 for m in stack]
+    kept = kernel._row_basis_mod(np.array(stack, dtype=np.int64), p)
+    assert kept.all(axis=1).tolist() == [det_mod(m, p) != 0 for m in stack]

@@ -83,7 +83,7 @@ def test_classify3_params(capsys):
     code, out, _ = run_cli(capsys, "classify3", "--params", "3/2", "2")
     assert code == 0
     data = json.loads(out)
-    assert data["t"] == "3/2" and data["s"] == "2"
+    assert data["t"] == "3/2" and data["s"] == "2" and data["s_squared"] == "4"
 
 
 def test_classify4_flags(capsys):

@@ -263,26 +263,40 @@ def test_generated_subalgebra_matches_round_based_closure(name):
 
 
 def test_generated_subalgebra_stops_at_the_whole_algebra(monkeypatch, twisted_octonions):
-    """Once the span is the whole algebra no further products are taken:
-    every product table the closure asks for is of a proper subspace."""
-    import cdalg.kernel
+    """Once the span is the whole algebra no further products are taken.
+    Modulo p, every round runs on spans whose annihilator is not zero; in
+    the exact loop, every product table the closure asks for is of a
+    proper subspace."""
+    import cdalg.kernel as kernel
 
     alg = twisted_octonions.algebra
+    sets = _census_generator_sets(alg, 6, "stop")
+    annihilators = []
+    row_basis = kernel._row_basis_mod
+
+    def recording(m, p, companion=None):
+        if companion is not None:
+            annihilators.append(companion.copy())
+        return row_basis(m, p, companion)
+
+    monkeypatch.setattr(kernel, "_row_basis_mod", recording)
+    spans = [generated_subalgebra(alg, gens) for gens in sets]
+    assert annihilators and all((a != 0).any(axis=(1, 2)).all() for a in annihilators)
+    assert any(span.dim == alg.dim for span in spans)
+
+    monkeypatch.setattr(kernel, "_screen_fits", lambda n, p: False)
     sizes = []
-    product_table = cdalg.kernel.product_table
+    product_table = kernel.product_table
 
     def counting(algebra, rows, cols):
         sizes.append(len(rows))
         return product_table(algebra, rows, cols)
 
-    monkeypatch.setattr(cdalg.kernel, "product_table", counting)
-    full = 0
-    for gens in _census_generator_sets(alg, 6, "stop"):
+    monkeypatch.setattr(kernel, "product_table", counting)
+    for gens, span in zip(sets, spans):
         sizes.clear()
-        span = generated_subalgebra(alg, gens)
+        assert generated_subalgebra(alg, gens) == span
         assert sizes and max(sizes) < alg.dim
-        full += span.dim == alg.dim
-    assert full
 
 
 def test_unit_validation_rejects_fake_unit():

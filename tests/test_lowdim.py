@@ -123,6 +123,17 @@ def test_params_equal_3d():
     assert params_equal_3d(CanonicalForm3(1.0, 2.0), CanonicalForm3(1.0 + 1e-12, 2.0), tol=1e-9)
 
 
+def test_irrational_s_compares_exactly():
+    """z = (1, 1) and z = (1, 1 + 10^-17) give s^2 = 2 and a rational just
+    above it: the same float s, but distinct exact forms."""
+    a = canonical_params_3d(build_raw_3d(1, 1, 1))
+    b = canonical_params_3d(build_raw_3d(1, 1, 1 + F(1, 10**17)))
+    assert a.s == b.s and a.s_squared == 2 and b.s_squared == 2 + F(2, 10**17) + F(1, 10**34)
+    assert not params_equal_3d(a, b)
+    assert params_equal_3d(a, canonical_params_3d(build_raw_3d(-1, -1, 1)))
+    assert params_equal_3d(a, b, tol=1e-9)
+
+
 # -- four dimensions: exact layer ----------------------------------------------
 
 
