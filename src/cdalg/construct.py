@@ -5,7 +5,29 @@
 Basis ordering of the double: first the n vectors (b_i, 0), then the n
 vectors (0, b_i); the distinguished vector (0, 1) therefore sits at index n.
 The tower over the reals yields the classical algebras R, C, H, O, S, ...
-whose printed tables the verification suite checks entry for entry.
+(in its standard basis e_p e_q = +-e_{p xor q}) whose printed tables the
+verification suite checks entry for entry.
+
+Nothing here multiplies elements.  With b_i b_j = sum_k C[i, j, k] b_k / D
+(:func:`cdalg.kernel.scaled_tensor`), b_j* = sum_k S[k, j] b_k / s,
+M[i, j] = b_i b_j* = (C x_2 S)[i, j] and N[i, j] = b_i* b_j =
+(S x_1 C)[i, j], the double over D s is four blocks: (b_i, 0)(b_j, 0) =
+(s C[i, j], 0), (b_i, 0)(0, b_j) = (0, s C[j, i]), (0, b_i)(b_j, 0) =
+(0, M[i, j]) and (0, b_i)(0, b_j) = (-N[j, i], 0).
+
+The involution laws are contractions of the same tensors.
+(b_i b_j)* = b_j* b_i* is one tensor identity.  x + x* and x x* = x* x
+scalar on the basis vectors and their pairwise sums need only the basis:
+
+- x + x* is linear in x;
+- where x + x* = t is scalar, x x* = t x - x^2 = x* x;
+- once x + x* = t(x) everywhere, t(1) = 2, and for t(u) = t(v) = 0,
+  t(uv) - uv = (uv)* = vu, so v^2 is scalar and so is
+  (a + v)(a + v)* = a^2 - v^2: no pairwise sum can fail.
+
+So the basis vectors are checked in order, the trace law before
+M[i, i] scalar, which gives the verdict and message of the loop over basis
+vectors and pairwise sums.
 """
 
 from __future__ import annotations
@@ -15,6 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from . import tables
 from .core import Algebra, Element
 from .errors import (
@@ -23,18 +47,8 @@ from .errors import (
     NonUnitalError,
     UnknownAlgebraError,
 )
-from .kernel import product_table
-from .linalg import (
-    F0,
-    F1,
-    Matrix,
-    Subspace,
-    identity,
-    mat,
-    mat_mul,
-    mat_vec,
-    unit_vector,
-)
+from .kernel import INT64_LIMIT, _common_scale, _exact, product_table, scaled_tensor
+from .linalg import F0, F1, Matrix, Subspace, identity, mat, mat_vec, unit_vector
 
 
 class Grading:
@@ -132,12 +146,13 @@ class Grading:
 class InvolutiveAlgebra:
     """An algebra with a linear involution * satisfying (ab)* = b* a*.
 
-    On construction the involution laws are checked exactly, together with
-    the doubling prerequisites: x + x* and x x* = x* x are scalar multiples
-    of 1 for basis vectors and their pairwise sums.
+    On construction the involution laws are checked exactly (see the
+    module docstring), together with the doubling prerequisites: x + x* and
+    x x* = x* x are scalar multiples of 1 for basis vectors and their
+    pairwise sums.
     """
 
-    __slots__ = ("algebra", "star", "_star_cols")
+    __slots__ = ("algebra", "star")
 
     def __init__(self, algebra: Algebra, star: Sequence[Sequence]):
         if algebra.unit is None:
@@ -147,99 +162,80 @@ class InvolutiveAlgebra:
         n = algebra.dim
         if len(self.star) != n or any(len(r) != n for r in self.star):
             raise DimensionMismatchError("star matrix has wrong shape")
-        self._star_cols = tuple(
-            tuple((k, self.star[k][j]) for k in range(n) if self.star[k][j] != 0)
-            for j in range(n)
-        )
-        if mat_mul(self.star, self.star) != identity(n):
+        c, s, scale, nn = _star_products(algebra, self.star)
+        eye = np.identity(n, dtype=s.dtype) * scale
+        if (s @ s != eye * scale).any():  # S S = s^2 I
             raise ValueError("star is not an involution")
-        for i in range(n):
-            bi_star = self.apply(algebra.basis_element(i))
-            for j in range(n):
-                lhs = self.apply(algebra.table_entry(i, j))
-                rhs = algebra.multiply(self.apply(algebra.basis_element(j)), bi_star)
-                if lhs.coords != rhs.coords:
-                    raise ValueError(f"(b_{i} b_{j})* != b_{j}* b_{i}*")
-        unit = algebra.unit
-        candidates = [algebra.basis_element(i) for i in range(n)]
-        candidates += [
-            algebra.basis_element(i) + algebra.basis_element(j)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        for x in candidates:
-            xs = self.apply(x)
-            if not _is_scalar(x + xs, unit):
-                raise ValueError("x + x* is not scalar")
-            xxs = algebra.multiply(x, xs)
-            sxx = algebra.multiply(xs, x)
-            if xxs.coords != sxx.coords or not _is_scalar(xxs, unit):
-                raise ValueError("x x* is not a central scalar")
+        # (b_i b_j)* = sum_l C[i, j, l] b_l* over D s, and
+        # b_j* b_i* = sum_b S[b, i] N[j, b] over D s^2.
+        bad = (c @ s.T * scale != (s.T @ nn).transpose(1, 0, 2)).any(axis=2)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"(b_{i} b_{j})* != b_{j}* b_{i}*")
+        imaginary = np.arange(n) != algebra.unit
+        trace_bad = (eye + s)[imaginary].any(axis=0)  # column i: b_i + b_i* over s
+        norm_bad = (s.T[:, None] @ c)[:, 0, imaginary].any(axis=1)  # b_i b_i* over D s
+        bad = np.flatnonzero(trace_bad | norm_bad)
+        if bad.size:
+            raise ValueError("x + x* is not scalar" if trace_bad[bad[0]]
+                             else "x x* is not a central scalar")
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
     def apply(self, x: Element) -> Element:
-        out = [F0] * self.algebra.dim
-        for j, xj in enumerate(x.coords):
-            if xj:
-                for k, c in self._star_cols[j]:
-                    out[k] += c * xj
-        return Element(tuple(out))
+        return Element(mat_vec(self.star, x.coords))
 
 
-def _is_scalar(x: Element, unit: int) -> bool:
-    return all(c == 0 for i, c in enumerate(x.coords) if i != unit)
+def _star_products(algebra: Algebra, star: Matrix) -> tuple:
+    """``(C, S, s, N)`` as in the module docstring.
+
+    The law checks and the doubling build only sums of at most n^2
+    products of two star entries (or s) and a constant, below
+    2 n^2 max(|S|, s)^2 max(|C|, 1): ``int64`` when that is below 2^63,
+    Python ints past it.
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    ints, scale = _common_scale([x for row in star for x in row])
+    fits = 2 * n * n * max(max(map(abs, ints)), scale) ** 2 * max(st.max_abs, 1) < INT64_LIMIT
+    c = st.array(fits)
+    s = _exact(ints, (n, n), fits)
+    return c, s, scale, np.tensordot(s, c, axes=(0, 0))
 
 
 def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:
     """Double an involutive algebra; the result has dimension 2n."""
     inner = b.algebra
     n = inner.dim
-    m = 2 * n
-
-    def pair_labels() -> tuple[str, ...] | None:
-        if n == 1:
-            return ("1", "e1")
-        if inner.labels is None:
-            return None
-        if all(lab == "1" or lab.startswith("e") for lab in inner.labels):
-            return tuple(["1"] + [f"e{i}" for i in range(1, m)])
-        return None
-
-    star_in = b.star
-    constants = [[[F0] * m for _ in range(m)] for _ in range(m)]
-
-    def emb_first(v) -> list[Fraction]:
-        return list(v) + [F0] * n
-
-    def emb_second(v) -> list[Fraction]:
-        return [F0] * n + list(v)
-
-    for i in range(n):
-        ei = inner.basis_element(i)
-        ei_star = Element(mat_vec(star_in, ei.coords))
-        for j in range(n):
-            ej = inner.basis_element(j)
-            ej_star = Element(mat_vec(star_in, ej.coords))
-            # (x_i, 0)(x_j, 0) = (x_i x_j, 0)
-            constants[i][j] = emb_first(inner.multiply(ei, ej).coords)
-            # (x_i, 0)(0, x_j) = (0, x_j x_i)
-            constants[i][n + j] = emb_second(inner.multiply(ej, ei).coords)
-            # (0, x_i)(x_j, 0) = (0, x_i x_j*)
-            constants[n + i][j] = emb_second(inner.multiply(ei, ej_star).coords)
-            # (0, x_i)(0, x_j) = (-x_j* x_i, 0)
-            constants[n + i][n + j] = emb_first(
-                (-inner.multiply(ej_star, ei)).coords
-            )
-    doubled = Algebra(constants, unit=inner.unit, labels=pair_labels())
-    star = [[F0] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            star[i][j] = star_in[i][j]
-        star[n + i][n + i] = -F1
+    labels = None
+    if n == 1 or inner.labels is not None and all(
+        lab == "1" or lab.startswith("e") for lab in inner.labels
+    ):
+        labels = ("1",) + tuple(f"e{i}" for i in range(1, 2 * n))
+    doubled = Algebra(_doubled_constants(b), unit=inner.unit, labels=labels)
+    star = [list(row) + [F0] * n for row in b.star]
+    star += [[F0] * (n + i) + [-F1] + [F0] * (n - 1 - i) for i in range(n)]
     return InvolutiveAlgebra(doubled, star)
+
+
+def _doubled_constants(b: InvolutiveAlgebra) -> list:
+    """The structure constants of the double: the four blocks of the module
+    docstring, with one ``Fraction`` per distinct nonzero value."""
+    n, m = b.dim, 2 * b.dim
+    c, s, scale, nn = _star_products(b.algebra, b.star)
+    doubled = np.zeros((m, m, m), dtype=c.dtype)
+    doubled[:n, :n, :n] = c * scale
+    doubled[:n, n:, n:] = c.transpose(1, 0, 2) * scale
+    doubled[n:, :n, n:] = np.tensordot(c, s, axes=(1, 0)).transpose(0, 2, 1)
+    doubled[n:, n:, :n] = -nn.transpose(1, 0, 2)
+    index = np.flatnonzero(doubled)
+    values, where = np.unique(doubled.reshape(-1)[index], return_inverse=True)
+    den = scaled_tensor(b.algebra).den * scale
+    constants = np.full(m**3, F0, dtype=object)
+    constants[index] = np.array([Fraction(x, den) for x in values.tolist()], dtype=object)[where]
+    return constants.reshape(m, m, m).tolist()
 
 
 def natural_grading(level_dim: int) -> Grading:

@@ -25,7 +25,10 @@ homomorphism check are also kept on exact integers, never reduced modulo
 primes, as the oracle of the multi-prime zero tests.  Two bounded
 searches the library no longer runs stay here as oracles: the candidate
 list for a "not quadratic" witness and the box search for a rational
-isotropic vector of a 3x3 symmetric form.  They are slow by design.
+isotropic vector of a 3x3 symmetric form.  The Cayley-Dickson doubling
+and the involution laws are kept as the loops over basis pairs and
+candidate elements that multiplied ``Element``s one product at a time.
+They are slow by design.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from cdalg.linalg import (
     Matrix,
     Subspace,
     identity,
+    mat,
     mat_mul,
     mat_vec,
     nonpositive_direction,
@@ -1005,3 +1009,81 @@ def rational_isotropic(P) -> tuple | None:
                 if sum(z[i] * M[i][j] * z[j] for i in range(3) for j in range(3)) == 0:
                     return tuple(Fraction(x) for x in z)
     return None
+
+
+def _is_scalar(x: Element, unit: int) -> bool:
+    return all(c == 0 for i, c in enumerate(x.coords) if i != unit)
+
+
+def involution_laws(algebra: Algebra, star) -> Matrix:
+    """The star as a matrix, after the involution laws and the doubling
+    prerequisites hold: (b_i b_j)* = b_j* b_i* pair by pair, then
+    x + x* and x x* = x* x scalar over the basis and its pairwise sums."""
+    if algebra.unit is None:
+        raise NonUnitalError("involutive algebras must be unital")
+    star = mat(star)
+    n = algebra.dim
+    if len(star) != n or any(len(r) != n for r in star):
+        raise DimensionMismatchError("star matrix has wrong shape")
+    if mat_mul(star, star) != identity(n):
+        raise ValueError("star is not an involution")
+
+    def apply(x: Element) -> Element:
+        return Element(mat_vec(star, x.coords))
+
+    for i in range(n):
+        bi_star = apply(algebra.basis_element(i))
+        for j in range(n):
+            lhs = apply(algebra.table_entry(i, j))
+            rhs = algebra.multiply(apply(algebra.basis_element(j)), bi_star)
+            if lhs.coords != rhs.coords:
+                raise ValueError(f"(b_{i} b_{j})* != b_{j}* b_{i}*")
+    unit = algebra.unit
+    for x in pair_family([algebra.basis_element(i) for i in range(n)]):
+        xs = apply(x)
+        if not _is_scalar(x + xs, unit):
+            raise ValueError("x + x* is not scalar")
+        xxs = algebra.multiply(x, xs)
+        if xxs.coords != algebra.multiply(xs, x).coords or not _is_scalar(xxs, unit):
+            raise ValueError("x x* is not a central scalar")
+    return star
+
+
+def cayley_dickson(algebra: Algebra, star) -> tuple[Algebra, Matrix]:
+    """The double of (algebra, star) and its star, (a, b)(c, d) =
+    (ac - d*b, da + bc*), one product of basis vectors at a time."""
+    star = involution_laws(algebra, star)
+    n = algebra.dim
+    m = 2 * n
+    labels = None
+    if n == 1:
+        labels = ("1", "e1")
+    elif algebra.labels is not None and all(
+        lab == "1" or lab.startswith("e") for lab in algebra.labels
+    ):
+        labels = tuple(["1"] + [f"e{i}" for i in range(1, m)])
+    constants = [[[F0] * m for _ in range(m)] for _ in range(m)]
+    zeros = [F0] * n
+    for i in range(n):
+        ei = algebra.basis_element(i)
+        for j in range(n):
+            ej = algebra.basis_element(j)
+            ej_star = Element(mat_vec(star, ej.coords))
+            constants[i][j] = list(algebra.multiply(ei, ej).coords) + zeros
+            constants[i][n + j] = zeros + list(algebra.multiply(ej, ei).coords)
+            constants[n + i][j] = zeros + list(algebra.multiply(ei, ej_star).coords)
+            constants[n + i][n + j] = list((-algebra.multiply(ej_star, ei)).coords) + zeros
+    doubled = Algebra(constants, unit=algebra.unit, labels=labels)
+    doubled_star = [[F0] * m for _ in range(m)]
+    for i in range(n):
+        doubled_star[i][:n] = star[i]
+        doubled_star[n + i][n + i] = -F1
+    return doubled, involution_laws(doubled, doubled_star)
+
+
+def cayley_dickson_tower(levels: int) -> list[tuple[Algebra, Matrix]]:
+    """(algebra, star) for the doubling tower over the reals, dims 1..2**levels."""
+    tower = [(Algebra([[[F1]]], unit=0, labels=("1",)), identity(1))]
+    for _ in range(levels):
+        tower.append(cayley_dickson(*tower[-1]))
+    return tower

@@ -351,6 +351,21 @@ def test_sedenion_pair_family_annihilators(sedenions):
     assert 4 in dims
 
 
+def test_dim_64_paired_basis_annihilators_have_dimension_a_multiple_of_4():
+    """AC12's dim-32 observation one level up: a seeded sample of 200
+    annihilators of b_i + b_j and b_i - b_j in A6."""
+    alg = named_algebra("A6").algebra
+    rng = random.Random(64)
+    dims = set()
+    for _ in range(200):
+        i, j = rng.sample(range(1, 64), 2)
+        x = alg.basis_element(i) + alg.basis_element(j).scale(rng.choice((1, -1)))
+        d = annihilator(alg, x).dim
+        assert d % 4 == 0, (i, j, d)
+        dims.add(d)
+    assert max(dims) > 0
+
+
 def test_homogeneous_elements_never_annihilate(sedenions, twisted_octonions, twisted_sedenions):
     for bundle in (sedenions, twisted_octonions, twisted_sedenions):
         alg = bundle.algebra

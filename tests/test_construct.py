@@ -7,8 +7,10 @@ import pytest
 
 from cdalg import (
     Algebra,
+    DimensionMismatchError,
     Grading,
     InvalidGradingError,
+    NonUnitalError,
     UnknownAlgebraError,
     cayley_dickson,
     cayley_dickson_tower,
@@ -16,7 +18,9 @@ from cdalg import (
     named_algebra,
     natural_grading,
 )
-from cdalg.construct import InvolutiveAlgebra
+from cdalg.construct import InvolutiveAlgebra, _star_products
+from cdalg.core import change_of_basis
+from cdalg.linalg import mat_inv, mat_mul, transpose
 from cdalg.tables import (
     OCTONION_TABLE,
     SEDENION_TABLE,
@@ -222,6 +226,180 @@ def test_cayley_dickson_rejects_broken_involution(complexes):
     not_an_involution = ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(ValueError):
         InvolutiveAlgebra(alg, not_an_involution)
+
+
+@pytest.fixture(scope="module")
+def reference_tower():
+    return ref.cayley_dickson_tower(5)
+
+
+def _same_involutive_algebra(inv: InvolutiveAlgebra, want) -> None:
+    algebra, star = want
+    got = inv.algebra
+    assert got.constants == algebra.constants
+    assert got._nonzero == algebra._nonzero
+    assert got.labels == algebra.labels
+    assert got.unit == algebra.unit
+    assert inv.star == star
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_tower_matches_element_loop(reference_tower, level):
+    """R .. A5: constants, nonzero cells, labels, unit and star as the
+    doubling that multiplies basis vectors one pair at a time builds them."""
+    _same_involutive_algebra(cayley_dickson_tower(level)[level], reference_tower[level])
+
+
+def test_dim_64_level_follows_the_index_rule():
+    """A6 against the closed form e_p e_q = +-e_{p xor q} of the standard basis."""
+    inv = cayley_dickson_tower(6)[6]
+    cells = inv.algebra._nonzero
+    for p in range(64):
+        for q in range(64):
+            ((k, c),) = cells[p][q]
+            assert k == p ^ q and abs(c) == 1
+    assert inv.algebra.labels == tuple(["1"] + [f"e{i}" for i in range(1, 64)])
+    assert inv.star == tuple(
+        tuple(F(1 if i == j == 0 else -1 if i == j else 0) for j in range(64)) for i in range(64)
+    )
+
+
+def _transported(algebra, star, rows, unit):
+    """The algebra in the basis ``rows`` (the unit at ``unit``) and its star
+    transported there: y* = P^-T S P^T y for P the matrix of the rows."""
+    transported = change_of_basis(algebra, rows, unit_index=unit)
+    return transported, mat_mul(transpose(mat_inv(rows)), mat_mul(star, transpose(rows)))
+
+
+@pytest.mark.parametrize("name, den", [("H", 4), ("O", 4), ("H", 2**62)])
+def test_doubling_with_a_dense_rational_star(name, den):
+    """The same contractions double an algebra whose star is neither
+    diagonal nor integral: H and O in a random rational basis, and H in a
+    basis whose denominators put the contractions past int64."""
+    bundle = named_algebra(name)
+    n = bundle.algebra.dim
+    rng = random.Random(n)
+    while True:
+        rows = [[F(1)] + [F(0)] * (n - 1)]
+        rows += [[F(rng.randint(-3, 3), den - rng.randint(0, 3)) for _ in range(n)]
+                 for _ in range(n - 1)]
+        try:
+            mat_inv(rows)
+            break
+        except ValueError:
+            continue
+    algebra, star = _transported(bundle.algebra, bundle.star, rows, 0)
+    assert any(x.denominator != 1 for row in star for x in row)
+    assert any(star[i][j] for i in range(n) for j in range(n) if i != j)
+    assert (_star_products(algebra, star)[0].dtype == object) == (den > 4)
+    doubled = cayley_dickson(InvolutiveAlgebra(algebra, star))
+    _same_involutive_algebra(doubled, ref.cayley_dickson(algebra, star))
+
+
+def _three_points_with_swap():
+    """R x R x R in the basis v = (2, 0, 1), 1, (1, 0, 0), with the star
+    that swaps the first two factors.  The swap is an involutive
+    automorphism of a commutative algebra; v + v* = 2 is scalar but
+    v v* = (0, 0, 1) is not."""
+    points = [[[F(int(i == j == k)) for k in range(3)] for j in range(3)] for i in range(3)]
+    rows = [[F(2), F(0), F(1)], [F(1), F(1), F(1)], [F(1), F(0), F(0)]]
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    return _transported(Algebra(points), swap, rows, 1)
+
+
+def _random_involutive_candidate(rng):
+    """A commutative or noncommutative algebra in a random rational basis
+    (the unit at a random place) with the transport of an involutive
+    (anti-)automorphism: R^k with an involutive permutation of its points,
+    or 2x2 matrices with the transpose or the adjugate."""
+    if rng.random() < 0.5:
+        k = rng.randint(2, 4)
+        c = [[[F(int(i == j == l)) for l in range(k)] for j in range(k)] for i in range(k)]
+        perm = list(range(k))
+        for _ in range(rng.randint(0, k // 2)):
+            a, b = rng.sample(range(k), 2)
+            perm[a], perm[b] = perm[b], perm[a]
+        if any(perm[perm[i]] != i for i in range(k)):
+            perm = list(range(k))
+        star = tuple(tuple(F(int(perm[j] == i)) for j in range(k)) for i in range(k))
+        one = [F(1)] * k
+    else:
+        k = 4  # E_ab at index 2a + b, E_ab E_cd = delta_bc E_ad
+        c = [[[F(int(i % 2 == j // 2 and l == 2 * (i // 2) + j % 2)) for l in range(4)]
+              for j in range(4)] for i in range(4)]
+        if rng.random() < 0.5:  # transpose
+            star = tuple(tuple(F(int(i == [0, 2, 1, 3][j])) for j in range(4)) for i in range(4))
+        else:  # adjugate: E11 <-> E22, E12 -> -E12, E21 -> -E21
+            star = ((0, 0, 0, 1), (0, -1, 0, 0), (0, 0, -1, 0), (1, 0, 0, 0))
+        one = [F(1), F(0), F(0), F(1)]
+    unit = rng.randrange(k)
+    while True:
+        rows = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
+        if unit and rng.random() < 0.5:
+            # b_0 = a + w - w*, on which the trace law holds.
+            w, a = rows[0], rng.randint(-2, 2)
+            rows[0] = [a * o + x - sum(s * y for s, y in zip(r, w))
+                       for o, x, r in zip(one, w, star)]
+        rows[unit] = one
+        try:
+            mat_inv(rows)
+            break
+        except ValueError:
+            continue
+    return _transported(Algebra(c), star, rows, unit)
+
+
+def test_involution_law_errors_on_random_inputs():
+    """Which law fails first, and on which candidate, depends on the basis;
+    the verdict and message match the loop over basis vectors and pairwise
+    sums."""
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(200):
+        algebra, star = _random_involutive_candidate(rng)
+        messages = []
+        for check in (InvolutiveAlgebra, ref.involution_laws):
+            try:
+                check(algebra, star)
+                messages.append(None)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1]
+        outcomes.add(messages[0])
+    assert outcomes == {None, "x + x* is not scalar", "x x* is not a central scalar"}
+
+
+def _involution_inputs():
+    h, c = named_algebra("H").algebra, named_algebra("C").algebra
+    return {
+        "wrong shape": (h, tuple(row[:3] for row in named_algebra("H").star[:3]),
+                        DimensionMismatchError, "star matrix has wrong shape"),
+        "non-unital": (Algebra([[[F(0)]]]), ((F(1),),),
+                       NonUnitalError, "involutive algebras must be unital"),
+        "not an anti-automorphism": (h, tuple(tuple(F(int(i == j)) for j in range(4))
+                                              for i in range(4)),
+                                     ValueError, "(b_1 b_2)* != b_2* b_1*"),
+        "trace not scalar": (c, ((F(1), F(0)), (F(0), F(1))),
+                             ValueError, "x + x* is not scalar"),
+        "norm not scalar": (*_three_points_with_swap(),
+                            ValueError, "x x* is not a central scalar"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_involution_inputs()))
+def test_involution_law_errors(case):
+    """Each law's error, as the candidate loop raises it.  Identity on C
+    breaks only the trace law.  The norm law follows from the other two
+    (x* = t(x) - x, and uv + vu is scalar on the kernel of t), so an input
+    that breaks it also breaks the trace law on a later basis vector, and
+    the norm error comes first because b_0 is checked first."""
+    algebra, star, kind, message = _involution_inputs()[case]
+    with pytest.raises(kind) as got:
+        InvolutiveAlgebra(algebra, star)
+    assert str(got.value) == message
+    with pytest.raises(kind) as want:
+        ref.involution_laws(algebra, star)
+    assert str(want.value) == message
 
 
 def test_label_propagation():
