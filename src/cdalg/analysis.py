@@ -392,7 +392,7 @@ def _induced_algebra(algebra: Algebra, rows: Sequence[Vector]) -> Algebra:
 
     The first row must be the unit of the ambient algebra.
     """
-    return Algebra(table_in_rows(algebra, rows), unit=0)
+    return Algebra._of_table(table_in_rows(algebra, rows), 0)
 
 
 def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Vector]:

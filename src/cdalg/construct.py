@@ -33,7 +33,6 @@ vectors and pairwise sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -47,7 +46,7 @@ from .errors import (
     NonUnitalError,
     UnknownAlgebraError,
 )
-from .kernel import INT64_LIMIT, _common_scale, _exact, product_table, scaled_tensor
+from .kernel import INT64_LIMIT, ScaledTensor, _common_scale, _exact, product_table, scaled_tensor
 from .linalg import F0, F1, Matrix, Subspace, identity, mat, mat_vec, unit_vector
 
 
@@ -113,14 +112,14 @@ class Grading:
         if partition is not None:
             # Basis-aligned grading: closure reduces to index bookkeeping
             # over the nonzero constants.
-            odd = set(partition[1])
-            part_of = [i in odd for i in range(n)]
-            for i, row in enumerate(algebra._nonzero):
-                for j, cell in enumerate(row):
-                    want = part_of[i] ^ part_of[j]
-                    for k, _ in cell:
-                        if part_of[k] != want:
-                            raise InvalidGradingError(f"product b_{i} b_{j} escapes its part")
+            odd = np.zeros(n, dtype=bool)
+            odd[partition[1]] = True
+            # [i, j, k]: C[i, j, k] != 0 though b_k lies outside the part of b_i b_j.
+            escapes = (scaled_tensor(algebra).c != 0) & (odd != (odd[:, None] ^ odd)[:, :, None])
+            bad = np.flatnonzero(escapes.any(axis=2))
+            if bad.size:
+                i, j = divmod(int(bad[0]), n)
+                raise InvalidGradingError(f"product b_{i} b_{j} escapes its part")
             return
         parts = (self.even, self.odd)
         for gi in (0, 1):
@@ -214,15 +213,14 @@ def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:
         lab == "1" or lab.startswith("e") for lab in inner.labels
     ):
         labels = ("1",) + tuple(f"e{i}" for i in range(1, 2 * n))
-    doubled = Algebra(_doubled_constants(b), unit=inner.unit, labels=labels)
+    doubled = Algebra._of_table(_doubled_table(b), inner.unit, labels)
     star = [list(row) + [F0] * n for row in b.star]
     star += [[F0] * (n + i) + [-F1] + [F0] * (n - 1 - i) for i in range(n)]
     return InvolutiveAlgebra(doubled, star)
 
 
-def _doubled_constants(b: InvolutiveAlgebra) -> list:
-    """The structure constants of the double: the four blocks of the module
-    docstring, with one ``Fraction`` per distinct nonzero value."""
+def _doubled_table(b: InvolutiveAlgebra) -> ScaledTensor:
+    """The table of the double: the four blocks of the module docstring."""
     n, m = b.dim, 2 * b.dim
     c, s, scale, nn = _star_products(b.algebra, b.star)
     doubled = np.zeros((m, m, m), dtype=c.dtype)
@@ -230,12 +228,7 @@ def _doubled_constants(b: InvolutiveAlgebra) -> list:
     doubled[:n, n:, n:] = c.transpose(1, 0, 2) * scale
     doubled[n:, :n, n:] = np.tensordot(c, s, axes=(1, 0)).transpose(0, 2, 1)
     doubled[n:, n:, :n] = -nn.transpose(1, 0, 2)
-    index = np.flatnonzero(doubled)
-    values, where = np.unique(doubled.reshape(-1)[index], return_inverse=True)
-    den = scaled_tensor(b.algebra).den * scale
-    constants = np.full(m**3, F0, dtype=object)
-    constants[index] = np.array([Fraction(x, den) for x in values.tolist()], dtype=object)[where]
-    return constants.reshape(m, m, m).tolist()
+    return ScaledTensor(doubled, scaled_tensor(b.algebra).den * scale)
 
 
 def natural_grading(level_dim: int) -> Grading:

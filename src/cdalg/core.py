@@ -1,9 +1,14 @@
 """Structure-constant algebras over exact rationals.
 
-An algebra is a dimension, a dense rank-3 tensor c[i][j][k] with
-b_i * b_j = sum_k c[i][j][k] b_k, and optionally the index of a basis vector
-acting as the unit.  Elements are exact rational coordinate vectors.  All
-values are immutable after construction and safe to share across threads.
+An algebra is a dimension, one table -- an integer tensor C over one
+denominator D with b_i * b_j = sum_k C[i, j, k] b_k / D
+(:class:`cdalg.kernel.ScaledTensor`) -- and optionally the index of a basis
+vector acting as the unit.  The public constructor scales rationals once;
+producers that hold integers (the doubling, the change of basis, the file
+reader) hand them over.  ``constants``, the ``Fraction``s C / D, is a
+read-only view derived on first access.  Elements are exact rational
+coordinate vectors.  All values are immutable after construction and safe
+to share across threads.
 
 ``change_of_basis`` does not multiply elements: the new constants are the
 product table of the basis rows transported into their own basis, read off
@@ -14,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatchError, NonUnitalError
+from .kernel import ScaledTensor, closure_span, table_in_rows
 from .linalg import (
     F0,
-    F1,
     Subspace,
     Vector,
     is_zero_vec,
@@ -74,7 +82,7 @@ class Element:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_nonzero", "_scaled", "_lc")
+    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_lc")
 
     def __init__(
         self,
@@ -82,33 +90,18 @@ class Algebra:
         unit: int | None = None,
         labels: Sequence[str] | None = None,
     ):
-        n = len(constants)
-        tensor = tuple(
-            tuple(vec(constants[i][j]) for j in range(n)) for i in range(n)
-        )
-        for i in range(n):
-            if len(tensor[i]) != n or any(len(tensor[i][j]) != n for j in range(n)):
-                raise DimensionMismatchError("structure tensor is not n x n x n")
-        # Per-pair nonzero entries; iteration stays cheap for the sparse
-        # tables of the doubling construction while storage remains dense.
-        nonzero = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-            for row in tensor
-        )
-        self._init(tensor, nonzero, unit, labels)
+        self._init(ScaledTensor.of_rationals(constants), unit, labels)
 
     @classmethod
-    def _from_cells(cls, tensor, nonzero, unit, labels) -> "Algebra":
-        """From n x n x n ``Fraction`` tuples and each cell's nonzero entries,
-        as the file reader builds them; only labels and the unit are checked."""
+    def _of_table(cls, table: ScaledTensor, unit: int | None = None,
+                  labels: Sequence[str] | None = None) -> "Algebra":
+        """From a table whose producer already holds integers."""
         algebra = cls.__new__(cls)
-        algebra._init(tensor, nonzero, unit, labels)
+        algebra._init(table, unit, labels)
         return algebra
 
-    def _init(self, tensor, nonzero, unit, labels) -> None:
-        n = len(tensor)
-        self.dim = n
-        self.constants = tensor
+    def _init(self, table: ScaledTensor, unit, labels) -> None:
+        n = self.dim = len(table.c)
         self.unit = unit
         if labels is not None:
             if len(labels) != n:
@@ -116,21 +109,32 @@ class Algebra:
             self.labels = tuple(labels)
         else:
             self.labels = None
-        self._nonzero = nonzero
-        # Derived facts, computed on first use: the integer-scaled constants
-        # for the exact kernels and the local-complexity check.
-        self._scaled = None
+        self._scaled = table
+        # Derived on first use: the Fraction view and the local-complexity check.
+        self._constants = None
         self._lc = None
         if unit is not None:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")
-            # 1 * b_i and b_i * 1 are the table entries [unit][i] and [i][unit].
-            for i in range(n):
-                bi = ((i, F1),)
-                if nonzero[unit][i] != bi:
-                    raise ValueError(f"unit axiom fails: 1 * b_{i} != b_{i}")
-                if nonzero[i][unit] != bi:
-                    raise ValueError(f"unit axiom fails: b_{i} * 1 != b_{i}")
+            # 1 * b_i and b_i * 1 are the cells [unit, i] and [i, unit], D b_i scaled.
+            c, one = table.c, np.identity(n, dtype=object) * table.den
+            left, right = (c[unit] != one).any(axis=1), (c[:, unit] != one).any(axis=1)
+            bad = np.flatnonzero(left | right)
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"unit axiom fails: 1 * b_{i} != b_{i}" if left[i]
+                                 else f"unit axiom fails: b_{i} * 1 != b_{i}")
+
+    @property
+    def constants(self) -> tuple:
+        """The constants as n x n x n tuples of ``Fraction``s, a view of the
+        table derived on first access."""
+        if self._constants is None:
+            c, den = self._scaled.c, self._scaled.den
+            frac = {v: Fraction(v, den) for v in set(c.ravel().tolist())}.__getitem__
+            self._constants = tuple(tuple(tuple(map(frac, cell)) for cell in row)
+                                    for row in c.tolist())
+        return self._constants
 
     # -- constructors -------------------------------------------------
 
@@ -166,45 +170,43 @@ class Algebra:
     # -- arithmetic ---------------------------------------------------
 
     def multiply(self, x: Element, y: Element) -> Element:
-        if x.dim != self.dim or y.dim != self.dim:
+        """``x y``: the nonzero coordinates scaled to integers over one
+        denominator each, then Python-int sums over the rows ``C[i]`` with
+        ``x_i != 0`` and their cells ``j`` with ``y_j != 0``."""
+        n = self.dim
+        if x.dim != n or y.dim != n:
             raise DimensionMismatchError("element does not conform to algebra")
-        out = [F0] * self.dim
-        xc, yc = x.coords, y.coords
-        for i in range(self.dim):
-            xi = xc[i]
-            if not xi:
-                continue
-            row = self._nonzero[i]
-            for j in range(self.dim):
-                yj = yc[j]
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, c in row[j]:
-                    out[k] += f * c
-        return Element(tuple(out))
+        xs = [(i, v) for i, v in enumerate(x.coords) if v]
+        ys = [(j, v) for j, v in enumerate(y.coords) if v]
+        sx = lcm(*[v.denominator for _, v in xs])
+        sy = lcm(*[v.denominator for _, v in ys])
+        ys = [(j, v.numerator * (sy // v.denominator)) for j, v in ys]
+        c, out = self._scaled.c, [0] * n
+        for i, v in xs:
+            a, cells = v.numerator * (sx // v.denominator), c[i].tolist()
+            for j, b in ys:
+                f = a * b
+                for k, ck in enumerate(cells[j]):
+                    if ck:
+                        out[k] += f * ck
+        den = sx * sy * self._scaled.den
+        return Element(tuple([Fraction(v, den) if v else F0 for v in out]))
 
     def table_entry(self, i: int, j: int) -> Element:
-        return Element(self.constants[i][j])
+        den = self._scaled.den
+        return Element(tuple([Fraction(v, den) for v in self._scaled.c[i, j].tolist()]))
 
     def is_commutative(self) -> bool:
-        return all(
-            self.constants[i][j] == self.constants[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        c = self._scaled.c
+        return np.array_equal(c, c.transpose(1, 0, 2))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Algebra):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.unit == other.unit
-            and self.constants == other.constants
-        )
+        return self.unit == other.unit and self._scaled == other._scaled
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.unit, self.constants))
+        return hash((self.unit, self._scaled))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, unit={self.unit})"
@@ -277,14 +279,9 @@ def generated_subalgebra(
 
     The closure runs modulo a prime on the integer structure tensor, and a
     dimension below dim(A) is certified over Q or recomputed exactly
-    (:func:`cdalg.kernel.closure_span`).  The kernel is imported here:
-    importing it (and numpy) at the top of this module made `import cdalg`
-    about 10 ms slower on CPython 3.11.
+    (:func:`cdalg.kernel.closure_span`).
     """
-    rows = generator_rows(algebra, gens, include_unit)
-    from .kernel import closure_span
-
-    return closure_span(algebra, rows)
+    return closure_span(algebra, generator_rows(algebra, gens, include_unit))
 
 
 def change_of_basis(algebra: Algebra, basis_rows: Sequence[Sequence[Fraction]],
@@ -301,10 +298,7 @@ def change_of_basis(algebra: Algebra, basis_rows: Sequence[Sequence[Fraction]],
     if len(basis_rows) != n:
         raise DimensionMismatchError("need exactly dim basis vectors")
     m = tuple(vec(r) for r in basis_rows)
-    from .kernel import table_in_rows  # see generated_subalgebra
-
-    constants = table_in_rows(algebra, m)
     if unit_index is None and algebra.unit is not None:
         one = algebra.one().coords
         unit_index = next((k for k, r in enumerate(m) if r == one), None)
-    return Algebra(constants, unit=unit_index, labels=labels)
+    return Algebra._of_table(table_in_rows(algebra, m), unit_index, labels)

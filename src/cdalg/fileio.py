@@ -26,6 +26,7 @@ from typing import Any, Sequence
 from .construct import Grading
 from .core import Algebra, Element
 from .errors import InvalidGradingError, MalformedInputError, NonUnitalError
+from .kernel import ScaledTensor, scaled_tensor
 from .linalg import F0
 
 
@@ -50,38 +51,34 @@ def _fraction_from_json(value: Any, literals: dict[str, Fraction]) -> Fraction:
     return frac
 
 
-def _parse_constants(raw: Sequence[Sequence[Sequence]]) -> tuple[tuple, tuple]:
-    """The cells as tuples of ``Fraction``s and the nonzero ``(k, c)``
-    entries of each, in one row-major pass over a tensor of checked shape.
+def _parse_constants(raw: Sequence[Sequence[Sequence]]) -> list[tuple]:
+    """The nonzero ``(k, c)`` entries of each cell, row-major, in one pass
+    over a tensor of checked shape.
 
-    A cell of string literals seen before is read by lookup and kept under
-    its spelling, so a cell spelled like it is shared (the doubling tables
-    have 2n distinct cells).  Any other cell goes through
+    A cell of string literals seen before is read by lookup under its
+    spelling, so a cell spelled like it is not parsed again (the doubling
+    tables have 2n distinct cells).  Any other cell goes through
     :func:`_fraction_from_json` entry by entry, so its first bad entry
     raises, and is not kept: a key holding an int would also match ``True``.
     Zeros are ``F0``, found by identity.
     """
     literals: dict[str, Fraction] = {"0": F0}
     known: dict[tuple, tuple] = {}
-    tensor, nonzero = [], []
+    cells = []
     for raw_row in raw:
-        row, nonzero_row = [], []
         for raw_cell in raw_row:
             try:
-                cell, cell_nonzero = known[tuple(raw_cell)]
+                cell = known[tuple(raw_cell)]
             except (KeyError, TypeError):  # a new spelling, or an unhashable entry
                 try:
-                    cell, key = tuple(map(literals.__getitem__, raw_cell)), tuple(raw_cell)
+                    values, key = tuple(map(literals.__getitem__, raw_cell)), tuple(raw_cell)
                 except (KeyError, TypeError):  # an unseen literal, or not a string
-                    cell, key = tuple([_fraction_from_json(v, literals) for v in raw_cell]), None
-                cell_nonzero = tuple([(k, c) for k, c in enumerate(cell) if c is not F0])
+                    values, key = [_fraction_from_json(v, literals) for v in raw_cell], None
+                cell = tuple([(k, c) for k, c in enumerate(values) if c is not F0])
                 if key is not None:
-                    known[key] = cell, cell_nonzero
-            row.append(cell)
-            nonzero_row.append(cell_nonzero)
-        tensor.append(tuple(row))
-        nonzero.append(tuple(nonzero_row))
-    return tuple(tensor), tuple(nonzero)
+                    known[key] = cell
+            cells.append(cell)
+    return cells
 
 
 def _index_from_json(value: Any) -> int:
@@ -93,14 +90,13 @@ def _index_from_json(value: Any) -> int:
 def algebra_to_dict(
     algebra: Algebra, grading: Grading | None = None
 ) -> dict[str, Any]:
-    n = algebra.dim
+    table = scaled_tensor(algebra)
+    spell = {v: fraction_to_str(Fraction(v, table.den))
+             for v in set(table.c.ravel().tolist())}.__getitem__
     out: dict[str, Any] = {
-        "dim": n,
+        "dim": algebra.dim,
         "unit": algebra.unit,
-        "constants": [
-            [[fraction_to_str(c) for c in algebra.constants[i][j]] for j in range(n)]
-            for i in range(n)
-        ],
+        "constants": [[list(map(spell, cell)) for cell in row] for row in table.c.tolist()],
     }
     if algebra.labels is not None:
         out["labels"] = list(algebra.labels)
@@ -129,7 +125,7 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
     ):
         raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
-    constants, nonzero = _parse_constants(raw)
+    cells = _parse_constants(raw)
     unit = data.get("unit")
     if unit is not None and (
         not isinstance(unit, int) or isinstance(unit, bool) or not 0 <= unit < n
@@ -141,7 +137,7 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
             raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
     try:
-        algebra = Algebra._from_cells(constants, nonzero, unit, labels)
+        algebra = Algebra._of_table(ScaledTensor.of_cells(n, cells), unit, labels)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     grading = None

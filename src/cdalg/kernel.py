@@ -10,12 +10,13 @@ basis) and the induced algebra of a closed subspace such as the even part
 of a grading; the grading closure check reads the same
 :func:`product_table`.
 
-An algebra's rational structure constants are scaled once, over their common
-denominator ``D``, to an integer tensor ``C`` with
-``b_i b_j = (1/D) sum_k C[i, j, k] b_k``; the result is cached on the
-algebra, which is immutable.  Each check is then a handful of integer
-contractions, and no float dtype appears.  The arithmetic is chosen from a
-worst-case bound on every intermediate, stated where the choice is made:
+An algebra's table is one :class:`ScaledTensor`: an integer tensor ``C``
+over the least common denominator ``D`` of its structure constants, with
+``b_i b_j = (1/D) sum_k C[i, j, k] b_k``, scaled once when the algebra is
+built and held once (``int64`` below 2^63, Python ints past it).  Each
+check is then a handful of integer contractions, and no float dtype
+appears.  The arithmetic is chosen from a worst-case bound on every
+intermediate, stated where the choice is made:
 
 - values that are returned rather than tested for zero are ``int64``
   arrays below 2^63 and hold Python ints (numpy ``object`` dtype) past it;
@@ -58,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InconsistentInputError
-from .linalg import F0, Subspace, _cancel, _echelon, _primitive, mat_inv
+from .linalg import Subspace, _cancel, _echelon, _primitive, mat_inv, vec
 
 INT64_LIMIT = 2**63
 
@@ -74,35 +75,54 @@ def _exact(ints: list[int], shape: tuple[int, ...], fits_int64: bool) -> np.ndar
 
 
 class ScaledTensor:
-    """The integer tensor ``C``, its denominator ``den`` and ``max |C|``."""
+    """An algebra's table: ``b_i b_j = sum_k c[i, j, k] b_k / den``, over the
+    least positive ``den``, so equal tables have equal ``(den, c)``; ``c`` is
+    ``int64`` when ``max_abs = max |c|`` is below 2^63 and holds Python ints
+    (numpy ``object``) otherwise.  Built from an integer tensor and any
+    positive denominator, which are divided by their common factor."""
 
-    __slots__ = ("den", "max_abs", "_ints", "_int64", "_residues")
+    __slots__ = ("c", "den", "max_abs", "_residues")
 
-    def __init__(self, algebra) -> None:
-        n = algebra.dim
-        # Only the nonzero constants are scaled: the named tables are sparse.
-        index, values = [], []
-        for i, row in enumerate(algebra._nonzero):
-            for j, cell in enumerate(row):
-                base = (i * n + j) * n
-                for k, c in cell:
-                    index.append(base + k)
-                    values.append(c)
-        ints, self.den = _common_scale(values)
-        self.max_abs = max(map(abs, ints), default=0)
-        flat = np.zeros(n**3, dtype=object)  # Python int zeros
-        flat[index] = np.array(ints, dtype=object)
-        self._ints = flat.reshape(n, n, n)
-        self._int64 = None
-        self._residues = None  # (primes, C modulo each of them)
+    def __init__(self, c: np.ndarray, den: int) -> None:
+        g = gcd(den, *c[c != 0].tolist())
+        self.den, self.max_abs = den // g, int(abs(c).max(initial=0)) // g
+        dtype = np.int64 if self.max_abs < INT64_LIMIT else object
+        self.c, self._residues = (c // g).astype(dtype, copy=False), None  # (primes, C mod them)
+
+    @classmethod
+    def of_cells(cls, n: int, cells: Sequence[Sequence[tuple[int, Fraction]]]) -> "ScaledTensor":
+        """From the nonzero entries ``(k, c[i][j][k])`` of each cell ``(i, j)``,
+        row-major."""
+        ints, den = _common_scale([c for cell in cells for _, c in cell])
+        flat = np.zeros(n**3, dtype=np.int64 if max(map(abs, ints), default=0) < INT64_LIMIT
+                        else object)
+        flat[[ij * n + k for ij, cell in enumerate(cells) for k, _ in cell]] = ints
+        return cls(flat.reshape(n, n, n), den)
+
+    @classmethod
+    def of_rationals(cls, constants: Sequence[Sequence[Sequence]]) -> "ScaledTensor":
+        """From a dense n x n x n tensor of rationals (anything
+        ``Fraction`` accepts); ``DimensionMismatchError`` unless it has that
+        shape."""
+        n = len(constants)
+        if any(len(row) != n or any(len(cell) != n for cell in row) for row in constants):
+            raise DimensionMismatchError("structure tensor is not n x n x n")
+        flat = vec(x for row in constants for cell in row for x in cell)
+        return cls.of_cells(n, [[(k, x) for k, x in enumerate(flat[p:p + n]) if x]
+                                for p in range(0, n**3, n)])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScaledTensor):
+            return NotImplemented
+        return self.den == other.den and np.array_equal(self.c, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.c.shape, tuple(self.c.ravel().tolist())))
 
     def array(self, fits_int64: bool) -> np.ndarray:
-        """``C`` as int64 (the caller has bounded its intermediates) or as Python ints."""
-        if not fits_int64:
-            return self._ints
-        if self._int64 is None:
-            self._int64 = self._ints.astype(np.int64)
-        return self._int64
+        """``C`` as int64 (the caller has bounded its intermediates) or as
+        Python ints, converted on the spot from int64 when asked for."""
+        return self.c if fits_int64 or self.c.dtype == object else self.c.astype(object)
 
     def residues(self, primes: np.ndarray) -> np.ndarray:
         """``C`` modulo each prime, stacked along a leading axis, as int64.
@@ -115,10 +135,10 @@ class ScaledTensor:
         built is kept, and a prefix of its primes is a slice of it.
         """
         want = primes.tolist()
+        c = self.c
         if self.max_abs < min(want):
-            return self.array(True)[None]
+            return c[None]
         if self._residues is None or self._residues[0][:len(want)] != want:
-            c = self.array(self.max_abs < INT64_LIMIT)
             stack = np.empty((len(want), *c.shape), dtype=np.int64)
             for t, p in enumerate(want):
                 stack[t] = c % p
@@ -133,12 +153,8 @@ class ScaledTensor:
 
 
 def scaled_tensor(algebra) -> ScaledTensor:
-    """The algebra's integer tensor, computed on first use and kept in its
-    ``_scaled`` slot."""
-    st = algebra._scaled
-    if st is None:
-        st = algebra._scaled = ScaledTensor(algebra)
-    return st
+    """The algebra's table, built with it."""
+    return algebra._scaled
 
 
 SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
@@ -599,18 +615,17 @@ def product_table(
     return xy.transpose(0, 2, 1), sx * sy * st.den
 
 
-def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> list[list[list[Fraction]]]:
-    """The structure constants of ``span(rows)`` in the basis ``rows``.
+def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> ScaledTensor:
+    """The table of ``span(rows)`` in the basis ``rows``.
 
-    Entry ``[p][q][m]`` is coordinate ``m`` of ``r_p r_q`` in that basis.
+    Entry ``[p, q, m]`` is coordinate ``m`` of ``r_p r_q`` in that basis.
     Raises ``ValueError("matrix is singular")`` when the rows are dependent
     and :class:`InconsistentInputError` when a product leaves their span.
 
     With the rows scaled to integers ``R`` and ``A`` their columns at the
     pivot columns of an echelon form, ``A`` is invertible, so a product
     ``P`` has the coordinates ``P_A A^-1``; they are exact only when they
-    give back ``P`` in every column, which is checked.  ``Fraction``s are
-    built for the k^3 coordinates alone.
+    give back ``P`` in every column, which is checked.
     """
     k, n = len(rows), algebra.dim
     table, scale = product_table(algebra, rows, rows)  # the products are table / scale
@@ -627,9 +642,7 @@ def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> list[list[list
     num = products[:, :, pivots] @ np.array(inv, dtype=object).reshape(k, k)
     if (num @ np.array(r, dtype=object).reshape(k, n) != products * d).any():
         raise InconsistentInputError("vector is outside the spanned subspace")
-    den = scale * d
-    return [[[Fraction(x * s, den) if x else F0 for x in cell] for cell in row]
-            for row in num.tolist()]
+    return ScaledTensor(num * s, scale * d)
 
 
 def anticommutator_table(

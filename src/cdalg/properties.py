@@ -9,9 +9,10 @@ a concrete counterexample; a "yes" carries a certificate or the
 exhaustively checked family.
 
 The alternativity sweeps and the quadraticity test run on the integer
-kernel of ``cdalg.kernel``: the structure constants are scaled once over
-their common denominator to an integer tensor, and each check is a handful
-of integer array operations; no float is involved.  The quadraticity test
+kernel of ``cdalg.kernel``: an algebra's table is the integer tensor C over
+the common denominator D of its structure constants, scaled when the
+algebra is built, and each check is a handful of integer array operations;
+no float is involved.  The quadraticity test
 is ``int64`` when a stated worst-case bound on every intermediate is below
 2^63 and Python ints otherwise.  The sweep and the middle Moufang cube are
 zero tests with one body over a leading prime axis: past 2^63 their
@@ -22,9 +23,9 @@ then basis rows before pairwise sums, then the basis vector x, left law
 before right), so the witness is the first failing one in that order.
 
 Local complexity is then decided without multiplying in the algebra: the
-traces t_i of the non-unit basis vectors are read off the diagonal of the
-table, the Gram matrix of the norm form on the imaginary part has the closed
-form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
+traces t_i of the non-unit basis vectors are read off the diagonal of
+C / D, the Gram matrix of the norm form on the imaginary part has the
+closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
 rational elimination on it, and the Gram-Schmidt of the certificate runs on
 coefficient vectors against it.  The algebra is immutable, so the check is
 computed once and kept on it.
@@ -33,7 +34,8 @@ Being nicely normed is decided without the certificate vectors as well:
 the products e_i e_j of a normalized basis have no real part exactly when
 no commutator [b_i, b_j] of the original basis has one, where the real part
 of x is x_u + sum_{k != u} x_k t_k / 2.  That is one integer contraction of
-the tensor with the traces (see :func:`is_nicely_normed`).
+the tensor with the traces (see :func:`is_nicely_normed`), and it needs no
+rational normalized basis.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .construct import Grading
 from .core import Algebra, Element
@@ -72,6 +76,7 @@ from .kernel import (
     first_alternativity_defect,
     first_middle_moufang_defect,
     first_quadratic_defect,
+    scaled_tensor,
 )
 from .numth import sqrt_fraction
 
@@ -161,17 +166,16 @@ class LocallyComplexCheck:
 
 def _traces(algebra: Algebra) -> list[tuple[int, Fraction]]:
     """``(i, t_i)`` over the non-unit indices, where ``b_i^2 = t_i b_i - n_i 1``."""
-    u = algebra.unit
+    st, u = scaled_tensor(algebra), algebra.unit
     out = []
-    for i in range(algebra.dim):
+    for i, square in enumerate(st.c[np.arange(algebra.dim), np.arange(algebra.dim)].tolist()):
         if i == u:
             continue
-        square = algebra.constants[i][i]
-        if any(c != 0 for k, c in enumerate(square) if k not in (i, u)):
+        if any(c for k, c in enumerate(square) if k not in (i, u)):
             raise InconsistentInputError(
                 f"basis vector {i} has no quadratic relation; algebra is not quadratic"
             )
-        out.append((i, square[i]))
+        out.append((i, Fraction(square[i], st.den)))
     return out
 
 
@@ -191,15 +195,14 @@ def _imaginary_gram(algebra: Algebra) -> Matrix:
 
     For v_i = b_i - t_i/2 the product v_i v_j + v_j v_i is scalar in a
     quadratic algebra, and its unit coordinate is
-    c_iju + c_jiu + t_i t_j / 2.
+    c_iju + c_jiu + t_i t_j / 2.  With c = C / D and t_i = T_i / D the entry
+    is -(2 D (C_iju + C_jiu) + T_i T_j) / (4 D^2).
     """
-    c, u = algebra.constants, algebra.unit
-    traces = _traces(algebra)
-    g = [[F0] * len(traces) for _ in traces]
-    for p, (i, ti) in enumerate(traces):
-        for q, (j, tj) in enumerate(traces[p:], start=p):
-            g[p][q] = g[q][p] = -((c[i][j][u] + c[j][i][u]) + ti * tj / 2) / 2
-    return tuple(tuple(row) for row in g)
+    st, u = scaled_tensor(algebra), algebra.unit
+    cu, d = st.c[:, :, u].tolist(), st.den
+    ts = [(i, t.numerator * (d // t.denominator)) for i, t in _traces(algebra)]  # (i, T_i)
+    return tuple(tuple(Fraction(-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj), 4 * d * d)
+                       for j, tj in ts) for i, ti in ts)
 
 
 def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[list]:
@@ -422,8 +425,9 @@ def is_nicely_normed(algebra: Algebra) -> bool:
     Equivalent, for finite dimension >= 2, to the products e_i e_j (i != j)
     of a normalized basis 1, e_1, ..., e_{n-1} having no real part; dimension
     1 is nicely normed by convention.  Returns False for algebras that are
-    not locally complex, and raises UnsupportedRationalClassError when there
-    is no rational normalized basis.
+    not locally complex.  A normalized basis exists over the reals whenever
+    the norm form is positive definite, and the verdict does not depend on
+    whether it can be chosen rational.
 
     The test itself needs neither the basis nor a product.  The real part
     sigma is the projection onto R 1 along the imaginary part U, whatever
@@ -438,13 +442,8 @@ def is_nicely_normed(algebra: Algebra) -> bool:
         raise NonUnitalError("nicely normed is defined for unital algebras")
     if algebra.dim == 1:
         return True
-    res = is_locally_complex(algebra)
-    if not res.holds:
+    if not is_locally_complex(algebra).holds:
         return False
-    if res.certificate is None:
-        raise UnsupportedRationalClassError(
-            "cannot test nicely normed without a rational normalized basis"
-        )
     return commutators_are_imaginary(algebra)
 
 
@@ -461,10 +460,11 @@ def is_commutative_jn(algebra: Algebra) -> CommutativeJnCheck:
     res = is_locally_complex(algebra)
     if not res.holds:
         raise NotLocallyComplexError("commutative classification needs local complexity")
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            if algebra.constants[i][j] != algebra.constants[j][i]:
-                return CommutativeJnCheck(False, witness=(i, j))
+    c = scaled_tensor(algebra).c
+    # [i, j]: the cells of b_i b_j and b_j b_i differ, for i < j.
+    bad = np.flatnonzero(np.triu((c != c.transpose(1, 0, 2)).any(axis=2), 1))
+    if bad.size:
+        return CommutativeJnCheck(False, witness=divmod(int(bad[0]), algebra.dim))
     if res.certificate is None:
         raise UnsupportedRationalClassError(
             "commutative, but no rational normalized basis exists"

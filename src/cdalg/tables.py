@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Algebra
+from .kernel import scaled_tensor
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -119,13 +120,12 @@ def signed_table_of(algebra: Algebra) -> tuple[tuple[int, ...], ...]:
     """
     if algebra.unit != 0:
         raise ValueError("expected unit at index 0")
-    n = algebra.dim
+    st = scaled_tensor(algebra)
     rows = []
-    for i in range(1, n):
+    for i, cells in enumerate(st.c.tolist()[1:], start=1):
         row = []
-        for j in range(1, n):
-            entry = algebra.constants[i][j]
-            nonzero = [(k, c) for k, c in enumerate(entry) if c != 0]
+        for j, cell in enumerate(cells[1:], start=1):
+            nonzero = [(k, Fraction(c, st.den)) for k, c in enumerate(cell) if c]
             if len(nonzero) != 1:
                 raise ValueError(f"product b_{i} b_{j} is not a signed basis vector")
             k, c = nonzero[0]

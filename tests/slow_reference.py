@@ -28,7 +28,10 @@ list for a "not quadratic" witness and the box search for a rational
 isotropic vector of a 3x3 symmetric form.  The Cayley-Dickson doubling
 and the involution laws are kept as the loops over basis pairs and
 candidate elements that multiplied ``Element``s one product at a time.
-They are slow by design.
+``multiply`` is the ``Fraction`` loop that ``Algebra.multiply`` ran over
+the dense constants before the table became an integer tensor, and
+``commutators_are_imaginary`` the nicely-normed test without the rational
+certificate, multiplied out with it.  They are slow by design.
 """
 
 from __future__ import annotations
@@ -83,6 +86,26 @@ def pair_family(vectors: Sequence[Element]) -> list[Element]:
         for j in range(i + 1, len(vectors)):
             fam.append(vectors[i] + vectors[j])
     return fam
+
+
+def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
+    """``x y`` summed in ``Fraction``s over the nonzero constants of each
+    cell ``(i, j)`` with ``x_i y_j != 0``."""
+    n = algebra.dim
+    if x.dim != n or y.dim != n:
+        raise DimensionMismatchError("element does not conform to algebra")
+    out = [F0] * n
+    for i, xi in enumerate(x.coords):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coords):
+            if not yj:
+                continue
+            f = xi * yj
+            for k, c in enumerate(algebra.constants[i][j]):
+                if c:
+                    out[k] += f * c
+    return Element(tuple(out))
 
 
 def alternative_defect(algebra: Algebra, x: Element, y: Element) -> tuple[Element, Element]:
@@ -782,6 +805,23 @@ def is_nicely_normed(algebra: Algebra) -> bool:
                 continue
             p = algebra.multiply(cert.basis[i], cert.basis[j])
             if cert.to_certificate_coords(p)[0] != 0:
+                return False
+    return True
+
+
+def commutators_are_imaginary(algebra: Algebra) -> bool:
+    """For a locally complex algebra: no commutator ``[v_i, v_j]`` of the
+    multiply-based imaginary basis has a real part.  With
+    ``v_k = b_k - (t_k / 2) 1`` the real part of ``x`` is
+    ``x_u + sum_{k != u} x_k t_k / 2``."""
+    u = algebra.unit
+    basis = imaginary_basis(algebra)
+    half_traces = {k: -v.coords[u] for k, v in zip(
+        (i for i in range(algebra.dim) if i != u), basis)}
+    for a in basis:
+        for b in basis:
+            x = multiply(algebra, a, b) - multiply(algebra, b, a)
+            if x.coords[u] + sum(x.coords[k] * t for k, t in half_traces.items()):
                 return False
     return True
 

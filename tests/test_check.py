@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cdalg import (
     Algebra,
+    build_3d,
     build_4d,
     change_of_basis,
     is_locally_complex,
@@ -43,7 +44,10 @@ def square_root_table(square):
 
 
 def assert_nicely_normed_matches(algebra):
-    assert outcome(is_nicely_normed, algebra) == outcome(ref.is_nicely_normed, algebra)
+    want = outcome(ref.is_nicely_normed, algebra)
+    if want is UnsupportedRationalClassError:  # no rational certificate to multiply out
+        want = ref.commutators_are_imaginary(algebra)
+    assert outcome(is_nicely_normed, algebra) == want
 
 
 def assert_search_matches(algebra, budget, seed):
@@ -92,13 +96,23 @@ def test_nicely_normed_rotated(name):
 
 
 def test_nicely_normed_without_rational_certificate():
-    """b_1^2 = -2 is locally complex, but b_1 / sqrt(2) is not rational."""
-    algebra = square_root_table(-2)
-    assert is_locally_complex(algebra).holds
-    assert is_locally_complex(algebra).certificate is None
-    with pytest.raises(UnsupportedRationalClassError):
-        is_nicely_normed(algebra)
-    assert outcome(ref.is_nicely_normed, algebra) is UnsupportedRationalClassError
+    """b_1^2 = -2 is locally complex, but b_1 / sqrt(2) is not rational; H
+    in the basis (1, i + j, i - j, k) has the norm-form Gram matrix
+    diag(2, 2, 1), and Gram-Schmidt finds no rational normalized basis; nor
+    does it for the 3-dimensional algebra with t = 1 (not nicely normed) in
+    the basis (1, e1 + e2, e1 - e2).  The verdict does not need one; the
+    reference that multiplies one out still gives up."""
+    h = named_algebra("H").algebra
+    sheared_h = change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+                                unit_index=0)
+    sheared_3d = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]],
+                                 unit_index=0)
+    for algebra, want in ((square_root_table(-2), True), (sheared_h, True), (sheared_3d, False)):
+        assert is_locally_complex(algebra).holds
+        assert is_locally_complex(algebra).certificate is None
+        assert is_nicely_normed(algebra) is want
+        assert ref.commutators_are_imaginary(algebra) is want
+        assert outcome(ref.is_nicely_normed, algebra) is UnsupportedRationalClassError
 
 
 def test_nicely_normed_past_int64_bound():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cdalg import (
@@ -20,6 +21,7 @@ from cdalg import (
 )
 from cdalg.construct import InvolutiveAlgebra, _star_products
 from cdalg.core import change_of_basis
+from cdalg.kernel import scaled_tensor
 from cdalg.linalg import mat_inv, mat_mul, transpose
 from cdalg.tables import (
     OCTONION_TABLE,
@@ -31,6 +33,7 @@ from cdalg.tables import (
 )
 
 import slow_reference as ref
+from test_table import scaled_form
 
 F = Fraction
 
@@ -237,7 +240,7 @@ def _same_involutive_algebra(inv: InvolutiveAlgebra, want) -> None:
     algebra, star = want
     got = inv.algebra
     assert got.constants == algebra.constants
-    assert got._nonzero == algebra._nonzero
+    assert scaled_form(got) == scaled_form(algebra)
     assert got.labels == algebra.labels
     assert got.unit == algebra.unit
     assert inv.star == star
@@ -253,11 +256,12 @@ def test_tower_matches_element_loop(reference_tower, level):
 def test_dim_64_level_follows_the_index_rule():
     """A6 against the closed form e_p e_q = +-e_{p xor q} of the standard basis."""
     inv = cayley_dickson_tower(6)[6]
-    cells = inv.algebra._nonzero
+    table = scaled_tensor(inv.algebra)
+    assert table.den == 1
     for p in range(64):
         for q in range(64):
-            ((k, c),) = cells[p][q]
-            assert k == p ^ q and abs(c) == 1
+            (k,) = np.flatnonzero(table.c[p, q])
+            assert k == p ^ q and abs(table.c[p, q, k]) == 1
     assert inv.algebra.labels == tuple(["1"] + [f"e{i}" for i in range(1, 64)])
     assert inv.star == tuple(
         tuple(F(1 if i == j == 0 else -1 if i == j else 0) for j in range(64)) for i in range(64)

@@ -30,6 +30,7 @@ from cdalg import (
 from cdalg.cli import main
 
 import slow_reference as ref
+from test_table import scaled_form
 
 ODD_VALUES = st.one_of(
     st.sampled_from(["1/2", "-3", "0", "1/0", "abc", "", " 2", "1.5", "1e3", "0x10", "-0/5"]),
@@ -130,18 +131,17 @@ def test_check_exits_cleanly_on_mutated_files(tmp_path_factory, data):
 
 
 def _read(reader, data):
-    """What a reader makes of ``data``: the algebra's tensor, nonzero
-    entries, unit and labels and the grading, or the error's type and text."""
+    """What a reader makes of ``data``: the algebra's constants, its table
+    (checked canonical), unit and labels and the grading, or the error's
+    type and text."""
     try:
         algebra, grading = reader(copy.deepcopy(data))
     except Exception as exc:  # the type is part of the outcome
         return type(exc), str(exc)
-    nonzero = algebra._nonzero
-    assert all(c != 0 for row in nonzero for cell in row for _, c in cell)
     parts = None if grading is None else (
         grading.even_rows, grading.odd_rows, grading.even, grading.odd
     )
-    return algebra.constants, nonzero, algebra.unit, algebra.labels, parts
+    return algebra.constants, scaled_form(algebra), algebra.unit, algebra.labels, parts
 
 
 # Valid spellings of rationals, zeros among them, as strings and integers.

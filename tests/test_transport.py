@@ -31,7 +31,7 @@ from cdalg import analysis
 from cdalg.analysis import _even_part_rows, _induced_algebra, rotated_basis_rows, rotated_copy
 from cdalg.core import Element
 from cdalg.errors import DimensionMismatchError, InconsistentInputError, InvalidGradingError
-from cdalg.kernel import INT64_LIMIT, scaled_tensor, table_in_rows
+from cdalg.kernel import INT64_LIMIT, ScaledTensor, scaled_tensor, table_in_rows
 from cdalg.linalg import identity, mat_inv, rank, transpose
 
 import slow_reference as ref
@@ -168,7 +168,8 @@ def test_table_of_generated_subalgebra_matches_reference(algebra, data):
             for _ in range(data.draw(st.integers(1, 2)))]
     rows = generated_subalgebra(algebra, gens, include_unit=False).rows
     if rows:
-        assert table_in_rows(algebra, rows) == ref.table_in_rows(algebra, rows)
+        assert table_in_rows(algebra, rows) == ScaledTensor.of_rationals(
+            ref.table_in_rows(algebra, rows))
 
 
 @pytest.mark.parametrize("name", ["C", "H", "O", "TO", "S", "TS"])
