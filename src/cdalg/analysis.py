@@ -211,7 +211,8 @@ def find_unit_square_vector(
     space that anticommutes with the family, so they all anticommute with it.
     Their squares and pairwise anticommutators are read off one integer
     table of the anticommutators v_p v_q + v_q v_p; only the products of
-    candidates are multiplied out.
+    candidates are multiplied out.  The candidates are built one at a time,
+    so the search ends at the first one that scales to square -1.
     """
     n, u = algebra.dim, algebra.unit
     if anticommute_with:
@@ -241,22 +242,23 @@ def find_unit_square_vector(
             return None
         return Fraction(twice[u], 2 * scale)
 
+    # The fallbacks below need every candidate; the first pass stops at a hit.
     candidates = []
     for terms in _candidate_terms(len(space)):
         x = _combine(space, terms)
-        if not x.is_zero():
-            candidates.append((terms, x, square(terms)))
+        if x.is_zero():
+            continue
+        sq = square(terms)
+        out = _unit_square(x, sq)
+        if out is not None:
+            return out
+        candidates.append((terms, x, sq))
 
     def finish_product(x: Element) -> Element | None:
         out = _unit_square(x, _square_scalar(algebra, x))
         if out is None or not _anticommutes_with_all(algebra, out, anticommute_with):
             return None
         return out
-
-    for _, x, sq in candidates:
-        out = _unit_square(x, sq)
-        if out is not None:
-            return out
     # Orthogonal pairs multiply their squared lengths, which can turn two
     # equal non-square classes into a square.
     for i, (terms_a, a, _) in enumerate(candidates):
@@ -715,9 +717,13 @@ def _zero_divisor_candidates(algebra: Algebra, budget: int, seed: int) -> Iterat
     basis = [algebra.basis_element(i) for i in range(n)]
     structured = list(basis)
     yield from basis
+    signs = (-F1, F1)  # b_i - b_j, then b_i + b_j
     for i in range(n):
         for j in range(i + 1, n):
-            for x in (basis[i] - basis[j], basis[i] + basis[j]):
+            for sign in signs:
+                coords = [F0] * n
+                coords[i], coords[j] = F1, sign
+                x = Element(tuple(coords))
                 structured.append(x)
                 yield x
     for i in range(0, len(structured), 7):

@@ -221,6 +221,7 @@ def cmd_check(args) -> int:
                 "element": element_text(algebra, lc.counterexample),
             }
         report.set("locally_complex", "yes" if lc.holds else "no", witness)
+    alt = None
     if want("alt"):
         alt = is_alternative(algebra)
         witness = None
@@ -231,6 +232,11 @@ def cmd_check(args) -> int:
     if want("superalt"):
         if grading is None:
             report.set("super_alternative", "unknown", "no grading available")
+        elif alt is not None and alt.holds:
+            # The laws hold for every u, so for homogeneous u as well; the
+            # grading must still be valid.
+            grading.validate(algebra)
+            report.set("super_alternative", "yes")
         else:
             sa = is_super_alternative(algebra, grading)
             witness = None

@@ -26,9 +26,11 @@ Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
-rational elimination on it, and the Gram-Schmidt of the certificate runs on
-coefficient vectors against it.  The algebra is immutable, so the check is
-computed once and kept on it.
+rational elimination on it.  The certificate (a normalized basis, from a
+Gram-Schmidt on coefficient vectors against that Gram matrix) is not needed
+for the verdict, so it is built on the first read of ``certificate`` and
+then kept; most callers never read it.  The algebra is immutable, so the
+check is computed once and kept on it.
 
 Being nicely normed is decided without the certificate vectors as well:
 the products e_i e_j of a normalized basis have no real part exactly when
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -154,14 +157,45 @@ class LocallyComplexCertificate:
         return mat_vec(self.change_of_basis, x.coords)
 
 
+class _CertificateOnRead:
+    """The ``certificate`` field of :class:`LocallyComplexCheck`: the value
+    it was given, or, for a check made by ``LocallyComplexCheck.deferred``,
+    what its ``build`` returns on the first read, kept for later reads."""
+
+    def __get__(self, check, owner=None):
+        if check is None:
+            return None  # the field's default
+        state = vars(check)
+        if "_build" in state:
+            state["_certificate"] = state["_build"]()
+            del state["_build"]
+        return state["_certificate"]
+
+    def __set__(self, check, value) -> None:
+        vars(check)["_certificate"] = value
+
+
 @dataclass(frozen=True)
 class LocallyComplexCheck:
     holds: bool
-    certificate: LocallyComplexCertificate | None = None
+    certificate: LocallyComplexCertificate | None = _CertificateOnRead()
     counterexample: Element | None = None
     counterexample_kind: str | None = None  # "independent-square" | "idempotent" |
     #                                         "square-zero" | "nonpositive-norm"
     reason: str = ""
+
+    @classmethod
+    def deferred(
+        cls, build: Callable[[], LocallyComplexCertificate | None]
+    ) -> "LocallyComplexCheck":
+        """A "yes" whose certificate is ``build()``, run when first read.
+
+        ``build`` must not hold the algebra: the check is kept on it, and
+        a reference cycle would leave both to the cyclic collector.
+        """
+        check = cls(True)
+        vars(check)["_build"] = build
+        return check
 
 
 def _traces(algebra: Algebra) -> list[tuple[int, Fraction]]:
@@ -186,11 +220,16 @@ def imaginary_basis(algebra: Algebra) -> list[Element]:
     """
     if algebra.unit is None:
         raise NonUnitalError("imaginary part needs a unital algebra")
-    one = algebra.one()
-    return [algebra.basis_element(i) - one.scale(t / 2) for i, t in _traces(algebra)]
+    return _imaginary_vectors(algebra.dim, algebra.unit, _traces(algebra))
 
 
-def _imaginary_gram(algebra: Algebra) -> Matrix:
+def _imaginary_vectors(n: int, unit: int, traces: list[tuple[int, Fraction]]) -> list[Element]:
+    """b_i - t_i/2 for the ``(i, t_i)`` of :func:`_traces`."""
+    one = Element(unit_vector(n, unit))
+    return [Element(unit_vector(n, i)) - one.scale(t / 2) for i, t in traces]
+
+
+def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, Fraction]]) -> Matrix:
     """Gram matrix of <u, v> = -(uv + vu)/2 on :func:`imaginary_basis`.
 
     For v_i = b_i - t_i/2 the product v_i v_j + v_j v_i is scalar in a
@@ -200,7 +239,7 @@ def _imaginary_gram(algebra: Algebra) -> Matrix:
     """
     st, u = scaled_tensor(algebra), algebra.unit
     cu, d = st.c[:, :, u].tolist(), st.den
-    ts = [(i, t.numerator * (d // t.denominator)) for i, t in _traces(algebra)]  # (i, T_i)
+    ts = [(i, t.numerator * (d // t.denominator)) for i, t in traces]  # (i, T_i)
     return tuple(tuple(Fraction(-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj), 4 * d * d)
                        for j, tj in ts) for i, ti in ts)
 
@@ -276,14 +315,16 @@ def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | 
 
 
 def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
-    """Decide local complexity exactly and build a normalized basis when possible.
+    """Decide local complexity exactly, with a normalized basis when possible.
 
     The verdict never needs square roots: it is quadraticity plus positive
     definiteness of the symmetrized product form on the imaginary part, both
     checked over the rationals.  The certificate basis does need exact square
-    roots of the Gram-Schmidt lengths; when one is irrational the verdict is
-    still returned, with certificate None.  The algebra is immutable, so the
-    result is computed once and kept in its ``_lc`` slot.
+    roots of the Gram-Schmidt lengths; when one is irrational the certificate
+    is None.  A "yes" builds it on the first read of ``certificate`` and
+    keeps it; a caller that needs only the verdict never pays for it.  The
+    algebra is immutable, so the result is computed once and kept in its
+    ``_lc`` slot.
     """
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
@@ -305,10 +346,11 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind="independent-square",
             reason="not quadratic",
         )
-    imag = imaginary_basis(algebra)
-    gram = _imaginary_gram(algebra)
+    traces = _traces(algebra)
+    gram = _imaginary_gram(algebra, traces)
     direction = nonpositive_direction(gram)
     if direction is not None:
+        imag = _imaginary_vectors(algebra.dim, algebra.unit, traces)
         bad = combination(algebra, direction, imag)
         lam = -vec_dot(direction, mat_vec(gram, direction))  # bad^2 = lam * 1
         kind = "nonpositive-norm"
@@ -327,12 +369,21 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind=kind,
             reason="norm form is not positive definite",
         )
-    ortho = orthonormalize(imag, gram)
-    cert = None
-    if ortho is not None:
-        basis = (algebra.one(), *ortho)
-        cert = LocallyComplexCertificate(basis, coordinate_map(basis))
-    return LocallyComplexCheck(True, certificate=cert)
+    return LocallyComplexCheck.deferred(
+        partial(_normalized_basis, algebra.dim, algebra.unit, traces, gram)
+    )
+
+
+def _normalized_basis(
+    n: int, unit: int, traces: list[tuple[int, Fraction]], gram: Matrix
+) -> LocallyComplexCertificate | None:
+    """The certificate of a locally complex algebra from its dimension, unit,
+    traces and imaginary Gram matrix, or None without a rational one."""
+    ortho = orthonormalize(_imaginary_vectors(n, unit, traces), gram)
+    if ortho is None:
+        return None
+    basis = (Element(unit_vector(n, unit)), *ortho)
+    return LocallyComplexCertificate(basis, coordinate_map(basis))
 
 
 def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from cdalg import load_algebra, named_algebra
+from cdalg import cli, is_super_alternative, load_algebra, named_algebra
 from cdalg.cli import main
+from cdalg.errors import InvalidGradingError
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,33 @@ def test_check_single_property(capsys):
     code, out, _ = run_cli(capsys, "check", "O", "--property", "alt")
     data = json.loads(out)
     assert data["flags"] == {"alternative": "yes"}
+
+
+def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypatch):
+    """Where the algebra is alternative the super-alternative flag needs only
+    a valid grading, so no second sweep runs; an invalid grading still fails
+    as the sweep's own validation does, and S (not alternative) is swept."""
+    calls = []
+    original = cli.is_super_alternative
+    monkeypatch.setattr(cli, "is_super_alternative", lambda *a: calls.append(a) or original(*a))
+    code, out, _ = run_cli(capsys, "check", "O", "--budget", "5")
+    assert code == 0 and json.loads(out)["flags"]["super_alternative"] == "yes"
+    assert calls == []
+    code, out, _ = run_cli(capsys, "check", "S", "--budget", "5")
+    flags = json.loads(out)["flags"]
+    assert flags["alternative"] == "no" and flags["super_alternative"] == "yes"
+    assert len(calls) == 1
+    path = tmp_path / "o.json"
+    assert run_cli(capsys, "gen", "O", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    data["grading"] = {"even": [0, 1, 2, 4], "odd": [3, 5, 6, 7]}
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidGradingError) as raised:
+        is_super_alternative(*load_algebra(str(path)))
+    code, out, err = run_cli(capsys, "check", str(path), "--budget", "5")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": str(raised.value), "kind": "InvalidGradingError"}
+    assert len(calls) == 1
 
 
 def test_recognize_file(tmp_path, capsys):

@@ -3,14 +3,19 @@ multiply-based reference in slow_reference.
 
 The library decides quadraticity by one polarized identity on the integer
 tensor, reads the Gram matrix off the table in closed form, runs
-Gram-Schmidt on coefficient vectors, and reads the squares and
-anticommutators of the search candidates off one bilinear table.  Every
-field of the results must match the reference, which multiplies elements,
-except the element witnessing "not quadratic", which must be valid in both.
+Gram-Schmidt on coefficient vectors only when the certificate is read, and
+reads the squares and anticommutators of the search candidates off one
+bilinear table, stopping at the first candidate that scales to a unit
+square.  Every field of the results must match the reference, which
+multiplies elements and builds every candidate, except the element
+witnessing "not quadratic", which must be valid in both.
 """
 
 import dataclasses
+import gc
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,18 +25,29 @@ from hypothesis import strategies as st
 from cdalg import (
     Algebra,
     CdalgError,
+    Element,
+    Grading,
     build_3d,
     build_4d,
     change_of_basis,
+    classify_super_alternative,
     find_unit_square_vector,
     is_locally_complex,
     is_quadratic,
     named_algebra,
 )
+from cdalg import analysis, properties
 from cdalg.analysis import rotated_copy
+from cdalg.cli import main
+from cdalg.errors import (
+    NotAlternativeError,
+    NotLocallyComplexError,
+    UnsupportedRationalClassError,
+)
+from cdalg.fileio import algebra_from_dict, algebra_to_dict, save_algebra
 from cdalg.kernel import INT64_LIMIT, first_quadratic_defect, scaled_tensor
 from cdalg.linalg import rank
-from cdalg.properties import QuadraticCheck, imaginary_basis
+from cdalg.properties import LocallyComplexCheck, QuadraticCheck, imaginary_basis
 
 import slow_reference as ref
 
@@ -199,6 +215,185 @@ def test_entries_past_int64_bound():
     assert_same_verdicts(broken)
 
 
+# -- the certificate, built when read -----------------------------------------
+
+
+@pytest.fixture
+def orthonormalize_calls(monkeypatch):
+    """The argument tuples of every ``properties.orthonormalize`` call."""
+    calls = []
+    original = properties.orthonormalize
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(properties, "orthonormalize", spy)
+    return calls
+
+
+def fresh(algebra, grading=None):
+    """An equal algebra with nothing decided yet, and its grading."""
+    return algebra_from_dict(algebra_to_dict(algebra, grading))
+
+
+def graded_copy(name, grading="natural", rotate=True):
+    """A fresh copy of the named table with its natural grading or the
+    trivial one, rotated within the blocks of that grading unless ``rotate``
+    is false."""
+    bundle = named_algebra(name)
+    natural = bundle.grading if grading == "natural" else None
+    algebra = bundle.algebra
+    if rotate:
+        algebra = rotated_copy(algebra, random.Random(f"lazy:{name}"), natural)[0]
+    return fresh(algebra, natural or Grading.trivial(algebra.dim))
+
+
+def square_root_table(square):
+    """The 2-dimensional unital algebra with b_1^2 = square * 1."""
+    return Algebra([[[F1, F0], [F0, F1]], [[F0, F1], [Fraction(square), F0]]], unit=0)
+
+
+def without_certificate():
+    """Locally complex, but Gram-Schmidt finds no rational normalized basis:
+    b_1^2 = -2, H in the basis (1, i + j, i - j, k), and the 3-dimensional
+    algebra with t = 1 in the basis (1, e1 + e2, e1 - e2)."""
+    root_two = square_root_table(-2)
+    h = change_of_basis(named_algebra("H").algebra,
+                        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]], unit_index=0)
+    t1 = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]], unit_index=0)
+    return [root_two, h, t1]
+
+
+@pytest.mark.parametrize("name, grading", [
+    ("S", "natural"), ("TS", "natural"), ("O", "trivial"), ("TO", "natural"), ("H", "trivial"),
+])
+@pytest.mark.parametrize("rotate", [False, True])
+def test_classification_builds_no_certificate(orthonormalize_calls, name, grading, rotate):
+    algebra, graded = graded_copy(name, grading, rotate)
+    assert classify_super_alternative(algebra, graded).tag == name
+    assert is_locally_complex(algebra).holds
+    assert orthonormalize_calls == []
+
+
+def test_rejections_build_no_certificate(orthonormalize_calls):
+    """The trivial grading of a rotated S is rejected after local complexity
+    (not alternative); b_1^2 = 3 is rejected by local complexity."""
+    algebra, grading = graded_copy("S", "trivial")
+    with pytest.raises(NotAlternativeError):
+        classify_super_alternative(algebra, grading)
+    assert is_locally_complex(algebra).holds
+    split = square_root_table(3)
+    with pytest.raises(NotLocallyComplexError):
+        classify_super_alternative(split, Grading.trivial(2))
+    assert not is_locally_complex(split).holds
+    assert orthonormalize_calls == []
+
+
+@pytest.mark.parametrize("name, rotate", [("S", False), ("O", False), ("S", True)])
+def test_check_builds_no_certificate(orthonormalize_calls, tmp_path, capsys, name, rotate):
+    algebra, grading = graded_copy(name, rotate=rotate)
+    path = tmp_path / "algebra.json"
+    save_algebra(str(path), algebra, grading)
+    assert main(["check", str(path), "--budget", "5"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["locally_complex"] == flags["nicely_normed"] == "yes"
+    assert orthonormalize_calls == []
+
+
+def test_certificate_is_built_on_first_read_only(orthonormalize_calls):
+    algebra, _ = graded_copy("O", "trivial")
+    check = is_locally_complex(algebra)
+    assert orthonormalize_calls == []
+    cert = check.certificate
+    assert len(orthonormalize_calls) == 1
+    cert.validate(algebra)
+    assert check.certificate is cert
+    assert is_locally_complex(algebra).certificate is cert
+    assert len(orthonormalize_calls) == 1
+
+
+def sheared_named(name, seed):
+    """The named table in a seeded triangular basis with the unit row kept."""
+    n, rng = named_algebra(name).algebra.dim, random.Random(seed)
+    rows = [[F1] + [F0] * (n - 1)]
+    for r in range(1, n):
+        row = [F0] + [Fraction(rng.choice([0, 1, -1, 2])) for _ in range(1, r)]
+        row += [Fraction(rng.choice([1, -1, 2, Fraction(1, 2)]))] + [F0] * (n - r - 1)
+        rows.append(row)
+    return change_of_basis(named_algebra(name).algebra, rows, unit_index=0)
+
+
+CERTIFICATE_CASES = {
+    **{name: lambda name=name: named_algebra(name).algebra
+       for name in ("R", "C", "H", "O", "TO", "S", "TS")},
+    **{f"{name}-{grading}-rotated": lambda name=name, grading=grading: graded_copy(name, grading)[0]
+       for name in ("C", "H", "O", "TO", "S", "TS") for grading in ("natural", "trivial")},
+    **{f"{name}-sheared": lambda name=name: sheared_named(name, 7) for name in ("H", "O", "TO")},
+    "4d": lambda: build_4d([[1, 2, 0], [0, 1, 0], [0, 0, 3]], [0, 0, 0]),
+    "3d": lambda: build_3d(2, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+def test_certificate_matches_reference(case):
+    algebra = fresh(CERTIFICATE_CASES[case]())[0]
+    want = ref.is_locally_complex(algebra).certificate
+    assert want is not None
+    assert is_locally_complex(algebra).certificate == want
+
+
+def test_no_rational_certificate_reads_none(orthonormalize_calls):
+    for algebra in without_certificate():
+        check = is_locally_complex(algebra)
+        assert check.holds
+        assert check.certificate is None and check.certificate is None
+        assert ref.is_locally_complex(algebra).certificate is None
+    assert len(orthonormalize_calls) == 3
+
+
+def test_constructor_and_replace_keep_a_given_certificate():
+    cert = is_locally_complex(named_algebra("C").algebra).certificate
+    given = LocallyComplexCheck(True, certificate=cert)
+    assert given.certificate is cert
+    assert LocallyComplexCheck(True).certificate is None
+    assert dataclasses.replace(given, reason="r").certificate is cert
+    deferred = LocallyComplexCheck.deferred(lambda: cert)
+    assert deferred == given and dataclasses.replace(deferred, reason="r").certificate is cert
+
+
+class Tracked(Algebra):
+    """An algebra a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("case", ["O", "S-rotated", "no-certificate", "split"])
+@pytest.mark.parametrize("read", [False, True])
+def test_decided_algebra_is_freed_by_reference_counting(case, read):
+    """No reference cycle runs through the check kept on the algebra, so
+    with the cyclic collector off the algebra goes when its last reference
+    does, whether or not the certificate was built."""
+    source = {
+        "O": lambda: named_algebra("O").algebra,
+        "S-rotated": lambda: graded_copy("S")[0],
+        "no-certificate": lambda: without_certificate()[1],
+        "split": lambda: square_root_table(3),
+    }[case]()
+    gc.collect()
+    gc.disable()
+    try:
+        algebra = Tracked._of_table(scaled_tensor(source), source.unit)
+        check = is_locally_complex(algebra)
+        if read:
+            check.certificate
+        watch = weakref.ref(algebra)
+        del algebra
+        assert watch() is None
+    finally:
+        gc.enable()
+
+
 # -- the unit-square search -------------------------------------------------
 
 
@@ -223,13 +418,13 @@ def recognition_calls(algebra):
     return results
 
 
-@pytest.mark.parametrize("name", ["O", "TO"])
+@pytest.mark.parametrize("name", ["O", "TO", "C", "H"])
 @pytest.mark.parametrize("seed", range(3))
 def test_unit_square_search_pinned_on_rotations(name, seed):
     bundle = named_algebra(name)
     rotated = rotated_copy(bundle.algebra, random.Random(f"usv:{name}:{seed}"))[0]
     results = recognition_calls(rotated)
-    assert len(results) == 3
+    assert len(results) == {2: 1, 4: 2, 8: 3}[rotated.dim]
     for got, want in results:
         assert got == want
 
@@ -253,6 +448,77 @@ def test_unit_square_search_on_sheared_bases(name, data):
     algebra = sheared(named_algebra(name).algebra, data.draw)
     for got, want in recognition_calls(algebra):
         assert got == want
+
+
+def h_in_basis(rows):
+    """H in the basis whose imaginary rows are given in i, j, k coordinates."""
+    full = [[1, 0, 0, 0]] + [[0, *row] for row in rows]
+    return change_of_basis(named_algebra("H").algebra, full, unit_index=0)
+
+
+@pytest.fixture
+def search_path(monkeypatch):
+    """Which stages the last searches reached: "pair" once a product of
+    candidates is squared, "closure" once a sum-of-squares split is asked."""
+    reached = set()
+
+    def spy(stage, fn):
+        def wrapped(*args):
+            reached.add(stage)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "_square_scalar", spy("pair", analysis._square_scalar))
+    for name in ("two_squares_fraction", "four_squares_fraction"):
+        monkeypatch.setattr(analysis, name, spy("closure", getattr(analysis, name)))
+    return reached
+
+
+def assert_search_matches(algebra, space, family=(), closure=None):
+    got = outcome(find_unit_square_vector, algebra, space, family, closure)
+    want = outcome(ref.find_unit_square_vector, algebra, space, family, closure)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["S", "TS"])
+def test_early_exit_matches_reference_on_rotated_even_parts(name):
+    bundle = named_algebra(name)
+    algebra, grading = rotated_copy(bundle.algebra, random.Random(f"even:{name}"),
+                                    bundle.grading)[:2]
+    even = analysis._induced_algebra(algebra, analysis._even_part_rows(algebra, grading))
+    for got, want in recognition_calls(even):
+        assert not isinstance(got, type) and got == want
+
+
+def test_early_exit_reaches_the_pair_fallback(search_path):
+    """Over the rows (1,-1,0), (1,0,1), (2,-1,-1) every candidate has norm
+    2, 6, 10 or 14, none a square; the first anticommuting pair, (1,0,1)
+    and (-1,0,1), multiplies two norms of 2 into 4."""
+    algebra = h_in_basis([[1, -1, 0], [1, 0, 1], [2, -1, -1]])
+    got = assert_search_matches(algebra, imaginary_basis(algebra))
+    assert isinstance(got, Element) and search_path == {"pair"}
+
+
+def test_early_exit_reaches_the_closure_fallback(search_path):
+    """e1 = b_1 / 3 is found directly.  No candidate anticommuting with it
+    has a square norm, their pair products are multiples of e1, and one of
+    them is scaled through a two-square split in span(1, e1)."""
+    algebra = h_in_basis([[2, 2, -1], [1, 2, 2], [1, 2, 1]])
+    imag = imaginary_basis(algebra)
+    e1 = assert_search_matches(algebra, imag)
+    assert search_path == set()
+    got = assert_search_matches(algebra, imag, [e1], [algebra.one(), e1])
+    assert isinstance(got, Element) and search_path == {"pair", "closure"}
+
+
+def test_early_exit_reports_no_unit_square(search_path):
+    """Over the rows (2,1,-1), (-1,-1,2), (-1,2,1) the candidate norms are
+    2, 6, 10, 14 and 22, no anticommuting pair multiplies two of them into
+    a square, and there is no closure to try."""
+    algebra = h_in_basis([[2, 1, -1], [-1, -1, 2], [-1, 2, 1]])
+    got = assert_search_matches(algebra, imaginary_basis(algebra))
+    assert got is UnsupportedRationalClassError and search_path == {"pair"}
 
 
 # -- the constructive quadratic witness ----------------------------------------
