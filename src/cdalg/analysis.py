@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .construct import Grading, named_algebra
 from .core import Algebra, Element, change_of_basis, generator_rows
@@ -47,8 +48,10 @@ from .linalg import (
 )
 from .kernel import (
     AlternativitySweep,
+    alternativity_screen,
     anticommutator_table,
     closure_dims,
+    first_alternativity_defect,
     first_homomorphism_violation,
     left_mul_rows,
     left_mul_stack,
@@ -63,13 +66,12 @@ from .numth import (
     two_squares_fraction,
 )
 from .properties import (
-    _super_alternative_sweep,
     combination,
     coordinate_map,
     imaginary_basis,
-    is_alternative,
     is_locally_complex,
     is_quadratic,
+    is_super_alternative,
     symmetrized_scalars,
 )
 
@@ -332,30 +334,93 @@ def recognize_alternative_division(algebra: Algebra) -> RecognitionResult:
 
     Runs the constructive uniqueness argument: pick i with i^2 = -1; extend
     by an anticommuting j and set k = ij; extend once more by e_4 and read
-    e_5, e_6, e_7 off products with e_4.  Preconditions are checked first and
-    the resulting change of basis is verified multiplicative.
+    e_5, e_6, e_7 off products with e_4.  Alternativity is refuted by the
+    sweep modulo one prime and certified by the verified iso onto the named
+    table, which is alternative and locally complex
+    (:func:`_refute_then_recognize`); local complexity is decided before
+    the recognizer runs.
     """
-    alt = is_alternative(algebra)
-    if not alt.holds:
-        raise NotAlternativeError("input is not alternative")
-    lc = is_locally_complex(algebra)
-    if not lc.holds:
-        raise NotLocallyComplexError("input is not locally complex")
-    return _recognize_division(algebra)
+    def recognize() -> RecognitionResult:
+        if not is_locally_complex(algebra).holds:
+            raise NotLocallyComplexError("input is not locally complex")
+        return _verified(algebra, *_division_basis(algebra), graded=False)
+
+    return _refute_then_recognize(
+        algebra, [identity(algebra.dim)], "input is not alternative", recognize
+    )
 
 
-def _recognize_division(algebra: Algebra) -> RecognitionResult:
+def _refute_then_recognize(
+    algebra: Algebra,
+    parts: Sequence[Matrix],
+    message: str,
+    recognize: Callable[[], RecognitionResult],
+) -> RecognitionResult:
+    """``recognize()``, for an algebra whose alternativity laws with u in the
+    polarized family of each of ``parts`` must hold; NotAlternativeError with
+    ``message`` when they fail.
+
+    - Screen: the sweep of each part modulo one prime
+      (:func:`cdalg.kernel.alternativity_screen`).  A nonzero residue refutes
+      exactly.  Below 2^63 the sweep is exact, so it decides both ways.
+    - Certify: ``recognize`` ends in one :func:`verify_iso` onto a named
+      table that maps each part into the matching part of that table, which
+      is locally complex and satisfies the same laws (:func:`_named_target`).
+      The laws transport along the iso, so the verified iso proves them.
+    - Fallback: if ``recognize`` raises, the parts the screen left undecided
+      get the full multi-prime sweep first; a defect there gives
+      NotAlternativeError, and otherwise the original exception propagates.
+
+    So every input gets the result, or the exception type and message, of
+    the gate-first order: the exact sweep, then the recognizer.
+    """
+    undecided = []
+    for rows in parts:
+        defective = alternativity_screen(algebra, rows)
+        if defective:
+            raise NotAlternativeError(message)
+        if defective is None:
+            undecided.append(rows)
+    try:
+        return recognize()
+    except Exception:
+        if any(first_alternativity_defect(algebra, rows) is not None for rows in undecided):
+            raise NotAlternativeError(message) from None
+        raise
+
+
+@cache
+def _named_target(tag: str, graded: bool) -> Algebra:
+    """The named table ``tag``, checked once to be locally complex and
+    super-alternative for its natural grading (``graded``) or for the
+    trivial one, that is, alternative."""
+    named = named_algebra(tag)
+    target = named.algebra
+    grading = named.grading if graded else Grading.trivial(target.dim)
+    if not (is_locally_complex(target).holds and is_super_alternative(target, grading).holds):
+        raise AssertionError(f"the named table {tag} fails its own classification")
+    return target
+
+
+def _verified(algebra: Algebra, tag: str, basis: Sequence[Element], graded: bool) -> RecognitionResult:
+    """The iso sending ``basis`` to the standard basis of the named table,
+    verified onto it."""
+    iso = coordinate_map(basis)
+    verify_iso(iso, algebra, _named_target(tag, graded))
+    return RecognitionResult(tag, iso)
+
+
+def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
     """The recognizer proper, for an algebra already known to be alternative
-    and locally complex."""
+    and locally complex: the tag and the basis that becomes the standard
+    basis of the named table, not yet verified."""
     n = algebra.dim
     if n not in (1, 2, 4, 8):
         raise InconsistentInputError(
             f"alternative locally complex algebras cannot have dimension {n}"
         )
     if n == 1:
-        result = RecognitionResult("R", identity(1))
-        verify_iso(result.iso, algebra, named_algebra("R").algebra)
-        return result
+        return "R", [algebra.one()]
     imag = imaginary_basis(algebra)
     e1 = find_unit_square_vector(algebra, imag)
     basis = [algebra.one(), e1]
@@ -379,9 +444,7 @@ def _recognize_division(algebra: Algebra) -> RecognitionResult:
         e7 = algebra.multiply(basis[3], e4)
         basis += [e4, e5, e6, e7]
         tag = "O"
-    iso = coordinate_map(basis)
-    verify_iso(iso, algebra, named_algebra(tag).algebra)
-    return RecognitionResult(tag, iso)
+    return tag, basis
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +481,68 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     i(jf) = +-kf decides; for the S/TS split the odd starting vector is
     remedied pairwise until it satisfies the three minus-sign relations, and
     the surviving sign of the fourth relation decides the table.
+
+    The grading is validated and local complexity decided first.
+    Super-alternativity is refuted by the sweep modulo one prime and
+    certified by the one verified iso (:func:`_refute_then_recognize`),
+    because the named table is super-alternative for its natural grading
+    and the iso is graded: it maps the even part onto the table's even
+    part (its first half) and the odd part onto the odd part.  That holds
+    by construction.  The basis lists the even vectors first, and they are
+    combinations of the even rows.  Each odd vector is f or e f for an even
+    e, and f is odd: a scaled odd candidate, an odd candidate times an even
+    closure element, or the dimension-16 remedies, which multiply by even
+    vectors only.  The one even value the search can return, a product of
+    two odd candidates, would leave more even vectors than the even part's
+    dimension, so :func:`coordinate_map` raises instead.
     """
     grading.validate(algebra)
     lc = is_locally_complex(algebra)
     if not lc.holds:
         raise NotLocallyComplexError("input is not locally complex")
-    sa = _super_alternative_sweep(algebra, grading)
-    if not sa.holds:
-        raise NotAlternativeError("input is not super-alternative for this grading")
+    return _refute_then_recognize(
+        algebra,
+        [grading.even_rows, grading.odd_rows],
+        "input is not super-alternative for this grading",
+        lambda: _classify(algebra, grading),
+    )
+
+
+def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
+    """The classifier proper, for a graded algebra whose grading is valid
+    and which is locally complex and super-alternative."""
     if grading.odd.dim == 0:
-        # The sweep above ran u over a basis of the whole algebra and its
-        # pairwise sums, which is the alternativity check itself; local
-        # complexity was decided just before it.
-        return _recognize_division(algebra)
+        # Super-alternativity for the trivial grading is alternativity.
+        return _verified(algebra, *_division_basis(algebra), graded=False)
     if grading.even.dim != grading.odd.dim:
         raise InconsistentInputError(
             "nonzero odd part must match the even part's dimension"
         )
     even_rows = _even_part_rows(algebra, grading)
-    even_alg = _induced_algebra(algebra, even_rows)
-    # The even part is a unital subalgebra.  The sweep above covered even u
-    # against even x, so it is alternative; quadratic relations and the
-    # positive definite norm form restrict to it, so it is locally complex.
-    rec0 = _recognize_division(even_alg)
-    inv0 = mat_inv(rec0.iso)
+    # The even part is a unital subalgebra, alternative (u and x both even)
+    # and locally complex (the quadratic relations and the positive definite
+    # norm form restrict to it).  Its basis is read in even-part coordinates
+    # and checked only as part of the final iso.
+    tag0, basis0 = _division_basis(_induced_algebra(algebra, even_rows))
     even_elements = [Element(r) for r in even_rows]
 
     # Standard generators of the even part, as elements of the ambient algebra.
     def even_std(k: int) -> Element:
-        return combination(algebra, [row[k] for row in inv0], even_elements)
+        return combination(algebra, basis0[k].coords, even_elements)
 
     odd_elements = [Element(r) for r in grading.odd_rows]
     one = algebra.one()
 
-    if rec0.tag == "R":
+    if tag0 == "R":
         f = find_unit_square_vector(algebra, odd_elements)
         basis = [one, f]
         tag = "C"
-    elif rec0.tag == "C":
+    elif tag0 == "C":
         i_hat = even_std(1)
         f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat])
         basis = [one, i_hat, f, algebra.multiply(i_hat, f)]
         tag = "H"
-    elif rec0.tag == "H":
+    elif tag0 == "H":
         i_hat, j_hat, k_hat = even_std(1), even_std(2), even_std(3)
         f = find_unit_square_vector(
             algebra, odd_elements, closure=[one, i_hat, j_hat, k_hat]
@@ -485,12 +567,10 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
             algebra.multiply(k_hat, f),
         ]
         tag = "TO" if lam == 1 else "O"
-    else:  # rec0.tag == "O"
+    else:  # tag0 == "O"
         e_std = [None] + [even_std(k) for k in range(1, 8)]
         tag, basis = _classify_sedenion_like(algebra, e_std, odd_elements)
-    iso = coordinate_map(basis)
-    verify_iso(iso, algebra, named_algebra(tag).algebra)
-    return RecognitionResult(tag, iso)
+    return _verified(algebra, tag, basis, graded=True)
 
 
 # The relations (i, j) of the dimension-16 branch, with the sign s of
@@ -663,7 +743,21 @@ def _kernel_partner(algebra: Algebra, x: Element) -> Element | None:
 
 
 def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
-    """Definitive answers for locally complex algebras of dimension <= 4."""
+    """Definitive answers for locally complex algebras of dimension <= 4.
+
+    In dimension 4, with parameters (T, u) read off a rational normalized
+    basis, the product is (a, v)(b, w) = (ab - v.w + (v x w).u,
+    a w + b v + T (v x w)).  Lemma: if x = (a, v) and y = (b, w) are
+    nonzero with x y = 0, then c = v x w is a nonzero isotropic vector of
+    the symmetric part P of T, rational when x and y are.  Proof: the dot
+    product of the vector part with c gives c.T c = 0, since c is
+    orthogonal to v and w; and c = 0 is impossible, for then v and w are
+    parallel, so x and y lie in span(1, e) for one vector e, where
+    e e = -|e|^2: a field, without zero divisors.  So when P has no
+    rational isotropic vector the algebra over Q has no zero divisors, and
+    "none_found" is definitive; when the descent cannot decide, the bounded
+    search runs.
+    """
     if algebra.unit is None or algebra.dim > 4:
         return None
     from . import lowdim  # local import: lowdim depends on this module's siblings
@@ -690,11 +784,10 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
         if algebra.multiply(x, y).is_zero() and not x.is_zero() and not y.is_zero():
             return ZeroDivisorSearch("found", (x, y), definitive=True)
         return None
-    pair = lowdim.exact_zero_divisor_pair(lowdim.extract_params_4d(algebra))
-    if pair is None:
+    pair = lowdim.rational_zero_divisor_pair(lowdim.extract_params_4d(algebra))
+    if pair is False:
         return ZeroDivisorSearch("none_found", definitive=True)
-    # A pair over Q(sqrt(m)) is no element of the rational algebra.
-    if all(type(c) is Fraction for c in pair[0] + pair[1]):
+    if pair is not None:
         x = combination(algebra, pair[0], cert.basis)
         y = combination(algebra, pair[1], cert.basis)
         if algebra.multiply(x, y).is_zero() and not x.is_zero() and not y.is_zero():

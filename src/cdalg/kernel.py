@@ -32,7 +32,9 @@ intermediate, stated where the choice is made:
   alone.  An integer of absolute value at most the bound is zero exactly
   when it is zero modulo each prime (Chinese remaindering), so the verdict
   and the first witness do not depend on the arithmetic.  The residues of
-  ``C`` are cached on the tensor;
+  ``C`` are cached on the tensor.  :func:`alternativity_screen` runs the
+  sweep modulo the first prime only: a nonzero residue is an exact "no",
+  and a pass is a "yes" only when that prime is all the bound needs;
 - the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
   modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
   basis vector as a word: a seed row or the product of two earlier words.
@@ -327,6 +329,26 @@ def first_alternativity_defect(
             b, c = divmod(int(bad.argmax()), n)
             return (*members[b], c, "left" if bad_left[b, c] else "right")
     return None
+
+
+def alternativity_screen(algebra, rows: Sequence[Sequence[Fraction]]) -> bool | None:
+    """Whether some alternativity defect over the polarized family of ``rows``
+    is nonzero, tested modulo the first prime only.
+
+    The arithmetic is that of :func:`first_alternativity_defect` cut to the
+    first prime it would take.  True when a defect is nonzero in it: a
+    nonzero residue is a nonzero integer, so that is exact.  False when every
+    defect vanishes and the arithmetic is exact or takes one prime anyway,
+    or there are no rows.  None when every defect vanishes modulo the first
+    of several primes, which decides nothing.  Stops at the first chunk
+    with a defect.
+    """
+    sweep = AlternativitySweep(algebra, rows)
+    primes = _zero_test_arithmetic(sweep.bound, algebra.dim)
+    for _, stacks in sweep.defects(None if primes is None else primes[:1]):
+        if any(stack.any() for stack in stacks):
+            return True
+    return None if rows and primes is not None and len(primes) > 1 else False
 
 
 def first_homomorphism_violation(

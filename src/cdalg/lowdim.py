@@ -227,7 +227,7 @@ def _isotropic(T: Matrix, P: Matrix, pivots: Vector, rows: Matrix) -> tuple:
     z = _rational_isotropic(P, pivots, rows)
     if z is None:
         z = _decimal_zero(T, P)
-    if z is not None:
+    if z:
         return z
     i, j = next((i, j) for i in range(3) for j in range(i + 1, 3) if pivots[i] * pivots[j] < 0)
     # d_i + d_j y^2 = 0 at y = sqrt(-d_i d_j) / d_j.
@@ -235,11 +235,14 @@ def _isotropic(T: Matrix, P: Matrix, pivots: Vector, rows: Matrix) -> tuple:
     return _combine((F1, y), (rows[i], rows[j]))
 
 
-def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> Vector | None:
+def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> Vector | bool | None:
     """A rational z != 0 with z^T P z = 0 from a zero diagonal entry of P, a
     zero pivot, a 2x2 principal block of P or a pair of pivots whose binary
     form has a square discriminant, or the descent of
-    :func:`cdalg.numth.ternary_zero`; None if none of them gives one."""
+    :func:`cdalg.numth.ternary_zero`.  Otherwise the descent's answer: False
+    when P has no rational isotropic vector (z^T P z is the diagonal form of
+    the pivots in the coordinates of ``rows``), None when it could not
+    factor a pivot."""
     for i in range(3):
         if P[i][i] == 0:
             return unit_vector(3, i)
@@ -259,9 +262,7 @@ def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> Vector | Non
             if y is not None:
                 return _primitive_vector(_combine((F1, y / pivots[j]), (rows[i], rows[j])))
     ys = ternary_zero(pivots)
-    if ys is not None:
-        return _primitive_vector(_combine(ys, rows))
-    return None
+    return _primitive_vector(_combine(ys, rows)) if ys else ys
 
 
 def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
@@ -283,7 +284,7 @@ def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
         return None
     pivots, rows = congruence_diagonal(A)
     z0 = None if _definite(pivots) else _rational_isotropic(A, pivots, rows)
-    if z0 is None:
+    if not z0:
         return None
     # Both forms scaled to integers; z0 is a primitive integer vector.
     E = _integer_form(tuple(tuple(p - a for p, a in zip(rp, ra)) for rp, ra in zip(P, A)))
@@ -353,16 +354,34 @@ def exact_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | None:
     The entries are ``Fraction``s when :func:`_isotropic` finds a rational
     isotropic vector z of P: always when P has one and the descent can
     factor its pivots, and for a small z when T has float entries.  They
-    lie in Q(sqrt(m)) (:class:`cdalg.numth.Surd`) otherwise.  With
-    w = -T z, x = (0, w) and y = (1, (z x w)/|w|^2 + (z.u / |w|^2) w); when
-    T z = 0, w is any vector orthogonal to z and y has scalar part 0.
+    lie in Q(sqrt(m)) (:class:`cdalg.numth.Surd`) otherwise.
     """
     T = mat(params.t_matrix)
     P = symmetric_part(T)
     pivots, rows = congruence_diagonal(P)
     if _definite(pivots):
         return None
-    z = _isotropic(T, P, pivots, rows)
+    return _pair_of_isotropic(T, params.u, _isotropic(T, P, pivots, rows))
+
+
+def rational_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | bool | None:
+    """The pair of :func:`exact_zero_divisor_pair` when a rational isotropic
+    vector of P gives it; False when P has none (definite, or no rational
+    zero by the descent), so that the algebra over Q has no zero divisors
+    (see ``cdalg.analysis._lowdim_exact_route``); None when the descent
+    could not factor a pivot."""
+    T = mat(params.t_matrix)
+    P = symmetric_part(T)
+    pivots, rows = congruence_diagonal(P)
+    if _definite(pivots):
+        return False
+    z = _rational_isotropic(P, pivots, rows)
+    return _pair_of_isotropic(T, params.u, z) if z else z
+
+
+def _pair_of_isotropic(T: Matrix, u: Vector, z: tuple) -> tuple[tuple, tuple]:
+    """With w = -T z, x = (0, w) and y = (1, (z x w)/|w|^2 + (z.u / |w|^2) w);
+    when T z = 0, w is any vector orthogonal to z and y has scalar part 0."""
     tz = tuple(_dot(row, z) for row in T)
     if all(x == 0 for x in tz):
         w = _any_orthogonal(z)
@@ -372,7 +391,7 @@ def exact_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | None:
         t_scalar = F1
     wnorm = _dot(w, w)
     v = tuple(x / wnorm for x in _cross(z, w))
-    s = -_dot(z, vec(params.u)) / wnorm
+    s = -_dot(z, vec(u)) / wnorm
     y_vec = tuple(vi - s * wi for vi, wi in zip(v, w))
     x = (F0, *w)
     y = (t_scalar, *y_vec)

@@ -19,8 +19,10 @@ descent, as in Cremona & Rusin, *Efficient solution of rational conics*
 (Math. Comp. 2003).  It needs the square-free parts of the coefficients, and
 runs only when :func:`factorizations` proves them: trial division by the
 primes below ``_TRIAL_BOUND`` and a deterministic Miller-Rabin test of the
-cofactor below ``_MR_LIMIT``.  :class:`Surd` is the exact number
-``a + b sqrt(m)`` for forms with no rational zero.  :func:`rational_roots`
+cofactor below ``_MR_LIMIT``.  Its answer is a zero, False (a proof that
+there is none), or None when a number could not be factored.
+:class:`Surd` is the exact number ``a + b sqrt(m)`` for forms with no
+rational zero.  :func:`rational_roots`
 reads the rational roots of an integer polynomial off floating-point
 approximations and keeps only exact ones.
 """
@@ -441,8 +443,9 @@ def _short_vector(w: int, a: int, b: int) -> tuple[int, int]:
         v = (v[0] - k * u[0], v[1] - k * u[1])
 
 
-def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, int] | None:
-    """A nonzero integer solution of x^2 = a y^2 + b z^2, or None.
+def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, int] | bool | None:
+    """A nonzero integer solution of x^2 = a y^2 + b z^2, False when there is
+    none, or None when that is left undecided.
 
     a and b are nonzero square-free integers and pa, pb their primes.  This
     is Lagrange's descent with the lattice reduction of Cremona & Rusin: with
@@ -450,22 +453,25 @@ def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, in
     x^2 + |a| z^2 has x0^2 - a z0^2 = b t, |t| < 2 sqrt|a| / sqrt 3, so
     b t is a norm from Q(sqrt a), and with t = c k^2, c square-free, the
     equation is solvable exactly when x^2 = a y^2 + c z^2 is.  Every step
-    needs a to be a square modulo b, which is Legendre's condition; None
-    means that a condition failed (no solution), or that some t could not be
-    factored.
+    needs a to be a square modulo b, which is Legendre's condition: a
+    primitive solution has y prime to every p dividing b (else p divides x,
+    then p^2 divides b z^2 and p divides z), so x^2 = a y^2 (mod p).  False
+    means that a condition failed, or that a and b are both negative; since
+    each step keeps solvability, that proves there is no solution.  None
+    means that some t could not be factored.
     """
     if abs(a) > abs(b):
         sol = _descent(b, pb, a, pa)
-        return None if sol is None else (sol[0], sol[2], sol[1])
+        return (sol[0], sol[2], sol[1]) if sol else sol
     if a == 1:
         return (1, 1, 0)
     if b == 1:
         return (1, 0, 1)
     if a < 0 and b < 0:
-        return None
+        return False
     w = _sqrt_mod(a, pb)
     if w is None:
-        return None
+        return False
     x0, z0 = _short_vector(w, a, b)
     t = (x0 * x0 - a * z0 * z0) // b  # nonzero: a is square-free and not 1
     primes_of_t = factorizations([abs(t)], known=pa + pb)
@@ -473,8 +479,8 @@ def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, in
         return None
     c, k, pc = _square_free(t, primes_of_t[0])
     sol = _descent(a, pa, c, pc)
-    if sol is None:
-        return None
+    if not sol:
+        return sol
     x, y, z = sol
     # (x0 + z0 sqrt a)(x + y sqrt a) has norm (b c k^2)(c z^2) = b (c k z)^2.
     x, y, z = x0 * x + a * z0 * y, x0 * y + z0 * x, c * k * z
@@ -482,9 +488,12 @@ def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, in
     return (x // g, y // g, z // g)
 
 
-def ternary_zero(d: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Fraction, Fraction] | None:
+def ternary_zero(
+    d: tuple[Fraction, Fraction, Fraction],
+) -> tuple[Fraction, Fraction, Fraction] | bool | None:
     """A rational zero y != 0 of d1 y1^2 + d2 y2^2 + d3 y3^2 (all d_i nonzero),
-    or None when the form has none or a coefficient could not be factored.
+    False when the form has none, or None when a number could not be
+    factored and the question stays open.
 
     Each ``d_i = n/q`` becomes the integer ``n q = f_i s_i^2`` with f_i
     square-free (``d_i y_i^2 = f_i (s_i y_i / q)^2``), and multiplying by
@@ -505,8 +514,8 @@ def ternary_zero(d: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Frac
     (f1, p1, s1), (f2, p2, s2), (f3, p3, s3) = parts
     g, h = math.gcd(f1, f3), math.gcd(f2, f3)
     sol = _descent(-f1 * f3 // (g * g), sorted(p1 ^ p3), -f2 * f3 // (h * h), sorted(p2 ^ p3))
-    if sol is None:
-        return None
+    if not sol:
+        return sol
     x, y, z = sol
     return (s1 * Fraction(y, g), s2 * Fraction(z, h), s3 * Fraction(x, f3))
 

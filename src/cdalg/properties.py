@@ -439,11 +439,6 @@ def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
     vectors and pairwise sums within each part, x over the full basis.
     """
     grading.validate(algebra)
-    return _super_alternative_sweep(algebra, grading)
-
-
-def _super_alternative_sweep(algebra: Algebra, grading: Grading) -> IdentityCheck:
-    """:func:`is_super_alternative` for a grading already validated."""
     for rows in (grading.even_rows, grading.odd_rows):
         witness = _first_defect(algebra, rows)
         if witness is not None:

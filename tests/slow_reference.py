@@ -31,7 +31,10 @@ candidate elements that multiplied ``Element``s one product at a time.
 ``multiply`` is the ``Fraction`` loop that ``Algebra.multiply`` ran over
 the dense constants before the table became an integer tensor, and
 ``commutators_are_imaginary`` the nicely-normed test without the rational
-certificate, multiplied out with it.  They are slow by design.
+certificate, multiplied out with it.  ``recognize_alternative_division``
+and ``classify_super_alternative`` keep the gate-first order: the exact
+alternativity sweep before the recognizer, and the even part of a grading
+verified on its own before the final iso.  They are slow by design.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from cdalg.errors import (
     InvalidGradingError,
     MalformedInputError,
     NonUnitalError,
+    NotAlternativeError,
+    NotLocallyComplexError,
     UnsupportedRationalClassError,
 )
 from cdalg.fileio import _index_from_json, _is_list_of
@@ -566,6 +571,126 @@ def classify_sedenion_like(algebra: Algebra, e_std: list, odd_elements: list[Ele
         basis = [algebra.one()] + e_std[1:] + [f8] + [lmul(e_std[i], f8) for i in range(1, 8)]
         return ("TS" if sign == 1 else "S", basis)
     raise UnsupportedRationalClassError(last_error)
+
+
+# ---------------------------------------------------------------------------
+# the recognizers gate first: the exact sweep before the recognizer, and the
+# even part of a grading recognized and verified on its own
+# ---------------------------------------------------------------------------
+
+
+def recognize_alternative_division(algebra: Algebra):
+    """Alternativity by the exact sweep, then local complexity, then the
+    recognizer and its verified iso."""
+    from cdalg.properties import is_alternative, is_locally_complex
+
+    if not is_alternative(algebra).holds:
+        raise NotAlternativeError("input is not alternative")
+    if not is_locally_complex(algebra).holds:
+        raise NotLocallyComplexError("input is not locally complex")
+    return _recognize_division(algebra)
+
+
+def _recognize_division(algebra: Algebra):
+    from cdalg.analysis import RecognitionResult, find_unit_square_vector, verify_iso
+    from cdalg.construct import named_algebra
+    from cdalg.properties import coordinate_map, imaginary_basis
+
+    n = algebra.dim
+    if n not in (1, 2, 4, 8):
+        raise InconsistentInputError(
+            f"alternative locally complex algebras cannot have dimension {n}"
+        )
+    if n == 1:
+        result = RecognitionResult("R", identity(1))
+        verify_iso(result.iso, algebra, named_algebra("R").algebra)
+        return result
+    imag = imaginary_basis(algebra)
+    e1 = find_unit_square_vector(algebra, imag)
+    basis = [algebra.one(), e1]
+    tag = "C"
+    if n >= 4:
+        e2 = find_unit_square_vector(
+            algebra, imag, anticommute_with=[e1], closure=[algebra.one(), e1]
+        )
+        basis += [e2, algebra.multiply(e1, e2)]
+        tag = "H"
+    if n == 8:
+        e4 = find_unit_square_vector(algebra, imag, anticommute_with=basis[1:], closure=basis[:4])
+        basis += [e4] + [algebra.multiply(basis[k], e4) for k in (1, 2, 3)]
+        tag = "O"
+    iso = coordinate_map(basis)
+    verify_iso(iso, algebra, named_algebra(tag).algebra)
+    return RecognitionResult(tag, iso)
+
+
+def classify_super_alternative(algebra: Algebra, grading):
+    """The grading, local complexity and the exact super-alternativity sweep
+    first; then the even part recognized and verified, its iso inverted for
+    the standard generators, and the whole basis verified once more."""
+    from cdalg.analysis import (
+        RecognitionResult,
+        _classify_sedenion_like,
+        _even_part_rows,
+        _induced_algebra,
+        find_unit_square_vector,
+        verify_iso,
+    )
+    from cdalg.construct import named_algebra
+    from cdalg.linalg import mat_inv
+    from cdalg.properties import (
+        combination,
+        coordinate_map,
+        is_locally_complex,
+        is_super_alternative,
+    )
+
+    grading.validate(algebra)
+    if not is_locally_complex(algebra).holds:
+        raise NotLocallyComplexError("input is not locally complex")
+    if not is_super_alternative(algebra, grading).holds:
+        raise NotAlternativeError("input is not super-alternative for this grading")
+    if grading.odd.dim == 0:
+        return _recognize_division(algebra)
+    if grading.even.dim != grading.odd.dim:
+        raise InconsistentInputError(
+            "nonzero odd part must match the even part's dimension"
+        )
+    even_rows = _even_part_rows(algebra, grading)
+    rec0 = _recognize_division(_induced_algebra(algebra, even_rows))
+    inv0 = mat_inv(rec0.iso)
+    even_elements = [Element(r) for r in even_rows]
+
+    def even_std(k: int) -> Element:
+        return combination(algebra, [row[k] for row in inv0], even_elements)
+
+    odd_elements = [Element(r) for r in grading.odd_rows]
+    one = algebra.one()
+    if rec0.tag == "R":
+        basis = [one, find_unit_square_vector(algebra, odd_elements)]
+        tag = "C"
+    elif rec0.tag == "C":
+        i_hat = even_std(1)
+        f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat])
+        basis = [one, i_hat, f, algebra.multiply(i_hat, f)]
+        tag = "H"
+    elif rec0.tag == "H":
+        i_hat, j_hat, k_hat = even_std(1), even_std(2), even_std(3)
+        f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat, j_hat, k_hat])
+        p = algebra.multiply(i_hat, algebra.multiply(j_hat, f))
+        q = algebra.multiply(k_hat, f)
+        lam = next((a / b for a, b in zip(p.coords, q.coords) if b != 0), None)
+        if lam not in (1, -1) or p.coords != q.scale(lam).coords:
+            raise InconsistentInputError("i(jf) is not +-kf; classification impossible")
+        basis = [one, i_hat, j_hat, k_hat, f] + [algebra.multiply(e, f) for e in (i_hat, j_hat, k_hat)]
+        tag = "TO" if lam == 1 else "O"
+    else:
+        tag, basis = _classify_sedenion_like(
+            algebra, [None] + [even_std(k) for k in range(1, 8)], odd_elements
+        )
+    iso = coordinate_map(basis)
+    verify_iso(iso, algebra, named_algebra(tag).algebra)
+    return RecognitionResult(tag, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Low-dimensional classification: canonical forms, orbit equivalence,
 geometric types, the division criterion, hyperboloid and rank-0 data."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cdalg import (
     CanonicalForm3,
+    Element,
     build_3d,
     build_4d,
     build_raw_3d,
@@ -28,9 +30,11 @@ from cdalg import (
     recognize_alternative_division,
 )
 from cdalg import lowdim
+from cdalg.analysis import ZeroDivisorSearch, zero_divisor_search
 from cdalg.errors import MalformedInputError
-from cdalg.linalg import congruence_diagonal, mat
+from cdalg.linalg import congruence_diagonal, mat, vec
 from cdalg.lowdim import (
+    Params4,
     _isotropic,
     exact_zero_divisor_pair,
     multiply_4d_exact,
@@ -391,6 +395,7 @@ def test_sum_of_two_squares_minus_three_squares_has_no_rational_zero():
     T = [[1, 0, 0], [0, 1, 0], [0, 0, -3]]
     P = symmetric_part(mat(T))
     assert ref.rational_isotropic(P) is None
+    assert lowdim._rational_isotropic(P, *congruence_diagonal(P)) is False
     z = _isotropic(P, P, *congruence_diagonal(P))
     assert any(isinstance(c, Surd) for c in z)
     assert sum(z[i] * z[i] * P[i][i] for i in range(3)) == 0
@@ -450,6 +455,40 @@ def test_exact_pair_is_none_only_for_definite_parts():
     assert exact_zero_divisor_pair(extract_params_4d(build_4d(np.eye(3).tolist(), [0, 0, 0]))) is None
     params = extract_params_4d(build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -3]], [0, 0, 0]))
     assert exact_zero_divisor_pair(params) is not None
+
+
+@pytest.mark.parametrize("diagonal, want", [
+    ((1, 1, 1), False),  # definite
+    ((1, 1, -3), False),  # indefinite, no rational zero
+    ((1, 1, -1019 * 1031), None),  # no rational zero, but the descent cannot factor it
+    ((1, 1, -2), "pair"),
+    ((2, 3, -5), "pair"),  # (1, 1, 1)
+])
+def test_rational_pair_is_three_valued(diagonal, want):
+    T = [[F(d) if i == j else F(0) for j, d in enumerate(diagonal)] for i in range(3)]
+    params = Params4(mat(T), vec((1, 2, 3)))
+    got = lowdim.rational_zero_divisor_pair(params)
+    if want == "pair":
+        assert is_rational(got) and not any(multiply_4d_exact(T, (1, 2, 3), *got))
+        assert got == exact_zero_divisor_pair(params)
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize("u", [(1, 2, 3), (0, 0, 0)])
+def test_zero_divisors_are_ruled_out_without_a_rational_isotropic_vector(u):
+    """x y = 0 forces v x w to be a rational isotropic vector of P, so with
+    none the rational algebra has no zero divisors: the answer is definitive
+    without the bounded search.  An undecided descent keeps the search."""
+    algebra = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -3]], u)
+    assert zero_divisor_search(algebra) == ZeroDivisorSearch("none_found", definitive=True)
+    # No left multiplication in a small box of elements is singular.
+    for coords in itertools.product(range(-2, 3), repeat=4):
+        if any(coords):
+            assert not ref.annihilator(algebra, Element(tuple(map(F, coords))))
+    undecided = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -1019 * 1031]], u)
+    got = zero_divisor_search(undecided, budget=20)
+    assert got.status == "exhausted" and not got.definitive
 
 
 def test_division_uses_no_numpy(monkeypatch):

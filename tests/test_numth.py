@@ -202,21 +202,34 @@ def _has_zero(a, b, c, bound=40):
 def test_ternary_zero_is_complete_on_small_forms(nums, dens):
     d = tuple(Fraction(n, q) for n, q in zip(nums, dens))
     y = ternary_zero(d)
-    if y is not None:
+    assert y is not None  # small coefficients always factor
+    if y:
         assert any(y) and sum(c * v * v for c, v in zip(d, y)) == 0
     # Scaling y_i by q_i turns the form into integer coefficients n_i q_i.
-    assert (y is not None) == _has_zero(*(n * q for n, q in zip(nums, dens)))
+    assert bool(y) == _has_zero(*(n * q for n, q in zip(nums, dens)))
 
 
 def test_ternary_zero_hand_cases():
     F = Fraction
-    assert ternary_zero((F(1), F(1), F(-3))) is None  # 3 = 3 mod 4 is no sum of two squares
-    assert ternary_zero((F(1), F(1), F(1))) is None  # definite
+    assert ternary_zero((F(1), F(1), F(-3))) is False  # 3 = 3 mod 4 is no sum of two squares
+    assert ternary_zero((F(1), F(1), F(1))) is False  # definite
     y = ternary_zero((F(1), F(1), F(-2)))
     assert y[0] ** 2 + y[1] ** 2 == 2 * y[2] ** 2 and any(y)
-    assert ternary_zero((F(3), F(5), F(-7, 2))) is None  # 2 is no square mod 5
+    assert ternary_zero((F(3), F(5), F(-7, 2))) is False  # 2 is no square mod 5
     y = ternary_zero((F(3, 2), F(5, 2), F(-4)))  # (1, 1, 1) is a zero
     assert any(y) and 3 * y[0] ** 2 + 5 * y[1] ** 2 == 8 * y[2] ** 2
+
+
+def test_ternary_zero_is_undecided_only_without_a_factorization():
+    """1009 * 1013 and 1019 * 1031 are composite, above 1000^2, and not split
+    by trial division below 1000, so they stay unfactored: the first is a
+    sum of two squares and the second is not, and both answers are None."""
+    F = Fraction
+    for n in (1009 * 1013, 1019 * 1031):
+        assert factorizations([n]) is None
+        assert ternary_zero((F(1), F(1), F(-n))) is None
+    # A prime of that size is proved prime, so the descent decides.
+    assert ternary_zero((F(1), F(1), F(-1009))) and ternary_zero((F(1), F(1), F(-1019))) is False
 
 
 # -- rational roots -------------------------------------------------------------

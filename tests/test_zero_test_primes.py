@@ -31,6 +31,7 @@ from cdalg.kernel import (
     ZERO_TEST_PRIMES,
     AlternativitySweep,
     _screen_fits,
+    alternativity_screen,
     _zero_test_primes,
     first_alternativity_defect,
     first_homomorphism_violation,
@@ -123,6 +124,27 @@ def test_an_alternativity_defect_only_the_last_prime_sees(primes):
         assert [a * d % p == 0 for p in taken] == [True] * (2 * j) + [False]
         assert first_alternativity_defect(algebra, identity(4)) == (1, None, 2, "left")
     assert ref.alternativity_defect_ints(algebra, identity(4)) == (1, None, 2, "left")
+
+
+def test_the_screen_refutes_modulo_the_first_prime_only():
+    """alternativity_screen: True on a defect, False where its arithmetic
+    decides (exact, one prime, or no rows), None where only more primes
+    could prove a pass."""
+    o, s = named_algebra("O").algebra, named_algebra("S").algebra
+    assert alternativity_screen(o, identity(8)) is False  # exact int64
+    assert alternativity_screen(s, identity(16)) is True
+    rotated = rotated_copy(s, random.Random("screen"), named_algebra("S").grading)[0]
+    assert AlternativitySweep(rotated, identity(16)).bound >= INT64_LIMIT
+    assert alternativity_screen(rotated, identity(16)) is True
+    assert alternativity_screen(rotated, identity(16)[:8]) is None
+    assert alternativity_screen(rotated, ()) is False
+    # Every defect of the two-step table is a multiple of a = p: it vanishes
+    # modulo the first prime only.
+    table = _two_step_table(SCREEN_PRIME, 1)
+    assert len(_zero_test_primes(AlternativitySweep(table, identity(4)).bound, 4)) > 1
+    assert alternativity_screen(table, identity(4)) is None
+    assert first_alternativity_defect(table, identity(4)) == (1, None, 2, "left")
+    assert alternativity_screen(_two_step_table(SCREEN_PRIME + 2, 1), identity(4)) is True
 
 
 @PRIME_SETS
