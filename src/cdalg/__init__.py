@@ -12,7 +12,6 @@ and the full canonical-form classification in dimensions 3 and 4.
 
 from .analysis import (
     AlterScalarSpace,
-    AnticommutingExtension,
     CensusReport,
     HomomorphismCheck,
     RecognitionResult,
@@ -21,8 +20,6 @@ from .analysis import (
     annihilator,
     check_homomorphism,
     classify_super_alternative,
-    compute_u_subspace,
-    extend_anticommuting_basis,
     find_unit_square_vector,
     random_rational_orthogonal,
     recognize_alternative_division,

@@ -3,12 +3,17 @@ alter-scalars, annihilators, zero divisors, homomorphism checks.
 
 The recognizers follow the constructive uniqueness proofs step for step: fix
 a square-root-of-minus-one, extend to an anticommuting family, and read the
-remaining basis off products.  Every change of basis stays rational; where a
-normalization needs the square root of a rational that is not a perfect
-square, the engines multiply the candidate by a unit-norm element of an
-already-recognized subalgebra whose norm form is a sum of two or four
-squares.  A returned isomorphism is always verified multiplicative and
-invertible before it leaves this module.
+remaining basis off products.  Every change of basis stays rational.  Each
+vector of square -1 is a unit vector of the norm form on the imaginary
+vectors that anticommute with the family so far.  Over Q one exists, with a
+rational iso onto the named table, exactly when that form is a sum of
+squares, which its Hasse invariants at the odd primes decide, the one at 2
+following by the product formula (:mod:`cdalg.numth`); a failure names the
+invariant or the number that could not be factored.  Norm multiplicativity
+is used in one place: a vector w orthogonal to a recognized quaternion
+subalgebra B is normalized as w h, with h in B of norm 1/N(w) from four
+squares, which needs no factoring.  A returned isomorphism is always
+verified multiplicative and invertible before it leaves this module.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 from .construct import Grading, named_algebra
@@ -45,6 +50,7 @@ from .linalg import (
     nullspace,
     rank,
     unit_vector,
+    vec_dot,
 )
 from .kernel import (
     AlternativitySweep,
@@ -60,138 +66,26 @@ from .kernel import (
     singularity_screen,
     table_in_rows,
 )
-from .numth import (
-    four_squares_fraction,
-    sqrt_fraction,
-    two_squares_fraction,
-)
+from .numth import four_squares_fraction, sqrt_fraction
 from .properties import (
     combination,
     coordinate_map,
     imaginary_basis,
     is_locally_complex,
-    is_quadratic,
     is_super_alternative,
-    symmetrized_scalars,
+    square_length_row,
+    unit_vector_by_descent,
 )
 
 
 # ---------------------------------------------------------------------------
-# imaginary part and anticommuting extension
+# vectors of square -1
 # ---------------------------------------------------------------------------
 
-
-def compute_u_subspace(algebra: Algebra) -> Subspace:
-    """The subspace of elements with scalar square (plus 0), for quadratic algebras."""
-    q = is_quadratic(algebra)
-    if not q.holds:
-        raise NotQuadraticError("the imaginary-part decomposition needs a quadratic algebra")
-    basis = imaginary_basis(algebra)
-    sym = symmetrized_scalars(algebra, basis)
-    for i in range(len(basis)):
-        if sym[i][i] is None:
-            raise InconsistentInputError("imaginary vector has nonscalar square")
-        if any(c is None for c in sym[i][i + 1:]):
-            raise InconsistentInputError("symmetrized product is not scalar")
-    return Subspace([u.coords for u in basis], algebra.dim)
-
-
-@dataclass(frozen=True)
-class AnticommutingExtension:
-    """A new vector anticommuting with the given family.
-
-    ``square`` is the exact value of element^2 as a rational multiple of 1;
-    it equals -1 whenever the normalizing square root was rational, otherwise
-    the element is returned unscaled together with its square.
-    """
-
-    element: Element
-    square: Fraction
-
-
-def extend_anticommuting_basis(
-    algebra: Algebra, existing: Sequence[Element]
-) -> AnticommutingExtension:
-    """One Gram-Schmidt step of the anticommuting basis extension."""
-    lc = is_locally_complex(algebra)
-    if not lc.holds:
-        raise NotLocallyComplexError("extension requires a locally complex algebra")
-    sym = symmetrized_scalars(algebra, existing)
-    for i in range(len(existing)):
-        if sym[i][i] != -2:
-            raise ValueError(f"existing[{i}] does not square to -1")
-        if any(c != 0 for c in sym[i][i + 1:]):
-            raise ValueError("existing vectors do not pairwise anticommute")
-    imag = imaginary_basis(algebra)
-    span = Subspace([e.coords for e in existing], algebra.dim)
-    if span.dim >= len(imag):
-        raise ValueError("existing family already spans the imaginary part")
-    pick = None
-    for u in imag:
-        if not span.contains(u.coords):
-            pick = u
-            break
-    assert pick is not None
-    v = pick
-    for e in existing:
-        s = algebra.multiply(v, e) + algebra.multiply(e, v)
-        alpha = s.coords[algebra.unit] / 2
-        v = v + e.scale(alpha)
-    sq = algebra.multiply(v, v).coords[algebra.unit]
-    root = sqrt_fraction(-sq)
-    if root is not None and root != 0:
-        v = v.scale(F1 / root)
-        sq = Fraction(-1)
-    return AnticommutingExtension(v, sq)
-
-
-# ---------------------------------------------------------------------------
-# unit-norm vector search
-# ---------------------------------------------------------------------------
-
-
-def _square_scalar(algebra: Algebra, x: Element) -> Fraction | None:
-    """c with x^2 = c * 1, or None."""
-    sq = algebra.multiply(x, x)
-    u = algebra.unit
-    if any(c != 0 for i, c in enumerate(sq.coords) if i != u):
-        return None
-    return sq.coords[u]
-
-
-def _anticommutes_with_all(algebra: Algebra, x: Element, family: Sequence[Element]) -> bool:
-    return all(
-        (algebra.multiply(x, e) + algebra.multiply(e, x)).is_zero() for e in family
-    )
-
-
-def _candidate_terms(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """Signed index terms of the candidates v_p, then v_p + v_q and v_p - v_q
-    for p < q, in search order."""
-    terms = [((p, 1),) for p in range(k)]
-    for p in range(k):
-        for q in range(p + 1, k):
-            terms += [((p, 1), (q, 1)), ((p, 1), (q, -1))]
-    return terms
-
-
-def _combine(vectors: Sequence, terms: tuple[tuple[int, int], ...]):
-    """The candidate of the given terms: elements, or rows of integers."""
-    (p, _), *rest = terms
-    out = vectors[p]
-    for q, sign in rest:
-        out = out + vectors[q] if sign > 0 else out - vectors[q]
-    return out
-
-
-def _unit_square(x: Element, sq: Fraction | None) -> Element | None:
-    """x scaled to square -1, given x^2 = sq * 1 (sq None: not scalar)."""
-    if sq is None or sq >= 0:
-        return None
-    root = sqrt_fraction(-sq)
-    if root is None:
-        return None
-    return x.scale(F1 / root)
+# The four-square split of a k-bit numerator times denominator takes on the
+# order of 2^(k/8) steps (a two-square search on a remainder of about k/4
+# bits), so past this size the descent runs instead.
+_FOUR_SQUARES_BITS = 128
 
 
 def find_unit_square_vector(
@@ -202,92 +96,67 @@ def find_unit_square_vector(
 ) -> Element:
     """A rational x in span(space) with x^2 = -1, anticommuting with the family.
 
-    Tries, in order: scaled candidates whose negative square is a perfect
-    square; products of anticommuting candidate pairs (their squared lengths
-    multiply); and, when a closed subalgebra basis is supplied, candidates
-    multiplied by a subalgebra element of the reciprocal squared length read
-    off a two- or four-square decomposition.  Raises
-    UnsupportedRationalClassError when everything fails.
+    The space lies in the imaginary part, where x^2 = -N(x) for the norm
+    form N and anticommuting means orthogonal.  One integer table of the
+    anticommutators of the family and the space with the space gives the
+    part W of the space that anticommutes with the family, and the Gram
+    matrix of N.  The vector is, in order:
 
-    The candidates are v_p and v_p +- v_q over a basis of the part of the
-    space that anticommutes with the family, so they all anticommute with it.
-    Their squares and pairwise anticommutators are read off one integer
-    table of the anticommutators v_p v_q + v_q v_p; only the products of
-    candidates are multiplied out.  The candidates are built one at a time,
-    so the search ends at the first one that scales to square -1.
+    - the first basis vector of W whose norm is a rational square, scaled;
+    - for ``closure`` a quaternion basis B = (1, i, j, k) orthogonal to W
+      (the e_4 step, and the odd part over an even H): w h, for the first
+      basis vector w of W and the h in B of norm 1 / N(w) from
+      :func:`four_squares_fraction`, while N(w) has at most
+      ``_FOUR_SQUARES_BITS`` bits.  The norm is multiplicative on the
+      doubling step w B when B is a quaternion subalgebra of an alternative
+      algebra, or the even part of TO; w h is kept when the table of its
+      anticommutators shows that it squares to -1 and anticommutes with
+      the family.  This needs no factoring;
+    - one built by descent (:func:`cdalg.properties.unit_vector_by_descent`).
+
+    Otherwise UnsupportedRationalClassError names the invariant by which
+    the norm form on W is not a sum of squares over Q (then no normalized
+    basis of the target runs through W), or the number that could not be
+    factored.  A two-element ``closure`` is not used.
     """
     n, u = algebra.dim, algebra.unit
-    if anticommute_with:
-        # Row (e, k): coordinate k of e v + v e for each v in the space.
-        table, _ = anticommutator_table(
-            algebra, [e.coords for e in anticommute_with], [v.coords for v in space]
-        )
-        constraint = [[entry[k] for entry in row] for row in table for k in range(n)]
-        space = [combination(algebra, coeffs, space)
-                 for coeffs in nullspace(constraint, len(space))]
+    family = [e.coords for e in anticommute_with]
     table, scale = anticommutator_table(
-        algebra, [v.coords for v in space], [v.coords for v in space]
+        algebra, family + [v.coords for v in space], [v.coords for v in space]
     )
-
-    def anticommutator(a, b) -> list[int]:
-        """scale * (ab + ba) for candidates given by their terms."""
-        out = [0] * n
-        for p, s in a:
-            for q, t in b:
-                for k, entry in enumerate(table[p][q]):
-                    out[k] += s * t * entry
-        return out
-
-    def square(terms) -> Fraction | None:
-        twice = anticommutator(terms, terms)
-        if any(c for k, c in enumerate(twice) if k != u):
-            return None
-        return Fraction(twice[u], 2 * scale)
-
-    # The fallbacks below need every candidate; the first pass stops at a hit.
-    candidates = []
-    for terms in _candidate_terms(len(space)):
-        x = _combine(space, terms)
-        if x.is_zero():
-            continue
-        sq = square(terms)
-        out = _unit_square(x, sq)
-        if out is not None:
-            return out
-        candidates.append((terms, x, sq))
-
-    def finish_product(x: Element) -> Element | None:
-        out = _unit_square(x, _square_scalar(algebra, x))
-        if out is None or not _anticommutes_with_all(algebra, out, anticommute_with):
-            return None
-        return out
-    # Orthogonal pairs multiply their squared lengths, which can turn two
-    # equal non-square classes into a square.
-    for i, (terms_a, a, _) in enumerate(candidates):
-        for terms_b, b, _ in candidates[i + 1 :]:
-            if any(anticommutator(terms_a, terms_b)):
-                continue
-            out = finish_product(algebra.multiply(a, b))
-            if out is not None:
+    inner, across = table[len(family):], table[:len(family)]
+    if any(c for row in inner for cell in row for k, c in enumerate(cell) if k != u):
+        raise InconsistentInputError("the search space is not in the imaginary part")
+    gram = tuple(tuple(Fraction(-cell[u], 2 * scale) for cell in row) for row in inner)
+    rows = identity(len(space))
+    if family:
+        # Row (e, k): coordinate k of e v + v e for each v in the space.
+        rows = nullspace([[cell[k] for cell in row] for row in across for k in range(n)],
+                         len(space))
+    rows = [r for r in rows if vec_dot(r, mat_vec(gram, r))]
+    if not rows:
+        raise UnsupportedRationalClassError(
+            "no nonzero vector of the search space anticommutes with the family"
+        )
+    x = square_length_row(rows, gram)
+    if x is None and closure is not None and len(closure) == 4:
+        norm = vec_dot(rows[0], mat_vec(gram, rows[0]))
+        if (norm.numerator * norm.denominator).bit_length() <= _FOUR_SQUARES_BITS:
+            w = combination(algebra, rows[0], space)
+            h = combination(algebra, four_squares_fraction(F1 / norm), closure)
+            out = algebra.multiply(w, h)
+            # out^2 = -1 and out anticommutes with the family, read off one table.
+            (check,), s = anticommutator_table(algebra, [out.coords], [out.coords, *family])
+            if check == [[-2 * s * (k == u) for k in range(n)]] + [[0] * n] * len(family):
                 return out
-    if closure is not None:
-        for _, cand, sq in candidates:
-            if sq is None or sq >= 0:
-                continue
-            target = F1 / (-sq)
-            if len(closure) == 2:
-                decomp = two_squares_fraction(target)
-            else:
-                decomp = four_squares_fraction(target)
-            if decomp is None:
-                continue
-            p = combination(algebra, decomp, closure)
-            out = finish_product(algebra.multiply(cand, p))
-            if out is not None:
-                return out
-    raise UnsupportedRationalClassError(
-        "no rational vector of square -1 found in the candidate space"
-    )
+    if x is None:
+        x = unit_vector_by_descent(rows, gram)
+        if isinstance(x, str):
+            raise UnsupportedRationalClassError(
+                "a rational normalized basis needs the norm form on the search space "
+                f"to be a sum of squares over Q, and it {x}"
+            )
+    return combination(algebra, x, space)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +295,7 @@ def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
     basis = [algebra.one(), e1]
     tag = "C"
     if n >= 4:
-        e2 = find_unit_square_vector(
-            algebra, imag, anticommute_with=[e1], closure=[algebra.one(), e1]
-        )
+        e2 = find_unit_square_vector(algebra, imag, anticommute_with=[e1])
         e3 = algebra.multiply(e1, e2)
         basis += [e2, e3]
         tag = "H"
@@ -490,11 +357,9 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     part (its first half) and the odd part onto the odd part.  That holds
     by construction.  The basis lists the even vectors first, and they are
     combinations of the even rows.  Each odd vector is f or e f for an even
-    e, and f is odd: a scaled odd candidate, an odd candidate times an even
-    closure element, or the dimension-16 remedies, which multiply by even
-    vectors only.  The one even value the search can return, a product of
-    two odd candidates, would leave more even vectors than the even part's
-    dimension, so :func:`coordinate_map` raises instead.
+    e, and f is odd: a combination of the odd rows, an odd vector times an
+    even quaternion, or the dimension-16 remedies, which multiply by even
+    vectors only.
     """
     grading.validate(algebra)
     lc = is_locally_complex(algebra)
@@ -539,7 +404,7 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
         tag = "C"
     elif tag0 == "C":
         i_hat = even_std(1)
-        f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat])
+        f = find_unit_square_vector(algebra, odd_elements)
         basis = [one, i_hat, f, algebra.multiply(i_hat, f)]
         tag = "H"
     elif tag0 == "H":
@@ -579,6 +444,14 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
 # vector before it, k given here (None keeps that vector).  The first three
 # signs must be -1, and the last one tells S (-1) from TS (+1).
 _RELATIONS = (((1, 2), 3), ((1, 4), 2), ((2, 4), 1), ((3, 4), None))
+
+
+def _odd_starts(odd):
+    """The odd starting vectors v_p, then v_p + v_q and v_p - v_q for p < q."""
+    yield from odd
+    for p, q in combinations(range(len(odd)), 2):
+        yield odd[p] + odd[q]
+        yield odd[p] - odd[q]
 
 
 def _classify_sedenion_like(
@@ -628,8 +501,7 @@ def _classify_sedenion_like(
     odd, odd_scale = primitive_row([c for e in odd_elements for c in e.coords])
     odd = odd.reshape(len(odd_elements), algebra.dim)
     last_error = "no odd starting vector produced a normalizable result"
-    for terms in _candidate_terms(len(odd_elements)):
-        start = _combine(odd, terms)
+    for start in _odd_starts(odd):
         if not start.any():
             continue
         w, lam = primitive_row(start.tolist())

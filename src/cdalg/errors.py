@@ -34,12 +34,13 @@ class UnknownAlgebraError(CdalgError):
 
 
 class UnsupportedRationalClassError(CdalgError):
-    """A recognizer needs a unit-norm vector that does not exist over the rationals.
+    """A recognizer needs a rational normalized basis that it cannot build.
 
-    This happens when the rational quadratic form carried by the input is not
-    equivalent to the standard one, e.g. a quaternion table presented with
-    i*i = -2.  The algebra may still be isomorphic to the target over the
-    reals; only the rational change of basis is missing.
+    The message names the reason: the norm form carried by the input is not
+    a sum of squares over Q, by a named invariant (e.g. the quaternions with
+    i*i = -1 and j*j = -3, whose Hasse invariant at 3 is -1), or a number
+    could not be factored.  The algebra may still be isomorphic to the
+    target over the reals; only the rational change of basis is missing.
     """
 
 

@@ -26,11 +26,19 @@ Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
-rational elimination on it.  The certificate (a normalized basis, from a
-Gram-Schmidt on coefficient vectors against that Gram matrix) is not needed
-for the verdict, so it is built on the first read of ``certificate`` and
-then kept; most callers never read it.  The algebra is immutable, so the
-check is computed once and kept on it.
+rational elimination on it.  The certificate (a normalized basis, from
+:func:`orthonormalize` on coefficient vectors against that Gram matrix) is
+not needed for the verdict, so it is built on the first read of
+``certificate`` and then kept; most callers never read it.  The algebra is
+immutable, so the check is computed once and kept on it.
+
+A rational normalized basis exists exactly when the imaginary norm form is
+a sum of squares over Q.  Where no Gram-Schmidt length is a rational
+square, the LDL pivots of what is left decide that by Hasse-Minkowski: the
+determinant class and the Hasse invariants at the odd primes, the one at 2
+following by the product formula (:mod:`cdalg.numth`).  A missing
+certificate has a named invariant behind it, or a number that could not be
+factored.
 
 Being nicely normed is decided without the certificate vectors as well:
 the products e_i e_j of a normalized basis have no real part exactly when
@@ -62,6 +70,7 @@ from .linalg import (
     F1,
     Matrix,
     Vector,
+    congruence_diagonal,
     identity,
     mat_inv,
     mat_vec,
@@ -81,7 +90,7 @@ from .kernel import (
     first_quadratic_defect,
     scaled_tensor,
 )
-from .numth import sqrt_fraction
+from .numth import represent_one, sqrt_fraction, sum_of_squares_obstruction
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +286,65 @@ def coordinate_map(basis: Sequence[Element]) -> Matrix:
     return mat_inv(transpose([b.coords for b in basis]))
 
 
-def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | None:
-    """Gram-Schmidt over the rationals, normalized to squared length one.
+def square_length_row(rows: Sequence[Vector], gram: Matrix) -> Vector | None:
+    """The first coefficient row whose length ``r G r^T`` is a nonzero
+    rational square, scaled to length 1, or None."""
+    for r in rows:
+        norm = vec_dot(r, mat_vec(gram, r))
+        root = sqrt_fraction(norm) if norm else None
+        if root is not None:
+            return vec_scale(F1 / root, r)
+    return None
+
+
+def unit_vector_by_descent(rows: Sequence[Vector], gram: Matrix) -> Vector | str:
+    """A combination x of the coefficient rows with ``x G x^T = 1``, when
+    the form G on their span is a sum of squares over Q; otherwise a clause
+    naming the failing invariant, or the number that could not be factored.
+    The form is decided and solved on its nonzero LDL pivots.
+    """
+    grams = [mat_vec(gram, r) for r in rows]
+    pivots, lower = congruence_diagonal([[vec_dot(a, gb) for gb in grams] for a in rows])
+    kept = [(d, l) for d, l in zip(pivots, lower) if d]
+    obstruction = sum_of_squares_obstruction([d for d, _ in kept])
+    if obstruction is not None:
+        return obstruction
+    y = represent_one([d for d, _ in kept])
+    if y is None:
+        return "is a sum of squares over Q, but a number in the descent could not be factored"
+    coeffs = mat_vec(transpose([l for _, l in kept]), y)  # over the rows
+    return mat_vec(transpose(rows), coeffs)
+
+
+def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | str:
+    """An orthonormal basis of the span over the rationals, when there is one.
 
     ``gram[i][j]`` is the inner product of ``vectors[i]`` and ``vectors[j]``,
     positive definite on their span; the work is done on coefficient vectors
-    against it, without multiplying in the algebra.  Candidates are taken in
-    order, preferring one whose orthogonalized length is already a square.
-    Returns None when every remaining orthogonalized vector has a squared
-    length that is not a perfect rational square, in which case no
-    certificate basis can be produced by scaling alone.
+    against it, without multiplying in the algebra.  Each step takes the
+    first vector, orthogonalized against the basis so far, whose length is a
+    rational square, and otherwise one built by
+    :func:`unit_vector_by_descent`; by Witt cancellation, what is left after
+    a unit vector is again a sum of squares.  When there is no such basis,
+    or a number could not be factored, the clause saying so is returned.
     """
     m = len(vectors)
-    done: list[tuple[Vector, Vector]] = []  # (coefficients e, gram @ e), orthonormal
-    pending = [unit_vector(m, i) for i in range(m)]
-    while pending:
-        for idx, cand in enumerate(pending):
-            v = cand
-            for e, ge in done:
-                c = vec_dot(cand, ge)
-                if c:
-                    v = vec_sub(v, vec_scale(c, e))
-            gv = mat_vec(gram, v)
-            norm = vec_dot(v, gv)
-            if norm == 0:  # v is the zero vector
-                pending.pop(idx)
+    rows = [unit_vector(m, i) for i in range(m)]
+    done: list[Vector] = []
+    while True:
+        e = square_length_row(rows, gram)
+        if e is None:
+            if not any(vec_dot(r, mat_vec(gram, r)) for r in rows):
                 break
-            root = sqrt_fraction(norm)
-            if root is not None:
-                done.append((vec_scale(F1 / root, v), vec_scale(F1 / root, gv)))
-                pending.pop(idx)
-                break
-        else:
-            return None
+            e = unit_vector_by_descent(rows, gram)
+            if isinstance(e, str):
+                return e
+        done.append(e)
+        ge = mat_vec(gram, e)
+        rows = [vec_sub(r, vec_scale(c, e)) if (c := vec_dot(r, ge)) else r for r in rows]
+        rows = [r for r in rows if any(r)]
     columns = transpose([x.coords for x in vectors])
-    return [Element(mat_vec(columns, e)) for e, _ in done]
+    return [Element(mat_vec(columns, e)) for e in done]
 
 
 def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
@@ -319,9 +352,10 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
 
     The verdict never needs square roots: it is quadraticity plus positive
     definiteness of the symmetrized product form on the imaginary part, both
-    checked over the rationals.  The certificate basis does need exact square
-    roots of the Gram-Schmidt lengths; when one is irrational the certificate
-    is None.  A "yes" builds it on the first read of ``certificate`` and
+    checked over the rationals.  The certificate basis exists over Q exactly
+    when that form is a sum of squares; otherwise, or when a number could
+    not be factored, it is None, and :func:`certificate_or_raise` says why.
+    A "yes" builds it on the first read of ``certificate`` and
     keeps it; a caller that needs only the verdict never pays for it.  The
     algebra is immutable, so the result is computed once and kept in its
     ``_lc`` slot.
@@ -380,7 +414,7 @@ def _normalized_basis(
     """The certificate of a locally complex algebra from its dimension, unit,
     traces and imaginary Gram matrix, or None without a rational one."""
     ortho = orthonormalize(_imaginary_vectors(n, unit, traces), gram)
-    if ortho is None:
+    if isinstance(ortho, str):
         return None
     basis = (Element(unit_vector(n, unit)), *ortho)
     return LocallyComplexCertificate(basis, coordinate_map(basis))
@@ -391,8 +425,12 @@ def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
     if not res.holds:
         raise NotLocallyComplexError(res.reason or "algebra is not locally complex")
     if res.certificate is None:
+        traces = _traces(algebra)
+        clause = orthonormalize(_imaginary_vectors(algebra.dim, algebra.unit, traces),
+                                _imaginary_gram(algebra, traces))
         raise UnsupportedRationalClassError(
-            "no rational normalized basis: a Gram-Schmidt length is not a perfect square"
+            "a rational normalized basis needs the imaginary norm form to be a sum of "
+            f"squares over Q, and it {clause}"
         )
     return res.certificate
 
@@ -511,11 +549,7 @@ def is_commutative_jn(algebra: Algebra) -> CommutativeJnCheck:
     bad = np.flatnonzero(np.triu((c != c.transpose(1, 0, 2)).any(axis=2), 1))
     if bad.size:
         return CommutativeJnCheck(False, witness=divmod(int(bad[0]), algebra.dim))
-    if res.certificate is None:
-        raise UnsupportedRationalClassError(
-            "commutative, but no rational normalized basis exists"
-        )
-    return CommutativeJnCheck(True, iso=res.certificate.change_of_basis)
+    return CommutativeJnCheck(True, iso=certificate_or_raise(algebra).change_of_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ from cdalg.linalg import (
     vec,
 )
 from cdalg.kernel import product_table, scaled_tensor
-from cdalg.numth import four_squares_fraction, sqrt_fraction, two_squares_fraction
+from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
     LocallyComplexCheck,
@@ -709,6 +709,17 @@ def two_squares(n: int) -> tuple[int, int] | None:
             return (a, b)
         a -= 1
     return None
+
+
+def two_squares_fraction(q: Fraction) -> tuple[Fraction, Fraction] | None:
+    """q = a^2 + b^2 over the rationals, or None: the two-square split of the
+    reference unit-square search."""
+    if q < 0:
+        return None
+    pair = two_squares(q.numerator * q.denominator)
+    if pair is None:
+        return None
+    return (Fraction(pair[0], q.denominator), Fraction(pair[1], q.denominator))
 
 
 def three_squares(n: int) -> tuple[int, int, int] | None:

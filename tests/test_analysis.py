@@ -1,5 +1,5 @@
-"""Structure analysis: imaginary parts, basis extension, recognizers, the
-graded classifier, alter-scalars, annihilators, zero divisors, embeddings."""
+"""Structure analysis: recognizers, the graded classifier, alter-scalars,
+annihilators, zero divisors, embeddings."""
 
 import random
 from fractions import Fraction
@@ -17,8 +17,6 @@ from cdalg import (
     change_of_basis,
     check_homomorphism,
     classify_super_alternative,
-    compute_u_subspace,
-    extend_anticommuting_basis,
     named_algebra,
     parse_element,
     recognize_alternative_division,
@@ -33,78 +31,6 @@ from cdalg.verify import embedding_matrix
 import slow_reference as ref
 
 F = Fraction
-
-
-# -- imaginary part ----------------------------------------------------------
-
-
-def test_u_subspace_complex(complexes):
-    u = compute_u_subspace(complexes.algebra)
-    assert u == Subspace([unit_vector(2, 1)], 2)
-
-
-def test_u_subspace_sedenions(sedenions):
-    u = compute_u_subspace(sedenions.algebra)
-    assert u.dim == 15
-    assert not u.contains(sedenions.algebra.one().coords)
-
-
-def test_u_subspace_codimension_one_for_locally_complex():
-    for t, s in ((0, 0), (2, 3)):
-        alg = build_3d(t, s)
-        assert compute_u_subspace(alg).dim == alg.dim - 1
-
-
-# -- anticommuting extension -------------------------------------------------
-
-
-def test_extension_in_quaternions(quaternions):
-    alg = quaternions.algebra
-    i = alg.basis_element(1)
-    ext = extend_anticommuting_basis(alg, [i])
-    v = ext.element
-    assert ext.square == -1
-    assert alg.multiply(v, v) == -alg.one()
-    assert (alg.multiply(v, i) + alg.multiply(i, v)).is_zero()
-
-
-def test_extension_in_octonions_lands_in_complement(octonions):
-    alg = octonions.algebra
-    existing = [alg.basis_element(k) for k in (1, 2, 3)]
-    ext = extend_anticommuting_basis(alg, existing)
-    v = ext.element
-    assert alg.multiply(v, v) == -alg.one()
-    for e in existing:
-        assert (alg.multiply(v, e) + alg.multiply(e, v)).is_zero()
-    tail = Subspace([alg.basis_element(k).coords for k in range(4, 8)], 8)
-    assert tail.contains(v.coords)
-
-
-def test_extension_error_when_family_spans(complexes):
-    alg = complexes.algebra
-    with pytest.raises(ValueError):
-        extend_anticommuting_basis(alg, [alg.basis_element(1)])
-
-
-def test_extension_rejects_bad_family(quaternions):
-    alg = quaternions.algebra
-    with pytest.raises(ValueError):
-        extend_anticommuting_basis(alg, [alg.basis_element(1).scale(2)])
-
-
-def test_extension_checks_each_vector_then_its_pairs(octonions):
-    """existing[i] is checked for its square, then against the later vectors,
-    before existing[i + 1] is looked at."""
-    alg = octonions.algebra
-    e = [alg.basis_element(k) for k in range(8)]
-    with pytest.raises(ValueError, match=r"existing vectors do not pairwise anticommute"):
-        extend_anticommuting_basis(alg, [e[1], e[2], -e[1], e[3].scale(2)])
-    with pytest.raises(ValueError, match=r"existing vectors do not pairwise anticommute"):
-        extend_anticommuting_basis(alg, [e[1], -e[1]])
-    with pytest.raises(ValueError, match=r"existing\[2\] does not square to -1"):
-        extend_anticommuting_basis(alg, [e[1], e[2], e[3].scale(2), e[3]])
-    ext = extend_anticommuting_basis(alg, [e[1], e[2], -e[4]])
-    assert ext.square == -1
 
 
 # -- recognizers --------------------------------------------------------------

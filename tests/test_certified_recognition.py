@@ -190,11 +190,11 @@ def test_hidden_defect_outranks_local_complexity_in_recognize(exact_sweeps):
 
 def test_recognizer_failure_after_the_screen_is_re_raised(exact_sweeps):
     """The quaternions (-1, -3 * 10^8), that is (-1, -3) over Q, are alternative
-    and locally complex but not H over Q.  Past 2^63 the screen decides
-    nothing, so the exact sweep runs, finds no defect, and the recognizer's
-    own error comes out: UnsupportedRationalClassError, or, for the grading
-    C + Cj, the ValueError of a singular basis (the unit-square search over
-    the odd part returns j k / (3 * 10^8) = i, which is even)."""
+    and locally complex but not H over Q: the norm form on the part
+    anticommuting with i, <3, 3> up to squares, has Hasse invariant -1 at 3.
+    Past 2^63 the screen decides nothing, so the exact sweep runs, finds no
+    defect, and the recognizer's own error comes out, also for the grading
+    C + Cj, whose odd part is that binary form."""
     algebra = _quaternion_table(-1, -3 * 10**8)
     assert alternativity_screen(algebra, identity(4)) is None
     for fn, args in ((recognize_alternative_division, (algebra,)),
@@ -202,7 +202,8 @@ def test_recognizer_failure_after_the_screen_is_re_raised(exact_sweeps):
                      (classify_super_alternative, (algebra, Grading.trivial(4)))):
         exact_sweeps.clear()
         got = outcome(fn, *args)
-        assert got[0] in (analysis.UnsupportedRationalClassError, ValueError)
+        assert got[0] is analysis.UnsupportedRationalClassError
+        assert got[1].endswith("its Hasse invariant at 3 is -1")
         assert got == outcome(getattr(ref, fn.__name__), *args)
         assert exact_sweeps
 

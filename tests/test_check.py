@@ -33,6 +33,7 @@ from cdalg import kernel
 from cdalg.kernel import INT64_LIMIT, SCREEN_PRIME, scaled_tensor, singularity_screen
 
 import slow_reference as ref
+from test_kernel import _quaternion_table
 from test_local_complexity import SMALL, outcome, sheared, tables
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -96,23 +97,35 @@ def test_nicely_normed_rotated(name):
 
 
 def test_nicely_normed_without_rational_certificate():
-    """b_1^2 = -2 is locally complex, but b_1 / sqrt(2) is not rational; H
-    in the basis (1, i + j, i - j, k) has the norm-form Gram matrix
-    diag(2, 2, 1), and Gram-Schmidt finds no rational normalized basis; nor
-    does it for the 3-dimensional algebra with t = 1 (not nicely normed) in
-    the basis (1, e1 + e2, e1 - e2).  The verdict does not need one; the
-    reference that multiplies one out still gives up."""
-    h = named_algebra("H").algebra
-    sheared_h = change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
-                                unit_index=0)
-    sheared_3d = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]],
-                                 unit_index=0)
-    for algebra, want in ((square_root_table(-2), True), (sheared_h, True), (sheared_3d, False)):
+    """The verdict does not need a rational normalized basis.  b_1^2 = -2,
+    the quaternions (-1, -3) and the 3-dimensional algebra with b_1^2 = -1,
+    b_2^2 = -3, b_1 b_2 = -b_2 b_1 = 1 (not nicely normed: [b_1, b_2] = 2)
+    have imaginary norm forms that are not sums of squares over Q, so none
+    exists; the reference that multiplies one out gives up on them.  H in
+    the basis (1, i + j, i - j, k) and the 3-dimensional algebra with t = 1
+    (not nicely normed) in the basis (1, e1 + e2, e1 - e2) have one, built
+    by descent, and the same verdicts."""
+    c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        c[0][i][i] = c[i][0][i] = F1
+    c[1][1][0], c[2][2][0], c[1][2][0], c[2][1][0] = -F1, Fraction(-3), F1, -F1
+    twisted = Algebra(c, unit=0)
+    for algebra, want in ((square_root_table(-2), True), (_quaternion_table(-1, -3), True),
+                          (twisted, False)):
         assert is_locally_complex(algebra).holds
         assert is_locally_complex(algebra).certificate is None
         assert is_nicely_normed(algebra) is want
         assert ref.commutators_are_imaginary(algebra) is want
         assert outcome(ref.is_nicely_normed, algebra) is UnsupportedRationalClassError
+    h = named_algebra("H").algebra
+    sheared_h = change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+                                unit_index=0)
+    sheared_3d = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]],
+                                 unit_index=0)
+    for algebra, want in ((sheared_h, True), (sheared_3d, False)):
+        is_locally_complex(algebra).certificate.validate(algebra)
+        assert is_nicely_normed(algebra) is want
+        assert ref.commutators_are_imaginary(algebra) is want
 
 
 def test_nicely_normed_past_int64_bound():

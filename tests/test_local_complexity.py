@@ -2,13 +2,14 @@
 multiply-based reference in slow_reference.
 
 The library decides quadraticity by one polarized identity on the integer
-tensor, reads the Gram matrix off the table in closed form, runs
-Gram-Schmidt on coefficient vectors only when the certificate is read, and
-reads the squares and anticommutators of the search candidates off one
-bilinear table, stopping at the first candidate that scales to a unit
-square.  Every field of the results must match the reference, which
-multiplies elements and builds every candidate, except the element
-witnessing "not quadratic", which must be valid in both.
+tensor, reads the Gram matrix off the table in closed form, and builds the
+certificate only when it is read.  Every field of the results must match
+the reference, which multiplies elements, except the element witnessing
+"not quadratic", which must be valid in both, and the certificate where the
+reference's Gram-Schmidt on square lengths finds none: the library then
+decides by Hasse invariants whether one exists and builds it by descent.
+The unit-square search must agree with the reference on rotations of the
+named tables, and succeed wherever the reference does.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from cdalg import (
     is_locally_complex,
     is_quadratic,
     named_algebra,
+    recognize_alternative_division,
 )
 from cdalg import analysis, properties
 from cdalg.analysis import rotated_copy
@@ -47,7 +49,13 @@ from cdalg.errors import (
 from cdalg.fileio import algebra_from_dict, algebra_to_dict, save_algebra
 from cdalg.kernel import INT64_LIMIT, first_quadratic_defect, scaled_tensor
 from cdalg.linalg import rank
-from cdalg.properties import LocallyComplexCheck, QuadraticCheck, imaginary_basis
+from cdalg.properties import (
+    LocallyComplexCheck,
+    QuadraticCheck,
+    certificate_or_raise,
+    imaginary_basis,
+)
+from test_kernel import _quaternion_table
 
 import slow_reference as ref
 
@@ -80,6 +88,11 @@ def assert_same_verdicts(algebra):
         assert lc == dataclasses.replace(lc_ref, counterexample=q.witness)
     else:
         assert q == q_ref
+        if (isinstance(lc_ref, LocallyComplexCheck) and lc_ref.holds
+                and lc_ref.certificate is None and lc.certificate is not None):
+            # Built by descent where square lengths alone give none.
+            lc.certificate.validate(algebra)
+            lc_ref = dataclasses.replace(lc_ref, certificate=lc.certificate)
         assert lc == lc_ref
 
 
@@ -255,14 +268,37 @@ def square_root_table(square):
 
 
 def without_certificate():
-    """Locally complex, but Gram-Schmidt finds no rational normalized basis:
-    b_1^2 = -2, H in the basis (1, i + j, i - j, k), and the 3-dimensional
-    algebra with t = 1 in the basis (1, e1 + e2, e1 - e2)."""
-    root_two = square_root_table(-2)
-    h = change_of_basis(named_algebra("H").algebra,
-                        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]], unit_index=0)
-    t1 = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]], unit_index=0)
-    return [root_two, h, t1]
+    """Locally complex, but the imaginary norm form is not a sum of squares
+    over Q: b_1^2 = -2 (determinant 2), the quaternions (-1, -3) (Hasse
+    invariant -1 at 3), and b_1^2 = -1, b_2^2 = -3 with b_1 b_2 = b_2 b_1 = 0
+    (imaginary Gram matrix diag(1, 3), determinant 3)."""
+    c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        c[0][i][i] = c[i][0][i] = F1
+    c[1][1][0], c[2][2][0] = Fraction(-1), Fraction(-3)
+    return [square_root_table(-2), _quaternion_table(-1, -3), Algebra(c, unit=0)]
+
+
+NO_CERTIFICATE_INVARIANTS = [
+    "its determinant 2 is not a rational square",
+    "its Hasse invariant at 3 is -1",
+    "its determinant 3 is not a rational square",
+]
+
+
+def certificate_by_descent():
+    """Tables whose certificate needs the descent: Gram-Schmidt on square
+    lengths finds none.  H in the bases (1, i + j, i - j, k) (imaginary
+    Gram matrix diag(2, 2, 1)) and (1, i + j, j + k, k + i), and the
+    3-dimensional algebra with t = 1 in the basis (1, e1 + e2, e1 - e2)."""
+    h = named_algebra("H").algebra
+    return [
+        change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+                        unit_index=0),
+        change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1]],
+                        unit_index=0),
+        change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]], unit_index=0),
+    ]
 
 
 @pytest.mark.parametrize("name, grading", [
@@ -344,12 +380,27 @@ def test_certificate_matches_reference(case):
 
 
 def test_no_rational_certificate_reads_none(orthonormalize_calls):
-    for algebra in without_certificate():
+    for algebra, invariant in zip(without_certificate(), NO_CERTIFICATE_INVARIANTS):
         check = is_locally_complex(algebra)
         assert check.holds
         assert check.certificate is None and check.certificate is None
         assert ref.is_locally_complex(algebra).certificate is None
-    assert len(orthonormalize_calls) == 3
+        with pytest.raises(UnsupportedRationalClassError) as info:
+            certificate_or_raise(algebra)
+        assert str(info.value) == (
+            "a rational normalized basis needs the imaginary norm form to be a sum of "
+            f"squares over Q, and it is not a sum of squares over Q: {invariant}")
+    # One build per table, and one more for each message.
+    assert len(orthonormalize_calls) == 6
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_certificate_built_by_descent(index):
+    algebra = certificate_by_descent()[index]
+    assert ref.is_locally_complex(algebra).certificate is None
+    cert = is_locally_complex(algebra).certificate
+    assert cert is not None
+    cert.validate(algebra)
 
 
 def test_constructor_and_replace_keep_a_given_certificate():
@@ -440,14 +491,61 @@ def test_unit_square_search_on_graded_odd_part():
     assert find_unit_square_vector(*args) == ref.find_unit_square_vector(*args)
 
 
+def search_steps(algebra):
+    """The recognizer's searches as in :func:`recognition_calls`, each with
+    its family: ``(got, want, family)``, the family grown from ``got``."""
+    imag = imaginary_basis(algebra)
+    one = algebra.one()
+    family = []
+    for _ in range({2: 1, 4: 2, 8: 3}[algebra.dim]):
+        closure = [one] + family if family else None
+        got = outcome(find_unit_square_vector, algebra, imag, family, closure)
+        want = outcome(ref.find_unit_square_vector, algebra, imag, family, closure)
+        yield got, want, list(family)
+        if isinstance(got, type):
+            return
+        family.append(got)
+        if len(family) == 2:
+            family.append(algebra.multiply(family[0], family[1]))
+
+
+def is_unit_square(algebra, x, family=()):
+    """x^2 = -1 and x anticommutes with the family, multiplied out."""
+    return algebra.multiply(x, x) == -algebra.one() and all(
+        (algebra.multiply(x, e) + algebra.multiply(e, x)).is_zero() for e in family
+    )
+
+
+def assert_search_dominates(algebra):
+    """Wherever the reference's candidate search succeeds, the library's
+    search succeeds too, and every vector it returns is a unit square."""
+    steps = 0
+    for got, want, family in search_steps(algebra):
+        steps += 1
+        if not isinstance(want, type):
+            assert not isinstance(got, type)
+        if not isinstance(got, type):
+            assert is_unit_square(algebra, got, family)
+    return steps
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["H", "O"]), st.data())
 def test_unit_square_search_on_sheared_bases(name, data):
-    """Sheared bases make most candidates fail, which exercises the pair
-    products and the sum-of-squares normalization."""
+    """Sheared bases make most basis vectors of the search space fail to
+    have a square norm, which sends the reference to its pair products and
+    sum-of-squares splits, and the library to its descent."""
     algebra = sheared(named_algebra(name).algebra, data.draw)
-    for got, want in recognition_calls(algebra):
-        assert got == want
+    assert assert_search_dominates(algebra) == {4: 2, 8: 3}[algebra.dim]
+
+
+@pytest.mark.parametrize("name", ["H", "O"])
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_square_search_on_sheared_named_tables(name, seed):
+    """Alternative tables only: in TO under the trivial grading e1 e2 need
+    not square to -1, and a unit square can exist anticommuting with the
+    family while the norm form there is not a sum of squares."""
+    assert_search_dominates(sheared_named(name, seed))
 
 
 def h_in_basis(rows):
@@ -458,8 +556,8 @@ def h_in_basis(rows):
 
 @pytest.fixture
 def search_path(monkeypatch):
-    """Which stages the last searches reached: "pair" once a product of
-    candidates is squared, "closure" once a sum-of-squares split is asked."""
+    """Which steps the last searches reached: "descent" once a unit vector
+    is built by descent, "four squares" once a four-square split is asked."""
     reached = set()
 
     def spy(stage, fn):
@@ -468,9 +566,10 @@ def search_path(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(analysis, "_square_scalar", spy("pair", analysis._square_scalar))
-    for name in ("two_squares_fraction", "four_squares_fraction"):
-        monkeypatch.setattr(analysis, name, spy("closure", getattr(analysis, name)))
+    monkeypatch.setattr(analysis, "unit_vector_by_descent",
+                        spy("descent", analysis.unit_vector_by_descent))
+    monkeypatch.setattr(analysis, "four_squares_fraction",
+                        spy("four squares", analysis.four_squares_fraction))
     return reached
 
 
@@ -491,34 +590,51 @@ def test_early_exit_matches_reference_on_rotated_even_parts(name):
         assert not isinstance(got, type) and got == want
 
 
+def assert_unit_square(algebra, space, family=(), closure=None):
+    x = find_unit_square_vector(algebra, space, family, closure)
+    assert is_unit_square(algebra, x, family)
+    return x
+
+
 def test_early_exit_reaches_the_pair_fallback(search_path):
-    """Over the rows (1,-1,0), (1,0,1), (2,-1,-1) every candidate has norm
-    2, 6, 10 or 14, none a square; the first anticommuting pair, (1,0,1)
-    and (-1,0,1), multiplies two norms of 2 into 4."""
+    """Over the rows (1,-1,0), (1,0,1), (2,-1,-1) the norms are 2, 2 and 6,
+    none a square.  The reference squares the product of (1,0,1) and
+    (-1,0,1); the library decides that the form with LDL pivots 2, 3/2 and
+    4/3 is a sum of squares and builds a unit vector by descent."""
     algebra = h_in_basis([[1, -1, 0], [1, 0, 1], [2, -1, -1]])
-    got = assert_search_matches(algebra, imaginary_basis(algebra))
-    assert isinstance(got, Element) and search_path == {"pair"}
+    assert isinstance(ref.find_unit_square_vector(algebra, imaginary_basis(algebra)), Element)
+    assert_unit_square(algebra, imaginary_basis(algebra))
+    assert search_path == {"descent"}
 
 
 def test_early_exit_reaches_the_closure_fallback(search_path):
-    """e1 = b_1 / 3 is found directly.  No candidate anticommuting with it
-    has a square norm, their pair products are multiples of e1, and one of
-    them is scaled through a two-square split in span(1, e1)."""
+    """e1 = b_1 / 3 is found directly, as by the reference.  No vector
+    anticommuting with it has a square norm; the reference scales one
+    through a two-square split in span(1, e1), the library solves the
+    binary form by descent."""
     algebra = h_in_basis([[2, 2, -1], [1, 2, 2], [1, 2, 1]])
     imag = imaginary_basis(algebra)
     e1 = assert_search_matches(algebra, imag)
     assert search_path == set()
-    got = assert_search_matches(algebra, imag, [e1], [algebra.one(), e1])
-    assert isinstance(got, Element) and search_path == {"pair", "closure"}
+    assert isinstance(ref.find_unit_square_vector(algebra, imag, [e1], [algebra.one(), e1]),
+                      Element)
+    assert_unit_square(algebra, imag, [e1], [algebra.one(), e1])
+    assert search_path == {"descent"}
 
 
 def test_early_exit_reports_no_unit_square(search_path):
-    """Over the rows (2,1,-1), (-1,-1,2), (-1,2,1) the candidate norms are
-    2, 6, 10, 14 and 22, no anticommuting pair multiplies two of them into
-    a square, and there is no closure to try."""
+    """The rows (2,1,-1), (-1,-1,2), (-1,2,1) are a basis of the imaginary
+    quaternions, so the algebra is H.  The reference's candidate norms are
+    2, 6, 10, 14 and 22, no anticommuting pair multiplies two of them into a
+    square, and it reports no unit square.  The library decides that the
+    form with LDL pivots 6, 11/6 and 64/11 is a sum of squares and builds a
+    unit vector by descent, and the recognizer finds H."""
     algebra = h_in_basis([[2, 1, -1], [-1, -1, 2], [-1, 2, 1]])
-    got = assert_search_matches(algebra, imaginary_basis(algebra))
-    assert got is UnsupportedRationalClassError and search_path == {"pair"}
+    imag = imaginary_basis(algebra)
+    assert outcome(ref.find_unit_square_vector, algebra, imag) is UnsupportedRationalClassError
+    assert_unit_square(algebra, imag)
+    assert search_path == {"descent"}
+    assert recognize_alternative_division(algebra).tag == "H"
 
 
 # -- the constructive quadratic witness ----------------------------------------

@@ -1,9 +1,10 @@
-"""Square detection, the two/four-square decompositions, Q(sqrt(m)),
-factoring small numbers, rational conics and rational roots."""
+"""Square detection, the four-square decomposition, Q(sqrt(m)), factoring
+small numbers, Hilbert symbols, rational conics and rational roots."""
 
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +14,15 @@ from cdalg.numth import (
     factorizations,
     four_squares,
     four_squares_fraction,
+    hilbert_symbol,
+    represent_one,
     sqrt_fraction,
+    sum_of_squares_obstruction,
     rational_roots,
     sqrt_rational,
     ternary_zero,
     three_squares,
     two_squares,
-    two_squares_fraction,
 )
 
 import slow_reference as ref
@@ -55,12 +58,71 @@ def test_three_squares_obstruction():
     assert got is not None and sum(x * x for x in got) == 11
 
 
-def test_two_squares_fraction():
-    got = two_squares_fraction(Fraction(1, 2))
-    assert got is not None
-    a, b = got
-    assert a * a + b * b == Fraction(1, 2)
-    assert two_squares_fraction(Fraction(1, 3)) is None
+def _square_free(n):
+    return all(n % (q * q) for q in range(2, 8))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_hilbert_symbol_matches_local_solvability(p):
+    """(a, b)_p = 1 exactly when z^2 = a x^2 + b y^2 has a primitive solution
+    modulo p^3 (modulo 2^5 at 2).  In a primitive solution x or y is a unit
+    (if both are divisible by p, so is z), so it can be scaled to 1: the
+    test is whether a + b y^2 or a x^2 + b is a square for some y or x."""
+    m = 2**5 if p == 2 else p**3
+    r2 = np.arange(m, dtype=np.int64) ** 2 % m
+    is_square = np.zeros(m, dtype=bool)
+    is_square[r2] = True
+    values = [a for a in range(-60, 61) if a and _square_free(abs(a))]
+    for a in values:
+        for b in values:
+            solvable = is_square[(a + b * r2) % m].any() or is_square[(a * r2 + b) % m].any()
+            assert (hilbert_symbol(a, b, p) == 1) == solvable, (a, b, p)
+
+
+def test_represent_one_in_every_rank():
+    """The descent finds a vector of value 1 wherever the form represents 1:
+    forms that are sums of squares, and forms with a coefficient 1 placed
+    last, of ranks 1 to 6, with entries whose square-free parts share
+    primes, so that the local classes of the split values matter."""
+    rng = __import__("random").Random("represent-one")
+    entries = [Fraction(n, d) for n in (1, 2, 3, 5, 6, 7, 10, 14, 15, 21) for d in (1, 2, 3)]
+    sums = 0
+    for _ in range(1500):
+        d = [rng.choice(entries) for _ in range(rng.randint(1, 6))]
+        if sum_of_squares_obstruction(d) is None:
+            sums += 1
+        else:
+            d.append(Fraction(1))
+        y = represent_one(d)
+        assert y is not None and sum(di * yi * yi for di, yi in zip(d, y)) == 1, d
+    assert sums >= 30
+
+
+def test_represent_one_refuses_a_form_that_does_not_represent_one():
+    # 3 is not a sum of two rational squares, nor 7 of three.
+    for d in ([Fraction(3)], [Fraction(3), Fraction(3)], [Fraction(7), Fraction(7), Fraction(7)]):
+        with pytest.raises(ValueError):
+            represent_one(d)
+
+
+def test_sum_of_squares_obstruction_hand_cases():
+    F = Fraction
+    assert sum_of_squares_obstruction([F(2), F(2), F(1)]) is None
+    assert sum_of_squares_obstruction([F(1, 2), F(2)]) is None
+    assert sum_of_squares_obstruction([F(5), F(5)]) is None  # 5 = 1 + 4
+    assert sum_of_squares_obstruction([F(3), F(3), F(3), F(3)]) is None
+    assert sum_of_squares_obstruction([]) is None
+    # (-1, -3) over Q: the imaginary norm form <1, 3, 3>.
+    assert sum_of_squares_obstruction([F(1), F(3), F(3)]) == (
+        "is not a sum of squares over Q: its Hasse invariant at 3 is -1")
+    assert sum_of_squares_obstruction([F(2)]) == (
+        "is not a sum of squares over Q: its determinant 2 is not a rational square")
+    assert sum_of_squares_obstruction([F(1), F(3)]).endswith("determinant 3 is not a rational square")
+    # <7, 7> has a square determinant and eps_7 = (7, 7)_7 = (-1/7) = -1.
+    assert sum_of_squares_obstruction([F(7), F(7)]).endswith("Hasse invariant at 7 is -1")
+    big = 1000003 * 1000033  # two primes past the trial bound, not split by anything
+    assert sum_of_squares_obstruction([F(big), F(big)]) == (
+        f"is not known to be a sum of squares over Q: {big} could not be factored")
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ from cdalg import (
     Grading,
     change_of_basis,
     classify_super_alternative,
-    extend_anticommuting_basis,
     generated_subalgebra,
     middle_moufang_on_basis,
     named_algebra,
@@ -143,8 +142,6 @@ def test_rows_of_the_wrong_length_raise_dimension_mismatch():
         change_of_basis(h, identity(4)[:3])
     with pytest.raises(DimensionMismatchError, match="element does not conform"):
         change_of_basis(h, [r + (F0,) for r in identity(4)])
-    with pytest.raises(DimensionMismatchError, match="element does not conform"):
-        extend_anticommuting_basis(h, [Element((F0, F1, F0))])
 
 
 # -- the induced algebra of a closed subspace --------------------------------
