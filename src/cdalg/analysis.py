@@ -5,15 +5,14 @@ The recognizers follow the constructive uniqueness proofs step for step: fix
 a square-root-of-minus-one, extend to an anticommuting family, and read the
 remaining basis off products.  Every change of basis stays rational.  Each
 vector of square -1 is a unit vector of the norm form on the imaginary
-vectors that anticommute with the family so far.  Over Q one exists, with a
-rational iso onto the named table, exactly when that form is a sum of
-squares, which its Hasse invariants at the odd primes decide, the one at 2
-following by the product formula (:mod:`cdalg.numth`); a failure names the
-invariant or the number that could not be factored.  Norm multiplicativity
-is used in one place: a vector w orthogonal to a recognized quaternion
-subalgebra B is normalized as w h, with h in B of norm 1/N(w) from four
-squares, which needs no factoring.  A returned isomorphism is always
-verified multiplicative and invertible before it leaves this module.
+vectors that anticommute with the family so far; one exists over Q exactly
+when that form is a sum of squares, which its determinant class and Hasse
+invariants at the odd primes decide, the one at 2 following by the product
+formula (:mod:`cdalg.numth`).  Norm multiplicativity is used in one place:
+a vector w orthogonal to a recognized subalgebra B, C or H, is normalized
+as w h, with h in B of norm 1/N(w) from two or four squares.  A returned
+isomorphism is always verified multiplicative and invertible before it
+leaves this module.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .construct import Grading, named_algebra
@@ -66,8 +65,9 @@ from .kernel import (
     singularity_screen,
     table_in_rows,
 )
-from .numth import four_squares_fraction, sqrt_fraction
+from .numth import four_squares_fraction, sqrt_fraction, ternary_zero
 from .properties import (
+    candidate_rows,
     combination,
     coordinate_map,
     imaginary_basis,
@@ -100,25 +100,26 @@ def find_unit_square_vector(
     form N and anticommuting means orthogonal.  One integer table of the
     anticommutators of the family and the space with the space gives the
     part W of the space that anticommutes with the family, and the Gram
-    matrix of N.  The vector is, in order:
-
-    - the first basis vector of W whose norm is a rational square, scaled;
-    - for ``closure`` a quaternion basis B = (1, i, j, k) orthogonal to W
-      (the e_4 step, and the odd part over an even H): w h, for the first
-      basis vector w of W and the h in B of norm 1 / N(w) from
-      :func:`four_squares_fraction`, while N(w) has at most
-      ``_FOUR_SQUARES_BITS`` bits.  The norm is multiplicative on the
-      doubling step w B when B is a quaternion subalgebra of an alternative
-      algebra, or the even part of TO; w h is kept when the table of its
-      anticommutators shows that it squares to -1 and anticommutes with
-      the family.  This needs no factoring;
-    - one built by descent (:func:`cdalg.properties.unit_vector_by_descent`).
-
-    Otherwise UnsupportedRationalClassError names the invariant by which
-    the norm form on W is not a sum of squares over Q (then no normalized
-    basis of the target runs through W), or the number that could not be
-    factored.  A two-element ``closure`` is not used.
+    matrix of N.  Over a basis of W the candidates are the
+    :func:`~cdalg.properties.candidate_rows`.  The vector is the first
+    candidate whose norm is a rational square, scaled.  Else, for
+    ``closure`` a basis B = (1, i) of C or (1, i, j, k) of H orthogonal to
+    W, it is w h for the first candidate w with an h in B of norm 1 / N(w):
+    two squares from :func:`ternary_zero`, or four from
+    :func:`four_squares_fraction`, which needs no factoring, while N(w) has
+    at most ``_FOUR_SQUARES_BITS`` bits.  The norm is multiplicative on the
+    doubling step w B when B is a subalgebra of an alternative algebra or
+    the even part of TO; w h is kept when one anticommutator table shows
+    that it squares to -1 and anticommutes with the family, and it is as
+    small as w, which keeps the next search small.  Else the vector is built
+    by :func:`cdalg.properties.unit_vector_by_descent`, and failing that
+    UnsupportedRationalClassError carries the descent's clause: the
+    invariant by which N on W is not a sum of squares over Q, the number
+    that could not be factored, or that the search ran out.  A closure of
+    any other length raises ValueError.
     """
+    if closure is not None and len(closure) not in (2, 4):
+        raise ValueError("a closure is a basis (1, i) of C or (1, i, j, k) of H")
     n, u = algebra.dim, algebra.unit
     family = [e.coords for e in anticommute_with]
     table, scale = anticommutator_table(
@@ -139,16 +140,23 @@ def find_unit_square_vector(
             "no nonzero vector of the search space anticommutes with the family"
         )
     x = square_length_row(rows, gram)
-    if x is None and closure is not None and len(closure) == 4:
-        norm = vec_dot(rows[0], mat_vec(gram, rows[0]))
-        if (norm.numerator * norm.denominator).bit_length() <= _FOUR_SQUARES_BITS:
-            w = combination(algebra, rows[0], space)
-            h = combination(algebra, four_squares_fraction(F1 / norm), closure)
-            out = algebra.multiply(w, h)
-            # out^2 = -1 and out anticommutes with the family, read off one table.
-            (check,), s = anticommutator_table(algebra, [out.coords], [out.coords, *family])
-            if check == [[-2 * s * (k == u) for k in range(n)]] + [[0] * n] * len(family):
-                return out
+    for r in candidate_rows(rows) if x is None and closure else ():
+        norm = vec_dot(r, mat_vec(gram, r))
+        if len(closure) == 4:
+            if (norm.numerator * norm.denominator).bit_length() > _FOUR_SQUARES_BITS:
+                continue
+            h = four_squares_fraction(F1 / norm)
+        else:
+            zero = ternary_zero((F1, F1, -norm))  # a^2 + b^2 = N(w) c^2
+            if not zero:
+                continue
+            h = (zero[0] / (zero[2] * norm), zero[1] / (zero[2] * norm))
+        out = algebra.multiply(combination(algebra, r, space), combination(algebra, h, closure))
+        # out^2 = -1 and out anticommutes with the family, read off one table.
+        (check,), s = anticommutator_table(algebra, [out.coords], [out.coords, *family])
+        if check == [[-2 * s * (k == u) for k in range(n)]] + [[0] * n] * len(family):
+            return out
+        break
     if x is None:
         x = unit_vector_by_descent(rows, gram)
         if isinstance(x, str):
@@ -295,7 +303,9 @@ def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
     basis = [algebra.one(), e1]
     tag = "C"
     if n >= 4:
-        e2 = find_unit_square_vector(algebra, imag, anticommute_with=[e1])
+        e2 = find_unit_square_vector(
+            algebra, imag, anticommute_with=[e1], closure=[algebra.one(), e1]
+        )
         e3 = algebra.multiply(e1, e2)
         basis += [e2, e3]
         tag = "H"
@@ -404,7 +414,7 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
         tag = "C"
     elif tag0 == "C":
         i_hat = even_std(1)
-        f = find_unit_square_vector(algebra, odd_elements)
+        f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat])
         basis = [one, i_hat, f, algebra.multiply(i_hat, f)]
         tag = "H"
     elif tag0 == "H":
@@ -444,14 +454,6 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
 # vector before it, k given here (None keeps that vector).  The first three
 # signs must be -1, and the last one tells S (-1) from TS (+1).
 _RELATIONS = (((1, 2), 3), ((1, 4), 2), ((2, 4), 1), ((3, 4), None))
-
-
-def _odd_starts(odd):
-    """The odd starting vectors v_p, then v_p + v_q and v_p - v_q for p < q."""
-    yield from odd
-    for p, q in combinations(range(len(odd)), 2):
-        yield odd[p] + odd[q]
-        yield odd[p] - odd[q]
 
 
 def _classify_sedenion_like(
@@ -501,10 +503,10 @@ def _classify_sedenion_like(
     odd, odd_scale = primitive_row([c for e in odd_elements for c in e.coords])
     odd = odd.reshape(len(odd_elements), algebra.dim)
     last_error = "no odd starting vector produced a normalizable result"
-    for start in _odd_starts(odd):
-        if not start.any():
+    for start in candidate_rows(odd.tolist()):
+        if not any(start):
             continue
-        w, lam = primitive_row(start.tolist())
+        w, lam = primitive_row(start)
         lam *= odd_scale
         for r, (_, fallback) in enumerate(_RELATIONS):
             out, scale = remedy(w, r), cube

@@ -36,11 +36,10 @@ class UnknownAlgebraError(CdalgError):
 class UnsupportedRationalClassError(CdalgError):
     """A recognizer needs a rational normalized basis that it cannot build.
 
-    The message names the reason: the norm form carried by the input is not
-    a sum of squares over Q, by a named invariant (e.g. the quaternions with
-    i*i = -1 and j*j = -3, whose Hasse invariant at 3 is -1), or a number
-    could not be factored.  The algebra may still be isomorphic to the
-    target over the reals; only the rational change of basis is missing.
+    The message names the reason: the input's norm form is not a sum of
+    squares over Q by a named invariant (the quaternions with i*i = -1 and
+    j*j = -3 fail at 3), a number could not be factored, or a search ran
+    out.  The algebra may still be isomorphic to the target over the reals.
     """
 
 

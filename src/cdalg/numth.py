@@ -3,39 +3,39 @@ the local invariants of positive definite diagonal forms and the quadratic
 fields Q(sqrt(m)).
 
 :func:`four_squares_fraction` writes every rational q >= 0 as a sum of four
-squares, for the one normalization of the recognizers that needs no
-factoring: a vector w orthogonal to a quaternion subalgebra B times the h in
-B of norm 1/N(w), which has norm 1 by norm multiplicativity on w B.  It
+squares, for the one normalization that needs no factoring: a vector of
+norm 1/q times an element of norm q in a quaternion subalgebra.  It
 descends over the leading term; :func:`three_squares` and
-:func:`two_squares`, which serve only it, first divide out the largest power
-4^k of n (every square in such a representation of a multiple of 4 is even)
+:func:`two_squares`, which serve only it, divide out the largest power 4^k
+of n first (every square in a representation of a multiple of 4 is even)
 and give up after ``_SEARCH_CAP`` steps, upon which it tries the next
 leading term.
 
-:func:`sum_of_squares_obstruction` decides whether a positive definite
-diagonal form is a sum of squares over Q (Hasse-Minkowski; Serre, *A Course
-in Arithmetic*, ch. IV): both forms are positive definite, so they agree at
-infinity, and by the product formula the Hasse invariant at 2 is the product
-of the others, so the determinant class and the :func:`hilbert_symbol` at
-the odd primes decide.  :func:`represent_one` then builds a vector of value
-1 by descent.
+:func:`sum_of_squares_obstruction` decides by Hasse-Minkowski whether a
+positive definite diagonal form is a sum of squares over Q (Serre, *A
+Course in Arithmetic*, ch. IV): both forms are positive definite, so they
+agree at infinity, and the Hasse invariant at 2 follows from the others by
+the product formula, so the determinant class and the
+:func:`hilbert_symbol` at the odd primes decide.  :func:`represent_one`
+finds a vector of value 1 by a search that :func:`ternary_zero` finishes.
 
-:func:`ternary_zero` decides whether a diagonal ternary form
-``d1 x^2 + d2 y^2 + d3 z^2`` has a rational zero and finds one by Lagrange's
-descent, as in Cremona & Rusin, *Efficient solution of rational conics*
-(Math. Comp. 2003).  These need the primes of the coefficients, and run
-only when :func:`factorizations` proves them: trial division by the primes
-below ``_TRIAL_BOUND`` and a deterministic Miller-Rabin test of the cofactor
-below ``_MR_LIMIT``.  Its answer is a zero, False (a proof that there is
+:func:`ternary_zero` decides whether ``d1 x^2 + d2 y^2 + d3 z^2`` has a
+rational zero and finds one by Lagrange's descent, as in Cremona & Rusin,
+*Efficient solution of rational conics* (Math. Comp. 2003).  These need
+the primes of the coefficients, and run only when :func:`factorizations`
+proves them: trial division by the primes below ``_TRIAL_BOUND`` and a
+deterministic Miller-Rabin test of the cofactor below ``_MR_LIMIT``.  The
+answer of :func:`ternary_zero` is a zero, False (a proof that there is
 none), or None when a number could not be factored.  :class:`Surd` is the
 exact number ``a + b sqrt(m)`` for forms with no rational zero.
-:func:`rational_roots` reads the rational roots of an integer polynomial off
-floating-point approximations and keeps only exact ones.
+:func:`rational_roots` reads the rational roots of an integer polynomial
+off floating-point approximations and keeps only exact ones.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from math import isqrt
@@ -52,9 +52,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # continued-fraction convergent that is tested as a root.
 _ROOT_STEPS = 500
 _ROOT_DENOMINATOR = 10**8
-# The descent of :func:`represent_one` tries the cofactors m below this bound
-# before it looks for a prime one.
-_SMALL_COFACTORS = 20_000
+# :func:`represent_one` tries the denominators z below this bound.
+_REPRESENT_HEIGHT = 64
 
 
 def sqrt_fraction(q: Fraction) -> Fraction | None:
@@ -488,7 +487,7 @@ def _descent(a: int, pa: list[int], b: int, pb: list[int]) -> tuple[int, int, in
     return (x // g, y // g, z // g)
 
 
-def _square_free_parts(d) -> list[tuple[int, list[int], Fraction]] | None:
+def _square_free_parts(d) -> list[tuple[int, set[int], Fraction]] | None:
     """``(f, primes of f, c)`` for each nonzero rational ``d_i = n/q``, with
     ``n q = f s^2``, f square-free and ``c = q/s``, so that
     ``d_i (c y)^2 = f y^2``; None when a number could not be factored."""
@@ -501,7 +500,7 @@ def _square_free_parts(d) -> list[tuple[int, list[int], Fraction]] | None:
         for p, e in f_den.items():
             merged[p] = merged.get(p, 0) + e
         f, s, odd = _square_free(q.numerator, merged)
-        parts.append((f, odd, Fraction(q.denominator, s)))
+        parts.append((f, set(odd), Fraction(q.denominator, s)))
     return parts
 
 
@@ -522,7 +521,6 @@ def ternary_zero(
     if parts is None:
         return None
     (f1, p1, s1), (f2, p2, s2), (f3, p3, s3) = parts
-    p1, p2, p3 = set(p1), set(p2), set(p3)
     g, h = math.gcd(f1, f3), math.gcd(f2, f3)
     sol = _descent(-f1 * f3 // (g * g), sorted(p1 ^ p3), -f2 * f3 // (h * h), sorted(p2 ^ p3))
     if not sol:
@@ -536,41 +534,16 @@ def ternary_zero(
 # ---------------------------------------------------------------------------
 
 
-def _split_off(n: int, p: int) -> tuple[int, int]:
-    """(e, u) with n = p^e u and p not dividing u."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e, n
-
-
-def _is_residue(a: int, p: int) -> bool:
-    """Whether a, prime to the odd prime p, is a square modulo p."""
-    return pow(a, (p - 1) // 2, p) == 1
-
-
 def hilbert_symbol(a: int, b: int, p: int) -> int:
-    """The Hilbert symbol (a, b)_p of nonzero integers at a prime p: 1 when
-    z^2 = a x^2 + b y^2 has a nonzero solution over Q_p, else -1.
-
-    With a = p^alpha u and b = p^beta v, u and v prime to p, it is
-    (-1)^(alpha beta (p - 1)/2) (u/p)^beta (v/p)^alpha at an odd p and
-    (-1)^(e(u) e(v) + alpha w(v) + beta w(u)) at 2, with e(u) = (u - 1)/2
-    and w(u) = (u^2 - 1)/8 (Serre, *A Course in Arithmetic*, ch. III, Thm 1).
-    """
-    (alpha, u), (beta, v) = _split_off(a, p), _split_off(b, p)
-    if p == 2:
-        odd = (u - 1) // 2 * (v - 1) // 2 + alpha * (v * v - 1) // 8 + beta * (u * u - 1) // 8
-    else:
-        odd = alpha * beta * (p - 1) // 2 + beta * (not _is_residue(u, p)) \
-            + alpha * (not _is_residue(v, p))
+    """The Hilbert symbol (a, b)_p of nonzero square-free integers at an odd
+    prime p: 1 when z^2 = a x^2 + b y^2 has a nonzero solution over Q_p,
+    else -1.  With a = p^alpha u and b = p^beta v, u and v prime to p, it
+    is (-1)^(alpha beta (p - 1)/2) (u/p)^beta (v/p)^alpha (Serre, *A Course
+    in Arithmetic*, ch. III, Thm 1)."""
+    alpha, beta = int(a % p == 0), int(b % p == 0)
+    u, v, half = a // p**alpha, b // p**beta, (p - 1) // 2
+    odd = alpha * beta * half + beta * (pow(u, half, p) != 1) + alpha * (pow(v, half, p) != 1)
     return -1 if odd % 2 else 1
-
-
-def _hasse(f: list[int], p: int) -> int:
-    """eps_p = prod_{i<j} (f_i, f_j)_p of the diagonal form f."""
-    return math.prod(hilbert_symbol(a, b, p) for i, a in enumerate(f) for b in f[i + 1:])
 
 
 def sum_of_squares_obstruction(d) -> str | None:
@@ -579,10 +552,11 @@ def sum_of_squares_obstruction(d) -> str | None:
     saying why not, or which number could not be factored.
 
     Positive definite forms of one rank are isometric exactly when their
-    determinants agree modulo squares and their Hasse invariants eps_p agree
-    at every prime; eps_p(I_r) = 1.  At an odd prime of no square-free part
-    of a d_i, eps_p = 1; at infinity eps = 1 for a positive definite form;
-    and the product of all eps_v is 1, so eps_2 = 1 once the odd ones are.
+    determinants agree modulo squares and their Hasse invariants
+    eps_p = prod_{i<j} (d_i, d_j)_p agree at every prime; eps_p(I_r) = 1.
+    At an odd prime of no square-free part of a d_i, eps_p = 1; at infinity
+    eps = 1 for a positive definite form; and the product of all eps_v is
+    1, so eps_2 = 1 once the odd ones are.
     """
     det = math.prod(d, start=Fraction(1))
     if sqrt_fraction(det) is None:
@@ -594,112 +568,44 @@ def sum_of_squares_obstruction(d) -> str | None:
         return f"is not known to be a sum of squares over Q: {culprit} could not be factored"
     f = [free for free, _, _ in parts]
     for p in sorted(set().union(*(primes for _, primes, _ in parts)) - {2}):
-        if _hasse(f, p) != 1:
+        if math.prod(hilbert_symbol(a, b, p) for a, b in itertools.combinations(f, 2)) != 1:
             return f"is not a sum of squares over Q: its Hasse invariant at {p} is -1"
     return None
 
 
-def _is_isotropic_at(f: list[int], p: int) -> bool:
-    """Whether the diagonal form with nonzero integer coefficients f, of rank
-    3 or 4, has a nonzero zero over Q_p (Serre, ch. IV, Thm 6)."""
-    d, eps = math.prod(f), _hasse(f, p)
-    if len(f) == 3:
-        return eps == hilbert_symbol(-1, -d, p)
-    e, u = _split_off(d, p)
-    square = not e % 2 and (u % 8 == 1 if p == 2 else _is_residue(u, p))
-    return not square or eps == hilbert_symbol(-1, -1, p)
-
-
-def _isotropic_zero(*f: int) -> tuple[Fraction, Fraction, Fraction] | None:
-    """:func:`ternary_zero` of a form that must have a zero: the zero, or
-    None when a number could not be factored."""
-    zero = ternary_zero(tuple(map(Fraction, f)))
-    if zero is False:
-        raise ValueError(f"<{f}> has no rational zero")
-    return zero
-
-
 def represent_one(d) -> tuple[Fraction, ...] | None:
-    """y with d_1 y_1^2 + ... + d_r y_r^2 = 1, for rational d_i > 0 whose
-    form represents 1 over Q (a sum of squares does; ValueError otherwise);
-    None when a number could not be factored.
+    """y with d_1 y_1^2 + ... + d_r y_r^2 = 1 for rational d_i > 0, or None
+    when the search found none (as for a form that does not represent 1; a
+    sum of squares does) or a number could not be factored.
 
     Past rank 4 the other coordinates are 0: by Meyer's theorem the
-    indefinite <d_1, ..., d_4, -1> has a rational zero.  The work is on the
-    square-free parts f_i of the d_i.  Rank 1 is f_1 = 1, rank 2 a zero of
-    <f_1, f_2, -1>.  In rank r = 3 or 4 the isotropic form
-    <f_1, ..., f_r, -1> is split as A = <f_1, f_2> and B = <f_3, ..., -1>
-    through a t > 0 with A + <-t> and B + <t> isotropic (Cassels, *Rational
-    Quadratic Forms*, ch. 6): at each prime p of 2 f_1 ... f_r, t takes a
-    class p^v u (v = 0, 1) for which both are isotropic over Q_p, as some
-    class is because A + B is; t = t0 m, with m prime to those p, puts t0 m
-    in those classes, and at each prime of m both forms must be isotropic
-    too, a Legendre condition.  A small m is sought first; a prime m in the
-    residue class fits by the product formula.  Then A(x) = t is a ternary
-    zero and <f_3, ..., f_r, t> represents 1, one rank lower.
+    indefinite <d_1, ..., d_4, -1> has a rational zero.  On the square-free
+    parts f_i the search runs over integers z < ``_REPRESENT_HEIGHT``, pairs
+    {a, b} of coordinates and integers 0 <= x_i <= z at the others:
+    :func:`ternary_zero` solves f_a x_a^2 + f_b x_b^2 = (z^2 - sum_i f_i
+    x_i^2) w^2, and x / z, with x_a / w and x_b / w, has value 1.  Every
+    rational vector of value 1 has that shape; a prime that must divide z
+    with one pair as {a, b} need not with another.  Small vectors keep the
+    numbers of the next orthogonal complement small.
     """
     parts = _square_free_parts(d[:4])
-    y = parts and _represent_one([f for f, _, _ in parts], [p for _, p, _ in parts])
-    return y and (*(yi * c for yi, (_, _, c) in zip(y, parts)), *[Fraction(0)] * (len(d) - 4))
-
-
-def _unit_classes(p: int) -> tuple[int, ...]:
-    """Representatives of the units of Z_p modulo squares."""
-    if p == 2:
-        return (1, 3, 5, 7)
-    return (1, next(n for n in range(2, p) if not _is_residue(n, p)))
-
-
-def _represent_one(f: list[int], primes: list[list[int]]) -> tuple[Fraction, ...] | None:
+    if parts is None:
+        return None
+    f, scales = [free for free, _, _ in parts], [c for _, _, c in parts]
     if len(f) == 1:
-        if f[0] != 1:  # a square-free f_1 that represents 1 is 1
-            raise ValueError(f"<{f[0]}> does not represent 1")
-        return (Fraction(1),)
-    if len(f) == 2:
-        zero = _isotropic_zero(f[0], f[1], -1)
-        return zero and (zero[0] / zero[2], zero[1] / zero[2])
-    a, b, rest = f[0], f[1], f[2:]
-    classes = {}  # p: (v, u), the class p^v u of t at p
-    for p in sorted({2}.union(*primes)):
-        classes[p] = next(((v, u) for v in (0, 1) for u in _unit_classes(p)
-                           if _is_isotropic_at([a, b, -p**v * u], p)
-                           and _is_isotropic_at([*rest, -1, p**v * u], p)), None)
-        if classes[p] is None:
-            raise ValueError(f"<{f}> does not represent 1 over Q_{p}")
-    t0 = math.prod(p**v for p, (v, _) in classes.items())
-
-    def in_classes(m: int) -> bool:
-        for p, (v, u) in classes.items():
-            unit = m * t0 // p**v
-            if unit % 8 != u if p == 2 else _is_residue(unit, p) != _is_residue(u, p):
-                return False
-        return True
-
-    for m in range(1, _SMALL_COFACTORS):
-        if not in_classes(m):
-            continue
-        m_primes = factorizations([m])[0]
-        # Both forms must stay isotropic at each prime of a square-free m.
-        if max(m_primes.values(), default=1) == 1 and all(
-                _is_residue(-a * b, q) and (len(rest) > 1 or _is_residue(rest[0], q))
-                for q in m_primes):
-            break
-    else:
-        r, n = 0, 1  # m = r (mod n) puts t0 m in every class
-        for p, (v, u) in classes.items():
-            k = 8 if p == 2 else p
-            r += n * ((u * pow(t0 // p**v, -1, k) - r) * pow(n, -1, k) % k)
-            n *= k
-        m = next((m for m in range(r, _MR_LIMIT, n) if factorizations([m]) in (None, [{m: 1}])),
-                 None)
-        if m is None or factorizations([m]) is None:
-            return None  # no prime m that can be proved prime
-        m_primes = {m: 1}
-    x = _isotropic_zero(a, b, -t0 * m)
-    y = x and _represent_one([*rest, t0 * m],
-                             [*primes[2:], [p for p, (v, _) in classes.items() if v] + [*m_primes]])
-    # A(x / x_3) = t and y is a vector of value 1 of <f_3, ..., f_r, t>.
-    return y and (x[0] / x[2] * y[-1], x[1] / x[2] * y[-1], *y[:-1])
+        return (scales[0],) if f[0] == 1 else None
+    for z in range(1, _REPRESENT_HEIGHT if len(f) > 2 else 2):
+        for head in itertools.combinations(range(len(f)), 2):
+            rest = [i for i in range(len(f)) if i not in head]
+            for tail in itertools.product(range(z + 1), repeat=len(rest)):
+                n = z * z - sum(f[i] * t * t for i, t in zip(rest, tail))
+                zero = (0, 0, 1) if n == 0 else n > 0 and ternary_zero(
+                    (Fraction(f[head[0]]), Fraction(f[head[1]]), Fraction(-n)))
+                if zero:
+                    x = dict(zip((*rest, *head), (*tail, zero[0] / zero[2], zero[1] / zero[2])))
+                    y = [scales[i] * x[i] / z for i in range(len(f))]
+                    return (*y, *[Fraction(0)] * (len(d) - 4))
+    return None
 
 
 # ---------------------------------------------------------------------------

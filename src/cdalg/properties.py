@@ -33,12 +33,9 @@ not needed for the verdict, so it is built on the first read of
 immutable, so the check is computed once and kept on it.
 
 A rational normalized basis exists exactly when the imaginary norm form is
-a sum of squares over Q.  Where no Gram-Schmidt length is a rational
-square, the LDL pivots of what is left decide that by Hasse-Minkowski: the
-determinant class and the Hasse invariants at the odd primes, the one at 2
-following by the product formula (:mod:`cdalg.numth`).  A missing
-certificate has a named invariant behind it, or a number that could not be
-factored.
+a sum of squares over Q, which the LDL pivots decide by Hasse-Minkowski
+(:func:`cdalg.numth.sum_of_squares_obstruction`); a missing certificate
+names the invariant that fails, or why the question stayed open.
 
 Being nicely normed is decided without the certificate vectors as well:
 the products e_i e_j of a normalized basis have no real part exactly when
@@ -53,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,16 +167,17 @@ class LocallyComplexCertificate:
 class _CertificateOnRead:
     """The ``certificate`` field of :class:`LocallyComplexCheck`: the value
     it was given, or, for a check made by ``LocallyComplexCheck.deferred``,
-    what its ``build`` returns on the first read, kept for later reads."""
+    what its ``build`` returns on the first read, kept for later reads.  A
+    build without a certificate returns the clause why, which reads None."""
 
     def __get__(self, check, owner=None):
         if check is None:
             return None  # the field's default
         state = vars(check)
         if "_build" in state:
-            state["_certificate"] = state["_build"]()
-            del state["_build"]
-        return state["_certificate"]
+            state["_certificate"] = state.pop("_build")()
+        value = state["_certificate"]
+        return None if isinstance(value, str) else value
 
     def __set__(self, check, value) -> None:
         vars(check)["_certificate"] = value
@@ -195,7 +194,7 @@ class LocallyComplexCheck:
 
     @classmethod
     def deferred(
-        cls, build: Callable[[], LocallyComplexCertificate | None]
+        cls, build: Callable[[], LocallyComplexCertificate | str]
     ) -> "LocallyComplexCheck":
         """A "yes" whose certificate is ``build()``, run when first read.
 
@@ -286,10 +285,18 @@ def coordinate_map(basis: Sequence[Element]) -> Matrix:
     return mat_inv(transpose([b.coords for b in basis]))
 
 
+def candidate_rows(rows: Sequence[Vector]) -> Iterator[Vector]:
+    """The rows, then r_p + r_q and r_p - r_q for p < q."""
+    yield from rows
+    for p, q in combinations(range(len(rows)), 2):
+        yield tuple(a + b for a, b in zip(rows[p], rows[q]))
+        yield vec_sub(rows[p], rows[q])
+
+
 def square_length_row(rows: Sequence[Vector], gram: Matrix) -> Vector | None:
-    """The first coefficient row whose length ``r G r^T`` is a nonzero
-    rational square, scaled to length 1, or None."""
-    for r in rows:
+    """The first of the :func:`candidate_rows` whose length ``r G r^T`` is a
+    nonzero rational square, scaled to length 1, or None."""
+    for r in candidate_rows(rows):
         norm = vec_dot(r, mat_vec(gram, r))
         root = sqrt_fraction(norm) if norm else None
         if root is not None:
@@ -311,7 +318,7 @@ def unit_vector_by_descent(rows: Sequence[Vector], gram: Matrix) -> Vector | str
         return obstruction
     y = represent_one([d for d, _ in kept])
     if y is None:
-        return "is a sum of squares over Q, but a number in the descent could not be factored"
+        return "is a sum of squares over Q, but the search for a vector of norm 1 ran out"
     coeffs = mat_vec(transpose([l for _, l in kept]), y)  # over the rows
     return mat_vec(transpose(rows), coeffs)
 
@@ -322,16 +329,16 @@ def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | 
     ``gram[i][j]`` is the inner product of ``vectors[i]`` and ``vectors[j]``,
     positive definite on their span; the work is done on coefficient vectors
     against it, without multiplying in the algebra.  Each step takes the
-    first vector, orthogonalized against the basis so far, whose length is a
-    rational square, and otherwise one built by
-    :func:`unit_vector_by_descent`; by Witt cancellation, what is left after
-    a unit vector is again a sum of squares.  When there is no such basis,
-    or a number could not be factored, the clause saying so is returned.
+    first of the :func:`candidate_rows` over the vectors orthogonalized
+    against the basis so far whose length is a rational square, and
+    otherwise one built by :func:`unit_vector_by_descent`; by Witt
+    cancellation, what is left after a unit vector is again a sum of
+    squares.  Without a basis the clause of the descent is returned.
     """
     m = len(vectors)
     rows = [unit_vector(m, i) for i in range(m)]
     done: list[Vector] = []
-    while True:
+    while rows:
         e = square_length_row(rows, gram)
         if e is None:
             if not any(vec_dot(r, mat_vec(gram, r)) for r in rows):
@@ -410,12 +417,13 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
 
 def _normalized_basis(
     n: int, unit: int, traces: list[tuple[int, Fraction]], gram: Matrix
-) -> LocallyComplexCertificate | None:
+) -> LocallyComplexCertificate | str:
     """The certificate of a locally complex algebra from its dimension, unit,
-    traces and imaginary Gram matrix, or None without a rational one."""
+    traces and imaginary Gram matrix, or the clause of :func:`orthonormalize`
+    without a rational one."""
     ortho = orthonormalize(_imaginary_vectors(n, unit, traces), gram)
     if isinstance(ortho, str):
-        return None
+        return ortho
     basis = (Element(unit_vector(n, unit)), *ortho)
     return LocallyComplexCertificate(basis, coordinate_map(basis))
 
@@ -425,12 +433,9 @@ def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
     if not res.holds:
         raise NotLocallyComplexError(res.reason or "algebra is not locally complex")
     if res.certificate is None:
-        traces = _traces(algebra)
-        clause = orthonormalize(_imaginary_vectors(algebra.dim, algebra.unit, traces),
-                                _imaginary_gram(algebra, traces))
         raise UnsupportedRationalClassError(
             "a rational normalized basis needs the imaginary norm form to be a sum of "
-            f"squares over Q, and it {clause}"
+            f"squares over Q, and it {vars(res)['_certificate']}"
         )
     return res.certificate
 

@@ -119,8 +119,10 @@ def test_decision_is_invariant_under_congruence(seed):
     if "could not be factored" in f"{got}{want}":
         return  # undecided, which a congruence can cause by inflating the pivots
     if isinstance(want, list):
-        assert isinstance(got, list)
-        assert_orthonormal(got, moved)
+        # Decided a sum of squares; the search for a unit vector may run out.
+        assert isinstance(got, list) or got.endswith("the search for a vector of norm 1 ran out")
+        if isinstance(got, list):
+            assert_orthonormal(got, moved)
     else:
         # The determinant itself changes by a square.
         assert re.sub(r"determinant \S+", "determinant", got) == re.sub(
