@@ -21,8 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .construct import Grading, named_algebra
 from .core import Algebra, Element, change_of_basis, generator_rows
@@ -38,18 +40,18 @@ from .errors import (
 from .linalg import (
     F0,
     F1,
+    Inverse,
     Matrix,
     Subspace,
     Vector,
     identity,
+    kernel_basis,
     mat,
     mat_inv,
     mat_mul,
-    mat_vec,
     nullspace,
     rank,
     unit_vector,
-    vec_dot,
 )
 from .kernel import (
     AlternativitySweep,
@@ -60,13 +62,13 @@ from .kernel import (
     first_homomorphism_violation,
     left_mul_rows,
     left_mul_stack,
-    primitive_row,
     product_table,
     singularity_screen,
     table_in_rows,
 )
 from .numth import four_squares_fraction, sqrt_fraction, ternary_zero
 from .properties import (
+    _norm,
     candidate_rows,
     combination,
     coordinate_map,
@@ -120,28 +122,28 @@ def find_unit_square_vector(
     """
     if closure is not None and len(closure) not in (2, 4):
         raise ValueError("a closure is a basis (1, i) of C or (1, i, j, k) of H")
-    n, u = algebra.dim, algebra.unit
-    family = [e.coords for e in anticommute_with]
-    table, scale = anticommutator_table(
-        algebra, family + [v.coords for v in space], [v.coords for v in space]
-    )
+    n, u, m = algebra.dim, algebra.unit, len(space)
+    family = list(anticommute_with)
+    table, scale = anticommutator_table(algebra, family + list(space), space)
     inner, across = table[len(family):], table[:len(family)]
     if any(c for row in inner for cell in row for k, c in enumerate(cell) if k != u):
         raise InconsistentInputError("the search space is not in the imaginary part")
-    gram = tuple(tuple(Fraction(-cell[u], 2 * scale) for cell in row) for row in inner)
-    rows = identity(len(space))
+    # <v_p, v_q> = -(v_p v_q + v_q v_p) / 2 = -cell[u] / (2 scale): the Gram
+    # matrix of N on the space is gram / den.
+    gram, den = [[-cell[u] for cell in row] for row in inner], 2 * scale
     if family:
         # Row (e, k): coordinate k of e v + v e for each v in the space.
-        rows = nullspace([[cell[k] for cell in row] for row in across for k in range(n)],
-                         len(space))
-    rows = [r for r in rows if vec_dot(r, mat_vec(gram, r))]
+        rows = kernel_basis([[cell[k] for cell in row] for row in across for k in range(n)], m)
+    else:
+        rows = [Element.of_ints([int(j == i) for j in range(m)]) for i in range(m)]
+    rows = [r for r in rows if _norm(r, gram)]
     if not rows:
         raise UnsupportedRationalClassError(
             "no nonzero vector of the search space anticommutes with the family"
         )
-    x = square_length_row(rows, gram)
+    x = square_length_row(rows, gram, den)
     for r in candidate_rows(rows) if x is None and closure else ():
-        norm = vec_dot(r, mat_vec(gram, r))
+        norm = Fraction(_norm(r, gram), r.den * r.den * den)
         if len(closure) == 4:
             if (norm.numerator * norm.denominator).bit_length() > _FOUR_SQUARES_BITS:
                 continue
@@ -153,12 +155,12 @@ def find_unit_square_vector(
             h = (zero[0] / (zero[2] * norm), zero[1] / (zero[2] * norm))
         out = algebra.multiply(combination(algebra, r, space), combination(algebra, h, closure))
         # out^2 = -1 and out anticommutes with the family, read off one table.
-        (check,), s = anticommutator_table(algebra, [out.coords], [out.coords, *family])
+        (check,), s = anticommutator_table(algebra, [out], [out, *family])
         if check == [[-2 * s * (k == u) for k in range(n)]] + [[0] * n] * len(family):
             return out
         break
     if x is None:
-        x = unit_vector_by_descent(rows, gram)
+        x = unit_vector_by_descent(rows, gram, den)
         if isinstance(x, str):
             raise UnsupportedRationalClassError(
                 "a rational normalized basis needs the norm form on the search space "
@@ -183,26 +185,33 @@ class RecognitionResult:
     iso: Matrix
 
 
-def _homomorphism_violation(
-    iso: Matrix, source: Algebra, target: Algebra
-) -> tuple | None:
+def _homomorphism_violation(iso: Sequence, source: Algebra, target: Algebra) -> tuple | None:
+    """The shape, unit or first basis-pair violation of ``iso``, a matrix of
+    rational rows or of Element rows acting on coordinate columns."""
     n = source.dim
-    if target.dim != len(iso) or any(len(r) != n for r in iso):
+    iso = [r if isinstance(r, Element) else Element(r) for r in iso]
+    if target.dim != len(iso) or any(r.dim != n for r in iso):
         return ("shape",)
     if source.unit is not None:
         if target.unit is None:
             return ("unit",)
-        if mat_vec(iso, source.one().coords) != target.one().coords:
+        # Column u of the map must be the target's unit vector.
+        u, t = source.unit, target.unit
+        if any(r.num[u] != (r.den if i == t else 0) for i, r in enumerate(iso)):
             return ("unit",)
     return first_homomorphism_violation(iso, source, target)
 
 
-def verify_iso(iso: Matrix, source: Algebra, target: Algebra) -> None:
-    """Raise unless iso is an invertible multiplicative unit-preserving map."""
+def verify_iso(iso: Sequence, source: Algebra, target: Algebra) -> None:
+    """Raise unless iso is an invertible multiplicative unit-preserving map.
+
+    An :class:`~cdalg.linalg.Inverse` is invertible by construction, so only
+    another matrix has its rank computed.
+    """
     violation = _homomorphism_violation(iso, source, target)
     if violation is not None:
         raise InconsistentInputError(f"map is not multiplicative: {violation}")
-    if source.dim != target.dim or rank(iso) != source.dim:
+    if source.dim != target.dim or not isinstance(iso, Inverse) and rank(iso) != source.dim:
         raise InconsistentInputError("map is not invertible")
 
 
@@ -281,10 +290,10 @@ def _named_target(tag: str, graded: bool) -> Algebra:
 
 def _verified(algebra: Algebra, tag: str, basis: Sequence[Element], graded: bool) -> RecognitionResult:
     """The iso sending ``basis`` to the standard basis of the named table,
-    verified onto it."""
+    verified onto it; its ``Fraction``s are built once, for the result."""
     iso = coordinate_map(basis)
     verify_iso(iso, algebra, _named_target(tag, graded))
-    return RecognitionResult(tag, iso)
+    return RecognitionResult(tag, tuple(r.coords for r in iso))
 
 
 def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
@@ -329,7 +338,7 @@ def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
 # ---------------------------------------------------------------------------
 
 
-def _induced_algebra(algebra: Algebra, rows: Sequence[Vector]) -> Algebra:
+def _induced_algebra(algebra: Algebra, rows: Sequence) -> Algebra:
     """The multiplication table of a multiplicatively closed subspace.
 
     The first row must be the unit of the ambient algebra.
@@ -338,14 +347,13 @@ def _induced_algebra(algebra: Algebra, rows: Sequence[Vector]) -> Algebra:
 
 
 def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Vector]:
-    one = algebra.one().coords
-    rows = [one]
-    for r in grading.even_rows:
+    rows = [algebra.one()]
+    for r in map(Element, grading.even_rows):
         if rank(rows + [r]) > len(rows):
-            rows.append(tuple(r))
+            rows.append(r)
     if len(rows) != grading.even.dim:
         raise InvalidGradingError("unit is not contained in the even part")
-    return rows
+    return [r.coords for r in rows]
 
 
 def classify_super_alternative(algebra: Algebra, grading: Grading) -> RecognitionResult:
@@ -403,7 +411,7 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
 
     # Standard generators of the even part, as elements of the ambient algebra.
     def even_std(k: int) -> Element:
-        return combination(algebra, basis0[k].coords, even_elements)
+        return combination(algebra, basis0[k], even_elements)
 
     odd_elements = [Element(r) for r in grading.odd_rows]
     one = algebra.one()
@@ -424,12 +432,9 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
         )
         p = algebra.multiply(i_hat, algebra.multiply(j_hat, f))
         q = algebra.multiply(k_hat, f)
-        lam = None
-        for a, b in zip(p.coords, q.coords):
-            if b != 0:
-                lam = a / b
-                break
-        if lam not in (1, -1) or p.coords != q.scale(lam).coords:
+        # p = lam q with lam = +-1 exactly when the two are equal or opposite.
+        lam = None if q.is_zero() else 1 if p == q else -1 if p == -q else None
+        if lam is None:
             raise InconsistentInputError("i(jf) is not +-kf; classification impossible")
         basis = [
             one,
@@ -464,20 +469,18 @@ def _classify_sedenion_like(
     The remedy along (i, j) is p + e_{ij}(e_i(e_j p)).  Everything runs on
     integer matrices: one contraction of the tensor gives sigma L_x, for one
     positive integer sigma, for x = e_1, ..., e_7 and the four e_{ij}.  A
-    vector is kept as a primitive integer vector w and a positive rational
-    lam with the vector equal to lam w; the zero tests and the relation
-    signs do not see lam, and neither does f8 = y / sqrt(-y^2), so only the
-    square reported for a rejected y needs it.
+    vector y is an Element, and these matrices act on its integers: the zero
+    tests and the relation signs do not see its denominator.
     """
     u = algebra.unit
-    gens = [e.coords for e in e_std[1:]]
+    gens = e_std[1:]
     pairs, pair_scale = product_table(
         algebra,
         [gens[i - 1] for (i, _), _ in _RELATIONS],
         [gens[j - 1] for (_, j), _ in _RELATIONS],
     )
     # e_pairs[r] = e_i e_j for relation r.
-    e_pairs = [[Fraction(x, pair_scale) for x in pairs[r, r].tolist()] for r in range(4)]
+    e_pairs = [Element.of_ints(pairs[r, r].tolist(), pair_scale) for r in range(4)]
     stack, sigma = left_mul_stack(algebra, gens + e_pairs)
     stack = stack.astype(object)
     lmul = [None, *stack[:7]]  # lmul[i] = sigma L_{e_i}
@@ -499,32 +502,26 @@ def _classify_sedenion_like(
             return 1
         return None
 
-    # odd[p] = odd_elements[p] / odd_scale, rows of Python ints.
-    odd, odd_scale = primitive_row([c for e in odd_elements for c in e.coords])
-    odd = odd.reshape(len(odd_elements), algebra.dim)
     last_error = "no odd starting vector produced a normalizable result"
-    for start in candidate_rows(odd.tolist()):
-        if not any(start):
+    for y in candidate_rows(odd_elements):
+        if y.is_zero():
             continue
-        w, lam = primitive_row(start)
-        lam *= odd_scale
         for r, (_, fallback) in enumerate(_RELATIONS):
+            w = np.array(y.num, dtype=object)
             out, scale = remedy(w, r), cube
             if not out.any():
                 if fallback is None:
                     break
                 out, scale = lmul[fallback] @ w, sigma
-            if out.any():
-                out, g = primitive_row(out.tolist())
-                lam = lam * g / scale
-            w = out
-        if not w.any():
+            y = Element.of_ints(out.tolist(), y.den * scale)
+        if y.is_zero():
             continue
-        table, table_scale = product_table(algebra, [w.tolist()], [w.tolist()])
+        w = np.array(y.num, dtype=object)
+        table, table_scale = product_table(algebra, [y], [y])
         square = table[0, 0].tolist()
         if any(c for k, c in enumerate(square) if k != u):
             continue
-        sq = lam * lam * Fraction(square[u], table_scale)  # y^2 = sq * 1
+        sq = Fraction(square[u], table_scale)  # y^2 = sq * 1
         if sq >= 0:
             continue
         root = sqrt_fraction(-sq)
@@ -539,9 +536,9 @@ def _classify_sedenion_like(
         sign = relation_sign(w, 3)
         if sign is None:
             continue
-        f8 = lam / root  # f8 = (lam / root) w
-        basis = [algebra.one(), *e_std[1:], Element(tuple(f8 * x for x in w.tolist()))]
-        basis += [Element(tuple(f8 / sigma * x for x in (lmul[i] @ w).tolist()))
+        # f8 = y / root, and f8 e_i = (sigma L_{e_i} y) / (sigma root).
+        basis = [algebra.one(), *gens, y.scale(1 / root)]
+        basis += [Element.of_ints((lmul[i] @ w).tolist(), sigma * y.den).scale(1 / root)
                   for i in range(1, 8)]
         return ("TS" if sign == 1 else "S", basis)
     raise UnsupportedRationalClassError(last_error)
@@ -567,7 +564,7 @@ def alter_scalar_space(algebra: Algebra) -> AlterScalarSpace:
     scalars.
     """
     n = algebra.dim
-    sweep = AlternativitySweep(algebra, identity(n))
+    sweep = AlternativitySweep(algebra, [algebra.basis_element(i) for i in range(n)])
     # Column k of a member's left defect is x^2 b_k - x(x b_k), up to a
     # positive scale that leaves the solution space unchanged.  Most rows
     # are zero or repeat (on A5, 60 distinct rows among 16,896), so only the
@@ -584,7 +581,7 @@ def annihilator(algebra: Algebra, x: Element) -> Subspace:
     """Ann(x) = {y : xy = 0}, the exact kernel of left multiplication by x."""
     if x.dim != algebra.dim:
         raise DimensionMismatchError("element does not conform to algebra")
-    return Subspace(nullspace(left_mul_rows(algebra, x.coords), algebra.dim), algebra.dim)
+    return Subspace(nullspace(left_mul_rows(algebra, x), algebra.dim), algebra.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +607,8 @@ class ZeroDivisorSearch:
 def _kernel_partner(algebra: Algebra, x: Element) -> Element | None:
     if x.is_zero():
         return None
-    ker = nullspace(left_mul_rows(algebra, x.coords), algebra.dim)
-    if not ker:
-        return None
-    return Element(ker[0])
+    ker = kernel_basis(left_mul_rows(algebra, x), algebra.dim)
+    return ker[0] if ker else None
 
 
 def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
@@ -674,32 +669,55 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
 _SCREEN_CHUNK = 32
 
 
-def _zero_divisor_candidates(algebra: Algebra, budget: int, seed: int) -> Iterator[Element]:
-    """The candidates of :func:`zero_divisor_search`, in order and built lazily.
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """``rng.randint(low, high)``, the same draw read off ``getrandbits``
+    with its rejection rule."""
+    width = high - low + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return low + r
+
+
+def _random_row(rng: random.Random, n: int, bound: int) -> list[int]:
+    """n coordinates ``a / b``, as integers over 2, with
+    ``a = randint(-bound, bound)`` and ``b = randint(1, 2)`` drawn in that
+    order."""
+    row = []
+    for _ in range(n):
+        a = _randint(rng, -bound, bound)
+        row.append(a if _randint(rng, 1, 2) == 2 else 2 * a)
+    return row
+
+
+def _zero_divisor_candidates(
+    algebra: Algebra, budget: int, seed: int
+) -> Iterator[tuple[list[int], int]]:
+    """The candidates of :func:`zero_divisor_search`, in order and built
+    lazily, each as integers over a denominator.
 
     Basis vectors, then b_i - b_j and b_i + b_j for i < j, then products of
     a few of these, then ``budget`` seeded random rational elements.
     """
     n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
-    structured = list(basis)
-    yield from basis
-    signs = (-F1, F1)  # b_i - b_j, then b_i + b_j
+    structured = [[int(j == i) for j in range(n)] for i in range(n)]
+    yield from ((row, 1) for row in structured)
     for i in range(n):
         for j in range(i + 1, n):
-            for sign in signs:
-                coords = [F0] * n
-                coords[i], coords[j] = F1, sign
-                x = Element(tuple(coords))
-                structured.append(x)
-                yield x
+            for sign in (-1, 1):  # b_i - b_j, then b_i + b_j
+                row = [0] * n
+                row[i], row[j] = 1, sign
+                structured.append(row)
+                yield row, 1
     for i in range(0, len(structured), 7):
-        for j in range(i + 1, min(i + 4, len(structured))):
-            yield algebra.multiply(structured[i], structured[j])
+        others = structured[i + 1:i + 4]
+        if others:
+            table, scale = product_table(algebra, [structured[i]], others)
+            yield from ((row, scale) for row in table[0].tolist())
     rng = random.Random(seed)
-    draws = {(a, b): Fraction(a, b) for a in range(-3, 4) for b in (1, 2)}
     for _ in range(budget):
-        yield Element(tuple(draws[rng.randint(-3, 3), rng.randint(1, 2)] for _ in range(n)))
+        yield _random_row(rng, n, 3), 2
 
 
 def zero_divisor_search(
@@ -729,11 +747,12 @@ def zero_divisor_search(
     candidates = _zero_divisor_candidates(algebra, budget, seed)
     tried = 0
     while chunk := list(islice(candidates, _SCREEN_CHUNK)):
-        regular = screen([x.coords for x in chunk]) if screen else [False] * len(chunk)
-        for x, skip in zip(chunk, regular):
+        regular = screen([x for x, _ in chunk]) if screen else [False] * len(chunk)
+        for (row, den), skip in zip(chunk, regular):
             tried += 1
             if skip:
                 continue
+            x = Element.of_ints(row, den)
             y = _kernel_partner(algebra, x)
             if y is not None:
                 return ZeroDivisorSearch("found", (x, y), definitive=True, tried=tried)
@@ -809,27 +828,32 @@ def subalgebra_census(
     every dimension from 1 to n has appeared.
     """
     n = algebra.dim
-    basis = [algebra.basis_element(i) for i in range(n)]
-    candidates = [*extra_generator_sets, [], *([b] for b in basis)]
+    # Generator sets as integer rows over one denominator; a set becomes
+    # Elements only when it is reported.
+    basis = [[int(j == i) for j in range(n)] for i in range(n)]
+    candidates = [([], 1), *(([b], 1) for b in basis)]
     for i in range(n):
         for j in range(i + 1, n):
-            candidates += [[basis[i] + basis[j]], [basis[i] - basis[j]]]
+            candidates += [([[x + y for x, y in zip(basis[i], basis[j])]], 1),
+                           ([[x - y for x, y in zip(basis[i], basis[j])]], 1)]
     rng = random.Random(seed)
-    coords = {(a, b): Fraction(a, b) for a in range(-2, 3) for b in (1, 2)}
     for _ in range(budget):
-        candidates.append([
-            Element(tuple(coords[rng.randint(-2, 2), rng.randint(1, 2)] for _ in range(n)))
-            for _ in range(rng.randint(1, 2))
-        ])
+        count = _randint(rng, 1, 2)
+        candidates.append(([_random_row(rng, n, 2) for _ in range(count)], 2))
     # The extra sets are checked as given; the others conform by construction.
-    extra = len(extra_generator_sets)
-    seed_sets = [generator_rows(algebra, gens) for gens in candidates[:extra + 1]]
+    seed_sets = [generator_rows(algebra, gens) for gens in (*extra_generator_sets, [])]
     one = seed_sets[-1][0]
-    seed_sets += [[one, *(g.coords for g in gens)] for gens in candidates[extra + 1:]]
+    seed_sets += [[one, *rows] for rows, _ in candidates[1:]]
     realized: dict[int, CensusEntry] = {}
-    for gens, d in zip(candidates, closure_dims(algebra, seed_sets)):
+    extra = len(extra_generator_sets)
+    for b, d in enumerate(closure_dims(algebra, seed_sets)):
         if d not in realized:
-            realized[d] = CensusEntry(d, tuple(gens))
+            if b < extra:
+                gens = tuple(extra_generator_sets[b])
+            else:
+                rows, den = candidates[b - extra]
+                gens = tuple(Element.of_ints(r, den) for r in rows)
+            realized[d] = CensusEntry(d, gens)
             if len(realized) == n:
                 break
     return CensusReport(tuple(dims_of_interest), realized)
@@ -849,18 +873,11 @@ def random_rational_orthogonal(k: int, rng: random.Random) -> Matrix:
     if k == 0:
         return ()
     s = [[F0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-            s[i][j] = val
-            s[j][i] = -val
-    eye = identity(k)
-    plus = tuple(
-        tuple(eye[i][j] + s[i][j] for j in range(k)) for i in range(k)
-    )
-    minus = tuple(
-        tuple(eye[i][j] - s[i][j] for j in range(k)) for i in range(k)
-    )
+    for i, j in combinations(range(k), 2):
+        s[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        s[j][i] = -s[i][j]
+    plus = [[(i == j) + s[i][j] for j in range(k)] for i in range(k)]
+    minus = [[(i == j) - s[i][j] for j in range(k)] for i in range(k)]
     return mat_mul(minus, mat_inv(plus))
 
 
@@ -883,15 +900,12 @@ def rotated_basis_rows(
         even, odd = partition
         blocks = [[i for i in even if i != u], list(odd)]
     rows = [list(unit_vector(n, i)) for i in range(n)]
-    for block in blocks:
-        if not block:
-            continue
+    for block in filter(None, blocks):
         q = random_rational_orthogonal(len(block), rng)
         for bi, i in enumerate(block):
-            row = [F0] * n
+            rows[i] = [F0] * n
             for bj, j in enumerate(block):
-                row[j] = q[bi][bj]
-            rows[i] = row
+                rows[i][j] = q[bi][bj]
     return tuple(tuple(r) for r in rows)
 
 
@@ -901,10 +915,9 @@ def rotated_copy(
     """A copy of the algebra in a rotated basis, with the transported grading."""
     rows = rotated_basis_rows(algebra, rng, grading)
     new_alg = change_of_basis(algebra, rows, unit_index=algebra.unit)
+    # rotated_basis_rows has checked that a grading is basis-aligned.
     new_grading = None
     if grading is not None:
-        partition = grading.index_partition()
-        assert partition is not None
-        new_grading = Grading.from_indices(algebra.dim, partition[0], partition[1])
+        new_grading = Grading.from_indices(algebra.dim, *grading.index_partition())
     return new_alg, new_grading, rows
 

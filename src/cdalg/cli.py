@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -546,9 +547,16 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """:func:`build_parser` for a first token naming ``command`` (None: any
+    other), built once per process; parsing leaves a parser unchanged."""
+    return build_parser([command] if command else None)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if [] in vars(args).values():
             # argparse drops a "--" given as an option's value

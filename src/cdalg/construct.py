@@ -46,8 +46,8 @@ from .errors import (
     NonUnitalError,
     UnknownAlgebraError,
 )
-from .kernel import INT64_LIMIT, ScaledTensor, _common_scale, _exact, product_table, scaled_tensor
-from .linalg import F0, F1, Matrix, Subspace, identity, mat, mat_vec, unit_vector
+from .kernel import INT64_LIMIT, ScaledTensor, _exact, _height, product_table, scaled_tensor
+from .linalg import F0, F1, Matrix, Subspace, identity, mat, mat_vec, scaled_rows, unit_vector
 
 
 class Grading:
@@ -197,8 +197,8 @@ def _star_products(algebra: Algebra, star: Matrix) -> tuple:
     """
     n = algebra.dim
     st = scaled_tensor(algebra)
-    ints, scale = _common_scale([x for row in star for x in row])
-    fits = 2 * n * n * max(max(map(abs, ints)), scale) ** 2 * max(st.max_abs, 1) < INT64_LIMIT
+    ints, scale = scaled_rows(star)
+    fits = 2 * n * n * max(_height(ints), scale) ** 2 * max(st.max_abs, 1) < INT64_LIMIT
     c = st.array(fits)
     s = _exact(ints, (n, n), fits)
     return c, s, scale, np.tensordot(s, c, axes=(0, 0))

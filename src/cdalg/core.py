@@ -6,9 +6,12 @@ denominator D with b_i * b_j = sum_k C[i, j, k] b_k / D
 vector acting as the unit.  The public constructor scales rationals once;
 producers that hold integers (the doubling, the change of basis, the file
 reader) hand them over.  ``constants``, the ``Fraction``s C / D, is a
-read-only view derived on first access.  Elements are exact rational
-coordinate vectors.  All values are immutable after construction and safe
-to share across threads.
+read-only view derived on first access.  An :class:`Element` takes the same form:
+integer coordinates over one positive denominator, in lowest terms, with
+its ``Fraction``s ``coords`` a view derived on first access
+(:class:`cdalg.linalg.Element`), so ``multiply`` reads and writes integers
+only.  All values are immutable after construction and safe to share across
+threads.
 
 ``change_of_basis`` does not multiply elements: the new constants are the
 product table of the basis rows transported into their own basis, read off
@@ -19,64 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonUnitalError
 from .kernel import ScaledTensor, closure_span, table_in_rows
-from .linalg import (
-    F0,
-    Subspace,
-    Vector,
-    is_zero_vec,
-    unit_vector,
-    vec,
-)
-
-
-@dataclass(frozen=True)
-class Element:
-    """An algebra element as an exact coordinate vector."""
-
-    coords: Vector
-
-    def __post_init__(self):
-        c = self.coords
-        if type(c) is not tuple or any(type(x) is not Fraction for x in c):
-            object.__setattr__(self, "coords", vec(c))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coords)
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Element":
-        return Element(tuple(-a for a in self.coords))
-
-    def scale(self, c) -> "Element":
-        c = Fraction(c)
-        return Element(tuple(c * a for a in self.coords))
-
-    def _check(self, other: "Element") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"element dimensions differ: {self.dim} vs {other.dim}"
-            )
-
-    def __repr__(self) -> str:
-        return f"Element({list(map(str, self.coords))})"
+from .linalg import Element, Subspace
 
 
 class Algebra:
@@ -139,7 +91,7 @@ class Algebra:
     # -- constructors -------------------------------------------------
 
     def element(self, coords: Iterable) -> Element:
-        el = Element(vec(coords))
+        el = Element(coords)
         if el.dim != self.dim:
             raise DimensionMismatchError(
                 f"expected {self.dim} coordinates, got {el.dim}"
@@ -147,10 +99,10 @@ class Algebra:
         return el
 
     def basis_element(self, i: int) -> Element:
-        return Element(unit_vector(self.dim, i))
+        return Element.of_ints([int(j == i) for j in range(self.dim)])
 
     def zero(self) -> Element:
-        return Element((F0,) * self.dim)
+        return Element.of_ints([0] * self.dim)
 
     def one(self) -> Element:
         if self.unit is None:
@@ -170,31 +122,27 @@ class Algebra:
     # -- arithmetic ---------------------------------------------------
 
     def multiply(self, x: Element, y: Element) -> Element:
-        """``x y``: the nonzero coordinates scaled to integers over one
-        denominator each, then Python-int sums over the rows ``C[i]`` with
-        ``x_i != 0`` and their cells ``j`` with ``y_j != 0``."""
+        """``x y``: Python-int sums over the rows ``C[i]`` with ``x_i != 0``
+        and their cells ``j`` with ``y_j != 0``, over the denominator
+        ``x.den * y.den * D``."""
         n = self.dim
         if x.dim != n or y.dim != n:
             raise DimensionMismatchError("element does not conform to algebra")
-        xs = [(i, v) for i, v in enumerate(x.coords) if v]
-        ys = [(j, v) for j, v in enumerate(y.coords) if v]
-        sx = lcm(*[v.denominator for _, v in xs])
-        sy = lcm(*[v.denominator for _, v in ys])
-        ys = [(j, v.numerator * (sy // v.denominator)) for j, v in ys]
+        ys = [(j, v) for j, v in enumerate(y.num) if v]
         c, out = self._scaled.c, [0] * n
-        for i, v in xs:
-            a, cells = v.numerator * (sx // v.denominator), c[i].tolist()
+        for i, a in enumerate(x.num):
+            if not a:
+                continue
+            cells = c[i].tolist()
             for j, b in ys:
                 f = a * b
                 for k, ck in enumerate(cells[j]):
                     if ck:
                         out[k] += f * ck
-        den = sx * sy * self._scaled.den
-        return Element(tuple([Fraction(v, den) if v else F0 for v in out]))
+        return Element.of_ints(out, x.den * y.den * self._scaled.den)
 
     def table_entry(self, i: int, j: int) -> Element:
-        den = self._scaled.den
-        return Element(tuple([Fraction(v, den) for v in self._scaled.c[i, j].tolist()]))
+        return Element.of_ints(self._scaled.c[i, j].tolist(), self._scaled.den)
 
     def is_commutative(self) -> bool:
         c = self._scaled.c
@@ -257,17 +205,16 @@ def minimal_quadratic(algebra: Algebra, x: Element) -> MinimalQuadratic:
 
 def generator_rows(
     algebra: Algebra, gens: Sequence[Element], include_unit: bool = True
-) -> list[Vector]:
-    """The coordinates of 1 (when asked for) and of the generators, checked
-    against the algebra."""
+) -> list[Element]:
+    """1 (when asked for) and the generators, checked against the algebra."""
     for g in gens:
         if g.dim != algebra.dim:
             raise DimensionMismatchError("generator does not conform to algebra")
-    rows = [g.coords for g in gens]
+    rows = list(gens)
     if include_unit:
         if algebra.unit is None:
             raise NonUnitalError("include_unit requires a unital algebra")
-        rows.insert(0, algebra.one().coords)
+        rows.insert(0, algebra.one())
     return rows
 
 
@@ -297,8 +244,8 @@ def change_of_basis(algebra: Algebra, basis_rows: Sequence[Sequence[Fraction]],
     n = algebra.dim
     if len(basis_rows) != n:
         raise DimensionMismatchError("need exactly dim basis vectors")
-    m = tuple(vec(r) for r in basis_rows)
+    m = [Element(r) for r in basis_rows]
     if unit_index is None and algebra.unit is not None:
-        one = algebra.one().coords
+        one = algebra.one()
         unit_index = next((k for k, r in enumerate(m) if r == one), None)
     return Algebra._of_table(table_in_rows(algebra, m), unit_index, labels)

@@ -48,6 +48,10 @@ intermediate, stated where the choice is made:
   shown it.  A set with no such primes, or with a rank above ``d``, is
   closed again by an exact loop over Z.
 
+Rows (generators, bases, maps, candidates) are Elements, whose integers
+over one denominator every entry point takes as they are, or sequences of
+rationals, scaled once on entry (:func:`cdalg.linalg.scaled_rows`).
+
 Only operations numpy 1.24 supports on object arrays are used: ``@``,
 ``tensordot`` and elementwise arithmetic (object ``einsum`` needs 1.25).
 """
@@ -55,25 +59,26 @@ Only operations numpy 1.24 supports on object arrays are used: ``@``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InconsistentInputError
-from .linalg import Subspace, _cancel, _echelon, _primitive, mat_inv, vec
+from .linalg import Subspace, _cancel, _echelon, _primitive, inverse, scaled_rows, vec
 
 INT64_LIMIT = 2**63
 
 
-def _common_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers m and one denominator d with values[i] = m[i] / d."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _exact(ints: list[int], shape: tuple[int, ...], fits_int64: bool) -> np.ndarray:
+def _exact(ints: Sequence, shape: tuple[int, ...], fits_int64: bool) -> np.ndarray:
+    """Integers (flat, or rows) as an array of ``shape``: ``int64`` when the
+    caller's bound fits, Python ints otherwise."""
     return np.array(ints, dtype=np.int64 if fits_int64 else object).reshape(shape)
+
+
+def _height(rows: Sequence[Sequence[int]]) -> int:
+    """The largest absolute value in integer rows, 0 for none."""
+    return max((abs(v) for r in rows for v in r), default=0)
 
 
 class ScaledTensor:
@@ -95,7 +100,7 @@ class ScaledTensor:
     def of_cells(cls, n: int, cells: Sequence[Sequence[tuple[int, Fraction]]]) -> "ScaledTensor":
         """From the nonzero entries ``(k, c[i][j][k])`` of each cell ``(i, j)``,
         row-major."""
-        ints, den = _common_scale([c for cell in cells for _, c in cell])
+        (ints,), den = scaled_rows([[c for cell in cells for _, c in cell]])
         flat = np.zeros(n**3, dtype=np.int64 if max(map(abs, ints), default=0) < INT64_LIMIT
                         else object)
         flat[[ij * n + k for ij, cell in enumerate(cells) for k, _ in cell]] = ints
@@ -109,9 +114,8 @@ class ScaledTensor:
         n = len(constants)
         if any(len(row) != n or any(len(cell) != n for cell in row) for row in constants):
             raise DimensionMismatchError("structure tensor is not n x n x n")
-        flat = vec(x for row in constants for cell in row for x in cell)
-        return cls.of_cells(n, [[(k, x) for k, x in enumerate(flat[p:p + n]) if x]
-                                for p in range(0, n**3, n)])
+        return cls.of_cells(n, [[(k, x) for k, x in enumerate(vec(cell)) if x]
+                                for row in constants for cell in row])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScaledTensor):
@@ -243,12 +247,12 @@ class AlternativitySweep:
     product with ``b_j``.
     """
 
-    def __init__(self, algebra, rows: Sequence[Sequence[Fraction]]) -> None:
+    def __init__(self, algebra, rows: Sequence) -> None:
         n = algebra.dim
         self._st = st = scaled_tensor(algebra)
         self._shape = (len(rows), n)
-        self._ints, _ = _common_scale([c for r in rows for c in r])
-        mu = 2 * max(map(abs, self._ints), default=0)  # bounds every |u_i|
+        self._rows = scaled_rows(rows)[0]
+        mu = 2 * _height(self._rows)  # bounds every |u_i|
         # With c = max|C|: entries of L_u and R_u are at most n*mu*c, of
         # u^2 = L_u u at most n^2*mu^2*c, of L_{u^2}, R_{u^2}, L_u L_u and
         # R_u R_u at most n^3*mu^2*c^2, and of each defect at most twice that.
@@ -279,7 +283,7 @@ class AlternativitySweep:
         (m, n), fits = self._shape, self.dtype == np.int64
         c = self._st.stacked(primes, fits)
         # Row m is zero, so the member (p, None) is r_p + r_m.
-        u = _stacked(self._ints + [0] * n, (m + 1, n), primes, fits)
+        u = _stacked([v for r in self._rows for v in r] + [0] * n, (m + 1, n), primes, fits)
         sides = []
         for law in laws:
             # [a, (j, l)] = C[a, j, l] for the left law, C[j, a, l] for the right.
@@ -311,7 +315,7 @@ class AlternativitySweep:
 
 
 def first_alternativity_defect(
-    algebra, rows: Sequence[Sequence[Fraction]]
+    algebra, rows: Sequence
 ) -> tuple[int, int | None, int, str] | None:
     """The first ``(p, q, c, law)`` with a nonzero defect at ``u``, ``y = b_c``.
 
@@ -331,7 +335,7 @@ def first_alternativity_defect(
     return None
 
 
-def alternativity_screen(algebra, rows: Sequence[Sequence[Fraction]]) -> bool | None:
+def alternativity_screen(algebra, rows: Sequence) -> bool | None:
     """Whether some alternativity defect over the polarized family of ``rows``
     is nonzero, tested modulo the first prime only.
 
@@ -351,9 +355,7 @@ def alternativity_screen(algebra, rows: Sequence[Sequence[Fraction]]) -> bool | 
     return None if rows and primes is not None and len(primes) > 1 else False
 
 
-def first_homomorphism_violation(
-    iso: Sequence[Sequence[Fraction]], source, target
-) -> tuple[int, int] | None:
+def first_homomorphism_violation(iso: Sequence, source, target) -> tuple[int, int] | None:
     """The first basis pair ``(i, j)``, row-major, with f(b_i b_j) != f(b_i) f(b_j).
 
     ``iso`` is a target.dim x source.dim matrix acting on coordinate columns.
@@ -362,8 +364,8 @@ def first_homomorphism_violation(
     """
     n, m = source.dim, target.dim
     src, tgt = scaled_tensor(source), scaled_tensor(target)
-    ints, s = _common_scale([Fraction(c) for r in iso for c in r])
-    big = max(map(abs, ints), default=0)
+    rows, s = scaled_rows(iso)
+    big = _height(rows)
     # Scaled by s*D_src, f(b_i b_j) has entries at most n*c_src*big; scaled by
     # s^2*D_tgt, f(b_i) f(b_j) has entries at most m^2*big^2*c_tgt (its inner
     # sum over the target's first index at most m*big*c_tgt).  The comparison
@@ -377,7 +379,7 @@ def first_homomorphism_violation(
     )
     fits = bound < INT64_LIMIT
     primes = _zero_test_arithmetic(bound, max(n, m))
-    f = _stacked(ints, (m, n), primes, fits)
+    f = _stacked([v for r in rows for v in r], (m, n), primes, fits)
     ft = f.swapaxes(1, 2)  # [j, b] = f[b, j]
     c_src = src.stacked(primes, fits)
     c_tgt = tgt.stacked(primes, fits).reshape(-1, m, m * m)
@@ -492,7 +494,7 @@ def commutators_are_imaginary(algebra) -> bool:
     return bool((commutators @ weights == 0).all())
 
 
-def left_mul_stack(algebra, xs: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
+def left_mul_stack(algebra, xs: Sequence) -> tuple[np.ndarray, int]:
     """The matrices of ``y -> x y`` for a list of rows ``x``, times one
     positive integer ``sigma``.
 
@@ -503,29 +505,18 @@ def left_mul_stack(algebra, xs: Sequence[Sequence[Fraction]]) -> tuple[np.ndarra
     """
     n = algebra.dim
     st = scaled_tensor(algebra)
-    ints, s = _common_scale([c for r in xs for c in r])
-    big = max(map(abs, ints), default=0)
+    rows, s = scaled_rows(xs)
+    big = _height(rows)
     # Each entry sums n products of a coordinate and a constant.
     fits = max(n * big * st.max_abs, st.max_abs, big) < INT64_LIMIT
-    x = _exact(ints, (len(xs), n), fits)
+    x = _exact(rows, (len(xs), n), fits)
     return np.tensordot(x, st.array(fits), axes=(1, 0)).transpose(0, 2, 1), s * st.den
 
 
-def left_mul_rows(algebra, x: Sequence[Fraction]) -> list[list[int]]:
+def left_mul_rows(algebra, x) -> list[list[int]]:
     """The matrix of ``y -> x y`` times a positive integer, as rows of Python
     ints (:func:`left_mul_stack` of the one row)."""
     return left_mul_stack(algebra, [x])[0][0].tolist()
-
-
-def primitive_row(values: Sequence[Fraction | int]) -> tuple[np.ndarray, Fraction]:
-    """A primitive integer vector ``w`` (Python ints, coprime entries) and a
-    positive rational ``lam`` with ``values = lam * w``; ``lam`` is 1 for a
-    zero row."""
-    ints, d = _common_scale(values)
-    g = gcd(*ints)
-    if g == 0:
-        return np.array(ints, dtype=object), Fraction(1)
-    return np.array([v // g for v in ints], dtype=object), Fraction(g, d)
 
 
 def singularity_screen(algebra):
@@ -547,9 +538,8 @@ def singularity_screen(algebra):
     def regular(rows: Sequence[Sequence]) -> list[bool]:
         # One scale for all the rows keeps each a positive multiple of x; a
         # row it makes zero mod p is only left to the exact kernel.
-        ints, _ = _common_scale([v for r in rows for v in r])
-        fits = max(map(abs, ints), default=0) < INT64_LIMIT
-        x = (_exact(ints, (len(rows), n), fits) % p).astype(np.int64)
+        ints = scaled_rows(rows)[0]
+        x = (_exact(ints, (len(rows), n), _height(ints) < INT64_LIMIT) % p).astype(np.int64)
         # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
         ranks = _row_basis_mod(np.tensordot(x, residues, axes=(1, 0)) % p, p).sum(axis=1)
         return (ranks == n).tolist()
@@ -604,9 +594,7 @@ def _row_basis_mod(m: np.ndarray, p, companion: np.ndarray | None = None) -> np.
     return kept
 
 
-def product_table(
-    algebra, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]
-) -> tuple[np.ndarray, int]:
+def product_table(algebra, xs: Sequence, ys: Sequence) -> tuple[np.ndarray, int]:
     """The products ``x_p y_q`` of two lists of rows.
 
     Returns an integer array ``table[p, q, k]`` and its positive scale
@@ -614,12 +602,11 @@ def product_table(
     dtype leaves room to add two such tables.
     """
     n = algebra.dim
-    if any(len(r) != n for r in (*xs, *ys)):
+    (x_ints, sx), (y_ints, sy) = scaled_rows(xs), scaled_rows(ys)
+    if any(len(r) != n for r in (*x_ints, *y_ints)):
         raise DimensionMismatchError("element does not conform to algebra")
     st = scaled_tensor(algebra)
-    x_ints, sx = _common_scale([c for r in xs for c in r])
-    y_ints, sy = _common_scale([c for r in ys for c in r])
-    mx, my = max(map(abs, x_ints), default=0), max(map(abs, y_ints), default=0)
+    mx, my = _height(x_ints), _height(y_ints)
     # Contracting one row with C gives entries at most n*mx*c, the second
     # contraction at most n^2*mx*my*c, and the sum of two tables twice that.
     # C and the rows must fit too, which the products miss when a factor is
@@ -637,7 +624,7 @@ def product_table(
     return xy.transpose(0, 2, 1), sx * sy * st.den
 
 
-def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> ScaledTensor:
+def table_in_rows(algebra, rows: Sequence) -> ScaledTensor:
     """The table of ``span(rows)`` in the basis ``rows``.
 
     Entry ``[p, q, m]`` is coordinate ``m`` of ``r_p r_q`` in that basis.
@@ -651,13 +638,11 @@ def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> ScaledTensor:
     """
     k, n = len(rows), algebra.dim
     table, scale = product_table(algebra, rows, rows)  # the products are table / scale
-    ints, s = _common_scale([c for r in rows for c in r])
-    r = [ints[i * n:(i + 1) * n] for i in range(k)]  # R = s * rows
+    r, s = scaled_rows(rows)  # R = s * rows
     pivots = _echelon(r, reduce=False)[1]
     if len(pivots) < k:
         raise ValueError("matrix is singular")
-    a_inv = mat_inv([[x[c] for c in pivots] for x in r])
-    inv, d = _common_scale([c for row in a_inv for c in row])  # A^-1 = inv / d
+    inv, d = scaled_rows(inverse([[x[c] for c in pivots] for x in r]))  # A^-1 = inv / d
     products = table.astype(object)
     # The coordinates are (table_A / scale) (A / s)^-1 = num * s / (scale d),
     # and num R = d table exactly when every product lies in the span.
@@ -667,9 +652,7 @@ def table_in_rows(algebra, rows: Sequence[Sequence[Fraction]]) -> ScaledTensor:
     return ScaledTensor(num * s, scale * d)
 
 
-def anticommutator_table(
-    algebra, xs: Sequence[Sequence[Fraction]], ys: Sequence[Sequence[Fraction]]
-) -> tuple[list, int]:
+def anticommutator_table(algebra, xs: Sequence, ys: Sequence) -> tuple[list, int]:
     """The anticommutators ``x_p y_q + y_q x_p`` of two lists of rows.
 
     Returns nested lists ``table[p][q][k]`` of Python ints and their positive

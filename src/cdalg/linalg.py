@@ -1,14 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of ``fractions.Fraction``; the
-elimination routines (``rref``, ``rank``, ``nullspace``, ``mat_inv``,
-``det`` and ``Subspace``) also take rows of Python ints.  They share one
-fraction-free core: each row is scaled to a primitive integer row (times
-the lcm of its denominators, divided by the gcd of its entries), Gauss-Jordan
-elimination combines rows with integer multipliers and divides every
-updated row by its content, and ``Fraction`` objects are built only for the
-final reduced rows (entry / pivot).  The reduced row echelon form is
-canonical, so the result does not depend on how the rows were scaled.
+An exact vector is an :class:`Element`: integer numerators over one positive
+denominator, in lowest terms, as an algebra's table is one integer tensor
+over one denominator (:class:`cdalg.kernel.ScaledTensor`).  Its
+``Fraction`` coordinates are a read-only view built on first access.  A
+matrix is a list (or tuple) of rows, and a row is an Element or a sequence
+of ``Fraction``s or ints; :func:`scaled_rows` writes rows as integers over
+one denominator and takes an Element's integers as they are, so
+``Fraction``s are built only where a rational comes in or goes out.
+
+The elimination routines (``rref``, ``rank``, ``nullspace``, ``mat_inv``,
+``det`` and ``Subspace``) share one fraction-free core: each row is scaled
+to a primitive integer row, Gauss-Jordan elimination combines rows with
+integer multipliers and divides every updated row by its content.  The
+reduced row echelon form is canonical, so the result does not depend on how
+the rows were scaled.  Internal callers take the integer rows:
+:func:`kernel_basis` and :func:`inverse` return Elements, and ``nullspace``
+and ``mat_inv`` are their ``Fraction`` views.
 """
 
 from __future__ import annotations
@@ -17,11 +25,113 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import DimensionMismatchError
+
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+_set = object.__setattr__
+
+
+class Element:
+    """An algebra element as an exact coordinate vector: the integers ``num``
+    over one positive denominator ``den``, in lowest terms, so equal elements
+    have equal ``(num, den)``.
+
+    Built from rationals (anything ``Fraction`` accepts), or by
+    :meth:`of_ints` from integers over any nonzero denominator.  ``coords``,
+    the ``Fraction``s ``num / den``, is a read-only view built on first
+    access.  Immutable.
+    """
+
+    __slots__ = ("num", "den", "_coords")
+
+    def __new__(cls, coords: Iterable) -> "Element":
+        return cls.of_ints(*_row_ints(coords))
+
+    @classmethod
+    def of_ints(cls, num: Iterable[int], den: int = 1) -> "Element":
+        """The element ``num / den``."""
+        num = tuple(num)
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        if g != 1:
+            num, den = tuple([v // g for v in num]), den // g
+        el = object.__new__(cls)
+        _set(el, "num", num)
+        _set(el, "den", den)
+        _set(el, "_coords", None)
+        return el
+
+    @property
+    def coords(self) -> Vector:
+        coords = self._coords
+        if coords is None:
+            den = self.den
+            coords = tuple([Fraction(v, den) if v else F0 for v in self.num])
+            _set(self, "_coords", coords)
+        return coords
+
+    @property
+    def dim(self) -> int:
+        return len(self.num)
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __add__(self, other: "Element") -> "Element":
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"element dimensions differ: {self.dim} vs {other.dim}")
+        d = lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return Element.of_ints([a * x + b * y for x, y in zip(self.num, other.num)], d)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + -other
+
+    def __neg__(self) -> "Element":
+        return Element.of_ints([-v for v in self.num], self.den)
+
+    def scale(self, c) -> "Element":
+        c = c if type(c) is int else Fraction(c)
+        return Element.of_ints([c.numerator * v for v in self.num], c.denominator * self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Element:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        return Element.of_ints, (self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"Element({list(map(str, self.coords))})"
+
+
+def _row_ints(row) -> tuple[list[int], int]:
+    """A row as integers over one positive denominator: an Element's own,
+    other entries scaled by the lcm of their denominators."""
+    if type(row) is Element:
+        return list(row.num), row.den
+    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def scaled_rows(rows: Iterable) -> tuple[list[list[int]], int]:
+    """Integer rows ``m`` and one positive denominator ``d`` with
+    ``rows[i] = m[i] / d``; an Element's integers are taken as they are."""
+    pairs = [_row_ints(r) for r in rows]
+    d = lcm(*[den for _, den in pairs])
+    return [num if den == d else [v * (d // den) for v in num] for num, den in pairs], d
 
 
 def vec(entries: Iterable) -> Vector:
@@ -32,38 +142,12 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vec(row) for row in rows)
 
 
-def zeros(n: int) -> Vector:
-    return (F0,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(F1 if j == i else F0 for j in range(n))
 
 
 def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    if c == 0:
-        return zeros(len(a))
-    return tuple(c * x for x in a)
-
-
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    total = F0
-    for x, y in zip(a, b, strict=True):
-        if x and y:
-            total += x * y
-    return total
-
-
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
@@ -79,21 +163,16 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(vec_dot(tuple(row), col) for col in bt) for row in a)
+    return tuple(mat_vec(bt, tuple(row)) for row in a)
 
 
 def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
 
 
-def _primitive(row: Sequence) -> list[int] | None:
-    """The row times a positive rational, as coprime Python ints; None if zero.
-
-    Entries may be ``Fraction`` or ``int`` (both have ``numerator`` and
-    ``denominator``).
-    """
-    d = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (d // x.denominator) for x in row]
+def _primitive(row) -> list[int] | None:
+    """The row times a positive rational, as coprime Python ints; None if zero."""
+    ints = _row_ints(row)[0]
     g = gcd(*ints)
     if g == 0:
         return None
@@ -171,12 +250,8 @@ def _echelon(rows: Iterable[Sequence], reduce: bool = True) -> tuple[list[list[i
     return work[: len(pivots)], pivots
 
 
-def _as_fractions(row: list[int], p: int) -> Vector:
-    return tuple(F0 if not x else F1 if x == p else Fraction(x, p) for x in row)
-
-
-def _unit_pivot_rows(work: list[list[int]], pivots: list[int]) -> Matrix:
-    return tuple(_as_fractions(row, row[c]) for row, c in zip(work, pivots))
+def _unit_pivot_rows(work: list[list[int]], pivots: list[int]) -> list[Element]:
+    return [Element.of_ints(row, row[c]) for row, c in zip(work, pivots)]
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
@@ -184,27 +259,27 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
 
     Returns the echelon rows and the pivot column of each row.  The output is
     canonical: two row sets spanning the same space reduce to identical
-    matrices, which is what Subspace equality relies on.  Entries may be
-    ``Fraction`` or ``int``.
+    matrices, which is what Subspace equality relies on.
     """
     work, pivots = _echelon(rows)
-    return _unit_pivot_rows(work, pivots), tuple(pivots)
+    return tuple(r.coords for r in _unit_pivot_rows(work, pivots)), tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(_echelon(rows, reduce=False)[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> Matrix:
-    """Canonical basis of {x : M x = 0}, as rows in reduced echelon form."""
+def kernel_basis(rows: Sequence, ncols: int | None = None) -> list[Element]:
+    """Canonical basis of {x : M x = 0}: the rows of its reduced echelon
+    form, each with pivot 1, as Elements."""
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
+        ncols = len(_row_ints(rows[0])[0])
     work, pivots = _echelon(rows)
     if len(pivots) == ncols:
-        return ()
+        return []
     # Column fc of the kernel basis vector for free column fc is 1 and
     # column pivots[r] is -work[r][fc] / work[r][pivots[r]]; scaled by the
     # lcm of those pivots it is an integer row.
@@ -220,26 +295,47 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> M
         for x, p, c in hits:
             v[c] = -x * (d // p)
         basis.append(v)
-    return rref(basis)[0]
+    return _unit_pivot_rows(*_echelon(basis))
 
 
-def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> Matrix:
+    """Canonical basis of {x : M x = 0}, as rows in reduced echelon form."""
+    return tuple(e.coords for e in kernel_basis(rows, ncols))
+
+
+class Inverse(tuple):
+    """The rows of an inverse matrix, as Elements.  Made by :func:`inverse`
+    only, so it is invertible by construction."""
+
+    __slots__ = ()
+
+
+def inverse(m: Sequence) -> Inverse:
+    """The inverse of a square matrix, by elimination on ``[M | I]`` with
+    each row scaled to integers; ValueError when it is singular."""
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    aug = []
+    for i, row in enumerate(m):
+        ints, den = _row_ints(row)
+        if len(ints) != n:
+            raise ValueError("matrix is not square")
+        aug.append(ints + [den if j == i else 0 for j in range(n)])
     work, pivots = _echelon(aug)
     if len(work) != n or any(p != i for i, p in enumerate(pivots)):
         raise ValueError("matrix is singular")
-    return tuple(_as_fractions(row[n:], row[i]) for i, row in enumerate(work))
+    return Inverse(Element.of_ints(row[n:], row[i]) for i, row in enumerate(work))
+
+
+def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
+    return tuple(r.coords for r in inverse(m))
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
     work, den = [], 1
     for row in m:
-        d = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (d // x.denominator) for x in row])
+        ints, d = _row_ints(row)
+        work.append(ints)
         den *= d
     scale = [1, 1]
     if len(_eliminate(work, n, reduce=False, scale=scale)) < n:
@@ -254,22 +350,26 @@ def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
 
     Runs the LDL elimination and stops at the first pivot that is not
     positive; the congruence transform maps it back to an exact vector, so
-    it can serve as a counterexample witness.
+    it can serve as a counterexample witness.  Fraction-free: each row, with
+    its row of the transform, is a positive multiple of the rational
+    elimination's, so the pivot signs and the vector (that row scaled to 1
+    at its own index) are the same.
     """
     n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    # Track the congruence transform so a failing pivot maps back to a vector.
-    trans = [list(unit_vector(n, i)) for i in range(n)]
+    work = scaled_rows(m)[0]
+    trans = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return tuple(trans[k])
+        p, pivot_row = work[k][k], work[k][k:]
+        if p <= 0:
+            return Element.of_ints(trans[k], trans[k][k]).coords
         for i in range(k + 1, n):
-            if work[i][k] != 0:
-                f = work[i][k] / pivot
-                for j in range(k, n):
-                    work[i][j] -= f * work[k][j]
-                trans[i] = [a - f * b for a, b in zip(trans[i], trans[k])]
+            f = work[i][k]
+            if f:
+                row = [p * a - f * b for a, b in zip(work[i][k:], pivot_row)]
+                t = [p * a - f * b for a, b in zip(trans[i], trans[k])]
+                g = gcd(*row, *t)
+                work[i][k:] = [x // g for x in row]
+                trans[i] = [x // g for x in t]
     return None
 
 
@@ -328,7 +428,7 @@ class Subspace:
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ambient_dim: int):
         self._ints, self._pivots = _echelon(rows)
-        self.rows: Matrix = _unit_pivot_rows(self._ints, self._pivots)
+        self.rows: Matrix = tuple(r.coords for r in _unit_pivot_rows(self._ints, self._pivots))
         self.ambient_dim = ambient_dim
 
     @classmethod

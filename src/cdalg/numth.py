@@ -24,7 +24,8 @@ rational zero and finds one by Lagrange's descent, as in Cremona & Rusin,
 *Efficient solution of rational conics* (Math. Comp. 2003).  These need
 the primes of the coefficients, and run only when :func:`factorizations`
 proves them: trial division by the primes below ``_TRIAL_BOUND`` and a
-deterministic Miller-Rabin test of the cofactor below ``_MR_LIMIT``.  The
+deterministic Miller-Rabin test of the cofactor below ``_MR_LIMIT``,
+whose composite cofactors Pollard's rho splits.  The
 answer of :func:`ternary_zero` is a zero, False (a proof that there is
 none), or None when a number could not be factored.  :class:`Surd` is the
 exact number ``a + b sqrt(m)`` for forms with no rational zero.
@@ -48,6 +49,9 @@ _TRIAL_BOUND = 1000
 # (Sorenson & Webster, Math. Comp. 2017).
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard-Brent steps spent on one composite part before factoring gives
+# up; a prime factor p is found after about sqrt(p) steps.
+_RHO_STEPS = 1 << 17
 # Root approximations: iteration cap, and the largest denominator of a
 # continued-fraction convergent that is tested as a root.
 _ROOT_STEPS = 500
@@ -319,6 +323,38 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+def _rho(n: int) -> int | None:
+    """A proper factor of an odd composite n, by Pollard's rho with Brent's
+    cycle search on y -> y^2 + c for c = 1, 2, ..., the gcds batched over
+    128 steps; None after ``_RHO_STEPS`` steps."""
+    steps, c = 0, 0
+    while steps < _RHO_STEPS:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, batch = y, min(128, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            steps += r + k
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def _divide_out(n: int, p: int, f: dict[int, int]) -> int:
     while n % p == 0:
         n //= p
@@ -335,8 +371,9 @@ def factorizations(numbers, known=()) -> list[dict[int, int]] | None:
     the numbers costs nothing to find, and a part that is a perfect square
     is replaced by its root.  A part is prime if it is below
     ``_TRIAL_BOUND ** 2``, or if it passes the Miller-Rabin test below
-    ``_MR_LIMIT``.  Any other part (composite, or too large to prove prime)
-    gives None: a result is always a proved factorization.
+    ``_MR_LIMIT``; a composite part below that is split by :func:`_rho`.
+    A part that is too large to prove prime, or that the rho's steps do not
+    split, gives None: a result is always a proved factorization.
     """
     out, rest = [], []
     for n in numbers:
@@ -351,10 +388,12 @@ def factorizations(numbers, known=()) -> list[dict[int, int]] | None:
             n = _divide_out(n, p, f)
         out.append(f)
         rest.append(n)
-    parts: list[int] = []
+    parts: list[int] = []  # primes
     stack = [n for n in rest if n > 1]
     while stack:
         x = stack.pop()
+        while isqrt(x) ** 2 == x:
+            x = isqrt(x)
         for i, p in enumerate(parts):
             g = math.gcd(x, p)
             if g > 1:
@@ -362,12 +401,13 @@ def factorizations(numbers, known=()) -> list[dict[int, int]] | None:
                 stack += [y for y in (g, p // g, x // g) if y > 1]
                 break
         else:
-            parts.append(x)
-    for i, x in enumerate(parts):
-        while isqrt(x) ** 2 == x:
-            x = parts[i] = isqrt(x)
-        if x >= _TRIAL_BOUND * _TRIAL_BOUND and not (x < _MR_LIMIT and _miller_rabin(x)):
-            return None
+            if x < _TRIAL_BOUND * _TRIAL_BOUND or x < _MR_LIMIT and _miller_rabin(x):
+                parts.append(x)
+            else:
+                d = _rho(x) if x < _MR_LIMIT else None
+                if d is None:
+                    return None
+                stack += [d, x // d]
     for f, n in zip(out, rest):
         for p in parts:
             n = _divide_out(n, p, f)

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -64,21 +65,17 @@ from .errors import (
     UnsupportedRationalClassError,
 )
 from .linalg import (
-    F0,
     F1,
+    Inverse,
     Matrix,
     Vector,
     congruence_diagonal,
     identity,
-    mat_inv,
+    inverse,
     mat_vec,
     nonpositive_direction,
     rank,
-    transpose,
-    unit_vector,
-    vec_dot,
-    vec_scale,
-    vec_sub,
+    scaled_rows,
 )
 from .kernel import (
     anticommutator_table,
@@ -103,8 +100,7 @@ class QuadraticCheck:
 
 
 def _dependent_with_unit(algebra: Algebra, x: Element) -> bool:
-    sq = algebra.multiply(x, x)
-    return rank([algebra.one().coords, x.coords, sq.coords]) <= 2
+    return rank([algebra.one(), x, algebra.multiply(x, x)]) <= 2
 
 
 def is_quadratic(algebra: Algebra) -> QuadraticCheck:
@@ -149,7 +145,7 @@ class LocallyComplexCertificate:
 
     def validate(self, algebra: Algebra) -> None:
         one = self.basis[0]
-        if one.coords != algebra.one().coords:
+        if one != algebra.one():
             raise ValueError("certificate must start with the unit")
         sym = symmetrized_scalars(algebra, self.basis)
         for i in range(1, len(self.basis)):
@@ -206,8 +202,9 @@ class LocallyComplexCheck:
         return check
 
 
-def _traces(algebra: Algebra) -> list[tuple[int, Fraction]]:
-    """``(i, t_i)`` over the non-unit indices, where ``b_i^2 = t_i b_i - n_i 1``."""
+def _traces(algebra: Algebra) -> list[tuple[int, int]]:
+    """``(i, T_i)`` over the non-unit indices, where ``b_i^2 = t_i b_i - n_i 1``
+    and ``t_i = T_i / D`` for the table's denominator ``D``."""
     st, u = scaled_tensor(algebra), algebra.unit
     out = []
     for i, square in enumerate(st.c[np.arange(algebra.dim), np.arange(algebra.dim)].tolist()):
@@ -217,7 +214,7 @@ def _traces(algebra: Algebra) -> list[tuple[int, Fraction]]:
             raise InconsistentInputError(
                 f"basis vector {i} has no quadratic relation; algebra is not quadratic"
             )
-        out.append((i, Fraction(square[i], st.den)))
+        out.append((i, square[i]))
     return out
 
 
@@ -228,17 +225,20 @@ def imaginary_basis(algebra: Algebra) -> list[Element]:
     """
     if algebra.unit is None:
         raise NonUnitalError("imaginary part needs a unital algebra")
-    return _imaginary_vectors(algebra.dim, algebra.unit, _traces(algebra))
+    return _imaginary_vectors(algebra.dim, algebra.unit, scaled_tensor(algebra).den,
+                              _traces(algebra))
 
 
-def _imaginary_vectors(n: int, unit: int, traces: list[tuple[int, Fraction]]) -> list[Element]:
-    """b_i - t_i/2 for the ``(i, t_i)`` of :func:`_traces`."""
-    one = Element(unit_vector(n, unit))
-    return [Element(unit_vector(n, i)) - one.scale(t / 2) for i, t in traces]
+def _imaginary_vectors(n: int, u: int, d: int, traces: list[tuple[int, int]]) -> list[Element]:
+    """b_i - t_i/2 = (2 D b_i - T_i 1) / (2 D) for the ``(i, T_i)`` of
+    :func:`_traces` and the table denominator ``D = d``."""
+    return [Element.of_ints([2 * d if k == i else -t if k == u else 0 for k in range(n)], 2 * d)
+            for i, t in traces]
 
 
-def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, Fraction]]) -> Matrix:
-    """Gram matrix of <u, v> = -(uv + vu)/2 on :func:`imaginary_basis`.
+def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, int]]) -> list[list[int]]:
+    """Gram matrix of <u, v> = -(uv + vu)/2 on :func:`imaginary_basis`, times
+    ``4 D^2``.
 
     For v_i = b_i - t_i/2 the product v_i v_j + v_j v_i is scalar in a
     quadratic algebra, and its unit coordinate is
@@ -247,9 +247,7 @@ def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, Fraction]]) -> Mat
     """
     st, u = scaled_tensor(algebra), algebra.unit
     cu, d = st.c[:, :, u].tolist(), st.den
-    ts = [(i, t.numerator * (d // t.denominator)) for i, t in traces]  # (i, T_i)
-    return tuple(tuple(Fraction(-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj), 4 * d * d)
-                       for j, tj in ts) for i, ti in ts)
+    return [[-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj) for j, tj in traces] for i, ti in traces]
 
 
 def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[list]:
@@ -259,8 +257,7 @@ def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[li
     ``s[p][p]`` is twice the scalar square of ``v_p``.
     """
     u = algebra.unit
-    rows = [v.coords for v in vectors]
-    table, scale = anticommutator_table(algebra, rows, rows)
+    table, scale = anticommutator_table(algebra, vectors, vectors)
     return [
         [None if any(c for k, c in enumerate(cell) if k != u) else Fraction(cell[u], scale)
          for cell in row]
@@ -268,90 +265,120 @@ def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[li
     ]
 
 
-def combination(algebra: Algebra, coeffs: Sequence[Fraction], vectors: Sequence[Element]) -> Element:
+def combination(algebra: Algebra, coeffs, vectors: Sequence[Element]) -> Element:
     """The element ``sum_p coeffs[p] vectors[p]``."""
-    out = [F0] * algebra.dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k, x in enumerate(v.coords):
+    return _combine(coeffs, vectors, algebra.dim)
+
+
+def _combine(coeffs, vectors: Sequence[Element], n: int) -> Element:
+    """``sum_p coeffs[p] vectors[p]`` in Q^n, for rational coefficients or a
+    coefficient Element, summed as integers over one denominator."""
+    (c,), cd = scaled_rows([coeffs])
+    rows, d = scaled_rows(vectors)
+    out = [0] * n
+    for a, row in zip(c, rows):
+        if a:
+            for k, x in enumerate(row):
                 if x:
-                    out[k] += c * x
-    return Element(tuple(out))
+                    out[k] += a * x
+    return Element.of_ints(out, cd * d)
 
 
-def coordinate_map(basis: Sequence[Element]) -> Matrix:
+def coordinate_map(basis: Sequence[Element]) -> Inverse:
     """The matrix sending coordinates to coordinates in ``basis``: the
-    inverse of the matrix whose columns are the basis vectors."""
-    return mat_inv(transpose([b.coords for b in basis]))
+    inverse of the matrix whose columns are the basis vectors, as Element
+    rows."""
+    columns, d = scaled_rows(basis)
+    return inverse([Element.of_ints(row, d) for row in zip(*columns)])
 
 
-def candidate_rows(rows: Sequence[Vector]) -> Iterator[Vector]:
+def _norm(row: Element, gram: Sequence[Sequence[int]]) -> int:
+    """``num G num^T`` for the integers ``num`` of a coefficient row."""
+    x = row.num
+    return sum(a * sum(g * b for g, b in zip(grow, x) if b) for a, grow in zip(x, gram) if a)
+
+
+def candidate_rows(rows: Sequence[Element]) -> Iterator[Element]:
     """The rows, then r_p + r_q and r_p - r_q for p < q."""
     yield from rows
     for p, q in combinations(range(len(rows)), 2):
-        yield tuple(a + b for a, b in zip(rows[p], rows[q]))
-        yield vec_sub(rows[p], rows[q])
+        yield rows[p] + rows[q]
+        yield rows[p] - rows[q]
 
 
-def square_length_row(rows: Sequence[Vector], gram: Matrix) -> Vector | None:
-    """The first of the :func:`candidate_rows` whose length ``r G r^T`` is a
-    nonzero rational square, scaled to length 1, or None."""
+def square_length_row(rows: Sequence[Element], gram: Sequence[Sequence[int]],
+                      den: int) -> Element | None:
+    """The first of the :func:`candidate_rows` whose length ``r (G / den) r^T``
+    is a nonzero rational square, scaled to length 1, or None.
+
+    For ``r = num / e`` the length is ``num G num^T / (e^2 den)``, a square
+    exactly when ``s^2 = num G num^T den`` for an integer ``s``, and then
+    ``r`` over its length is ``num den / s``.
+    """
     for r in candidate_rows(rows):
-        norm = vec_dot(r, mat_vec(gram, r))
-        root = sqrt_fraction(norm) if norm else None
-        if root is not None:
-            return vec_scale(F1 / root, r)
+        norm = _norm(r, gram) * den
+        if norm > 0:
+            root = isqrt(norm)
+            if root * root == norm:
+                return Element.of_ints([v * den for v in r.num], root)
     return None
 
 
-def unit_vector_by_descent(rows: Sequence[Vector], gram: Matrix) -> Vector | str:
-    """A combination x of the coefficient rows with ``x G x^T = 1``, when
-    the form G on their span is a sum of squares over Q; otherwise a clause
-    naming the failing invariant, or the number that could not be factored.
-    The form is decided and solved on its nonzero LDL pivots.
+def unit_vector_by_descent(rows: Sequence[Element], gram: Sequence[Sequence[int]],
+                           den: int) -> Element | str:
+    """A combination x of the coefficient rows with ``x (G / den) x^T = 1``,
+    when the form on their span is a sum of squares over Q; otherwise a
+    clause naming the failing invariant, or the number that could not be
+    factored.  The form is decided and solved on its nonzero LDL pivots.
     """
-    grams = [mat_vec(gram, r) for r in rows]
-    pivots, lower = congruence_diagonal([[vec_dot(a, gb) for gb in grams] for a in rows])
-    kept = [(d, l) for d, l in zip(pivots, lower) if d]
-    obstruction = sum_of_squares_obstruction([d for d, _ in kept])
+    ints, d = scaled_rows(rows)
+    grams = [[sum(g * b for g, b in zip(grow, r)) for grow in gram] for r in ints]
+    scale = d * d * den
+    pivots, lower = congruence_diagonal(
+        [[Fraction(sum(x * y for x, y in zip(a, gb)), scale) for gb in grams] for a in ints])
+    kept = [(p, l) for p, l in zip(pivots, lower) if p]
+    obstruction = sum_of_squares_obstruction([p for p, _ in kept])
     if obstruction is not None:
         return obstruction
-    y = represent_one([d for d, _ in kept])
+    y = represent_one([p for p, _ in kept])
     if y is None:
         return "is a sum of squares over Q, but the search for a vector of norm 1 ran out"
-    coeffs = mat_vec(transpose([l for _, l in kept]), y)  # over the rows
-    return mat_vec(transpose(rows), coeffs)
+    coeffs = [sum(c * l[p] for c, (_, l) in zip(y, kept)) for p in range(len(rows))]
+    return _combine(coeffs, rows, rows[0].dim)
 
 
-def orthonormalize(vectors: Sequence[Element], gram: Matrix) -> list[Element] | str:
+def orthonormalize(vectors: Sequence[Element], gram: Sequence) -> list[Element] | str:
     """An orthonormal basis of the span over the rationals, when there is one.
 
-    ``gram[i][j]`` is the inner product of ``vectors[i]`` and ``vectors[j]``,
-    positive definite on their span; the work is done on coefficient vectors
-    against it, without multiplying in the algebra.  Each step takes the
-    first of the :func:`candidate_rows` over the vectors orthogonalized
-    against the basis so far whose length is a rational square, and
-    otherwise one built by :func:`unit_vector_by_descent`; by Witt
-    cancellation, what is left after a unit vector is again a sum of
-    squares.  Without a basis the clause of the descent is returned.
+    ``gram[i][j]`` is the inner product of ``vectors[i]`` and ``vectors[j]``
+    (rows of rationals, or Elements), positive definite on their span; the
+    work is done on integer coefficient vectors against it, without
+    multiplying in the algebra.  Each step takes the first of the
+    :func:`candidate_rows` over the vectors orthogonalized against the basis
+    so far whose length is a rational square, and otherwise one built by
+    :func:`unit_vector_by_descent`; by Witt cancellation, what is left after
+    a unit vector is again a sum of squares.  Without a basis the clause of
+    the descent is returned.
     """
     m = len(vectors)
-    rows = [unit_vector(m, i) for i in range(m)]
-    done: list[Vector] = []
+    g, den = scaled_rows(gram)
+    rows = [Element.of_ints([int(j == i) for j in range(m)]) for i in range(m)]
+    done: list[Element] = []
     while rows:
-        e = square_length_row(rows, gram)
+        e = square_length_row(rows, g, den)
         if e is None:
-            if not any(vec_dot(r, mat_vec(gram, r)) for r in rows):
+            if not any(_norm(r, g) for r in rows):
                 break
-            e = unit_vector_by_descent(rows, gram)
+            e = unit_vector_by_descent(rows, g, den)
             if isinstance(e, str):
                 return e
         done.append(e)
-        ge = mat_vec(gram, e)
-        rows = [vec_sub(r, vec_scale(c, e)) if (c := vec_dot(r, ge)) else r for r in rows]
-        rows = [r for r in rows if any(r)]
-    columns = transpose([x.coords for x in vectors])
-    return [Element(mat_vec(columns, e)) for e in done]
+        ge = [sum(x * y for x, y in zip(grow, e.num)) for grow in g]
+        # <r, e> = num_r G num_e / (den_r den_e den), and <e, e> = 1.
+        rows = [r - e.scale(Fraction(c, r.den * e.den * den))
+                if (c := sum(x * y for x, y in zip(r.num, ge))) else r for r in rows]
+        rows = [r for r in rows if not r.is_zero()]
+    return [_combine(e, vectors, vectors[0].dim) for e in done]
 
 
 def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
@@ -387,13 +414,14 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind="independent-square",
             reason="not quadratic",
         )
+    n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
     traces = _traces(algebra)
-    gram = _imaginary_gram(algebra, traces)
+    gram = _imaginary_gram(algebra, traces)  # 4 D^2 times the Gram matrix
     direction = nonpositive_direction(gram)
     if direction is not None:
-        imag = _imaginary_vectors(algebra.dim, algebra.unit, traces)
-        bad = combination(algebra, direction, imag)
-        lam = -vec_dot(direction, mat_vec(gram, direction))  # bad^2 = lam * 1
+        x = Element(direction)
+        bad = combination(algebra, x, _imaginary_vectors(n, u, d, traces))
+        lam = -Fraction(_norm(x, gram), 4 * d * d * x.den**2)  # bad^2 = lam * 1
         kind = "nonpositive-norm"
         witness = bad
         if lam == 0:
@@ -410,22 +438,21 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind=kind,
             reason="norm form is not positive definite",
         )
-    return LocallyComplexCheck.deferred(
-        partial(_normalized_basis, algebra.dim, algebra.unit, traces, gram)
-    )
+    return LocallyComplexCheck.deferred(partial(_normalized_basis, n, u, d, traces, gram))
 
 
 def _normalized_basis(
-    n: int, unit: int, traces: list[tuple[int, Fraction]], gram: Matrix
+    n: int, unit: int, den: int, traces: list[tuple[int, int]], gram: list[list[int]]
 ) -> LocallyComplexCertificate | str:
     """The certificate of a locally complex algebra from its dimension, unit,
-    traces and imaginary Gram matrix, or the clause of :func:`orthonormalize`
-    without a rational one."""
-    ortho = orthonormalize(_imaginary_vectors(n, unit, traces), gram)
+    table denominator, traces and imaginary Gram matrix (times ``4 D^2``), or
+    the clause of :func:`orthonormalize` without a rational one."""
+    rows = [Element.of_ints(row, 4 * den * den) for row in gram]
+    ortho = orthonormalize(_imaginary_vectors(n, unit, den, traces), rows)
     if isinstance(ortho, str):
         return ortho
-    basis = (Element(unit_vector(n, unit)), *ortho)
-    return LocallyComplexCertificate(basis, coordinate_map(basis))
+    basis = (Element.of_ints([int(k == unit) for k in range(n)]), *ortho)
+    return LocallyComplexCertificate(basis, tuple(r.coords for r in coordinate_map(basis)))
 
 
 def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
@@ -471,7 +498,7 @@ def is_alternative(algebra: Algebra) -> IdentityCheck:
     basis vectors and pairwise sums and y over basis vectors is equivalent to
     the full identities.
     """
-    witness = _first_defect(algebra, identity(algebra.dim))
+    witness = _first_defect(algebra, [algebra.basis_element(i) for i in range(algebra.dim)])
     return IdentityCheck(witness is None, witness)
 
 

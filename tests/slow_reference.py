@@ -93,6 +93,40 @@ def pair_family(vectors: Sequence[Element]) -> list[Element]:
     return fam
 
 
+class FractionElement:
+    """An element as a tuple of ``Fraction``s, with its arithmetic done
+    coordinate by coordinate in ``Fraction``s: the oracle for the library's
+    Element, which holds integers over one denominator."""
+
+    def __init__(self, coords):
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def __add__(self, other):
+        return FractionElement(a + b for a, b in zip(self.coords, other.coords, strict=True))
+
+    def __sub__(self, other):
+        return FractionElement(a - b for a, b in zip(self.coords, other.coords, strict=True))
+
+    def __neg__(self):
+        return FractionElement(-a for a in self.coords)
+
+    def scale(self, c):
+        return FractionElement(Fraction(c) * a for a in self.coords)
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+
 def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
     """``x y`` summed in ``Fraction``s over the nonzero constants of each
     cell ``(i, j)`` with ``x_i y_j != 0``."""
@@ -594,7 +628,7 @@ def recognize_alternative_division(algebra: Algebra):
 def _recognize_division(algebra: Algebra):
     from cdalg.analysis import RecognitionResult, find_unit_square_vector, verify_iso
     from cdalg.construct import named_algebra
-    from cdalg.properties import coordinate_map, imaginary_basis
+    from cdalg.properties import imaginary_basis
 
     n = algebra.dim
     if n not in (1, 2, 4, 8):
@@ -619,7 +653,7 @@ def _recognize_division(algebra: Algebra):
         e4 = find_unit_square_vector(algebra, imag, anticommute_with=basis[1:], closure=basis[:4])
         basis += [e4] + [algebra.multiply(basis[k], e4) for k in (1, 2, 3)]
         tag = "O"
-    iso = coordinate_map(basis)
+    iso = mat_inv(transpose([b.coords for b in basis]))
     verify_iso(iso, algebra, named_algebra(tag).algebra)
     return RecognitionResult(tag, iso)
 
@@ -640,7 +674,6 @@ def classify_super_alternative(algebra: Algebra, grading):
     from cdalg.linalg import mat_inv
     from cdalg.properties import (
         combination,
-        coordinate_map,
         is_locally_complex,
         is_super_alternative,
     )
@@ -688,7 +721,7 @@ def classify_super_alternative(algebra: Algebra, grading):
         tag, basis = _classify_sedenion_like(
             algebra, [None] + [even_std(k) for k in range(1, 8)], odd_elements
         )
-    iso = coordinate_map(basis)
+    iso = mat_inv(transpose([b.coords for b in basis]))
     verify_iso(iso, algebra, named_algebra(tag).algebra)
     return RecognitionResult(tag, iso)
 

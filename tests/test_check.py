@@ -347,3 +347,19 @@ def test_nonsingular_mod(p):
              for constants in tables for x in rows]
     kept = kernel._row_basis_mod(np.array(stack, dtype=np.int64), p)
     assert kept.all(axis=1).tolist() == [det_mod(m, p) != 0 for m in stack]
+
+
+def test_candidate_draws_are_those_of_randint():
+    """The census and zero-divisor candidates read ``getrandbits`` directly;
+    over 1,000 seeds they draw what ``random.randint`` draws, and leave the
+    generator in the same state."""
+    for seed in range(1000):
+        rng, twin = random.Random(seed), random.Random(seed)
+        got = [analysis._randint(rng, 1, 2), *analysis._random_row(rng, 5, 3),
+               *analysis._random_row(rng, 4, 2), analysis._randint(rng, -7, 7)]
+        want = [twin.randint(1, 2)]
+        for bound, n in ((3, 5), (2, 4)):
+            want += [2 * Fraction(twin.randint(-bound, bound), twin.randint(1, 2))
+                     for _ in range(n)]
+        want.append(twin.randint(-7, 7))
+        assert got == want and rng.getstate() == twin.getstate()

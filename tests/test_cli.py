@@ -315,3 +315,44 @@ def test_classify4_kind_agrees_with_division_near_a_tiny_eigenvalue(capsys):
         assert code == 0
         data = json.loads(out)
         assert (data["kind"], data["division"]) == (kind, division)
+
+
+# Commands, usage errors and "--": each argv is parsed by the parser cached
+# for its first token.
+PARSER_CASES = [
+    ["check", "O", "--property", "alt"],
+    ["ann", "H", "--element", "e1 + e2"],
+    ["check", "H", "--property", "lc", "--format", "md"],
+    ["check", "O", "--budget", "many"],
+    ["zerodiv"],
+    ["nosuch", "O"],
+    [],
+    ["--format", "json", "check", "O"],
+    ["--", "check", "O"],
+    ["check", "--", "O"],
+    ["ann", "H", "--element=--"],
+    ["ann", "H", "--element", "e1", "--", "e2"],
+    ["recognize", "O"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parsers_print_what_fresh_ones_print(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = []
+    for argv in PARSER_CASES:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in PARSER_CASES * 2] == fresh * 2
+    # One parser per command named first, and one for any other first token.
+    named = {argv[0] for argv in PARSER_CASES if argv} & set(cli._COMMANDS)
+    assert cli._parser.cache_info().misses == len(named) + 1

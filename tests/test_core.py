@@ -1,8 +1,10 @@
 """Core structure-constant arithmetic: products, multiplication operators,
 quadratic relations, generated subalgebras."""
 
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from cdalg import (
     named_algebra,
     parse_element,
 )
+from cdalg.analysis import rotated_copy
 from cdalg.kernel import left_mul_rows, left_mul_stack
 from cdalg.linalg import identity, rank
 
@@ -350,3 +353,47 @@ def test_unit_at_nonzero_index(complexes):
     assert is_quadratic(swapped).holds
     assert is_locally_complex(swapped).holds
     assert recognize_alternative_division(swapped).tag == "C"
+
+
+ROTATED_O = rotated_copy(named_algebra("O").algebra, random.Random("integer element"))[0]
+coords8 = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                   min_size=8, max_size=8)
+
+
+def assert_same(got: Element, want: ref.FractionElement):
+    """The same value, in lowest terms over a positive denominator, with the
+    ``Fraction`` view built once."""
+    assert got.coords == want.coords and all(type(c) is F for c in got.coords)
+    assert got.coords is got.coords
+    assert got.den > 0 and gcd(got.den, *got.num) == 1
+    assert got.num == tuple(int(c * got.den) for c in want.coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coords8, coords8, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_integer_element_agrees_with_fraction_reference(a, b, c):
+    x, y = Element(a), Element(b)
+    fx, fy = ref.FractionElement(a), ref.FractionElement(b)
+    assert_same(x, fx)
+    assert_same(x + y, fx + fy)
+    assert_same(x - y, fx - fy)
+    assert_same(-x, -fx)
+    assert_same(x.scale(c), fx.scale(c))
+    assert_same(x.scale(int(c * 4)), fx.scale(int(c * 4)))
+    product = ref.multiply(ROTATED_O, fx, fy).coords
+    assert_same(ROTATED_O.multiply(x, y), ref.FractionElement(product))
+    assert x.is_zero() == fx.is_zero() and (x - x).is_zero()
+    assert (x == y) == (fx == fy) and (x == x.scale(1)) and hash(x) == hash(x.scale(1))
+    # Equal values are equal elements however they were built.
+    twice = Element.of_ints([2 * v for v in x.num], -2 * x.den)
+    assert -twice == x and hash(-twice) == hash(x)
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_integer_element_is_immutable():
+    x = Element([F(1, 2), 0, F(-3, 4)])
+    assert (x.num, x.den, x.dim) == ((2, 0, -3), 4, 3)
+    with pytest.raises(AttributeError):
+        x.num = (1, 0, 0)
+    assert Element.of_ints([0, 0], -5) == Element([0, 0]) and Element([0, 0]).den == 1
+    assert repr(x) == "Element(['1/2', '0', '-3/4'])"

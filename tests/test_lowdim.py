@@ -44,6 +44,7 @@ from cdalg.lowdim import (
 from cdalg.numth import Surd, ternary_zero
 
 import slow_reference as ref
+from test_numth import UNFACTORED
 
 F = Fraction
 
@@ -460,9 +461,10 @@ def test_exact_pair_is_none_only_for_definite_parts():
 @pytest.mark.parametrize("diagonal, want", [
     ((1, 1, 1), False),  # definite
     ((1, 1, -3), False),  # indefinite, no rational zero
-    ((1, 1, -1019 * 1031), None),  # no rational zero, but the descent cannot factor it
+    ((1, 1, -UNFACTORED), None),  # no rational zero, but the descent cannot factor it
     ((1, 1, -2), "pair"),
     ((2, 3, -5), "pair"),  # (1, 1, 1)
+    ((1, 1, -1019 * 1031), False),  # no rational zero; the rho splits 1019 * 1031
 ])
 def test_rational_pair_is_three_valued(diagonal, want):
     T = [[F(d) if i == j else F(0) for j, d in enumerate(diagonal)] for i in range(3)]
@@ -486,7 +488,7 @@ def test_zero_divisors_are_ruled_out_without_a_rational_isotropic_vector(u):
     for coords in itertools.product(range(-2, 3), repeat=4):
         if any(coords):
             assert not ref.annihilator(algebra, Element(tuple(map(F, coords))))
-    undecided = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -1019 * 1031]], u)
+    undecided = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -UNFACTORED]], u)
     got = zero_divisor_search(undecided, budget=20)
     assert got.status == "exhausted" and not got.definitive
 

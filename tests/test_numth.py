@@ -1,14 +1,17 @@
 """Square detection, the four-square decomposition, Q(sqrt(m)), factoring
 small numbers, Hilbert symbols, rational conics and rational roots."""
 
+import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdalg import numth
 from cdalg.numth import (
     Surd,
     factorizations,
@@ -26,6 +29,10 @@ from cdalg.numth import (
 )
 
 import slow_reference as ref
+
+# Two primes = 3 mod 4 whose product is past the Miller-Rabin bound, where
+# factoring stops: nothing splits it.
+UNFACTORED = (2**61 - 1) * (2**31 - 1)
 
 
 def test_sqrt_fraction():
@@ -119,7 +126,7 @@ def test_sum_of_squares_obstruction_hand_cases():
     assert sum_of_squares_obstruction([F(1), F(3)]).endswith("determinant 3 is not a rational square")
     # <7, 7> has a square determinant and eps_7 = (7, 7)_7 = (-1/7) = -1.
     assert sum_of_squares_obstruction([F(7), F(7)]).endswith("Hasse invariant at 7 is -1")
-    big = 1000003 * 1000033  # two primes past the trial bound, not split by anything
+    big = UNFACTORED
     assert sum_of_squares_obstruction([F(big), F(big)]) == (
         f"is not known to be a sum of squares over Q: {big} could not be factored")
 
@@ -221,28 +228,47 @@ def _trial_factor(n):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 10**7), min_size=1, max_size=4))
 def test_factorizations_match_trial_division(numbers):
-    found = factorizations(numbers)
-    if found is None:
-        # Only a product of two distinct primes above the trial bound (which
-        # no other number splits by a gcd) can be refused.
-        assert any(len([p for p in _trial_factor(n) if p > 997]) >= 2 for n in numbers)
-        return
-    assert found == [_trial_factor(n) for n in numbers]
+    # Pollard's rho splits what trial division leaves below the Miller-Rabin bound.
+    assert factorizations(numbers) == [_trial_factor(n) for n in numbers]
 
 
 def test_factorizations_prove_or_refuse():
     big = 1000003  # prime, above the trial bound
-    assert factorizations([1129 * 1087]) is None
+    assert factorizations([1129 * 1087]) == [{1087: 1, 1129: 1}]
     assert factorizations([1129 * 1087, 1129 * 12]) == [{1087: 1, 1129: 1}, {2: 2, 3: 1, 1129: 1}]
     assert factorizations([big * big * 6]) == [{2: 1, 3: 1, big: 2}]
     mersenne = 2**61 - 1
     assert factorizations([mersenne]) == [{mersenne: 1}]
-    assert factorizations([mersenne * big]) is None  # composite part past the trial bound
+    assert mersenne * big < 3_317_044_064_679_887_385_961_981  # split by the rho
+    assert factorizations([mersenne * big]) == [{big: 1, mersenne: 1}]
     assert factorizations([mersenne * big], known=[big]) == [{big: 1, mersenne: 1}]
     above = 2**89 - 1  # a Mersenne prime past the Miller-Rabin bound
     assert above > 3_317_044_064_679_887_385_961_981
     assert factorizations([above]) is None
+    assert factorizations([UNFACTORED]) is None  # composite past that bound
     assert factorizations([1]) == [{}]
+
+
+@pytest.mark.parametrize("n", [1263359, 31174822917, 543181531765])
+def test_rho_splits_the_pivots_trial_division_left(n):
+    """Pivots of norm forms met in random bases and rotated tables: each
+    has a composite part without prime factors below the trial bound."""
+    assert factorizations([n]) == [_trial_factor(n)]
+    assert len([p for p in _trial_factor(n) if p > 997]) >= 2
+
+
+def test_rho_splits_random_semiprimes_within_its_steps(monkeypatch):
+    rng = random.Random("rho")
+    primes = []
+    while len(primes) < 60:
+        p = rng.randrange(1001, 10**6)
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            primes.append(p)
+    for p, q in zip(primes[::2], primes[1::2]):
+        assert factorizations([p * q]) == [{p: 1, q: 1} if p != q else {p: 2}]
+    # Past its step cap the rho gives up, and so does the factorization.
+    monkeypatch.setattr(numth, "_RHO_STEPS", 8)
+    assert factorizations([999983 * 999979]) is None
 
 
 def _has_zero(a, b, c, bound=40):
@@ -283,12 +309,14 @@ def test_ternary_zero_hand_cases():
 
 def test_ternary_zero_is_undecided_only_without_a_factorization():
     """1009 * 1013 and 1019 * 1031 are composite, above 1000^2, and not split
-    by trial division below 1000, so they stay unfactored: the first is a
-    sum of two squares and the second is not, and both answers are None."""
+    by trial division below 1000; the rho splits them, so the descent
+    decides: the first is a sum of two squares and the second is not.
+    ``UNFACTORED`` is past the Miller-Rabin bound, and the answer is None."""
     F = Fraction
-    for n in (1009 * 1013, 1019 * 1031):
-        assert factorizations([n]) is None
-        assert ternary_zero((F(1), F(1), F(-n))) is None
+    y = ternary_zero((F(1), F(1), F(-1009 * 1013)))
+    assert y[0] ** 2 + y[1] ** 2 == 1009 * 1013 * y[2] ** 2 and any(y)
+    assert ternary_zero((F(1), F(1), F(-1019 * 1031))) is False
+    assert ternary_zero((F(1), F(1), F(-UNFACTORED))) is None
     # A prime of that size is proved prime, so the descent decides.
     assert ternary_zero((F(1), F(1), F(-1009))) and ternary_zero((F(1), F(1), F(-1019))) is False
 
