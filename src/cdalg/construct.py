@@ -104,9 +104,7 @@ class Grading:
         total = Subspace(self.even.rows + self.odd.rows, n)
         if total.dim != n:
             raise InvalidGradingError("even and odd parts overlap")
-        if algebra.unit is not None and not self.even.contains(
-            algebra.one().coords
-        ):
+        if algebra.unit is not None and not self.even.contains(algebra.one()):
             raise InvalidGradingError("unit is not in the even part")
         partition = self.index_partition()
         if partition is not None:

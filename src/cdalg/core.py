@@ -181,25 +181,17 @@ def minimal_quadratic(algebra: Algebra, x: Element) -> MinimalQuadratic:
         raise NonUnitalError("minimal_quadratic needs a unital algebra")
     if x.dim != algebra.dim:
         raise DimensionMismatchError("element does not conform to algebra")
-    one = algebra.one().coords
-    u = algebra.unit
-    scalar_part = x.coords[u]
-    if all(c == 0 for i, c in enumerate(x.coords) if i != u):
-        return MinimalQuadratic(
-            "scalar", lam=scalar_part, trace=2 * scalar_part, norm=scalar_part**2
-        )
-    sq = algebra.multiply(x, x).coords
-    # Solve x^2 = t*x - n*1 coordinatewise.
-    t = None
-    for i, c in enumerate(x.coords):
-        if i != u and c != 0:
-            t = sq[i] / c
-            break
-    assert t is not None
-    n = t * scalar_part - sq[u]
-    for i in range(algebra.dim):
-        if sq[i] != t * x.coords[i] - n * one[i]:
-            return MinimalQuadratic("not_quadratic")
+    u, coords = algebra.unit, x.coords
+    lam = coords[u]
+    i = next((i for i, c in enumerate(coords) if c and i != u), None)
+    if i is None:
+        return MinimalQuadratic("scalar", lam=lam, trace=2 * lam, norm=lam**2)
+    # Solve x^2 = t x - n 1 at coordinate i and at the unit, then check it.
+    sq = algebra.multiply(x, x)
+    t = sq.coords[i] / coords[i]
+    n = t * lam - sq.coords[u]
+    if sq != x.scale(t) - algebra.one().scale(n):
+        return MinimalQuadratic("not_quadratic")
     return MinimalQuadratic("quadratic", trace=t, norm=n)
 
 

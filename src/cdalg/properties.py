@@ -144,17 +144,18 @@ class LocallyComplexCertificate:
     change_of_basis: Matrix
 
     def validate(self, algebra: Algebra) -> None:
-        one = self.basis[0]
-        if one != algebra.one():
+        if self.basis[0] != algebra.one():
             raise ValueError("certificate must start with the unit")
-        sym = symmetrized_scalars(algebra, self.basis)
-        for i in range(1, len(self.basis)):
-            if sym[i][i] != -2:
+        # e_i e_j + e_j e_i over the table's scale s: -2 s at the unit for
+        # i = j, and 0 for i != j.
+        e, u = self.basis[1:], algebra.unit
+        table, s = anticommutator_table(algebra, e, e)
+        for i, row in enumerate(table, start=1):
+            if row[i - 1] != [-2 * s * (k == u) for k in range(algebra.dim)]:
                 raise ValueError(f"certificate vector {i} does not square to -1")
-        for i in range(1, len(self.basis)):
-            for j in range(i + 1, len(self.basis)):
-                if sym[i][j] != 0:
-                    raise ValueError(f"certificate vectors {i},{j} do not anticommute")
+        for i, j in combinations(range(1, len(self.basis)), 2):
+            if any(table[i - 1][j - 1]):
+                raise ValueError(f"certificate vectors {i},{j} do not anticommute")
 
     def to_certificate_coords(self, x: Element) -> Vector:
         return mat_vec(self.change_of_basis, x.coords)
@@ -248,21 +249,6 @@ def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, int]]) -> list[lis
     st, u = scaled_tensor(algebra), algebra.unit
     cu, d = st.c[:, :, u].tolist(), st.den
     return [[-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj) for j, tj in traces] for i, ti in traces]
-
-
-def symmetrized_scalars(algebra: Algebra, vectors: Sequence[Element]) -> list[list]:
-    """``s[p][q]`` with ``v_p v_q + v_q v_p = s[p][q] * 1``, or None where that
-    product is not a multiple of 1, read off one anticommutator table.
-
-    ``s[p][p]`` is twice the scalar square of ``v_p``.
-    """
-    u = algebra.unit
-    table, scale = anticommutator_table(algebra, vectors, vectors)
-    return [
-        [None if any(c for k, c in enumerate(cell) if k != u) else Fraction(cell[u], scale)
-         for cell in row]
-        for row in table
-    ]
 
 
 def combination(algebra: Algebra, coeffs, vectors: Sequence[Element]) -> Element:
