@@ -147,16 +147,20 @@ def _parse_rationals(text: str, expected: int, what: str) -> list[Fraction]:
         raise MalformedInputError(f"bad rational in {what}: {exc}") from exc
 
 
+def _read_params(path: str) -> tuple:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        T = [[Fraction(str(x)) for x in row] for row in data["T"]]
+        u = [Fraction(str(x)) for x in data["u"]]
+    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise MalformedInputError(f"bad parameter file {path}: {exc}") from exc
+    return T, u
+
+
 def _params_from_args(args) -> tuple:
     if args.file:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            T = [[Fraction(str(x)) for x in row] for row in data["T"]]
-            u = [Fraction(str(x)) for x in data["u"]]
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise MalformedInputError(f"bad parameter file {args.file}: {exc}") from exc
-        return T, u
+        return _read_params(args.file)
     if args.T is None:
         raise MalformedInputError("need either a parameter file or --T")
     flat = _parse_rationals(args.T, 9, "--T")
@@ -302,15 +306,15 @@ def cmd_classify4(args) -> int:
         algebra, _, _ = _load_source(args.file)
         params = extract_params_4d(algebra)
         T, u = [list(r) for r in params.t_matrix], list(params.u)
-    gt = geometric_type(T, tol=args.tol)
+    gt = geometric_type(T)
     payload: dict[str, Any] = {"T": T, "u": u, "rank": gt.rank, "kind": gt.kind}
-    division = is_division_4d(T, u, tol=args.tol)
+    division = is_division_4d(T, u)
     payload["division"] = division.is_division
     if division.pair is not None:
         payload["zero_divisor_pair"] = division.pair
         payload["pair_exact"] = division.exact
     if gt.kind == "hyperboloid":
-        config = hyperboloid_config((T, u), tol=args.tol)
+        config = hyperboloid_config((T, u))
         payload["configuration"] = {
             "delta": list(config.delta),
             "u": list(config.u),
@@ -330,22 +334,10 @@ def _looks_like_algebra(path: str) -> bool:
 
 
 def cmd_iso4(args) -> int:
-    def load_params(path: str):
-        class Holder:
-            file = path
-            T = None
-            u = None
-
-        return _params_from_args(Holder)
-
-    T1, u1 = load_params(args.a)
-    T2, u2 = load_params(args.b)
-    res = equiv_4d(
-        ([[float(x) for x in r] for r in T1], [float(x) for x in u1]),
-        ([[float(x) for x in r] for r in T2], [float(x) for x in u2]),
-        tol=args.tol,
-    )
-    payload = {"equivalent": res.equivalent, "borderline": res.borderline}
+    res = equiv_4d(_read_params(args.a), _read_params(args.b))
+    payload: dict[str, Any] = {"equivalent": res.equivalent, "borderline": res.borderline}
+    if res.differs is not None:
+        payload["differs"] = res.differs
     if res.witness is not None:
         payload["witness"] = res.witness
     _emit(payload, args.format)
@@ -354,7 +346,7 @@ def cmd_iso4(args) -> int:
 
 def cmd_division4(args) -> int:
     T, u = _params_from_args(args)
-    res = is_division_4d(T, u, tol=args.tol)
+    res = is_division_4d(T, u)
     payload: dict[str, Any] = {"division": res.is_division}
     if res.pair is not None:
         payload["zero_divisor_pair"] = res.pair
@@ -483,8 +475,7 @@ def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
 
 _TARGET = _arg("target")
 _SEED = _arg("--seed", type=int, default=0)
-_TOL = _arg("--tol", type=float, default=1e-9)
-_PARAMS = (_arg("file", nargs="?"), _arg("--T"), _arg("--u"), _TOL)
+_PARAMS = (_arg("file", nargs="?"), _arg("--T"), _arg("--u"))
 
 # name -> (handler, help line, arguments after --format), in help order.
 _COMMANDS: dict[str, tuple[Any, str, tuple]] = {
@@ -504,7 +495,7 @@ _COMMANDS: dict[str, tuple[Any, str, tuple]] = {
                   (_arg("file", nargs="?"), _arg("--params", nargs=2, metavar=("T", "S")))),
     "classify4": (cmd_classify4, "canonical data of a 4-dimensional algebra", _PARAMS),
     "iso4": (cmd_iso4, "equivalence of two parameter pairs",
-             (_arg("--a", required=True), _arg("--b", required=True), _TOL)),
+             (_arg("--a", required=True), _arg("--b", required=True))),
     "division4": (cmd_division4, "division criterion for parameters (T, u)", _PARAMS),
     "ann": (cmd_ann, "annihilator of an element", (_TARGET, _arg("--element", required=True))),
     "zerodiv": (cmd_zerodiv, "zero divisor search",

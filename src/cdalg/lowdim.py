@@ -21,13 +21,14 @@ its rounding error.  Otherwise z lies in Q(sqrt(m)) for m = -d_i d_j, a
 pair of pivots of opposite signs, and the pair has ``numth.Surd`` entries.
 The same pivots
 give the exact signature for ``geometric_type`` on int/Fraction input.
-Spectral work (canonical forms of the symmetric part, orbit comparison, and
-geometric typing of float input) runs in floating point with an explicit
-tolerance, default 1e-9.
+Orbit comparison reads polynomial invariants, exactly on int/Fraction input.
+On float input it and the geometric type, and the canonical frames, run in
+floating point with an explicit tolerance, default 1e-9.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,7 +147,7 @@ def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def build_4d(t_matrix, u) -> Algebra:
@@ -208,11 +209,6 @@ def symmetric_part(T: Matrix) -> Matrix:
     return tuple(
         tuple((T[i][j] + T[j][i]) / 2 for j in range(3)) for i in range(3)
     )
-
-
-def symmetric_part_definite(T: Matrix) -> bool:
-    """Exact rational test: is (T + T^T)/2 positive or negative definite?"""
-    return _definite(congruence_diagonal(symmetric_part(mat(T)))[0])
 
 
 def _definite(pivots: Vector) -> bool:
@@ -487,16 +483,16 @@ class DivisionCheck:
     exact: bool = False
 
 
-def is_division_4d(T, u=None, tol: float = DEFAULT_TOL) -> DivisionCheck:
+def is_division_4d(T, u=None) -> DivisionCheck:
     """Division criterion: the symmetric part of T must be definite.
 
     Decided exactly for every finite real input (floats are read as the
-    rationals they denote) by one LDL of the symmetric part, so ``tol`` is
-    unused.  A "no" carries a zero-divisor pair from
-    :func:`exact_zero_divisor_pair`, verified exactly, with ``exact`` True;
-    its entries are rational when a rational isotropic vector of the
-    symmetric part is found, and lie in Q(sqrt(m)) otherwise.  NaN or
-    infinite entries raise :class:`MalformedInputError`.
+    rationals they denote) by one LDL of the symmetric part.  A "no"
+    carries a zero-divisor pair from :func:`exact_zero_divisor_pair`,
+    verified exactly, with ``exact`` True; its entries are rational when a
+    rational isotropic vector of the symmetric part is found, and lie in
+    Q(sqrt(m)) otherwise.  NaN or infinite entries raise
+    :class:`MalformedInputError`.
     """
     try:
         params = Params4(mat(T), vec((0, 0, 0) if u is None else u))
@@ -521,197 +517,129 @@ def is_division_4d(T, u=None, tol: float = DEFAULT_TOL) -> DivisionCheck:
 @dataclass(frozen=True)
 class Equiv4Result:
     equivalent: bool
-    witness: np.ndarray | None = None  # orthogonal Q realizing the signed conjugation
+    witness: np.ndarray | None = None  # Q with (T', u') = (det Q) (Q T Q^T, Q u)
     borderline: bool = False
+    differs: str | None = None  # on "no", the first invariant that differs
+
+
+# The rows of W with their factors (-1)^(degree in T) under (T, u) -> (-T, u),
+# and the rows of the Gram entries and of the triple products.
+_ROWS = ("c", "Sc", "S^2c", "u", "Su", "S^2u")
+_ROW_SIGNS = np.array((-1, 1, -1, 1, -1, 1))
+_PAIRS = np.triu_indices(6)
+_TRIPLES = np.array(list(itertools.combinations(range(6), 3))).T
+_INVARIANTS = (
+    "tr S", "tr S^2", "tr S^3",
+    *(f"<{_ROWS[a]}, {_ROWS[b]}>" for a, b in zip(*_PAIRS)),
+    *(f"det({_ROWS[a]}, {_ROWS[b]}, {_ROWS[c]})" for a, b, c in _TRIPLES.T),
+)
+_FLIP = np.concatenate([(-1, 1, -1), _ROW_SIGNS[_PAIRS[0]] * _ROW_SIGNS[_PAIRS[1]],
+                        np.prod(_ROW_SIGNS[_TRIPLES], axis=0)])
 
 
 def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
     """Decide whether two parameter pairs give isomorphic algebras.
 
-    Equivalence means T' = (det Q) Q T Q^T and u' = (det Q) Q u for some
-    orthogonal Q.  Orthogonal equivalence reduces to rotation equivalence of
-    either (T, u) or (-T, u), so both are tried.  Comparisons within a factor
-    10 of the tolerance set the borderline flag instead of silently deciding.
+    Equivalence means (T', u') = (det Q) (Q T Q^T, Q u) for an orthogonal Q,
+    that is, a rotation R = (det Q) Q taking (T, u) or (-T, u) to (T', u').
+    With S the symmetric part of T, c the axis of its skew part
+    (:func:`skew_axis`) and W = (c, Sc, S^2 c, u, Su, S^2 u), rotations keep
+    44 values: tr S, tr S^2, tr S^3, the 21 entries of the Gram matrix W W^T
+    and the 20 triple products det(w_a, w_b, w_c).  For (-T, u) each value
+    is multiplied by (-1)^(its degree in T).
+
+    The values separate the orbits.  Equal Gram matrices give an orthogonal
+    Q on span W with Q w_i = w'_i.  The traces fix the characteristic
+    polynomial, so by Cayley-Hamilton Q S^3 c = S'^3 c' (and so for u):
+    Q S = S' Q on span W.  If W has rank 3 the equal triple products force
+    det Q = 1, and Q R_c Q^T = R_{Qc} gives Q T Q^T = T'.  Below rank 3,
+    the complements of span W and span W' are S- and S'-invariant with equal
+    eigenvalues; mapping eigenvectors, one flipped for det Q = 1, extends Q.
+
+    When every entry of both pairs is an int or a ``Fraction`` the values
+    are compared exactly and ``tol`` is unused.  Otherwise both pairs are
+    divided by 1 + max|entry| and compared within ``tol``; ``borderline``
+    marks a largest difference (for the closer sign) in (tol, 10 tol].  A
+    "no" names the first differing invariant, for the sign that agrees
+    longer.  A "yes" carries Q = M2^T (M1^T)^-1, M1 the triple of rows of W
+    with the largest nonzero |det| and M2 the same rows of W', negated when
+    (-T, u) matched; unique when W has rank 3, it is exact and checked
+    exactly on rational input, and on float input dropped unless it passes
+    within 100 tol.  Below rank 3 there is no witness: the equal values
+    are the certificate.
     """
-    T1, u1 = _as_params(p1)
-    T2, u2 = _as_params(p2)
-    res = _so3_equiv(T1, u1, T2, u2, tol)
-    if res.equivalent:
-        return res
-    res_neg = _so3_equiv(-T1, u1, T2, u2, tol)
-    if res_neg.equivalent:
-        # Witness transport: with Qs for -T, the matrix -Qs realizes the
-        # signed conjugation for T itself.
-        return Equiv4Result(True, -res_neg.witness if res_neg.witness is not None else None,
-                            res_neg.borderline)
-    return Equiv4Result(False, None, res.borderline or res_neg.borderline)
+    (T1, u1), (T2, u2) = ((p.t_matrix, p.u) if isinstance(p, Params4) else p for p in (p1, p2))
+    T, u = np.array([T1, T2], dtype=object), np.array([u1, u2], dtype=object)
+    if T.shape != (2, 3, 3) or u.shape != (2, 3):
+        raise DimensionMismatchError("T must be 3x3 and u length 3")
+    exact = all(isinstance(x, Rational) for x in itertools.chain(T.flat, u.flat))
+    if exact:
+        tol = 0
+        T, u = (np.vectorize(Fraction, otypes=[object])(a) for a in (T, u))
+    else:
+        T, u = T.astype(float), u.astype(float)
+        scale = 1.0 + np.abs(np.append(T, u)).max()
+        if not math.isfinite(scale):
+            raise MalformedInputError("4d parameters must be finite real numbers")
+        T, u = T / scale, u / scale
+    (inv1, inv2), (W1, W2) = _orbit_invariants(T, u)
+    diffs = np.abs(np.stack([inv1, _FLIP * inv1]) - inv2)  # for (T, u) and for (-T, u)
+    over = diffs > tol
+    for flip in (False, True):
+        if not over[int(flip)].any():
+            return Equiv4Result(True, _witness(inv1, W1, W2, flip, T, u, tol, exact))
+    gap, first = diffs.max(axis=1).min(), over.argmax(axis=1).max()
+    return Equiv4Result(False, None, bool(tol < gap <= 10 * tol), _INVARIANTS[first])
 
 
 def _as_params(p) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, Params4):
-        return (
-            np.array([[float(x) for x in row] for row in p.t_matrix]),
-            np.array([float(x) for x in p.u]),
-        )
-    T, u = p
-    return np.asarray(T, dtype=float), np.asarray(u, dtype=float)
+    T, u = (p.t_matrix, p.u) if isinstance(p, Params4) else p
+    return np.array(T, dtype=float), np.array(u, dtype=float)
 
 
-def _perp2(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+def _orbit_invariants(T: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``_INVARIANTS`` and the rows of W for a stack of pairs
+    (T, u), with float or Fraction entries."""
+    S = (T + T.swapaxes(1, 2)) / 2
+    X = np.stack([np.stack(skew_axis(T), axis=-1), u], axis=1)
+    XS = X @ S
+    W = np.concatenate([X, XS, XS @ S], axis=1)[:, (0, 2, 4, 1, 3, 5)]
+    S2 = S @ S
+    traces = np.stack([S.trace(axis1=1, axis2=2), S2.trace(axis1=1, axis2=2),
+                       (S2 * S).sum(axis=(1, 2))], axis=1)
+    gram = (W @ W.swapaxes(1, 2))[:, _PAIRS[0], _PAIRS[1]]
+    a, b, c = W[:, _TRIPLES].transpose(1, 3, 0, 2)
+    return np.concatenate([traces, gram, _dot(a, _cross(b, c))], axis=1), W
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _so3_equiv(T1, u1, T2, u2, tol: float) -> Equiv4Result:
-    """Existence of Q in SO(3) with Q T1 Q^T = T2 and Q u1 = u2."""
-    scale = 1.0 + max(np.abs(T1).max(), np.abs(T2).max(), np.abs(u1).max(), np.abs(u2).max())
-    atol = tol * scale
-    w1, V1 = _sym_eigen(T1)
-    w2, V2 = _sym_eigen(T2)
-    if not np.all(np.abs(w1 - w2) <= atol):
-        near = bool(np.abs(w1 - w2).max() <= 10 * atol)
-        return Equiv4Result(False, borderline=near)
-    c1 = np.array(skew_axis_float(T1))
-    c2 = np.array(skew_axis_float(T2))
-    a1, b1 = V1.T @ c1, V1.T @ u1
-    a2, b2 = V2.T @ c2, V2.T @ u2
-    gap01 = w1[0] - w1[1]
-    gap12 = w1[1] - w1[2]
-
-    def collect(slack: float) -> list[np.ndarray]:
-        if gap01 > atol and gap12 > atol:
-            return [
-                np.diag(f).astype(float)
-                for f in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-                if np.abs(np.diag(f) @ a1 - a2).max() <= slack
-                and np.abs(np.diag(f) @ b1 - b2).max() <= slack
-            ]
-        if gap01 <= atol and gap12 <= atol:
-            g = _frame_alignment(np.stack([a1, b1]), np.stack([a2, b2]), slack)
-            return [g] if g is not None else []
-        pair = (0, 1) if gap01 <= atol else (1, 2)
-        other = 2 if pair == (0, 1) else 0
-        g = _block_alignment(a1, b1, a2, b2, pair, other, slack)
-        return [g] if g is not None else []
-
-    for G in collect(atol):
-        Q = V2 @ G @ V1.T
-        if (
-            np.abs(Q @ T1 @ Q.T - T2).max() <= 100 * atol
-            and np.abs(Q @ u1 - u2).max() <= 100 * atol
-        ):
-            return Equiv4Result(True, Q, False)
-    # The decision stands as "no"; flag it when a ten-times-looser tolerance
-    # would have produced an alignment.
-    near = bool(collect(10 * atol))
-    return Equiv4Result(False, borderline=near)
-
-
-def skew_axis_float(T: np.ndarray) -> tuple[float, float, float]:
-    R = (T - T.T) / 2
-    return (R[1][2], R[2][0], R[0][1])
-
-
-def _block_alignment(a1, b1, a2, b2, pair, other, atol) -> np.ndarray | None:
-    """Stabilizer search for one repeated eigenvalue: an O(2) block on the
-    degenerate coordinates, +-1 on the remaining one, total determinant 1."""
-    for det_b in (1.0, -1.0):
-        if abs(a1[other] * det_b - a2[other]) > atol:
-            continue
-        if abs(b1[other] * det_b - b2[other]) > atol:
-            continue
-        a1p, a2p = a1[list(pair)], a2[list(pair)]
-        b1p, b2p = b1[list(pair)], b2[list(pair)]
-        B = _o2_map(a1p, b1p, a2p, b2p, det_b, atol)
-        if B is None:
-            continue
-        G = np.zeros((3, 3))
-        G[other][other] = det_b
-        for ii, pi in enumerate(pair):
-            for jj, pj in enumerate(pair):
-                G[pi][pj] = B[ii][jj]
-        return G
-    return None
-
-
-def _o2_map(a1, b1, a2, b2, det_b: float, atol: float) -> np.ndarray | None:
-    """B in O(2) with det det_b, B a1 = a2 and B b1 = b2, or None."""
-    if abs(np.linalg.norm(a1) - np.linalg.norm(a2)) > atol:
+def _witness(inv1, W1, W2, flip: bool, T, u, tol: float, exact: bool) -> np.ndarray | None:
+    """Q = M2^T (M1^T)^-1 for the triple of rows with the largest |det|, or
+    None when that det is 0 (within ``tol``)."""
+    dets = inv1[-_TRIPLES.shape[1]:]
+    k = int(np.argmax(np.abs(dets)))
+    if abs(dets[k]) <= tol:
         return None
-    if abs(np.linalg.norm(b1) - np.linalg.norm(b2)) > atol:
-        return None
-    if abs(float(a1 @ b1) - float(a2 @ b2)) > atol:
-        return None
-    if abs(_cross2(a1, b1) * det_b - _cross2(a2, b2)) > atol * (1 + np.linalg.norm(a1) * np.linalg.norm(b1)):
-        return None
-    anchor1, anchor2 = None, None
-    if np.linalg.norm(a1) > atol:
-        anchor1, anchor2 = a1, a2
-    elif np.linalg.norm(b1) > atol:
-        anchor1, anchor2 = b1, b2
-    if anchor1 is None:
-        return np.eye(2) if det_b == 1.0 else np.diag([1.0, -1.0])
-    f1 = np.stack([anchor1 / np.linalg.norm(anchor1), _perp2(anchor1) / np.linalg.norm(anchor1)]).T
-    f2 = np.stack([anchor2 / np.linalg.norm(anchor2), det_b * _perp2(anchor2) / np.linalg.norm(anchor2)]).T
-    B = f2 @ f1.T
-    if abs(np.linalg.det(B) - det_b) > 1e-6:
-        return None
-    if np.abs(B @ b1 - b2).max() > 10 * atol:
-        return None
-    return B
-
-
-def _frame_alignment(rows1: np.ndarray, rows2: np.ndarray, atol: float) -> np.ndarray | None:
-    """A rotation mapping the row vectors of rows1 to rows2 (fully degenerate
-    symmetric part: the stabilizer is all of SO(3))."""
-    for i in range(rows1.shape[0]):
-        if abs(np.linalg.norm(rows1[i]) - np.linalg.norm(rows2[i])) > atol:
-            return None
-    g1 = rows1 @ rows1.T
-    g2 = rows2 @ rows2.T
-    if np.abs(g1 - g2).max() > atol * (1 + np.abs(g1).max()):
-        return None
-    frame1 = _gs_frame(rows1, atol)
-    frame2 = _gs_frame(rows2, atol)
-    Q = frame2 @ frame1.T
-    if np.abs(Q @ rows1.T - rows2.T).max() > 10 * atol:
-        # Orientation mismatch of the third frame vector: flip it.
-        frame2[:, 2] = -frame2[:, 2]
-        Q = frame2 @ frame1.T
-        if np.abs(Q @ rows1.T - rows2.T).max() > 10 * atol:
-            return None
-    if np.linalg.det(Q) < 0:
+    rows = _TRIPLES[:, k]
+    # After a flip, R maps the rows of W for (-T, u) to those of W'.
+    M1 = W1[rows] * _ROW_SIGNS[rows, None] if flip else W1[rows]
+    # (M1^T)^-1 has the rows (B x C, C x A, A x B) / det for M1 = (A, B, C).
+    dual = np.transpose(_cross(M1[[1, 2, 0]].T, M1[[2, 0, 1]].T))
+    Q = (-1 if flip else 1) * (W2[rows].T @ dual) / (M1[0] @ dual[0])
+    d = _dot(Q[0], _cross(Q[1], Q[2]))
+    err = max(np.abs(Q @ Q.T - np.identity(3, dtype=int)).max(),
+              np.abs(d * Q @ T[0] @ Q.T - T[1]).max(), np.abs(d * Q @ u[0] - u[1]).max())
+    if err > 100 * tol:
+        if exact:
+            raise ArithmeticError("exact equivalence witness failed verification")
         return None
     return Q
 
 
-def _gs_frame(rows: np.ndarray, atol: float) -> np.ndarray:
-    """Orthonormal frame whose first vectors follow the (independent) rows."""
-    vecs = []
-    for r in rows:
-        v = r.astype(float)
-        for e in vecs:
-            v = v - (v @ e) * e
-        norm = np.linalg.norm(v)
-        if norm > atol:
-            vecs.append(v / norm)
-    basis = np.eye(3)
-    for e in basis:
-        if len(vecs) == 3:
-            break
-        v = e.copy()
-        for f in vecs:
-            v = v - (v @ f) * f
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            vecs.append(v / norm)
-    frame = np.stack(vecs).T
-    if np.linalg.det(frame) < 0:
-        frame[:, len(vecs) - 1] = -frame[:, len(vecs) - 1]
-    return frame
+def skew_axis(T: np.ndarray) -> tuple:
+    """The axis c of the skew part of T, (T - T^T)/2 = R_c, over the last
+    two axes of an array."""
+    return ((T[..., 1, 2] - T[..., 2, 1]) / 2, (T[..., 2, 0] - T[..., 0, 2]) / 2,
+            (T[..., 0, 1] - T[..., 1, 0]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +671,7 @@ def hyperboloid_config(p, tol: float = DEFAULT_TOL) -> HyperboloidConfig:
         T = -T
     w, V = _sym_eigen(T)
     Q = V.T
-    c = np.array(skew_axis_float(T))
+    c = np.array(skew_axis(T))
     return HyperboloidConfig(tuple(w), tuple(Q @ u), tuple(Q @ c))
 
 

@@ -23,13 +23,14 @@ from .analysis import (
     annihilator,
     check_homomorphism,
     classify_super_alternative,
+    random_rational_orthogonal,
     recognize_alternative_division,
     rotated_copy,
 )
 from .construct import Grading, cayley_dickson_tower, named_algebra
 from .core import generated_subalgebra
 from .fileio import parse_element
-from .linalg import F0, Subspace, unit_vector
+from .linalg import F0, Subspace, mat_mul, mat_vec, transpose, unit_vector
 from .lowdim import (
     build_3d,
     build_4d,
@@ -288,7 +289,8 @@ def claim_classification_3d() -> str:
 def claim_classification_4d() -> str:
     rng = random.Random(777)
     nprng = np.random.default_rng(777)
-    for _ in range(20):
+    rotations = random.Random(778)
+    for trial in range(20):
         T = [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
             for _ in range(3)
@@ -300,6 +302,12 @@ def claim_classification_4d() -> str:
             and params.u == tuple(u),
             "4d parameter round trip failed",
         )
+        # (T', u') = (det Q) (Q T Q^T, Q u), with det Q = -1 on odd trials.
+        Q = [[(-1) ** trial * x for x in row] for row in random_rational_orthogonal(3, rotations)]
+        T2 = [[(-1) ** trial * x for x in row] for row in mat_mul(mat_mul(Q, T), transpose(Q))]
+        res = equiv_4d((T, u), (T2, [(-1) ** trial * x for x in mat_vec(Q, u)]))
+        _require(res.witness is not None and res.witness.tolist() == Q,
+                 f"rational orbit pair {trial} without its exact orthogonal witness")
     for trial in range(20):
         T = nprng.uniform(-2, 2, (3, 3))
         u = nprng.uniform(-2, 2, 3)
@@ -324,6 +332,9 @@ def claim_classification_4d() -> str:
         T2 = q2 @ np.diag(lams2) @ q2.T
         res = equiv_4d((T, np.zeros(3)), (T2, np.zeros(3)), tol=1e-9)
         _require(not res.equivalent, "eigenvalue-separated pair compared equal")
+    near = [[1, 0, 0], [0, 2, 0], [0, 0, 3 + Fraction(1, 10**12)]]
+    res = equiv_4d((np.diag([1, 2, 3]).tolist(), [1, 0, 0]), (near, [1, 0, 0]))
+    _require(not res.equivalent and not res.borderline, "diag(1, 2, 3 + 10^-12) compared equal")
     division_no = 0
     for trial in range(50):
         T = [
@@ -331,7 +342,7 @@ def claim_classification_4d() -> str:
             for _ in range(3)
         ]
         u = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-        check = is_division_4d(T, u, tol=1e-9)
+        check = is_division_4d(T, u)
         P = np.array([[float(T[i][j] + T[j][i]) / 2 for j in range(3)] for i in range(3)])
         w = np.linalg.eigvalsh(P)
         definite = bool(np.all(w > 1e-9) or np.all(w < -1e-9))
@@ -344,7 +355,9 @@ def claim_classification_4d() -> str:
             _require(check.pair is not None, "missing zero-divisor witness")
     _require(division_no > 0, "random sample produced no indefinite cases")
     return (
-        "20 exact round trips; 20 orbit pairs equivalent incl. the (-T, u) flip; "
+        "20 exact round trips, each equivalent to a rational orbit image with its exact "
+        "witness; 20 float orbit pairs equivalent incl. the (-T, u) flip; "
+        "diag(1, 2, 3 + 10^-12) distinct from diag(1, 2, 3); "
         f"20 separated pairs distinct; division criterion matched eigenvalue signs "
         f"with {division_no} verified zero-divisor pairs"
     )

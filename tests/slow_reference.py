@@ -28,6 +28,8 @@ list for a "not quadratic" witness and the box search for a rational
 isotropic vector of a 3x3 symmetric form.  The Cayley-Dickson doubling
 and the involution laws are kept as the loops over basis pairs and
 candidate elements that multiplied ``Element``s one product at a time.
+``equiv_4d_eigenframe`` is the float orbit comparison that aligned the
+eigenframes of the symmetric parts before the invariant table replaced it.
 ``multiply`` is the ``Fraction`` loop that ``Algebra.multiply`` ran over
 the dense constants before the table became an integer tensor, and
 ``commutators_are_imaginary`` the nicely-normed test without the rational
@@ -76,6 +78,7 @@ from cdalg.linalg import (
     vec,
 )
 from cdalg.kernel import product_table, scaled_tensor
+from cdalg.lowdim import Equiv4Result, _as_params, _sym_eigen, skew_axis
 from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
@@ -1296,3 +1299,173 @@ def cayley_dickson_tower(levels: int) -> list[tuple[Algebra, Matrix]]:
     for _ in range(levels):
         tower.append(cayley_dickson(*tower[-1]))
     return tower
+
+
+def equiv_4d_eigenframe(p1, p2, tol: float = 1e-9) -> Equiv4Result:
+    """Orbit equivalence of two float parameter pairs by aligning the
+    eigenframes of the symmetric parts, one branch per eigenvalue
+    degeneracy: rotation equivalence of (T, u) is tried, then of (-T, u)."""
+    T1, u1 = _as_params(p1)
+    T2, u2 = _as_params(p2)
+    res = _so3_equiv(T1, u1, T2, u2, tol)
+    if res.equivalent:
+        return res
+    res_neg = _so3_equiv(-T1, u1, T2, u2, tol)
+    if res_neg.equivalent:
+        # Witness transport: with Qs for -T, the matrix -Qs realizes the
+        # signed conjugation for T itself.
+        return Equiv4Result(True, -res_neg.witness if res_neg.witness is not None else None,
+                            res_neg.borderline)
+    return Equiv4Result(False, None, res.borderline or res_neg.borderline)
+
+
+def _perp2(v: np.ndarray) -> np.ndarray:
+    return np.array([-v[1], v[0]])
+
+
+def _cross2(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def _so3_equiv(T1, u1, T2, u2, tol: float) -> Equiv4Result:
+    """Existence of Q in SO(3) with Q T1 Q^T = T2 and Q u1 = u2."""
+    scale = 1.0 + max(np.abs(T1).max(), np.abs(T2).max(), np.abs(u1).max(), np.abs(u2).max())
+    atol = tol * scale
+    w1, V1 = _sym_eigen(T1)
+    w2, V2 = _sym_eigen(T2)
+    if not np.all(np.abs(w1 - w2) <= atol):
+        near = bool(np.abs(w1 - w2).max() <= 10 * atol)
+        return Equiv4Result(False, borderline=near)
+    c1 = np.array(skew_axis(T1))
+    c2 = np.array(skew_axis(T2))
+    a1, b1 = V1.T @ c1, V1.T @ u1
+    a2, b2 = V2.T @ c2, V2.T @ u2
+    gap01 = w1[0] - w1[1]
+    gap12 = w1[1] - w1[2]
+
+    def collect(slack: float) -> list[np.ndarray]:
+        if gap01 > atol and gap12 > atol:
+            return [
+                np.diag(f).astype(float)
+                for f in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+                if np.abs(np.diag(f) @ a1 - a2).max() <= slack
+                and np.abs(np.diag(f) @ b1 - b2).max() <= slack
+            ]
+        if gap01 <= atol and gap12 <= atol:
+            g = _frame_alignment(np.stack([a1, b1]), np.stack([a2, b2]), slack)
+            return [g] if g is not None else []
+        pair = (0, 1) if gap01 <= atol else (1, 2)
+        other = 2 if pair == (0, 1) else 0
+        g = _block_alignment(a1, b1, a2, b2, pair, other, slack)
+        return [g] if g is not None else []
+
+    for G in collect(atol):
+        Q = V2 @ G @ V1.T
+        if (
+            np.abs(Q @ T1 @ Q.T - T2).max() <= 100 * atol
+            and np.abs(Q @ u1 - u2).max() <= 100 * atol
+        ):
+            return Equiv4Result(True, Q, False)
+    # The decision stands as "no"; flag it when a ten-times-looser tolerance
+    # would have produced an alignment.
+    near = bool(collect(10 * atol))
+    return Equiv4Result(False, borderline=near)
+
+
+def _block_alignment(a1, b1, a2, b2, pair, other, atol) -> np.ndarray | None:
+    """Stabilizer search for one repeated eigenvalue: an O(2) block on the
+    degenerate coordinates, +-1 on the remaining one, total determinant 1."""
+    for det_b in (1.0, -1.0):
+        if abs(a1[other] * det_b - a2[other]) > atol:
+            continue
+        if abs(b1[other] * det_b - b2[other]) > atol:
+            continue
+        a1p, a2p = a1[list(pair)], a2[list(pair)]
+        b1p, b2p = b1[list(pair)], b2[list(pair)]
+        B = _o2_map(a1p, b1p, a2p, b2p, det_b, atol)
+        if B is None:
+            continue
+        G = np.zeros((3, 3))
+        G[other][other] = det_b
+        for ii, pi in enumerate(pair):
+            for jj, pj in enumerate(pair):
+                G[pi][pj] = B[ii][jj]
+        return G
+    return None
+
+
+def _o2_map(a1, b1, a2, b2, det_b: float, atol: float) -> np.ndarray | None:
+    """B in O(2) with det det_b, B a1 = a2 and B b1 = b2, or None."""
+    if abs(np.linalg.norm(a1) - np.linalg.norm(a2)) > atol:
+        return None
+    if abs(np.linalg.norm(b1) - np.linalg.norm(b2)) > atol:
+        return None
+    if abs(float(a1 @ b1) - float(a2 @ b2)) > atol:
+        return None
+    if abs(_cross2(a1, b1) * det_b - _cross2(a2, b2)) > atol * (1 + np.linalg.norm(a1) * np.linalg.norm(b1)):
+        return None
+    anchor1, anchor2 = None, None
+    if np.linalg.norm(a1) > atol:
+        anchor1, anchor2 = a1, a2
+    elif np.linalg.norm(b1) > atol:
+        anchor1, anchor2 = b1, b2
+    if anchor1 is None:
+        return np.eye(2) if det_b == 1.0 else np.diag([1.0, -1.0])
+    f1 = np.stack([anchor1 / np.linalg.norm(anchor1), _perp2(anchor1) / np.linalg.norm(anchor1)]).T
+    f2 = np.stack([anchor2 / np.linalg.norm(anchor2), det_b * _perp2(anchor2) / np.linalg.norm(anchor2)]).T
+    B = f2 @ f1.T
+    if abs(np.linalg.det(B) - det_b) > 1e-6:
+        return None
+    if np.abs(B @ b1 - b2).max() > 10 * atol:
+        return None
+    return B
+
+
+def _frame_alignment(rows1: np.ndarray, rows2: np.ndarray, atol: float) -> np.ndarray | None:
+    """A rotation mapping the row vectors of rows1 to rows2 (fully degenerate
+    symmetric part: the stabilizer is all of SO(3))."""
+    for i in range(rows1.shape[0]):
+        if abs(np.linalg.norm(rows1[i]) - np.linalg.norm(rows2[i])) > atol:
+            return None
+    g1 = rows1 @ rows1.T
+    g2 = rows2 @ rows2.T
+    if np.abs(g1 - g2).max() > atol * (1 + np.abs(g1).max()):
+        return None
+    frame1 = _gs_frame(rows1, atol)
+    frame2 = _gs_frame(rows2, atol)
+    Q = frame2 @ frame1.T
+    if np.abs(Q @ rows1.T - rows2.T).max() > 10 * atol:
+        # Orientation mismatch of the third frame vector: flip it.
+        frame2[:, 2] = -frame2[:, 2]
+        Q = frame2 @ frame1.T
+        if np.abs(Q @ rows1.T - rows2.T).max() > 10 * atol:
+            return None
+    if np.linalg.det(Q) < 0:
+        return None
+    return Q
+
+
+def _gs_frame(rows: np.ndarray, atol: float) -> np.ndarray:
+    """Orthonormal frame whose first vectors follow the (independent) rows."""
+    vecs = []
+    for r in rows:
+        v = r.astype(float)
+        for e in vecs:
+            v = v - (v @ e) * e
+        norm = np.linalg.norm(v)
+        if norm > atol:
+            vecs.append(v / norm)
+    basis = np.eye(3)
+    for e in basis:
+        if len(vecs) == 3:
+            break
+        v = e.copy()
+        for f in vecs:
+            v = v - (v @ f) * f
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            vecs.append(v / norm)
+    frame = np.stack(vecs).T
+    if np.linalg.det(frame) < 0:
+        frame[:, len(vecs) - 1] = -frame[:, len(vecs) - 1]
+    return frame

@@ -136,6 +136,42 @@ def test_iso4_files(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+ISO4_CASES = {
+    # T differs from diag(1, 2, 3) in the 13th decimal: exact input, so "no".
+    "near-pair": (
+        {"T": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "u": [1, 0, 0]},
+        {"T": [[1, 0, 0], [0, 2, 0], [0, 0, 3.000000000001]], "u": [1, 0, 0]},
+        '{\n "equivalent": false,\n "borderline": false,\n "differs": "tr S"\n}\n',
+    ),
+    # The image under the rotation by (3/5, 4/5) about e3; W has rank 3.
+    "rational-rank3": (
+        {"T": [[1, 1, -1], [-1, 2, 1], [1, -1, 3]], "u": [1, 0, 0]},
+        {"T": [["41/25", "13/25", "-7/5"], ["-37/25", "34/25", "-1/5"], ["7/5", "1/5", "3"]],
+         "u": ["3/5", "4/5", "0"]},
+        '{\n "equivalent": true,\n "borderline": false,\n "witness": [\n'
+        '  [\n   "3/5",\n   "-4/5",\n   "0"\n  ],\n'
+        '  [\n   "4/5",\n   "3/5",\n   "0"\n  ],\n'
+        '  [\n   "0",\n   "0",\n   "1"\n  ]\n ]\n}\n',
+    ),
+    # S = 2I and u on the skew axis: W has rank 1, so no witness.
+    "rank-deficient": (
+        {"T": [[2, 1, 0], [-1, 2, 0], [0, 0, 2]], "u": [0, 0, 1]},
+        {"T": [[2, 0, 0], [0, 2, 1], [0, -1, 2]], "u": [1, 0, 0]},
+        '{\n "equivalent": true,\n "borderline": false\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ISO4_CASES)
+def test_iso4_stdout(tmp_path, capsys, name):
+    first, second, expected = ISO4_CASES[name]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(first))
+    b.write_text(json.dumps(second))
+    code, out, _ = run_cli(capsys, "iso4", "--a", str(a), "--b", str(b))
+    assert (code, out) == (0, expected)
+
+
 def test_division4(capsys):
     code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,1")
     assert code == 0

@@ -159,8 +159,7 @@ options:
         ['classify4', '--help'],
         0,
         """\
-usage: cdalg classify4 [-h] [--format {json,md}] [--T T] [--u U] [--tol TOL]
-                       [file]
+usage: cdalg classify4 [-h] [--format {json,md}] [--T T] [--u U] [file]
 
 positional arguments:
   file
@@ -170,7 +169,6 @@ options:
   --format {json,md}
   --T T
   --u U
-  --tol TOL
 """,
         "",
     ),
@@ -178,14 +176,13 @@ options:
         ['iso4', '--help'],
         0,
         """\
-usage: cdalg iso4 [-h] [--format {json,md}] --a A --b B [--tol TOL]
+usage: cdalg iso4 [-h] [--format {json,md}] --a A --b B
 
 options:
   -h, --help          show this help message and exit
   --format {json,md}
   --a A
   --b B
-  --tol TOL
 """,
         "",
     ),
@@ -193,8 +190,7 @@ options:
         ['division4', '--help'],
         0,
         """\
-usage: cdalg division4 [-h] [--format {json,md}] [--T T] [--u U] [--tol TOL]
-                       [file]
+usage: cdalg division4 [-h] [--format {json,md}] [--T T] [--u U] [file]
 
 positional arguments:
   file
@@ -204,7 +200,6 @@ options:
   --format {json,md}
   --T T
   --u U
-  --tol TOL
 """,
         "",
     ),

@@ -30,16 +30,15 @@ from cdalg import (
     recognize_alternative_division,
 )
 from cdalg import lowdim
-from cdalg.analysis import ZeroDivisorSearch, zero_divisor_search
+from cdalg.analysis import ZeroDivisorSearch, random_rational_orthogonal, zero_divisor_search
 from cdalg.errors import MalformedInputError
-from cdalg.linalg import congruence_diagonal, mat, vec
+from cdalg.linalg import congruence_diagonal, det, identity, mat, mat_mul, mat_vec, transpose, vec
 from cdalg.lowdim import (
     Params4,
     _isotropic,
     exact_zero_divisor_pair,
     multiply_4d_exact,
     symmetric_part,
-    symmetric_part_definite,
 )
 from cdalg.numth import Surd, ternary_zero
 
@@ -264,6 +263,134 @@ def test_equiv_scalar_symmetric_part():
     assert not res.equivalent
 
 
+# -- orbit equivalence on exact input ---------------------------------------------
+
+
+def _signed_image(Q, T, u, flip):
+    """(det Q') (Q' T Q'^T, Q' u) for Q' = -Q when ``flip``, else Q (Q a rotation)."""
+    QTQ = mat_mul(mat_mul(Q, mat(T)), transpose(Q))
+    return (tuple(tuple(-x for x in row) for row in QTQ) if flip else QTQ), mat_vec(Q, vec(u))
+
+
+def _assert_exact_witness(Q, p1, p2):
+    """Q Q^T = I, det(Q) Q T1 Q^T = T2 and det(Q) Q u1 = u2, in Fractions."""
+    assert all(type(x) is Fraction for x in Q.flat)
+    Q = tuple(map(tuple, Q))
+    (T1, u1), (T2, u2) = p1, p2
+    d = det(Q)
+    assert mat_mul(Q, transpose(Q)) == identity(3)
+    QTQ = mat_mul(mat_mul(Q, mat(T1)), transpose(Q))
+    assert tuple(tuple(d * x for x in row) for row in QTQ) == mat(T2)
+    assert tuple(d * x for x in mat_vec(Q, vec(u1))) == vec(u2)
+
+
+def _invariants(T, u):
+    values, _ = lowdim._orbit_invariants(np.array([mat(T)], dtype=object),
+                                         np.array([vec(u)], dtype=object))
+    return values[0]
+
+
+def test_exact_orbit_pairs_keep_every_invariant_and_give_exact_witnesses():
+    rng = random.Random(23)
+    witnessed = 0
+    for trial in range(40):
+        T = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        u = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+        flip = trial % 2 == 1
+        T2, u2 = _signed_image(random_rational_orthogonal(3, rng), T, u, flip)
+        values = _invariants(T, u)
+        assert list(_invariants(T2, u2)) == list((lowdim._FLIP if flip else 1) * values)
+        res = equiv_4d((T, u), (T2, u2))
+        assert res.equivalent and not res.borderline and res.differs is None
+        rank3 = any(values[-20:])
+        assert (res.witness is not None) == rank3
+        if rank3:
+            witnessed += 1
+            _assert_exact_witness(res.witness, (T, u), (T2, u2))
+            assert det(tuple(map(tuple, res.witness))) == (-1 if flip else 1)
+    assert witnessed >= 35
+
+
+def test_exact_one_entry_perturbation_is_named():
+    rng = random.Random(24)
+    for trial in range(30):
+        T = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        u = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(3)]
+        T2, u2 = _signed_image(random_rational_orthogonal(3, rng), T, u, trial % 2)
+        T2, u2 = [list(row) for row in T2], list(u2)
+        eps = F(1, 10**12) if trial % 3 else F(rng.randint(1, 5), 7)
+        if trial % 2:
+            T2[rng.randrange(3)][rng.randrange(3)] += eps
+        else:
+            u2[rng.randrange(3)] += eps
+        res = equiv_4d((T, u), (T2, u2))
+        assert not res.equivalent and not res.borderline and res.witness is None
+        assert res.differs in lowdim._INVARIANTS
+
+
+# name: (T, u), a (T, u) with the same spectrum of S that is not equivalent,
+# and whether W has rank 3 (a witness).
+DEGENERATE_CASES = {
+    "repeated-eigenvalue": (
+        np.diag([2, 2, 1]) + np.array(skew_from_axis([1, 0, 1])), [0, 1, 1],
+        np.diag([2, 2, 1]) + np.array(skew_from_axis([1, 0, 1])), [1, 0, 1],
+        True,
+    ),
+    "scalar-S": (
+        2 * np.eye(3, dtype=int) + np.array(skew_from_axis([1, 2, 2])), [F(1, 2), -1, 2],
+        2 * np.eye(3, dtype=int) + np.array(skew_from_axis([2, 1, 2])), [2, 1, F(-1, 2)],
+        False,
+    ),
+    "u-zero": (
+        np.diag([1, 2, 3]) + np.array(skew_from_axis([1, 1, 1])), [0, 0, 0],
+        np.diag([1, 2, 3]) + np.array(skew_from_axis([1, 1, -1])), [0, 0, 0],
+        True,
+    ),
+    "c-zero": (
+        np.diag([1, 2, 3]), [1, 1, 1],
+        np.diag([1, 2, 3]), [1, 1, -1],
+        True,
+    ),
+    "u-parallel-c": (
+        np.diag([1, 2, 3]) + np.array(skew_from_axis([1, 0, 0])), [2, 0, 0],
+        np.diag([1, 2, 3]) + np.array(skew_from_axis([1, 0, 0])), [3, 0, 0],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_CASES)
+def test_exact_degenerate_cases(name):
+    T, u, T_other, u_other, rank3 = DEGENERATE_CASES[name]
+    T, T_other = mat(T.tolist()), mat(T_other.tolist())
+    rng = random.Random(25)
+    for flip in (False, True):
+        Q = random_rational_orthogonal(3, rng)
+        T2, u2 = _signed_image(Q, T, u, flip)
+        res = equiv_4d((T, u), (T2, u2))
+        assert res.equivalent and not res.borderline
+        assert (res.witness is not None) == rank3
+        if rank3:
+            _assert_exact_witness(res.witness, (T, u), (T2, u2))
+        other = equiv_4d((T, u), _signed_image(Q, T_other, u_other, flip))
+        assert not other.equivalent and not other.borderline and other.differs is not None
+
+
+def test_equiv_agrees_with_eigenframe_reference():
+    rng = np.random.default_rng(26)
+    for trial in range(200):
+        T = rng.uniform(-2, 2, (3, 3))
+        u = rng.uniform(-2, 2, 3)
+        T2, u2 = _random_signed_orbit_image(rng, T, u)
+        if trial % 2:
+            T2 = T2 + (0.5 if np.trace(T) >= 0 else -0.5) * np.eye(3)
+        new, old = equiv_4d((T, u), (T2, u2)), ref.equiv_4d_eigenframe((T, u), (T2, u2))
+        expected = (not trial % 2, False)
+        assert (new.equivalent, new.borderline) == (old.equivalent, old.borderline) == expected
+        if new.equivalent:
+            assert np.abs(new.witness - old.witness).max() < 1e-8
+
+
 # -- geometric types and division ------------------------------------------------
 
 
@@ -310,12 +437,6 @@ def test_division_float_witness():
     x, y = res.pair
     assert not any(multiply_4d_exact(T, [0.5, 0.5, 0.5], x, y))
     assert any(x) and any(y)
-
-
-def test_exact_definiteness_helper():
-    assert symmetric_part_definite([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert symmetric_part_definite([[-2, 1, 0], [-1, -2, 0], [0, 0, -1]])
-    assert not symmetric_part_definite([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
 
 
 # -- the exact division witness ----------------------------------------------------
