@@ -557,16 +557,24 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
     eigenvalues; mapping eigenvectors, one flipped for det Q = 1, extends Q.
 
     When every entry of both pairs is an int or a ``Fraction`` the values
-    are compared exactly and ``tol`` is unused.  Otherwise both pairs are
-    divided by 1 + max|entry| and compared within ``tol``; ``borderline``
-    marks a largest difference (for the closer sign) in (tol, 10 tol].  A
-    "no" names the first differing invariant, for the sign that agrees
-    longer.  A "yes" carries Q = M2^T (M1^T)^-1, M1 the triple of rows of W
-    with the largest nonzero |det| and M2 the same rows of W', negated when
-    (-T, u) matched; unique when W has rank 3, it is exact and checked
-    exactly on rational input, and on float input dropped unless it passes
-    within 100 tol.  Below rank 3 there is no witness: the equal values
-    are the certificate.
+    are compared exactly and ``tol`` is unused: both pairs are scaled by one
+    common integer, so the table is computed on Python ints.  A "yes"
+    carries Q = M2^T (M1^T)^-1, M1 the triple of rows of W with the largest
+    |det| and M2 the same rows of W', negated when (-T, u) matched; it is
+    unique when W has rank 3, and exact and checked exactly.  Below rank 3
+    there is no witness: the equal values are the certificate.
+
+    Otherwise both pairs are divided by 1 + max|entry| and the values are
+    compared within ``tol``.  Near a repeated eigenvalue of S, near u = 0 or
+    c = 0, or near u on an eigenvector, a perturbation moves the values only
+    to second order, so equal values are not enough: the Q of the argument
+    above is built in floats (span W from the singular vectors of W with
+    singular value over 10 tol), and "yes" needs it to map one scaled pair
+    onto the other within 100 tol.  A float "yes" always carries this
+    witness.  ``borderline`` marks a largest invariant difference (for the
+    closer sign) in (tol, 10 tol], or a witness residual in (100 tol,
+    1000 tol].  A "no" names the first differing invariant, for the sign
+    that agrees longer, or ``"witness residual"``.
     """
     (T1, u1), (T2, u2) = ((p.t_matrix, p.u) if isinstance(p, Params4) else p for p in (p1, p2))
     T, u = np.array([T1, T2], dtype=object), np.array([u1, u2], dtype=object)
@@ -582,12 +590,29 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
         if not math.isfinite(scale):
             raise MalformedInputError("4d parameters must be finite real numbers")
         T, u = T / scale, u / scale
-    (inv1, inv2), (W1, W2) = _orbit_invariants(T, u)
+    S = (T + T.swapaxes(1, 2)) / 2
+    table = (S, np.stack(skew_axis(T), axis=-1), u)
+    if exact:
+        # One common integer factor multiplies each value by the same power
+        # of it in both pairs, and leaves Q unchanged.
+        den = math.lcm(*(x.denominator for a in table for x in a.flat))
+        table = (np.vectorize(lambda x: x.numerator * (den // x.denominator), otypes=[object])(a)
+                 for a in table)
+    (inv1, inv2), (W1, W2) = _orbit_invariants(*table)
     diffs = np.abs(np.stack([inv1, _FLIP * inv1]) - inv2)  # for (T, u) and for (-T, u)
     over = diffs > tol
+    residuals = []
     for flip in (False, True):
-        if not over[int(flip)].any():
-            return Equiv4Result(True, _witness(inv1, W1, W2, flip, T, u, tol, exact))
+        if over[int(flip)].any():
+            continue
+        if exact:
+            return Equiv4Result(True, _exact_witness(inv1, W1, W2, flip, T, u))
+        err, Q = _float_witness(W1, W2, S, flip, tol, T, u)
+        if err <= 100 * tol:
+            return Equiv4Result(True, Q)
+        residuals.append(err)
+    if residuals:
+        return Equiv4Result(False, None, bool(min(residuals) <= 1000 * tol), "witness residual")
     gap, first = diffs.max(axis=1).min(), over.argmax(axis=1).max()
     return Equiv4Result(False, None, bool(tol < gap <= 10 * tol), _INVARIANTS[first])
 
@@ -597,11 +622,11 @@ def _as_params(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array(T, dtype=float), np.array(u, dtype=float)
 
 
-def _orbit_invariants(T: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of ``_INVARIANTS`` and the rows of W for a stack of pairs
-    (T, u), with float or Fraction entries."""
-    S = (T + T.swapaxes(1, 2)) / 2
-    X = np.stack([np.stack(skew_axis(T), axis=-1), u], axis=1)
+def _orbit_invariants(S: np.ndarray, c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``_INVARIANTS`` and the rows of W for a stack of
+    symmetric parts S, skew axes c and vectors u, with float, Fraction or
+    int entries."""
+    X = np.stack([c, u], axis=1)
     XS = X @ S
     W = np.concatenate([X, XS, XS @ S], axis=1)[:, (0, 2, 4, 1, 3, 5)]
     S2 = S @ S
@@ -612,27 +637,57 @@ def _orbit_invariants(T: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.concatenate([traces, gram, _dot(a, _cross(b, c))], axis=1), W
 
 
-def _witness(inv1, W1, W2, flip: bool, T, u, tol: float, exact: bool) -> np.ndarray | None:
+def _residual(Q: np.ndarray, T: np.ndarray, u: np.ndarray):
+    """How far Q is from mapping the pair (T[0], u[0]) onto (T[1], u[1])."""
+    d = _dot(Q[0], _cross(Q[1], Q[2]))
+    return max(np.abs(Q @ Q.T - np.identity(3, dtype=int)).max(),
+               np.abs(d * Q @ T[0] @ Q.T - T[1]).max(), np.abs(d * Q @ u[0] - u[1]).max())
+
+
+def _exact_witness(inv1, W1, W2, flip: bool, T, u) -> np.ndarray | None:
     """Q = M2^T (M1^T)^-1 for the triple of rows with the largest |det|, or
-    None when that det is 0 (within ``tol``)."""
+    None when every triple product is 0."""
     dets = inv1[-_TRIPLES.shape[1]:]
     k = int(np.argmax(np.abs(dets)))
-    if abs(dets[k]) <= tol:
+    if dets[k] == 0:
         return None
     rows = _TRIPLES[:, k]
     # After a flip, R maps the rows of W for (-T, u) to those of W'.
     M1 = W1[rows] * _ROW_SIGNS[rows, None] if flip else W1[rows]
     # (M1^T)^-1 has the rows (B x C, C x A, A x B) / det for M1 = (A, B, C).
     dual = np.transpose(_cross(M1[[1, 2, 0]].T, M1[[2, 0, 1]].T))
-    Q = (-1 if flip else 1) * (W2[rows].T @ dual) / (M1[0] @ dual[0])
-    d = _dot(Q[0], _cross(Q[1], Q[2]))
-    err = max(np.abs(Q @ Q.T - np.identity(3, dtype=int)).max(),
-              np.abs(d * Q @ T[0] @ Q.T - T[1]).max(), np.abs(d * Q @ u[0] - u[1]).max())
-    if err > 100 * tol:
-        if exact:
-            raise ArithmeticError("exact equivalence witness failed verification")
-        return None
+    Q = (-1 if flip else 1) * (W2[rows].T @ dual) / Fraction(M1[0] @ dual[0])
+    if _residual(Q, T, u):
+        raise ArithmeticError("exact equivalence witness failed verification")
     return Q
+
+
+def _float_witness(W1, W2, S, flip: bool, tol: float, T, u) -> tuple[float, np.ndarray | None]:
+    """The residual and the Q of :func:`equiv_4d`, built in floats.
+
+    Span W is read off the singular vectors of W with singular value over
+    10 tol; their images come from the same combinations of the rows of W'.
+    On the complement, eigenvectors of S map to eigenvectors of S' in the
+    order of their eigenvalues, with the signs that give a rotation R of
+    least residual (Q = -R after a flip).
+    """
+    S1 = -S[0] if flip else S[0]
+    U, sigma, Vt = np.linalg.svd(W1 * _ROW_SIGNS[:, None] if flip else W1)
+    r = int(np.sum(sigma > 10 * tol))
+    B1, B2 = Vt[:r].T, W2.T @ U[:, :r] / sigma[:r]
+    E = [np.zeros((3, 0))] * 2
+    if r < 3:
+        for i, (B, P) in enumerate(((B1, S1), (B2, S[1]))):
+            # N: an orthonormal basis of the complement of span B.
+            N = np.linalg.qr(np.hstack([B, np.eye(3)]))[0][:, r:]
+            E[i] = N @ np.linalg.eigh(N.T @ P @ N)[1]
+    best, frame = (math.inf, None), np.hstack([B1, E[0]]).T
+    for signs in itertools.product((1, -1), repeat=3 - r):
+        R = np.hstack([B2, E[1] * signs]) @ frame
+        if np.linalg.det(R) > 0:
+            Q = -R if flip else R
+            best = min(best, (_residual(Q, T, u), Q), key=lambda t: t[0])
+    return best
 
 
 def skew_axis(T: np.ndarray) -> tuple:

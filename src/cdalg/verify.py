@@ -318,7 +318,8 @@ def claim_classification_4d() -> str:
             d = np.linalg.det(q)
             T2, u2 = d * q @ T @ q.T, d * q @ u
         res = equiv_4d((T, u), (T2, u2), tol=1e-9)
-        _require(res.equivalent, f"orbit pair {trial} not recognized as equivalent")
+        _require(res.equivalent and res.witness is not None,
+                 f"orbit pair {trial} not recognized as equivalent")
         _require(
             geometric_type(T).kind == geometric_type(T2).kind,
             "geometric type varies along an orbit",
@@ -335,6 +336,10 @@ def claim_classification_4d() -> str:
     near = [[1, 0, 0], [0, 2, 0], [0, 0, 3 + Fraction(1, 10**12)]]
     res = equiv_4d((np.diag([1, 2, 3]).tolist(), [1, 0, 0]), (near, [1, 0, 0]))
     _require(not res.equivalent and not res.borderline, "diag(1, 2, 3 + 10^-12) compared equal")
+    # Float pairs 1e-4 apart whose invariants differ by less than 1e-9.
+    T = np.diag([1.0, 2.0, 3.0])
+    res = equiv_4d((T, np.array([1.0, 0, 0])), (T, np.array([1.0, 1e-4, 0])))
+    _require(not res.equivalent, "u = (1, 0, 0) and (1, 1e-4, 0) compared equal")
     division_no = 0
     for trial in range(50):
         T = [
@@ -356,8 +361,9 @@ def claim_classification_4d() -> str:
     _require(division_no > 0, "random sample produced no indefinite cases")
     return (
         "20 exact round trips, each equivalent to a rational orbit image with its exact "
-        "witness; 20 float orbit pairs equivalent incl. the (-T, u) flip; "
-        "diag(1, 2, 3 + 10^-12) distinct from diag(1, 2, 3); "
+        "witness; 20 float orbit pairs equivalent incl. the (-T, u) flip, each with a "
+        "witness; diag(1, 2, 3 + 10^-12) distinct from diag(1, 2, 3), and u = (1, 1e-4, 0) "
+        "from (1, 0, 0) in floats; "
         f"20 separated pairs distinct; division criterion matched eigenvalue signs "
         f"with {division_no} verified zero-divisor pairs"
     )

@@ -285,7 +285,9 @@ def _assert_exact_witness(Q, p1, p2):
 
 
 def _invariants(T, u):
-    values, _ = lowdim._orbit_invariants(np.array([mat(T)], dtype=object),
+    T = np.array([mat(T)], dtype=object)
+    S = (T + T.swapaxes(1, 2)) / 2
+    values, _ = lowdim._orbit_invariants(S, np.stack(lowdim.skew_axis(T), axis=-1),
                                          np.array([vec(u)], dtype=object))
     return values[0]
 
@@ -390,6 +392,47 @@ def test_equiv_agrees_with_eigenframe_reference():
         if new.equivalent:
             assert np.abs(new.witness - old.witness).max() < 1e-8
 
+
+
+def _near_miss_pairs(rng):
+    """Pairs a first-order distance of about 1e-5 apart, next to a repeated
+    eigenvalue of S, u = 0, c = 0 or u on an eigenvector, where every orbit
+    invariant moves by only about 1e-10."""
+    T = np.diag([1.0, 2.0, 3.0])
+    yield (T, np.array([1.0, 0, 0])), (T, np.array([1.0, 1e-4, 0]))
+    yield (np.diag([2.0, 2.0, 1.0]), np.zeros(3)), (np.diag([2 + 1e-5, 2 - 1e-5, 1.0]), np.zeros(3))
+    for trial in range(40):
+        S = np.diag([2.0, 2.0, -1.0] if trial % 2 else [1.0, 2.0, 3.0])
+        c = np.zeros(3) if trial % 4 < 2 else np.array([0, 0, 0.5])
+        u = np.zeros(3) if trial % 8 < 4 else np.array([1.0, 0, 0])
+        T = S + np.array(skew_from_axis(c), dtype=float)
+        delta = np.zeros((3, 3))
+        delta[rng.integers(3), rng.integers(3)] = 1e-5
+        T2, u2 = _random_signed_orbit_image(rng, T + delta, u)
+        yield (T, u), (T2, u2)
+
+
+def test_float_near_misses_agree_with_eigenframe_reference():
+    for p1, p2 in _near_miss_pairs(np.random.default_rng(27)):
+        new, old = equiv_4d(p1, p2), ref.equiv_4d_eigenframe(p1, p2)
+        assert (new.equivalent, new.borderline) == (False, False)
+        assert (old.equivalent, old.borderline) == (False, False)
+        assert new.witness is None and new.differs is not None
+
+
+@pytest.mark.parametrize("name", DEGENERATE_CASES)
+def test_float_degenerate_orbit_pairs_carry_checked_witnesses(name):
+    T, u = (np.array(a, dtype=float) for a in DEGENERATE_CASES[name][:2])
+    rng = np.random.default_rng(28)
+    for _ in range(4):
+        T2, u2 = _random_signed_orbit_image(rng, T, u)
+        res = equiv_4d((T, u), (T2, u2))
+        assert res.equivalent and not res.borderline
+        q = res.witness
+        d = np.linalg.det(q)
+        assert np.abs(q @ q.T - np.eye(3)).max() < 1e-8
+        assert np.abs(d * q @ T @ q.T - T2).max() < 1e-6
+        assert np.abs(d * q @ u - u2).max() < 1e-6
 
 # -- geometric types and division ------------------------------------------------
 
