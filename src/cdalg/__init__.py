@@ -84,7 +84,6 @@ from .lowdim import (
     hyperboloid_config,
     is_division_4d,
     params_equal_3d,
-    rank0_equiv,
 )
 from .properties import (
     CommutativeJnCheck,

@@ -637,9 +637,8 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
     if algebra.dim <= 2:
         return ZeroDivisorSearch("none_found", definitive=True)
     if algebra.dim == 3:
-        e1, e2 = cert.basis[1], cert.basis[2]
-        prod = cert.to_certificate_coords(algebra.multiply(e1, e2))
-        t, z1, z2 = prod[0], prod[1], prod[2]
+        e1, e2 = cert.basis[1:]
+        t, z1, z2 = cert.products(algebra, ((1, 2),))[0]
         one = algebra.one()
         if z1 == 0 and z2 == 0:
             x = e1

@@ -35,6 +35,7 @@ from .errors import (
     UnknownAlgebraError,
 )
 from .fileio import (
+    _is_list_of,
     algebra_to_dict,
     fraction_to_str,
     load_algebra,
@@ -151,9 +152,12 @@ def _read_params(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        T = [[Fraction(str(x)) for x in row] for row in data["T"]]
-        u = [Fraction(str(x)) for x in data["u"]]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        T, u = (data.get("T"), data.get("u")) if isinstance(data, dict) else (None, None)
+        if not (_is_list_of(T, 3) and all(_is_list_of(row, 3) for row in T) and _is_list_of(u, 3)):
+            raise ValueError("need an object with T, 3 lists of 3 numbers, and u, 3 numbers")
+        T = [[Fraction(str(x)) for x in row] for row in T]
+        u = [Fraction(str(x)) for x in u]
+    except (OSError, ValueError) as exc:
         raise MalformedInputError(f"bad parameter file {path}: {exc}") from exc
     return T, u
 
@@ -406,7 +410,7 @@ def cmd_embed_check(args) -> int:
         with open(args.map, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         matrix = [[Fraction(str(x)) for x in row] for row in data["matrix"]]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad map file {args.map}: {exc}") from exc
     res = check_homomorphism(matrix, source, target)
     payload: dict[str, Any] = {"holds": res.holds}

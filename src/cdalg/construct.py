@@ -266,16 +266,22 @@ def jordan_spin_algebra(dim: int) -> Algebra:
     """The commutative algebra with b_i b_j = -delta_ij on the imaginary part."""
     if dim < 1:
         raise UnknownAlgebraError("dimension must be >= 1")
-    n = dim
-    constants = [[[F0] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        constants[0][k][k] = F1
-        constants[k][0][k] = F1
-    constants[0][0] = [F1] + [F0] * (n - 1)
-    for i in range(1, n):
-        constants[i][i][0] = -F1
-    labels = tuple(["1"] + [f"e{i}" for i in range(1, n)])
-    return Algebra(constants, unit=0, labels=labels)
+    return normalized_basis_algebra(("1", *(f"e{i}" for i in range(1, dim))))
+
+
+def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebra:
+    """The algebra with unit b_0, b_i^2 = -1 for i > 0, b_i b_j = -b_j b_i =
+    rows[m] for (i, j) = pairs[m], and the other products of distinct b_i,
+    b_j zero: the locally complex algebra of that normalized basis, written
+    as integers over one denominator."""
+    ints, den = scaled_rows(rows)
+    n = len(labels)
+    c, d = np.zeros((n, n, n), dtype=object), np.arange(n)
+    c[0, d, d] = c[d, 0, d] = den
+    c[d[1:], d[1:], 0] = -den
+    for (i, j), row in zip(pairs, ints):
+        c[i, j], c[j, i] = row, [-x for x in row]
+    return Algebra._of_table(ScaledTensor(c, den), 0, labels)
 
 
 def _negating_star(n: int) -> Matrix:

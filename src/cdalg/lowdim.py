@@ -7,8 +7,12 @@ classes.  Four dimensions: the parameters are a 3x3 matrix T and a vector u,
 with (T, u) and (T', u') isomorphic exactly when T' = (det Q) Q T Q^T and
 u' = (det Q) Q u for an orthogonal Q.
 
-Everything that can stay rational does: building the algebras, extracting
-parameters and round trips.  The division criterion is exact for every
+Everything that can stay rational does.  Both families' tables are written
+by one helper, as integers over one denominator, in the normalized basis
+(``construct.normalized_basis_algebra``); the parameters are read back
+through one helper too, the products of a normalized basis in its
+coordinates (``LocallyComplexCertificate.products``), so round trips are
+exact.  The division criterion is exact for every
 finite input, floats included (read as the rationals they denote): one
 congruence diagonalization (LDL) of the symmetric part P of T decides
 definiteness, and on "no" yields an isotropic vector z of P, from which
@@ -37,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .construct import normalized_basis_algebra
 from .core import Algebra
 from .errors import DimensionMismatchError, MalformedInputError
 from .linalg import F0, F1, Matrix, Vector, _primitive, congruence_diagonal, mat, unit_vector, vec
@@ -72,18 +77,7 @@ class CanonicalForm3:
 def build_raw_3d(t, z1, z2) -> Algebra:
     """The 3-dimensional algebra with raw correction (t, z) attached to the
     planar determinant; canonical inputs use z = (s, 0)."""
-    t, z1, z2 = Fraction(t), Fraction(z1), Fraction(z2)
-    n = 3
-    c = [[[F0] * n for _ in range(n)] for _ in range(n)]
-    c[0][0][0] = F1
-    for k in (1, 2):
-        c[0][k][k] = F1
-        c[k][0][k] = F1
-    c[1][1][0] = -F1
-    c[2][2][0] = -F1
-    c[1][2] = [t, z1, z2]
-    c[2][1] = [-t, -z1, -z2]
-    return Algebra(c, unit=0, labels=("1", "e1", "e2"))
+    return normalized_basis_algebra(("1", "e1", "e2"), ((1, 2),), ((t, z1, z2),))
 
 
 def build_3d(t, s) -> Algebra:
@@ -107,10 +101,7 @@ def canonical_params_3d(algebra: Algebra) -> CanonicalForm3:
     """
     if algebra.dim != 3:
         raise DimensionMismatchError("canonical 3d form needs a 3-dimensional algebra")
-    cert = certificate_or_raise(algebra)
-    e1, e2 = cert.basis[1], cert.basis[2]
-    prod = cert.to_certificate_coords(algebra.multiply(e1, e2))
-    t_raw, z1, z2 = prod[0], prod[1], prod[2]
+    t_raw, z1, z2 = certificate_or_raise(algebra).products(algebra, ((1, 2),))[0]
     s_sq = z1 * z1 + z2 * z2
     root = sqrt_fraction(s_sq)
     s: Fraction | float = root if root is not None else math.sqrt(float(s_sq))
@@ -132,10 +123,14 @@ def params_equal_3d(c1: CanonicalForm3, c2: CanonicalForm3, tol=0) -> bool:
 
 @dataclass(frozen=True)
 class Params4:
-    """The (T, u) parameters of a 4-dimensional locally complex algebra."""
+    """The (T, u) parameters of a 4-dimensional locally complex algebra;
+    unpacks as the pair ``T, u``."""
 
     t_matrix: Matrix  # 3x3
     u: Vector  # length 3
+
+    def __iter__(self):
+        return iter((self.t_matrix, self.u))
 
 
 def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
@@ -150,6 +145,10 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+# The pairs (i, j) with e_i e_j = (u_k, T e_k), for k = 1, 2, 3.
+_CYCLE = ((2, 3), (3, 1), (1, 2))
+
+
 def build_4d(t_matrix, u) -> Algebra:
     """The 4-dimensional algebra with vector-product correction T and triple
     product weight u."""
@@ -157,25 +156,8 @@ def build_4d(t_matrix, u) -> Algebra:
     uu = vec(u)
     if len(T) != 3 or any(len(r) != 3 for r in T) or len(uu) != 3:
         raise DimensionMismatchError("T must be 3x3 and u length 3")
-    n = 4
-    c = [[[F0] * n for _ in range(n)] for _ in range(n)]
-    c[0][0][0] = F1
-    for k in (1, 2, 3):
-        c[0][k][k] = F1
-        c[k][0][k] = F1
-        c[k][k][0] = -F1
-    basis3 = ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1))
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            cr = _cross(basis3[i], basis3[j])
-            scalar = _dot(cr, uu)
-            vecpart = tuple(
-                sum(T[r][k] * cr[k] for k in range(3)) for r in range(3)
-            )
-            c[i + 1][j + 1] = [scalar, *vecpart]
-    return Algebra(c, unit=0, labels=("1", "e1", "e2", "e3"))
+    cols = [(uk, *col) for uk, col in zip(uu, zip(*T))]  # (u_k, T e_k)
+    return normalized_basis_algebra(("1", "e1", "e2", "e3"), _CYCLE, cols)
 
 
 def extract_params_4d(algebra: Algebra) -> Params4:
@@ -184,20 +166,8 @@ def extract_params_4d(algebra: Algebra) -> Params4:
     trip against build_4d."""
     if algebra.dim != 4:
         raise DimensionMismatchError("parameter extraction needs dimension 4")
-    cert = certificate_or_raise(algebra)
-    e = cert.basis
-    p12 = cert.to_certificate_coords(algebra.multiply(e[1], e[2]))
-    p13 = cert.to_certificate_coords(algebra.multiply(e[1], e[3]))
-    p23 = cert.to_certificate_coords(algebra.multiply(e[2], e[3]))
-    # e1 e2 = (u3, T e3), e1 e3 = (-u2, -T e2), e2 e3 = (u1, T e1).
-    t_cols = (
-        tuple(p23[1:]),
-        tuple(-x for x in p13[1:]),
-        tuple(p12[1:]),
-    )
-    T = tuple(tuple(t_cols[cidx][r] for cidx in range(3)) for r in range(3))
-    u = (p23[0], -p13[0], p12[0])
-    return Params4(T, u)
+    cols = certificate_or_raise(algebra).products(algebra, _CYCLE)
+    return Params4(tuple(zip(*(col[1:] for col in cols))), tuple(col[0] for col in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +546,7 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
     1000 tol].  A "no" names the first differing invariant, for the sign
     that agrees longer, or ``"witness residual"``.
     """
-    (T1, u1), (T2, u2) = ((p.t_matrix, p.u) if isinstance(p, Params4) else p for p in (p1, p2))
+    (T1, u1), (T2, u2) = p1, p2
     T, u = np.array([T1, T2], dtype=object), np.array([u1, u2], dtype=object)
     if T.shape != (2, 3, 3) or u.shape != (2, 3):
         raise DimensionMismatchError("T must be 3x3 and u length 3")
@@ -615,11 +585,6 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
         return Equiv4Result(False, None, bool(min(residuals) <= 1000 * tol), "witness residual")
     gap, first = diffs.max(axis=1).min(), over.argmax(axis=1).max()
     return Equiv4Result(False, None, bool(tol < gap <= 10 * tol), _INVARIANTS[first])
-
-
-def _as_params(p) -> tuple[np.ndarray, np.ndarray]:
-    T, u = (p.t_matrix, p.u) if isinstance(p, Params4) else p
-    return np.array(T, dtype=float), np.array(u, dtype=float)
 
 
 def _orbit_invariants(S: np.ndarray, c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +663,7 @@ def skew_axis(T: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# hyperboloid configurations and the rank-0 classification
+# hyperboloid configurations
 # ---------------------------------------------------------------------------
 
 
@@ -718,37 +683,14 @@ def hyperboloid_config(p, tol: float = DEFAULT_TOL) -> HyperboloidConfig:
     and the flip read the signature as :func:`geometric_type` does, exactly
     for int and ``Fraction`` entries; the frame is computed in floats.
     """
-    pos, neg = _signature(p.t_matrix if isinstance(p, Params4) else p[0], tol)
+    T, u = p
+    pos, neg = _signature(T, tol)
     if pos + neg != 3 or pos == 3 or neg == 3:
         raise ValueError("parameters are not of hyperboloid type")
-    T, u = _as_params(p)
+    T, u = np.array(T, dtype=float), np.array(u, dtype=float)
     if pos == 1:
         T = -T
     w, V = _sym_eigen(T)
     Q = V.T
     c = np.array(skew_axis(T))
     return HyperboloidConfig(tuple(w), tuple(Q @ u), tuple(Q @ c))
-
-
-def rank0_equiv(d, u, d2, u2, tol: float = DEFAULT_TOL) -> bool:
-    """Isomorphism test for the rank-0 family (pure skew T with axis d e_3).
-
-    Invariants: the skew magnitude, the length of u, and, when the skew part
-    is nonzero, the magnitude of u's component along the skew axis.  The
-    magnitude (not the signed value) is correct here: conjugating by
-    diag(1, -1, 1) preserves the skew matrix, has determinant -1, and sends
-    u_3 to -u_3, so the sign is not an isomorphism invariant.
-    """
-    if d < 0 or d2 < 0:
-        raise ValueError("skew magnitudes must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    scale = 1.0 + max(abs(d), abs(d2), np.abs(u).max(), np.abs(u2).max())
-    atol = tol * scale
-    if abs(d - d2) > atol:
-        return False
-    if abs(np.linalg.norm(u) - np.linalg.norm(u2)) > atol:
-        return False
-    if d <= atol:
-        return True
-    return abs(abs(u[2]) - abs(u2[2])) <= atol

@@ -160,6 +160,11 @@ class LocallyComplexCertificate:
     def to_certificate_coords(self, x: Element) -> Vector:
         return mat_vec(self.change_of_basis, x.coords)
 
+    def products(self, algebra: Algebra, pairs) -> list[Vector]:
+        """The products e_i e_j for (i, j) in ``pairs``, in this basis."""
+        e = self.basis
+        return [self.to_certificate_coords(algebra.multiply(e[i], e[j])) for i, j in pairs]
+
 
 class _CertificateOnRead:
     """The ``certificate`` field of :class:`LocallyComplexCheck`: the value

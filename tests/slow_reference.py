@@ -28,6 +28,9 @@ list for a "not quadratic" witness and the box search for a rational
 isotropic vector of a 3x3 symmetric form.  The Cayley-Dickson doubling
 and the involution laws are kept as the loops over basis pairs and
 candidate elements that multiplied ``Element``s one product at a time.
+``build_raw_3d``, ``build_4d`` and ``jordan_spin_algebra`` fill a dense
+``Fraction`` tensor in a loop and hand it to the public ``Algebra``
+constructor.
 ``equiv_4d_eigenframe`` is the float orbit comparison that aligned the
 eigenframes of the symmetric parts before the invariant table replaced it.
 ``multiply`` is the ``Fraction`` loop that ``Algebra.multiply`` ran over
@@ -60,6 +63,7 @@ from cdalg.errors import (
     NonUnitalError,
     NotAlternativeError,
     NotLocallyComplexError,
+    UnknownAlgebraError,
     UnsupportedRationalClassError,
 )
 from cdalg.fileio import _index_from_json, _is_list_of
@@ -78,7 +82,7 @@ from cdalg.linalg import (
     vec,
 )
 from cdalg.kernel import product_table, scaled_tensor
-from cdalg.lowdim import Equiv4Result, _as_params, _sym_eigen, skew_axis
+from cdalg.lowdim import Equiv4Result, _cross, _dot, _sym_eigen, skew_axis
 from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
@@ -1305,8 +1309,7 @@ def equiv_4d_eigenframe(p1, p2, tol: float = 1e-9) -> Equiv4Result:
     """Orbit equivalence of two float parameter pairs by aligning the
     eigenframes of the symmetric parts, one branch per eigenvalue
     degeneracy: rotation equivalence of (T, u) is tried, then of (-T, u)."""
-    T1, u1 = _as_params(p1)
-    T2, u2 = _as_params(p2)
+    (T1, u1), (T2, u2) = (tuple(np.array(x, dtype=float) for x in p) for p in (p1, p2))
     res = _so3_equiv(T1, u1, T2, u2, tol)
     if res.equivalent:
         return res
@@ -1469,3 +1472,64 @@ def _gs_frame(rows: np.ndarray, atol: float) -> np.ndarray:
     if np.linalg.det(frame) < 0:
         frame[:, len(vecs) - 1] = -frame[:, len(vecs) - 1]
     return frame
+
+
+def build_raw_3d(t, z1, z2) -> Algebra:
+    """The 3-dimensional algebra with raw correction (t, z) attached to the
+    planar determinant; canonical inputs use z = (s, 0)."""
+    t, z1, z2 = Fraction(t), Fraction(z1), Fraction(z2)
+    n = 3
+    c = [[[F0] * n for _ in range(n)] for _ in range(n)]
+    c[0][0][0] = F1
+    for k in (1, 2):
+        c[0][k][k] = F1
+        c[k][0][k] = F1
+    c[1][1][0] = -F1
+    c[2][2][0] = -F1
+    c[1][2] = [t, z1, z2]
+    c[2][1] = [-t, -z1, -z2]
+    return Algebra(c, unit=0, labels=("1", "e1", "e2"))
+
+
+def build_4d(t_matrix, u) -> Algebra:
+    """The 4-dimensional algebra with vector-product correction T and triple
+    product weight u."""
+    T = mat(t_matrix)
+    uu = vec(u)
+    if len(T) != 3 or any(len(r) != 3 for r in T) or len(uu) != 3:
+        raise DimensionMismatchError("T must be 3x3 and u length 3")
+    n = 4
+    c = [[[F0] * n for _ in range(n)] for _ in range(n)]
+    c[0][0][0] = F1
+    for k in (1, 2, 3):
+        c[0][k][k] = F1
+        c[k][0][k] = F1
+        c[k][k][0] = -F1
+    basis3 = ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1))
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            cr = _cross(basis3[i], basis3[j])
+            scalar = _dot(cr, uu)
+            vecpart = tuple(
+                sum(T[r][k] * cr[k] for k in range(3)) for r in range(3)
+            )
+            c[i + 1][j + 1] = [scalar, *vecpart]
+    return Algebra(c, unit=0, labels=("1", "e1", "e2", "e3"))
+
+
+def jordan_spin_algebra(dim: int) -> Algebra:
+    """The commutative algebra with b_i b_j = -delta_ij on the imaginary part."""
+    if dim < 1:
+        raise UnknownAlgebraError("dimension must be >= 1")
+    n = dim
+    constants = [[[F0] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        constants[0][k][k] = F1
+        constants[k][0][k] = F1
+    constants[0][0] = [F1] + [F0] * (n - 1)
+    for i in range(1, n):
+        constants[i][i][0] = -F1
+    labels = tuple(["1"] + [f"e{i}" for i in range(1, n)])
+    return Algebra(constants, unit=0, labels=labels)

@@ -296,6 +296,39 @@ def test_classify4_without_operand_exits_3(capsys):
     assert json.loads(err)["kind"] == "malformed-input"
 
 
+MALFORMED_PARAMS = {
+    "two-row-T": {"T": [[1, 0, 0], [0, 1, 0]], "u": [0, 0, 0]},
+    "scalar-T": {"T": 5, "u": [0, 0, 0]},
+    "short-row": {"T": [[1, 0], [0, 1, 0], [0, 0, 1]], "u": [0, 0, 0]},
+    "long-u": {"T": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u": [0, 0, 0, 0]},
+    "missing-u": {"T": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "top-level-list": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("command", ["division4", "classify4", "iso4"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_PARAMS))
+def test_malformed_parameter_file_exits_3(tmp_path, capsys, command, name):
+    """A parameter file of the wrong shape is malformed input, not a
+    dimension error or a traceback."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(MALFORMED_PARAMS[name]))
+    argv = ["iso4", "--a", str(path), "--b", str(path)] if command == "iso4" else [command, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "malformed-input" and "bad parameter file" in error["error"]
+
+
+@pytest.mark.parametrize("data", [{"matrix": 5}, {"matrix": [5]}, [[1]], {"map": []}])
+def test_malformed_map_file_exits_3(tmp_path, capsys, data):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "embed-check", "--map", str(path), "--from", "TO", "--to", "S")
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
 @pytest.mark.parametrize("element", ["1/0", "2/0*e1", "e1/0"])
 def test_zero_denominator_in_element_exits_3(capsys, element):
     code, out, err = run_cli(capsys, "ann", "O", "--element", element)

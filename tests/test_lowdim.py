@@ -26,12 +26,12 @@ from cdalg import (
     is_locally_complex,
     jordan_spin_algebra,
     params_equal_3d,
-    rank0_equiv,
     recognize_alternative_division,
 )
 from cdalg import lowdim
 from cdalg.analysis import ZeroDivisorSearch, random_rational_orthogonal, zero_divisor_search
-from cdalg.errors import MalformedInputError
+from cdalg.errors import DimensionMismatchError, MalformedInputError
+from cdalg.kernel import scaled_tensor
 from cdalg.linalg import congruence_diagonal, det, identity, mat, mat_mul, mat_vec, transpose, vec
 from cdalg.lowdim import (
     Params4,
@@ -179,6 +179,68 @@ def test_4d_always_locally_complex():
         T = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
         u = [F(rng.randint(-3, 3)) for _ in range(3)]
         assert is_locally_complex(build_4d(T, u)).holds
+
+
+# -- the builders against the Fraction-loop reference -----------------------------
+
+
+def assert_same_algebra(got, want):
+    assert got == want
+    assert got.constants == want.constants
+    assert (got.unit, got.labels) == (want.unit, want.labels)
+    assert scaled_tensor(got).c.dtype == scaled_tensor(want).c.dtype
+
+
+def random_params(rng, draw):
+    return [[draw(rng) for _ in range(3)] for _ in range(3)], [draw(rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: F(rng.randint(-9, 9), rng.randint(1, 9)),
+    lambda rng: rng.randint(-30, 30) / 10,
+    # Denominators past 2^63: the table holds Python ints.
+    lambda rng: F(rng.randint(-9, 9), 2**64 + rng.randint(1, 9)),
+], ids=["rational", "float", "beyond-int64"])
+def test_builders_match_reference(draw):
+    rng = random.Random(19)
+    for _ in range(40):
+        T, u = random_params(rng, draw)
+        assert_same_algebra(build_4d(T, u), ref.build_4d(T, u))
+        assert_same_algebra(build_raw_3d(*u), ref.build_raw_3d(*u))
+        assert_same_algebra(build_3d(abs(u[0]), abs(u[1])), ref.build_raw_3d(abs(u[0]), abs(u[1]), 0))
+
+
+def test_spin_factors_match_reference():
+    for n in range(1, 7):
+        assert_same_algebra(jordan_spin_algebra(n), ref.jordan_spin_algebra(n))
+
+
+def test_builders_match_reference_on_big_tables():
+    big = F(1, 2**70 + 1)
+    T, u = [[big, 1, 2], [0, 0, 0], [1, 1, -big]], [big, 0, 3]
+    assert scaled_tensor(build_4d(T, u)).c.dtype == object
+    assert_same_algebra(build_4d(T, u), ref.build_4d(T, u))
+    assert_same_algebra(build_raw_3d(big, 2**80, -big), ref.build_raw_3d(big, 2**80, -big))
+
+
+@pytest.mark.parametrize("T, u, error", [
+    ([[1, 0, 0], [0, 1, 0]], [0, 0, 0], DimensionMismatchError),
+    ([[1, 0, 0], [0, 1], [0, 0, 1]], [0, 0, 0], DimensionMismatchError),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0], DimensionMismatchError),
+    ([[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]], [0, 0, 0], ValueError),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, float("nan"), 0], ValueError),
+])
+def test_builders_reject_what_the_reference_rejects(T, u, error):
+    for build in (build_4d, ref.build_4d):
+        with pytest.raises(error):
+            build(T, u)
+
+
+@pytest.mark.parametrize("bad, error", [(float("nan"), ValueError), (float("inf"), OverflowError)])
+def test_3d_builder_rejects_what_the_reference_rejects(bad, error):
+    for build in (build_raw_3d, ref.build_raw_3d):
+        with pytest.raises(error):
+            build(1, bad, 0)
 
 
 # -- orbit equivalence ----------------------------------------------------------
@@ -757,29 +819,38 @@ def test_equiv_borderline_flag():
 # -- rank 0 -----------------------------------------------------------------------
 
 
+def rank0_pair(d, u, dtype=object):
+    """The rank-0 parameters: T the pure skew matrix with axis d e_3."""
+    return np.array(skew_from_axis([0, 0, d]), dtype=dtype), np.array(u, dtype=dtype)
+
+
 def test_rank0_examples():
-    assert rank0_equiv(0, [1, 0, 0], 0, [0, 1, 0])
-    assert rank0_equiv(1, [1, 0, 0], 1, [0, 1, 0])
-    assert not rank0_equiv(1, [0, 0, 1], 1, [1, 0, 0])
-    assert not rank0_equiv(1, [1, 0, 0], 2, [1, 0, 0])
-    with pytest.raises(ValueError):
-        rank0_equiv(-1, [0, 0, 0], 0, [0, 0, 0])
+    """Exact input: the skew magnitude and |u| are invariants, and so is
+    |u_3| when the skew part is nonzero."""
+    cases = [
+        (0, [1, 0, 0], 0, [0, 1, 0], True),
+        (1, [1, 0, 0], 1, [0, 1, 0], True),
+        (1, [0, 0, 1], 1, [1, 0, 0], False),
+        (1, [1, 0, 0], 2, [1, 0, 0], False),
+        (1, [0, 0, 1], -1, [0, 0, 1], True),  # (-T, u) is the same orbit
+    ]
+    for d1, u1, d2, u2, expected in cases:
+        res = equiv_4d(rank0_pair(d1, u1), rank0_pair(d2, u2))
+        assert res.equivalent is expected and not res.borderline, (d1, u1, d2, u2)
+        assert (res.differs is None) is expected
 
 
 def test_rank0_agrees_with_general_equivalence():
+    """Float input: equiv_4d gives the rank-0 classification's verdict."""
     cases = [
-        (1.0, [0, 0, 1], 1.0, [0, 0, -1]),   # sign of the axis component
-        (1.0, [1, 0, 0], 1.0, [0, 1, 0]),
-        (1.0, [0, 0, 1], 1.0, [1, 0, 0]),
-        (0.5, [1, 1, 0], 0.5, [1, -1, 0]),
-        (2.0, [1, 0, 1], 2.0, [0, 1, 1]),
-        (0.0, [1, 2, 2], 0.0, [3, 0, 0]),
-        (1.0, [1, 2, 2], 1.0, [3, 0, 0]),
+        (1.0, [0, 0, 1], 1.0, [0, 0, -1], True),  # the sign of the axis component is not invariant
+        (1.0, [1, 0, 0], 1.0, [0, 1, 0], True),
+        (1.0, [0, 0, 1], 1.0, [1, 0, 0], False),
+        (0.5, [1, 1, 0], 0.5, [1, -1, 0], True),
+        (2.0, [1, 0, 1], 2.0, [0, 1, 1], True),
+        (0.0, [1, 2, 2], 0.0, [3, 0, 0], True),
+        (1.0, [1, 2, 2], 1.0, [3, 0, 0], False),
     ]
-    for d1, u1, d2, u2 in cases:
-        expected = rank0_equiv(d1, u1, d2, u2)
-        got = equiv_4d(
-            (np.array(skew_from_axis([0, 0, d1]), dtype=float), np.array(u1, dtype=float)),
-            (np.array(skew_from_axis([0, 0, d2]), dtype=float), np.array(u2, dtype=float)),
-        ).equivalent
-        assert expected == got, (d1, u1, d2, u2)
+    for d1, u1, d2, u2, expected in cases:
+        res = equiv_4d(rank0_pair(d1, u1, float), rank0_pair(d2, u2, float))
+        assert res.equivalent is expected and not res.borderline, (d1, u1, d2, u2)
