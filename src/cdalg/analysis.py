@@ -1,18 +1,22 @@
 """Constructive structure analysis: basis extension, recognizers, classifier,
 alter-scalars, annihilators, zero divisors, homomorphism checks.
 
-The recognizers follow the constructive uniqueness proofs step for step: fix
-a square-root-of-minus-one, extend to an anticommuting family, and read the
-remaining basis off products.  Every change of basis stays rational.  Each
-vector of square -1 is a unit vector of the norm form on the imaginary
-vectors that anticommute with the family so far; one exists over Q exactly
-when that form is a sum of squares, which its determinant class and Hasse
-invariants at the odd primes decide, the one at 2 following by the product
-formula (:mod:`cdalg.numth`).  Norm multiplicativity is used in one place:
-a vector w orthogonal to a recognized subalgebra B, C or H, is normalized
-as w h, with h in B of norm 1/N(w) from two or four squares.  A returned
-isomorphism is always verified multiplicative and invertible before it
-leaves this module.
+The recognizers follow the constructive uniqueness proofs step for step,
+and every basis they return is built by doubling steps (:func:`_double`): a
+basis B of a recognized subalgebra is extended by a vector f of square -1,
+then by b f for each b in B after the unit.  From 1 this gives C, H and O;
+on a graded algebra one step over the odd part doubles the recognized even
+part, and the dimension-16 step reads the products e_i e_j of its relations
+off the doubled even basis as e_(i xor j).  Every change of basis stays
+rational.  Each vector of square -1 is a unit vector of the norm form on
+the imaginary vectors that anticommute with the family so far; one exists
+over Q exactly when that form is a sum of squares, which its determinant
+class and Hasse invariants at the odd primes decide, the one at 2 following
+by the product formula (:mod:`cdalg.numth`).  Norm multiplicativity is used
+in one place: a vector w orthogonal to a recognized subalgebra B, C or H,
+is normalized as w h, with h in B of norm 1/N(w) from two or four squares.
+A returned isomorphism is always verified multiplicative and invertible
+before it leaves this module.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .kernel import (
     left_mul_rows,
     left_mul_stack,
     product_table,
+    scaled_tensor,
     singularity_screen,
     table_in_rows,
 )
@@ -296,41 +301,36 @@ def _verified(algebra: Algebra, tag: str, basis: Sequence[Element], graded: bool
     return RecognitionResult(tag, tuple(r.coords for r in iso))
 
 
+# The named table a doubled basis of each length maps onto (O or TO if graded).
+_TAGS = {1: "R", 2: "C", 4: "H", 8: "O"}
+
+
+def _double(algebra: Algebra, basis: list[Element], space: Sequence[Element],
+            family: Sequence[Element]) -> list[Element]:
+    """One doubling step: ``basis``, then f, then b f for each b in
+    ``basis[1:]``, where f is the vector of square -1 in span(space)
+    anticommuting with ``family`` that :func:`find_unit_square_vector` finds,
+    with ``basis`` as its closure when that is a basis of C or H."""
+    closure = basis if len(basis) in (2, 4) else None
+    f = find_unit_square_vector(algebra, space, anticommute_with=family, closure=closure)
+    return [*basis, f, *(algebra.multiply(b, f) for b in basis[1:])]
+
+
 def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
     """The recognizer proper, for an algebra already known to be alternative
     and locally complex: the tag and the basis that becomes the standard
-    basis of the named table, not yet verified."""
+    basis of the named table, not yet verified: 1 doubled in the imaginary
+    part until it spans the algebra."""
     n = algebra.dim
-    if n not in (1, 2, 4, 8):
+    if n not in _TAGS:
         raise InconsistentInputError(
             f"alternative locally complex algebras cannot have dimension {n}"
         )
-    if n == 1:
-        return "R", [algebra.one()]
     imag = imaginary_basis(algebra)
-    e1 = find_unit_square_vector(algebra, imag)
-    basis = [algebra.one(), e1]
-    tag = "C"
-    if n >= 4:
-        e2 = find_unit_square_vector(
-            algebra, imag, anticommute_with=[e1], closure=[algebra.one(), e1]
-        )
-        e3 = algebra.multiply(e1, e2)
-        basis += [e2, e3]
-        tag = "H"
-    if n == 8:
-        e4 = find_unit_square_vector(
-            algebra,
-            imag,
-            anticommute_with=basis[1:],
-            closure=basis[:4],
-        )
-        e5 = algebra.multiply(basis[1], e4)
-        e6 = algebra.multiply(basis[2], e4)
-        e7 = algebra.multiply(basis[3], e4)
-        basis += [e4, e5, e6, e7]
-        tag = "O"
-    return tag, basis
+    basis = [algebra.one()]
+    while len(basis) < n:
+        basis = _double(algebra, basis, imag, basis[1:])
+    return _TAGS[n], basis
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +360,13 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     """Identify a super-alternative locally complex algebra among
     R, C, H, O, TO, S, TS, with a verified iso.
 
-    The even part is recognized first.  With a nonzero odd part the branch on
-    the even tag follows the constructive classification: a unit-square odd
-    vector is enough for the C and H targets; for the O/TO split the sign in
-    i(jf) = +-kf decides; for the S/TS split the odd starting vector is
-    remedied pairwise until it satisfies the three minus-sign relations, and
-    the surviving sign of the fourth relation decides the table.
+    The even part is recognized first.  With a nonzero odd part the
+    constructive classification follows: below an even part O, one doubling
+    step over the odd part (:func:`_double`) gives C or H, or, for the
+    O/TO split, the basis whose sign in i(jf) = +-kf decides; for the S/TS
+    split the odd starting vector is remedied pairwise until it satisfies
+    the three minus-sign relations, and the surviving sign of the fourth
+    relation decides the table.
 
     The grading is validated and local complexity decided first.
     Super-alternativity is refuted by the sweep modulo one prime and
@@ -380,8 +381,7 @@ def classify_super_alternative(algebra: Algebra, grading: Grading) -> Recognitio
     vectors only.
     """
     grading.validate(algebra)
-    lc = is_locally_complex(algebra)
-    if not lc.holds:
+    if not is_locally_complex(algebra).holds:
         raise NotLocallyComplexError("input is not locally complex")
     return _refute_then_recognize(
         algebra,
@@ -406,50 +406,23 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
     # and locally complex (the quadratic relations and the positive definite
     # norm form restrict to it).  Its basis is read in even-part coordinates
     # and checked only as part of the final iso.
-    tag0, basis0 = _division_basis(_induced_algebra(algebra, even_rows))
+    _, basis0 = _division_basis(_induced_algebra(algebra, even_rows))
     even_elements = [Element(r) for r in even_rows]
-
-    # Standard generators of the even part, as elements of the ambient algebra.
-    def even_std(k: int) -> Element:
-        return combination(algebra, basis0[k], even_elements)
-
+    # The doubled even basis, as elements of the ambient algebra.
+    even = [algebra.one(), *(combination(algebra, b, even_elements) for b in basis0[1:])]
     odd_elements = [Element(r) for r in grading.odd_rows]
-    one = algebra.one()
-
-    if tag0 == "R":
-        f = find_unit_square_vector(algebra, odd_elements)
-        basis = [one, f]
-        tag = "C"
-    elif tag0 == "C":
-        i_hat = even_std(1)
-        f = find_unit_square_vector(algebra, odd_elements, closure=[one, i_hat])
-        basis = [one, i_hat, f, algebra.multiply(i_hat, f)]
-        tag = "H"
-    elif tag0 == "H":
-        i_hat, j_hat, k_hat = even_std(1), even_std(2), even_std(3)
-        f = find_unit_square_vector(
-            algebra, odd_elements, closure=[one, i_hat, j_hat, k_hat]
-        )
-        p = algebra.multiply(i_hat, algebra.multiply(j_hat, f))
-        q = algebra.multiply(k_hat, f)
-        # p = lam q with lam = +-1 exactly when the two are equal or opposite.
-        lam = None if q.is_zero() else 1 if p == q else -1 if p == -q else None
-        if lam is None:
-            raise InconsistentInputError("i(jf) is not +-kf; classification impossible")
-        basis = [
-            one,
-            i_hat,
-            j_hat,
-            k_hat,
-            f,
-            algebra.multiply(i_hat, f),
-            algebra.multiply(j_hat, f),
-            algebra.multiply(k_hat, f),
-        ]
-        tag = "TO" if lam == 1 else "O"
-    else:  # tag0 == "O"
-        e_std = [None] + [even_std(k) for k in range(1, 8)]
-        tag, basis = _classify_sedenion_like(algebra, e_std, odd_elements)
+    if len(even) == 8:
+        tag, basis = _classify_sedenion_like(algebra, even, odd_elements)
+    else:
+        basis = _double(algebra, even, odd_elements, [])
+        tag = _TAGS[len(basis)]
+        if tag == "O":
+            # i(jf) against kf, with jf and kf from the doubled basis: TO when
+            # they are equal, O when they are opposite.
+            p, q = algebra.multiply(basis[1], basis[6]), basis[7]
+            if q.is_zero() or p not in (q, -q):
+                raise InconsistentInputError("i(jf) is not +-kf; classification impossible")
+            tag = "TO" if p == q else "O"
     return _verified(algebra, tag, basis, graded=True)
 
 
@@ -466,36 +439,34 @@ def _classify_sedenion_like(
 ) -> tuple[str, list[Element]]:
     """The dimension-16 branch: remedy an odd vector, normalize, read the sign.
 
-    The remedy along (i, j) is p + e_{ij}(e_i(e_j p)).  Everything runs on
-    integer matrices: one contraction of the tensor gives sigma L_x, for one
-    positive integer sigma, for x = e_1, ..., e_7 and the four e_{ij}.  A
-    vector y is an Element, and these matrices act on its integers: the zero
-    tests and the relation signs do not see its denominator.
+    ``e_std[1:]`` is e_1, ..., e_7 of the even basis that :func:`_double`
+    builds from 1, so e_i e_m = e_(i + m) for 0 < i < m = 1, 2, 4, and the
+    products e_i e_j of the relations are e_(i xor j).  The remedy along
+    (i, j) is p + e_{ij}(e_i(e_j p)).  Everything runs on integer matrices:
+    one contraction of the tensor gives sigma L_x, for one positive integer
+    sigma, for x = e_1, ..., e_7.  A vector y is an Element, and these
+    matrices act on its integers: the zero tests and the relation signs do
+    not see its denominator.  y is multiplied by even vectors only, so it
+    stays odd, and y^2 = t(y) y - N(y) is -N(y), its unit coordinate, as
+    t(y) y is both even and odd.
     """
     u = algebra.unit
     gens = e_std[1:]
-    pairs, pair_scale = product_table(
-        algebra,
-        [gens[i - 1] for (i, _), _ in _RELATIONS],
-        [gens[j - 1] for (_, j), _ in _RELATIONS],
-    )
-    # e_pairs[r] = e_i e_j for relation r.
-    e_pairs = [Element.of_ints(pairs[r, r].tolist(), pair_scale) for r in range(4)]
-    stack, sigma = left_mul_stack(algebra, gens + e_pairs)
-    stack = stack.astype(object)
-    lmul = [None, *stack[:7]]  # lmul[i] = sigma L_{e_i}
-    lmul_pairs = stack[7:]  # sigma L_{e_ij} per relation
+    stack, sigma = left_mul_stack(algebra, gens)
+    lmul = [None, *stack.astype(object)]  # lmul[i] = sigma L_{e_i}
     cube = sigma**3
+    st = scaled_tensor(algebra)
+    unit_part = st.c[:, :, u].astype(object)  # (x y)_u = x unit_part y^T / D
 
     def remedy(w, r: int):
         """sigma^3 times the remedy of w along relation r."""
         (i, j), _ = _RELATIONS[r]
-        return cube * w + lmul_pairs[r] @ (lmul[i] @ (lmul[j] @ w))
+        return cube * w + lmul[i ^ j] @ (lmul[i] @ (lmul[j] @ w))
 
     def relation_sign(w, r: int) -> int | None:
         # sigma^2 e_ij w and sigma^2 e_i (e_j w).
         (i, j), _ = _RELATIONS[r]
-        lhs, rhs = sigma * (lmul_pairs[r] @ w), lmul[i] @ (lmul[j] @ w)
+        lhs, rhs = sigma * (lmul[i ^ j] @ w), lmul[i] @ (lmul[j] @ w)
         if not (lhs + rhs).any():
             return -1
         if not (lhs - rhs).any():
@@ -517,13 +488,7 @@ def _classify_sedenion_like(
         if y.is_zero():
             continue
         w = np.array(y.num, dtype=object)
-        table, table_scale = product_table(algebra, [y], [y])
-        square = table[0, 0].tolist()
-        if any(c for k, c in enumerate(square) if k != u):
-            continue
-        sq = Fraction(square[u], table_scale)  # y^2 = sq * 1
-        if sq >= 0:
-            continue
+        sq = Fraction(int(w @ unit_part @ w), st.den * y.den * y.den)  # y^2 = sq * 1
         root = sqrt_fraction(-sq)
         if root is None:
             last_error = (

@@ -412,6 +412,11 @@ def cmd_embed_check(args) -> int:
         matrix = [[Fraction(str(x)) for x in row] for row in data["matrix"]]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad map file {args.map}: {exc}") from exc
+    if len(matrix) != target.dim or any(len(row) != source.dim for row in matrix):
+        raise MalformedInputError(
+            f"bad map file {args.map}: the matrix needs {target.dim} rows of "
+            f"{source.dim} entries each"
+        )
     res = check_homomorphism(matrix, source, target)
     payload: dict[str, Any] = {"holds": res.holds}
     if not res.holds:

@@ -273,7 +273,11 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     """The algebra with unit b_0, b_i^2 = -1 for i > 0, b_i b_j = -b_j b_i =
     rows[m] for (i, j) = pairs[m], and the other products of distinct b_i,
     b_j zero: the locally complex algebra of that normalized basis, written
-    as integers over one denominator."""
+    as integers over one denominator.  Its local-complexity check is kept on
+    it from the start, with the standard basis as the certificate."""
+    # A local import: properties imports this module.
+    from .properties import LocallyComplexCertificate, LocallyComplexCheck
+
     ints, den = scaled_rows(rows)
     n = len(labels)
     c, d = np.zeros((n, n, n), dtype=object), np.arange(n)
@@ -281,7 +285,10 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     c[d[1:], d[1:], 0] = -den
     for (i, j), row in zip(pairs, ints):
         c[i, j], c[j, i] = row, [-x for x in row]
-    return Algebra._of_table(ScaledTensor(c, den), 0, labels)
+    algebra = Algebra._of_table(ScaledTensor(c, den), 0, labels)
+    cert = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))), identity(n))
+    algebra._lc = LocallyComplexCheck(True, cert, reason="dimension 1" if n == 1 else "")
+    return algebra
 
 
 def _negating_star(n: int) -> Matrix:

@@ -23,6 +23,7 @@ from cdalg import (
     subalgebra_census,
     zero_divisor_search,
 )
+from cdalg import analysis
 from cdalg.analysis import random_rational_orthogonal, rotated_copy
 from cdalg.kernel import AlternativitySweep
 from cdalg.linalg import identity, mat_mul, transpose, unit_vector
@@ -118,6 +119,36 @@ def test_recognize_unsupported_rational_class():
     alg = Algebra(c, unit=0)
     with pytest.raises(UnsupportedRationalClassError):
         recognize_alternative_division(alg)
+
+
+def doubling_inputs():
+    """O, rotated copies of O, and the even parts of rotated S and TS."""
+    octonions = named_algebra("O").algebra
+    yield pytest.param(octonions, id="O")
+    for seed in range(4):
+        yield pytest.param(rotated_copy(octonions, random.Random(seed))[0], id=f"O-rotated-{seed}")
+    for name in ("S", "TS"):
+        bundle = named_algebra(name)
+        for seed in range(3):
+            rotated, grading, _ = rotated_copy(bundle.algebra, random.Random(seed), bundle.grading)
+            rows = analysis._even_part_rows(rotated, grading)
+            yield pytest.param(analysis._induced_algebra(rotated, rows), id=f"{name}-even-{seed}")
+
+
+@pytest.mark.parametrize("algebra", list(doubling_inputs()))
+def test_division_basis_is_doubled(algebra):
+    """Each doubling step of the octonion basis, with f = b_m for m = 1, 2, 4,
+    has b_m^2 = -1 and b_i b_m = b_(i+m) for 0 < i < m.  So the products
+    e_i e_j that the dimension-16 branch reads as e_(i xor j) are e_1 e_2 =
+    e_3, e_1 e_4 = e_5, e_2 e_4 = e_6 and e_3 e_4 = e_7."""
+    tag, b = analysis._division_basis(algebra)
+    assert tag == "O" and len(b) == 8 and b[0] == algebra.one()
+    for m in (1, 2, 4):
+        assert algebra.multiply(b[m], b[m]) == -algebra.one()
+        for i in range(1, m):
+            assert algebra.multiply(b[i], b[m]) == b[i + m]
+    for i, j in ((1, 2), (1, 4), (2, 4), (3, 4)):
+        assert algebra.multiply(b[i], b[j]) == b[i ^ j]
 
 
 # -- graded classification ----------------------------------------------------

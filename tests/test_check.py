@@ -20,13 +20,15 @@ from cdalg import (
     Algebra,
     build_3d,
     build_4d,
+    build_raw_3d,
     change_of_basis,
     is_locally_complex,
     is_nicely_normed,
+    jordan_spin_algebra,
     named_algebra,
     zero_divisor_search,
 )
-from cdalg import analysis
+from cdalg import analysis, properties
 from cdalg.analysis import rotated_copy
 from cdalg.errors import UnsupportedRationalClassError
 from cdalg import kernel
@@ -149,11 +151,39 @@ def test_nicely_normed_past_int64_bound():
 
 
 def test_local_complexity_is_computed_once():
-    algebra = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+    # build_4d keeps its check on the algebra from the start; a copy in
+    # another basis decides it on the first call.
+    built = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+    algebra = change_of_basis(built, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0], [0, 0, 0, 3]])
     assert algebra._lc is None
     first = is_locally_complex(algebra)
     assert is_locally_complex(algebra) is first
     assert algebra._lc is first
+
+
+def normalized_basis_tables():
+    """Seeded tables written in a normalized basis by the three writers."""
+    rng = random.Random(20)
+    entry = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))  # noqa: E731
+    for _ in range(20):
+        yield build_4d([[entry() for _ in range(3)] for _ in range(3)], [entry() for _ in range(3)])
+        yield build_raw_3d(entry(), entry(), entry())
+    yield build_4d([[0.5, -1.25, 0], [3, 0.1, 2], [0, 0, -7]], [1e-3, 0, 2.5])
+    yield build_raw_3d(Fraction(1, 3**50), 2**70, Fraction(-5, 7**30))
+    yield from map(jordan_spin_algebra, range(1, 7))
+
+
+@pytest.mark.parametrize("algebra", list(normalized_basis_tables()))
+def test_normalized_basis_tables_keep_the_decided_check(algebra):
+    """The check that the table writer stores equals the one decided from
+    the table: verdict, certificate, change of basis and reason."""
+    stored, fresh = algebra._lc, properties._decide_local_complexity(algebra)
+    assert stored is not None and stored.holds and fresh.holds
+    assert stored.certificate.basis == fresh.certificate.basis
+    assert stored.certificate.change_of_basis == fresh.certificate.change_of_basis
+    assert stored.reason == fresh.reason
+    assert (stored.counterexample, stored.counterexample_kind) == (None, None)
+    stored.certificate.validate(algebra)
 
 
 # -- zero-divisor search ---------------------------------------------------

@@ -320,7 +320,17 @@ def test_malformed_parameter_file_exits_3(tmp_path, capsys, command, name):
     assert error["kind"] == "malformed-input" and "bad parameter file" in error["error"]
 
 
-@pytest.mark.parametrize("data", [{"matrix": 5}, {"matrix": [5]}, [[1]], {"map": []}])
+@pytest.mark.parametrize("data", [
+    {"matrix": 5},
+    {"matrix": [5]},
+    [[1]],
+    {"map": []},
+    # Of the wrong shape for an 8-dimensional source and a 16-dimensional
+    # target: too small, one row, ragged.
+    {"matrix": [[1, 0], [0, 1]]},
+    {"matrix": [[1] + [0] * 7]},
+    {"matrix": [[int(i == j) for j in range(8 if i != 3 else 7)] for i in range(16)]},
+])
 def test_malformed_map_file_exits_3(tmp_path, capsys, data):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(data))
