@@ -164,7 +164,10 @@ def test_local_complexity_is_computed_once():
 def normalized_basis_tables():
     """Seeded tables written in a normalized basis by the three writers."""
     rng = random.Random(20)
-    entry = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))  # noqa: E731
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
     for _ in range(20):
         yield build_4d([[entry() for _ in range(3)] for _ in range(3)], [entry() for _ in range(3)])
         yield build_raw_3d(entry(), entry(), entry())
