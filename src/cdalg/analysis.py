@@ -47,12 +47,10 @@ from .linalg import (
     Inverse,
     Matrix,
     Subspace,
-    Vector,
     identity,
     kernel_basis,
     mat,
     mat_inv,
-    mat_mul,
     nullspace,
     rank,
     unit_vector,
@@ -346,14 +344,14 @@ def _induced_algebra(algebra: Algebra, rows: Sequence) -> Algebra:
     return Algebra._of_table(table_in_rows(algebra, rows), 0)
 
 
-def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Vector]:
+def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Element]:
     rows = [algebra.one()]
     for r in map(Element, grading.even_rows):
         if rank(rows + [r]) > len(rows):
             rows.append(r)
     if len(rows) != grading.even.dim:
         raise InvalidGradingError("unit is not contained in the even part")
-    return [r.coords for r in rows]
+    return rows
 
 
 def classify_super_alternative(algebra: Algebra, grading: Grading) -> RecognitionResult:
@@ -407,9 +405,8 @@ def _classify(algebra: Algebra, grading: Grading) -> RecognitionResult:
     # norm form restrict to it).  Its basis is read in even-part coordinates
     # and checked only as part of the final iso.
     _, basis0 = _division_basis(_induced_algebra(algebra, even_rows))
-    even_elements = [Element(r) for r in even_rows]
     # The doubled even basis, as elements of the ambient algebra.
-    even = [algebra.one(), *(combination(algebra, b, even_elements) for b in basis0[1:])]
+    even = [algebra.one(), *(combination(algebra, b, even_rows) for b in basis0[1:])]
     odd_elements = [Element(r) for r in grading.odd_rows]
     if len(even) == 8:
         tag, basis = _classify_sedenion_like(algebra, even, odd_elements)
@@ -603,7 +600,7 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
         return ZeroDivisorSearch("none_found", definitive=True)
     if algebra.dim == 3:
         e1, e2 = cert.basis[1:]
-        t, z1, z2 = cert.products(algebra, ((1, 2),))[0]
+        t, z1, z2 = cert.products(algebra, ((1, 2),))[0].coords
         one = algebra.one()
         if z1 == 0 and z2 == 0:
             x = e1
@@ -831,8 +828,9 @@ def subalgebra_census(
 def random_rational_orthogonal(k: int, rng: random.Random) -> Matrix:
     """A random special orthogonal matrix with rational entries.
 
-    Cayley transform of a random rational skew matrix: Q = (I - S)(I + S)^-1.
-    Exactly orthogonal, determinant +1, and never has eigenvalue -1.
+    Cayley transform of a random rational skew matrix: Q = (I - S)(I + S)^-1,
+    which is 2 (I + S)^-1 - I as I - S = 2 I - (I + S).  Exactly orthogonal,
+    determinant +1, and never has eigenvalue -1.
     """
     if k == 0:
         return ()
@@ -841,8 +839,8 @@ def random_rational_orthogonal(k: int, rng: random.Random) -> Matrix:
         s[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
         s[j][i] = -s[i][j]
     plus = [[(i == j) + s[i][j] for j in range(k)] for i in range(k)]
-    minus = [[(i == j) - s[i][j] for j in range(k)] for i in range(k)]
-    return mat_mul(minus, mat_inv(plus))
+    return tuple(tuple(2 * x - (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(mat_inv(plus)))
 
 
 def rotated_basis_rows(

@@ -181,7 +181,10 @@ def _params_from_args(args) -> tuple:
 def cmd_gen(args) -> int:
     bundle = named_algebra(args.name)
     if args.out:
-        save_algebra(args.out, bundle.algebra, bundle.grading)
+        try:
+            save_algebra(args.out, bundle.algebra, bundle.grading)
+        except OSError as exc:
+            raise MalformedInputError(f"cannot write {args.out}: {exc}") from exc
         _emit({"written": args.out, "dim": bundle.algebra.dim}, args.format)
     else:
         _emit(algebra_to_dict(bundle.algebra, bundle.grading), args.format)
@@ -289,7 +292,10 @@ def cmd_classify_super(args) -> int:
 def cmd_classify3(args) -> int:
     if args.params:
         t, s = _parse_rationals(" ".join(args.params).replace(" ", ","), 2, "--params")
-        algebra = build_3d(t, s)
+        try:
+            algebra = build_3d(t, s)
+        except ValueError as exc:
+            raise MalformedInputError(f"bad --params: {exc}") from exc
     else:
         if not args.file:
             raise MalformedInputError("classify3 needs a file or --params t,s")

@@ -47,7 +47,7 @@ from .errors import (
     UnknownAlgebraError,
 )
 from .kernel import INT64_LIMIT, ScaledTensor, _exact, _height, product_table, scaled_tensor
-from .linalg import F0, F1, Matrix, Subspace, identity, mat, mat_vec, scaled_rows, unit_vector
+from .linalg import F0, F1, Matrix, Subspace, identity, mat, scaled_rows, unit_vector
 
 
 class Grading:
@@ -182,7 +182,9 @@ class InvolutiveAlgebra:
         return self.algebra.dim
 
     def apply(self, x: Element) -> Element:
-        return Element(mat_vec(self.star, x.coords))
+        rows, s = scaled_rows(self.star)
+        return Element.of_ints([sum(a * v for a, v in zip(row, x.num, strict=True))
+                                for row in rows], s * x.den)
 
 
 def _star_products(algebra: Algebra, star: Matrix) -> tuple:
@@ -286,7 +288,7 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     for (i, j), row in zip(pairs, ints):
         c[i, j], c[j, i] = row, [-x for x in row]
     algebra = Algebra._of_table(ScaledTensor(c, den), 0, labels)
-    cert = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))), identity(n))
+    cert = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))))
     algebra._lc = LocallyComplexCheck(True, cert, reason="dimension 1" if n == 1 else "")
     return algebra
 

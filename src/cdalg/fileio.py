@@ -166,7 +166,7 @@ def load_algebra(path: str) -> tuple[Algebra, Grading | None]:
             data = json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
     return algebra_from_dict(data)
 

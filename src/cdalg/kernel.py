@@ -850,7 +850,7 @@ def _exact_closure(algebra, seeds: list[list[int]]) -> Subspace:
                 continue
             for kept, col in zip(basis, pivots):
                 if rem[col]:
-                    rem = _cancel(rem, kept, col)[0]
+                    rem = _cancel(rem, kept, col)
             if any(rem):
                 basis.append(rem)
                 pivots.append(next(i for i, v in enumerate(rem) if v))

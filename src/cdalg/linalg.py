@@ -9,8 +9,8 @@ of ``Fraction``s or ints; :func:`scaled_rows` writes rows as integers over
 one denominator and takes an Element's integers as they are, so
 ``Fraction``s are built only where a rational comes in or goes out.
 
-The elimination routines (``rref``, ``rank``, ``nullspace``, ``mat_inv``,
-``det`` and ``Subspace``) share one fraction-free core: each row is scaled
+The elimination routines (``rref``, ``rank``, ``nullspace``, ``mat_inv``
+and ``Subspace``) share one fraction-free core: each row is scaled
 to a primitive integer row, Gauss-Jordan elimination combines rows with
 integer multipliers and divides every updated row by its content.  The
 reduced row echelon form is canonical, so the result does not depend on how
@@ -150,26 +150,6 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
-    out = []
-    for row in m:
-        total = F0
-        for entry, x in zip(row, v, strict=True):
-            if entry and x:
-                total += entry * x
-        out.append(total)
-    return tuple(out)
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = transpose(b)
-    return tuple(mat_vec(bt, tuple(row)) for row in a)
-
-
-def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
-
-
 def _primitive(row) -> list[int] | None:
     """The row times a positive rational, as coprime Python ints; None if zero."""
     ints = _row_ints(row)[0]
@@ -179,12 +159,12 @@ def _primitive(row) -> list[int] | None:
     return ints if g == 1 else [x // g for x in ints]
 
 
-def _cancel(row: list[int], prow: list[int], c: int) -> tuple[list[int], int, int]:
+def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
     """``(a * row - b * prow) / h``, zero in column ``c`` (``prow[c] != 0``).
 
     ``a = prow[c] / gcd(prow[c], row[c])`` and ``h >= 1`` is the content of
     the combination (1 when it is zero), so the result is primitive unless
-    it is zero.  Returns the new row, ``a`` and ``h``.
+    it is zero.
     """
     p, f = prow[c], row[c]
     g = gcd(p, f)
@@ -192,13 +172,11 @@ def _cancel(row: list[int], prow: list[int], c: int) -> tuple[list[int], int, in
     new = [a * x - b * y for x, y in zip(row, prow)]
     h = gcd(*new)
     if h > 1:
-        return [x // h for x in new], a, h
-    return new, a, 1
+        return [x // h for x in new]
+    return new
 
 
-def _eliminate(
-    work: list[list[int]], ncols: int, reduce: bool = True, scale: list[int] | None = None
-) -> list[int]:
+def _eliminate(work: list[list[int]], ncols: int, reduce: bool = True) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place.
 
     Each pivot row is swapped up to position ``len(pivots)`` and cancelled
@@ -206,9 +184,6 @@ def _eliminate(
     false) by :func:`_cancel`, which divides the updated row by its content,
     so entries stay as small as the row space allows.  Rows that become zero
     stay in ``work`` below the pivot rows.  Returns the pivot columns.
-
-    With ``scale = [u, v]`` the determinant bookkeeping is kept: on return
-    ``det(input) = det(output) * u / v`` for a square input.
     """
     pivots: list[int] = []
     m = len(work)
@@ -223,15 +198,10 @@ def _eliminate(
             continue
         if i != r:
             work[r], work[i] = work[i], work[r]
-            if scale is not None:
-                scale[0] = -scale[0]
         prow = work[r]
         for i in range(0 if reduce else r + 1, m):
             if i != r and work[i][c]:
-                work[i], a, h = _cancel(work[i], prow, c)
-                if scale is not None:
-                    scale[0] *= h
-                    scale[1] *= a
+                work[i] = _cancel(work[i], prow, c)
         pivots.append(c)
         r += 1
     return pivots
@@ -328,21 +298,6 @@ def inverse(m: Sequence) -> Inverse:
 
 def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(r.coords for r in inverse(m))
-
-
-def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(m)
-    work, den = [], 1
-    for row in m:
-        ints, d = _row_ints(row)
-        work.append(ints)
-        den *= d
-    scale = [1, 1]
-    if len(_eliminate(work, n, reduce=False, scale=scale)) < n:
-        return F0
-    for i in range(n):
-        scale[0] *= work[i][i]
-    return Fraction(scale[0], scale[1] * den)
 
 
 def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
@@ -452,7 +407,7 @@ class Subspace:
             return True
         for row, c in zip(self._ints, self._pivots):
             if rem[c]:
-                rem = _cancel(rem, row, c)[0]
+                rem = _cancel(rem, row, c)
         return not any(rem)
 
     def __eq__(self, other: object) -> bool:

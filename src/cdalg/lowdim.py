@@ -27,7 +27,7 @@ The same pivots
 give the exact signature for ``geometric_type`` on int/Fraction input.
 Orbit comparison reads polynomial invariants, exactly on int/Fraction input.
 On float input it and the geometric type, and the canonical frames, run in
-floating point with an explicit tolerance, default 1e-9.
+floating point with the fixed tolerance ``DEFAULT_TOL`` = 1e-9.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ import numpy as np
 from .construct import normalized_basis_algebra
 from .core import Algebra
 from .errors import DimensionMismatchError, MalformedInputError
-from .linalg import F0, F1, Matrix, Vector, _primitive, congruence_diagonal, mat, unit_vector, vec
+from .linalg import (F0, F1, Matrix, Vector, _primitive, congruence_diagonal, mat, scaled_rows,
+                     unit_vector, vec)
 from .numth import Surd, rational_roots, sqrt_fraction, sqrt_rational, ternary_zero
 from .properties import certificate_or_raise
 
@@ -101,7 +102,7 @@ def canonical_params_3d(algebra: Algebra) -> CanonicalForm3:
     """
     if algebra.dim != 3:
         raise DimensionMismatchError("canonical 3d form needs a 3-dimensional algebra")
-    t_raw, z1, z2 = certificate_or_raise(algebra).products(algebra, ((1, 2),))[0]
+    t_raw, z1, z2 = certificate_or_raise(algebra).products(algebra, ((1, 2),))[0].coords
     s_sq = z1 * z1 + z2 * z2
     root = sqrt_fraction(s_sq)
     s: Fraction | float = root if root is not None else math.sqrt(float(s_sq))
@@ -166,7 +167,7 @@ def extract_params_4d(algebra: Algebra) -> Params4:
     trip against build_4d."""
     if algebra.dim != 4:
         raise DimensionMismatchError("parameter extraction needs dimension 4")
-    cols = certificate_or_raise(algebra).products(algebra, _CYCLE)
+    cols = [p.coords for p in certificate_or_raise(algebra).products(algebra, _CYCLE)]
     return Params4(tuple(zip(*(col[1:] for col in cols))), tuple(col[0] for col in cols))
 
 
@@ -253,8 +254,8 @@ def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
     if not z0:
         return None
     # Both forms scaled to integers; z0 is a primitive integer vector.
-    E = _integer_form(tuple(tuple(p - a for p, a in zip(rp, ra)) for rp, ra in zip(P, A)))
-    A = _integer_form(A)
+    E = scaled_rows([[p - a for p, a in zip(rp, ra)] for rp, ra in zip(P, A)])[0]
+    A = scaled_rows(A)[0]
     z0 = tuple(int(c) for c in z0)
     if _form(E, z0, z0) == 0:
         return vec(z0)
@@ -296,12 +297,6 @@ def _shortest_decimal(x: Fraction) -> Fraction:
 
 def _form(M, x, y):
     return _dot(x, tuple(_dot(row, y) for row in M))
-
-
-def _integer_form(M: Matrix) -> list[list[int]]:
-    """M times the lcm of its denominators."""
-    d = math.lcm(*(x.denominator for row in M for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in M]
 
 
 def _combine(coeffs, rows) -> tuple:
@@ -412,28 +407,28 @@ def _sym_eigen(T) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def _signature(T, tol: float) -> tuple[int, int]:
+def _signature(T) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of the symmetric part of T:
-    exact for int and ``Fraction`` entries, with ``tol`` otherwise."""
+    exact for int and ``Fraction`` entries, within ``DEFAULT_TOL`` otherwise."""
     if all(isinstance(x, Rational) for row in T for x in row):
         pivots = congruence_diagonal(symmetric_part(mat(T)))[0]
         return sum(1 for d in pivots if d > 0), sum(1 for d in pivots if d < 0)
     Tf = np.asarray(T, dtype=float)
     scale = 1.0 + np.abs(Tf).max()
     w, _ = _sym_eigen(Tf)
-    return int(np.sum(w > tol * scale)), int(np.sum(w < -tol * scale))
+    return int(np.sum(w > DEFAULT_TOL * scale)), int(np.sum(w < -DEFAULT_TOL * scale))
 
 
-def geometric_type(T, tol: float = DEFAULT_TOL) -> GeometricType:
+def geometric_type(T) -> GeometricType:
     """Rank and signature class of the symmetric part, up to a global sign.
 
     When every entry of T is an int or a ``Fraction`` the signature is
     exact: the signs of the pivots of :func:`cdalg.linalg.congruence_diagonal`
     (Sylvester's law of inertia), the same pivots that decide
-    :func:`is_division_4d`, and ``tol`` is unused.  Otherwise the eigenvalues
-    of the float symmetric part count as zero within ``tol * (1 + max|T_ij|)``.
+    :func:`is_division_4d`.  Otherwise the eigenvalues of the float
+    symmetric part count as zero within ``DEFAULT_TOL * (1 + max|T_ij|)``.
     """
-    pos, neg = _signature(T, tol)
+    pos, neg = _signature(T)
     rank = pos + neg
     if rank == 3:
         kind = "ellipsoid" if pos == 3 or neg == 3 else "hyperboloid"
@@ -507,7 +502,7 @@ _FLIP = np.concatenate([(-1, 1, -1), _ROW_SIGNS[_PAIRS[0]] * _ROW_SIGNS[_PAIRS[1
                         np.prod(_ROW_SIGNS[_TRIPLES], axis=0)])
 
 
-def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
+def equiv_4d(p1, p2) -> Equiv4Result:
     """Decide whether two parameter pairs give isomorphic algebras.
 
     Equivalence means (T', u') = (det Q) (Q T Q^T, Q u) for an orthogonal Q,
@@ -527,7 +522,7 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
     eigenvalues; mapping eigenvectors, one flipped for det Q = 1, extends Q.
 
     When every entry of both pairs is an int or a ``Fraction`` the values
-    are compared exactly and ``tol`` is unused: both pairs are scaled by one
+    are compared exactly, with no tolerance: both pairs are scaled by one
     common integer, so the table is computed on Python ints.  A "yes"
     carries Q = M2^T (M1^T)^-1, M1 the triple of rows of W with the largest
     |det| and M2 the same rows of W', negated when (-T, u) matched; it is
@@ -535,24 +530,24 @@ def equiv_4d(p1, p2, tol: float = DEFAULT_TOL) -> Equiv4Result:
     there is no witness: the equal values are the certificate.
 
     Otherwise both pairs are divided by 1 + max|entry| and the values are
-    compared within ``tol``.  Near a repeated eigenvalue of S, near u = 0 or
-    c = 0, or near u on an eigenvector, a perturbation moves the values only
-    to second order, so equal values are not enough: the Q of the argument
-    above is built in floats (span W from the singular vectors of W with
-    singular value over 10 tol), and "yes" needs it to map one scaled pair
-    onto the other within 100 tol.  A float "yes" always carries this
-    witness.  ``borderline`` marks a largest invariant difference (for the
-    closer sign) in (tol, 10 tol], or a witness residual in (100 tol,
-    1000 tol].  A "no" names the first differing invariant, for the sign
-    that agrees longer, or ``"witness residual"``.
+    compared within tol = ``DEFAULT_TOL``.  Near a repeated eigenvalue of S,
+    near u = 0 or c = 0, or near u on an eigenvector, a perturbation moves
+    the values only to second order, so equal values are not enough: the Q
+    of the argument above is built in floats (span W from the singular
+    vectors of W with singular value over 10 tol), and "yes" needs it to map
+    one scaled pair onto the other within 100 tol.  A float "yes" always
+    carries this witness.  ``borderline`` marks a largest invariant
+    difference (for the closer sign) in (tol, 10 tol], or a witness residual
+    in (100 tol, 1000 tol].  A "no" names the first differing invariant, for
+    the sign that agrees longer, or ``"witness residual"``.
     """
     (T1, u1), (T2, u2) = p1, p2
     T, u = np.array([T1, T2], dtype=object), np.array([u1, u2], dtype=object)
     if T.shape != (2, 3, 3) or u.shape != (2, 3):
         raise DimensionMismatchError("T must be 3x3 and u length 3")
     exact = all(isinstance(x, Rational) for x in itertools.chain(T.flat, u.flat))
+    tol = 0 if exact else DEFAULT_TOL
     if exact:
-        tol = 0
         T, u = (np.vectorize(Fraction, otypes=[object])(a) for a in (T, u))
     else:
         T, u = T.astype(float), u.astype(float)
@@ -674,7 +669,7 @@ class HyperboloidConfig:
     c: tuple[float, float, float]
 
 
-def hyperboloid_config(p, tol: float = DEFAULT_TOL) -> HyperboloidConfig:
+def hyperboloid_config(p) -> HyperboloidConfig:
     """Principal-axis form of a hyperboloid-type parameter pair.
 
     Applies the global sign flip if needed so two eigenvalues are positive,
@@ -684,7 +679,7 @@ def hyperboloid_config(p, tol: float = DEFAULT_TOL) -> HyperboloidConfig:
     for int and ``Fraction`` entries; the frame is computed in floats.
     """
     T, u = p
-    pos, neg = _signature(T, tol)
+    pos, neg = _signature(T)
     if pos + neg != 3 or pos == 3 or neg == 3:
         raise ValueError("parameters are not of hyperboloid type")
     T, u = np.array(T, dtype=float), np.array(u, dtype=float)

@@ -26,11 +26,13 @@ Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
-rational elimination on it.  The certificate (a normalized basis, from
-:func:`orthonormalize` on coefficient vectors against that Gram matrix) is
-not needed for the verdict, so it is built on the first read of
-``certificate`` and then kept; most callers never read it.  The algebra is
-immutable, so the check is computed once and kept on it.
+rational elimination on it.  The certificate is a normalized basis and
+nothing else, from :func:`orthonormalize` on coefficient vectors against
+that Gram matrix; products in it are mapped into its coordinates in
+integers when they are read.  It is not needed for the verdict, so it is
+built on the first read of ``certificate`` and then kept; most callers
+never read it.  The algebra is immutable, so the check is computed once
+and kept on it.
 
 A rational normalized basis exists exactly when the imaginary norm form is
 a sum of squares over Q, which the LDL pivots decide by Hasse-Minkowski
@@ -70,9 +72,7 @@ from .linalg import (
     Matrix,
     Vector,
     congruence_diagonal,
-    identity,
     inverse,
-    mat_vec,
     nonpositive_direction,
     rank,
     scaled_rows,
@@ -134,14 +134,10 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
 
 @dataclass(frozen=True)
 class LocallyComplexCertificate:
-    """A basis 1, e_1, ..., e_{n-1} with e_i^2 = -1 and e_i e_j = -e_j e_i.
-
-    ``basis`` lists the vectors; ``change_of_basis`` maps old coordinates to
-    coordinates in this basis (its inverse has the basis vectors as columns).
-    """
+    """A basis 1, e_1, ..., e_{n-1} with e_i^2 = -1 and e_i e_j = -e_j e_i,
+    listed as its vectors in the algebra's coordinates."""
 
     basis: tuple[Element, ...]
-    change_of_basis: Matrix
 
     def validate(self, algebra: Algebra) -> None:
         if self.basis[0] != algebra.one():
@@ -157,13 +153,16 @@ class LocallyComplexCertificate:
             if any(table[i - 1][j - 1]):
                 raise ValueError(f"certificate vectors {i},{j} do not anticommute")
 
-    def to_certificate_coords(self, x: Element) -> Vector:
-        return mat_vec(self.change_of_basis, x.coords)
-
-    def products(self, algebra: Algebra, pairs) -> list[Vector]:
-        """The products e_i e_j for (i, j) in ``pairs``, in this basis."""
+    def products(self, algebra: Algebra, pairs) -> list[Element]:
+        """The products e_i e_j for (i, j) in ``pairs``, in this basis: rows of
+        the table for the standard basis, and otherwise sum_m x_m r_m, in
+        integers, for a product x and the rows r_m of the basis matrix's
+        inverse (the columns of :func:`coordinate_map`)."""
         e = self.basis
-        return [self.to_certificate_coords(algebra.multiply(e[i], e[j])) for i, j in pairs]
+        if all(b == algebra.basis_element(i) for i, b in enumerate(e)):
+            return [algebra.table_entry(i, j) for i, j in pairs]
+        rows = inverse(e)
+        return [_combine(algebra.multiply(e[i], e[j]), rows, len(e)) for i, j in pairs]
 
 
 class _CertificateOnRead:
@@ -395,7 +394,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
 
 def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     if algebra.dim == 1:
-        cert = LocallyComplexCertificate((algebra.one(),), identity(1))
+        cert = LocallyComplexCertificate((algebra.one(),))
         return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
@@ -442,8 +441,7 @@ def _normalized_basis(
     ortho = orthonormalize(_imaginary_vectors(n, unit, den, traces), rows)
     if isinstance(ortho, str):
         return ortho
-    basis = (Element.of_ints([int(k == unit) for k in range(n)]), *ortho)
-    return LocallyComplexCertificate(basis, tuple(r.coords for r in coordinate_map(basis)))
+    return LocallyComplexCertificate((Element.of_ints([int(k == unit) for k in range(n)]), *ortho))
 
 
 def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
@@ -572,7 +570,8 @@ def is_commutative_jn(algebra: Algebra) -> CommutativeJnCheck:
     bad = np.flatnonzero(np.triu((c != c.transpose(1, 0, 2)).any(axis=2), 1))
     if bad.size:
         return CommutativeJnCheck(False, witness=divmod(int(bad[0]), algebra.dim))
-    return CommutativeJnCheck(True, iso=certificate_or_raise(algebra).change_of_basis)
+    iso = coordinate_map(certificate_or_raise(algebra).basis)
+    return CommutativeJnCheck(True, iso=tuple(r.coords for r in iso))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ double loop of the homomorphism check, the cubic coefficient system of
 quadraticity, the multiply-based imaginary basis, Gram matrix and
 Gram-Schmidt of local complexity, the unit-square search that multiplies
 every candidate and pair, the sum-of-squares searches without the 4^k
-reduction, ``Fraction`` Gauss-Jordan elimination, the annihilator and
+reduction, ``Fraction`` Gauss-Jordan elimination and determinant, the
+``Fraction`` matrix products (``mat_vec``, ``mat_mul``, ``transpose``) that
+the library no longer uses, the annihilator and
 subalgebra closure built from ``Algebra.multiply``, the round-based closure
 over Z and the census that closes one candidate at a time with it, the
 nicely-normed test that multiplies certificate vectors, the zero-divisor
@@ -72,12 +74,10 @@ from cdalg.linalg import (
     F1,
     Matrix,
     Subspace,
+    Vector,
     identity,
     mat,
-    mat_mul,
-    mat_vec,
     nonpositive_direction,
-    transpose,
     unit_vector,
     vec,
 )
@@ -417,7 +417,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
     if algebra.dim == 1:
-        cert = LocallyComplexCertificate((algebra.one(),), identity(1))
+        cert = LocallyComplexCertificate((algebra.one(),))
         return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
@@ -453,9 +453,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
     ortho = orthonormalize(algebra, imag)
     cert = None
     if ortho is not None:
-        basis = [algebra.one()] + ortho
-        cols = tuple(tuple(b.coords[k] for b in basis) for k in range(algebra.dim))
-        cert = LocallyComplexCertificate(tuple(basis), mat_inv(cols))
+        cert = LocallyComplexCertificate((algebra.one(), *ortho))
     return LocallyComplexCheck(True, certificate=cert)
 
 
@@ -833,6 +831,26 @@ def nullspace(rows, ncols: int) -> Matrix:
     return rref(basis)[0]
 
 
+def mat_vec(m: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
+    out = []
+    for row in m:
+        total = F0
+        for entry, x in zip(row, v, strict=True):
+            if entry and x:
+                total += entry * x
+        out.append(total)
+    return tuple(out)
+
+
+def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
+    bt = transpose(b)
+    return tuple(mat_vec(bt, tuple(row)) for row in a)
+
+
+def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in col) for col in zip(*m))
+
+
 def mat_inv(m) -> Matrix:
     n = len(m)
     aug = [list(row) + [F1 if i == j else F0 for j in range(n)] for i, row in enumerate(m)]
@@ -973,14 +991,15 @@ def is_nicely_normed(algebra: Algebra) -> bool:
         raise UnsupportedRationalClassError(
             "cannot test nicely normed without a rational normalized basis"
         )
-    cert = res.certificate
-    m = len(cert.basis)
+    basis = res.certificate.basis
+    to_cert = mat_inv(transpose([b.coords for b in basis]))
+    m = len(basis)
     for i in range(1, m):
         for j in range(1, m):
             if i == j:
                 continue
-            p = algebra.multiply(cert.basis[i], cert.basis[j])
-            if cert.to_certificate_coords(p)[0] != 0:
+            p = algebra.multiply(basis[i], basis[j])
+            if mat_vec(to_cert, p.coords)[0] != 0:
                 return False
     return True
 
@@ -1071,7 +1090,7 @@ def change_of_basis(algebra: Algebra, basis_rows, unit_index=None, labels=None) 
 def table_in_rows(algebra: Algebra, rows) -> list:
     """Coordinates of each product r_p r_q in the rows, through the
     projector (R R^T)^-1 R, checked by mapping them back."""
-    rows = [vec(r) for r in rows]
+    rows = [Element(r).coords for r in rows]
     project = mat_mul(mat_inv(mat_mul(rows, transpose(rows))), rows)
     back = transpose(rows)
     table = []

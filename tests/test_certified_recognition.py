@@ -26,9 +26,10 @@ from cdalg.analysis import (
     rotated_copy,
 )
 from cdalg.kernel import SCREEN_PRIME, AlternativitySweep, alternativity_screen
-from cdalg.linalg import identity, mat_vec
+from cdalg.linalg import identity
 
 import slow_reference as ref
+from slow_reference import mat_vec
 from test_kernel import _quaternion_table
 from test_local_complexity import sheared_named, square_root_table
 from test_zero_test_primes import _two_step_table

@@ -290,6 +290,32 @@ def test_malformed_algebra_file_exits_3(tmp_path, capsys, mangle):
     assert json.loads(err)["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize("command", ["check", "recognize", "table", "classify3"])
+def test_undecodable_algebra_file_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("params", [("-1", "2"), ("1/2", "-3")])
+def test_classify3_negative_params_exit_3(capsys, params):
+    code, out, err = run_cli(capsys, "classify3", "--params", *params)
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "malformed-input" and "nonnegative" in error["error"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_gen_to_unwritable_path_exits_3(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, stdout, err = run_cli(capsys, "gen", "O", "--out", str(out))
+    assert code == 3 and stdout == ""
+    error = json.loads(err)
+    assert error["kind"] == "malformed-input" and str(out) in error["error"]
+
+
 def test_classify4_without_operand_exits_3(capsys):
     code, out, err = run_cli(capsys, "classify4")
     assert code == 3 and out == ""

@@ -22,7 +22,7 @@ from cdalg import (
 from cdalg.construct import InvolutiveAlgebra, _star_products
 from cdalg.core import change_of_basis
 from cdalg.kernel import scaled_tensor
-from cdalg.linalg import mat_inv, mat_mul, transpose
+from cdalg.linalg import mat_inv
 from cdalg.tables import (
     OCTONION_TABLE,
     SEDENION_TABLE,
@@ -33,6 +33,7 @@ from cdalg.tables import (
 )
 
 import slow_reference as ref
+from slow_reference import mat_mul, transpose
 from test_table import scaled_form
 
 F = Fraction

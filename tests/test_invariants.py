@@ -19,7 +19,8 @@ from cdalg import (
     natural_grading,
 )
 from cdalg.analysis import random_rational_orthogonal
-from cdalg.linalg import mat_mul, mat_vec, transpose, det
+
+from slow_reference import det, mat_mul, mat_vec, transpose
 
 F = Fraction
 

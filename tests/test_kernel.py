@@ -23,9 +23,10 @@ from cdalg.kernel import (
     anticommutator_table,
     scaled_tensor,
 )
-from cdalg.linalg import identity, mat_inv, transpose
+from cdalg.linalg import identity, mat_inv
 
 import slow_reference as ref
+from slow_reference import transpose
 
 F0 = Fraction(0)
 DENSE = [0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)]

@@ -30,9 +30,13 @@ from cdalg import (
 )
 from cdalg import lowdim
 from cdalg.analysis import ZeroDivisorSearch, random_rational_orthogonal, zero_divisor_search
-from cdalg.errors import DimensionMismatchError, MalformedInputError
+from cdalg.errors import (
+    DimensionMismatchError,
+    MalformedInputError,
+    UnsupportedRationalClassError,
+)
 from cdalg.kernel import scaled_tensor
-from cdalg.linalg import congruence_diagonal, det, identity, mat, mat_mul, mat_vec, transpose, vec
+from cdalg.linalg import congruence_diagonal, identity, mat, vec
 from cdalg.lowdim import (
     Params4,
     _isotropic,
@@ -41,8 +45,11 @@ from cdalg.lowdim import (
     symmetric_part,
 )
 from cdalg.numth import Surd, ternary_zero
+from cdalg.properties import certificate_or_raise
 
 import slow_reference as ref
+from slow_reference import det, mat_mul, mat_vec, transpose
+from test_kernel import _quaternion_table
 from test_numth import UNFACTORED
 
 F = Fraction
@@ -159,6 +166,73 @@ def test_4d_round_trip_exact():
         params = extract_params_4d(build_4d(T, u))
         assert params.t_matrix == tuple(tuple(row) for row in T)
         assert params.u == tuple(u)
+
+
+def sheared_copy(algebra, rng):
+    """The algebra in the basis 1, b_1 + (multiples of b_2, ..., b_{n-1}),
+    b_2 + ..., ..., b_{n-1}: a unit-triangular shear of the imaginary rows."""
+    n = algebra.dim
+    rows = [[F(int(i == j)) if j <= i else F(rng.randint(-2, 2), rng.randint(1, 3))
+             for j in range(n)] for i in range(n)]
+    rows[0] = [F(int(j == 0)) for j in range(n)]
+    return change_of_basis(algebra, rows, unit_index=0)
+
+
+def nonstandard_certificate_tables():
+    """Tables whose normalized basis is not the standard one: seeded shears
+    of writer tables, (1, i + j, i - j, k) in H, and quaternions over Q."""
+    rng = random.Random(21)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for seed in range(6):
+        yield f"sheared-4d-{seed}", sheared_copy(
+            build_4d([[entry() for _ in range(3)] for _ in range(3)], [entry() for _ in range(3)]),
+            rng)
+        yield f"sheared-3d-{seed}", sheared_copy(build_raw_3d(entry(), entry(), entry()), rng)
+    h = build_4d(identity(3), (0, 0, 0))
+    yield "H-sums", change_of_basis(h, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+                                    unit_index=0)
+    for a, b in ((-1, -3), (-1, -4), (-2, -2)):
+        yield f"quaternions({a},{b})", _quaternion_table(a, b)
+
+
+NONSTANDARD_CERTIFICATES = dict(nonstandard_certificate_tables())
+
+
+def reference_products(algebra, basis, pairs):
+    """e_i e_j multiplied in Fractions and mapped by the inverse of the
+    matrix whose columns are the basis vectors."""
+    to_basis = ref.mat_inv(transpose([b.coords for b in basis]))
+    return [mat_vec(to_basis, ref.multiply(algebra, basis[i], basis[j]).coords) for i, j in pairs]
+
+
+@pytest.mark.parametrize("name", sorted(NONSTANDARD_CERTIFICATES))
+def test_products_in_nonstandard_bases_match_fraction_reference(name):
+    """The integer map of ``products``, and the parameters read through it,
+    equal the Fraction products mapped by the inverse basis matrix."""
+    algebra = NONSTANDARD_CERTIFICATES[name]
+    n = algebra.dim
+    if name == "quaternions(-1,-3)":
+        # Its norm form <1, 3, 3> is not a sum of squares over Q.
+        with pytest.raises(UnsupportedRationalClassError, match="Hasse invariant at 3"):
+            extract_params_4d(algebra)
+        return
+    cert = certificate_or_raise(algebra)
+    assert cert.basis != tuple(map(algebra.basis_element, range(n)))
+    pairs = list(itertools.permutations(range(1, n), 2))
+    want = reference_products(algebra, cert.basis, pairs)
+    assert [p.coords for p in cert.products(algebra, pairs)] == want
+    if n == 4:
+        cols = [want[pairs.index(pair)] for pair in lowdim._CYCLE]
+        params = extract_params_4d(algebra)
+        assert params.t_matrix == tuple(zip(*(col[1:] for col in cols)))
+        assert params.u == tuple(col[0] for col in cols)
+    else:
+        t, z1, z2 = want[pairs.index((1, 2))]
+        form = canonical_params_3d(algebra)
+        assert (form.t, form.s_squared) == (abs(t), z1 * z1 + z2 * z2)
 
 
 def test_extract_quaternions_gives_identity(quaternions):
@@ -810,9 +884,9 @@ def test_equiv_reflective_stabilizer_of_degenerate_pair():
 def test_equiv_borderline_flag():
     T1 = np.diag([1.0, 2.0, 3.0])
     T2 = np.diag([1.0, 2.0, 3.0 + 2e-8])
-    res = equiv_4d((T1, np.zeros(3)), (T2, np.zeros(3)), tol=1e-9)
+    res = equiv_4d((T1, np.zeros(3)), (T2, np.zeros(3)))
     assert not res.equivalent and res.borderline
-    far = equiv_4d((T1, np.zeros(3)), (np.diag([1.0, 2.0, 4.0]), np.zeros(3)), tol=1e-9)
+    far = equiv_4d((T1, np.zeros(3)), (np.diag([1.0, 2.0, 4.0]), np.zeros(3)))
     assert not far.equivalent and not far.borderline
 
 
