@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -488,6 +489,9 @@ def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return flags, options
 
 
+# An argument that starts with "-" and reads as a rational or a list of them
+# ("-1/2", "-1,0,0") is an operand, not an unknown option.
+_NEGATIVE_VALUE = re.compile(r"^-[\d.][\d./eE+,;-]*$")
 _TARGET = _arg("target")
 _SEED = _arg("--seed", type=int, default=0)
 _PARAMS = (_arg("file", nargs="?"), _arg("--T"), _arg("--u"))
@@ -546,6 +550,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     for name in names:
         func, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "md"), default="json")
         for flags, options in arguments:

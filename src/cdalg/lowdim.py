@@ -22,9 +22,11 @@ or Legendre's descent on the diagonal form (``numth.ternary_zero``) gives
 one.  Float entries have pivots too large to factor for the descent; for
 them a small zero is found as a common zero of the decimal part of P and
 its rounding error.  Otherwise z lies in Q(sqrt(m)) for m = -d_i d_j, a
-pair of pivots of opposite signs, and the pair has ``numth.Surd`` entries.
-The same pivots
-give the exact signature for ``geometric_type`` on int/Fraction input.
+pair of pivots of opposite signs.  Either way the pair is built and
+checked on integer parts (z = a + b sqrt(m), T and u over one
+denominator); ``numth.Surd`` is only the value type of the returned
+entries.  The same pivots give the exact signature for ``geometric_type``
+on int/Fraction input.
 Orbit comparison reads polynomial invariants, exactly on int/Fraction input.
 On float input it and the geometric type, and the canonical frames, run in
 floating point with the fixed tolerance ``DEFAULT_TOL`` = 1e-9.
@@ -45,8 +47,8 @@ from .construct import normalized_basis_algebra
 from .core import Algebra
 from .errors import DimensionMismatchError, MalformedInputError
 from .linalg import (F0, F1, Matrix, Vector, _primitive, congruence_diagonal, mat, scaled_rows,
-                     unit_vector, vec)
-from .numth import Surd, rational_roots, sqrt_fraction, sqrt_rational, ternary_zero
+                     vec)
+from .numth import Surd, rational_roots, sqrt_fraction, sqrt_parts, ternary_zero
 from .properties import certificate_or_raise
 
 DEFAULT_TOL = 1e-9
@@ -182,60 +184,64 @@ def symmetric_part(T: Matrix) -> Matrix:
     )
 
 
-def _definite(pivots: Vector) -> bool:
-    return all(d > 0 for d in pivots) or all(d < 0 for d in pivots)
-
-
-def _isotropic(T: Matrix, P: Matrix, pivots: Vector, rows: Matrix) -> tuple:
-    """z != 0 with z^T P z = 0, for P = (T + T^T)/2 not definite, where
-    ``rows P rows^T = diag(pivots)``: rational when :func:`_rational_isotropic`
-    or :func:`_decimal_zero` finds one, otherwise in Q(sqrt(m)) with
-    m = -d_i d_j for a pair of pivots of opposite signs."""
+def _isotropic(T: Matrix) -> tuple | None:
+    """(a, b, m) with z = a + b sqrt(m) != 0 and z^T P z = 0 for
+    P = (T + T^T)/2, or None when P is definite.  z is rational (b = 0 and
+    m = 1) when :func:`_rational_isotropic` or :func:`_decimal_zero` finds
+    one; otherwise m is -d_i d_j, up to square factors, for a pair of
+    pivots of opposite signs of ``rows P rows^T = diag(pivots)``."""
+    P = symmetric_part(T)
+    pivots, rows = congruence_diagonal(P)
     z = _rational_isotropic(P, pivots, rows)
     if z is None:
         z = _decimal_zero(T, P)
     if z:
-        return z
-    i, j = next((i, j) for i in range(3) for j in range(i + 1, 3) if pivots[i] * pivots[j] < 0)
-    # d_i + d_j y^2 = 0 at y = sqrt(-d_i d_j) / d_j.
-    y = sqrt_rational(-pivots[i] * pivots[j]) / pivots[j]
-    return _combine((F1, y), (rows[i], rows[j]))
+        return z, (F0, F0, F0), 1
+    ij = next(((i, j) for i in range(3) for j in range(i + 1, 3) if pivots[i] * pivots[j] < 0), None)
+    if ij is None:
+        return None
+    i, j = ij
+    # d_i + d_j y^2 = 0 at y = sqrt(-d_i d_j) / d_j = c sqrt(m) / d_j.
+    c, m = sqrt_parts(-pivots[i] * pivots[j])
+    return rows[i], tuple(c / pivots[j] * x for x in rows[j]), m
 
 
-def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> Vector | bool | None:
-    """A rational z != 0 with z^T P z = 0 from a zero diagonal entry of P, a
-    zero pivot, a 2x2 principal block of P or a pair of pivots whose binary
-    form has a square discriminant, or the descent of
+def _rational_isotropic(P: Matrix, pivots: Vector, rows: Matrix) -> tuple | bool | None:
+    """A primitive integer z != 0 with z^T P z = 0 from a zero diagonal
+    entry of P, a zero pivot, a 2x2 principal block of P or a pair of pivots
+    whose binary form has a square discriminant, or the descent of
     :func:`cdalg.numth.ternary_zero`.  Otherwise the descent's answer: False
-    when P has no rational isotropic vector (z^T P z is the diagonal form of
-    the pivots in the coordinates of ``rows``), None when it could not
-    factor a pivot."""
+    when P has no rational isotropic vector (P definite, or z^T P z, the
+    diagonal form of the pivots in the coordinates of ``rows``, has no
+    rational zero), None when it could not factor a pivot."""
+    if all(d > 0 for d in pivots) or all(d < 0 for d in pivots):
+        return False
     for i in range(3):
         if P[i][i] == 0:
-            return unit_vector(3, i)
+            return tuple(int(i == j) for j in range(3))
     for d, row in zip(pivots, rows):
         if d == 0:
-            return _primitive_vector(row)
+            return tuple(_primitive(row))
     # P_ii x^2 + 2 P_ij x y + P_jj y^2 = 0 at x = r - P_ij, y = P_ii.
     for i, j in ((0, 1), (0, 2), (1, 2)):
         r = sqrt_fraction(P[i][j] * P[i][j] - P[i][i] * P[j][j])
         if r is not None:
             z = [F0, F0, F0]
             z[i], z[j] = r - P[i][j], P[i][i]
-            return _primitive_vector(z)
+            return tuple(_primitive(z))
     for i in range(3):
         for j in range(i + 1, 3):
             y = sqrt_fraction(-pivots[i] * pivots[j])
             if y is not None:
-                return _primitive_vector(_combine((F1, y / pivots[j]), (rows[i], rows[j])))
+                return tuple(_primitive(_combine((F1, y / pivots[j]), (rows[i], rows[j]))))
     ys = ternary_zero(pivots)
-    return _primitive_vector(_combine(ys, rows)) if ys else ys
+    return tuple(_primitive(_combine(ys, rows))) if ys else ys
 
 
-def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
-    """A rational zero of P that is also a zero of A, the symmetric part of T
-    with each entry that is a float read as the shortest decimal rounding to
-    it (``0.1`` for 3602879701896397/2^55), or None.
+def _decimal_zero(T: Matrix, P: Matrix) -> tuple | None:
+    """A primitive integer zero of P that is also a zero of A, the symmetric
+    part of T with each entry that is a float read as the shortest decimal
+    rounding to it (``0.1`` for 3602879701896397/2^55), or None.
 
     P = A + E, where A has small denominators, so its pivots factor, and E
     holds the rounding errors.  A zero z of P with small entries is a zero of
@@ -249,16 +255,14 @@ def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
     A = symmetric_part(tuple(tuple(_shortest_decimal(x) for x in row) for row in T))
     if A == P:
         return None
-    pivots, rows = congruence_diagonal(A)
-    z0 = None if _definite(pivots) else _rational_isotropic(A, pivots, rows)
+    z0 = _rational_isotropic(A, *congruence_diagonal(A))
     if not z0:
         return None
     # Both forms scaled to integers; z0 is a primitive integer vector.
     E = scaled_rows([[p - a for p, a in zip(rp, ra)] for rp, ra in zip(P, A)])[0]
     A = scaled_rows(A)[0]
-    z0 = tuple(int(c) for c in z0)
     if _form(E, z0, z0) == 0:
-        return vec(z0)
+        return z0
     k = next(i for i in range(3) if z0[i])
     p1, p2 = (tuple(int(i == j) for j in range(3)) for i in range(3) if i != k)
     a01, a02 = _form(A, z0, p1), _form(A, z0, p2)
@@ -283,7 +287,7 @@ def _decimal_zero(T: Matrix, P: Matrix) -> Vector | None:
         candidates.append(_combine((p * p, p * q, q * q), (c2, c1, c0)))
     for z in candidates:
         if any(z) and _form(P, z, z) == 0:
-            return _primitive_vector(z)
+            return tuple(_primitive(z))
     return None
 
 
@@ -303,85 +307,70 @@ def _combine(coeffs, rows) -> tuple:
     return tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(3))
 
 
-def _primitive_vector(v: Sequence[Fraction]) -> Vector:
-    return tuple(Fraction(x) for x in _primitive(v))
-
-
-def exact_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | None:
-    """A pair (x, y) of nonzero elements with x y = 0 in the algebra of these
-    parameters, in (scalar, vector) coordinates, or None exactly when the
-    symmetric part P of T is definite.
-
-    The entries are ``Fraction``s when :func:`_isotropic` finds a rational
-    isotropic vector z of P: always when P has one and the descent can
-    factor its pivots, and for a small z when T has float entries.  They
-    lie in Q(sqrt(m)) (:class:`cdalg.numth.Surd`) otherwise.
-    """
-    T = mat(params.t_matrix)
-    P = symmetric_part(T)
-    pivots, rows = congruence_diagonal(P)
-    if _definite(pivots):
-        return None
-    return _pair_of_isotropic(T, params.u, _isotropic(T, P, pivots, rows))
-
-
 def rational_zero_divisor_pair(params: Params4) -> tuple[tuple, tuple] | bool | None:
-    """The pair of :func:`exact_zero_divisor_pair` when a rational isotropic
-    vector of P gives it; False when P has none (definite, or no rational
+    """The pair of :func:`is_division_4d` when a rational isotropic vector of
+    P gives it; False when P has none (definite, or no rational
     zero by the descent), so that the algebra over Q has no zero divisors
     (see ``cdalg.analysis._lowdim_exact_route``); None when the descent
     could not factor a pivot."""
     T = mat(params.t_matrix)
     P = symmetric_part(T)
-    pivots, rows = congruence_diagonal(P)
-    if _definite(pivots):
-        return False
-    z = _rational_isotropic(P, pivots, rows)
-    return _pair_of_isotropic(T, params.u, z) if z else z
+    z = _rational_isotropic(P, *congruence_diagonal(P))
+    return _pair_of_isotropic(T, params.u, (z, (F0, F0, F0), 1)) if z else z
 
 
 def _pair_of_isotropic(T: Matrix, u: Vector, z: tuple) -> tuple[tuple, tuple]:
-    """With w = -T z, x = (0, w) and y = (1, (z x w)/|w|^2 + (z.u / |w|^2) w);
-    when T z = 0, w is any vector orthogonal to z and y has scalar part 0."""
-    tz = tuple(_dot(row, z) for row in T)
-    if all(x == 0 for x in tz):
-        w = _any_orthogonal(z)
-        t_scalar = F0
-    else:
-        w = tuple(-x for x in tz)
-        t_scalar = F1
-    wnorm = _dot(w, w)
-    v = tuple(x / wnorm for x in _cross(z, w))
-    s = -_dot(z, vec(u)) / wnorm
-    y_vec = tuple(vi - s * wi for vi, wi in zip(v, w))
-    x = (F0, *w)
-    y = (t_scalar, *y_vec)
-    return (x, y)
+    """The pair (x, y) of an isotropic z = a + b sqrt(m) of the symmetric
+    part of T, checked: with w = -T z, x = (0, w) and
+    y = (1, (z x w + (z.u) w) / |w|^2); when T z = 0, w = z x e_k for the
+    first e_k that makes it nonzero, and y has scalar part 0.
+
+    T, u, a and b are scaled once to integers over one denominator D:
+    z = Z / D and w = W / D^2 with Z, W in Z[sqrt(m)]^3, and y = (t, Y / N)
+    with Y = D (Z x W) + (Z.U) W, U = D u, and N = |W|^2.  These, and D times
+    the product (0, W)(t N, Y), which is zero exactly when x y is, are
+    computed on integer parts by :func:`_lift`.  ``Fraction`` and ``Surd``
+    entries are made only for the returned pair.  Raises ArithmeticError
+    when the check fails, as it does when z is not isotropic.
+    """
+    rows, D = scaled_rows([*T, u, *z[:2]])
+    Tn, un, Z, m = rows[:3], rows[3], rows[4:], z[2]
+    W = tuple(tuple(-_dot(row, p) for row in Tn) for p in Z)
+    t = int(any(W[0] + W[1]))
+    if not t:
+        axes = ((D, 0, 0), (0, D, 0), (0, 0, D))
+        W = next((w for w in (tuple(_cross(p, e) for p in Z) for e in axes) if any(w[0] + w[1])), W)
+    N = _lift(_dot, W, W, m)
+    Y = _lift(lambda p, q: tuple(D * c + _dot(p, un) * x for c, x in zip(_cross(p, q), q)), Z, W, m)
+
+    def product(x, y):
+        # D (l + v)(k + w) = D (lk - v.w + (v x w).u, lw + kv + T (v x w)).
+        c = _cross(x[1:], y[1:])
+        return (D * (x[0] * y[0] - _dot(x[1:], y[1:])) + _dot(c, un),
+                *(D * (x[0] * y[r] + y[0] * x[r]) + _dot(Tn[r - 1], c) for r in (1, 2, 3)))
+
+    xy = _lift(product, ((0, *W[0]), (0, *W[1])), ((t * N[0], *Y[0]), (t * N[1], *Y[1])), m)
+    if any(xy[0] + xy[1]) or not any(W[0] + W[1]) or not (t or any(Y[0] + Y[1])):
+        raise ArithmeticError("zero-divisor pair failed verification")
+    # 1 / N = (N_0 - N_1 sqrt(m)) / (N_0^2 - m N_1^2).
+    Y = _lift(lambda c, v: tuple(c * x for x in v), (N[0], -N[1]), Y, m)
+    return (F0, *_surds(*W, D * D, m)), (Fraction(t), *_surds(*Y, N[0] * N[0] - m * N[1] * N[1], m))
 
 
-def _any_orthogonal(z) -> tuple:
-    for trial in ((F1, F0, F0), (F0, F1, F0), (F0, F0, F1)):
-        c = _cross(z, trial)
-        if any(x != 0 for x in c):
-            return c
-    raise ValueError("zero vector has no orthogonal complement direction")
+def _lift(f, x: tuple, y: tuple, m: int) -> tuple:
+    """f(x, y) for a bilinear f and x = x0 + x1 sqrt(m), y = y0 + y1 sqrt(m):
+    the parts (f(x0, y0) + m f(x1, y1), f(x0, y1) + f(x1, y0)), entrywise
+    when f gives vectors."""
+    p, q, r, s = f(x[0], y[0]), f(x[1], y[1]), f(x[0], y[1]), f(x[1], y[0])
+    if isinstance(p, tuple):
+        return tuple(i + m * j for i, j in zip(p, q)), tuple(i + j for i, j in zip(r, s))
+    return p + m * q, r + s
 
 
-def multiply_4d_exact(t_matrix, u, x, y) -> tuple:
-    """Exact product in the (T, u) algebra; x and y may have
-    :class:`cdalg.numth.Surd` entries."""
-    T = mat(t_matrix)
-    uu = vec(u)
-    x = tuple(c if isinstance(c, Surd) else Fraction(c) for c in x)
-    y = tuple(c if isinstance(c, Surd) else Fraction(c) for c in y)
-    lam, xv = x[0], x[1:]
-    mu, yv = y[0], y[1:]
-    cr = _cross(xv, yv)
-    scalar = lam * mu - _dot(xv, yv) + _dot(cr, uu)
-    vector = tuple(
-        lam * yv[r] + mu * xv[r] + _dot(T[r], cr) for r in range(3)
-    )
-    return (scalar, *vector)
+def _surds(p: Sequence[int], q: Sequence[int], den: int, m: int) -> tuple:
+    """The numbers (p_k + q_k sqrt(m)) / den: a ``Fraction`` where q_k = 0."""
+    return tuple(Surd(Fraction(i, den), Fraction(j, den), m) if j else Fraction(i, den)
+                 for i, j in zip(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +441,25 @@ def is_division_4d(T, u=None) -> DivisionCheck:
     """Division criterion: the symmetric part of T must be definite.
 
     Decided exactly for every finite real input (floats are read as the
-    rationals they denote) by one LDL of the symmetric part.  A "no"
-    carries a zero-divisor pair from :func:`exact_zero_divisor_pair`,
-    verified exactly, with ``exact`` True; its entries are rational when a
-    rational isotropic vector of the symmetric part is found, and lie in
-    Q(sqrt(m)) otherwise.  NaN or infinite entries raise
+    rationals they denote) by one LDL of the symmetric part P.  A "no"
+    carries the zero-divisor pair of :func:`_pair_of_isotropic`, checked
+    exactly, with ``exact`` True.  Its entries are ``Fraction``s when
+    :func:`_isotropic` finds a rational isotropic vector of P: always when
+    P has one and the descent can factor its pivots, and for a small one
+    when T has float entries.  They lie in Q(sqrt(m))
+    (:class:`cdalg.numth.Surd`) otherwise.  NaN or infinite entries raise
     :class:`MalformedInputError`.
     """
     try:
-        params = Params4(mat(T), vec((0, 0, 0) if u is None else u))
+        T, u = mat(T), vec((0, 0, 0) if u is None else u)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"4d parameters must be finite real numbers: {exc}") from None
-    if len(params.t_matrix) != 3 or any(len(r) != 3 for r in params.t_matrix) or len(params.u) != 3:
+    if len(T) != 3 or any(len(r) != 3 for r in T) or len(u) != 3:
         raise DimensionMismatchError("T must be 3x3 and u length 3")
-    pair = exact_zero_divisor_pair(params)
-    if pair is None:
+    z = _isotropic(T)
+    if z is None:
         return DivisionCheck(True)
-    x, y = pair
-    if any(multiply_4d_exact(params.t_matrix, params.u, x, y)) or not any(x) or not any(y):
-        raise ArithmeticError("exact zero-divisor pair failed verification")
-    return DivisionCheck(False, pair, exact=True)
+    return DivisionCheck(False, _pair_of_isotropic(T, u, z), exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ proves them: trial division by the primes below ``_TRIAL_BOUND`` and a
 deterministic Miller-Rabin test of the cofactor below ``_MR_LIMIT``,
 whose composite cofactors Pollard's rho splits.  The
 answer of :func:`ternary_zero` is a zero, False (a proof that there is
-none), or None when a number could not be factored.  :class:`Surd` is the
-exact number ``a + b sqrt(m)`` for forms with no rational zero.
+none), or None when a number could not be factored.  For forms with no
+rational zero, :func:`sqrt_parts` gives the radicand m of a zero in
+Q(sqrt(m)), and :class:`Surd` is the printed value type of the exact
+number ``a + b sqrt(m)``: it has ring operations and no division.
 :func:`rational_roots` reads the rational roots of an integer polynomial
 off floating-point approximations and keeps only exact ones.
 """
@@ -167,10 +169,12 @@ class Surd:
     """The real number ``a + b sqrt(m)``, with ``a, b`` rational, ``b != 0``
     and ``m > 1`` an integer that is not a square.
 
-    Sums, differences, products and quotients with ints, ``Fraction``s and
-    surds of the same ``m`` are exact; a result with no ``sqrt(m)`` part
-    comes back as a ``Fraction``, so a surd is never zero.  ``float`` is the
-    correctly signed real value.
+    The printed value type of the entries of a zero-divisor pair in
+    Q(sqrt(m)); ``cdalg.lowdim`` builds and checks the pair on integer
+    parts.  Sums, differences and products with ints, ``Fraction``s and
+    surds of the same ``m`` are exact, so a caller can multiply the pair; a
+    result with no ``sqrt(m)`` part comes back as a ``Fraction``, so a surd
+    is never zero.  ``float`` is the correctly signed real value.
     """
 
     __slots__ = ("a", "b", "m")
@@ -222,24 +226,6 @@ class Surd:
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Surd":
-        norm = self.a * self.a - self.m * self.b * self.b  # nonzero: m is not a square
-        return Surd(self.a / norm, -self.b / norm, self.m)
-
-    def __truediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        if not p[1]:
-            return Surd(self.a / p[0], self.b / p[0], self.m)
-        return self * Surd(p[0], p[1], self.m)._inverse()
-
-    def __rtruediv__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        return self._inverse() * self._new(*p)
-
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
@@ -274,19 +260,19 @@ class Surd:
         return f"Surd({self.a!r}, {self.b!r}, {self.m})"
 
 
-def sqrt_rational(q: Fraction) -> Fraction | Surd:
-    """The positive square root of a rational q > 0: a ``Fraction`` when q is
-    a rational square, otherwise ``b sqrt(m)`` with squares of the small
-    primes taken out of ``m``."""
+def sqrt_parts(q: Fraction) -> tuple[Fraction, int]:
+    """(c, m) with sqrt(q) = c sqrt(m) for a rational q > 0: m = 1 when q is
+    a rational square, otherwise m is not a square and has the squares of
+    the small primes taken out."""
     root = sqrt_fraction(q)
     if root is not None:
-        return root
+        return root, 1
     m, s = q.numerator * q.denominator, 1
     for p in _small_primes():
         while m % (p * p) == 0:
             m //= p * p
             s *= p
-    return Surd(Fraction(0), Fraction(s, q.denominator), m)
+    return Fraction(s, q.denominator), m
 
 
 # ---------------------------------------------------------------------------

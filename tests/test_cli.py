@@ -413,6 +413,100 @@ def test_division4_prints_exact_surd_pairs(capsys):
     assert code == 0 and "sqrt" not in out and json.loads(out)["pair_exact"] is True
 
 
+# The whole stdout of division4 for each kind of zero-divisor pair.
+DIVISION4_STDOUT = [
+    # a Q(sqrt(3)) pair
+    (["--T=1,0,0,0,1,0,0,0,-3", "--u=1,2,3"], """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "-1",
+   "0",
+   "-sqrt(3)"
+  ],
+  [
+   "1",
+   "-1/4 + 1/4*sqrt(3)",
+   "1/3*sqrt(3)",
+   "3/4 - 1/4*sqrt(3)"
+  ]
+ ],
+ "pair_exact": true
+}
+"""),
+    # a rational pair
+    (["--T=1,0,0,0,1,0,0,0,-2", "--u=1,2,3"], """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "-1",
+   "1",
+   "-2"
+  ],
+  [
+   "1",
+   "7/6",
+   "-1/6",
+   "4/3"
+  ]
+ ],
+ "pair_exact": true
+}
+"""),
+    # T z = 0: w is z x e_k and y has scalar part 0
+    (["--T=1,2,0,-2,1,0,0,0,0", "--u=0,1,0"], """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "0",
+   "1",
+   "0"
+  ],
+  [
+   "0",
+   "-1",
+   "0",
+   "0"
+  ]
+ ],
+ "pair_exact": true
+}
+"""),
+    # a dense rational T
+    (["--T=1/3,2,-5/7,1,-1/2,3,2,1/5,-2", "--u=1/2,-1,3"], """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "7",
+   "-133",
+   "46/5"
+  ],
+  [
+   "1",
+   "45865/148522",
+   "-128825/148522",
+   "-12295/74261"
+  ]
+ ],
+ "pair_exact": true
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", DIVISION4_STDOUT, ids=[a[0] for a, _ in DIVISION4_STDOUT])
+def test_division4_stdout_is_pinned(capsys, argv, stdout):
+    assert run_cli(capsys, "division4", *argv) == (0, stdout, "")
+
+
 def test_classify4_kind_agrees_with_division_near_a_tiny_eigenvalue(capsys):
     for last, kind, division in (("1/1000000000000", "ellipsoid", True),
                                  ("-1/1000000000000", "hyperboloid", False)):

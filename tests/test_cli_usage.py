@@ -2,10 +2,10 @@
 
 Each case holds the exact stdout, stderr and exit code of one argv: the
 top-level and every sub-command's ``--help``, no command, an unknown
-command, unknown options before and after the command, missing operands and
-bad option values.  ``cli.main`` builds only the sub-parser its first token
-names, and these bytes pin that the lazy build prints what the full parser
-prints.  The literals are argparse's wording on Python 3.11 at 80 columns;
+command, unknown options before and after the command, missing operands,
+bad option values and values that begin with "-".  ``cli.main`` builds
+only the sub-parser its first token names, and these bytes pin that the
+lazy build prints what the full parser prints.  The literals are argparse's wording on Python 3.11 at 80 columns;
 other Python versions word some messages differently.
 """
 
@@ -420,6 +420,66 @@ usage: cdalg subalg [-h] [--format {json,md}] [--dims DIMS] [--budget BUDGET]
                     [--seed SEED]
                     target
 cdalg subalg: error: argument --budget: invalid int value: 'many'
+""",
+    ),
+    # Option values that begin with "-" and read as rationals or comma lists
+    # are values, as they are after "=".
+    (
+        ['division4', '--T', '-1,0,0,0,1,0,0,0,1'],
+        0,
+        """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "1",
+   "1",
+   "0"
+  ],
+  [
+   "1",
+   "0",
+   "0",
+   "1"
+  ]
+ ],
+ "pair_exact": true
+}
+""",
+        "",
+    ),
+    (
+        ['division4', '--T=1,0,0,0,1,0,0,0,-3', '--u', '-1,0,0'],
+        0,
+        """\
+{
+ "division": false,
+ "zero_divisor_pair": [
+  [
+   "0",
+   "-1",
+   "0",
+   "-sqrt(3)"
+  ],
+  [
+   "1",
+   "1/4",
+   "1/3*sqrt(3)",
+   "1/4*sqrt(3)"
+  ]
+ ],
+ "pair_exact": true
+}
+""",
+        "",
+    ),
+    (
+        ['classify3', '--params', '1', '-1/2'],
+        3,
+        "",
+        """\
+{"error": "bad --params: canonical parameters must be nonnegative; use build_raw_3d", "kind": "malformed-input"}
 """,
     ),
 ]

@@ -37,13 +37,7 @@ from cdalg.errors import (
 )
 from cdalg.kernel import scaled_tensor
 from cdalg.linalg import congruence_diagonal, identity, mat, vec
-from cdalg.lowdim import (
-    Params4,
-    _isotropic,
-    exact_zero_divisor_pair,
-    multiply_4d_exact,
-    symmetric_part,
-)
+from cdalg.lowdim import Params4, _isotropic, _pair_of_isotropic, symmetric_part
 from cdalg.numth import Surd, ternary_zero
 from cdalg.properties import certificate_or_raise
 
@@ -593,7 +587,7 @@ def test_division_counterexample_exact():
     res = is_division_4d(T, [0, 0, 0])
     assert not res.is_division and res.exact
     x, y = res.pair
-    prod = multiply_4d_exact(T, [0, 0, 0], x, y)
+    prod = product_4d(mat(T), [0, 0, 0], x, y)
     assert all(c == 0 for c in prod)
     assert any(c != 0 for c in x) and any(c != 0 for c in y)
 
@@ -606,7 +600,7 @@ def test_division_matches_ellipsoid_type():
         assert res.is_division == (geometric_type(T).kind == "ellipsoid")
         if not res.is_division:
             assert res.exact and res.pair is not None
-            assert not any(multiply_4d_exact(T, [0, 0, 0], *res.pair))
+            assert not any(product_4d(mat(T), [0, 0, 0], *res.pair))
 
 
 def test_division_float_witness():
@@ -614,7 +608,7 @@ def test_division_float_witness():
     res = is_division_4d(T, [0.5, 0.5, 0.5])
     assert not res.is_division and res.exact
     x, y = res.pair
-    assert not any(multiply_4d_exact(T, [0.5, 0.5, 0.5], x, y))
+    assert not any(product_4d(mat(T), vec([0.5, 0.5, 0.5]), x, y))
     assert any(x) and any(y)
 
 
@@ -692,26 +686,35 @@ def test_division_oracle_tenths(entries):
     assert not any(isinstance(c, np.generic) for c in (res.pair or ((), ()))[0])
 
 
+def form(P, x, y):
+    return sum(x[i] * P[i][j] * y[j] for i in range(3) for j in range(3))
+
+
+def is_isotropic(P, z):
+    """z = a + b sqrt(m) with z^T P z = 0: a^T P a + m b^T P b = 0 and
+    a^T P b = 0, as 1 and sqrt(m) are independent over Q."""
+    a, b, m = z
+    return form(P, a, a) + m * form(P, b, b) == 0 and form(P, a, b) == 0
+
+
 def test_sum_of_two_squares_minus_three_squares_has_no_rational_zero():
     T = [[1, 0, 0], [0, 1, 0], [0, 0, -3]]
     P = symmetric_part(mat(T))
     assert ref.rational_isotropic(P) is None
     assert lowdim._rational_isotropic(P, *congruence_diagonal(P)) is False
-    z = _isotropic(P, P, *congruence_diagonal(P))
-    assert any(isinstance(c, Surd) for c in z)
-    assert sum(z[i] * z[i] * P[i][i] for i in range(3)) == 0
+    z = _isotropic(mat(T))
+    assert any(z[1]) and z[2] == 3 and is_isotropic(P, z)
     res = is_division_4d(T, [1, 2, 3])
     assert not res.is_division and res.exact and not is_rational(res.pair)
     assert {c.m for c in res.pair[0] + res.pair[1] if isinstance(c, Surd)} == {3}
-    assert not any(multiply_4d_exact(T, [1, 2, 3], *res.pair))
+    assert not any(product_4d(mat(T), [1, 2, 3], *res.pair))
 
 
 def test_sum_of_two_squares_minus_two_squares_has_a_rational_zero():
     T = [[1, 0, 0], [0, 1, 0], [0, 0, -2]]
     P = symmetric_part(mat(T))
-    z = _isotropic(P, P, *congruence_diagonal(P))
-    assert all(type(c) is Fraction for c in z) and any(z)
-    assert sum(z[i] * z[i] * P[i][i] for i in range(3)) == 0
+    z = _isotropic(mat(T))
+    assert any(z[0]) and not any(z[1]) and z[2] == 1 and is_isotropic(P, z)
     res = is_division_4d(T, [1, 2, 3])
     assert not res.is_division and res.exact and is_rational(res.pair)
 
@@ -723,13 +726,13 @@ def test_singular_symmetric_part_gives_a_kernel_vector():
     P = symmetric_part(mat(T))
     pivots, rows = congruence_diagonal(P)
     assert pivots[2] == 0
-    z = _isotropic(T, P, pivots, rows)
-    assert z == (-3, 1, 2)
-    assert all(sum(P[i][j] * z[j] for j in range(3)) == 0 for i in range(3))
+    a, b, m = z = _isotropic(mat(T))
+    assert a == (-3, 1, 2) and not any(b) and m == 1 and is_isotropic(P, z)
+    assert all(sum(P[i][j] * a[j] for j in range(3)) == 0 for i in range(3))
     T = [[1, 2, 0], [-2, 1, 0], [0, 0, 0]]  # P = diag(1, 1, 0)
     res = is_division_4d(T, [0, 1, 0])
     assert not res.is_division and is_rational(res.pair)
-    assert not any(multiply_4d_exact(T, [0, 1, 0], *res.pair))
+    assert not any(product_4d(mat(T), [0, 1, 0], *res.pair))
 
 
 def test_decimal_floats_get_a_rational_pair_without_factoring():
@@ -753,9 +756,22 @@ def test_decimal_floats_get_a_rational_pair_without_factoring():
 
 
 def test_exact_pair_is_none_only_for_definite_parts():
-    assert exact_zero_divisor_pair(extract_params_4d(build_4d(np.eye(3).tolist(), [0, 0, 0]))) is None
+    assert is_division_4d(*extract_params_4d(build_4d(np.eye(3).tolist(), [0, 0, 0]))).pair is None
     params = extract_params_4d(build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -3]], [0, 0, 0]))
-    assert exact_zero_divisor_pair(params) is not None
+    assert is_division_4d(*params).pair is not None
+
+
+@pytest.mark.parametrize("z", [
+    ((1, 0, 0), (0, 0, 0), 1),  # z^T P z = 1
+    ((1, 0, 0), (0, 1, 0), 2),  # z = (1, sqrt(2), 0), z^T P z = 3
+])
+def test_pair_of_a_vector_that_is_not_isotropic_fails_its_check(z):
+    """The builder's own check is live: the construction gives x y = 0 only
+    for an isotropic z."""
+    T = mat([[1, 0, 0], [0, 1, 0], [0, 0, -3]])
+    assert not is_isotropic(symmetric_part(T), z)
+    with pytest.raises(ArithmeticError):
+        _pair_of_isotropic(T, vec((1, 2, 3)), z)
 
 
 @pytest.mark.parametrize("diagonal, want", [
@@ -771,8 +787,8 @@ def test_rational_pair_is_three_valued(diagonal, want):
     params = Params4(mat(T), vec((1, 2, 3)))
     got = lowdim.rational_zero_divisor_pair(params)
     if want == "pair":
-        assert is_rational(got) and not any(multiply_4d_exact(T, (1, 2, 3), *got))
-        assert got == exact_zero_divisor_pair(params)
+        assert is_rational(got) and not any(product_4d(T, (1, 2, 3), *got))
+        assert got == is_division_4d(*params).pair
     else:
         assert got is want
 

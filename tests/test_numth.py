@@ -22,7 +22,7 @@ from cdalg.numth import (
     sqrt_fraction,
     sum_of_squares_obstruction,
     rational_roots,
-    sqrt_rational,
+    sqrt_parts,
     ternary_zero,
     three_squares,
     two_squares,
@@ -171,7 +171,7 @@ radicands = st.sampled_from([2, 3, 5, 6, 7, 10])
 
 
 def surd(a, b, m):
-    return a + b * sqrt_rational(Fraction(m))
+    return a + b * Surd(Fraction(0), Fraction(1), m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,14 +179,13 @@ def surd(a, b, m):
 def test_surd_field_arithmetic(a, b, c, d, m):
     x, y = surd(a, b, m), surd(c, d, m)
     assert isinstance(y, Surd)
-    # Exact identities, with the rational part of each result a Fraction.
-    assert x + y - y == x and (x * y) / y == x
+    # Exact ring identities, with the rational part of each result a Fraction.
+    assert x + y - y == x and x * y == y * x and x * (y + 1) == x * y + x
+    assert (x * y) * y == x * (y * y)
     assert x - x == 0 and type(x - x) is Fraction
-    assert y / y == 1 and type(y / y) is Fraction
-    assert (y * (1 / y)) == 1
     # ints and Fractions on either side.
     assert 2 * y == y + y == y * 2 and 1 - y == -(y - 1)
-    assert Fraction(1, 3) * y == y / 3 == y * Fraction(1, 3)
+    assert Fraction(1, 3) * y == y * Fraction(1, 3) and 3 * (Fraction(1, 3) * y) == y
     assert sum([y, 1, Fraction(1, 2)]) == y + Fraction(3, 2)
     assert bool(y) and bool(x) == bool(a or b)
     assert abs(float(x * y) - float(x) * float(y)) <= 1e-9 * (1 + abs(float(x) * float(y)))
@@ -196,18 +195,18 @@ def test_surd_field_arithmetic(a, b, c, d, m):
 
 
 def test_surd_text_and_radicand():
-    assert sqrt_rational(Fraction(3, 4)) == Surd(Fraction(0), Fraction(1, 2), 3)
-    assert str(sqrt_rational(Fraction(3, 4))) == "1/2*sqrt(3)"
-    assert str(sqrt_rational(Fraction(72))) == "6*sqrt(2)"
-    assert str(1 - sqrt_rational(Fraction(5))) == "1 - sqrt(5)"
-    assert str(-sqrt_rational(Fraction(5))) == "-sqrt(5)"
-    assert str(Fraction(-2, 3) + 3 * sqrt_rational(Fraction(5))) == "-2/3 + 3*sqrt(5)"
-    assert sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_rational(Fraction(2)) == sqrt_rational(Fraction(8)) / 2
-    assert sqrt_rational(Fraction(2)) != sqrt_rational(Fraction(3))
-    assert float(1 - sqrt_rational(Fraction(2))) < 0
+    assert sqrt_parts(Fraction(3, 4)) == (Fraction(1, 2), 3)
+    assert sqrt_parts(Fraction(72)) == (6, 2) and sqrt_parts(Fraction(8, 3)) == (Fraction(2, 3), 6)
+    assert sqrt_parts(Fraction(9, 4)) == (Fraction(3, 2), 1)
+    assert str(surd(0, Fraction(1, 2), 3)) == "1/2*sqrt(3)"
+    assert str(surd(0, 6, 2)) == "6*sqrt(2)"
+    assert str(surd(1, -1, 5)) == "1 - sqrt(5)"
+    assert str(surd(0, -1, 5)) == "-sqrt(5)"
+    assert str(surd(Fraction(-2, 3), 3, 5)) == "-2/3 + 3*sqrt(5)"
+    assert surd(0, 1, 8) == surd(0, 2, 2) and surd(0, 1, 2) != surd(0, 1, 3)
+    assert float(surd(1, -1, 2)) < 0
     with pytest.raises(ValueError):
-        sqrt_rational(Fraction(2)) + sqrt_rational(Fraction(3))
+        surd(0, 1, 2) + surd(0, 1, 3)
 
 
 # -- factoring and rational conics ----------------------------------------------
