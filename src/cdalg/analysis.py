@@ -543,7 +543,7 @@ def annihilator(algebra: Algebra, x: Element) -> Subspace:
     """Ann(x) = {y : xy = 0}, the exact kernel of left multiplication by x."""
     if x.dim != algebra.dim:
         raise DimensionMismatchError("element does not conform to algebra")
-    return Subspace(nullspace(left_mul_rows(algebra, x), algebra.dim), algebra.dim)
+    return Subspace._of_reduced(kernel_basis(left_mul_rows(algebra, x), algebra.dim), algebra.dim)
 
 
 # ---------------------------------------------------------------------------

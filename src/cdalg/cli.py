@@ -245,13 +245,8 @@ def cmd_check(args) -> int:
     if want("superalt"):
         if grading is None:
             report.set("super_alternative", "unknown", "no grading available")
-        elif alt is not None and alt.holds:
-            # The laws hold for every u, so for homogeneous u as well; the
-            # grading must still be valid.
-            grading.validate(algebra)
-            report.set("super_alternative", "yes")
         else:
-            sa = is_super_alternative(algebra, grading)
+            sa = _super_alternativity(algebra, grading, alt)
             witness = None
             if not sa.holds:
                 u, x, law = sa.witness
@@ -272,6 +267,22 @@ def cmd_check(args) -> int:
             report.set("has_zero_divisors", "unknown", f"search exhausted after {zd.tried} candidates")
     _emit({"flags": report.flags, "witnesses": report.witnesses}, args.format)
     return EXIT_OK
+
+
+def _super_alternativity(algebra: Algebra, grading: Grading, alt):
+    """``is_super_alternative``, or the alternativity check ``alt`` once the
+    grading is valid where the super sweep must end as that sweep did: the
+    laws hold for every u, or the even rows are the basis vectors of
+    increasing indices (their family is a subsequence of the full one, in
+    its order) and hold the witness u, so every earlier member passed."""
+    partition = grading.index_partition()
+    if alt is not None and (alt.holds or partition is not None
+                            and grading.even_rows == grading.even.rows
+                            and {k for k, v in enumerate(alt.witness[0].num) if v}
+                            <= set(partition[0])):
+        grading.validate(algebra)
+        return alt
+    return is_super_alternative(algebra, grading)
 
 
 def cmd_recognize(args) -> int:

@@ -47,14 +47,16 @@ from .errors import (
     UnknownAlgebraError,
 )
 from .kernel import INT64_LIMIT, ScaledTensor, _exact, _height, product_table, scaled_tensor
-from .linalg import F0, F1, Matrix, Subspace, identity, mat, scaled_rows, unit_vector
+from .linalg import F0, F1, Matrix, Subspace, identity, mat, scaled_rows
 
 
 class Grading:
     """An even/odd split making the algebra a superalgebra.
 
     Keeps both the caller's spanning rows (useful downstream, e.g. when they
-    are orthonormal) and canonical echelon subspaces for equality tests.
+    are orthonormal) and canonical echelon subspaces for equality tests.  An
+    index grading (both parts spanned by basis vectors) is validated on its
+    index sets, with no echelon of both parts.
     """
 
     __slots__ = ("even", "odd", "even_rows", "odd_rows")
@@ -72,9 +74,8 @@ class Grading:
         if sorted(list(even) + list(odd)) != list(range(dim)):
             raise InvalidGradingError("even/odd indices must partition the basis")
         # Distinct unit vectors are independent and already in echelon form.
-        grading = cls.__new__(cls)
-        grading.even_rows = tuple(unit_vector(dim, i) for i in even)
-        grading.odd_rows = tuple(unit_vector(dim, i) for i in odd)
+        grading, eye = cls.__new__(cls), identity(dim)
+        grading.even_rows, grading.odd_rows = (tuple([eye[i] for i in p]) for p in (even, odd))
         grading.even = Subspace._of_axes(even, dim)
         grading.odd = Subspace._of_axes(odd, dim)
         return grading
@@ -85,13 +86,7 @@ class Grading:
 
     def index_partition(self) -> tuple[list[int], list[int]] | None:
         """Recover index lists when both parts are spanned by basis vectors."""
-        def as_indices(rows: Matrix) -> list[int] | None:
-            # Echelon rows: a row with one nonzero entry has its pivot 1 there.
-            if any(sum(map(bool, r)) != 1 for r in rows):
-                return None
-            return [r.index(F1) for r in rows]
-
-        ev, od = as_indices(self.even.rows), as_indices(self.odd.rows)
+        ev, od = self.even.axes(), self.odd.axes()
         return None if ev is None or od is None else (ev, od)
 
     def validate(self, algebra: Algebra) -> None:
@@ -101,15 +96,14 @@ class Grading:
             raise InvalidGradingError("grading ambient dimension mismatch")
         if self.even.dim + self.odd.dim != n:
             raise InvalidGradingError("even + odd does not fill the algebra")
-        total = Subspace(self.even.rows + self.odd.rows, n)
-        if total.dim != n:
-            raise InvalidGradingError("even and odd parts overlap")
-        if algebra.unit is not None and not self.even.contains(algebra.one()):
-            raise InvalidGradingError("unit is not in the even part")
         partition = self.index_partition()
+        if (Subspace(self.even.rows + self.odd.rows, n).dim != n if partition is None
+                else not set(partition[0]).isdisjoint(partition[1])):
+            raise InvalidGradingError("even and odd parts overlap")
+        if algebra.unit is not None and not (self.even.contains(algebra.one()) if partition is None
+                                             else algebra.unit in partition[0]):
+            raise InvalidGradingError("unit is not in the even part")
         if partition is not None:
-            # Basis-aligned grading: closure reduces to index bookkeeping
-            # over the nonzero constants.
             odd = np.zeros(n, dtype=bool)
             odd[partition[1]] = True
             # [i, j, k]: C[i, j, k] != 0 though b_k lies outside the part of b_i b_j.

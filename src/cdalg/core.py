@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonUnitalError
-from .kernel import ScaledTensor, closure_span, table_in_rows
+from .kernel import INT64_LIMIT, ScaledTensor, closure_span, table_in_rows
 from .linalg import Element, Subspace
 
 
@@ -69,7 +69,8 @@ class Algebra:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")
             # 1 * b_i and b_i * 1 are the cells [unit, i] and [i, unit], D b_i scaled.
-            c, one = table.c, np.identity(n, dtype=object) * table.den
+            c = table.c
+            one = np.identity(n, dtype=c.dtype if table.den < INT64_LIMIT else object) * table.den
             left, right = (c[unit] != one).any(axis=1), (c[:, unit] != one).any(axis=1)
             bad = np.flatnonzero(left | right)
             if bad.size:

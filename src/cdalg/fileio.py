@@ -11,9 +11,13 @@ The on-disk format is JSON:
     }
 
 Rationals are encoded as strings "p/q" or "p" so round trips are lossless.
+The reader makes one pass over the cells: each distinct spelling of a cell
+and each distinct literal is parsed once, and the table is written as
+integers over the lcm of the denominators, with no ``Fraction`` per entry.
 Element expressions are linear combinations over the basis labels, e.g.
 "f1 - f4", "2/3*e8 + 1", "e_8/2 + e8/2"; labels match case-insensitively
-with underscores ignored.
+with underscores ignored, so a file with two labels equal under that rule
+is rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Sequence
+from itertools import chain, repeat
+from math import lcm
+from typing import Any, Iterable, Sequence
 
 from .construct import Grading
 from .core import Algebra, Element
@@ -38,12 +44,12 @@ def _fraction_from_json(value: Any, literals: dict[str, Fraction]) -> Fraction:
     """A rational from a JSON string "p/q" or integer; booleans are rejected.
 
     A string literal is kept in ``literals`` (an int is not: ``True`` would
-    find it); every zero is the shared ``F0``.
+    find it).
     """
     if type(value) is not str and type(value) is not int:
         raise MalformedInputError(f"rationals must be strings or integers, got {value!r}")
     try:
-        frac = Fraction(value) or F0
+        frac = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational literal {value!r}") from exc
     if type(value) is str:
@@ -51,34 +57,34 @@ def _fraction_from_json(value: Any, literals: dict[str, Fraction]) -> Fraction:
     return frac
 
 
-def _parse_constants(raw: Sequence[Sequence[Sequence]]) -> list[tuple]:
-    """The nonzero ``(k, c)`` entries of each cell, row-major, in one pass
-    over a tensor of checked shape.
+def _parse_constants(cells: Iterable[Sequence], n: int) -> ScaledTensor:
+    """The table of the n^2 cells, row-major, of a tensor of checked shape.
 
-    A cell of string literals seen before is read by lookup under its
-    spelling, so a cell spelled like it is not parsed again (the doubling
-    tables have 2n distinct cells).  Any other cell goes through
-    :func:`_fraction_from_json` entry by entry, so its first bad entry
-    raises, and is not kept: a key holding an int would also match ``True``.
-    Zeros are ``F0``, found by identity.
+    A new cell of strings has its unseen literals parsed, and is kept under
+    its spelling.  Any other cell goes through :func:`_fraction_from_json`
+    entry by entry, so its first bad entry raises, and is not kept: a key
+    holding an int would also match ``True``.
     """
-    literals: dict[str, Fraction] = {"0": F0}
-    known: dict[tuple, tuple] = {}
-    cells = []
-    for raw_row in raw:
-        for raw_cell in raw_row:
-            try:
-                cell = known[tuple(raw_cell)]
-            except (KeyError, TypeError):  # a new spelling, or an unhashable entry
-                try:
-                    values, key = tuple(map(literals.__getitem__, raw_cell)), tuple(raw_cell)
-                except (KeyError, TypeError):  # an unseen literal, or not a string
-                    values, key = [_fraction_from_json(v, literals) for v in raw_cell], None
-                cell = tuple([(k, c) for k, c in enumerate(values) if c is not F0])
-                if key is not None:
-                    known[key] = cell
-            cells.append(cell)
-    return cells
+    literals: dict = {"0": F0}  # a string literal, or a Fraction, -> its value
+    known: dict[tuple, int] = {}
+    distinct: list[Sequence] = []
+    ids = []
+    for key in map(tuple, cells):
+        try:
+            ids.append(known[key])
+        except (KeyError, TypeError):  # a new spelling, or an unhashable entry
+            if set(map(type, key)) <= {str}:
+                for v in [v for v in key if v not in literals]:
+                    _fraction_from_json(v, literals)
+                known[key] = len(distinct)
+            else:
+                key = [_fraction_from_json(v, literals) for v in key]
+                literals.update(zip(key, key))
+            ids.append(len(distinct))
+            distinct.append(key)
+    d = lcm(*{x.denominator for x in literals.values()})
+    ints = {s: x.numerator * (d // x.denominator) for s, x in literals.items()}.__getitem__
+    return ScaledTensor.of_cells(n, [list(map(ints, cell)) for cell in distinct], d, ids)
 
 
 def _index_from_json(value: Any) -> int:
@@ -120,12 +126,10 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
     n, raw = data.get("dim"), data.get("constants")
     if type(n) is not int or raw is None:
         raise MalformedInputError("missing or bad 'dim'/'constants'")
-    if not (
-        _is_list_of(raw, n)
-        and all(_is_list_of(row, n) and all(_is_list_of(e, n) for e in row) for row in raw)
-    ):
+    if not (_is_list_of(raw, n) and all(map(_is_list_of, raw, repeat(n)))
+            and all(map(_is_list_of, chain.from_iterable(raw), repeat(n)))):
         raise MalformedInputError(f"'constants' must be nested lists of shape {n}x{n}x{n}")
-    cells = _parse_constants(raw)
+    table = _parse_constants(chain.from_iterable(raw), n)
     unit = data.get("unit")
     if unit is not None and (
         not isinstance(unit, int) or isinstance(unit, bool) or not 0 <= unit < n
@@ -136,8 +140,13 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         if not _is_list_of(labels, n):
             raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
+        first: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            if (j := first.setdefault(_normalize_label(label), i)) != i:
+                raise MalformedInputError(f"labels {labels[j]!r} and {label!r} collide: labels "
+                                          "match case-insensitively with underscores ignored")
     try:
-        algebra = Algebra._of_table(ScaledTensor.of_cells(n, cells), unit, labels)
+        algebra = Algebra._of_table(table, unit, labels)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     grading = None
@@ -185,22 +194,13 @@ def parse_element(expr: str, algebra: Algebra) -> Element:
     compact = expr.replace(" ", "")
     if not compact:
         raise MalformedInputError("empty element expression")
-    label_index = {
-        _normalize_label(algebra.label(i)): i for i in range(algebra.dim)
-    }
+    label_index = {_normalize_label(algebra.label(i)): i for i in range(algebra.dim)}
     coords = [Fraction(0)] * algebra.dim
-    pos = 0
-    sign = Fraction(1)
-    if compact[0] in "+-":
-        sign = Fraction(-1) if compact[0] == "-" else Fraction(1)
-        pos = 1
-    while pos <= len(compact):
-        next_break = len(compact)
-        for k in range(pos, len(compact)):
-            if compact[k] in "+-" and compact[k - 1] not in "*/":
-                next_break = k
-                break
-        chunk = compact[pos:next_break]
+    # Signs not after * or / split the terms; a leading sign leaves an empty
+    # first piece, and a term without one is added.
+    pieces = re.split(r"(?<![*/])([+-])", compact)
+    pieces = pieces[1:] if compact[0] in "+-" else ["+", *pieces]
+    for sign, chunk in zip(pieces[::2], pieces[1::2]):
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("label") is None):
             raise MalformedInputError(f"cannot parse term {chunk!r} in {expr!r}")
@@ -222,9 +222,5 @@ def parse_element(expr: str, algebra: Algebra) -> Element:
             idx = label_index.get(_normalize_label(label))
             if idx is None:
                 raise MalformedInputError(f"unknown basis label {label!r}")
-        coords[idx] += sign * coef
-        if next_break >= len(compact):
-            break
-        sign = Fraction(-1) if compact[next_break] == "-" else Fraction(1)
-        pos = next_break + 1
+        coords[idx] += coef if sign == "+" else -coef
     return Element(tuple(coords))

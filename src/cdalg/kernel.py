@@ -58,14 +58,14 @@ Only operations numpy 1.24 supports on object arrays are used: ``@``,
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InconsistentInputError
-from .linalg import Subspace, _cancel, _echelon, _primitive, inverse, scaled_rows, vec
+from .linalg import Subspace, _cancel, _echelon, _primitive, inverse, scaled_rows
 
 INT64_LIMIT = 2**63
 
@@ -78,7 +78,7 @@ def _exact(ints: Sequence, shape: tuple[int, ...], fits_int64: bool) -> np.ndarr
 
 def _height(rows: Sequence[Sequence[int]]) -> int:
     """The largest absolute value in integer rows, 0 for none."""
-    return max((abs(v) for r in rows for v in r), default=0)
+    return max(map(abs, chain.from_iterable(rows)), default=0)
 
 
 class ScaledTensor:
@@ -94,17 +94,16 @@ class ScaledTensor:
         g = gcd(den, *c[c != 0].tolist())
         self.den, self.max_abs = den // g, int(abs(c).max(initial=0)) // g
         dtype = np.int64 if self.max_abs < INT64_LIMIT else object
-        self.c, self._residues = (c // g).astype(dtype, copy=False), None  # (primes, C mod them)
+        c = c if g == 1 else c // g
+        self.c, self._residues = c.astype(dtype, copy=False), None  # (primes, C mod them)
 
     @classmethod
-    def of_cells(cls, n: int, cells: Sequence[Sequence[tuple[int, Fraction]]]) -> "ScaledTensor":
-        """From the nonzero entries ``(k, c[i][j][k])`` of each cell ``(i, j)``,
-        row-major."""
-        (ints,), den = scaled_rows([[c for cell in cells for _, c in cell]])
-        flat = np.zeros(n**3, dtype=np.int64 if max(map(abs, ints), default=0) < INT64_LIMIT
-                        else object)
-        flat[[ij * n + k for ij, cell in enumerate(cells) for k, _ in cell]] = ints
-        return cls(flat.reshape(n, n, n), den)
+    def of_cells(cls, n: int, rows: Sequence[Sequence[int]], den: int,
+                 ids: Sequence[int]) -> "ScaledTensor":
+        """From distinct cells, as integer rows over ``den``, and the index
+        among them of each cell ``(i, j)``, row-major."""
+        dtype = np.int64 if _height(rows) < INT64_LIMIT else object
+        return cls(np.array(rows, dtype=dtype).reshape(len(rows), n)[ids].reshape(n, n, n), den)
 
     @classmethod
     def of_rationals(cls, constants: Sequence[Sequence[Sequence]]) -> "ScaledTensor":
@@ -114,8 +113,8 @@ class ScaledTensor:
         n = len(constants)
         if any(len(row) != n or any(len(cell) != n for cell in row) for row in constants):
             raise DimensionMismatchError("structure tensor is not n x n x n")
-        return cls.of_cells(n, [[(k, x) for k, x in enumerate(vec(cell)) if x]
-                                for row in constants for cell in row])
+        rows, den = scaled_rows(cell for row in constants for cell in row)
+        return cls.of_cells(n, rows, den, range(n * n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScaledTensor):

@@ -22,6 +22,7 @@ and ``mat_inv`` are their ``Fraction`` views.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -122,6 +123,8 @@ def _row_ints(row) -> tuple[list[int], int]:
     if type(row) is Element:
         return list(row.num), row.den
     values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    if set(map(type, values)) <= {int}:
+        return values, 1
     d = lcm(*[x.denominator for x in values])
     return [x.numerator * (d // x.denominator) for x in values], d
 
@@ -143,11 +146,13 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(F1 if j == i else F0 for j in range(n))
+    return identity(n)[i]
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
-    return tuple(unit_vector(n, i) for i in range(n))
+    """The n x n identity, shared between calls: its rows are immutable."""
+    return tuple(tuple(F1 if j == i else F0 for j in range(n)) for i in range(n))
 
 
 def _primitive(row) -> list[int] | None:
@@ -389,13 +394,25 @@ class Subspace:
     @classmethod
     def _of_axes(cls, indices: Iterable[int], ambient_dim: int) -> "Subspace":
         """The span of distinct unit vectors e_i, built in its echelon form."""
-        pivots = sorted(indices)
-        space = cls.__new__(cls)
-        space._ints = [[int(j == i) for j in range(ambient_dim)] for i in pivots]
-        space._pivots = pivots
-        space.rows = tuple(unit_vector(ambient_dim, i) for i in pivots)
+        pivots, eye, space = sorted(indices), identity(ambient_dim), cls.__new__(cls)
+        space._ints = [[0] * i + [1] + [0] * (ambient_dim - 1 - i) for i in pivots]
+        space._pivots, space.rows = pivots, tuple([eye[i] for i in pivots])
         space.ambient_dim = ambient_dim
         return space
+
+    @classmethod
+    def _of_reduced(cls, rows: Sequence[Element], ambient_dim: int) -> "Subspace":
+        """The span of rows in reduced echelon form with unit pivots, as
+        :func:`kernel_basis` returns them, without a second elimination."""
+        space = cls.__new__(cls)
+        # Each row's first nonzero entry is its denominator.
+        space._ints, space._pivots = [r.num for r in rows], [r.num.index(r.den) for r in rows]
+        space.rows, space.ambient_dim = tuple([r.coords for r in rows]), ambient_dim
+        return space
+
+    def axes(self) -> list[int] | None:
+        """The pivots when every echelon row is a unit vector, else None."""
+        return None if any(r.count(0) != len(r) - 1 for r in self._ints) else list(self._pivots)
 
     @property
     def dim(self) -> int:

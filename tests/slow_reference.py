@@ -1188,6 +1188,13 @@ def algebra_from_dict(data) -> tuple[Algebra, Grading | None]:
         if not _is_list_of(labels, n):
             raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
+        # Labels that the element grammar cannot tell apart.
+        normalized = [label.replace("_", "").lower() for label in labels]
+        for j, key in enumerate(normalized):
+            if key in normalized[:j]:
+                first = labels[normalized.index(key)]
+                raise MalformedInputError(f"labels {first!r} and {labels[j]!r} collide: labels "
+                                          "match case-insensitively with underscores ignored")
     try:
         algebra = Algebra(constants, unit=unit, labels=labels)
     except ValueError as exc:
@@ -1205,6 +1212,23 @@ def algebra_from_dict(data) -> tuple[Algebra, Grading | None]:
         except (KeyError, TypeError, ValueError, InvalidGradingError) as exc:
             raise MalformedInputError(f"bad grading block: {exc}") from exc
     return algebra, grading
+
+
+def validate_grading(grading: Grading, algebra: Algebra) -> None:
+    """``Grading.validate`` of a basis-aligned grading by elimination: the
+    echelon of both parts together for the direct sum, membership for the
+    unit, then the dense closure scan on the indices of the echelon rows."""
+    n = algebra.dim
+    if grading.even.ambient_dim != n:
+        raise InvalidGradingError("grading ambient dimension mismatch")
+    if grading.even.dim + grading.odd.dim != n:
+        raise InvalidGradingError("even + odd does not fill the algebra")
+    if Subspace(grading.even.rows + grading.odd.rows, n).dim != n:
+        raise InvalidGradingError("even and odd parts overlap")
+    if algebra.unit is not None and not grading.even.contains(algebra.one()):
+        raise InvalidGradingError("unit is not in the even part")
+    index_grading_closure(algebra, *([r.index(F1) for r in part.rows]
+                                     for part in (grading.even, grading.odd)))
 
 
 def index_grading_closure(algebra: Algebra, even, odd) -> None:

@@ -1,10 +1,19 @@
 """Command-line surface: outputs, round trips, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from cdalg import cli, is_super_alternative, load_algebra, named_algebra
+from cdalg import (
+    Grading,
+    algebra_to_dict,
+    cli,
+    is_alternative,
+    is_super_alternative,
+    load_algebra,
+    named_algebra,
+)
 from cdalg.cli import main
 from cdalg.errors import InvalidGradingError
 
@@ -91,6 +100,66 @@ def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypat
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": str(raised.value), "kind": "InvalidGradingError"}
     assert len(calls) == 1
+
+
+def _character_gradings(name):
+    """Index gradings of a named table: the natural one, its index lists
+    shuffled and reversed, and the even parts of other characters
+    b_i -> (-1)^popcount(i & mask) of the index group."""
+    n, rng = named_algebra(name).algebra.dim, random.Random(f"super:{name}")
+    for mask in (n // 2, *rng.sample(range(1, n), 3)):
+        even = [i for i in range(n) if not bin(i & mask).count("1") % 2]
+        odd = [i for i in range(n) if i not in even]
+        yield even, odd
+        yield rng.sample(even, len(even)), rng.sample(odd, len(odd))
+        yield even[::-1], odd
+
+
+def _super_outcome(algebra, grading):
+    try:
+        return is_super_alternative(algebra, grading)
+    except InvalidGradingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["S", "TS", "TO", "A5", "A6"])
+def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys, monkeypatch):
+    """Whether or not ``check`` skips the super sweep after the
+    alternativity one, its verdict and witness are the sweep's; on the files
+    of every tried grading but A6's, ``check`` prints the sweep's witness."""
+    algebra = named_algebra(name).algebra
+    alt = is_alternative(algebra)
+    swept, skipped = [], []
+    monkeypatch.setattr(cli, "is_super_alternative", lambda *a: swept.append(a) or
+                        is_super_alternative(*a))
+    for even, odd in _character_gradings(name):
+        grading = Grading.from_indices(algebra.dim, even, odd)
+        want, before = _super_outcome(algebra, grading), len(swept)
+        try:
+            assert cli._super_alternativity(algebra, grading, alt) == want
+        except InvalidGradingError as exc:
+            assert str(exc) == want
+        skipped.append(len(swept) == before)
+        if name == "A6":
+            continue
+        path = tmp_path / "graded.json"
+        data = algebra_to_dict(algebra)
+        data["grading"] = {"even": even, "odd": odd}
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check", str(path), "--budget", "5")
+        if isinstance(want, str):
+            assert (code, json.loads(err)["error"]) == (1, want)
+            continue
+        assert code == 0
+        printed = json.loads(out)
+        assert printed["flags"]["super_alternative"] == ("yes" if want.holds else "no")
+        if not want.holds:
+            u, x, law = want.witness
+            assert printed["witnesses"]["super_alternative"] == {
+                "law": law, "u": cli.element_text(algebra, u), "x": cli.element_text(algebra, x)}
+    # The natural grading skips on A5 and A6, whose witness e1 + e10 is
+    # even, and its shuffled listing does not.
+    assert skipped[:2] == [name in ("A5", "A6"), False]
 
 
 def test_recognize_file(tmp_path, capsys):

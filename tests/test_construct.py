@@ -22,7 +22,7 @@ from cdalg import (
 from cdalg.construct import InvolutiveAlgebra, _star_products
 from cdalg.core import change_of_basis
 from cdalg.kernel import scaled_tensor
-from cdalg.linalg import mat_inv
+from cdalg.linalg import Subspace, identity, mat_inv
 from cdalg.tables import (
     OCTONION_TABLE,
     SEDENION_TABLE,
@@ -415,3 +415,53 @@ def test_label_propagation():
 def test_signed_table_round_trip():
     alg = algebra_from_signed_table(TWISTED_OCTONION_TABLE)
     assert signed_table_of(alg) == TWISTED_OCTONION_TABLE
+
+
+def _validated(grading, algebra, validate):
+    try:
+        validate(grading, algebra)
+    except InvalidGradingError as exc:
+        return str(exc)
+    return None
+
+
+def _random_index_grading(rng, n):
+    """Unit-vector rows in a random order: a partition, or parts that
+    overlap, miss an index or hold the unit in the odd part."""
+    eye = identity(n)
+    k = rng.randint(1, n)
+    even = rng.sample(range(n), k)
+    kind = rng.choice(["partition", "partition", "overlap", "short", "odd unit"])
+    if kind == "odd unit" and n > 1:
+        even = rng.sample(range(1, n), min(k, n - 1))
+    if kind == "overlap":
+        odd = rng.sample(range(n), n - k)
+    else:
+        odd = [i for i in range(n) if i not in even]
+        rng.shuffle(odd)
+        if kind == "short" and odd:
+            odd.pop()
+    return Grading([eye[i] for i in even], [eye[i] for i in odd], n)
+
+
+@pytest.mark.parametrize("name, cases", [("C", 30), ("H", 60), ("O", 60), ("S", 60), ("A5", 25)])
+def test_index_grading_validated_on_indices_as_by_elimination(name, cases, monkeypatch):
+    """Random index gradings: the verdict and message of the checks on the
+    index sets are those of the echelon of both parts and the dense closure
+    scan, and no Subspace is built."""
+    bundle = named_algebra(name)
+    alg, n = bundle.algebra, bundle.algebra.dim
+    rng = random.Random(f"validate:{name}")
+    graded = [bundle.grading, Grading.trivial(n), Grading.from_indices(n + 1, range(n + 1), [])]
+    graded += [_random_index_grading(rng, n) for _ in range(cases)]
+    want = [_validated(g, alg, ref.validate_grading) for g in graded]
+    built = []
+    init = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *a: (built.append(a), init(self, *a)))
+    assert [_validated(g, alg, Grading.validate) for g in graded] == want
+    assert built == []
+    messages = {m.split(" b_")[0] if m else m for m in want}
+    assert {None, "grading ambient dimension mismatch", "even + odd does not fill the algebra",
+            "unit is not in the even part"} <= messages
+    if n > 2:
+        assert {"even and odd parts overlap", "product"} <= messages
