@@ -59,7 +59,7 @@ from .properties import (
     is_locally_complex,
     is_nicely_normed,
     is_quadratic,
-    is_super_alternative,
+    super_alternativity_after,
 )
 
 EXIT_OK = 0
@@ -246,7 +246,7 @@ def cmd_check(args) -> int:
         if grading is None:
             report.set("super_alternative", "unknown", "no grading available")
         else:
-            sa = _super_alternativity(algebra, grading, alt)
+            sa = super_alternativity_after(algebra, grading, alt)
             witness = None
             if not sa.holds:
                 u, x, law = sa.witness
@@ -267,22 +267,6 @@ def cmd_check(args) -> int:
             report.set("has_zero_divisors", "unknown", f"search exhausted after {zd.tried} candidates")
     _emit({"flags": report.flags, "witnesses": report.witnesses}, args.format)
     return EXIT_OK
-
-
-def _super_alternativity(algebra: Algebra, grading: Grading, alt):
-    """``is_super_alternative``, or the alternativity check ``alt`` once the
-    grading is valid where the super sweep must end as that sweep did: the
-    laws hold for every u, or the even rows are the basis vectors of
-    increasing indices (their family is a subsequence of the full one, in
-    its order) and hold the witness u, so every earlier member passed."""
-    partition = grading.index_partition()
-    if alt is not None and (alt.holds or partition is not None
-                            and grading.even_rows == grading.even.rows
-                            and {k for k, v in enumerate(alt.witness[0].num) if v}
-                            <= set(partition[0])):
-        grading.validate(algebra)
-        return alt
-    return is_super_alternative(algebra, grading)
 
 
 def cmd_recognize(args) -> int:

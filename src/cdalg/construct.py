@@ -76,8 +76,7 @@ class Grading:
         # Distinct unit vectors are independent and already in echelon form.
         grading, eye = cls.__new__(cls), identity(dim)
         grading.even_rows, grading.odd_rows = (tuple([eye[i] for i in p]) for p in (even, odd))
-        grading.even = Subspace._of_axes(even, dim)
-        grading.odd = Subspace._of_axes(odd, dim)
+        grading.even, grading.odd = (Subspace._of_axes(p, dim) for p in (even, odd))
         return grading
 
     @classmethod

@@ -31,6 +31,11 @@ from .kernel import INT64_LIMIT, ScaledTensor, closure_span, table_in_rows
 from .linalg import Element, Subspace
 
 
+def label_key(label: str) -> str:
+    """A label as the element grammar reads it: case and underscores ignored."""
+    return label.replace("_", "").lower()
+
+
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
@@ -59,6 +64,11 @@ class Algebra:
             if len(labels) != n:
                 raise DimensionMismatchError("label count differs from dimension")
             self.labels = tuple(labels)
+            keys = list(map(label_key, self.labels))
+            if len(set(keys)) < n:
+                i, j = next((keys.index(k), j) for j, k in enumerate(keys) if k in keys[:j])
+                raise ValueError(f"labels {labels[i]!r} and {labels[j]!r} collide: labels match "
+                                 "case-insensitively with underscores ignored")
         else:
             self.labels = None
         self._scaled = table

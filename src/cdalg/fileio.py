@@ -16,8 +16,8 @@ and each distinct literal is parsed once, and the table is written as
 integers over the lcm of the denominators, with no ``Fraction`` per entry.
 Element expressions are linear combinations over the basis labels, e.g.
 "f1 - f4", "2/3*e8 + 1", "e_8/2 + e8/2"; labels match case-insensitively
-with underscores ignored, so a file with two labels equal under that rule
-is rejected.
+with underscores ignored, so ``Algebra`` rejects two labels equal under that
+rule and so does the reader, as a malformed file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import lcm
 from typing import Any, Iterable, Sequence
 
 from .construct import Grading
-from .core import Algebra, Element
+from .core import Algebra, Element, label_key
 from .errors import InvalidGradingError, MalformedInputError, NonUnitalError
 from .kernel import ScaledTensor, scaled_tensor
 from .linalg import F0
@@ -140,11 +140,6 @@ def algebra_from_dict(data: dict[str, Any]) -> tuple[Algebra, Grading | None]:
         if not _is_list_of(labels, n):
             raise MalformedInputError(f"'labels' must be a list of {n} names")
         labels = [str(x) for x in labels]
-        first: dict[str, int] = {}
-        for i, label in enumerate(labels):
-            if (j := first.setdefault(_normalize_label(label), i)) != i:
-                raise MalformedInputError(f"labels {labels[j]!r} and {label!r} collide: labels "
-                                          "match case-insensitively with underscores ignored")
     try:
         algebra = Algebra._of_table(table, unit, labels)
     except ValueError as exc:
@@ -185,16 +180,12 @@ _TERM_RE = re.compile(
 )
 
 
-def _normalize_label(label: str) -> str:
-    return label.replace("_", "").lower()
-
-
 def parse_element(expr: str, algebra: Algebra) -> Element:
     """Parse a linear combination of basis labels into an element."""
     compact = expr.replace(" ", "")
     if not compact:
         raise MalformedInputError("empty element expression")
-    label_index = {_normalize_label(algebra.label(i)): i for i in range(algebra.dim)}
+    label_index = {label_key(algebra.label(i)): i for i in range(algebra.dim)}
     coords = [Fraction(0)] * algebra.dim
     # Signs not after * or / split the terms; a leading sign leaves an empty
     # first piece, and a term without one is added.
@@ -219,7 +210,7 @@ def parse_element(expr: str, algebra: Algebra) -> Element:
                 raise NonUnitalError("scalar term in expression for a non-unital algebra")
             idx = algebra.unit
         else:
-            idx = label_index.get(_normalize_label(label))
+            idx = label_index.get(label_key(label))
             if idx is None:
                 raise MalformedInputError(f"unknown basis label {label!r}")
         coords[idx] += coef if sign == "+" else -coef

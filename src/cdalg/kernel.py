@@ -260,6 +260,8 @@ class AlternativitySweep:
         self.dtype = np.dtype(np.int64 if self.bound < INT64_LIMIT else object)
 
     def family(self) -> Iterator[tuple[int, int | None]]:
+        """Singles, then pairs p < q; ``super_alternativity_after`` needs a
+        subsequence of the rows to give a subsequence of this, in order."""
         m = self._shape[0]
         for p in range(m):
             yield p, None

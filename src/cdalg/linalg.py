@@ -394,10 +394,10 @@ class Subspace:
     @classmethod
     def _of_axes(cls, indices: Iterable[int], ambient_dim: int) -> "Subspace":
         """The span of distinct unit vectors e_i, built in its echelon form."""
-        pivots, eye, space = sorted(indices), identity(ambient_dim), cls.__new__(cls)
+        pivots, space = sorted(indices), cls.__new__(cls)
         space._ints = [[0] * i + [1] + [0] * (ambient_dim - 1 - i) for i in pivots]
-        space._pivots, space.rows = pivots, tuple([eye[i] for i in pivots])
-        space.ambient_dim = ambient_dim
+        space._pivots, space.ambient_dim = pivots, ambient_dim
+        space.rows = tuple(map(identity(ambient_dim).__getitem__, pivots))
         return space
 
     @classmethod

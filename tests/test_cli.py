@@ -13,6 +13,7 @@ from cdalg import (
     is_super_alternative,
     load_algebra,
     named_algebra,
+    properties,
 )
 from cdalg.cli import main
 from cdalg.errors import InvalidGradingError
@@ -80,8 +81,9 @@ def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypat
     a valid grading, so no second sweep runs; an invalid grading still fails
     as the sweep's own validation does, and S (not alternative) is swept."""
     calls = []
-    original = cli.is_super_alternative
-    monkeypatch.setattr(cli, "is_super_alternative", lambda *a: calls.append(a) or original(*a))
+    original = properties.is_super_alternative
+    monkeypatch.setattr(properties, "is_super_alternative",
+                        lambda *a: calls.append(a) or original(*a))
     code, out, _ = run_cli(capsys, "check", "O", "--budget", "5")
     assert code == 0 and json.loads(out)["flags"]["super_alternative"] == "yes"
     assert calls == []
@@ -130,13 +132,13 @@ def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys, monkeypatch):
     algebra = named_algebra(name).algebra
     alt = is_alternative(algebra)
     swept, skipped = [], []
-    monkeypatch.setattr(cli, "is_super_alternative", lambda *a: swept.append(a) or
+    monkeypatch.setattr(properties, "is_super_alternative", lambda *a: swept.append(a) or
                         is_super_alternative(*a))
     for even, odd in _character_gradings(name):
         grading = Grading.from_indices(algebra.dim, even, odd)
         want, before = _super_outcome(algebra, grading), len(swept)
         try:
-            assert cli._super_alternativity(algebra, grading, alt) == want
+            assert properties.super_alternativity_after(algebra, grading, alt) == want
         except InvalidGradingError as exc:
             assert str(exc) == want
         skipped.append(len(swept) == before)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdalg import (
+    Algebra,
     MalformedInputError,
     NonUnitalError,
     algebra_from_dict,
@@ -236,3 +237,15 @@ def test_labels_that_collide_under_the_grammar_are_rejected(tmp_path, capsys):
         assert _loaded(algebra_from_dict, data)[0] is MalformedInputError
     data["labels"] = ["1", "e1", "e_2", "E3"]
     assert _loaded(algebra_from_dict, data)[2] == ("1", "e1", "e_2", "E3")
+
+
+def test_algebra_rejects_labels_that_collide_under_the_grammar():
+    """The rule lives in ``Algebra``, so an algebra built through the API
+    cannot carry such labels, and ``save_algebra`` never writes a file the
+    reader rejects."""
+    constants = named_algebra("H").algebra.constants
+    with pytest.raises(ValueError, match="labels 'a' and 'A' collide"):
+        Algebra(constants, unit=0, labels=["1", "a", "A", "b"])
+    with pytest.raises(ValueError, match="labels 'e_1' and 'E1' collide"):
+        change_of_basis(Algebra(constants, unit=0), np.identity(4, dtype=int).tolist(), 0,
+                        labels=["1", "e_1", "e2", "E1"])
