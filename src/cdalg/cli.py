@@ -369,7 +369,7 @@ def cmd_ann(args) -> int:
         {
             "element": element_text(algebra, x),
             "dim": ann.dim,
-            "basis": [element_text(algebra, Element(r)) for r in ann.rows],
+            "basis": [element_text(algebra, r) for r in ann.elements()],
         },
         args.format,
     )
@@ -398,7 +398,7 @@ def cmd_alterscalar(args) -> int:
         {
             "solution_dim": space.solutions.dim,
             "has_alter_scalars": space.has_alter_scalars,
-            "basis": [element_text(algebra, Element(r)) for r in space.solutions.rows],
+            "basis": [element_text(algebra, r) for r in space.solutions.elements()],
         },
         args.format,
     )

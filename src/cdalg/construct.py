@@ -13,9 +13,11 @@ Nothing here multiplies elements.  With b_i b_j = sum_k C[i, j, k] b_k / D
 M[i, j] = b_i b_j* = (C x_2 S)[i, j] and N[i, j] = b_i* b_j =
 (S x_1 C)[i, j], the double over D s is four blocks: (b_i, 0)(b_j, 0) =
 (s C[i, j], 0), (b_i, 0)(0, b_j) = (0, s C[j, i]), (0, b_i)(b_j, 0) =
-(0, M[i, j]) and (0, b_i)(0, b_j) = (-N[j, i], 0).
+(0, M[i, j]) and (0, b_i)(0, b_j) = (-N[j, i], 0)
+(:func:`cdalg.kernel.doubled_table`).
 
-The involution laws are contractions of the same tensors.
+The involution laws are contractions of the same tensors
+(:func:`cdalg.kernel.involution_violation`).
 (b_i b_j)* = b_j* b_i* is one tensor identity.  x + x* and x x* = x* x
 scalar on the basis vectors and their pairwise sums need only the basis:
 
@@ -46,7 +48,13 @@ from .errors import (
     NonUnitalError,
     UnknownAlgebraError,
 )
-from .kernel import INT64_LIMIT, ScaledTensor, _exact, _height, product_table, scaled_tensor
+from .kernel import (
+    ScaledTensor,
+    doubled_table,
+    involution_violation,
+    product_table,
+    scaled_tensor,
+)
 from .linalg import F0, F1, Matrix, Subspace, identity, mat, scaled_rows
 
 
@@ -152,23 +160,9 @@ class InvolutiveAlgebra:
         n = algebra.dim
         if len(self.star) != n or any(len(r) != n for r in self.star):
             raise DimensionMismatchError("star matrix has wrong shape")
-        c, s, scale, nn = _star_products(algebra, self.star)
-        eye = np.identity(n, dtype=s.dtype) * scale
-        if (s @ s != eye * scale).any():  # S S = s^2 I
-            raise ValueError("star is not an involution")
-        # (b_i b_j)* = sum_l C[i, j, l] b_l* over D s, and
-        # b_j* b_i* = sum_b S[b, i] N[j, b] over D s^2.
-        bad = (c @ s.T * scale != (s.T @ nn).transpose(1, 0, 2)).any(axis=2)
-        if bad.any():
-            i, j = np.argwhere(bad)[0].tolist()
-            raise ValueError(f"(b_{i} b_{j})* != b_{j}* b_{i}*")
-        imaginary = np.arange(n) != algebra.unit
-        trace_bad = (eye + s)[imaginary].any(axis=0)  # column i: b_i + b_i* over s
-        norm_bad = (s.T[:, None] @ c)[:, 0, imaginary].any(axis=1)  # b_i b_i* over D s
-        bad = np.flatnonzero(trace_bad | norm_bad)
-        if bad.size:
-            raise ValueError("x + x* is not scalar" if trace_bad[bad[0]]
-                             else "x x* is not a central scalar")
+        violation = involution_violation(algebra, self.star)
+        if violation is not None:
+            raise ValueError(violation)
 
     @property
     def dim(self) -> int:
@@ -180,23 +174,6 @@ class InvolutiveAlgebra:
                                 for row in rows], s * x.den)
 
 
-def _star_products(algebra: Algebra, star: Matrix) -> tuple:
-    """``(C, S, s, N)`` as in the module docstring.
-
-    The law checks and the doubling build only sums of at most n^2
-    products of two star entries (or s) and a constant, below
-    2 n^2 max(|S|, s)^2 max(|C|, 1): ``int64`` when that is below 2^63,
-    Python ints past it.
-    """
-    n = algebra.dim
-    st = scaled_tensor(algebra)
-    ints, scale = scaled_rows(star)
-    fits = 2 * n * n * max(_height(ints), scale) ** 2 * max(st.max_abs, 1) < INT64_LIMIT
-    c = st.array(fits)
-    s = _exact(ints, (n, n), fits)
-    return c, s, scale, np.tensordot(s, c, axes=(0, 0))
-
-
 def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:
     """Double an involutive algebra; the result has dimension 2n."""
     inner = b.algebra
@@ -206,22 +183,10 @@ def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:
         lab == "1" or lab.startswith("e") for lab in inner.labels
     ):
         labels = ("1",) + tuple(f"e{i}" for i in range(1, 2 * n))
-    doubled = Algebra._of_table(_doubled_table(b), inner.unit, labels)
+    doubled = Algebra._of_table(doubled_table(inner, b.star), inner.unit, labels)
     star = [list(row) + [F0] * n for row in b.star]
     star += [[F0] * (n + i) + [-F1] + [F0] * (n - 1 - i) for i in range(n)]
     return InvolutiveAlgebra(doubled, star)
-
-
-def _doubled_table(b: InvolutiveAlgebra) -> ScaledTensor:
-    """The table of the double: the four blocks of the module docstring."""
-    n, m = b.dim, 2 * b.dim
-    c, s, scale, nn = _star_products(b.algebra, b.star)
-    doubled = np.zeros((m, m, m), dtype=c.dtype)
-    doubled[:n, :n, :n] = c * scale
-    doubled[:n, n:, n:] = c.transpose(1, 0, 2) * scale
-    doubled[n:, :n, n:] = np.tensordot(c, s, axes=(1, 0)).transpose(0, 2, 1)
-    doubled[n:, n:, :n] = -nn.transpose(1, 0, 2)
-    return ScaledTensor(doubled, scaled_tensor(b.algebra).den * scale)
 
 
 def natural_grading(level_dim: int) -> Grading:

@@ -1,7 +1,8 @@
 """Exact integer kernels behind the polarized identity checks, the
 quadraticity and nicely-normed tests, the product and anticommutator
 tables, left multiplication matrices, the zero-divisor screen, the
-homomorphism check and the closure of generator sets under multiplication.
+homomorphism check, the closure of generator sets under multiplication, and
+the involution laws and table of the Cayley-Dickson double.
 
 One transport of the product table serves every change of basis: the
 products of a list of independent rows, written in the basis of those rows
@@ -14,27 +15,43 @@ An algebra's table is one :class:`ScaledTensor`: an integer tensor ``C``
 over the least common denominator ``D`` of its structure constants, with
 ``b_i b_j = (1/D) sum_k C[i, j, k] b_k``, scaled once when the algebra is
 built and held once (``int64`` below 2^63, Python ints past it).  Each
-check is then a handful of integer contractions, and no float dtype
-appears.  The arithmetic is chosen from a worst-case bound on every
-intermediate, stated where the choice is made:
+check is then a handful of integer contractions.  :func:`_carrier` picks
+their arithmetic from a worst-case bound on every intermediate, stated
+where the choice is made, on three rungs:
 
-- values that are returned rather than tested for zero are ``int64``
-  arrays below 2^63 and hold Python ints (numpy ``object`` dtype) past it;
+- below 2^53, ``float64``.  A double holds every integer of absolute value
+  up to 2^53, and IEEE-754 computes the sum, difference or product of two
+  such integers exactly whenever the exact result is again one.  With
+  every operand, partial sum and result below the bound no value is ever
+  rounded, in any order of summation, so BLAS runs the contractions on
+  exact integers.  Zero tests compare with 0 directly, and an array leaves
+  the kernel as ``int64`` (:func:`_ints`);
+- below 2^63, ``int64``;
+- past it, Python ints (numpy ``object`` dtype), or residues modulo primes.
+
+The kernels use them so:
+
+- values that are returned rather than tested for zero take the rung of
+  their bound, Python ints past 2^63;
 - the three zero tests (the alternativity sweep, the homomorphism check,
   the middle Moufang cube) run one body in every arithmetic.  Each operand
   (``C``, the rows, the map, the scales) carries a leading prime axis.
   Past 2^63 it holds the residues modulo the first primes of
   :data:`ZERO_TEST_PRIMES` whose product exceeds the bound; exact
-  arithmetic is that axis at length one, ``int64`` below 2^63 and Python
-  ints where the dimension passes 128 (:func:`_screen_fits` rules ``int64``
-  residues out) or the product of all the primes does not exceed the
-  bound.  :func:`_reduce` reduces along the axis and leaves exact values
+  arithmetic is that axis at length one, on the rung of the bound below
+  2^63 and on Python ints where the dimension passes 128
+  (:func:`_screen_fits` rules ``int64`` residues out) or the product of
+  all the primes does not exceed the bound.  :func:`_reduce` reduces along the axis and leaves exact values
   alone.  An integer of absolute value at most the bound is zero exactly
   when it is zero modulo each prime (Chinese remaindering), so the verdict
   and the first witness do not depend on the arithmetic.  The residues of
   ``C`` are cached on the tensor.  :func:`alternativity_screen` runs the
   sweep modulo the first prime only: a nonzero residue is an exact "no",
   and a pass is a "yes" only when that prime is all the bound needs;
+- the zero-divisor screen (:func:`singularity_screen`) decides whether
+  ``L_x`` is nonsingular modulo :data:`SCREEN_PRIME` by a rank-only
+  elimination of the residues, taken from the exact ``float64`` stack of
+  the ``L_x`` below 2^53 and from residues of ``x`` and ``C`` past it;
 - the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
   modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
   basis vector as a word: a seed row or the product of two earlier words.
@@ -68,12 +85,36 @@ from .errors import DimensionMismatchError, InconsistentInputError
 from .linalg import Subspace, _cancel, _echelon, _primitive, inverse, scaled_rows
 
 INT64_LIMIT = 2**63
+# Every integer of absolute value up to 2^53 is a double.
+FLOAT_LIMIT = 2**53
+_FLOAT = np.dtype(np.float64)
 
 
-def _exact(ints: Sequence, shape: tuple[int, ...], fits_int64: bool) -> np.ndarray:
-    """Integers (flat, or rows) as an array of ``shape``: ``int64`` when the
-    caller's bound fits, Python ints otherwise."""
-    return np.array(ints, dtype=np.int64 if fits_int64 else object).reshape(shape)
+def _carrier(bound: int) -> np.dtype:
+    """The dtype of exact integer arithmetic whose operands, partial sums
+    and results are all at most ``bound`` in absolute value: ``float64``
+    below 2^53, ``int64`` below 2^63 and Python ints (``object``) past it.
+
+    In ``float64`` every such value is a double, and a sum, difference or
+    product of two of them is exact because its exact value is one too: no
+    operation rounds, in any order, so the values are the integers
+    themselves and compare with 0 exactly.
+    """
+    if bound < FLOAT_LIMIT:
+        return _FLOAT
+    return np.dtype(np.int64 if bound < INT64_LIMIT else object)
+
+
+def _ints(x: np.ndarray) -> np.ndarray:
+    """Exact values as they leave the kernel: a ``float64`` carrier as
+    ``int64``, any other array as it is."""
+    return x.astype(np.int64) if x.dtype == _FLOAT else x
+
+
+def _exact(ints: Sequence, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Integers (flat, or rows) as an array of ``shape`` in the carrier
+    ``dtype`` of the caller's bound."""
+    return np.array(ints, dtype=dtype).reshape(shape)
 
 
 def _height(rows: Sequence[Sequence[int]]) -> int:
@@ -88,7 +129,7 @@ class ScaledTensor:
     (numpy ``object``) otherwise.  Built from an integer tensor and any
     positive denominator, which are divided by their common factor."""
 
-    __slots__ = ("c", "den", "max_abs", "_residues")
+    __slots__ = ("c", "den", "max_abs", "_residues", "_float")
 
     def __init__(self, c: np.ndarray, den: int) -> None:
         g = gcd(den, *c[c != 0].tolist())
@@ -96,6 +137,7 @@ class ScaledTensor:
         dtype = np.int64 if self.max_abs < INT64_LIMIT else object
         c = c if g == 1 else c // g
         self.c, self._residues = c.astype(dtype, copy=False), None  # (primes, C mod them)
+        self._float = None  # the float64 copy, made on first use
 
     @classmethod
     def of_cells(cls, n: int, rows: Sequence[Sequence[int]], den: int,
@@ -124,10 +166,15 @@ class ScaledTensor:
     def __hash__(self) -> int:
         return hash((self.den, self.c.shape, tuple(self.c.ravel().tolist())))
 
-    def array(self, fits_int64: bool) -> np.ndarray:
-        """``C`` as int64 (the caller has bounded its intermediates) or as
-        Python ints, converted on the spot from int64 when asked for."""
-        return self.c if fits_int64 or self.c.dtype == object else self.c.astype(object)
+    def array(self, dtype: np.dtype) -> np.ndarray:
+        """``C`` in the carrier ``dtype`` of a caller's bound, which bounds
+        ``max_abs`` too: the ``float64`` copy is made once and kept, as the
+        table never changes, and Python ints are converted on the spot."""
+        if dtype == _FLOAT:
+            if self._float is None:
+                self._float = self.c.astype(np.float64)
+            return self._float
+        return self.c if dtype == self.c.dtype else self.c.astype(object)
 
     def residues(self, primes: np.ndarray) -> np.ndarray:
         """``C`` modulo each prime, stacked along a leading axis, as int64.
@@ -150,11 +197,11 @@ class ScaledTensor:
             self._residues = want, stack
         return self._residues[1][:len(want)]
 
-    def stacked(self, primes: np.ndarray | None, fits_int64: bool) -> np.ndarray:
+    def stacked(self, primes: np.ndarray | None, dtype: np.dtype) -> np.ndarray:
         """``C`` as a zero test's operand: :meth:`residues` modulo
         ``primes``, or :meth:`array` on an axis of length one when primes is
         None."""
-        return self.array(fits_int64)[None] if primes is None else self.residues(primes)
+        return self.array(dtype)[None] if primes is None else self.residues(primes)
 
 
 def scaled_tensor(algebra) -> ScaledTensor:
@@ -206,21 +253,36 @@ def _zero_test_primes(bound: int, n: int) -> np.ndarray | None:
 
 def _zero_test_arithmetic(bound: int, n: int) -> np.ndarray | None:
     """The primes a zero test works modulo when its entries are at most
-    ``bound`` in absolute value, or None for exact arithmetic: ``int64``
-    below 2^63, and Python ints past it when :func:`_zero_test_primes`
-    finds no prefix for a test whose contractions sum ``n`` products."""
+    ``bound`` in absolute value, or None for exact arithmetic in
+    :func:`_carrier` of the bound: below 2^63, and past it when
+    :func:`_zero_test_primes` finds no prefix for a test whose
+    contractions sum ``n`` products."""
     return None if bound < INT64_LIMIT else _zero_test_primes(bound, n)
 
 
 def _stacked(ints: Sequence[int], shape: tuple[int, ...], primes: np.ndarray | None,
-             fits_int64: bool) -> np.ndarray:
+             dtype: np.dtype) -> np.ndarray:
     """A zero test's operand: ``ints`` in ``shape`` under a leading axis that
-    holds their int64 residues modulo each prime, or the exact values (see
-    :func:`_exact`) on an axis of length one when primes is None."""
+    holds their int64 residues modulo each prime, or the exact values in
+    ``dtype`` (see :func:`_exact`) on an axis of length one when primes is
+    None."""
     if primes is None:
-        return _exact(ints, shape, fits_int64)[None]
+        return _exact(ints, shape, dtype)[None]
     return np.array([[v % p for v in ints] for p in primes.tolist()],
                     dtype=np.int64).reshape(len(primes), *shape)
+
+
+def _mod(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """``x % p`` for int64 ``x`` and a prime ``p``, or an array of primes
+    that broadcasts against it, written to ``out`` (``x`` itself by
+    default).  By one prime it is ``x - (x // p) p``: numpy divides by one
+    integer fast and takes a remainder slowly."""
+    out = x if out is None else out
+    if isinstance(p, np.ndarray):
+        return np.remainder(x, p, out=out)
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=out)
 
 
 def _reduce(x: np.ndarray, primes: np.ndarray | None) -> np.ndarray:
@@ -257,7 +319,9 @@ class AlternativitySweep:
         # R_u R_u at most n^3*mu^2*c^2, and of each defect at most twice that.
         # C itself must fit too, which the product misses when there are no rows.
         self.bound = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs)
-        self.dtype = np.dtype(np.int64 if self.bound < INT64_LIMIT else object)
+        self._carrier = _carrier(self.bound)
+        # The dtype of the exact stacks :meth:`defects` yields.
+        self.dtype = np.dtype(np.int64) if self._carrier == _FLOAT else self._carrier
 
     def family(self) -> Iterator[tuple[int, int | None]]:
         """Singles, then pairs p < q; ``super_alternativity_after`` needs a
@@ -279,12 +343,13 @@ class AlternativitySweep:
         coordinate ``k`` of the ``laws[w]`` defect of ``members[b]`` at
         ``y = b_c``, modulo ``primes[t]`` (whose product must exceed
         :attr:`bound`), or exact in :attr:`dtype` on an axis of length one
-        when primes is None.  A law not asked for is not computed.
+        when primes is None, computed in the carrier of :attr:`bound`.  A
+        law not asked for is not computed.
         """
-        (m, n), fits = self._shape, self.dtype == np.int64
-        c = self._st.stacked(primes, fits)
+        (m, n), dtype = self._shape, self._carrier
+        c = self._st.stacked(primes, dtype)
         # Row m is zero, so the member (p, None) is r_p + r_m.
-        u = _stacked([v for r in self._rows for v in r] + [0] * n, (m + 1, n), primes, fits)
+        u = _stacked([v for r in self._rows for v in r] + [0] * n, (m + 1, n), primes, dtype)
         sides = []
         for law in laws:
             # [a, (j, l)] = C[a, j, l] for the left law, C[j, a, l] for the right.
@@ -311,7 +376,7 @@ class AlternativitySweep:
                 u2 = _reduce((uu[:, :, None] @ mat)[:, :, 0], primes)
                 defect = (u2 @ c_side).reshape(mat.shape)
                 defect -= mat @ mat
-                stacks.append(_reduce(defect, primes))
+                stacks.append(_ints(_reduce(defect, primes)))
             yield members, stacks
 
 
@@ -372,19 +437,19 @@ def first_homomorphism_violation(iso: Sequence, source, target) -> tuple[int, in
     # sum over the target's first index at most m*big*c_tgt).  The comparison
     # multiplies them by s*D_tgt/g and D_src/g respectively.  The tensors and
     # the scales must fit as well, which the products miss when a factor is 0.
+    # Below 2^53 the check runs in float64.
     g = gcd(s * tgt.den, src.den)
     lhs_scale, rhs_scale = s * tgt.den // g, src.den // g
     bound = max(
         n * src.max_abs * big * lhs_scale + m * m * big * big * tgt.max_abs * rhs_scale,
         src.max_abs, tgt.max_abs, lhs_scale, rhs_scale,
     )
-    fits = bound < INT64_LIMIT
-    primes = _zero_test_arithmetic(bound, max(n, m))
-    f = _stacked([v for r in rows for v in r], (m, n), primes, fits)
+    dtype, primes = _carrier(bound), _zero_test_arithmetic(bound, max(n, m))
+    f = _stacked([v for r in rows for v in r], (m, n), primes, dtype)
     ft = f.swapaxes(1, 2)  # [j, b] = f[b, j]
-    c_src = src.stacked(primes, fits)
-    c_tgt = tgt.stacked(primes, fits).reshape(-1, m, m * m)
-    scales = _stacked([lhs_scale, rhs_scale], (2, 1, 1, 1), primes, fits)
+    c_src = src.stacked(primes, dtype)
+    c_tgt = tgt.stacked(primes, dtype).reshape(-1, m, m * m)
+    scales = _stacked([lhs_scale, rhs_scale], (2, 1, 1, 1), primes, dtype)
     size = max(1, ZERO_TEST_CHUNK // (n * m))
     for i0 in range(0, n, size):
         i1 = min(n, i0 + size)
@@ -417,10 +482,10 @@ def first_middle_moufang_defect(algebra) -> tuple[int, int, int] | None:
     n = algebra.dim
     st = scaled_tensor(algebra)
     # Each side sums n^2 products of three entries, and the difference is at
-    # most twice that; C itself must fit too.
+    # most twice that; C itself must fit too.  Below 2^53 it runs in float64.
     bound = max(2 * n * n * st.max_abs**3, st.max_abs)
     primes = _zero_test_arithmetic(bound, n)
-    c = st.stacked(primes, bound < INT64_LIMIT)
+    c = st.stacked(primes, _carrier(bound))
     by_middle = c.transpose(0, 2, 1, 3).reshape(-1, n, n * n)  # [b, (a, l)] = C[a, b, l]
     pairs = c.reshape(-1, n * n, n)  # [(j, k), a] = C[j, k, a]
     for i in range(n):
@@ -453,7 +518,7 @@ def first_quadratic_defect(algebra) -> tuple[int, int, int] | None:
     """
     st = scaled_tensor(algebra)
     # Both sides of the identity, and their difference, are at most 2 max|C|.
-    c = st.array(2 * st.max_abs < INT64_LIMIT)
+    c = st.array(_carrier(2 * st.max_abs))
     rest = [i for i in range(algebra.dim) if i != algebra.unit]
     sub = c[np.ix_(rest, rest, rest)]
     r = np.arange(len(rest))
@@ -487,12 +552,67 @@ def commutators_are_imaginary(algebra) -> bool:
     c, u, n, den = st.max_abs, algebra.unit, algebra.dim, st.den
     # Commutator entries are at most 2c; the unit term adds 2D * 2c and the
     # others (n-1) * 2c * c.  The weight 2D must fit as well.
-    fits = max(4 * den * c + 2 * (n - 1) * c * c, 2 * den) < INT64_LIMIT
-    t = st.array(fits)
+    t = st.array(_carrier(max(4 * den * c + 2 * (n - 1) * c * c, 2 * den)))
     weights = t[np.arange(n), np.arange(n), np.arange(n)].copy()
     weights[u] = 2 * den
     commutators = t - t.transpose(1, 0, 2)
     return bool((commutators @ weights == 0).all())
+
+
+def _star_products(algebra, star: Sequence[Sequence]) -> tuple:
+    """``(C, S, s, N)`` of the doubling (:mod:`cdalg.construct`): ``C``,
+    the star as an integer matrix ``S`` over ``s``, and ``N = S x_1 C``,
+    ``N[i, j] = s D b_i* b_j``.
+
+    The law checks and the doubling build only sums of at most n^2
+    products of two star entries (or s) and a constant, below
+    2 n^2 max(|S|, s)^2 max(|C|, 1): the carrier of that bound (float64
+    below 2^53).
+    """
+    n = algebra.dim
+    st = scaled_tensor(algebra)
+    ints, scale = scaled_rows(star)
+    dtype = _carrier(2 * n * n * max(_height(ints), scale) ** 2 * max(st.max_abs, 1))
+    c = st.array(dtype)
+    s = _exact(ints, (n, n), dtype)
+    return c, s, scale, np.tensordot(s, c, axes=(0, 0))
+
+
+def involution_violation(algebra, star: Sequence[Sequence]) -> str | None:
+    """The first involution law that ``star`` (acting on coordinate columns)
+    breaks on the unital ``algebra``, in the order of
+    :class:`cdalg.construct.InvolutiveAlgebra`, or None."""
+    n = algebra.dim
+    c, s, scale, nn = _star_products(algebra, star)
+    eye = np.identity(n, dtype=s.dtype) * scale
+    if (s @ s != eye * scale).any():  # S S = s^2 I
+        return "star is not an involution"
+    # (b_i b_j)* = sum_l C[i, j, l] b_l* over D s, and
+    # b_j* b_i* = sum_b S[b, i] N[j, b] over D s^2.
+    bad = (c @ s.T * scale != (s.T @ nn).transpose(1, 0, 2)).any(axis=2)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        return f"(b_{i} b_{j})* != b_{j}* b_{i}*"
+    imaginary = np.arange(n) != algebra.unit
+    trace_bad = (eye + s)[imaginary].any(axis=0)  # column i: b_i + b_i* over s
+    norm_bad = (s.T[:, None] @ c)[:, 0, imaginary].any(axis=1)  # b_i b_i* over D s
+    bad = np.flatnonzero(trace_bad | norm_bad)
+    if bad.size:
+        return "x + x* is not scalar" if trace_bad[bad[0]] else "x x* is not a central scalar"
+    return None
+
+
+def doubled_table(algebra, star: Sequence[Sequence]) -> ScaledTensor:
+    """The table of the Cayley-Dickson double of ``algebra`` with ``star``:
+    the four blocks of :mod:`cdalg.construct`, over ``D s``."""
+    n, m = algebra.dim, 2 * algebra.dim
+    c, s, scale, nn = _star_products(algebra, star)
+    doubled = np.zeros((m, m, m), dtype=c.dtype)
+    doubled[:n, :n, :n] = c * scale
+    doubled[:n, n:, n:] = c.transpose(1, 0, 2) * scale
+    doubled[n:, :n, n:] = np.tensordot(c, s, axes=(1, 0)).transpose(0, 2, 1)
+    doubled[n:, n:, :n] = -nn.transpose(1, 0, 2)
+    return ScaledTensor(_ints(doubled), scaled_tensor(algebra).den * scale)
 
 
 def left_mul_stack(algebra, xs: Sequence) -> tuple[np.ndarray, int]:
@@ -501,17 +621,18 @@ def left_mul_stack(algebra, xs: Sequence) -> tuple[np.ndarray, int]:
 
     Returns ``stack[p, k, j]``, coordinate ``k`` of ``x_p b_j`` scaled by
     ``sigma = s D`` for the common denominator ``s`` of the rows (int64 or
-    Python ints), and ``sigma``.  The scale leaves kernels, echelon forms and
-    zero tests unchanged.
+    Python ints), and ``sigma``.  The scale leaves kernels, echelon forms
+    and zero tests unchanged.
     """
     n = algebra.dim
     st = scaled_tensor(algebra)
     rows, s = scaled_rows(xs)
     big = _height(rows)
-    # Each entry sums n products of a coordinate and a constant.
-    fits = max(n * big * st.max_abs, st.max_abs, big) < INT64_LIMIT
-    x = _exact(rows, (len(xs), n), fits)
-    return np.tensordot(x, st.array(fits), axes=(1, 0)).transpose(0, 2, 1), s * st.den
+    # Each entry sums n products of a coordinate and a constant; float64
+    # below 2^53.
+    dtype = _carrier(max(n * big * st.max_abs, st.max_abs, big))
+    x = _exact(rows, (len(xs), n), dtype)
+    return _ints(np.tensordot(x, st.array(dtype), axes=(1, 0)).transpose(0, 2, 1)), s * st.den
 
 
 def left_mul_rows(algebra, x) -> list[list[int]]:
@@ -526,25 +647,64 @@ def singularity_screen(algebra):
 
     The returned ``regular(rows)`` gives one bool per row ``x``: True when
     the integer matrix of ``L_x`` (any positive multiple, as in
-    :func:`left_mul_rows`) is nonsingular modulo the prime ``SCREEN_PRIME``.
-    Its determinant is then not divisible by the prime, hence not zero, so
-    ``L_x`` is nonsingular over the rationals and ``x`` is not a left zero
-    divisor.  False decides nothing.
+    :func:`left_mul_rows`) is nonsingular modulo the prime ``SCREEN_PRIME``
+    (:func:`_nonsingular_mod`).  Its determinant is then not divisible by
+    the prime, hence not zero, so ``L_x`` is nonsingular over the rationals
+    and ``x`` is not a left zero divisor.  False decides nothing.
     """
     n, p = algebra.dim, SCREEN_PRIME
     if not _screen_fits(n, p):
         return None
-    residues = scaled_tensor(algebra).residues(np.array([p]))[0]
+    st = scaled_tensor(algebra)
 
     def regular(rows: Sequence[Sequence]) -> list[bool]:
         # One scale for all the rows keeps each a positive multiple of x; a
         # row it makes zero mod p is only left to the exact kernel.
         ints = scaled_rows(rows)[0]
-        x = (_exact(ints, (len(rows), n), _height(ints) < INT64_LIMIT) % p).astype(np.int64)
-        # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
-        ranks = _row_basis_mod(np.tensordot(x, residues, axes=(1, 0)) % p, p).sum(axis=1)
-        return (ranks == n).tolist()
+        big = _height(ints)
+        # Each entry of L_x sums n products of a coordinate and a constant:
+        # below 2^53 the exact stack is built in float64 and then reduced.
+        dtype = _carrier(max(n * big * st.max_abs, st.max_abs, big))
+        x = _exact(ints, (len(rows), n), dtype)
+        if dtype == _FLOAT:
+            # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
+            mats = np.tensordot(x, st.array(dtype), axes=(1, 0)).astype(np.int64)
+        else:
+            x = (x % p).astype(np.int64)
+            mats = np.tensordot(x, st.residues(np.array([p]))[0], axes=(1, 0))
+        return _nonsingular_mod(_mod(mats, p), p).tolist()
 
+    return regular
+
+
+def _nonsingular_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """Whether each square matrix in a stack of int64 residues mod the prime
+    ``p`` is nonsingular mod ``p``; the rank alone, where
+    :func:`_row_basis_mod` also finds which rows span.
+
+    Fraction-free elimination on the whole stack at once: the first row
+    ``t`` with a nonzero entry in the first column is swapped to the top,
+    every other row ``x`` becomes ``t_0 x - x_0 t`` (mod ``p``), and the
+    next step works on the rows and columns after the first.  A matrix
+    whose first column is zero there is singular and leaves the stack.
+    Every entry stays below ``p``, each product below ``p^2``.  ``m`` is
+    overwritten.
+    """
+    regular = np.zeros(len(m), dtype=bool)
+    live = np.arange(len(m))
+    while len(live) and m.shape[1]:
+        column = m[:, :, 0] != 0
+        full = column.any(axis=1)
+        if not full.all():
+            live, m, column = live[full], m[full], column[full]
+        every = np.arange(len(live))
+        i = column.argmax(axis=1)
+        t = m[every, i]  # a copy: the pivot rows
+        m[every, i] = m[:, 0]
+        rest = m[:, 1:, 1:] * t[:, :1, None]
+        rest -= m[:, 1:, :1] * t[:, None, 1:]
+        m = _mod(rest, p)
+    regular[live] = True
     return regular
 
 
@@ -582,12 +742,12 @@ def _row_basis_mod(m: np.ndarray, p, companion: np.ndarray | None = None) -> np.
         tu = np.where(live, t[:, 0], 1)  # the identity where column u is zero
         step = sub * tu[:, None, None]
         step -= sub[:, :, :1] * t[:, None, :]
-        np.remainder(step, p, out=sub)
+        _mod(step, p, out=sub)
         if companion is not None:
             part = companion[:, u:]
             step = part * tu[:, None, None]
             step -= (t * live[:, None])[:, :, None] * part[:, :1]
-            np.remainder(step, p, out=part)
+            _mod(step, p, out=part)
         if kept[:, top].all():
             top += 1
             if top == r:
@@ -600,7 +760,8 @@ def product_table(algebra, xs: Sequence, ys: Sequence) -> tuple[np.ndarray, int]
 
     Returns an integer array ``table[p, q, k]`` and its positive scale
     ``s``: coordinate ``k`` of ``x_p y_q`` is ``table[p, q, k] / s``.  The
-    dtype leaves room to add two such tables.
+    dtype (``int64`` or Python ints; the contractions run in float64 below
+    2^53) leaves room to add two such tables.
     """
     n = algebra.dim
     (x_ints, sx), (y_ints, sy) = scaled_rows(xs), scaled_rows(ys)
@@ -612,17 +773,17 @@ def product_table(algebra, xs: Sequence, ys: Sequence) -> tuple[np.ndarray, int]
     # contraction at most n^2*mx*my*c, and the sum of two tables twice that.
     # C and the rows must fit too, which the products miss when a factor is
     # 0.  The bound is symmetric in the two lists.
-    fits = max(2 * n * n * mx * my * st.max_abs, n * max(mx, my) * st.max_abs,
-               st.max_abs, mx, my) < INT64_LIMIT
-    c = st.array(fits)
-    x = _exact(x_ints, (len(xs), n), fits)
-    y = _exact(y_ints, (len(ys), n), fits)
+    dtype = _carrier(max(2 * n * n * mx * my * st.max_abs, n * max(mx, my) * st.max_abs,
+                         st.max_abs, mx, my))
+    c = st.array(dtype)
+    x = _exact(x_ints, (len(xs), n), dtype)
+    y = _exact(y_ints, (len(ys), n), dtype)
     # [p, k, q] = (x_p y_q)_k, scaled; the shorter list meets C first.
     if len(xs) <= len(ys):
         xy = np.tensordot(np.tensordot(x, c, axes=(1, 0)), y, axes=(1, 1))
     else:
         xy = np.tensordot(x, np.tensordot(c, y, axes=(1, 1)), axes=(1, 0))
-    return xy.transpose(0, 2, 1), sx * sy * st.den
+    return _ints(xy.transpose(0, 2, 1)), sx * sy * st.den
 
 
 def table_in_rows(algebra, rows: Sequence) -> ScaledTensor:
@@ -666,10 +827,12 @@ def anticommutator_table(algebra, xs: Sequence, ys: Sequence) -> tuple[list, int
     return (xy + yx.transpose(1, 0, 2)).tolist(), scale
 
 
-# About this many int64 entries per array of the subalgebra closure: its
-# state holds n^2 per generator set, and a round's products k n^2 per set
-# for the k words the set gained in the last round.
+# About this many int64 entries per array of a round of the subalgebra
+# closure: its products hold k n^2 per generator set for the k words the set
+# gained in the last round.
 CLOSURE_CHUNK = 2**13
+# Generator sets closed together; their state holds about 2 n^2 entries each.
+CLOSURE_SETS = 128
 
 
 def _seed_ints(seeds: Sequence[Sequence]) -> list[list[int]]:
@@ -723,7 +886,7 @@ def _close_mod_p(algebra, seed_sets: list[list[list[int]]], p: int) -> list[tupl
     def take(lo: int, rows: np.ndarray, row_labels: np.ndarray) -> np.ndarray:
         """Add the rows that extend the spans of sets lo, lo + 1, ..."""
         hi = lo + len(rows)
-        kept = _row_basis_mod(rows @ ann[lo:hi].swapaxes(1, 2) % p, p, ann[lo:hi])
+        kept = _row_basis_mod(_mod(rows @ ann[lo:hi].swapaxes(1, 2), p), p, ann[lo:hi])
         b, r = np.nonzero(kept)
         pos = dims[lo + b] + np.arange(len(b)) - np.searchsorted(b, b)
         words[lo + b, pos] = rows[b, r]
@@ -746,10 +909,8 @@ def _close_mod_p(algebra, seed_sets: list[list[list[int]]], p: int) -> list[tupl
         for by, factors in ((by_left, w[:, :top]), (by_right, before)):
             # [b, i, j, l]: coordinate l of the new word i times b_j (by_left)
             # or of b_j times it (by_right), then times each factor.
-            side = fresh @ by
-            side %= p
-            half = factors[:, None] @ side.reshape(m, k, n, n)
-            half %= p
+            side = _mod(fresh @ by, p)
+            half = _mod(factors[:, None] @ side.reshape(m, k, n, n), p)
             halves.append(half.reshape(m, -1, n))
         rows = np.concatenate(halves, axis=1)
         pairs = (np.broadcast_arrays(new[:, :, None], np.arange(top)),
@@ -883,7 +1044,7 @@ def _certify(algebra, chunk: list[list[list[int]]], closed: list[tuple[int, list
     if len(ok) == len(closed):
         return ok
     st = scaled_tensor(algebra)
-    k = int(abs(st.array(n * n * st.max_abs < INT64_LIMIT)).sum(axis=(0, 1)).max())
+    k = int(abs(st.array(_carrier(n * n * st.max_abs))).sum(axis=(0, 1)).max())
     checks = {}
     for b, (d, words) in enumerate(closed):
         if d < n:
@@ -909,8 +1070,7 @@ def _closures(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[tupl
     order: ``seeds`` are the primitive integer seed rows, and ``how`` is the
     list of words of :func:`_close_mod_p` when :func:`_certify` accepts them,
     else the :class:`Subspace` of :func:`_exact_closure`."""
-    n = algebra.dim
-    size = max(1, CLOSURE_CHUNK // n**2)
+    n, size = algebra.dim, CLOSURE_SETS
     for start in range(0, len(seed_sets), size):
         chunk = [_seed_ints(s) for s in seed_sets[start:start + size]]
         closed, ok = [], set()

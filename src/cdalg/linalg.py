@@ -388,7 +388,7 @@ class Subspace:
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ambient_dim: int):
         self._ints, self._pivots = _echelon(rows)
-        self.rows: Matrix = tuple(r.coords for r in _unit_pivot_rows(self._ints, self._pivots))
+        self.rows: Matrix = tuple(r.coords for r in self.elements())
         self.ambient_dim = ambient_dim
 
     @classmethod
@@ -409,6 +409,11 @@ class Subspace:
         space._ints, space._pivots = [r.num for r in rows], [r.num.index(r.den) for r in rows]
         space.rows, space.ambient_dim = tuple([r.coords for r in rows]), ambient_dim
         return space
+
+    def elements(self) -> list[Element]:
+        """The echelon rows, each with pivot 1, as Elements of the integer
+        rows."""
+        return _unit_pivot_rows(self._ints, self._pivots)
 
     def axes(self) -> list[int] | None:
         """The pivots when every echelon row is a unit vector, else None."""

@@ -282,7 +282,7 @@ def homomorphism_violation_ints(iso: Matrix, source: Algebra, target: Algebra) -
     f = f.reshape(m, n)
     g = gcd(s * tgt.den, src.den)
     lhs_scale, rhs_scale = s * tgt.den // g, src.den // g
-    c_src, c_tgt = src.array(False), tgt.array(False)
+    c_src, c_tgt = src.array(np.dtype(object)), tgt.array(np.dtype(object))
     for i in range(n):
         lhs = c_src[i] @ f.T
         rhs = f.T @ np.tensordot(f[:, i], c_tgt, axes=(0, 0))

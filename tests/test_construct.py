@@ -19,9 +19,9 @@ from cdalg import (
     named_algebra,
     natural_grading,
 )
-from cdalg.construct import InvolutiveAlgebra, _star_products
+from cdalg.construct import InvolutiveAlgebra
 from cdalg.core import change_of_basis
-from cdalg.kernel import scaled_tensor
+from cdalg.kernel import _star_products, scaled_tensor
 from cdalg.linalg import Subspace, identity, mat_inv
 from cdalg.tables import (
     OCTONION_TABLE,
