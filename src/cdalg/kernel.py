@@ -31,8 +31,9 @@ where the choice is made, on three rungs:
 
 The kernels use them so:
 
-- values that are returned rather than tested for zero take the rung of
-  their bound, Python ints past 2^63;
+- values that are returned rather than tested for zero are computed on the
+  rung of their bound and returned as ``int64`` below 2^63, as Python ints
+  past it;
 - the three zero tests (the alternativity sweep, the homomorphism check,
   the middle Moufang cube) run one body in every arithmetic.  Each operand
   (``C``, the rows, the map, the scales) carries a leading prime axis.
@@ -41,17 +42,19 @@ The kernels use them so:
   arithmetic is that axis at length one, on the rung of the bound below
   2^63 and on Python ints where the dimension passes 128
   (:func:`_screen_fits` rules ``int64`` residues out) or the product of
-  all the primes does not exceed the bound.  :func:`_reduce` reduces along the axis and leaves exact values
-  alone.  An integer of absolute value at most the bound is zero exactly
-  when it is zero modulo each prime (Chinese remaindering), so the verdict
-  and the first witness do not depend on the arithmetic.  The residues of
+  all the primes does not exceed the bound.  :func:`_reduce` reduces along
+  the axis and leaves exact values alone.  An integer of absolute value at
+  most the bound is zero exactly when it is zero modulo each prime
+  (Chinese remaindering), so the verdict and the first witness do not
+  depend on the arithmetic.  The residues of
   ``C`` are cached on the tensor.  :func:`alternativity_screen` runs the
   sweep modulo the first prime only: a nonzero residue is an exact "no",
   and a pass is a "yes" only when that prime is all the bound needs;
 - the zero-divisor screen (:func:`singularity_screen`) decides whether
-  ``L_x`` is nonsingular modulo :data:`SCREEN_PRIME` by a rank-only
-  elimination of the residues, taken from the exact ``float64`` stack of
-  the ``L_x`` below 2^53 and from residues of ``x`` and ``C`` past it;
+  ``L_x`` is nonsingular modulo :data:`SCREEN_PRIME` by an elimination
+  that finds the rank only, on residues reduced from the exact stack of
+  the ``L_x`` (``float64`` below 2^53) or, past that, made from the
+  residues of ``x`` and ``C``;
 - the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
   modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
   basis vector as a word: a seed row or the product of two earlier words.
@@ -827,10 +830,10 @@ def anticommutator_table(algebra, xs: Sequence, ys: Sequence) -> tuple[list, int
     return (xy + yx.transpose(1, 0, 2)).tolist(), scale
 
 
-# About this many int64 entries per array of a round of the subalgebra
-# closure: its products hold k n^2 per generator set for the k words the set
-# gained in the last round.
-CLOSURE_CHUNK = 2**13
+# About this many int64 entries (256 KB) per array of a round of the
+# subalgebra closure: its products hold k n^2 per generator set for the k
+# words the set gained in the last round.
+CLOSURE_CHUNK = 2**15
 # Generator sets closed together; their state holds about 2 n^2 entries each.
 CLOSURE_SETS = 128
 
@@ -1070,9 +1073,9 @@ def _closures(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[tupl
     order: ``seeds`` are the primitive integer seed rows, and ``how`` is the
     list of words of :func:`_close_mod_p` when :func:`_certify` accepts them,
     else the :class:`Subspace` of :func:`_exact_closure`."""
-    n, size = algebra.dim, CLOSURE_SETS
-    for start in range(0, len(seed_sets), size):
-        chunk = [_seed_ints(s) for s in seed_sets[start:start + size]]
+    n = algebra.dim
+    for start in range(0, len(seed_sets), CLOSURE_SETS):
+        chunk = [_seed_ints(s) for s in seed_sets[start:start + CLOSURE_SETS]]
         closed, ok = [], set()
         if _screen_fits(n, SCREEN_PRIME):
             closed = _close_mod_p(algebra, chunk, SCREEN_PRIME)
