@@ -322,9 +322,9 @@ class AlternativitySweep:
         # R_u R_u at most n^3*mu^2*c^2, and of each defect at most twice that.
         # C itself must fit too, which the product misses when there are no rows.
         self.bound = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs)
-        self._carrier = _carrier(self.bound)
+        self.carrier = _carrier(self.bound)
         # The dtype of the exact stacks :meth:`defects` yields.
-        self.dtype = np.dtype(np.int64) if self._carrier == _FLOAT else self._carrier
+        self.dtype = np.dtype(np.int64) if self.carrier == _FLOAT else self.carrier
 
     def family(self) -> Iterator[tuple[int, int | None]]:
         """Singles, then pairs p < q; ``super_alternativity_after`` needs a
@@ -349,7 +349,7 @@ class AlternativitySweep:
         when primes is None, computed in the carrier of :attr:`bound`.  A
         law not asked for is not computed.
         """
-        (m, n), dtype = self._shape, self._carrier
+        (m, n), dtype = self._shape, self.carrier
         c = self._st.stacked(primes, dtype)
         # Row m is zero, so the member (p, None) is r_p + r_m.
         u = _stacked([v for r in self._rows for v in r] + [0] * n, (m + 1, n), primes, dtype)

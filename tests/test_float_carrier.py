@@ -116,7 +116,8 @@ def test_carrier_rungs():
     assert _carrier(FLOAT_LIMIT) == INT64 and _carrier(INT64_LIMIT - 1) == INT64
     assert _carrier(INT64_LIMIT) == np.dtype(object)
     # Every integer up to 2^53 is a double; 2^53 + 1 is not.
-    assert float(FLOAT_LIMIT - 1) == FLOAT_LIMIT - 1 and float(FLOAT_LIMIT + 1) != FLOAT_LIMIT + 1
+    assert float(FLOAT_LIMIT - 1) == FLOAT_LIMIT - 1
+    assert float(FLOAT_LIMIT + 1) != FLOAT_LIMIT + 1
 
 
 def test_a_bound_of_exactly_two_to_the_53_takes_int64():
@@ -126,7 +127,7 @@ def test_a_bound_of_exactly_two_to_the_53_takes_int64():
     for c, want in ((2**25 - 1, FLOAT), (2**25, INT64)):
         sweep = AlternativitySweep(Algebra([[[c]]]), identity(1))
         assert (sweep.bound < FLOAT_LIMIT) == (want == FLOAT)
-        assert sweep._carrier == want and sweep.dtype == INT64
+        assert sweep.carrier == want and sweep.dtype == INT64
     assert AlternativitySweep(Algebra([[[2**25]]]), identity(1)).bound == FLOAT_LIMIT
     for c, want in ((FLOAT_LIMIT - 1, FLOAT), (FLOAT_LIMIT, INT64)):
         with carriers() as seen:
