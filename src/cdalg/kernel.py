@@ -275,27 +275,26 @@ def _stacked(ints: Sequence[int], shape: tuple[int, ...], primes: np.ndarray | N
                     dtype=np.int64).reshape(len(primes), *shape)
 
 
-def _mod(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
-    """``x % p`` for int64 ``x`` and a prime ``p``, or an array of primes
-    that broadcasts against it, written to ``out`` (``x`` itself by
-    default).  By one prime it is ``x - (x // p) p``: numpy divides by one
-    integer fast and takes a remainder slowly."""
-    out = x if out is None else out
-    if isinstance(p, np.ndarray):
-        return np.remainder(x, p, out=out)
+def _mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``x % p`` for int64 ``x`` and a prime ``p``, written to ``out`` (``x``
+    itself by default), as ``x - (x // p) p``: numpy divides by one integer
+    fast and takes a remainder slowly."""
     q = x // p
     q *= p
-    return np.subtract(x, q, out=out)
+    return np.subtract(x, q, out=x if out is None else out)
 
 
 def _reduce(x: np.ndarray, primes: np.ndarray | None) -> np.ndarray:
-    """``x`` modulo ``primes[t]`` along its leading axis ``t``, or ``x``
-    itself when primes is None.  In place, unless that axis has length one
-    (an operand below every prime) and broadcasts over the primes."""
+    """``x`` modulo ``primes[t]`` along its leading axis ``t``, by
+    :func:`_mod` one prime at a time, or ``x`` itself when primes is None.
+    In place, unless that axis has length one (an operand below every prime)
+    and broadcasts over the primes."""
     if primes is None:
         return x
-    mod = primes.reshape(-1, *(1,) * (x.ndim - 1))
-    return np.remainder(x, mod, out=x if len(x) == len(primes) else None)
+    out = x if len(x) == len(primes) else np.empty((len(primes), *x.shape[1:]), dtype=x.dtype)
+    for t, p in enumerate(primes.tolist()):
+        _mod(x[t % len(x)], p, out=out[t])
+    return out
 
 
 class AlternativitySweep:
@@ -711,14 +710,13 @@ def _nonsingular_mod(m: np.ndarray, p: int) -> np.ndarray:
     return regular
 
 
-def _row_basis_mod(m: np.ndarray, p, companion: np.ndarray | None = None) -> np.ndarray:
+def _row_basis_mod(m: np.ndarray, p: int, companion: np.ndarray | None = None) -> np.ndarray:
     """Which rows of each matrix in a stack of int64 residues mod ``p`` are
     independent of the rows before them.
 
     Returns ``kept[b, i]``: True when row ``i`` of matrix ``b`` is not in the
     span mod ``p`` of its rows ``0..i-1``.  The kept rows are a basis of the
-    row space, so ``kept.sum(axis=1)`` is the rank.  ``p`` is a prime or an
-    array of primes that broadcasts against ``m`` (one per matrix).
+    row space, so ``kept.sum(axis=1)`` is the rank.
 
     Fraction-free elimination on the whole stack at once, column by column:
     the first row ``t`` with a nonzero entry in column ``u`` is kept, and
@@ -853,7 +851,8 @@ def _residues(rows: list[list[list[int]]], width: int, n: int, primes: np.ndarra
         ints = np.array(flat, dtype=object if big else np.int64)
         b = np.repeat(np.arange(len(rows)), [len(seeds) for seeds in rows])
         s = np.concatenate([np.arange(len(seeds)) for seeds in rows])
-        out[:, b, s] = (ints[None] % primes[:, None, None]).astype(np.int64)
+        for t, p in enumerate(primes.tolist()):
+            out[t, b, s] = ints % p
     return out
 
 
@@ -971,7 +970,6 @@ def _certified(algebra, seed_sets: list[list[list[int]]], closed: list[tuple[int
     width = max(len(s) for s in seed_sets)
     top = max(d for d, _ in closed)
     c = scaled_tensor(algebra).residues(primes).reshape(-1, n, n * n)
-    mod = primes.reshape(-1, 1, 1)
     seeds = _residues(seed_sets, width, n, primes)
     dims = np.array([d for d, _ in closed])
     labels = np.array([words + [[0, 0]] * (top - d) for d, words in closed],
@@ -982,15 +980,14 @@ def _certified(algebra, seed_sets: list[list[list[int]]], closed: list[tuple[int
         seeded = np.flatnonzero((w < dims) & (a < 0))
         words[:, seeded, w] = seeds[:, seeded, s[seeded]]
         made = np.flatnonzero((w < dims) & (a >= 0))
-        x = (words[:, made, a[made]] @ c % mod).reshape(q, -1, n, n)
-        words[:, made, w] = (words[:, made, s[made]][:, :, None] @ x)[:, :, 0] % mod
+        x = _reduce(words[:, made, a[made]] @ c, primes).reshape(q, -1, n, n)
+        words[:, made, w] = _reduce((words[:, made, s[made]][:, :, None] @ x)[:, :, 0], primes)
     # [t, b, (a, c)]: word a times word c.
-    left = (words.reshape(q, -1, n) @ c % mod).reshape(q, count, top, n, n)
-    products = (words[:, :, None] @ left).reshape(q, count, -1, n) % mod[..., None]
+    left = _reduce(words.reshape(q, -1, n) @ c, primes).reshape(q, count, top, n, n)
+    products = _reduce((words[:, :, None] @ left).reshape(q, count, -1, n), primes)
     stack = np.concatenate([seeds, words, products], axis=2)
-    ranks = _row_basis_mod(stack.reshape(q * count, -1, n),
-                           np.repeat(primes, count).reshape(-1, 1, 1)).sum(axis=1)
-    return (ranks.reshape(q, count) <= dims).all(axis=0)
+    return np.all([_row_basis_mod(m, p).sum(axis=1) <= dims
+                   for m, p in zip(stack, primes.tolist())], axis=0)
 
 
 def _exact_closure(algebra, seeds: list[list[int]]) -> Subspace:

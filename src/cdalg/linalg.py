@@ -16,7 +16,10 @@ integer multipliers and divides every updated row by its content.  The
 reduced row echelon form is canonical, so the result does not depend on how
 the rows were scaled.  Internal callers take the integer rows:
 :func:`kernel_basis` and :func:`inverse` return Elements, and ``nullspace``
-and ``mat_inv`` are their ``Fraction`` views.
+and ``mat_inv`` are their ``Fraction`` views.  Symmetric forms have one LDL
+elimination, :func:`congruence_diagonal`, fraction-free in the same way:
+it gives the congruence diagonal, or, stopped at the first pivot that is
+not positive, the definiteness verdict with its witness vector.
 """
 
 from __future__ import annotations
@@ -305,75 +308,70 @@ def mat_inv(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(r.coords for r in inverse(m))
 
 
-def nonpositive_direction(m: Sequence[Sequence[Fraction]]) -> Vector | None:
-    """A rational x with x^T M x <= 0 for symmetric M, or None if M is positive definite.
-
-    Runs the LDL elimination and stops at the first pivot that is not
-    positive; the congruence transform maps it back to an exact vector, so
-    it can serve as a counterexample witness.  Fraction-free: each row, with
-    its row of the transform, is a positive multiple of the rational
-    elimination's, so the pivot signs and the vector (that row scaled to 1
-    at its own index) are the same.
-    """
-    n = len(m)
-    work = scaled_rows(m)[0]
-    trans = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        p, pivot_row = work[k][k], work[k][k:]
-        if p <= 0:
-            return Element.of_ints(trans[k], trans[k][k]).coords
-        for i in range(k + 1, n):
-            f = work[i][k]
-            if f:
-                row = [p * a - f * b for a, b in zip(work[i][k:], pivot_row)]
-                t = [p * a - f * b for a, b in zip(trans[i], trans[k])]
-                g = gcd(*row, *t)
-                work[i][k:] = [x // g for x in row]
-                trans[i] = [x // g for x in t]
-    return None
-
-
-def congruence_diagonal(m: Sequence[Sequence[Fraction]]) -> tuple[Vector, Matrix]:
-    """Pivots d and rows L with L M L^T = diag(d), for symmetric rational M.
+def congruence_diagonal(m: Sequence[Sequence], den: int = 1,
+                        definite: bool = False) -> tuple[Vector, Matrix] | Vector | None:
+    """Pivots d and rows L with L M L^T = diag(d), for symmetric rational
+    M = m / den; with ``definite``, a rational x with x^T M x <= 0, or None
+    when M is positive definite.
 
     LDL elimination with symmetric pivoting: each step pivots on the first
     remaining nonzero diagonal entry.  When every remaining diagonal entry is
     zero but the block is not, row i becomes row i + row j for the first
     nonzero (i, j), whose new diagonal entry is 2 M_ij.  Once the remaining
     block is zero its rows are kernel vectors of M, with pivot 0.  By
-    Sylvester's law of inertia the signs of d are the signature of M.
+    Sylvester's law of inertia the signs of d are the signature of M.  With
+    ``definite`` it stops at the first pivot in natural order that is not
+    positive: no step before it pivoted out of order, and x is that row of
+    L scaled to 1 at its own index.
+
+    Fraction-free: row ``i`` is ``2n`` integers with its own nonzero scale
+    ``s[i]``.  The first ``n`` over ``D s[i]``, with ``D`` the denominator
+    of ``M``, are the rational elimination's row of M, and the last ``n``
+    over ``s[i]`` are ``L_i``.  A step combines only the rows with a
+    nonzero entry in the pivot column, which zeroes that column, and divides
+    each, with its scale, by their content.  ``Fraction``s are built only
+    for the result.
     """
-    n = len(m)
-    a = [list(vec(row)) for row in m]
-    rows = [list(unit_vector(n, i)) for i in range(n)]
-    left = list(range(n))
-    pivots: list[Fraction] = []
-    order: list[int] = []
+    a, d = scaled_rows(m)
+    n = len(a)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    s = [1] * n
+    left = list(range(n))  # the remaining indices, in increasing order
+    done: list[tuple[int, int]] = []  # (k, pivot) per step
     while left:
-        k = next((i for i in left if a[i][i]), None)
+        k = left[0]
+        if not a[k][k]:
+            k = next((i for i in left if a[i][i]), None)
+        if definite and (k != left[0] or a[k][k] < 0):
+            t = a[left[0]][n:]
+            return Element.of_ints(t, t[left[0]]).coords
         if k is None:
             pair = next(((i, j) for i in left for j in left if i < j and a[i][j]), None)
             if pair is None:
-                pivots += [F0] * len(left)
-                order += left
+                done += [(k, 0) for k in left]
                 break
+            # Row k + row j over a common scale, then column k + column j.
             k, j = pair
-            for c in left:
-                a[k][c] += a[j][c]
-            for r in left:
-                a[r][k] += a[r][j]
-            rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
-        p = a[k][k]
+            c = lcm(s[k], s[j])
+            x, y = c // s[k], c // s[j]
+            a[k], s[k] = [x * u + y * v for u, v in zip(a[k], a[j])], c
+            for i in left:
+                a[i][k] += a[i][j]
         left.remove(k)
+        prow, p = a[k], a[k][k]
+        done.append((k, p))
         for i in left:
-            if a[i][k]:
-                f = a[i][k] / p
-                for c in left:
-                    a[i][c] -= f * a[k][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-        pivots.append(p)
-        order.append(k)
-    return tuple(pivots), tuple(tuple(rows[k]) for k in order)
+            f = a[i][k]
+            if f:
+                # a[i] - (a_ik / a_kk) a[k], over the scale s[i] a_kk.
+                row = [p * u - f * v for u, v in zip(a[i], prow)]
+                si = s[i] * p
+                g = gcd(si, *row)
+                a[i], s[i] = ([u // g for u in row], si // g) if g > 1 else (row, si)
+    if definite:
+        return None
+    return (tuple([Fraction(p, d * den * s[k]) if p else F0 for k, p in done]),
+            tuple([tuple([Fraction(u, s[k]) if u else F0 for u in a[k][n:]]) for k, _ in done]))
 
 
 class Subspace:

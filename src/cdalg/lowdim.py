@@ -12,11 +12,12 @@ by one helper, as integers over one denominator, in the normalized basis
 (``construct.normalized_basis_algebra``); the parameters are read back
 through one helper too, the products of a normalized basis in its
 coordinates (``LocallyComplexCertificate.products``), so round trips are
-exact.  The division criterion is exact for every
-finite input, floats included (read as the rationals they denote): one
-congruence diagonalization (LDL) of the symmetric part P of T decides
-definiteness, and on "no" yields an isotropic vector z of P, from which
-the zero-divisor pair is built and verified exactly.  z is rational when a
+exact.  The division criterion is exact for every finite input, floats
+included (read as the rationals they denote): one congruence
+diagonalization of the symmetric part P of T, the integer LDL of
+``linalg.congruence_diagonal``, decides definiteness, and on "no" yields
+an isotropic vector z of P, from which the zero-divisor pair is built and
+verified exactly.  z is rational when a
 zero diagonal entry or pivot, a binary subform with a square discriminant,
 or Legendre's descent on the diagonal form (``numth.ternary_zero``) gives
 one.  Float entries have pivots too large to factor for the descent; for
@@ -664,13 +665,17 @@ def hyperboloid_config(p) -> HyperboloidConfig:
     then rotates the symmetric part to a sorted diagonal with a determinant-1
     matrix, transporting the skew axis and the vector along.  The type test
     and the flip read the signature as :func:`geometric_type` does, exactly
-    for int and ``Fraction`` entries; the frame is computed in floats.
+    for int and ``Fraction`` entries; the frame is computed in floats, so an
+    entry beyond the float range raises :class:`MalformedInputError`.
     """
     T, u = p
     pos, neg = _signature(T)
     if pos + neg != 3 or pos == 3 or neg == 3:
         raise ValueError("parameters are not of hyperboloid type")
-    T, u = np.array(T, dtype=float), np.array(u, dtype=float)
+    try:
+        T, u = np.array(T, dtype=float), np.array(u, dtype=float)
+    except OverflowError:
+        raise MalformedInputError("hyperboloid frame needs entries in the float range") from None
     if pos == 1:
         T = -T
     w, V = _sym_eigen(T)

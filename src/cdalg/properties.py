@@ -25,14 +25,14 @@ before right), so the witness is the first failing one in that order.
 Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
-closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, positive definiteness is a
-rational elimination on it.  The certificate is a normalized basis and
-nothing else, from :func:`orthonormalize` on coefficient vectors against
-that Gram matrix; products in it are mapped into its coordinates in
-integers when they are read.  It is not needed for the verdict, so it is
-built on the first read of ``certificate`` and then kept; most callers
-never read it.  The algebra is immutable, so the check is computed once
-and kept on it.
+closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, and positive definiteness
+is the integer LDL of ``cdalg.linalg`` on it.  The certificate is a
+normalized basis and nothing else, from :func:`orthonormalize` on
+coefficient vectors against that Gram matrix; products in it are mapped
+into its coordinates in integers when they are read.  It is not needed for
+the verdict, so it is built on the first read of ``certificate`` and then
+kept; most callers never read it.  The algebra is immutable, so the check
+is computed once and kept on it.
 
 A rational normalized basis exists exactly when the imaginary norm form is
 a sum of squares over Q, which the LDL pivots decide by Hasse-Minkowski
@@ -73,7 +73,6 @@ from .linalg import (
     Vector,
     congruence_diagonal,
     inverse,
-    nonpositive_direction,
     rank,
     scaled_rows,
 )
@@ -323,9 +322,8 @@ def unit_vector_by_descent(rows: Sequence[Element], gram: Sequence[Sequence[int]
     """
     ints, d = scaled_rows(rows)
     grams = [[sum(g * b for g, b in zip(grow, r)) for grow in gram] for r in ints]
-    scale = d * d * den
     pivots, lower = congruence_diagonal(
-        [[Fraction(sum(x * y for x, y in zip(a, gb)), scale) for gb in grams] for a in ints])
+        [[sum(x * y for x, y in zip(a, gb)) for gb in grams] for a in ints], d * d * den)
     kept = [(p, l) for p, l in zip(pivots, lower) if p]
     obstruction = sum_of_squares_obstruction([p for p, _ in kept])
     if obstruction is not None:
@@ -407,7 +405,7 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
     traces = _traces(algebra)
     gram = _imaginary_gram(algebra, traces)  # 4 D^2 times the Gram matrix
-    direction = nonpositive_direction(gram)
+    direction = congruence_diagonal(gram, definite=True)
     if direction is not None:
         x = Element(direction)
         bad = combination(algebra, x, _imaginary_vectors(n, u, d, traces))

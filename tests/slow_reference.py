@@ -9,7 +9,8 @@ quadraticity, the multiply-based imaginary basis, Gram matrix and
 Gram-Schmidt of local complexity, the unit-square search that multiplies
 every candidate and pair, the sum-of-squares searches without the 4^k
 reduction, ``Fraction`` Gauss-Jordan elimination and determinant, the
-``Fraction`` matrix products (``mat_vec``, ``mat_mul``, ``transpose``) that
+``Fraction`` LDL of a symmetric form (pivoted, and unpivoted for the
+definiteness witness), the ``Fraction`` matrix products (``mat_vec``, ``mat_mul``, ``transpose``) that
 the library no longer uses, the annihilator and
 subalgebra closure built from ``Algebra.multiply``, the round-based closure
 over Z and the census that closes one candidate at a time with it, the
@@ -77,7 +78,6 @@ from cdalg.linalg import (
     Vector,
     identity,
     mat,
-    nonpositive_direction,
     unit_vector,
     vec,
 )
@@ -876,6 +876,67 @@ def det(m) -> Fraction:
             f = work[i][c] / work[c][c]
             work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return result
+
+
+def congruence_diagonal(m) -> tuple[Vector, Matrix]:
+    """Pivots d and rows L with L M L^T = diag(d), for symmetric rational M:
+    the ``Fraction`` LDL with symmetric pivoting that the library runs on
+    integers.  Each step pivots on the first remaining nonzero diagonal
+    entry; when every remaining diagonal entry is zero but the block is not,
+    row i becomes row i + row j for the first nonzero (i, j).  Once the
+    remaining block is zero its rows are kernel vectors of M, with pivot 0.
+    """
+    n = len(m)
+    a = [list(vec(row)) for row in m]
+    rows = [list(unit_vector(n, i)) for i in range(n)]
+    left = list(range(n))
+    pivots: list[Fraction] = []
+    order: list[int] = []
+    while left:
+        k = next((i for i in left if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in left for j in left if i < j and a[i][j]), None)
+            if pair is None:
+                pivots += [F0] * len(left)
+                order += left
+                break
+            k, j = pair
+            for c in left:
+                a[k][c] += a[j][c]
+            for r in left:
+                a[r][k] += a[r][j]
+            rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
+        p = a[k][k]
+        left.remove(k)
+        for i in left:
+            if a[i][k]:
+                f = a[i][k] / p
+                for c in left:
+                    a[i][c] -= f * a[k][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(p)
+        order.append(k)
+    return tuple(pivots), tuple(tuple(rows[k]) for k in order)
+
+
+def nonpositive_direction(m) -> Vector | None:
+    """A rational x with x^T M x <= 0 for symmetric M, or None when M is
+    positive definite: the unpivoted ``Fraction`` LDL, stopped at the first
+    pivot that is not positive.  x is that row of the unit lower triangular
+    transform, so it is 1 at its own index."""
+    n = len(m)
+    a = [list(vec(row)) for row in m]
+    rows = [list(unit_vector(n, i)) for i in range(n)]
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return tuple(rows[k])
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return None
 
 
 def in_span(reduced: Matrix, v) -> bool:

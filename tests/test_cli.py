@@ -587,6 +587,30 @@ def test_classify4_kind_agrees_with_division_near_a_tiny_eigenvalue(capsys):
         assert (data["kind"], data["division"]) == (kind, division)
 
 
+@pytest.mark.parametrize("T", ["1e400,0,0,0,1,0,0,0,-1", "1/3,0,0,0,1,0,0,0,-1e400", "file"])
+def test_classify4_hyperboloid_beyond_the_float_range_exits_3(tmp_path, capsys, T):
+    """A hyperboloid's configuration is a float frame: an exact entry beyond
+    the float range is malformed input, not a traceback."""
+    argv = ["--T", T]
+    if T == "file":
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"T": [[10**400, 0, 0], [0, 1, 0], [0, 0, -1]], "u": [0, 0, 0]}))
+        argv = [str(path)]
+    code, out, err = run_cli(capsys, "classify4", *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "malformed-input"
+
+
+def test_classify4_ellipsoid_beyond_the_float_range_is_exact(capsys):
+    code, out, err = run_cli(capsys, "classify4", "--T", "1e400,0,0,0,1,0,0,0,1")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["T"] == [[str(10**400), "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert data["u"] == ["0", "0", "0"]
+    assert (data["rank"], data["kind"], data["division"]) == (3, "ellipsoid", True)
+    assert "configuration" not in data and "zero_divisor_pair" not in data
+
+
 # Commands, usage errors and "--": each argv is parsed by the parser cached
 # for its first token.
 PARSER_CASES = [

@@ -1,9 +1,12 @@
-"""Exact linear algebra: canonical echelon forms, kernels, inverses.
+"""Exact linear algebra: canonical echelon forms, kernels, inverses, the
+LDL of a symmetric form.
 
 The fraction-free elimination core is checked against the Fraction
-Gauss-Jordan elimination kept in slow_reference.
+Gauss-Jordan elimination kept in slow_reference, and the integer LDL
+against the Fraction LDL and the unpivoted definiteness witness kept there.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,17 +15,20 @@ from hypothesis import strategies as st
 
 import slow_reference as ref
 
+from cdalg import named_algebra
+from cdalg.analysis import rotated_copy
 from cdalg.linalg import (
     Subspace,
     congruence_diagonal,
     identity,
     mat,
     mat_inv,
-    nonpositive_direction,
     nullspace,
     rank,
     rref,
+    scaled_rows,
 )
+from cdalg.properties import _imaginary_gram, _traces
 from slow_reference import det, mat_mul, mat_vec, transpose
 
 rationals = st.fractions(
@@ -81,12 +87,12 @@ def test_det_singular_and_product():
 
 
 def test_positive_definite_and_witness():
-    assert nonpositive_direction(mat([[2, 1], [1, 2]])) is None
-    w = nonpositive_direction(mat([[1, 2], [2, 1]]))
+    assert congruence_diagonal(mat([[2, 1], [1, 2]]), definite=True) is None
+    w = congruence_diagonal(mat([[1, 2], [2, 1]]), definite=True)
     q = sum(w[i] * sum(Fraction(v) * w[j] for j, v in enumerate([[1, 2], [2, 1]][i]))
             for i in range(2))
     assert q <= 0
-    assert nonpositive_direction(identity(3)) is None
+    assert congruence_diagonal(identity(3), definite=True) is None
 
 
 def test_subspace_membership_and_equality():
@@ -225,15 +231,33 @@ def _symmetric(entries, n):
     return m
 
 
+def assert_ldl_is_the_reference(m):
+    """Pivots, rows and definiteness witness equal the Fraction LDL's of
+    slow_reference in value and type, also from integer rows over a
+    denominator."""
+    got, want = congruence_diagonal(m), ref.congruence_diagonal(m)
+    assert got == want
+    assert all(type(x) is Fraction for x in (*got[0], *(x for row in got[1] for x in row)))
+    ints, d = scaled_rows(m)
+    assert congruence_diagonal(ints, d) == want
+    w, ref_w = congruence_diagonal(m, definite=True), ref.nonpositive_direction(m)
+    assert w == ref_w
+    assert w is None or all(type(x) is Fraction for x in w)
+    return got
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(
         st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
-        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))))
+        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2), st.booleans())))
 def test_congruence_diagonal_is_an_invertible_congruence(case):
-    n, entries = case
+    n, entries, zero_diagonal = case
     m = _symmetric(entries, n)
-    pivots, rows = congruence_diagonal(m)
+    if zero_diagonal:
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    pivots, rows = assert_ldl_is_the_reference(m)
     assert mat_mul(mat_mul(rows, m), transpose(rows)) == tuple(
         tuple(pivots[i] if i == j else 0 for j in range(n)) for i in range(n))
     assert rank(rows) == n
@@ -241,8 +265,50 @@ def test_congruence_diagonal_is_an_invertible_congruence(case):
     for d, row in zip(pivots, rows):
         if d == 0:
             assert not any(mat_vec(m, row))
-    # Definiteness agrees with the unpivoted elimination of nonpositive_direction.
-    assert (nonpositive_direction(m) is None) == all(d > 0 for d in pivots)
+    # Definiteness agrees with the unpivoted elimination of the witness.
+    assert (congruence_diagonal(m, definite=True) is None) == all(d > 0 for d in pivots)
+
+
+def _symmetric_part(t):
+    return [[(Fraction(t[i][j]) + Fraction(t[j][i])) / 2 for j in range(3)] for i in range(3)]
+
+
+def _ldl_corpus(kind):
+    rng = random.Random(f"ldl:{kind}")
+    if kind == "rational-3x3":
+        return [_symmetric_part([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for _ in range(3)] for _ in range(3)]) for _ in range(300)]
+    if kind == "float-3x3":
+        return [_symmetric_part([[rng.randint(-30, 30) / 10 for _ in range(3)] for _ in range(3)])
+                for _ in range(100)]
+    if kind == "zero-diagonal":
+        forms = []
+        for _ in range(600):
+            n = rng.randint(2, 6)
+            forms.append(_symmetric([0 if i == j else rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])
+                                     for i in range(n) for j in range(i, n)], n))
+        return forms
+    if kind == "dense-gram":
+        forms = []
+        for n in (8, 8, 16, 16):
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            forms.append([[sum(x * y for x, y in zip(p, q)) + (i == j) for j, q in enumerate(b)]
+                          for i, p in enumerate(b)])
+        return forms
+    forms = []
+    for name in ("O", "TO", "S", "TS", "A5"):
+        algebra = named_algebra(name).algebra
+        for a in (algebra, rotated_copy(algebra, random.Random(f"ldl:{name}"))[0]):
+            gram = _imaginary_gram(a, _traces(a))
+            forms += [gram, [[-x for x in row] for row in gram]]
+    return forms
+
+
+@pytest.mark.parametrize("kind", ["rational-3x3", "float-3x3", "zero-diagonal", "dense-gram",
+                                  "table-gram"])
+def test_congruence_diagonal_is_the_reference_on_a_corpus(kind):
+    for m in _ldl_corpus(kind):
+        assert_ldl_is_the_reference(m)
 
 
 def test_congruence_diagonal_without_a_nonzero_diagonal_entry():
