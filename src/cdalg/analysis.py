@@ -694,21 +694,27 @@ def zero_divisor_search(
     seeded random rational elements are tried up to the budget.
 
     Candidates are screened in chunks by
-    :func:`cdalg.kernel.singularity_screen`: a candidate whose left
-    multiplication is nonsingular modulo a prime is nonsingular over the
-    rationals, so it is skipped exactly, and every other one gets the exact
-    kernel.  The screen changes no verdict, witness or ``tried`` count.
-    "exhausted" still means only that the search gave up, not that there is
-    no zero divisor.
+    :func:`cdalg.kernel.singularity_screen`, which skips exactly the
+    candidates it proves regular; every other one gets the exact kernel.
+    When the algebra is locally complex (quadratic, x^2 = t(x) x - N(x) with
+    N(x) > 0 for x != 0), the identity xbar (x y) = N(x) y + D_x y, where
+    xbar = t(x) - x and D_x = L_{x^2} - L_x L_x, proves a candidate x != 0
+    with D_x = 0 regular: x y = 0 gives N(x) y = 0, so y = 0.  A candidate
+    whose left multiplication is nonsingular modulo a prime is nonsingular
+    over the rationals too.  The screen changes no verdict, witness or
+    ``tried`` count.  "exhausted" still means only that the search gave up,
+    not that there is no zero divisor.
     """
     exact = _lowdim_exact_route(algebra)
     if exact is not None:
         return exact
     screen = singularity_screen(algebra)
+    definite = (screen is not None and algebra.unit is not None
+                and is_locally_complex(algebra).holds)
     candidates = _zero_divisor_candidates(algebra, budget, seed)
     tried = 0
     while chunk := list(islice(candidates, _SCREEN_CHUNK)):
-        regular = screen([x for x, _ in chunk]) if screen else [False] * len(chunk)
+        regular = screen([x for x, _ in chunk], definite) if screen else [False] * len(chunk)
         for (row, den), skip in zip(chunk, regular):
             tried += 1
             if skip:

@@ -39,7 +39,7 @@ def label_key(label: str) -> str:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_lc")
+    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_lc")
 
     def __init__(
         self,
@@ -72,8 +72,10 @@ class Algebra:
         else:
             self.labels = None
         self._scaled = table
-        # Derived on first use: the Fraction view and the local-complexity check.
+        # Derived on first use: the Fraction view, the quadraticity check and
+        # the local-complexity check.
         self._constants = None
+        self._quadratic = None
         self._lc = None
         if unit is not None:
             if not 0 <= unit < n:

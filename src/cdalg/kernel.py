@@ -50,11 +50,14 @@ The kernels use them so:
   ``C`` are cached on the tensor.  :func:`alternativity_screen` runs the
   sweep modulo the first prime only: a nonzero residue is an exact "no",
   and a pass is a "yes" only when that prime is all the bound needs;
-- the zero-divisor screen (:func:`singularity_screen`) decides whether
-  ``L_x`` is nonsingular modulo :data:`SCREEN_PRIME` by an elimination
-  that finds the rank only, on residues reduced from the exact stack of
-  the ``L_x`` (``float64`` below 2^53) or, past that, made from the
-  residues of ``x`` and ``C``;
+- the zero-divisor screen (:func:`singularity_screen`) proves ``L_x``
+  nonsingular by ``D_x = L_{x^2} - L_x L_x = 0`` for ``x != 0`` when the
+  caller vouches that the algebra is locally complex, where
+  ``xbar (x y) = N(x) y + D_x y`` with ``N(x) > 0``, on the exact
+  ``float64`` stack of the ``L_x``; and otherwise by an elimination that
+  finds the rank of ``L_x`` modulo :data:`SCREEN_PRIME` only, on residues
+  reduced from that stack or, past 2^53, made from the residues of ``x``
+  and ``C``;
 - the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
   modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
   basis vector as a word: a seed row or the product of two earlier words.
@@ -647,33 +650,57 @@ def singularity_screen(algebra):
     """A batched test of which left multiplications ``y -> x y`` are
     nonsingular, or None when :func:`_screen_fits` rules out int64.
 
-    The returned ``regular(rows)`` gives one bool per row ``x``: True when
-    the integer matrix of ``L_x`` (any positive multiple, as in
-    :func:`left_mul_rows`) is nonsingular modulo the prime ``SCREEN_PRIME``
-    (:func:`_nonsingular_mod`).  Its determinant is then not divisible by
-    the prime, hence not zero, so ``L_x`` is nonsingular over the rationals
-    and ``x`` is not a left zero divisor.  False decides nothing.
+    The returned ``regular(rows, definite=False)`` gives one bool per row
+    ``x``: True when ``L_x`` is proved nonsingular over the rationals, so
+    that ``x`` is not a left zero divisor.  False decides nothing.  Two
+    proofs are used, the first one only with ``definite``:
+
+    - ``x != 0`` and ``D_x = L_{x^2} - L_x L_x = 0``, where the caller
+      vouches with ``definite`` that the algebra is quadratic and unital
+      with ``N(x) > 0`` for every ``x != 0``, as a locally complex algebra
+      is.  With ``x^2 = t(x) x - N(x)`` and ``xbar = t(x) - x``,
+      ``xbar (x y) = N(x) y + D_x y``, so ``D_x = 0`` makes ``L_x``
+      injective.  Tested on the exact ``float64`` stack only, for a chunk
+      whose integer rows have height ``h`` with ``2 n^3 h^2 max|C|^2``
+      below 2^53;
+    - the integer matrix of ``L_x`` (any positive multiple, as in
+      :func:`left_mul_rows`) is nonsingular modulo the prime
+      ``SCREEN_PRIME`` (:func:`_nonsingular_mod`).  Its determinant is then
+      not divisible by the prime, hence not zero.
     """
     n, p = algebra.dim, SCREEN_PRIME
     if not _screen_fits(n, p):
         return None
     st = scaled_tensor(algebra)
 
-    def regular(rows: Sequence[Sequence]) -> list[bool]:
+    def regular(rows: Sequence[Sequence], definite: bool = False) -> list[bool]:
         # One scale for all the rows keeps each a positive multiple of x; a
         # row it makes zero mod p is only left to the exact kernel.
         ints = scaled_rows(rows)[0]
         big = _height(ints)
         # Each entry of L_x sums n products of a coordinate and a constant:
         # below 2^53 the exact stack is built in float64 and then reduced.
+        # With s the rows' scale and D the table's, the stack is s D L_x^T,
+        # x^2 from it s^2 D x^2 with entries at most n^2 h^2 max|C|, and
+        # both (s D)^2 L_{x^2}^T and (s D)^2 (L_x L_x)^T at most
+        # n^3 h^2 max|C|^2: their difference, (s D)^2 D_x^T, at most twice that.
         dtype = _carrier(max(n * big * st.max_abs, st.max_abs, big))
         x = _exact(ints, (len(rows), n), dtype)
         if dtype == _FLOAT:
+            c = st.array(dtype).reshape(n, n * n)  # [i, (j, k)] = C[i, j, k]
             # [b, j, k]: coordinate k of x_b b_j, i.e. L_{x_b} transposed.
-            mats = np.tensordot(x, st.array(dtype), axes=(1, 0)).astype(np.int64)
-        else:
-            x = (x % p).astype(np.int64)
-            mats = np.tensordot(x, st.residues(np.array([p]))[0], axes=(1, 0))
+            mats = (x @ c).reshape(len(rows), n, n)
+            proved = np.zeros(len(rows), dtype=bool)
+            if definite and _carrier(2 * n**3 * big**2 * st.max_abs**2) == _FLOAT:
+                defect = ((x[:, None] @ mats)[:, 0] @ c).reshape(mats.shape)
+                defect -= mats @ mats
+                proved = ~defect.any(axis=(1, 2)) & x.any(axis=1)
+            rest = np.flatnonzero(~proved)
+            if len(rest):
+                proved[rest] = _nonsingular_mod(_mod(mats[rest].astype(np.int64), p), p)
+            return proved.tolist()
+        x = (x % p).astype(np.int64)
+        mats = np.tensordot(x, st.residues(np.array([p]))[0], axes=(1, 0))
         return _nonsingular_mod(_mod(mats, p), p).tolist()
 
     return regular

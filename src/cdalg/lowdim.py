@@ -387,7 +387,8 @@ class GeometricType:
 
 def _sym_eigen(T) -> tuple[np.ndarray, np.ndarray]:
     Tf = np.asarray(T, dtype=float)
-    P = (Tf + Tf.T) / 2
+    # Halving first cannot overflow, and it is exact above the subnormals.
+    P = Tf / 2 + Tf.T / 2
     w, V = np.linalg.eigh(P)
     order = np.argsort(-w)
     w = w[order]
@@ -666,7 +667,8 @@ def hyperboloid_config(p) -> HyperboloidConfig:
     matrix, transporting the skew axis and the vector along.  The type test
     and the flip read the signature as :func:`geometric_type` does, exactly
     for int and ``Fraction`` entries; the frame is computed in floats, so an
-    entry beyond the float range raises :class:`MalformedInputError`.
+    entry beyond the float range, or a frame that leaves it, raises
+    :class:`MalformedInputError`.
     """
     T, u = p
     pos, neg = _signature(T)
@@ -678,7 +680,10 @@ def hyperboloid_config(p) -> HyperboloidConfig:
         raise MalformedInputError("hyperboloid frame needs entries in the float range") from None
     if pos == 1:
         T = -T
-    w, V = _sym_eigen(T)
-    Q = V.T
-    c = np.array(skew_axis(T))
-    return HyperboloidConfig(tuple(w), tuple(Q @ u), tuple(Q @ c))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        w, V = _sym_eigen(T)
+        Q = V.T
+        frame = (w, Q @ u, Q @ np.array(skew_axis(T)))
+    if not all(np.isfinite(part).all() for part in frame):
+        raise MalformedInputError("hyperboloid frame leaves the float range")
+    return HyperboloidConfig(*(tuple(part) for part in frame))

@@ -111,9 +111,18 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
     ``v_i q_j(v) - v_j q_i(v)`` along the line ``v = b_a + t b_b`` is a
     nonzero polynomial of degree at most 3 in t.  It has at most three
     roots, so one of t = 0, 1, 2, 3 gives the witness (Schwartz-Zippel).
+    The algebra is immutable, so the result is computed once and kept in its
+    ``_quadratic`` slot.
     """
     if algebra.unit is None:
         raise NonUnitalError("quadraticity is defined for unital algebras")
+    q = algebra._quadratic
+    if q is None:
+        q = algebra._quadratic = _decide_quadratic(algebra)
+    return q
+
+
+def _decide_quadratic(algebra: Algebra) -> QuadraticCheck:
     defect = first_quadratic_defect(algebra)
     if defect is None:
         return QuadraticCheck(True)

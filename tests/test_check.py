@@ -8,8 +8,11 @@ and ``tried`` counts must match the reference, which multiplies certificate
 vectors and takes the kernel of every candidate.
 """
 
+import json
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -18,12 +21,18 @@ from hypothesis import strategies as st
 
 from cdalg import (
     Algebra,
+    Element,
+    InvolutiveAlgebra,
     build_3d,
     build_4d,
     build_raw_3d,
+    cayley_dickson,
     change_of_basis,
+    cli,
+    is_alternative,
     is_locally_complex,
     is_nicely_normed,
+    is_quadratic,
     jordan_spin_algebra,
     named_algebra,
     zero_divisor_search,
@@ -395,3 +404,127 @@ def test_candidate_draws_are_those_of_randint():
                      for _ in range(n)]
         want.append(twin.randint(-7, 7))
         assert got == want and rng.getstate() == twin.getstate()
+
+
+# -- the identity xbar (x y) = N(x) y + D_x y ------------------------------------
+
+
+def _table(name):
+    if name.startswith("rotated"):
+        bundle = named_algebra(name.split()[1])
+        return rotated_copy(bundle.algebra, random.Random(f"dx:{name}"), bundle.grading)[0]
+    return named_algebra(name).algebra
+
+
+def _identity_marks(algebra, rows, monkeypatch):
+    """The rows the screen proves regular by the identity alone: the
+    elimination mod p is made to decide nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_nonsingular_mod", lambda m, p: np.zeros(len(m), dtype=bool))
+        return singularity_screen(algebra)(rows, True)
+
+
+@pytest.mark.parametrize("name", ["S", "TS", "A5", "O", "TO", "J6", "rotated O", "rotated TO",
+                                  "rotated J6"])
+def test_identity_marks_only_nonsingular_candidates(name, monkeypatch):
+    """Every candidate of the first four chunks that D_x = 0 marks regular
+    has a nonsingular L_x by exact rank; the chunks hold the first zero
+    divisor of S, TS, A5, TO and J6."""
+    algebra = _table(name)
+    assert algebra.dim > 4 and is_locally_complex(algebra).holds
+    rows = [row for row, _ in islice(analysis._zero_divisor_candidates(algebra, 128, 0), 128)]
+    marked = _identity_marks(algebra, rows, monkeypatch)
+    xs = [Element.of_ints(row, 1) for row in rows]
+    ranks = [ref.rank(ref.left_mul_matrix(algebra, x)) for x in xs]
+    assert all(r == algebra.dim for r, m in zip(ranks, marked) if m)
+    assert any(marked)
+    if not name.startswith(("O", "rotated")):
+        assert min(ranks) < algebra.dim
+    # What it marks is exactly x != 0 with x (x y) = x^2 y for every y.
+    for x, m in zip(xs[:40], marked):
+        square = algebra.multiply(x, x)
+        free = all(algebra.multiply(x, algebra.multiply(x, y)) == algebra.multiply(square, y)
+                   for y in map(algebra.basis_element, range(algebra.dim)))
+        assert m == (not x.is_zero() and free)
+
+
+def _record_premises(monkeypatch):
+    """The ``definite`` premise of every screen call the search makes."""
+    premises = []
+    screen = analysis.singularity_screen
+
+    def recording(algebra):
+        regular = screen(algebra)
+        return lambda rows, definite=False: premises.append(definite) or regular(rows, definite)
+
+    monkeypatch.setattr(analysis, "singularity_screen", recording)
+    return premises
+
+
+@pytest.mark.parametrize("name", ["S", "TS", "O", "TO", "J6", "rotated O", "rotated TO"])
+def test_search_with_the_identity_matches_reference(name, monkeypatch):
+    """The search passes the verdict of is_locally_complex, through the
+    binding in analysis, to the screen, and still finds the reference's
+    pair after the same number of candidates."""
+    algebra = _table(name)
+    premises = _record_premises(monkeypatch)
+    calls = []
+    decide = analysis.is_locally_complex
+    monkeypatch.setattr(analysis, "is_locally_complex", lambda alg: calls.append(alg) or decide(alg))
+    assert_search_matches(algebra, 12, 5)
+    assert calls == [algebra] and premises and all(premises)
+
+
+def _split_octonions():
+    """The doubling of the doubling of the split complex numbers (j^2 = 1,
+    j* = -j): quadratic and alternative, so D_x = 0 for every x, but not
+    locally complex, and (1 + j)(1 - j) = 0."""
+    split = InvolutiveAlgebra(square_root_table(1), [[1, 0], [0, -1]])
+    return cayley_dickson(cayley_dickson(split)).algebra
+
+
+def test_without_local_complexity_the_identity_is_not_used(monkeypatch):
+    algebra = _split_octonions()
+    assert algebra.dim == 8 and is_quadratic(algebra).holds
+    assert is_alternative(algebra).holds and not is_locally_complex(algebra).holds
+    one_plus_j = [1, 1] + [0] * 6
+    # The screen trusts its caller: told the algebra is definite, it would
+    # pass over the zero divisor 1 + j.
+    assert _identity_marks(algebra, [one_plus_j], monkeypatch) == [True]
+    assert singularity_screen(algebra)([one_plus_j]) == [False]
+    premises = _record_premises(monkeypatch)
+    got = zero_divisor_search(algebra, budget=10, seed=0)
+    assert got.status == "found" and premises and not any(premises)
+    assert_search_matches(algebra, 10, 0)
+
+
+def test_identity_rows_past_the_float_bound_take_the_elimination(monkeypatch):
+    """Rows of height h with 2 n^3 h^2 max|C|^2 >= 2^53 skip the identity,
+    and so does every chunk of a rotated S, whose constants pass 2^30."""
+    rotated = _table("rotated S")
+    rows = [row for row, _ in islice(analysis._zero_divisor_candidates(rotated, 0, 0), 32)]
+    assert scaled_tensor(rotated).max_abs > 2**30
+    assert _identity_marks(rotated, rows, monkeypatch) == [False] * 32
+    algebra = named_algebra("S").algebra
+    n = algebra.dim
+    h = isqrt((2**53 - 1) // (2 * n**3)) + 1
+    assert 2 * n**3 * (h - 1) ** 2 < 2**53 <= 2 * n**3 * h**2
+    rows = [[h - 1] + [0] * (n - 1), [h] + [0] * (n - 1)]
+    assert _identity_marks(algebra, rows[:1], monkeypatch) == [True]
+    assert _identity_marks(algebra, rows, monkeypatch) == [False, False]
+    assert singularity_screen(algebra)(rows, True) == [True, True]
+
+
+def test_check_decides_quadraticity_once(tmp_path, capsys, monkeypatch):
+    """``check`` reads the quadraticity verdict for its flag and again for
+    local complexity; the identity check runs once."""
+    calls = []
+    defect = properties.first_quadratic_defect
+    monkeypatch.setattr(properties, "first_quadratic_defect",
+                        lambda alg: calls.append(alg) or defect(alg))
+    path = tmp_path / "S.json"
+    assert cli.main(["gen", "S", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", str(path), "--budget", "5"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["flags"]["quadratic"] == "yes"

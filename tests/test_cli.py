@@ -19,9 +19,24 @@ from cdalg.cli import main
 from cdalg.errors import InvalidGradingError
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse CLI output as strict JSON: ``NaN``, ``Infinity`` and
+    ``-Infinity``, which ``json.dumps`` writes by default, are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one call; every JSON document it
+    prints must parse strictly, whatever the test reads of it."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    for text in (captured.out, captured.err):
+        if text.lstrip().startswith(("{", "[")):
+            strict_json(text)
     return code, captured.out, captured.err
 
 
@@ -37,7 +52,7 @@ def test_gen_writes_loadable_file(tmp_path, capsys):
 def test_gen_stdout_round_trips(capsys):
     code, out, _ = run_cli(capsys, "gen", "TO")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["dim"] == 8
     assert data["grading"] == {"even": [0, 1, 2, 3], "odd": [4, 5, 6, 7]}
 
@@ -54,14 +69,14 @@ def test_table_formats(capsys):
     code, out, _ = run_cli(capsys, "table", "C", "--format", "md")
     assert code == 0 and "-1" in out
     code, out, _ = run_cli(capsys, "table", "C", "--format", "json")
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["table"][1][1] == "-1"
 
 
 def test_check_reports_json(capsys):
     code, out, _ = run_cli(capsys, "check", "J3", "--format", "json")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     flags = data["flags"]
     assert flags["quadratic"] == "yes"
     assert flags["locally_complex"] == "yes"
@@ -72,7 +87,7 @@ def test_check_reports_json(capsys):
 
 def test_check_single_property(capsys):
     code, out, _ = run_cli(capsys, "check", "O", "--property", "alt")
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["flags"] == {"alternative": "yes"}
 
 
@@ -85,22 +100,22 @@ def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypat
     monkeypatch.setattr(properties, "is_super_alternative",
                         lambda *a: calls.append(a) or original(*a))
     code, out, _ = run_cli(capsys, "check", "O", "--budget", "5")
-    assert code == 0 and json.loads(out)["flags"]["super_alternative"] == "yes"
+    assert code == 0 and strict_json(out)["flags"]["super_alternative"] == "yes"
     assert calls == []
     code, out, _ = run_cli(capsys, "check", "S", "--budget", "5")
-    flags = json.loads(out)["flags"]
+    flags = strict_json(out)["flags"]
     assert flags["alternative"] == "no" and flags["super_alternative"] == "yes"
     assert len(calls) == 1
     path = tmp_path / "o.json"
     assert run_cli(capsys, "gen", "O", "--out", str(path))[0] == 0
-    data = json.loads(path.read_text())
+    data = strict_json(path.read_text())
     data["grading"] = {"even": [0, 1, 2, 4], "odd": [3, 5, 6, 7]}
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidGradingError) as raised:
         is_super_alternative(*load_algebra(str(path)))
     code, out, err = run_cli(capsys, "check", str(path), "--budget", "5")
     assert code == 1 and out == ""
-    assert json.loads(err) == {"error": str(raised.value), "kind": "InvalidGradingError"}
+    assert strict_json(err) == {"error": str(raised.value), "kind": "InvalidGradingError"}
     assert len(calls) == 1
 
 
@@ -150,10 +165,10 @@ def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check", str(path), "--budget", "5")
         if isinstance(want, str):
-            assert (code, json.loads(err)["error"]) == (1, want)
+            assert (code, strict_json(err)["error"]) == (1, want)
             continue
         assert code == 0
-        printed = json.loads(out)
+        printed = strict_json(out)
         assert printed["flags"]["super_alternative"] == ("yes" if want.holds else "no")
         if not want.holds:
             u, x, law = want.witness
@@ -169,19 +184,19 @@ def test_recognize_file(tmp_path, capsys):
     assert run_cli(capsys, "gen", "H", "--out", str(out))[0] == 0
     code, text, _ = run_cli(capsys, "recognize", str(out))
     assert code == 0
-    assert json.loads(text)["tag"] == "H"
+    assert strict_json(text)["tag"] == "H"
 
 
 def test_classify_super(capsys):
     code, out, _ = run_cli(capsys, "classify-super", "TS")
     assert code == 0
-    assert json.loads(out)["tag"] == "TS"
+    assert strict_json(out)["tag"] == "TS"
 
 
 def test_classify3_params(capsys):
     code, out, _ = run_cli(capsys, "classify3", "--params", "3/2", "2")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["t"] == "3/2" and data["s"] == "2" and data["s_squared"] == "4"
 
 
@@ -190,7 +205,7 @@ def test_classify4_flags(capsys):
         capsys, "classify4", "--T", "1,0,0,0,1,0,0,0,-1", "--u", "0,0,0"
     )
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["kind"] == "hyperboloid"
     assert data["division"] is False
     assert "zero_divisor_pair" in data
@@ -204,7 +219,7 @@ def test_iso4_files(tmp_path, capsys):
     b.write_text(json.dumps({"T": [["-1", 0, 0], [0, -1, 0], [0, 0, -1]], "u": [0, 0, 0]}))
     code, out, _ = run_cli(capsys, "iso4", "--a", str(a), "--b", str(b))
     assert code == 0
-    assert json.loads(out)["equivalent"] is True
+    assert strict_json(out)["equivalent"] is True
 
 
 ISO4_CASES = {
@@ -246,32 +261,32 @@ def test_iso4_stdout(tmp_path, capsys, name):
 def test_division4(capsys):
     code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,1")
     assert code == 0
-    assert json.loads(out)["division"] is True
+    assert strict_json(out)["division"] is True
 
 
 def test_ann_element_expression(capsys):
     code, out, _ = run_cli(capsys, "ann", "TS", "--element", "f3+f12")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["dim"] == 6
 
 
 def test_zerodiv_definitive_no(capsys):
     code, out, _ = run_cli(capsys, "zerodiv", "H")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["status"] == "none_found" and data["definitive"] is True
 
 
 def test_zerodiv_found(capsys):
     code, out, _ = run_cli(capsys, "zerodiv", "TO", "--budget", "10", "--seed", "1")
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["status"] == "found"
 
 
 def test_alterscalar(capsys):
     code, out, _ = run_cli(capsys, "alterscalar", "S")
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["solution_dim"] == 2 and data["has_alter_scalars"] is True
 
 
@@ -284,18 +299,18 @@ def test_embed_check_pass_and_fail(tmp_path, capsys):
     path.write_text(json.dumps({"matrix": [[fraction_to_str(c) for c in row] for row in matrix]}))
     code, out, _ = run_cli(capsys, "embed-check", "--map", str(path), "--from", "TO", "--to", "S")
     assert code == 0
-    assert json.loads(out)["holds"] is True
+    assert strict_json(out)["holds"] is True
     flipped = [[-c if j == 5 else c for j, c in enumerate(row)] for row in matrix]
     path.write_text(json.dumps({"matrix": [[fraction_to_str(c) for c in row] for row in flipped]}))
     code, out, _ = run_cli(capsys, "embed-check", "--map", str(path), "--from", "TO", "--to", "S")
     assert code == 1
-    assert json.loads(out)["holds"] is False
+    assert strict_json(out)["holds"] is False
 
 
 def test_subalg_census(capsys):
     code, out, _ = run_cli(capsys, "subalg", "O", "--dims", "1,4", "--budget", "5")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["hits"]["1"] is True
     assert data["hits"]["4"] is True
 
@@ -304,7 +319,7 @@ def test_subalg_census(capsys):
 def test_subalg_bad_dims_exit_3(capsys, dims):
     code, out, err = run_cli(capsys, "subalg", "O", "--dims", dims)
     assert code == 3 and out == ""
-    error = json.loads(err)
+    error = strict_json(err)
     assert error["kind"] == "malformed-input" and "--dims" in error["error"]
 
 
@@ -358,7 +373,7 @@ def _boolean_grading_index(data):
 def test_malformed_algebra_file_exits_3(tmp_path, capsys, mangle):
     code, out, err = run_cli(capsys, "check", _mangled_quaternions(tmp_path, mangle))
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 @pytest.mark.parametrize("command", ["check", "recognize", "table", "classify3"])
@@ -367,14 +382,14 @@ def test_undecodable_algebra_file_exits_3(tmp_path, capsys, command):
     path.write_bytes(b"\xff\xfe")
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 @pytest.mark.parametrize("params", [("-1", "2"), ("1/2", "-3")])
 def test_classify3_negative_params_exit_3(capsys, params):
     code, out, err = run_cli(capsys, "classify3", "--params", *params)
     assert code == 3 and out == ""
-    error = json.loads(err)
+    error = strict_json(err)
     assert error["kind"] == "malformed-input" and "nonnegative" in error["error"]
 
 
@@ -383,14 +398,14 @@ def test_gen_to_unwritable_path_exits_3(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
     code, stdout, err = run_cli(capsys, "gen", "O", "--out", str(out))
     assert code == 3 and stdout == ""
-    error = json.loads(err)
+    error = strict_json(err)
     assert error["kind"] == "malformed-input" and str(out) in error["error"]
 
 
 def test_classify4_without_operand_exits_3(capsys):
     code, out, err = run_cli(capsys, "classify4")
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 MALFORMED_PARAMS = {
@@ -413,7 +428,7 @@ def test_malformed_parameter_file_exits_3(tmp_path, capsys, command, name):
     argv = ["iso4", "--a", str(path), "--b", str(path)] if command == "iso4" else [command, str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    error = json.loads(err)
+    error = strict_json(err)
     assert error["kind"] == "malformed-input" and "bad parameter file" in error["error"]
 
 
@@ -433,14 +448,14 @@ def test_malformed_map_file_exits_3(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "embed-check", "--map", str(path), "--from", "TO", "--to", "S")
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 @pytest.mark.parametrize("element", ["1/0", "2/0*e1", "e1/0"])
 def test_zero_denominator_in_element_exits_3(capsys, element):
     code, out, err = run_cli(capsys, "ann", "O", "--element", element)
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 @pytest.mark.parametrize(
@@ -452,7 +467,7 @@ def test_double_dash_option_value_exits_3(capsys, argv):
     as a traceback, or pass unnoticed while the value went unused."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
 
 
 def test_exit_code_math_failure(capsys):
@@ -476,12 +491,12 @@ def test_deterministic_output(capsys):
 def test_division4_prints_exact_surd_pairs(capsys):
     code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,-3")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["division"] is False and data["pair_exact"] is True
     entries = data["zero_divisor_pair"][0] + data["zero_divisor_pair"][1]
     assert any("sqrt(3)" in e for e in entries)
     code, out, _ = run_cli(capsys, "division4", "--T", "1,0,0,0,1,0,0,0,-2")
-    assert code == 0 and "sqrt" not in out and json.loads(out)["pair_exact"] is True
+    assert code == 0 and "sqrt" not in out and strict_json(out)["pair_exact"] is True
 
 
 # The whole stdout of division4 for each kind of zero-divisor pair.
@@ -583,7 +598,7 @@ def test_classify4_kind_agrees_with_division_near_a_tiny_eigenvalue(capsys):
                                  ("-1/1000000000000", "hyperboloid", False)):
         code, out, _ = run_cli(capsys, "classify4", "--T", f"1,0,0,0,1,0,0,0,{last}")
         assert code == 0
-        data = json.loads(out)
+        data = strict_json(out)
         assert (data["kind"], data["division"]) == (kind, division)
 
 
@@ -598,13 +613,34 @@ def test_classify4_hyperboloid_beyond_the_float_range_exits_3(tmp_path, capsys, 
         argv = [str(path)]
     code, out, err = run_cli(capsys, "classify4", *argv)
     assert code == 3 and out == ""
-    assert json.loads(err)["kind"] == "malformed-input"
+    assert strict_json(err)["kind"] == "malformed-input"
+
+
+def test_classify4_hyperboloid_near_the_float_maximum(capsys):
+    """The symmetric part of 1e308 entries is formed without overflow, so
+    the configuration is finite JSON; a skew part whose axis leaves the
+    float range makes the frame malformed input."""
+    code, out, err = run_cli(capsys, "classify4", "--T", "1e308,0,0,0,1e308,0,0,0,-1e308")
+    assert code == 0 and err == ""
+    data = strict_json(out)
+    assert (data["rank"], data["kind"]) == (3, "hyperboloid")
+    assert data["configuration"]["delta"] == [1e308, 1e308, -1e308]
+    code, out, err = run_cli(capsys, "classify4", "--T", "1e308,-1.7e308,0,1.7e308,1e308,0,0,0,-1e308")
+    assert code == 3 and out == ""
+    assert strict_json(err)["kind"] == "malformed-input"
+
+
+def test_strict_json_rejects_non_finite_numbers():
+    for text in ('{"delta": [NaN]}', "[Infinity]", "-Infinity"):
+        with pytest.raises(ValueError, match="is not JSON"):
+            strict_json(text)
+    assert strict_json('{"delta": [1e308]}') == {"delta": [1e308]}
 
 
 def test_classify4_ellipsoid_beyond_the_float_range_is_exact(capsys):
     code, out, err = run_cli(capsys, "classify4", "--T", "1e400,0,0,0,1,0,0,0,1")
     assert code == 0 and err == ""
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["T"] == [[str(10**400), "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert data["u"] == ["0", "0", "0"]
     assert (data["rank"], data["kind"], data["division"]) == (3, "ellipsoid", True)

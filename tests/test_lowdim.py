@@ -872,6 +872,29 @@ def test_hyperboloid_config_flips_negative_majority():
     assert cfg.delta[0] >= cfg.delta[1] > 0 > cfg.delta[2]
 
 
+def test_symmetric_part_near_the_float_maximum():
+    """Entries near the float maximum: the float symmetric part is formed
+    without overflow, so the signature is that of the exact entries."""
+    big = [[1e308, 0, 0], [0, 1e308, 0], [0, 0, -1e308]]
+    assert geometric_type(big) == geometric_type([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    assert geometric_type(big).kind == "hyperboloid"
+    cfg = hyperboloid_config((big, [1e308, 0, 0]))
+    assert cfg.delta == (1e308, 1e308, -1e308) and cfg.c == (0, 0, 0)
+    assert sorted(map(abs, cfg.u)) == [0, 0, 1e308]
+
+
+@pytest.mark.parametrize("T, u", [
+    # The skew axis, (T - T^T) / 2, leaves the float range.
+    ([[1e308, -1.7e308, 0], [1.7e308, 1e308, 0], [0, 0, -1e308]], [0, 0, 0]),
+    # An eigenvalue of the symmetric part does: a (1.5 + sqrt(4.25)) / 2.
+    ([[1.7e308, 1.7e308, 0], [1.7e308, 0.85e308, 0], [0, 0, 1.7e308]], [0, 0, 0]),
+])
+def test_hyperboloid_frame_beyond_the_float_range_is_malformed(T, u):
+    assert geometric_type(T).kind == "hyperboloid"
+    with pytest.raises(MalformedInputError):
+        hyperboloid_config((T, u))
+
+
 def test_hyperboloid_config_rejects_ellipsoid():
     with pytest.raises(ValueError):
         hyperboloid_config((np.eye(3), np.zeros(3)))

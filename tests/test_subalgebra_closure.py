@@ -350,3 +350,22 @@ def test_census_errors():
     with pytest.raises(NonUnitalError):
         subalgebra_census(bare, [], budget=1,
                           extra_generator_sets=[[bare.basis_element(0)], [Element((F(1),))]])
+
+
+def test_certificate_rejects_a_closure_claimed_too_small():
+    """t generates span(t, t^2, t^3) in the algebra with basis t, t^2, t^3
+    and t^4 = 0.  Claiming the words t and t t only is refuted by the
+    product of the second word with the first, t^3, which the replay must
+    build from word 0; t^2 alone is closed."""
+    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][0][1] = c[0][1][2] = c[1][0][2] = F(1)
+    algebra = Algebra(c)
+    t, t2 = [1, 0, 0], [0, 1, 0]
+    ((d, words),) = kernel._close_mod_p(algebra, [[t]], P)
+    assert (d, words) == (3, [[-1, 0], [0, 0], [1, 0]])
+    claims = [(3, words), (2, words[:2]), (1, [[-1, 0]])]
+    for primes in (kernel.ZERO_TEST_PRIMES[1:2], kernel.ZERO_TEST_PRIMES[1:4], SMALL_PRIMES[:3]):
+        got = kernel._certified(algebra, [[t], [t], [t2]], claims, np.array(primes))
+        assert got.tolist() == [True, False, True]
+    assert [span.dim for span in (ref.generated_subalgebra_rounds(algebra, [Element(r)], False)
+                                  for r in (t, t2))] == [3, 1]

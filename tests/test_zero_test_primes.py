@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,3 +468,38 @@ def test_each_zero_test_in_each_arithmetic(check, arithmetic):
     assert taken == [arithmetic] * len(cases)
     assert got == [reference(*args) for args in cases]
     assert None in got and any(w is not None for w in got)
+
+
+def test_reduce_broadcasts_an_operand_below_every_prime():
+    """An operand whose prime axis has length one, as C below every prime
+    has, is reduced modulo each prime into a new array with one slice per
+    prime, and is itself left alone."""
+    primes = np.array(ZERO_TEST_PRIMES[:3])
+    x = np.array([[[2**40 + 7, -(2**35), 5], [0, -1, SCREEN_PRIME]]], dtype=np.int64)
+    keep = x.copy()
+    got = kernel._reduce(x, primes)
+    assert got.shape == (3, 2, 3) and got.dtype == np.int64
+    assert got.tolist() == [[[v % p for v in row] for row in keep[0].tolist()]
+                            for p in primes.tolist()]
+    assert np.array_equal(x, keep)
+
+
+@pytest.mark.parametrize("name", ["O", "TO"])
+def test_a_moufang_cube_of_constants_below_every_prime(name, monkeypatch):
+    """O and TO with every constant times 2^20: C keeps a prime axis of
+    length one, below every prime, while the cube's bound 2 * 8^2 * 2^60
+    takes three primes, so the contractions of C with itself reach the
+    broadcast of _reduce.  The identity is homogeneous, so the defect is
+    that of the table itself."""
+    base = named_algebra(name).algebra
+    scaled = Algebra([[[v * 2**20 for v in cell] for cell in row] for row in base.constants])
+    primes = _zero_test_primes(2 * 8**2 * 2**60, 8)
+    assert len(primes) == 3 and kernel.scaled_tensor(scaled).residues(primes).shape[0] == 1
+    want = first_middle_moufang_defect(base)
+    assert want == ref.middle_moufang_on_basis(scaled)[1]
+    shapes = []
+    reduce = kernel._reduce
+    monkeypatch.setattr(kernel, "_reduce",
+                        lambda x, p: shapes.append((len(x), len(p))) or reduce(x, p))
+    assert first_middle_moufang_defect(scaled) == want
+    assert (1, 3) in shapes
