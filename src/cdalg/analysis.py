@@ -77,6 +77,7 @@ from .properties import (
     coordinate_map,
     imaginary_basis,
     is_locally_complex,
+    is_quadratic,
     is_super_alternative,
     square_length_row,
     unit_vector_by_descent,
@@ -790,9 +791,13 @@ def subalgebra_census(
     The candidates are the extra sets, the empty set, each basis vector,
     the sums and differences of two basis vectors and ``budget`` random
     sets of one or two elements, each with the unit; the first candidate
-    of each dimension is kept.  All of them are closed in batches
-    (:func:`cdalg.kernel.closure_dims`), and the census stops early once
-    every dimension from 1 to n has appeared.
+    of each dimension is kept, and the census stops early once every
+    dimension from 1 to n has appeared.  In a quadratic algebra
+    ``x^2 = t(x) x - N(x)`` lies in ``span(1, x)``, so the unit and at most
+    one element x span the subalgebra they generate: of dimension 1 when x
+    is a rational multiple of 1 (0 included), else 2.  The rule needs the
+    unit, which every candidate holds.  The other sets are closed in
+    batches (:func:`cdalg.kernel.closure_dims`).
     """
     n = algebra.dim
     # Generator sets as integer rows over one denominator; a set becomes
@@ -811,9 +816,15 @@ def subalgebra_census(
     seed_sets = [generator_rows(algebra, gens) for gens in (*extra_generator_sets, [])]
     one = seed_sets[-1][0]
     seed_sets += [[one, *rows] for rows, _ in candidates[1:]]
+    # Seeds [1] or [1, x] of a quadratic algebra need no closure; the
+    # closure takes the rest in order, a batch at a time as they are read.
+    quadratic = is_quadratic(algebra).holds
+    direct = [quadratic and len(seeds) <= 2 for seeds in seed_sets]
+    closed = closure_dims(algebra, [s for s, skip in zip(seed_sets, direct) if not skip])
     realized: dict[int, CensusEntry] = {}
     extra = len(extra_generator_sets)
-    for b, d in enumerate(closure_dims(algebra, seed_sets)):
+    for b, seeds in enumerate(seed_sets):
+        d = _line_dim(seeds[-1], algebra.unit) if direct[b] else next(closed)
         if d not in realized:
             if b < extra:
                 gens = tuple(extra_generator_sets[b])
@@ -824,6 +835,12 @@ def subalgebra_census(
             if len(realized) == n:
                 break
     return CensusReport(tuple(dims_of_interest), realized)
+
+
+def _line_dim(x: Element | Sequence[int], unit: int) -> int:
+    """dim span(1, x): 1 when the row x is a multiple of b_unit, else 2."""
+    coords = x.num if isinstance(x, Element) else x
+    return 1 + any(v for j, v in enumerate(coords) if j != unit)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,8 @@ def main(argv: list[str] | None = None) -> int:
             # argparse drops a "--" given as an option's value
             # ("--element=--"), leaving an empty list in place of the string.
             raise MalformedInputError("'--' is not accepted as an option value")
+        if getattr(args, "budget", 0) < 0:
+            raise MalformedInputError(f"--budget must be nonnegative, got {args.budget}")
         return args.func(args)
     except MalformedInputError as exc:
         print(json.dumps({"error": str(exc), "kind": "malformed-input"}), file=sys.stderr)

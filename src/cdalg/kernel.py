@@ -69,7 +69,10 @@ The kernels use them so:
   ``(d+1)``-minors (from bounds on the words' entries), by the zero-test
   rule applied to every such minor.  Modulo ``p`` itself the closure has
   shown it.  A set with no such primes, or with a rank above ``d``, is
-  closed again by an exact loop over Z.
+  closed again by an exact loop over Z.  From the census
+  (:func:`cdalg.analysis.subalgebra_census`) no set of the unit and one
+  generator of a quadratic algebra reaches the closure: it spans its
+  subalgebra already.
 
 Rows (generators, bases, maps, candidates) are Elements, whose integers
 over one denominator every entry point takes as they are, or sequences of
@@ -222,7 +225,9 @@ SCREEN_PRIME = 2**28 - 57  # the largest prime below 2^28
 ZERO_TEST_PRIMES = tuple(2**28 - d for d in (
     57, 89, 95, 119, 125, 143, 165, 183, 213, 273, 285, 299, 309, 323, 327, 335,
 ))
-# Entries per prime in one batch of a zero test modulo primes.
+# Entries per prime in one batch of a zero test modulo primes.  The
+# alternativity sweep in exact arithmetic holds one copy of each entry, and
+# its batch takes four times as many.
 ZERO_TEST_CHUNK = 2048
 
 
@@ -362,7 +367,7 @@ class AlternativitySweep:
             # [p, j, l]: coordinate l of r_p b_j (left) or of b_j r_p (right).
             sides.append((c_side, _reduce(u @ c_side, primes).reshape(*u.shape, n)))
         family = list(self.family())
-        size = max(1, ZERO_TEST_CHUNK // (n * n))
+        size = max(1, (ZERO_TEST_CHUNK if primes is not None else 4 * ZERO_TEST_CHUNK) // (n * n))
         for start in range(0, len(family), size):
             members = family[start:start + size]
             ps = [p for p, _ in members]

@@ -323,6 +323,20 @@ def test_subalg_bad_dims_exit_3(capsys, dims):
     assert error["kind"] == "malformed-input" and "--dims" in error["error"]
 
 
+@pytest.mark.parametrize("command", ["subalg", "zerodiv", "check"])
+@pytest.mark.parametrize("budget", ["-1", "-500"])
+def test_negative_budget_exits_3(capsys, command, budget):
+    code, out, err = run_cli(capsys, command, "H", "--budget", budget)
+    assert code == 3 and out == ""
+    error = strict_json(err)
+    assert error["kind"] == "malformed-input" and "--budget" in error["error"]
+
+
+def test_zero_budget_is_accepted(capsys):
+    for command in ("subalg", "zerodiv", "check"):
+        assert run_cli(capsys, command, "H", "--budget", "0")[0] == 0
+
+
 def test_exit_code_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,11 +8,16 @@ slow_reference on named, rotated, sheared and past-2^63 tables, and on
 inputs built to fool the prime: generators with denominator p, a table
 whose common denominator is divisible by p, a table whose imaginary
 products all vanish mod p, seeds that are dependent mod p but not over Q,
-and a closure that needs a second prime.
+a closure that needs a second prime, and seeds past every prime.  On a
+quadratic table the census sizes the sets of the unit and at most one
+element without the closure; its output is pinned by digest on the shipped
+tables.
 """
 
+import hashlib
+import io
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdalg import Algebra, Element, change_of_basis, generated_subalgebra, named_algebra
-from cdalg import kernel
+from cdalg import analysis, kernel, save_algebra
 from cdalg.analysis import rotated_copy, subalgebra_census
+from cdalg.cli import main
 from cdalg.core import generator_rows
 from cdalg.errors import DimensionMismatchError, NonUnitalError
 from cdalg.kernel import INT64_LIMIT, SCREEN_PRIME, closure_dims, scaled_tensor
@@ -343,7 +349,7 @@ def test_census_errors():
     with pytest.raises(DimensionMismatchError):
         subalgebra_census(o, [], budget=1, extra_generator_sets=[[Element((F(1),) * 4)]])
     bare = Algebra([[[F(1), F(0)], [F(0), F(1)]], [[F(0), F(1)], [F(0), F(0)]]])
-    with pytest.raises(NonUnitalError):
+    with pytest.raises(NonUnitalError, match="^include_unit requires a unital algebra$"):
         subalgebra_census(bare, [], budget=1)
     with pytest.raises(DimensionMismatchError):
         subalgebra_census(bare, [], budget=1, extra_generator_sets=[[Element((F(1),))]])
@@ -369,3 +375,146 @@ def test_certificate_rejects_a_closure_claimed_too_small():
         assert got.tolist() == [True, False, True]
     assert [span.dim for span in (ref.generated_subalgebra_rounds(algebra, [Element(r)], False)
                                   for r in (t, t2))] == [3, 1]
+
+
+# ---------------------------------------------------------------------------
+# seeds past every prime
+# ---------------------------------------------------------------------------
+
+
+def test_certificate_reduces_seeds_past_every_prime_by_each_prime():
+    """x = b_1 + a b_2 and w = 1 + 2 x span a copy of C in O.  Their entries
+    pass 2^28, so each prime of the certificate sees its own residues.  With
+    a = q + (q + 1)/2 for the second prime q, 2a = 3q + 1 carries where a
+    does not: reduced by q and read modulo another prime, w is no longer
+    1 + 2x, and the rank passes 2."""
+    o = named_algebra("O").algebra
+    b = [o.basis_element(i) for i in range(8)]
+    q = kernel.ZERO_TEST_PRIMES[1]
+    x = b[1] + b[2].scale(q + (q + 1) // 2)
+    gens = [x, o.one() + x.scale(2)]
+    assert min(max(g.num) for g in gens) > 2**28
+    with recording_paths() as seen:
+        report = assert_census_matches(o, 0, 0, extra=[gens])
+    assert report.realized[2].generators == tuple(gens)
+    assert seen == {"certified": 1, "exact": 0}
+
+
+# ---------------------------------------------------------------------------
+# the quadratic rule
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def closed_sets():
+    """The sizes of the seed sets, unit included, whose closure the census
+    reads from ``analysis.closure_dims``, in order."""
+    sizes = []
+    closure = analysis.closure_dims
+
+    def counting(algebra, seed_sets):
+        for seeds, d in zip(seed_sets, closure(algebra, seed_sets)):
+            sizes.append(len(seeds))
+            yield d
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "closure_dims", counting)
+        yield sizes
+
+
+def two_element_draws(n, budget, seed):
+    """How many of the census's random sets have two elements."""
+    rng = random.Random(seed)
+    count = 0
+    for _ in range(budget):
+        k = rng.randint(1, 2)
+        for _ in range(k * n):
+            rng.randint(-2, 2), rng.randint(1, 2)
+        count += k == 2
+    return count
+
+
+@pytest.mark.parametrize("name,budget,seed", [("H", 20, 0), ("O", 40, 1), ("TO", 40, 2)])
+def test_quadratic_tables_close_only_sets_of_two_elements(name, budget, seed):
+    algebra = named_algebra(name).algebra
+    with closed_sets() as sizes:
+        assert_census_matches(algebra, budget, seed)
+    assert sizes == [3] * two_element_draws(algebra.dim, budget, seed)
+    assert sizes
+
+
+def _table(n, products):
+    """The unital table on 1, b_1, ..., b_(n-1) with b_i b_j from ``products``."""
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        c[0][i][i] = c[i][0][i] = F(1)
+    for (i, j), k in products.items():
+        c[i][j][k] = F(1)
+    return Algebra(c, unit=0)
+
+
+@pytest.mark.parametrize("products", [{(1, 1): 1, (2, 2): 2}, {(1, 1): 2}],
+                         ids=["Q^3", "Q[t]/(t^3)"])
+def test_tables_that_are_not_quadratic_close_every_set(products):
+    """Q^3 on 1, e_1, e_2 with idempotents e_1 e_2 = 0, and Q[t]/(t^3) on
+    1, t, t^2: every set up to the early stop is closed, one-element sets
+    and the unit alone included."""
+    algebra = _table(3, products)
+    for seed in range(3):
+        with closed_sets() as sizes:
+            report = assert_census_matches(algebra, 20, seed)
+        assert sizes[:4] == [1, 2, 2, 2]
+        assert sorted(report.realized) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["H", "O", "J6"])
+def test_multiples_of_the_unit_span_a_line(name):
+    algebra = named_algebra(name).algebra
+    for x in (algebra.one().scale(2), Element((F(0),) * algebra.dim)):
+        with closed_sets() as sizes:
+            report = assert_census_matches(algebra, 0, 0, extra=[[x]])
+        assert report.realized[1].generators == (x,) and not sizes
+
+
+# ---------------------------------------------------------------------------
+# output pins
+# ---------------------------------------------------------------------------
+
+
+# sha256 of the stdout of `cdalg subalg FILE --seed S` on the saved named
+# tables, recorded while the census closed every candidate set.
+SUBALG_DIGESTS = {
+    "H": ("9ec5a732162ec9ce74a5504a5f9433a23af2d59e0737a715ce8f9046680bb5c2",
+          "14a5ec067781c24248268ef189317672da88eda0be7eb00cd3f5fda0af332d25",
+          "2ee17fe61fb36336b0f48ab8d995994d409309e73fc9277e4878f77426abe24e"),
+    "O": ("b56624294bd70a24154e9b61b385e59bd1e13ad716e08a93066074c15a1f1195",
+          "53633038f10567c649f3409c7fc5f5a30ab739293fd813e2262a4b50556de75a",
+          "dfbb82bc7feea9d48bf2e51e97016abe2c52eb2d4940c161c1d7345955a1212e"),
+    "TO": ("eb16fc6ef60dab2727f2f69dedf0c28dbbbbf340f778d61b3323da48db9fe764",
+           "4a2341e84ecbf376773d1c0c1bba6bcee9c49474f92c4607b47cab7a5980c35f",
+           "c9c4b7c76686ff444ee882f7fc9b04713da69d3fec47b5fdad5a9383a53bd170"),
+    "S": ("fc6c7e4db579b51f77463f58bb0a1e75cc282a0bef2699095bf4e94dd21b815b",
+          "9243ea5af20b1a03f2bf76210bab0a9ea946828b9c69564c49cf42c035411c80",
+          "24717644623d5f05b95c4e8b5eb2cf800244d8966672dcc02a8bdee09ca49818"),
+    "TS": ("44c9871071a67c4ab42149eb1475cb985a9846ff9e1e545b007f03f6e2e4c4b7",
+           "0fd8c0b0543b3e3454d73f1ff3e3d5d664073054e85092a79ff5360e829712a6",
+           "620701832adcb2edd819769e49c75b791445786b2a5d9cd4dcb8a04f972fbc59"),
+    "A5": ("a17cdb3f3f3b9b16974a1b134d835e5b7033391ee4f11bdacabf285ec20c3e81",
+           "ea01326e2c7483cecf4b14d95fd067a23cb05f8b17602fb04bc827811f721ad5",
+           "bda4e13304e1486b11e5ae49c432e0da1d3cd36794ad32b86985742e43299813"),
+    "J6": ("ddf786e6de231b76e77ef2572aa159099c688b9ad9f2f95d212af0a2ed856ee9",
+           "2d3bc272b08eb59d43e59c3f3769a20232c3007aae4f27b0deab325dbf8105a0",
+           "2ce764eb5a826ab0f8e0c11085cd4ff74478662eb117384dbbc61c53bd47baba"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBALG_DIGESTS))
+def test_subalg_output_is_pinned(name, tmp_path):
+    bundle = named_algebra(name)
+    path = str(tmp_path / f"{name}.json")
+    save_algebra(path, bundle.algebra, bundle.grading)
+    for seed, digest in enumerate(SUBALG_DIGESTS[name]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["subalg", path, "--seed", str(seed)]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

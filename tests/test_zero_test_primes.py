@@ -39,6 +39,7 @@ from cdalg.kernel import (
     first_middle_moufang_defect,
 )
 from cdalg.linalg import identity, mat_inv
+from cdalg.properties import is_alternative, is_super_alternative
 
 import slow_reference as ref
 from slow_reference import transpose
@@ -503,3 +504,35 @@ def test_a_moufang_cube_of_constants_below_every_prime(name, monkeypatch):
                         lambda x, p: shapes.append((len(x), len(p))) or reduce(x, p))
     assert first_middle_moufang_defect(scaled) == want
     assert (1, 3) in shapes
+
+
+@cache
+def _sweep_inputs(name: str):
+    bundle = named_algebra(name.removeprefix("rotated-"))
+    if name.startswith("rotated-"):
+        return rotated_copy(bundle.algebra, random.Random(f"chunk:{name}"), bundle.grading)[:2]
+    return bundle.algebra, bundle.grading
+
+
+@pytest.mark.parametrize("name,exact", [("S", True), ("A5", True), ("rotated-S", False)])
+def test_sweep_chunk_is_sized_per_rung(name, exact):
+    """Exact arithmetic sweeps four times ZERO_TEST_CHUNK entries a batch,
+    the primes ZERO_TEST_CHUNK per prime.  The first defect and the
+    verdicts of is_alternative and is_super_alternative do not depend on the
+    chunk: one member a batch, the old exact chunk and the default agree."""
+    algebra, grading = _sweep_inputs(name)
+    n = algebra.dim
+    sweep = AlternativitySweep(algebra, [algebra.basis_element(i) for i in range(n)])
+    primes = kernel._zero_test_arithmetic(sweep.bound, n)
+    assert (primes is None) == exact
+    members, _ = next(sweep.defects(primes))
+    assert len(members) == (4 if exact else 1) * kernel.ZERO_TEST_CHUNK // (n * n)
+    got = []
+    for chunk in (1, kernel.ZERO_TEST_CHUNK // 4, kernel.ZERO_TEST_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "ZERO_TEST_CHUNK", chunk)
+            rows = [algebra.basis_element(i) for i in range(n)]
+            got.append((first_alternativity_defect(algebra, rows), is_alternative(algebra),
+                        is_super_alternative(algebra, grading)))
+    assert got[0] == got[1] == got[2]
+    assert got[0][0] is not None and not got[0][1].holds
