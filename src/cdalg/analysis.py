@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, tee
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -72,6 +72,7 @@ from .kernel import (
 from .numth import four_squares_fraction, sqrt_fraction, ternary_zero
 from .properties import (
     _norm,
+    _normalized_basis,
     candidate_rows,
     combination,
     coordinate_map,
@@ -593,10 +594,11 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
     if algebra.unit is None or algebra.dim > 4:
         return None
     from . import lowdim  # local import: lowdim depends on this module's siblings
-    lc = is_locally_complex(algebra)
-    if not lc.holds or lc.certificate is None:
+    if not is_locally_complex(algebra).holds:
         return None
-    cert = lc.certificate
+    cert = _normalized_basis(algebra)
+    if isinstance(cert, str):
+        return None
     if algebra.dim <= 2:
         return ZeroDivisorSearch("none_found", definitive=True)
     if algebra.dim == 3:
@@ -808,28 +810,25 @@ def subalgebra_census(
         for j in range(i + 1, n):
             candidates += [([[x + y for x, y in zip(basis[i], basis[j])]], 1),
                            ([[x - y for x, y in zip(basis[i], basis[j])]], 1)]
+    # The random sets are drawn as they are read, so none after an early exit.
     rng = random.Random(seed)
-    for _ in range(budget):
-        count = _randint(rng, 1, 2)
-        candidates.append(([_random_row(rng, n, 2) for _ in range(count)], 2))
+    drawn = (([_random_row(rng, n, 2) for _ in range(_randint(rng, 1, 2))], 2)
+             for _ in range(budget))
     # The extra sets are checked as given; the others conform by construction.
-    seed_sets = [generator_rows(algebra, gens) for gens in (*extra_generator_sets, [])]
-    one = seed_sets[-1][0]
-    seed_sets += [[one, *rows] for rows, _ in candidates[1:]]
+    extra = [(tuple(gens), generator_rows(algebra, gens)) for gens in extra_generator_sets]
+    one = generator_rows(algebra, [])[0]
+    sets = chain(extra, (((rows, den), [one, *rows]) for rows, den in chain(candidates, drawn)))
     # Seeds [1] or [1, x] of a quadratic algebra need no closure; the
     # closure takes the rest in order, a batch at a time as they are read.
     quadratic = is_quadratic(algebra).holds
-    direct = [quadratic and len(seeds) <= 2 for seeds in seed_sets]
-    closed = closure_dims(algebra, [s for s, skip in zip(seed_sets, direct) if not skip])
+    mine, ahead = tee((gens, seeds, quadratic and len(seeds) <= 2) for gens, seeds in sets)
+    closed = closure_dims(algebra, (seeds for _, seeds, direct in ahead if not direct))
     realized: dict[int, CensusEntry] = {}
-    extra = len(extra_generator_sets)
-    for b, seeds in enumerate(seed_sets):
-        d = _line_dim(seeds[-1], algebra.unit) if direct[b] else next(closed)
+    for b, (gens, seeds, direct) in enumerate(mine):
+        d = _line_dim(seeds[-1], algebra.unit) if direct else next(closed)
         if d not in realized:
-            if b < extra:
-                gens = tuple(extra_generator_sets[b])
-            else:
-                rows, den = candidates[b - extra]
+            if b >= len(extra):
+                rows, den = gens
                 gens = tuple(Element.of_ints(r, den) for r in rows)
             realized[d] = CensusEntry(d, gens)
             if len(realized) == n:

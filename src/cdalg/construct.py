@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tables
-from .core import Algebra, Element
+from .core import Algebra
 from .errors import (
     DimensionMismatchError,
     InvalidGradingError,
@@ -168,11 +168,6 @@ class InvolutiveAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def apply(self, x: Element) -> Element:
-        rows, s = scaled_rows(self.star)
-        return Element.of_ints([sum(a * v for a, v in zip(row, x.num, strict=True))
-                                for row in rows], s * x.den)
-
 
 def cayley_dickson(b: InvolutiveAlgebra) -> InvolutiveAlgebra:
     """Double an involutive algebra; the result has dimension 2n."""
@@ -220,6 +215,8 @@ class NamedAlgebra:
 
 _TOWER_NAMES = {"R": 0, "C": 1, "H": 2, "O": 3, "S": 4, "A5": 5, "A6": 6}
 _TOWER_ALIASES = {"A0": "R", "A1": "C", "A2": "H", "A3": "O", "A4": "S"}
+# The largest k of a name J<k>: its table holds k^3 cells, 2^21 at k = 128.
+MAX_SPIN_DIM = 128
 
 
 def jordan_spin_algebra(dim: int) -> Algebra:
@@ -233,8 +230,8 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     """The algebra with unit b_0, b_i^2 = -1 for i > 0, b_i b_j = -b_j b_i =
     rows[m] for (i, j) = pairs[m], and the other products of distinct b_i,
     b_j zero: the locally complex algebra of that normalized basis, written
-    as integers over one denominator.  Its local-complexity check is kept on
-    it from the start, with the standard basis as the certificate."""
+    as integers over one denominator.  Its local-complexity check and its
+    certificate, the standard basis, are kept on it from the start."""
     # A local import: properties imports this module.
     from .properties import LocallyComplexCertificate, LocallyComplexCheck
 
@@ -246,8 +243,8 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     for (i, j), row in zip(pairs, ints):
         c[i, j], c[j, i] = row, [-x for x in row]
     algebra = Algebra._of_table(ScaledTensor(c, den), 0, labels)
-    cert = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))))
-    algebra._lc = LocallyComplexCheck(True, cert, reason="dimension 1" if n == 1 else "")
+    algebra._lc = LocallyComplexCheck(True, reason="dimension 1" if n == 1 else "")
+    algebra._certificate = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))))
     return algebra
 
 
@@ -263,8 +260,8 @@ def named_algebra(name: str) -> NamedAlgebra:
 
     Accepted names: R, C, H, O, S, A5, A6 (aliases A0..A4 for the first
     five), TO and TS for the twisted octonions/sedenions, and J<k> for the
-    k-dimensional spin-factor-like commutative algebra (k >= 1).  The result
-    is shared between calls: it is immutable.
+    k-dimensional spin-factor-like commutative algebra, 1 <= k <=
+    ``MAX_SPIN_DIM``.  The result is shared between calls: it is immutable.
     """
     key = name.strip().upper().replace("_", "")
     bundle = _named_algebra(_TOWER_ALIASES.get(key, key))
@@ -296,6 +293,8 @@ def _named_algebra(key: str) -> NamedAlgebra | None:
             k = int(key[1:])
         except ValueError:
             return None
+        if k > MAX_SPIN_DIM:
+            raise UnknownAlgebraError(f"J<k> is built for k <= {MAX_SPIN_DIM}, got {k}")
         alg = jordan_spin_algebra(k)
         return NamedAlgebra(key, alg, _negating_star(k) if k > 1 else identity(1), None)
     return None

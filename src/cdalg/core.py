@@ -39,7 +39,8 @@ def label_key(label: str) -> str:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_lc")
+    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_lc",
+                 "_certificate")
 
     def __init__(
         self,
@@ -72,11 +73,13 @@ class Algebra:
         else:
             self.labels = None
         self._scaled = table
-        # Derived on first use: the Fraction view, the quadraticity check and
-        # the local-complexity check.
+        # Derived on first use: the Fraction view, the quadraticity check,
+        # the local-complexity check and its certificate (or the clause why
+        # there is no rational one).
         self._constants = None
         self._quadratic = None
         self._lc = None
+        self._certificate = None
         if unit is not None:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")

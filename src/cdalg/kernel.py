@@ -84,9 +84,9 @@ Only operations numpy 1.24 supports on object arrays are used: ``@``,
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, isqrt, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -1097,14 +1097,14 @@ def _certify(algebra, chunk: list[list[list[int]]], closed: list[tuple[int, list
     return ok
 
 
-def _closures(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[tuple]:
+def _closures(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[tuple]:
     """``(dim, seeds, how)`` for the subalgebra each seed set generates, in
     order: ``seeds`` are the primitive integer seed rows, and ``how`` is the
     list of words of :func:`_close_mod_p` when :func:`_certify` accepts them,
-    else the :class:`Subspace` of :func:`_exact_closure`."""
-    n = algebra.dim
-    for start in range(0, len(seed_sets), CLOSURE_SETS):
-        chunk = [_seed_ints(s) for s in seed_sets[start:start + CLOSURE_SETS]]
+    else the :class:`Subspace` of :func:`_exact_closure`.  The sets are read
+    a batch at a time, as the dimensions are."""
+    n, seed_sets = algebra.dim, iter(seed_sets)
+    while chunk := [_seed_ints(s) for s in islice(seed_sets, CLOSURE_SETS)]:
         closed, ok = [], set()
         if _screen_fits(n, SCREEN_PRIME):
             closed = _close_mod_p(algebra, chunk, SCREEN_PRIME)
@@ -1118,7 +1118,7 @@ def _closures(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[tupl
                 yield span.dim, seeds, span
 
 
-def closure_dims(algebra, seed_sets: Sequence[Sequence[Sequence]]) -> Iterator[int]:
+def closure_dims(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[int]:
     """The dimension of the subalgebra each seed set generates, in order.
 
     Closed in batches modulo :data:`SCREEN_PRIME`; a dimension below

@@ -26,13 +26,14 @@ Local complexity is then decided without multiplying in the algebra: the
 traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, and positive definiteness
-is the integer LDL of ``cdalg.linalg`` on it.  The certificate is a
-normalized basis and nothing else, from :func:`orthonormalize` on
-coefficient vectors against that Gram matrix; products in it are mapped
-into its coordinates in integers when they are read.  It is not needed for
-the verdict, so it is built on the first read of ``certificate`` and then
-kept; most callers never read it.  The algebra is immutable, so the check
-is computed once and kept on it.
+is the integer LDL of ``cdalg.linalg`` on it.  The algebra is immutable, so
+the check is computed once and kept in its ``_lc`` slot.  The certificate
+is a normalized basis and nothing else, from :func:`orthonormalize` on
+coefficient vectors against the same Gram matrix; products in it are mapped
+into its coordinates in integers when they are read.  The verdict does not
+need it and most callers never ask for it, so :func:`certificate_or_raise`
+builds it on first use and keeps it, or the clause why there is none, in
+the algebra's ``_certificate`` slot.
 
 A rational normalized basis exists exactly when the imaginary norm form is
 a sum of squares over Q, which the LDL pivots decide by Hasse-Minkowski
@@ -51,10 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ from .linalg import (
     scaled_rows,
 )
 from .kernel import (
-    anticommutator_table,
     commutators_are_imaginary,
     first_alternativity_defect,
     first_middle_moufang_defect,
@@ -147,20 +146,6 @@ class LocallyComplexCertificate:
 
     basis: tuple[Element, ...]
 
-    def validate(self, algebra: Algebra) -> None:
-        if self.basis[0] != algebra.one():
-            raise ValueError("certificate must start with the unit")
-        # e_i e_j + e_j e_i over the table's scale s: -2 s at the unit for
-        # i = j, and 0 for i != j.
-        e, u = self.basis[1:], algebra.unit
-        table, s = anticommutator_table(algebra, e, e)
-        for i, row in enumerate(table, start=1):
-            if row[i - 1] != [-2 * s * (k == u) for k in range(algebra.dim)]:
-                raise ValueError(f"certificate vector {i} does not square to -1")
-        for i, j in combinations(range(1, len(self.basis)), 2):
-            if any(table[i - 1][j - 1]):
-                raise ValueError(f"certificate vectors {i},{j} do not anticommute")
-
     def products(self, algebra: Algebra, pairs) -> list[Element]:
         """The products e_i e_j for (i, j) in ``pairs``, in this basis: rows of
         the table for the standard basis, and otherwise sum_m x_m r_m, in
@@ -173,46 +158,13 @@ class LocallyComplexCertificate:
         return [_combine(algebra.multiply(e[i], e[j]), rows, len(e)) for i, j in pairs]
 
 
-class _CertificateOnRead:
-    """The ``certificate`` field of :class:`LocallyComplexCheck`: the value
-    it was given, or, for a check made by ``LocallyComplexCheck.deferred``,
-    what its ``build`` returns on the first read, kept for later reads.  A
-    build without a certificate returns the clause why, which reads None."""
-
-    def __get__(self, check, owner=None):
-        if check is None:
-            return None  # the field's default
-        state = vars(check)
-        if "_build" in state:
-            state["_certificate"] = state.pop("_build")()
-        value = state["_certificate"]
-        return None if isinstance(value, str) else value
-
-    def __set__(self, check, value) -> None:
-        vars(check)["_certificate"] = value
-
-
 @dataclass(frozen=True)
 class LocallyComplexCheck:
     holds: bool
-    certificate: LocallyComplexCertificate | None = _CertificateOnRead()
     counterexample: Element | None = None
     counterexample_kind: str | None = None  # "independent-square" | "idempotent" |
     #                                         "square-zero" | "nonpositive-norm"
     reason: str = ""
-
-    @classmethod
-    def deferred(
-        cls, build: Callable[[], LocallyComplexCertificate | str]
-    ) -> "LocallyComplexCheck":
-        """A "yes" whose certificate is ``build()``, run when first read.
-
-        ``build`` must not hold the algebra: the check is kept on it, and
-        a reference cycle would leave both to the cyclic collector.
-        """
-        check = cls(True)
-        vars(check)["_build"] = build
-        return check
 
 
 def _traces(algebra: Algebra) -> list[tuple[int, int]]:
@@ -379,17 +331,13 @@ def orthonormalize(vectors: Sequence[Element], gram: Sequence) -> list[Element] 
 
 
 def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
-    """Decide local complexity exactly, with a normalized basis when possible.
+    """Decide local complexity exactly.
 
     The verdict never needs square roots: it is quadraticity plus positive
     definiteness of the symmetrized product form on the imaginary part, both
-    checked over the rationals.  The certificate basis exists over Q exactly
-    when that form is a sum of squares; otherwise, or when a number could
-    not be factored, it is None, and :func:`certificate_or_raise` says why.
-    A "yes" builds it on the first read of ``certificate`` and
-    keeps it; a caller that needs only the verdict never pays for it.  The
-    algebra is immutable, so the result is computed once and kept in its
-    ``_lc`` slot.
+    checked over the rationals.  The normalized basis is not part of it:
+    :func:`certificate_or_raise` builds that on first use.  The algebra is
+    immutable, so the result is computed once and kept in its ``_lc`` slot.
     """
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
@@ -401,8 +349,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
 
 def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
     if algebra.dim == 1:
-        cert = LocallyComplexCertificate((algebra.one(),))
-        return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
+        return LocallyComplexCheck(True, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
         return LocallyComplexCheck(
@@ -435,32 +382,36 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind=kind,
             reason="norm form is not positive definite",
         )
-    return LocallyComplexCheck.deferred(partial(_normalized_basis, n, u, d, traces, gram))
+    return LocallyComplexCheck(True)
 
 
-def _normalized_basis(
-    n: int, unit: int, den: int, traces: list[tuple[int, int]], gram: list[list[int]]
-) -> LocallyComplexCertificate | str:
-    """The certificate of a locally complex algebra from its dimension, unit,
-    table denominator, traces and imaginary Gram matrix (times ``4 D^2``), or
-    the clause of :func:`orthonormalize` without a rational one."""
-    rows = [Element.of_ints(row, 4 * den * den) for row in gram]
-    ortho = orthonormalize(_imaginary_vectors(n, unit, den, traces), rows)
-    if isinstance(ortho, str):
-        return ortho
-    return LocallyComplexCertificate((Element.of_ints([int(k == unit) for k in range(n)]), *ortho))
+def _normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | str:
+    """The certificate of a locally complex algebra, or the clause of
+    :func:`orthonormalize` without a rational one.  Built on first use and
+    kept in the algebra's ``_certificate`` slot."""
+    cert = algebra._certificate
+    if cert is None:
+        n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
+        traces = _traces(algebra)
+        rows = [Element.of_ints(row, 4 * d * d) for row in _imaginary_gram(algebra, traces)]
+        cert = orthonormalize(_imaginary_vectors(n, u, d, traces), rows)
+        if not isinstance(cert, str):
+            cert = LocallyComplexCertificate((algebra.one(), *cert))
+        algebra._certificate = cert
+    return cert
 
 
 def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
     res = is_locally_complex(algebra)
     if not res.holds:
         raise NotLocallyComplexError(res.reason or "algebra is not locally complex")
-    if res.certificate is None:
+    cert = _normalized_basis(algebra)
+    if isinstance(cert, str):
         raise UnsupportedRationalClassError(
             "a rational normalized basis needs the imaginary norm form to be a sum of "
-            f"squares over Q, and it {vars(res)['_certificate']}"
+            f"squares over Q, and it {cert}"
         )
-    return res.certificate
+    return cert
 
 
 # ---------------------------------------------------------------------------

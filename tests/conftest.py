@@ -1,8 +1,9 @@
-"""Shared fixtures: the named algebras are immutable, so build them once."""
+"""Shared fixtures: the named algebras are immutable, so build them once;
+and a spy on the certificate builder's one orthonormalization."""
 
 import pytest
 
-from cdalg import named_algebra
+from cdalg import named_algebra, properties
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,17 @@ def twisted_octonions():
 @pytest.fixture(scope="session")
 def twisted_sedenions():
     return named_algebra("TS")
+
+
+@pytest.fixture
+def orthonormalize_calls(monkeypatch):
+    """The argument tuples of every ``properties.orthonormalize`` call."""
+    calls = []
+    original = properties.orthonormalize
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(properties, "orthonormalize", spy)
+    return calls

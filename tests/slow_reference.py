@@ -39,7 +39,10 @@ eigenframes of the symmetric parts before the invariant table replaced it.
 ``multiply`` is the ``Fraction`` loop that ``Algebra.multiply`` ran over
 the dense constants before the table became an integer tensor, and
 ``commutators_are_imaginary`` the nicely-normed test without the rational
-certificate, multiplied out with it.  ``recognize_alternative_division``
+certificate, multiplied out with it.  Two checks the library itself never
+runs live here as well: ``validate_certificate``, that a normalized basis
+squares to -1 and anticommutes, and ``apply_star``, the star of an
+involutive algebra applied to one element.  ``recognize_alternative_division``
 and ``classify_super_alternative`` keep the gate-first order: the exact
 alternativity sweep before the recognizer, and the even part of a grading
 verified on its own before the final iso.  They are slow by design.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -78,10 +82,11 @@ from cdalg.linalg import (
     Vector,
     identity,
     mat,
+    scaled_rows,
     unit_vector,
     vec,
 )
-from cdalg.kernel import product_table, scaled_tensor
+from cdalg.kernel import anticommutator_table, product_table, scaled_tensor
 from cdalg.lowdim import Equiv4Result, _cross, _dot, _sym_eigen, skew_axis
 from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
@@ -417,8 +422,7 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
     if algebra.dim == 1:
-        cert = LocallyComplexCertificate((algebra.one(),))
-        return LocallyComplexCheck(True, certificate=cert, reason="dimension 1")
+        return LocallyComplexCheck(True, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
         return LocallyComplexCheck(
@@ -450,11 +454,33 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind=kind,
             reason="norm form is not positive definite",
         )
-    ortho = orthonormalize(algebra, imag)
-    cert = None
-    if ortho is not None:
-        cert = LocallyComplexCertificate((algebra.one(), *ortho))
-    return LocallyComplexCheck(True, certificate=cert)
+    return LocallyComplexCheck(True)
+
+
+def normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | None:
+    """Gram-Schmidt on square lengths over the multiply-based imaginary
+    basis of a locally complex algebra, or None where no vector left has a
+    rational square length."""
+    ortho = orthonormalize(algebra, imaginary_basis(algebra))
+    return None if ortho is None else LocallyComplexCertificate((algebra.one(), *ortho))
+
+
+def validate_certificate(cert: LocallyComplexCertificate, algebra: Algebra) -> None:
+    """Raise ValueError unless ``cert`` starts with the unit and its other
+    vectors square to -1 and anticommute pairwise: the squares first, then
+    the pairs in row-major order."""
+    if cert.basis[0] != algebra.one():
+        raise ValueError("certificate must start with the unit")
+    # e_i e_j + e_j e_i over the table's scale s: -2 s at the unit for
+    # i = j, and 0 for i != j.
+    e, u = cert.basis[1:], algebra.unit
+    table, s = anticommutator_table(algebra, e, e)
+    for i, row in enumerate(table, start=1):
+        if row[i - 1] != [-2 * s * (k == u) for k in range(algebra.dim)]:
+            raise ValueError(f"certificate vector {i} does not square to -1")
+    for i, j in combinations(range(1, len(cert.basis)), 2):
+        if any(table[i - 1][j - 1]):
+            raise ValueError(f"certificate vectors {i},{j} do not anticommute")
 
 
 # ---------------------------------------------------------------------------
@@ -1048,11 +1074,12 @@ def is_nicely_normed(algebra: Algebra) -> bool:
     res = is_locally_complex(algebra)
     if not res.holds:
         return False
-    if res.certificate is None:
+    cert = normalized_basis(algebra)
+    if cert is None:
         raise UnsupportedRationalClassError(
             "cannot test nicely normed without a rational normalized basis"
         )
-    basis = res.certificate.basis
+    basis = cert.basis
     to_cert = mat_inv(transpose([b.coords for b in basis]))
     m = len(basis)
     for i in range(1, m):
@@ -1367,6 +1394,14 @@ def involution_laws(algebra: Algebra, star) -> Matrix:
         if xxs.coords != algebra.multiply(xs, x).coords or not _is_scalar(xxs, unit):
             raise ValueError("x x* is not a central scalar")
     return star
+
+
+def apply_star(inv, x: Element) -> Element:
+    """x* for the star of an ``InvolutiveAlgebra``, summed in integers over
+    one denominator."""
+    rows, s = scaled_rows(inv.star)
+    return Element.of_ints([sum(a * v for a, v in zip(row, x.num, strict=True))
+                            for row in rows], s * x.den)
 
 
 def cayley_dickson(algebra: Algebra, star) -> tuple[Algebra, Matrix]:

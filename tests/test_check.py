@@ -40,6 +40,7 @@ from cdalg import (
 from cdalg import analysis, properties
 from cdalg.analysis import rotated_copy
 from cdalg.errors import UnsupportedRationalClassError
+from cdalg.properties import certificate_or_raise
 from cdalg import kernel
 from cdalg.kernel import INT64_LIMIT, SCREEN_PRIME, scaled_tensor, singularity_screen
 
@@ -124,7 +125,7 @@ def test_nicely_normed_without_rational_certificate():
     for algebra, want in ((square_root_table(-2), True), (_quaternion_table(-1, -3), True),
                           (twisted, False)):
         assert is_locally_complex(algebra).holds
-        assert is_locally_complex(algebra).certificate is None
+        assert outcome(certificate_or_raise, algebra) is UnsupportedRationalClassError
         assert is_nicely_normed(algebra) is want
         assert ref.commutators_are_imaginary(algebra) is want
         assert outcome(ref.is_nicely_normed, algebra) is UnsupportedRationalClassError
@@ -134,7 +135,7 @@ def test_nicely_normed_without_rational_certificate():
     sheared_3d = change_of_basis(build_3d(1, 0), [[1, 0, 0], [0, 1, 1], [0, 1, -1]],
                                  unit_index=0)
     for algebra, want in ((sheared_h, True), (sheared_3d, False)):
-        is_locally_complex(algebra).certificate.validate(algebra)
+        ref.validate_certificate(certificate_or_raise(algebra), algebra)
         assert is_nicely_normed(algebra) is want
         assert ref.commutators_are_imaginary(algebra) is want
 
@@ -154,7 +155,7 @@ def test_nicely_normed_past_int64_bound():
     c[1][2][0] += 1
     c[2][1][0] -= 1
     broken = Algebra(c, unit=0)
-    assert is_locally_complex(broken).certificate is not None
+    certificate_or_raise(broken)
     assert not is_nicely_normed(broken)
     assert_nicely_normed_matches(broken)
 
@@ -186,15 +187,19 @@ def normalized_basis_tables():
 
 
 @pytest.mark.parametrize("algebra", list(normalized_basis_tables()))
-def test_normalized_basis_tables_keep_the_decided_check(algebra):
-    """The check that the table writer stores equals the one decided from
-    the table: verdict, certificate basis and reason."""
+def test_normalized_basis_tables_keep_the_decided_check(orthonormalize_calls, algebra):
+    """The check and certificate that the table writer stores equal the ones
+    decided and built from the table: verdict, certificate basis and reason.
+    Reading the stored certificate orthonormalizes nothing."""
+    assert certificate_or_raise(algebra) is algebra._certificate
+    assert orthonormalize_calls == []
     stored, fresh = algebra._lc, properties._decide_local_complexity(algebra)
     assert stored is not None and stored.holds and fresh.holds
-    assert stored.certificate.basis == fresh.certificate.basis
+    built = properties._normalized_basis(Algebra._of_table(scaled_tensor(algebra), algebra.unit))
+    assert algebra._certificate.basis == built.basis
     assert stored.reason == fresh.reason
     assert (stored.counterexample, stored.counterexample_kind) == (None, None)
-    stored.certificate.validate(algebra)
+    ref.validate_certificate(algebra._certificate, algebra)
 
 
 # -- zero-divisor search ---------------------------------------------------

@@ -19,7 +19,9 @@ from cdalg import (
     named_algebra,
     natural_grading,
 )
-from cdalg.construct import InvolutiveAlgebra
+from cdalg import construct
+from cdalg.cli import main
+from cdalg.construct import MAX_SPIN_DIM, InvolutiveAlgebra
 from cdalg.core import change_of_basis
 from cdalg.kernel import _star_products, scaled_tensor
 from cdalg.linalg import Subspace, identity, mat_inv
@@ -76,15 +78,15 @@ def test_doubled_unit_is_pair_of_units():
 def test_involution_negates_imaginaries(octonions):
     inv = cayley_dickson_tower(3)[3]
     e3 = inv.algebra.basis_element(3)
-    assert inv.apply(e3) == -e3
-    assert inv.apply(inv.algebra.one()) == inv.algebra.one()
+    assert ref.apply_star(inv, e3) == -e3
+    assert ref.apply_star(inv, inv.algebra.one()) == inv.algebra.one()
 
 
 def test_involution_trace_example(sedenions):
     inv = cayley_dickson_tower(4)[4]
     alg = inv.algebra
     x = alg.scalar(2) + alg.basis_element(5)
-    assert x + inv.apply(x) == alg.scalar(4)
+    assert x + ref.apply_star(inv, x) == alg.scalar(4)
 
 
 def test_star_properties_on_sums(sedenions):
@@ -94,7 +96,7 @@ def test_star_properties_on_sums(sedenions):
     for _ in range(10):
         coords = tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(16))
         x = alg.element(coords)
-        xs = inv.apply(x)
+        xs = ref.apply_star(inv, x)
         total = x + xs
         assert all(c == 0 for c in total.coords[1:])
         prod = alg.multiply(x, xs)
@@ -216,6 +218,26 @@ def test_named_lookup_aliases():
         named_algebra("Q")
     with pytest.raises(UnknownAlgebraError):
         named_algebra("Jx")
+
+
+def test_spin_factor_names_stop_at_the_cap(monkeypatch, capsys):
+    """A name J<k> past the cap is unknown, as J0 is, before any table is
+    built: the builder fails the test if a larger k reaches it.  On the
+    command line both end with the exit code of J0."""
+    build = construct.jordan_spin_algebra
+
+    def guarded(k):
+        assert k <= MAX_SPIN_DIM, f"J{k} reached the builder"
+        return build(k)
+
+    monkeypatch.setattr(construct, "jordan_spin_algebra", guarded)
+    assert named_algebra(f"J{MAX_SPIN_DIM}").algebra.dim == MAX_SPIN_DIM
+    for k in (MAX_SPIN_DIM + 1, 3000, 2_000_000, 999_999_999_999):
+        with pytest.raises(UnknownAlgebraError, match=f"k <= {MAX_SPIN_DIM}, got {k}$"):
+            named_algebra(f"J{k}")
+        for command in ("gen", "check"):
+            assert main([command, f"J{k}"]) == main([command, "J0"]) != 0
+    capsys.readouterr()
 
 
 def test_named_lookup_is_shared_between_calls():

@@ -3,11 +3,12 @@ multiply-based reference in slow_reference.
 
 The library decides quadraticity by one polarized identity on the integer
 tensor, reads the Gram matrix off the table in closed form, and builds the
-certificate only when it is read.  Every field of the results must match
-the reference, which multiplies elements, except the element witnessing
-"not quadratic", which must be valid in both, and the certificate where the
-reference's Gram-Schmidt on square lengths finds none: the library then
-decides by Hasse invariants whether one exists and builds it by descent.
+certificate only when it is asked for.  Every field of the results and the
+certificate must match the reference, which multiplies elements, except
+the element witnessing "not quadratic", which must be valid in both, and
+the certificate where the reference's Gram-Schmidt on square lengths finds
+none: the library then decides by Hasse invariants whether one exists and
+builds it by descent.
 The unit-square search must agree with the reference on rotations of the
 named tables, and succeed wherever the reference does.
 """
@@ -88,12 +89,14 @@ def assert_same_verdicts(algebra):
         assert lc == dataclasses.replace(lc_ref, counterexample=q.witness)
     else:
         assert q == q_ref
-        if (isinstance(lc_ref, LocallyComplexCheck) and lc_ref.holds
-                and lc_ref.certificate is None and lc.certificate is not None):
-            # Built by descent where square lengths alone give none.
-            lc.certificate.validate(algebra)
-            lc_ref = dataclasses.replace(lc_ref, certificate=lc.certificate)
         assert lc == lc_ref
+        if isinstance(lc, LocallyComplexCheck) and lc.holds:
+            cert, cert_ref = properties._normalized_basis(algebra), ref.normalized_basis(algebra)
+            if cert_ref is not None:
+                assert cert == cert_ref
+            elif not isinstance(cert, str):
+                # Built by descent where square lengths alone give none.
+                ref.validate_certificate(cert, algebra)
 
 
 def constants_of(algebra):
@@ -231,20 +234,6 @@ def test_entries_past_int64_bound():
 # -- the certificate, built when read -----------------------------------------
 
 
-@pytest.fixture
-def orthonormalize_calls(monkeypatch):
-    """The argument tuples of every ``properties.orthonormalize`` call."""
-    calls = []
-    original = properties.orthonormalize
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(properties, "orthonormalize", spy)
-    return calls
-
-
 def fresh(algebra, grading=None):
     """An equal algebra with nothing decided yet, and its grading."""
     return algebra_from_dict(algebra_to_dict(algebra, grading))
@@ -341,11 +330,11 @@ def test_certificate_is_built_on_first_read_only(orthonormalize_calls):
     algebra, _ = graded_copy("O", "trivial")
     check = is_locally_complex(algebra)
     assert orthonormalize_calls == []
-    cert = check.certificate
+    cert = certificate_or_raise(algebra)
     assert len(orthonormalize_calls) == 1
-    cert.validate(algebra)
-    assert check.certificate is cert
-    assert is_locally_complex(algebra).certificate is cert
+    ref.validate_certificate(cert, algebra)
+    assert certificate_or_raise(algebra) is cert
+    assert is_locally_complex(algebra) is check
     assert len(orthonormalize_calls) == 1
 
 
@@ -374,22 +363,21 @@ CERTIFICATE_CASES = {
 @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
 def test_certificate_matches_reference(case):
     algebra = fresh(CERTIFICATE_CASES[case]())[0]
-    want = ref.is_locally_complex(algebra).certificate
+    want = ref.normalized_basis(algebra)
     assert want is not None
-    assert is_locally_complex(algebra).certificate == want
+    assert certificate_or_raise(algebra) == want
 
 
 def test_no_rational_certificate_reads_none(orthonormalize_calls):
     for algebra, invariant in zip(without_certificate(), NO_CERTIFICATE_INVARIANTS):
-        check = is_locally_complex(algebra)
-        assert check.holds
-        assert check.certificate is None and check.certificate is None
-        assert ref.is_locally_complex(algebra).certificate is None
-        with pytest.raises(UnsupportedRationalClassError) as info:
-            certificate_or_raise(algebra)
-        assert str(info.value) == (
-            "a rational normalized basis needs the imaginary norm form to be a sum of "
-            f"squares over Q, and it is not a sum of squares over Q: {invariant}")
+        assert is_locally_complex(algebra).holds
+        assert ref.normalized_basis(algebra) is None
+        for _ in range(2):
+            with pytest.raises(UnsupportedRationalClassError) as info:
+                certificate_or_raise(algebra)
+            assert str(info.value) == (
+                "a rational normalized basis needs the imaginary norm form to be a sum of "
+                f"squares over Q, and it is not a sum of squares over Q: {invariant}")
     # One build per table; the message reads the clause that build kept.
     assert len(orthonormalize_calls) == 3
 
@@ -397,20 +385,8 @@ def test_no_rational_certificate_reads_none(orthonormalize_calls):
 @pytest.mark.parametrize("index", range(3))
 def test_certificate_built_by_descent(index):
     algebra = certificate_by_descent()[index]
-    assert ref.is_locally_complex(algebra).certificate is None
-    cert = is_locally_complex(algebra).certificate
-    assert cert is not None
-    cert.validate(algebra)
-
-
-def test_constructor_and_replace_keep_a_given_certificate():
-    cert = is_locally_complex(named_algebra("C").algebra).certificate
-    given = LocallyComplexCheck(True, certificate=cert)
-    assert given.certificate is cert
-    assert LocallyComplexCheck(True).certificate is None
-    assert dataclasses.replace(given, reason="r").certificate is cert
-    deferred = LocallyComplexCheck.deferred(lambda: cert)
-    assert deferred == given and dataclasses.replace(deferred, reason="r").certificate is cert
+    assert ref.normalized_basis(algebra) is None
+    ref.validate_certificate(certificate_or_raise(algebra), algebra)
 
 
 class Tracked(Algebra):
@@ -437,7 +413,7 @@ def test_decided_algebra_is_freed_by_reference_counting(case, read):
         algebra = Tracked._of_table(scaled_tensor(source), source.unit)
         check = is_locally_complex(algebra)
         if read:
-            check.certificate
+            outcome(certificate_or_raise, algebra)
         watch = weakref.ref(algebra)
         del algebra
         assert watch() is None

@@ -25,8 +25,8 @@ from cdalg import (
     minimal_quadratic,
 )
 from cdalg.analysis import rotated_copy
-from cdalg.properties import coordinate_map
-from slow_reference import mat_vec
+from cdalg.properties import LocallyComplexCertificate, certificate_or_raise, coordinate_map
+from slow_reference import mat_vec, validate_certificate
 
 from test_core import truncated_polynomial_algebra
 
@@ -74,7 +74,7 @@ def test_two_dimensional_always_quadratic():
 def test_sedenions_locally_complex(sedenions):
     res = is_locally_complex(sedenions.algebra)
     assert res.holds
-    res.certificate.validate(sedenions.algebra)
+    validate_certificate(certificate_or_raise(sedenions.algebra), sedenions.algebra)
 
 
 @pytest.mark.parametrize("picks, message", [
@@ -88,8 +88,6 @@ def test_sedenions_locally_complex(sedenions):
 ])
 def test_certificate_validate_checks_squares_then_pairs(octonions, picks, message):
     """All squares are checked before any pair, pairs in row-major order."""
-    from cdalg.properties import LocallyComplexCertificate
-
     alg = octonions.algebra
 
     def vector(p):
@@ -100,10 +98,10 @@ def test_certificate_validate_checks_squares_then_pairs(octonions, picks, messag
     basis = tuple(vector(p) for p in picks)
     cert = LocallyComplexCertificate(basis)
     if message is None:
-        cert.validate(alg)
+        validate_certificate(cert, alg)
     else:
         with pytest.raises(ValueError, match=message):
-            cert.validate(alg)
+            validate_certificate(cert, alg)
 
 
 def test_spin_factor_locally_complex():
@@ -137,8 +135,8 @@ def test_square_zero_counterexample():
 def test_dimension_one_conventions(reals):
     alg = reals.algebra
     assert is_quadratic(alg).holds
-    res = is_locally_complex(alg)
-    assert res.holds and res.certificate is not None
+    assert is_locally_complex(alg).holds
+    assert certificate_or_raise(alg).basis == (alg.one(),)
     assert is_nicely_normed(alg)
 
 
@@ -157,8 +155,7 @@ def test_positive_norms_on_locally_complex(twisted_sedenions):
 
 def test_certificate_change_of_basis_consistency(octonions):
     alg = octonions.algebra
-    res = is_locally_complex(alg)
-    cert = res.certificate
+    cert = certificate_or_raise(alg)
     to_cert = coordinate_map(cert.basis)
     for i, b in enumerate(cert.basis):
         coords = mat_vec([r.coords for r in to_cert], b.coords)

@@ -19,6 +19,7 @@ import io
 import random
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from itertools import tee
 
 import numpy as np
 import pytest
@@ -358,6 +359,26 @@ def test_census_errors():
                           extra_generator_sets=[[bare.basis_element(0)], [Element((F(1),))]])
 
 
+def test_census_draws_no_random_set_after_its_early_exit(monkeypatch):
+    """C realizes dimensions 1 and 2 among the basis sets, so the census
+    stops before its first random set, whatever the budget; drawn up front,
+    10^12 sets would exhaust memory first.  Past 1,000 rows the draw fails."""
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        assert len(draws) <= 1000, "the census drew past 1,000 random rows"
+        return random_row(*args)
+
+    random_row = analysis._random_row
+    monkeypatch.setattr(analysis, "_random_row", counted)
+    report = subalgebra_census(named_algebra("C").algebra, [], budget=10**12)
+    assert sorted(report.realized) == [1, 2]
+    with redirect_stdout(io.StringIO()):
+        assert main(["subalg", "C", "--budget", str(10**11)]) == 0
+    assert draws == []
+
+
 def test_certificate_rejects_a_closure_claimed_too_small():
     """t generates span(t, t^2, t^3) in the algebra with basis t, t^2, t^3
     and t^4 = 0.  Claiming the words t and t t only is refuted by the
@@ -408,12 +429,14 @@ def test_certificate_reduces_seeds_past_every_prime_by_each_prime():
 @contextmanager
 def closed_sets():
     """The sizes of the seed sets, unit included, whose closure the census
-    reads from ``analysis.closure_dims``, in order."""
+    reads from ``analysis.closure_dims``, in order.  The census hands over
+    an iterator, read once by the closure and once here."""
     sizes = []
     closure = analysis.closure_dims
 
     def counting(algebra, seed_sets):
-        for seeds, d in zip(seed_sets, closure(algebra, seed_sets)):
+        seed_sets, read = tee(seed_sets)
+        for seeds, d in zip(read, closure(algebra, seed_sets)):
             sizes.append(len(seeds))
             yield d
 
