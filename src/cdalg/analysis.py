@@ -578,11 +578,14 @@ def _kernel_partner(algebra: Algebra, x: Element) -> Element | None:
 def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
     """Definitive answers for locally complex algebras of dimension <= 4.
 
-    In dimension 4, with parameters (T, u) read off a rational normalized
-    basis, the product is (a, v)(b, w) = (ab - v.w + (v x w).u,
-    a w + b v + T (v x w)).  Lemma: if x = (a, v) and y = (b, w) are
-    nonzero with x y = 0, then c = v x w is a nonzero isotropic vector of
-    the symmetric part P of T, rational when x and y are.  Proof: the dot
+    In dimension at most 2 the algebra is Q or Q(b) with b^2 = t b - N and
+    t^2 < 4 N (the norm is positive definite): an irreducible quadratic, so
+    a field, with or without a rational normalized basis.  In dimension 4,
+    with parameters (T, u) read off a rational normalized basis, the
+    product is (a, v)(b, w) = (ab - v.w + (v x w).u, a w + b v + T (v x w)).
+    Lemma: if x = (a, v) and y = (b, w) are nonzero with x y = 0, then
+    c = v x w is a nonzero isotropic vector of the symmetric part P of T,
+    rational when x and y are.  Proof: the dot
     product of the vector part with c gives c.T c = 0, since c is
     orthogonal to v and w; and c = 0 is impossible, for then v and w are
     parallel, so x and y lie in span(1, e) for one vector e, where
@@ -596,11 +599,11 @@ def _lowdim_exact_route(algebra: Algebra) -> ZeroDivisorSearch | None:
     from . import lowdim  # local import: lowdim depends on this module's siblings
     if not is_locally_complex(algebra).holds:
         return None
+    if algebra.dim <= 2:
+        return ZeroDivisorSearch("none_found", definitive=True)
     cert = _normalized_basis(algebra)
     if isinstance(cert, str):
         return None
-    if algebra.dim <= 2:
-        return ZeroDivisorSearch("none_found", definitive=True)
     if algebra.dim == 3:
         e1, e2 = cert.basis[1:]
         t, z1, z2 = cert.products(algebra, ((1, 2),))[0].coords
@@ -692,9 +695,10 @@ def zero_divisor_search(
     Structured candidates run first and deterministically: basis vectors,
     all differences and sums b_i +- b_j, and some of their pairwise
     products; each candidate's annihilator kernel provides the exact
-    partner.  Locally complex algebras of dimension <= 4 are settled
-    definitively through the canonical parameters instead.  Afterwards,
-    seeded random rational elements are tried up to the budget.
+    partner.  Locally complex algebras of dimension <= 2 (fields), and
+    those of dimension 3 and 4 wherever their canonical parameters decide
+    (:func:`_lowdim_exact_route`), are settled definitively instead.
+    Afterwards, seeded random rational elements are tried up to the budget.
 
     Candidates are screened in chunks by
     :func:`cdalg.kernel.singularity_screen`, which skips exactly the

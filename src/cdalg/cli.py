@@ -59,7 +59,7 @@ from .properties import (
     is_locally_complex,
     is_nicely_normed,
     is_quadratic,
-    super_alternativity_after,
+    is_super_alternative,
 )
 
 EXIT_OK = 0
@@ -234,7 +234,6 @@ def cmd_check(args) -> int:
                 "element": element_text(algebra, lc.counterexample),
             }
         report.set("locally_complex", "yes" if lc.holds else "no", witness)
-    alt = None
     if want("alt"):
         alt = is_alternative(algebra)
         witness = None
@@ -246,7 +245,7 @@ def cmd_check(args) -> int:
         if grading is None:
             report.set("super_alternative", "unknown", "no grading available")
         else:
-            sa = super_alternativity_after(algebra, grading, alt)
+            sa = is_super_alternative(algebra, grading)
             witness = None
             if not sa.holds:
                 u, x, law = sa.witness

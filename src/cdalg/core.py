@@ -232,9 +232,9 @@ def generated_subalgebra(
     """Smallest subspace containing the generators (and optionally 1) closed
     under multiplication.
 
-    The closure runs modulo a prime on the integer structure tensor, and a
-    dimension below dim(A) is certified over Q or recomputed exactly
-    (:func:`cdalg.kernel.closure_span`).
+    The closure modulo a prime on the integer structure tensor shows when
+    the span is the whole algebra; any smaller span is closed exactly over
+    Q (:func:`cdalg.kernel.closure_span`).
     """
     return closure_span(algebra, generator_rows(algebra, gens, include_unit))
 

@@ -58,18 +58,20 @@ The kernels use them so:
   finds the rank of ``L_x`` modulo :data:`SCREEN_PRIME` only, on residues
   reduced from that stack or, past 2^53, made from the residues of ``x``
   and ``C``;
-- the subalgebra closure (:func:`closure_dims`, :func:`closure_span`) runs
-  modulo :data:`SCREEN_PRIME` on a batch of generator sets and records each
-  basis vector as a word: a seed row or the product of two earlier words.
-  Words independent mod ``p`` are independent over Q, so the dimension is
-  at least their number ``d``; ``d = n`` settles it.  Below ``n`` it is at
-  most ``d`` when the integer matrix ``[seeds; words; products of two
-  words]`` has rank at most ``d`` modulo each of the first primes of
-  :data:`ZERO_TEST_PRIMES` whose product exceeds the Hadamard bound on its
-  ``(d+1)``-minors (from bounds on the words' entries), by the zero-test
-  rule applied to every such minor.  Modulo ``p`` itself the closure has
-  shown it.  A set with no such primes, or with a rank above ``d``, is
-  closed again by an exact loop over Z.  From the census
+- the subalgebra closure runs modulo :data:`SCREEN_PRIME` on a batch of
+  generator sets and records each basis vector as a word: a seed row or
+  the product of two earlier words.  Words independent mod ``p`` are
+  independent over Q, so the dimension is at least their number ``d``;
+  ``d = n`` settles it.  For the census's dimensions
+  (:func:`closure_dims`) it is at most ``d`` below ``n`` when the integer
+  matrix ``[seeds; words; products of two words]`` has rank at most ``d``
+  modulo each of the first primes of :data:`ZERO_TEST_PRIMES` whose
+  product exceeds the Hadamard bound on its ``(d+1)``-minors (from bounds
+  on the words' entries), by the zero-test rule applied to every such
+  minor.  Modulo ``p`` itself the closure has shown it.  A set with no
+  such primes, or with a rank above ``d``, is closed again by an exact
+  loop over Z.  One set's span (:func:`closure_span`) is the whole algebra
+  when ``d = n``, else the exact loop's.  From the census
   (:func:`cdalg.analysis.subalgebra_census`) no set of the unit and one
   generator of a quadratic algebra reaches the closure: it spans its
   subalgebra already.
@@ -330,12 +332,9 @@ class AlternativitySweep:
         # C itself must fit too, which the product misses when there are no rows.
         self.bound = max(2 * n**3 * mu**2 * st.max_abs**2, st.max_abs)
         self.carrier = _carrier(self.bound)
-        # The dtype of the exact stacks :meth:`defects` yields.
-        self.dtype = np.dtype(np.int64) if self.carrier == _FLOAT else self.carrier
 
     def family(self) -> Iterator[tuple[int, int | None]]:
-        """Singles, then pairs p < q; ``super_alternativity_after`` needs a
-        subsequence of the rows to give a subsequence of this, in order."""
+        """Singles, then pairs p < q."""
         m = self._shape[0]
         for p in range(m):
             yield p, None
@@ -352,9 +351,10 @@ class AlternativitySweep:
         Yields ``(members, stacks)``: ``stacks[w][t, b, c, k]`` is
         coordinate ``k`` of the ``laws[w]`` defect of ``members[b]`` at
         ``y = b_c``, modulo ``primes[t]`` (whose product must exceed
-        :attr:`bound`), or exact in :attr:`dtype` on an axis of length one
-        when primes is None, computed in the carrier of :attr:`bound`.  A
-        law not asked for is not computed.
+        :attr:`bound`), or exact on an axis of length one when primes is
+        None (``int64`` when :attr:`bound` is below 2^63, else ``object``),
+        computed in the carrier of :attr:`bound`.  A law not asked for is
+        not computed.
         """
         (m, n), dtype = self._shape, self.carrier
         c = self._st.stacked(primes, dtype)
@@ -1097,12 +1097,13 @@ def _certify(algebra, chunk: list[list[list[int]]], closed: list[tuple[int, list
     return ok
 
 
-def _closures(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[tuple]:
-    """``(dim, seeds, how)`` for the subalgebra each seed set generates, in
-    order: ``seeds`` are the primitive integer seed rows, and ``how`` is the
-    list of words of :func:`_close_mod_p` when :func:`_certify` accepts them,
-    else the :class:`Subspace` of :func:`_exact_closure`.  The sets are read
-    a batch at a time, as the dimensions are."""
+def closure_dims(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[int]:
+    """The dimension of the subalgebra each seed set generates, in order.
+
+    Closed in batches modulo :data:`SCREEN_PRIME`, a batch of sets read at a
+    time; a dimension below ``dim(A)`` is certified over Q by the ranks of
+    :func:`_certified` or comes from the exact loop.
+    """
     n, seed_sets = algebra.dim, iter(seed_sets)
     while chunk := [_seed_ints(s) for s in islice(seed_sets, CLOSURE_SETS)]:
         closed, ok = [], set()
@@ -1110,35 +1111,17 @@ def _closures(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[tupl
             closed = _close_mod_p(algebra, chunk, SCREEN_PRIME)
             ok = _certify(algebra, chunk, closed)
         for b, seeds in enumerate(chunk):
-            if b in ok:
-                d, words = closed[b]
-                yield d, seeds, words
-            else:
-                span = _exact_closure(algebra, seeds)
-                yield span.dim, seeds, span
-
-
-def closure_dims(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[int]:
-    """The dimension of the subalgebra each seed set generates, in order.
-
-    Closed in batches modulo :data:`SCREEN_PRIME`; a dimension below
-    ``dim(A)`` is certified over Q by the ranks of :func:`_certified` or
-    comes from the exact loop.
-    """
-    for dim, _, _ in _closures(algebra, seed_sets):
-        yield dim
+            yield closed[b][0] if b in ok else _exact_closure(algebra, seeds).dim
 
 
 def closure_span(algebra, seeds: Sequence[Sequence]) -> Subspace:
-    """The subalgebra the rows ``seeds`` generate, as an exact subspace."""
-    ((dim, rows, how),) = _closures(algebra, [seeds])
-    n = algebra.dim
-    if isinstance(how, Subspace):
-        return how
-    if dim == n:
+    """The subalgebra the rows ``seeds`` generate, as an exact subspace.
+
+    The whole algebra when the closure modulo :data:`SCREEN_PRIME` finds
+    ``dim(A)`` words, since words independent mod ``p`` are independent over
+    Q; else the exact loop of :func:`_exact_closure`.
+    """
+    n, seeds = algebra.dim, _seed_ints(seeds)
+    if _screen_fits(n, SCREEN_PRIME) and _close_mod_p(algebra, [seeds], SCREEN_PRIME)[0][0] == n:
         return Subspace._of_axes(range(n), n)
-    exact: list[list[int]] = []
-    for a, c in how:  # replay the words over Z
-        exact.append(rows[c] if a < 0 else
-                     _primitive(product_table(algebra, [exact[a]], [exact[c]])[0][0, 0].tolist()))
-    return Subspace(exact, n)
+    return _exact_closure(algebra, seeds)

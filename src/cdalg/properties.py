@@ -463,22 +463,6 @@ def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
     return IdentityCheck(True)
 
 
-def super_alternativity_after(algebra: Algebra, grading: Grading,
-                              alt: IdentityCheck | None) -> IdentityCheck:
-    """``is_super_alternative``, or ``alt`` (from ``is_alternative``) on a
-    valid grading where the sweep must end as that one did: the laws hold, or
-    the even rows are the basis vectors of increasing indices and hold the
-    witness u, so the even family, swept first, is a subsequence of the full
-    one in its order (``AlternativitySweep.family``) and all before u passed."""
-    partition = grading.index_partition()
-    if alt is not None and (alt.holds or partition is not None
-                            and grading.even_rows == grading.even.rows
-                            and set(partition[0]).issuperset(np.flatnonzero(alt.witness[0].num))):
-        grading.validate(algebra)
-        return alt
-    return is_super_alternative(algebra, grading)
-
-
 def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int] | None]:
     """Check (xy)(zx) = (x(yz))x on all basis triples, exactly.
 

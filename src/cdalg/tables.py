@@ -7,9 +7,10 @@ The unit is basis vector 0 and multiplies trivially.
 
 OCTONION_TABLE and SEDENION_TABLE serve as frozen reference data for the
 verification suite; the library constructs those algebras by doubling and
-checks the results against these entries.  TWISTED_OCTONION_TABLE and
-TWISTED_SEDENION_TABLE define the two exceptional super-alternative algebras,
-which are shipped as data because no doubling construction produces them.
+checks that the results equal the algebras built from these tables.
+TWISTED_OCTONION_TABLE and TWISTED_SEDENION_TABLE define the two
+exceptional super-alternative algebras, which are shipped as data because
+no doubling construction produces them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Algebra
-from .kernel import scaled_tensor
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -110,32 +110,3 @@ def algebra_from_signed_table(
     constants[0][0] = [F0] * n
     constants[0][0][0] = F1
     return Algebra(constants, unit=0, labels=labels)
-
-
-def signed_table_of(algebra: Algebra) -> tuple[tuple[int, ...], ...]:
-    """Inverse of algebra_from_signed_table for algebras of that exact shape.
-
-    Raises ValueError if some product of imaginary basis vectors is not a
-    single signed basis vector or the diagonal is not -1.
-    """
-    if algebra.unit != 0:
-        raise ValueError("expected unit at index 0")
-    st = scaled_tensor(algebra)
-    rows = []
-    for i, cells in enumerate(st.c.tolist()[1:], start=1):
-        row = []
-        for j, cell in enumerate(cells[1:], start=1):
-            nonzero = [(k, Fraction(c, st.den)) for k, c in enumerate(cell) if c]
-            if len(nonzero) != 1:
-                raise ValueError(f"product b_{i} b_{j} is not a signed basis vector")
-            k, c = nonzero[0]
-            if i == j:
-                if k != 0 or c != -1:
-                    raise ValueError(f"square of b_{i} is not -1")
-                row.append(0)
-            else:
-                if k == 0 or c not in (1, -1):
-                    raise ValueError(f"product b_{i} b_{j} is not a signed basis vector")
-                row.append(k if c == 1 else -k)
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -87,11 +87,11 @@ def _require(condition: bool, message: str) -> None:
 def claim_doubling_tables() -> str:
     tower = cayley_dickson_tower(4)
     _require(
-        tables.signed_table_of(tower[3].algebra) == tables.OCTONION_TABLE,
+        tower[3].algebra == tables.algebra_from_signed_table(tables.OCTONION_TABLE),
         "doubled dim-8 table differs from the reference table",
     )
     _require(
-        tables.signed_table_of(tower[4].algebra) == tables.SEDENION_TABLE,
+        tower[4].algebra == tables.algebra_from_signed_table(tables.SEDENION_TABLE),
         "doubled dim-16 table differs from the reference table",
     )
     return "dim-8 and dim-16 doubling tables match the references entry for entry"

@@ -9,11 +9,9 @@ from cdalg import (
     Grading,
     algebra_to_dict,
     cli,
-    is_alternative,
     is_super_alternative,
     load_algebra,
     named_algebra,
-    properties,
 )
 from cdalg.cli import main
 from cdalg.errors import InvalidGradingError
@@ -92,20 +90,18 @@ def test_check_single_property(capsys):
 
 
 def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypatch):
-    """Where the algebra is alternative the super-alternative flag needs only
-    a valid grading, so no second sweep runs; an invalid grading still fails
-    as the sweep's own validation does, and S (not alternative) is swept."""
+    """``check`` decides the super-alternative flag by one super sweep per
+    graded file, whether or not the algebra is alternative; an invalid
+    grading fails as the sweep's own validation does."""
     calls = []
-    original = properties.is_super_alternative
-    monkeypatch.setattr(properties, "is_super_alternative",
-                        lambda *a: calls.append(a) or original(*a))
-    code, out, _ = run_cli(capsys, "check", "O", "--budget", "5")
-    assert code == 0 and strict_json(out)["flags"]["super_alternative"] == "yes"
-    assert calls == []
-    code, out, _ = run_cli(capsys, "check", "S", "--budget", "5")
-    flags = strict_json(out)["flags"]
-    assert flags["alternative"] == "no" and flags["super_alternative"] == "yes"
-    assert len(calls) == 1
+    monkeypatch.setattr(cli, "is_super_alternative",
+                        lambda *a: calls.append(a) or is_super_alternative(*a))
+    for count, name in enumerate(("H", "O", "S"), start=1):
+        code, out, _ = run_cli(capsys, "check", name, "--budget", "5")
+        flags = strict_json(out)["flags"]
+        assert code == 0 and flags["super_alternative"] == "yes"
+        assert flags["alternative"] == ("no" if name == "S" else "yes")
+        assert len(calls) == count
     path = tmp_path / "o.json"
     assert run_cli(capsys, "gen", "O", "--out", str(path))[0] == 0
     data = strict_json(path.read_text())
@@ -116,7 +112,7 @@ def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypat
     code, out, err = run_cli(capsys, "check", str(path), "--budget", "5")
     assert code == 1 and out == ""
     assert strict_json(err) == {"error": str(raised.value), "kind": "InvalidGradingError"}
-    assert len(calls) == 1
+    assert len(calls) == 4
 
 
 def _character_gradings(name):
@@ -139,26 +135,14 @@ def _super_outcome(algebra, grading):
         return str(exc)
 
 
-@pytest.mark.parametrize("name", ["S", "TS", "TO", "A5", "A6"])
-def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys, monkeypatch):
-    """Whether or not ``check`` skips the super sweep after the
-    alternativity one, its verdict and witness are the sweep's; on the files
-    of every tried grading but A6's, ``check`` prints the sweep's witness."""
+@pytest.mark.parametrize("name", ["O", "S", "TS", "TO", "A5", "A6"])
+def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys):
+    """On the files of every tried grading, ``check`` prints the super
+    sweep's verdict and witness, or fails as its grading validation does."""
     algebra = named_algebra(name).algebra
-    alt = is_alternative(algebra)
-    swept, skipped = [], []
-    monkeypatch.setattr(properties, "is_super_alternative", lambda *a: swept.append(a) or
-                        is_super_alternative(*a))
     for even, odd in _character_gradings(name):
         grading = Grading.from_indices(algebra.dim, even, odd)
-        want, before = _super_outcome(algebra, grading), len(swept)
-        try:
-            assert properties.super_alternativity_after(algebra, grading, alt) == want
-        except InvalidGradingError as exc:
-            assert str(exc) == want
-        skipped.append(len(swept) == before)
-        if name == "A6":
-            continue
+        want = _super_outcome(algebra, grading)
         path = tmp_path / "graded.json"
         data = algebra_to_dict(algebra)
         data["grading"] = {"even": even, "odd": odd}
@@ -174,9 +158,6 @@ def test_check_super_witness_is_the_sweeps(name, tmp_path, capsys, monkeypatch):
             u, x, law = want.witness
             assert printed["witnesses"]["super_alternative"] == {
                 "law": law, "u": cli.element_text(algebra, u), "x": cli.element_text(algebra, x)}
-    # The natural grading skips on A5 and A6, whose witness e1 + e10 is
-    # even, and its shuffled listing does not.
-    assert skipped[:2] == [name in ("A5", "A6"), False]
 
 
 def test_recognize_file(tmp_path, capsys):

@@ -51,7 +51,7 @@ from cdalg.kernel import (
 from cdalg.linalg import identity
 
 import slow_reference as ref
-from test_kernel import _quaternion_table
+from test_kernel import _quaternion_table, stack_dtype
 
 FLOAT, INT64 = np.dtype(np.float64), np.dtype(np.int64)
 SIDES = pytest.mark.parametrize("side", ["float64", "int64"])
@@ -127,7 +127,7 @@ def test_a_bound_of_exactly_two_to_the_53_takes_int64():
     for c, want in ((2**25 - 1, FLOAT), (2**25, INT64)):
         sweep = AlternativitySweep(Algebra([[[c]]]), identity(1))
         assert (sweep.bound < FLOAT_LIMIT) == (want == FLOAT)
-        assert sweep.carrier == want and sweep.dtype == INT64
+        assert sweep.carrier == want and stack_dtype(sweep) == INT64
     assert AlternativitySweep(Algebra([[[2**25]]]), identity(1)).bound == FLOAT_LIMIT
     for c, want in ((FLOAT_LIMIT - 1, FLOAT), (FLOAT_LIMIT, INT64)):
         with carriers() as seen:

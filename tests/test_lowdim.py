@@ -2,6 +2,7 @@
 geometric types, the division criterion, hyperboloid and rank-0 data."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdalg import (
+    Algebra,
     CanonicalForm3,
     Element,
+    algebra_to_dict,
     build_3d,
     build_4d,
     build_raw_3d,
@@ -28,7 +31,7 @@ from cdalg import (
     params_equal_3d,
     recognize_alternative_division,
 )
-from cdalg import lowdim
+from cdalg import cli, lowdim, properties
 from cdalg.analysis import ZeroDivisorSearch, random_rational_orthogonal, zero_divisor_search
 from cdalg.errors import (
     DimensionMismatchError,
@@ -807,6 +810,31 @@ def test_zero_divisors_are_ruled_out_without_a_rational_isotropic_vector(u):
     undecided = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, -UNFACTORED]], u)
     got = zero_divisor_search(undecided, budget=20)
     assert got.status == "exhausted" and not got.definitive
+
+
+@pytest.mark.parametrize("t, n", [(0, 3), (1, 1)])
+def test_two_dimensional_fields_have_no_zero_divisors_without_a_normalized_basis(
+        t, n, tmp_path, capsys):
+    """b^2 = t b - n with t^2 < 4 n: Q(b) is a field, as the quadratic is
+    irreducible, though no rational normalized basis exists (b^2 = -3 and
+    b^2 = b - 1 need sqrt(3)).  det L_x is the norm a^2 + t a c + n c^2 of
+    x = a + c b, positive for x != 0; the answer is definitive at any budget."""
+    algebra = Algebra([[[F(1), F(0)], [F(0), F(1)]], [[F(0), F(1)], [F(-n), F(t)]]], unit=0)
+    assert isinstance(properties._normalized_basis(algebra), str)
+    assert zero_divisor_search(algebra, budget=50) == ZeroDivisorSearch("none_found",
+                                                                       definitive=True)
+    for a, c in itertools.product(range(-3, 4), repeat=2):
+        if a or c:
+            x = Element((F(a), F(c)))
+            assert det(ref.left_mul_matrix(algebra, x)) == a * a + t * a * c + n * c * c > 0
+            assert not ref.annihilator(algebra, x)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(algebra_to_dict(algebra)))
+    assert cli.main(["zerodiv", str(path), "--budget", "50"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "none_found", "definitive": True,
+                                                   "tried": 0}
+    assert cli.main(["check", str(path), "--budget", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"]["has_zero_divisors"] == "no"
 
 
 def test_division_uses_no_numpy(monkeypatch):

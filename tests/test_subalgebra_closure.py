@@ -83,12 +83,15 @@ def recording_paths():
 
 def assert_closures_match(algebra, sets, include_unit=True):
     """Every closure, its rows and the batched dimensions against the
-    round-based reference."""
+    round-based reference; returns the counts of :func:`recording_paths`
+    for the batched dimensions alone."""
     want = [ref.generated_subalgebra_rounds(algebra, gens, include_unit) for gens in sets]
     for gens, span in zip(sets, want):
         assert generated_subalgebra(algebra, gens, include_unit).rows == span.rows
     seeds = [generator_rows(algebra, gens, include_unit) for gens in sets]
-    assert list(closure_dims(algebra, seeds)) == [span.dim for span in want]
+    with recording_paths() as seen:
+        assert list(closure_dims(algebra, seeds)) == [span.dim for span in want]
+    return seen
 
 
 def assert_census_matches(algebra, budget, seed, extra=()):
@@ -168,6 +171,28 @@ def test_rotated_tables_match_reference(name):
     assert_closures_match(algebra, sets + census_sets(algebra, 4, name))
 
 
+@pytest.mark.parametrize("name", ["O", "TO", "S", "rotated O", "rotated S", "sheared S"])
+def test_generated_subalgebra_needs_no_certificate(name, monkeypatch):
+    """A span is the whole algebra by the closure mod p, else the exact
+    loop's: ``generated_subalgebra`` never calls :func:`kernel._certify`."""
+    if name == "sheared S":
+        algebra = sheared_s()
+    elif name.startswith("rotated"):
+        algebra = rotated_copy(named_algebra(name[-1]).algebra, random.Random(f"span:{name}"))[0]
+    else:
+        algebra = named_algebra(name).algebra
+    sets = structured_sets(algebra, [(1, 2), (1, algebra.dim - 1), (3, 5)])
+    sets += census_sets(algebra, 3, f"span:{name}")
+
+    def refuse(*args):
+        raise AssertionError("generated_subalgebra reached the certificate")
+
+    monkeypatch.setattr(kernel, "_certify", refuse)
+    for gens in sets:
+        want = ref.generated_subalgebra_rounds(algebra, gens)
+        assert generated_subalgebra(algebra, gens).rows == want.rows
+
+
 def sheared_s():
     """S in a sheared basis whose diagonal entries near 2^31 put the scaled
     tensor past 2^63."""
@@ -181,8 +206,7 @@ def test_past_int64_table_matches_reference():
     algebra = sheared_s()
     assert scaled_tensor(algebra).max_abs >= INT64_LIMIT
     sets = structured_sets(algebra, [(1, 2), (8, 9), (1, 9)])
-    with recording_paths() as seen:
-        assert_closures_match(algebra, sets + census_sets(algebra, 2, "sheared"))
+    seen = assert_closures_match(algebra, sets + census_sets(algebra, 2, "sheared"))
     assert seen["certified"] or seen["exact"]
 
 
@@ -216,8 +240,8 @@ def test_common_denominator_divisible_by_p():
     assert scaled_tensor(algebra).den % P == 0
     with recording_paths() as seen:
         assert_census_matches(algebra, 10, 2)
-        assert_closures_match(algebra, structured_sets(algebra, [(1, 2), (4, 7)]))
     assert seen["exact"]
+    assert assert_closures_match(algebra, structured_sets(algebra, [(1, 2), (4, 7)]))["exact"]
 
 
 def test_imaginary_products_vanishing_mod_p():
@@ -255,10 +279,10 @@ def test_closure_that_needs_a_second_prime():
     seeds = generator_rows(c, gens)
     words = kernel._close_mod_p(c, [kernel._seed_ints(seeds)], P)
     assert words == [(1, [[-1, 0]])]
+    assert generated_subalgebra(c, gens).dim == 2
     with recording_paths() as seen:
-        assert generated_subalgebra(c, gens).dim == 2
         assert list(closure_dims(c, [seeds])) == [2]
-    assert seen == {"certified": 2, "exact": 2}
+    assert seen == {"certified": 1, "exact": 1}
 
 
 @pytest.mark.parametrize("primes", [kernel.ZERO_TEST_PRIMES, SMALL_PRIMES],
@@ -270,8 +294,7 @@ def test_certificate_with_many_primes(primes):
         for name in ("O", "TO"):
             algebra = named_algebra(name).algebra
             sets = census_sets(algebra, 12, f"primes:{name}") + structured_sets(algebra, [(1, 2)])
-            with recording_paths() as seen:
-                assert_closures_match(algebra, sets)
+            seen = assert_closures_match(algebra, sets)
             assert seen["exact"] == 0
             assert seen["certified"] or name == "TO"
 
@@ -333,11 +356,11 @@ def test_exact_loop_matches_reference(data):
     rows = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=1, max_size=2)
     sets = [[Element(tuple(F(v) for v in row)) for row in seeds]
             for seeds in data.draw(st.lists(rows, min_size=1, max_size=3))]
-    with recording_paths() as seen, pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_screen_fits", lambda n, p: False)
         for unit in (True, False):
-            assert_closures_match(algebra, sets, include_unit=unit)
-    assert seen["exact"] == 4 * len(sets) and not seen["certified"]
+            seen = assert_closures_match(algebra, sets, include_unit=unit)
+            assert seen == {"certified": 0, "exact": len(sets)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from cdalg import (
     is_super_alternative,
     named_algebra,
 )
+from cdalg import tables
 from cdalg.tables import TWISTED_OCTONION_TABLE, algebra_from_signed_table
 from cdalg.verify import CLAIMS, ClaimOutcome, VerificationReport, run_claim
 
@@ -48,6 +49,17 @@ def test_single_sign_flip_is_detected():
     q = is_quadratic(corrupted)
     assert not q.holds and q.witness is not None
     assert not is_locally_complex(corrupted).holds
+
+
+@pytest.mark.parametrize("name, dim", [("OCTONION_TABLE", 8), ("SEDENION_TABLE", 16)])
+@pytest.mark.parametrize("i, j", [(0, 1), (2, 6), (6, 3)])
+def test_doubling_claim_fails_on_one_flipped_sign(monkeypatch, name, dim, i, j):
+    rows = [list(row) for row in getattr(tables, name)]
+    rows[i][j] = -rows[i][j]
+    monkeypatch.setattr(tables, name, tuple(map(tuple, rows)))
+    outcome = run_claim("AC01")
+    assert not outcome.passed
+    assert outcome.detail == f"doubled dim-{dim} table differs from the reference table"
 
 
 def test_unexpected_exception_is_recorded_as_failure(monkeypatch):
