@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, islice, tee
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ from .linalg import (
 from .kernel import (
     AlternativitySweep,
     alternativity_screen,
-    anticommutator_table,
     closure_dims,
     first_alternativity_defect,
     first_homomorphism_violation,
@@ -72,11 +72,13 @@ from .kernel import (
 from .numth import four_squares_fraction, sqrt_fraction, ternary_zero
 from .properties import (
     _norm,
+    _norm_form,
     _normalized_basis,
     candidate_rows,
     combination,
     coordinate_map,
     imaginary_basis,
+    imaginary_rows,
     is_locally_complex,
     is_quadratic,
     is_super_alternative,
@@ -103,11 +105,13 @@ def find_unit_square_vector(
 ) -> Element:
     """A rational x in span(space) with x^2 = -1, anticommuting with the family.
 
-    The space lies in the imaginary part, where x^2 = -N(x) for the norm
-    form N and anticommuting means orthogonal.  One integer table of the
-    anticommutators of the family and the space with the space gives the
-    part W of the space that anticommutes with the family, and the Gram
-    matrix of N.  Over a basis of W the candidates are the
+    In the imaginary part of a quadratic algebra x^2 = -N(x) for the norm
+    form N, and anticommuting means orthogonal, so the search reads the form
+    of :func:`~cdalg.properties.imaginary_rows`, derived once per algebra;
+    InconsistentInputError if the algebra is not quadratic or a space vector
+    has nonzero trace.  The family's orthogonality rows give the part W of
+    the space that anticommutes with it, which is 0 when a family vector has
+    nonzero trace.  Over a basis of W the candidates are the
     :func:`~cdalg.properties.candidate_rows`.  The vector is the first
     candidate whose norm is a rational square, scaled.  Else, for
     ``closure`` a basis B = (1, i) of C or (1, i, j, k) of H orthogonal to
@@ -116,10 +120,11 @@ def find_unit_square_vector(
     :func:`four_squares_fraction`, which needs no factoring, while N(w) has
     at most ``_FOUR_SQUARES_BITS`` bits.  The norm is multiplicative on the
     doubling step w B when B is a subalgebra of an alternative algebra or
-    the even part of TO; w h is kept when one anticommutator table shows
-    that it squares to -1 and anticommutes with the family, and it is as
-    small as w, which keeps the next search small.  Else the vector is built
-    by :func:`cdalg.properties.unit_vector_by_descent`, and failing that
+    the even part of TO; w h is kept when its trace is 0, its norm 1 and it
+    is orthogonal to the family, that is, when it squares to -1 and
+    anticommutes with the family, and it is as small as w, which keeps the
+    next search small.  Else the vector is built by
+    :func:`cdalg.properties.unit_vector_by_descent`, and failing that
     UnsupportedRationalClassError carries the descent's clause: the
     invariant by which N on W is not a sum of squares over Q, the number
     that could not be factored, or that the search ran out.  A closure of
@@ -127,18 +132,18 @@ def find_unit_square_vector(
     """
     if closure is not None and len(closure) not in (2, 4):
         raise ValueError("a closure is a basis (1, i) of C or (1, i, j, k) of H")
-    n, u, m = algebra.dim, algebra.unit, len(space)
-    family = list(anticommute_with)
-    table, scale = anticommutator_table(algebra, family + list(space), space)
-    inner, across = table[len(family):], table[:len(family)]
-    if any(c for row in inner for cell in row for k, c in enumerate(cell) if k != u):
+    (s, e), f = imaginary_rows(algebra, space), imaginary_rows(algebra, anticommute_with)[0]
+    if None in s:
         raise InconsistentInputError("the search space is not in the imaginary part")
-    # <v_p, v_q> = -(v_p v_q + v_q v_p) / 2 = -cell[u] / (2 scale): the Gram
-    # matrix of N on the space is gram / den.
-    gram, den = [[-cell[u] for cell in row] for row in inner], 2 * scale
-    if family:
-        # Row (e, k): coordinate k of e v + v e for each v in the space.
-        rows = kernel_basis([[cell[k] for cell in row] for row in across for k in range(n)], m)
+    m, g, d = len(space), _norm_form(algebra)[1], scaled_tensor(algebra).den
+    # G s_q over the nonzero entries of s_q; <s_p, s_q> = s_p G s_q^T / den.
+    s = [[(j, b) for j, b in enumerate(q) if b] for q in s]
+    gs = [[sum(grow[j] * b for j, b in q) for grow in g] for q in s]
+    gram, den = [[sum(c[j] * a for j, a in p) for c in gs] for p in s], 4 * d * d * e * e
+    if None in f:
+        rows = []
+    elif f:
+        rows = kernel_basis([[sum(map(mul, r, c)) for c in gs] for r in f], m)
     else:
         rows = [Element.of_ints([int(j == i) for j in range(m)]) for i in range(m)]
     rows = [r for r in rows if _norm(r, gram)]
@@ -159,10 +164,12 @@ def find_unit_square_vector(
                 continue
             h = (zero[0] / (zero[2] * norm), zero[1] / (zero[2] * norm))
         out = algebra.multiply(combination(algebra, r, space), combination(algebra, h, closure))
-        # out^2 = -1 and out anticommutes with the family, read off one table.
-        (check,), s = anticommutator_table(algebra, [out], [out, *family])
-        if check == [[-2 * s * (k == u) for k in range(n)]] + [[0] * n] * len(family):
-            return out
+        (o,), oe = imaginary_rows(algebra, [out])
+        if o is not None:
+            go = [sum(map(mul, grow, o)) for grow in g]
+            square, *across = (sum(map(mul, r, go)) for r in (o, *f))
+            if square == 4 * d * d * oe * oe and not any(across):
+                return out
         break
     if x is None:
         x = unit_vector_by_descent(rows, gram, den)
@@ -446,16 +453,14 @@ def _classify_sedenion_like(
     sigma, for x = e_1, ..., e_7.  A vector y is an Element, and these
     matrices act on its integers: the zero tests and the relation signs do
     not see its denominator.  y is multiplied by even vectors only, so it
-    stays odd, and y^2 = t(y) y - N(y) is -N(y), its unit coordinate, as
-    t(y) y is both even and odd.
+    stays odd, and imaginary, as t(y) y = y^2 + N(y) is both even and odd;
+    y^2 = -N(y) is read off the norm form.
     """
-    u = algebra.unit
     gens = e_std[1:]
     stack, sigma = left_mul_stack(algebra, gens)
     lmul = [None, *stack.astype(object)]  # lmul[i] = sigma L_{e_i}
     cube = sigma**3
-    st = scaled_tensor(algebra)
-    unit_part = st.c[:, :, u].astype(object)  # (x y)_u = x unit_part y^T / D
+    g, d = _norm_form(algebra)[1], scaled_tensor(algebra).den
 
     def remedy(w, r: int):
         """sigma^3 times the remedy of w along relation r."""
@@ -487,7 +492,8 @@ def _classify_sedenion_like(
         if y.is_zero():
             continue
         w = np.array(y.num, dtype=object)
-        sq = Fraction(int(w @ unit_part @ w), st.den * y.den * y.den)  # y^2 = sq * 1
+        (v,), e = imaginary_rows(algebra, [y])
+        sq = -Fraction(sum(a * sum(map(mul, row, v)) for a, row in zip(v, g)), 4 * d * d * e * e)
         root = sqrt_fraction(-sq)
         if root is None:
             last_error = (

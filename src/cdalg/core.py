@@ -39,8 +39,8 @@ def label_key(label: str) -> str:
 class Algebra:
     """A finite-dimensional real algebra given by exact structure constants."""
 
-    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_lc",
-                 "_certificate")
+    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_form",
+                 "_lc", "_certificate")
 
     def __init__(
         self,
@@ -74,10 +74,11 @@ class Algebra:
             self.labels = None
         self._scaled = table
         # Derived on first use: the Fraction view, the quadraticity check,
-        # the local-complexity check and its certificate (or the clause why
-        # there is no rational one).
+        # the imaginary norm form, the local-complexity check and its
+        # certificate (or the clause why there is no rational one).
         self._constants = None
         self._quadratic = None
+        self._form = None
         self._lc = None
         self._certificate = None
         if unit is not None:

@@ -176,12 +176,13 @@ def load_algebra(path: str) -> tuple[Algebra, Grading | None]:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<label>[A-Za-z][A-Za-z0-9_]*)?(?:/(?P<div>\d+))?$"
+    r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<label>[A-Za-z][A-Za-z0-9_]*|(?<=\*)1)?(?:/(?P<div>\d+))?$"
 )
 
 
 def parse_element(expr: str, algebra: Algebra) -> Element:
-    """Parse a linear combination of basis labels into an element."""
+    """Parse a linear combination of basis labels into an element; a term
+    without a label, or with the label 1 after ``*`` as in ``2*1``, is scalar."""
     compact = expr.replace(" ", "")
     if not compact:
         raise MalformedInputError("empty element expression")
@@ -205,7 +206,7 @@ def parse_element(expr: str, algebra: Algebra) -> Element:
                 raise MalformedInputError("division by zero in element expression")
             coef /= div
         label = m.group("label")
-        if label is None:
+        if label in (None, "1"):
             if algebra.unit is None:
                 raise NonUnitalError("scalar term in expression for a non-unital algebra")
             idx = algebra.unit

@@ -1,6 +1,6 @@
 """Exact integer kernels behind the polarized identity checks, the
-quadraticity and nicely-normed tests, the product and anticommutator
-tables, left multiplication matrices, the zero-divisor screen, the
+quadraticity and nicely-normed tests, the product tables, left
+multiplication matrices, the zero-divisor screen, the
 homomorphism check, the closure of generator sets under multiplication, and
 the involution laws and table of the Cayley-Dickson double.
 
@@ -845,19 +845,6 @@ def table_in_rows(algebra, rows: Sequence) -> ScaledTensor:
     if (num @ np.array(r, dtype=object).reshape(k, n) != products * d).any():
         raise InconsistentInputError("vector is outside the spanned subspace")
     return ScaledTensor(num * s, scale * d)
-
-
-def anticommutator_table(algebra, xs: Sequence, ys: Sequence) -> tuple[list, int]:
-    """The anticommutators ``x_p y_q + y_q x_p`` of two lists of rows.
-
-    Returns nested lists ``table[p][q][k]`` of Python ints and their positive
-    common scale ``s``: coordinate ``k`` of ``x_p y_q + y_q x_p`` is
-    ``table[p][q][k] / s``.  Being bilinear, the table gives the
-    anticommutator of any two combinations of the rows.
-    """
-    xy, scale = product_table(algebra, xs, ys)
-    yx, _ = product_table(algebra, ys, xs)
-    return (xy + yx.transpose(1, 0, 2)).tolist(), scale
 
 
 # About this many int64 entries (256 KB) per array of a round of the

@@ -27,10 +27,11 @@ traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, and positive definiteness
 is the integer LDL of ``cdalg.linalg`` on it.  The algebra is immutable, so
-the check is computed once and kept in its ``_lc`` slot.  The certificate
-is a normalized basis and nothing else, from :func:`orthonormalize` on
-coefficient vectors against the same Gram matrix; products in it are mapped
-into its coordinates in integers when they are read.  The verdict does not
+the traces and the Gram matrix, the norm form, are derived once and kept in
+its ``_form`` slot, and the check in its ``_lc`` slot.  The certificate is a
+normalized basis, from :func:`orthonormalize` on coefficient vectors against
+the same Gram matrix; products in it are mapped into its coordinates in
+integers when they are read.  The verdict does not
 need it and most callers never ask for it, so :func:`certificate_or_raise`
 builds it on first use and keeps it, or the clause why there is none, in
 the algebra's ``_certificate`` slot.
@@ -167,38 +168,15 @@ class LocallyComplexCheck:
     reason: str = ""
 
 
-def _traces(algebra: Algebra) -> list[tuple[int, int]]:
-    """``(i, T_i)`` over the non-unit indices, where ``b_i^2 = t_i b_i - n_i 1``
-    and ``t_i = T_i / D`` for the table's denominator ``D``."""
-    st, u = scaled_tensor(algebra), algebra.unit
-    out = []
-    for i, square in enumerate(st.c[np.arange(algebra.dim), np.arange(algebra.dim)].tolist()):
-        if i == u:
-            continue
-        if any(c for k, c in enumerate(square) if k not in (i, u)):
-            raise InconsistentInputError(
-                f"basis vector {i} has no quadratic relation; algebra is not quadratic"
-            )
-        out.append((i, square[i]))
-    return out
-
-
 def imaginary_basis(algebra: Algebra) -> list[Element]:
-    """Basis of U = {u not in R : u^2 in R} + {0} for a quadratic algebra.
-
-    Built as b_i - t(b_i)/2 over the basis complement of the unit.
-    """
-    if algebra.unit is None:
+    """Basis of U = {u not in R : u^2 in R} + {0} for a quadratic algebra:
+    b_i - t_i/2 = (2 D b_i - T_i 1) / (2 D) over the basis complement of the
+    unit, for the ``(i, T_i)`` of :func:`_norm_form` and the table's ``D``."""
+    n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
+    if u is None:
         raise NonUnitalError("imaginary part needs a unital algebra")
-    return _imaginary_vectors(algebra.dim, algebra.unit, scaled_tensor(algebra).den,
-                              _traces(algebra))
-
-
-def _imaginary_vectors(n: int, u: int, d: int, traces: list[tuple[int, int]]) -> list[Element]:
-    """b_i - t_i/2 = (2 D b_i - T_i 1) / (2 D) for the ``(i, T_i)`` of
-    :func:`_traces` and the table denominator ``D = d``."""
     return [Element.of_ints([2 * d if k == i else -t if k == u else 0 for k in range(n)], 2 * d)
-            for i, t in traces]
+            for i, t in _norm_form(algebra)[0]]
 
 
 def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, int]]) -> list[list[int]]:
@@ -213,6 +191,36 @@ def _imaginary_gram(algebra: Algebra, traces: list[tuple[int, int]]) -> list[lis
     st, u = scaled_tensor(algebra), algebra.unit
     cu, d = st.c[:, :, u].tolist(), st.den
     return [[-(2 * d * (cu[i][j] + cu[j][i]) + ti * tj) for j, tj in traces] for i, ti in traces]
+
+
+def _norm_form(algebra: Algebra) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The norm form of a quadratic algebra, read-only: ``(i, T_i)`` over the
+    non-unit indices, where ``b_i^2 = t_i b_i - n_i 1`` and ``t_i = T_i / D``
+    for the table's ``D``, and the Gram matrix G of :func:`_imaginary_gram`.
+    Derived once and kept in the algebra's ``_form`` slot."""
+    form = algebra._form
+    if form is None:
+        if not is_quadratic(algebra).holds:
+            raise InconsistentInputError("the algebra is not quadratic")
+        n, u = algebra.dim, algebra.unit
+        squares = scaled_tensor(algebra).c[np.arange(n), np.arange(n)].tolist()
+        traces = [(i, square[i]) for i, square in enumerate(squares) if i != u]
+        form = algebra._form = (traces, _imaginary_gram(algebra, traces))
+    return form
+
+
+def imaginary_rows(algebra: Algebra,
+                   vectors: Sequence[Element]) -> tuple[list[list[int] | None], int]:
+    """The vectors on :func:`imaginary_basis`, as integer rows over one
+    denominator: x is imaginary when its trace 2 x_u + sum_i t_i x_i, that is
+    2 D x_u + sum_i T_i x_i, is 0 for the ``(i, T_i)`` of :func:`_norm_form`,
+    and then its coordinates there are its non-unit ones; None for the
+    others.  For rows X / e and Y / f, <x, y> = X G Y^T / (4 D^2 e f)."""
+    traces = _norm_form(algebra)[0]
+    u, d = algebra.unit, scaled_tensor(algebra).den
+    rows, e = scaled_rows(vectors)
+    return [[r[i] for i, _ in traces] if 2 * d * r[u] + sum(t * r[i] for i, t in traces) == 0
+            else None for r in rows], e
 
 
 def combination(algebra: Algebra, coeffs, vectors: Sequence[Element]) -> Element:
@@ -358,13 +366,11 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
             counterexample_kind="independent-square",
             reason="not quadratic",
         )
-    n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
-    traces = _traces(algebra)
-    gram = _imaginary_gram(algebra, traces)  # 4 D^2 times the Gram matrix
+    d, gram = scaled_tensor(algebra).den, _norm_form(algebra)[1]  # 4 D^2 times the Gram matrix
     direction = congruence_diagonal(gram, definite=True)
     if direction is not None:
         x = Element(direction)
-        bad = combination(algebra, x, _imaginary_vectors(n, u, d, traces))
+        bad = combination(algebra, x, imaginary_basis(algebra))
         lam = -Fraction(_norm(x, gram), 4 * d * d * x.den**2)  # bad^2 = lam * 1
         kind = "nonpositive-norm"
         witness = bad
@@ -391,10 +397,9 @@ def _normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | str:
     kept in the algebra's ``_certificate`` slot."""
     cert = algebra._certificate
     if cert is None:
-        n, u, d = algebra.dim, algebra.unit, scaled_tensor(algebra).den
-        traces = _traces(algebra)
-        rows = [Element.of_ints(row, 4 * d * d) for row in _imaginary_gram(algebra, traces)]
-        cert = orthonormalize(_imaginary_vectors(n, u, d, traces), rows)
+        d = scaled_tensor(algebra).den
+        rows = [Element.of_ints(row, 4 * d * d) for row in _norm_form(algebra)[1]]
+        cert = orthonormalize(imaginary_basis(algebra), rows)
         if not isinstance(cert, str):
             cert = LocallyComplexCertificate((algebra.one(), *cert))
         algebra._certificate = cert

@@ -86,7 +86,7 @@ from cdalg.linalg import (
     unit_vector,
     vec,
 )
-from cdalg.kernel import anticommutator_table, product_table, scaled_tensor
+from cdalg.kernel import product_table, scaled_tensor
 from cdalg.lowdim import Equiv4Result, _cross, _dot, _sym_eigen, skew_axis
 from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
@@ -463,6 +463,19 @@ def normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | None:
     rational square length."""
     ortho = orthonormalize(algebra, imaginary_basis(algebra))
     return None if ortho is None else LocallyComplexCertificate((algebra.one(), *ortho))
+
+
+def anticommutator_table(algebra, xs: Sequence, ys: Sequence) -> tuple[list, int]:
+    """The anticommutators ``x_p y_q + y_q x_p`` of two lists of rows.
+
+    Returns nested lists ``table[p][q][k]`` of Python ints and their positive
+    common scale ``s``: coordinate ``k`` of ``x_p y_q + y_q x_p`` is
+    ``table[p][q][k] / s``.  Being bilinear, the table gives the
+    anticommutator of any two combinations of the rows.
+    """
+    xy, scale = product_table(algebra, xs, ys)
+    yx, _ = product_table(algebra, ys, xs)
+    return (xy + yx.transpose(1, 0, 2)).tolist(), scale
 
 
 def validate_certificate(cert: LocallyComplexCertificate, algebra: Algebra) -> None:

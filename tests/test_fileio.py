@@ -21,7 +21,7 @@ from cdalg import (
     rotated_copy,
     save_algebra,
 )
-from cdalg.cli import main
+from cdalg.cli import element_text, main
 
 import slow_reference as ref
 from test_table import scaled_form
@@ -122,6 +122,37 @@ def test_parse_scalar_needs_unit():
     alg = Algebra([[[F(0)]]], unit=None)
     with pytest.raises(NonUnitalError):
         parse_element("3", alg)
+
+
+def test_parse_unit_label_after_a_coefficient(octonions):
+    """``c*1`` is how the CLI prints a unit coefficient c other than +-1."""
+    alg = octonions.algebra
+    assert parse_element("2*1 - e2", alg) == alg.scalar(2) - alg.basis_element(2)
+    assert parse_element("-1/2*1", alg) == alg.scalar(F(-1, 2))
+    assert parse_element("3*1/4 + e1", alg) == alg.scalar(F(3, 4)) + alg.basis_element(1)
+    for bad in ("*1", "2*12", "e1*1", "2*1e1"):
+        with pytest.raises(MalformedInputError):
+            parse_element(bad, alg)
+
+
+@pytest.mark.parametrize("name", ["R", "C", "H", "O", "S", "A5", "A6", "TO", "TS", "J1", "J6"])
+def test_printed_elements_parse_back(name):
+    """parse_element reads back every element the CLI prints, unit terms
+    included."""
+    alg = named_algebra(name).algebra
+    rng = random.Random(f"print:{name}")
+    values = [0, 0, 1, -1, 2, -3, F(1, 2), F(-5, 3), F(7, 4)]
+    for _ in range(20):
+        x = alg.element([rng.choice(values) for _ in range(alg.dim)])
+        assert parse_element(element_text(alg, x), alg) == x
+
+
+def test_cli_reads_back_the_element_it_echoes(capsys):
+    assert main(["ann", "O", "--element", "2 - e2"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["element"]
+    assert echoed == "2*1 - e2"
+    assert main(["ann", "O", "--element", echoed]) == 0
+    assert json.loads(capsys.readouterr().out)["element"] == echoed
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from cdalg.kernel import (
     _carrier,
     _nonsingular_mod,
     _row_basis_mod,
-    anticommutator_table,
     doubled_table,
     first_alternativity_defect,
     first_homomorphism_violation,
@@ -289,7 +288,6 @@ def _returned_arrays(algebra, rows):
     for _, stacks in sweep.defects():
         yield from stacks
     yield np.array(left_mul_rows(algebra, rows[0]), dtype=object)
-    yield np.array(anticommutator_table(algebra, rows, rows)[0], dtype=object)
 
 
 @pytest.mark.parametrize("name", ["H", "O", "S"])

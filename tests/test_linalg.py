@@ -28,7 +28,7 @@ from cdalg.linalg import (
     rref,
     scaled_rows,
 )
-from cdalg.properties import _imaginary_gram, _traces
+from cdalg.properties import _norm_form
 from slow_reference import det, mat_mul, mat_vec, transpose
 
 rationals = st.fractions(
@@ -299,7 +299,7 @@ def _ldl_corpus(kind):
     for name in ("O", "TO", "S", "TS", "A5"):
         algebra = named_algebra(name).algebra
         for a in (algebra, rotated_copy(algebra, random.Random(f"ldl:{name}"))[0]):
-            gram = _imaginary_gram(a, _traces(a))
+            gram = _norm_form(a)[1]
             forms += [gram, [[-x for x in row] for row in gram]]
     return forms
 

@@ -43,6 +43,7 @@ from cdalg import analysis, properties
 from cdalg.analysis import rotated_copy
 from cdalg.cli import main
 from cdalg.errors import (
+    InconsistentInputError,
     NotAlternativeError,
     NotLocallyComplexError,
     UnsupportedRationalClassError,
@@ -646,6 +647,105 @@ def test_early_exit_reports_no_unit_square(search_path):
     assert_unit_square(algebra, imag)
     assert search_path == {"descent"}
     assert recognize_alternative_division(algebra).tag == "H"
+
+
+def componentwise_rationals():
+    """Q x Q x Q in the basis 1, b1 = (1, 0, 0), b2 = (0, 1, 0): every basis
+    vector is idempotent, so quadratic, but the algebra is not."""
+    c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        c[0][i][i] = c[i][0][i] = F1
+    c[1][1][1] = c[2][2][2] = F1
+    return Algebra(c, unit=0)
+
+
+def test_search_outside_the_imaginary_part_of_a_quadratic_algebra():
+    """A space vector with nonzero trace, or an algebra that is not
+    quadratic, raises InconsistentInputError.  The reference multiplies
+    candidates without checking where they lie, so it has no such error."""
+    algebra = rotated_copy(named_algebra("H").algebra, random.Random("usv:trace"))[0]
+    imag, one = imaginary_basis(algebra), algebra.one()
+    for space in ([*imag, one + imag[0]], [one], [one.scale(2), one]):
+        assert outcome(find_unit_square_vector, algebra, space) is InconsistentInputError
+    q3 = componentwise_rationals()
+    half = Fraction(1, 2)
+    v1, v2 = q3.element([-half, 1, 0]), q3.element([-half, 0, 1])
+    assert not is_quadratic(q3).holds
+    # v1 v2 + v2 v1 = 1/2 - b1 - b2 is not scalar, and v1^2 = 1/4 is.
+    for space in ([v1, v2], [v1]):
+        assert outcome(find_unit_square_vector, q3, space) is InconsistentInputError
+
+
+def test_search_against_a_family_vector_with_nonzero_trace():
+    """For e = r + w with real part r != 0 and imaginary v, e v + v e is
+    2 r v plus the scalar w v + v w, so only v = 0 anticommutes with e: no
+    vector of square -1, as in the reference."""
+    algebra = rotated_copy(named_algebra("O").algebra, random.Random("usv:family"))[0]
+    imag, one = imaginary_basis(algebra), algebra.one()
+    e1 = find_unit_square_vector(algebra, imag)
+    for family, closure in (([one + e1], None), ([e1, imag[1] + one.scale(3)], [one, e1])):
+        got = outcome(find_unit_square_vector, algebra, imag, family, closure)
+        assert got is UnsupportedRationalClassError
+        assert outcome(ref.find_unit_square_vector, algebra, imag, family, closure) is got
+
+
+def test_closure_product_that_fails_the_check(search_path, monkeypatch):
+    """TO in a small basis is locally complex and not alternative.  At the
+    third search no candidate has a square norm, and the four-square split
+    gives a product w h that does not square to -1 or does not anticommute
+    with the family, multiplied out.  The search rejects it, and the descent
+    finds the form there not a sum of squares: UnsupportedRationalClassError,
+    as in the reference, which agrees with the first two searches."""
+    algebra, _ = random_small_basis("TO", 21)
+    assert is_locally_complex(algebra).holds
+    steps = list(search_steps(algebra))
+    assert [type(got) for got, _, _ in steps] == [Element, Element, type]
+    for got, want, _ in steps:
+        assert got == want
+    family = steps[-1][2]
+    tested = []
+
+    def spy(algebra, vectors):
+        tested.extend(vectors)
+        return properties.imaginary_rows(algebra, vectors)
+
+    monkeypatch.setattr(analysis, "imaginary_rows", spy)
+    search_path.clear()
+    closure = [algebra.one(), *family]
+    got = outcome(find_unit_square_vector, algebra, imaginary_basis(algebra), family, closure)
+    assert got is UnsupportedRationalClassError
+    assert search_path == {"four squares", "descent"}
+    # The space, the family, then w h.
+    wh = tested[-1]
+    assert len(tested) == len(imaginary_basis(algebra)) + len(family) + 1
+    assert not is_unit_square(algebra, wh, family)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The algebras whose Gram matrix is derived, one entry per derivation."""
+    seen = []
+    derive = properties._imaginary_gram
+
+    def counting(algebra, traces):
+        seen.append(algebra)
+        return derive(algebra, traces)
+
+    monkeypatch.setattr(properties, "_imaginary_gram", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name, grading, count", [("O", "trivial", 1), ("S", "natural", 2)])
+def test_norm_form_is_derived_once_per_algebra(gram_calls, name, grading, count):
+    """The local-complexity check, the imaginary basis and every search of
+    the recognizer read one form per algebra: the input's, and for S that
+    of the induced even part too."""
+    algebra, g = graded_copy(name, grading)
+    classify_super_alternative(*graded_copy(name, grading))  # the named targets
+    gram_calls.clear()
+    assert classify_super_alternative(algebra, g).tag == name
+    assert len(gram_calls) == count and gram_calls[0] is algebra
+    assert len(set(map(id, gram_calls))) == count
 
 
 # -- the constructive quadratic witness ----------------------------------------
