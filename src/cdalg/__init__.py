@@ -86,12 +86,8 @@ from .lowdim import (
     params_equal_3d,
 )
 from .properties import (
-    CommutativeJnCheck,
-    IdentityCheck,
     LocallyComplexCertificate,
-    LocallyComplexCheck,
-    PropertyReport,
-    QuadraticCheck,
+    Verdict,
     is_alternative,
     is_commutative_jn,
     is_locally_complex,

@@ -348,9 +348,15 @@ def _division_basis(algebra: Algebra) -> tuple[str, list[Element]]:
 def _induced_algebra(algebra: Algebra, rows: Sequence) -> Algebra:
     """The multiplication table of a multiplicatively closed subspace.
 
-    The first row must be the unit of the ambient algebra.
+    The first row must be the unit of the ambient algebra.  A unital
+    subalgebra of a quadratic algebra is quadratic, so a kept "yes" is
+    handed down.
     """
-    return Algebra._of_table(table_in_rows(algebra, rows), 0)
+    induced = Algebra._of_table(table_in_rows(algebra, rows), 0)
+    quadratic = algebra._facts.get("quadratic")
+    if quadratic is not None and quadratic.holds:
+        induced._facts["quadratic"] = quadratic
+    return induced
 
 
 def _even_part_rows(algebra: Algebra, grading: Grading) -> list[Element]:

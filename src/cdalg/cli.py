@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Any
 
 import numpy as np
@@ -54,7 +54,7 @@ from .lowdim import (
     is_division_4d,
 )
 from .properties import (
-    PropertyReport,
+    Verdict,
     is_alternative,
     is_locally_complex,
     is_nicely_normed,
@@ -214,57 +214,48 @@ def cmd_table(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """One flag per decider, with its witness or why it is "unknown"; each
+    decider is called through this module's binding, looked up at the call."""
     algebra, grading, _ = _load_source(args.target)
-    wanted = args.property
-    report = PropertyReport()
+    text = partial(element_text, algebra)
 
-    def want(key: str) -> bool:
-        return wanted in ("all", key)
+    def named(a: str, b: str):
+        """A witness (x, y) or (x, y, law) printed as law, a: x, b: y."""
+        def show(verdict: Verdict) -> dict:
+            x, y, *law = verdict.witness
+            return dict(zip(("law",), law)) | {a: text(x), b: text(y)}
+        return show
 
-    if want("quadratic"):
-        q = is_quadratic(algebra)
-        report.set("quadratic", "yes" if q.holds else "no",
-                   None if q.holds else element_text(algebra, q.witness))
-    if want("lc"):
-        lc = is_locally_complex(algebra)
-        witness = None
-        if not lc.holds and lc.counterexample is not None:
-            witness = {
-                "kind": lc.counterexample_kind,
-                "element": element_text(algebra, lc.counterexample),
-            }
-        report.set("locally_complex", "yes" if lc.holds else "no", witness)
-    if want("alt"):
-        alt = is_alternative(algebra)
-        witness = None
-        if not alt.holds:
-            x, y, law = alt.witness
-            witness = {"law": law, "x": element_text(algebra, x), "y": element_text(algebra, y)}
-        report.set("alternative", "yes" if alt.holds else "no", witness)
-    if want("superalt"):
-        if grading is None:
-            report.set("super_alternative", "unknown", "no grading available")
-        else:
-            sa = is_super_alternative(algebra, grading)
-            witness = None
-            if not sa.holds:
-                u, x, law = sa.witness
-                witness = {"law": law, "u": element_text(algebra, u), "x": element_text(algebra, x)}
-            report.set("super_alternative", "yes" if sa.holds else "no", witness)
-    if want("nn"):
-        report.set("nicely_normed", "yes" if is_nicely_normed(algebra) else "no")
-    if wanted == "all":
-        report.set("commutative", "yes" if algebra.is_commutative() else "no")
+    def zero_divisors() -> Verdict:
         zd = zero_divisor_search(algebra, budget=args.budget, seed=args.seed)
-        if zd.status == "found":
-            x, y = zd.pair
-            report.set("has_zero_divisors", "yes",
-                       {"x": element_text(algebra, x), "y": element_text(algebra, y)})
-        elif zd.status == "none_found":
-            report.set("has_zero_divisors", "no")
-        else:
-            report.set("has_zero_divisors", "unknown", f"search exhausted after {zd.tried} candidates")
-    _emit({"flags": report.flags, "witnesses": report.witnesses}, args.format)
+        if zd.status == "exhausted":
+            return Verdict(None, reason=f"search exhausted after {zd.tried} candidates")
+        return Verdict(zd.status == "found", zd.pair)
+
+    no_grading = Verdict(None, reason="no grading available")
+    # (flag, --property key or None for "all" only, decider, witness printer)
+    table = (
+        ("quadratic", "quadratic", lambda: is_quadratic(algebra), lambda v: text(v.witness)),
+        ("locally_complex", "lc", lambda: is_locally_complex(algebra),
+         lambda v: {"kind": v.kind, "element": text(v.witness)}),
+        ("alternative", "alt", lambda: is_alternative(algebra), named("x", "y")),
+        ("super_alternative", "superalt", lambda: no_grading if grading is None
+         else is_super_alternative(algebra, grading), named("u", "x")),
+        ("nicely_normed", "nn", lambda: Verdict(is_nicely_normed(algebra)), None),
+        ("commutative", None, lambda: Verdict(algebra.is_commutative()), None),
+        ("has_zero_divisors", None, zero_divisors, named("x", "y")),
+    )
+    flags, witnesses = {}, {}
+    for flag, key, decide, show in table:
+        if args.property not in ("all", key):
+            continue
+        verdict = decide()
+        flags[flag] = {True: "yes", False: "no", None: "unknown"}[verdict.holds]
+        if verdict.holds is None:
+            witnesses[flag] = verdict.reason
+        elif verdict.witness is not None:
+            witnesses[flag] = show(verdict)
+    _emit({"flags": flags, "witnesses": witnesses}, args.format)
     return EXIT_OK
 
 

@@ -230,10 +230,11 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     """The algebra with unit b_0, b_i^2 = -1 for i > 0, b_i b_j = -b_j b_i =
     rows[m] for (i, j) = pairs[m], and the other products of distinct b_i,
     b_j zero: the locally complex algebra of that normalized basis, written
-    as integers over one denominator.  Its local-complexity check and its
-    certificate, the standard basis, are kept on it from the start."""
+    as integers over one denominator.  Its local-complexity verdict and its
+    certificate, the standard basis, are among its facts from the start
+    (:meth:`cdalg.core.Algebra.derived`)."""
     # A local import: properties imports this module.
-    from .properties import LocallyComplexCertificate, LocallyComplexCheck
+    from .properties import LocallyComplexCertificate, Verdict
 
     ints, den = scaled_rows(rows)
     n = len(labels)
@@ -243,8 +244,9 @@ def normalized_basis_algebra(labels: Sequence[str], pairs=(), rows=()) -> Algebr
     for (i, j), row in zip(pairs, ints):
         c[i, j], c[j, i] = row, [-x for x in row]
     algebra = Algebra._of_table(ScaledTensor(c, den), 0, labels)
-    algebra._lc = LocallyComplexCheck(True, reason="dimension 1" if n == 1 else "")
-    algebra._certificate = LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n))))
+    algebra._facts.update(
+        locally_complex=Verdict(True, reason="dimension 1" if n == 1 else ""),
+        certificate=LocallyComplexCertificate(tuple(map(algebra.basis_element, range(n)))))
     return algebra
 
 

@@ -6,7 +6,8 @@ denominator D with b_i * b_j = sum_k C[i, j, k] b_k / D
 vector acting as the unit.  The public constructor scales rationals once;
 producers that hold integers (the doubling, the change of basis, the file
 reader) hand them over.  ``constants``, the ``Fraction``s C / D, is a
-read-only view derived on first access.  An :class:`Element` takes the same form:
+read-only view derived on first access, like every fact kept on an algebra
+(:meth:`Algebra.derived`).  An :class:`Element` takes the same form:
 integer coordinates over one positive denominator, in lowest terms, with
 its ``Fraction``s ``coords`` a view derived on first access
 (:class:`cdalg.linalg.Element`), so ``multiply`` reads and writes integers
@@ -37,10 +38,10 @@ def label_key(label: str) -> str:
 
 
 class Algebra:
-    """A finite-dimensional real algebra given by exact structure constants."""
+    """A finite-dimensional real algebra given by exact structure constants;
+    the facts derived from its table are kept by :meth:`derived`."""
 
-    __slots__ = ("dim", "unit", "labels", "_scaled", "_constants", "_quadratic", "_form",
-                 "_lc", "_certificate")
+    __slots__ = ("dim", "unit", "labels", "_scaled", "_facts")
 
     def __init__(
         self,
@@ -73,14 +74,7 @@ class Algebra:
         else:
             self.labels = None
         self._scaled = table
-        # Derived on first use: the Fraction view, the quadraticity check,
-        # the imaginary norm form, the local-complexity check and its
-        # certificate (or the clause why there is no rational one).
-        self._constants = None
-        self._quadratic = None
-        self._form = None
-        self._lc = None
-        self._certificate = None
+        self._facts = {}
         if unit is not None:
             if not 0 <= unit < n:
                 raise DimensionMismatchError("unit index out of range")
@@ -94,16 +88,19 @@ class Algebra:
                 raise ValueError(f"unit axiom fails: 1 * b_{i} != b_{i}" if left[i]
                                  else f"unit axiom fails: b_{i} * 1 != b_{i}")
 
+    def derived(self, key: str, build):
+        """The fact under ``key``: ``build(self)`` on the first call, kept and
+        returned on every later one, since the table never changes."""
+        facts = self._facts
+        if key not in facts:
+            facts[key] = build(self)
+        return facts[key]
+
     @property
     def constants(self) -> tuple:
         """The constants as n x n x n tuples of ``Fraction``s, a view of the
         table derived on first access."""
-        if self._constants is None:
-            c, den = self._scaled.c, self._scaled.den
-            frac = {v: Fraction(v, den) for v in set(c.ravel().tolist())}.__getitem__
-            self._constants = tuple(tuple(tuple(map(frac, cell)) for cell in row)
-                                    for row in c.tolist())
-        return self._constants
+        return self.derived("constants", _fraction_view)
 
     # -- constructors -------------------------------------------------
 
@@ -175,6 +172,12 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, unit={self.unit})"
+
+
+def _fraction_view(algebra: Algebra) -> tuple:
+    c, den = algebra._scaled.c, algebra._scaled.den
+    frac = {v: Fraction(v, den) for v in set(c.ravel().tolist())}.__getitem__
+    return tuple(tuple(tuple(map(frac, cell)) for cell in row) for row in c.tolist())
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Every verdict here is a finite exact computation, not a sampling argument:
 identity checks run over polarized families of basis vectors and pairwise
 sums (the defects are quadratic in the squared variable, so vanishing on
 that family is equivalent to vanishing identically), and quadraticity is
-the polarized identity that x^2 lies in span(1, x).  A "no" always carries
-a concrete counterexample; a "yes" carries a certificate or the
-exhaustively checked family.
+the polarized identity that x^2 lies in span(1, x).  Each decider but
+:func:`is_nicely_normed`, a bool, returns one :class:`Verdict`.  A "no"
+always carries a concrete counterexample as its witness; a "yes" rests on
+a certificate or the exhaustively checked family.
 
 The alternativity sweeps and the quadraticity test run on the integer
 kernel of ``cdalg.kernel``: an algebra's table is the integer tensor C over
@@ -27,14 +28,14 @@ traces t_i of the non-unit basis vectors are read off the diagonal of
 C / D, the Gram matrix of the norm form on the imaginary part has the
 closed form -((c_iju + c_jiu) + t_i t_j / 2) / 2, and positive definiteness
 is the integer LDL of ``cdalg.linalg`` on it.  The algebra is immutable, so
-the traces and the Gram matrix, the norm form, are derived once and kept in
-its ``_form`` slot, and the check in its ``_lc`` slot.  The certificate is a
-normalized basis, from :func:`orthonormalize` on coefficient vectors against
-the same Gram matrix; products in it are mapped into its coordinates in
-integers when they are read.  The verdict does not
-need it and most callers never ask for it, so :func:`certificate_or_raise`
-builds it on first use and keeps it, or the clause why there is none, in
-the algebra's ``_certificate`` slot.
+the traces and the Gram matrix, the norm form, are derived once and kept
+with the verdict among its facts (:meth:`cdalg.core.Algebra.derived`).  The
+certificate is a normalized basis, from :func:`orthonormalize` on
+coefficient vectors against the same Gram matrix; products in it are
+mapped into its coordinates in integers when they are read.  The verdict
+does not need it and most callers never ask for it, so
+:func:`certificate_or_raise` builds it on first use and keeps it, or the
+clause why there is none, among the algebra's facts as well.
 
 A rational normalized basis exists exactly when the imaginary norm form is
 a sum of squares over Q, which the LDL pivots decide by Hasse-Minkowski
@@ -51,7 +52,7 @@ rational normalized basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -70,7 +71,6 @@ from .errors import (
 from .linalg import (
     F1,
     Inverse,
-    Matrix,
     Vector,
     congruence_diagonal,
     inverse,
@@ -87,22 +87,32 @@ from .kernel import (
 from .numth import represent_one, sqrt_fraction, sum_of_squares_obstruction
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """A decider's answer, ``holds`` (None where nothing was decided), with
+    its ``witness``: for "no", x with 1, x, x^2 independent (quadratic), an
+    element of the ``kind`` "independent-square", "idempotent",
+    "square-zero" or "nonpositive-norm" (locally complex), ``(u, y, law)``
+    (the alternativity laws) or a noncommuting basis pair
+    (:func:`is_commutative_jn`, whose "yes" carries the iso onto the spin
+    factor); ``reason`` says how it was reached when the answer does not."""
+
+    holds: bool | None
+    witness: object = None
+    kind: str | None = None
+    reason: str = ""
+
+
 # ---------------------------------------------------------------------------
 # quadraticity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticCheck:
-    holds: bool
-    witness: Element | None = None  # x with 1, x, x^2 independent
 
 
 def _dependent_with_unit(algebra: Algebra, x: Element) -> bool:
     return rank([algebra.one(), x, algebra.multiply(x, x)]) <= 2
 
 
-def is_quadratic(algebra: Algebra) -> QuadraticCheck:
+def is_quadratic(algebra: Algebra) -> Verdict:
     """Whether 1, x, x^2 are linearly dependent for every element x.
 
     Decided on the integer structure tensor by the polarized identity of
@@ -111,27 +121,23 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
     ``v_i q_j(v) - v_j q_i(v)`` along the line ``v = b_a + t b_b`` is a
     nonzero polynomial of degree at most 3 in t.  It has at most three
     roots, so one of t = 0, 1, 2, 3 gives the witness (Schwartz-Zippel).
-    The algebra is immutable, so the result is computed once and kept in its
-    ``_quadratic`` slot.
+    The verdict is derived once per algebra (:meth:`Algebra.derived`).
     """
     if algebra.unit is None:
         raise NonUnitalError("quadraticity is defined for unital algebras")
-    q = algebra._quadratic
-    if q is None:
-        q = algebra._quadratic = _decide_quadratic(algebra)
-    return q
+    return algebra.derived("quadratic", _decide_quadratic)
 
 
-def _decide_quadratic(algebra: Algebra) -> QuadraticCheck:
+def _decide_quadratic(algebra: Algebra) -> Verdict:
     defect = first_quadratic_defect(algebra)
     if defect is None:
-        return QuadraticCheck(True)
+        return Verdict(True)
     a, b, _ = defect
     base, step = algebra.basis_element(a), algebra.basis_element(b)
     for t in range(4):
         x = base + step.scale(t)
         if not _dependent_with_unit(algebra, x):
-            return QuadraticCheck(False, x)
+            return Verdict(False, x)
     raise AssertionError("a nonzero cubic in t vanished at t = 0, 1, 2, 3")
 
 
@@ -157,15 +163,6 @@ class LocallyComplexCertificate:
             return [algebra.table_entry(i, j) for i, j in pairs]
         rows = inverse(e)
         return [_combine(algebra.multiply(e[i], e[j]), rows, len(e)) for i, j in pairs]
-
-
-@dataclass(frozen=True)
-class LocallyComplexCheck:
-    holds: bool
-    counterexample: Element | None = None
-    counterexample_kind: str | None = None  # "independent-square" | "idempotent" |
-    #                                         "square-zero" | "nonpositive-norm"
-    reason: str = ""
 
 
 def imaginary_basis(algebra: Algebra) -> list[Element]:
@@ -197,16 +194,17 @@ def _norm_form(algebra: Algebra) -> tuple[list[tuple[int, int]], list[list[int]]
     """The norm form of a quadratic algebra, read-only: ``(i, T_i)`` over the
     non-unit indices, where ``b_i^2 = t_i b_i - n_i 1`` and ``t_i = T_i / D``
     for the table's ``D``, and the Gram matrix G of :func:`_imaginary_gram`.
-    Derived once and kept in the algebra's ``_form`` slot."""
-    form = algebra._form
-    if form is None:
-        if not is_quadratic(algebra).holds:
-            raise InconsistentInputError("the algebra is not quadratic")
-        n, u = algebra.dim, algebra.unit
-        squares = scaled_tensor(algebra).c[np.arange(n), np.arange(n)].tolist()
-        traces = [(i, square[i]) for i, square in enumerate(squares) if i != u]
-        form = algebra._form = (traces, _imaginary_gram(algebra, traces))
-    return form
+    Derived once per algebra (:meth:`Algebra.derived`)."""
+    return algebra.derived("norm_form", _derive_norm_form)
+
+
+def _derive_norm_form(algebra: Algebra) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    if not is_quadratic(algebra).holds:
+        raise InconsistentInputError("the algebra is not quadratic")
+    n, u = algebra.dim, algebra.unit
+    squares = scaled_tensor(algebra).c[np.arange(n), np.arange(n)].tolist()
+    traces = [(i, square[i]) for i, square in enumerate(squares) if i != u]
+    return traces, _imaginary_gram(algebra, traces)
 
 
 def imaginary_rows(algebra: Algebra,
@@ -338,34 +336,26 @@ def orthonormalize(vectors: Sequence[Element], gram: Sequence) -> list[Element] 
     return [_combine(e, vectors, vectors[0].dim) for e in done]
 
 
-def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
+def is_locally_complex(algebra: Algebra) -> Verdict:
     """Decide local complexity exactly.
 
     The verdict never needs square roots: it is quadraticity plus positive
     definiteness of the symmetrized product form on the imaginary part, both
     checked over the rationals.  The normalized basis is not part of it:
-    :func:`certificate_or_raise` builds that on first use.  The algebra is
-    immutable, so the result is computed once and kept in its ``_lc`` slot.
+    :func:`certificate_or_raise` builds that on first use.  The verdict is
+    derived once per algebra (:meth:`Algebra.derived`).
     """
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
-    lc = algebra._lc
-    if lc is None:
-        lc = algebra._lc = _decide_local_complexity(algebra)
-    return lc
+    return algebra.derived("locally_complex", _decide_local_complexity)
 
 
-def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
+def _decide_local_complexity(algebra: Algebra) -> Verdict:
     if algebra.dim == 1:
-        return LocallyComplexCheck(True, reason="dimension 1")
+        return Verdict(True, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
-        return LocallyComplexCheck(
-            False,
-            counterexample=q.witness,
-            counterexample_kind="independent-square",
-            reason="not quadratic",
-        )
+        return Verdict(False, q.witness, "independent-square", "not quadratic")
     d, gram = scaled_tensor(algebra).den, _norm_form(algebra)[1]  # 4 D^2 times the Gram matrix
     direction = congruence_diagonal(gram, definite=True)
     if direction is not None:
@@ -382,28 +372,22 @@ def _decide_local_complexity(algebra: Algebra) -> LocallyComplexCheck:
                 # (1 - bad/root)/2 squares to itself: a nontrivial idempotent.
                 witness = (algebra.one() - bad.scale(F1 / root)).scale(Fraction(1, 2))
                 kind = "idempotent"
-        return LocallyComplexCheck(
-            False,
-            counterexample=witness,
-            counterexample_kind=kind,
-            reason="norm form is not positive definite",
-        )
-    return LocallyComplexCheck(True)
+        return Verdict(False, witness, kind, "norm form is not positive definite")
+    return Verdict(True)
 
 
 def _normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | str:
     """The certificate of a locally complex algebra, or the clause of
     :func:`orthonormalize` without a rational one.  Built on first use and
-    kept in the algebra's ``_certificate`` slot."""
-    cert = algebra._certificate
-    if cert is None:
-        d = scaled_tensor(algebra).den
-        rows = [Element.of_ints(row, 4 * d * d) for row in _norm_form(algebra)[1]]
-        cert = orthonormalize(imaginary_basis(algebra), rows)
-        if not isinstance(cert, str):
-            cert = LocallyComplexCertificate((algebra.one(), *cert))
-        algebra._certificate = cert
-    return cert
+    kept by :meth:`Algebra.derived`."""
+    return algebra.derived("certificate", _build_normalized_basis)
+
+
+def _build_normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | str:
+    d = scaled_tensor(algebra).den
+    rows = [Element.of_ints(row, 4 * d * d) for row in _norm_form(algebra)[1]]
+    cert = orthonormalize(imaginary_basis(algebra), rows)
+    return cert if isinstance(cert, str) else LocallyComplexCertificate((algebra.one(), *cert))
 
 
 def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
@@ -424,12 +408,6 @@ def certificate_or_raise(algebra: Algebra) -> LocallyComplexCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    holds: bool
-    witness: tuple[Element, Element, str] | None = None  # (squared var, other, law)
-
-
 def _first_defect(
     algebra: Algebra, rows: Sequence[Vector]
 ) -> tuple[Element, Element, str] | None:
@@ -443,7 +421,7 @@ def _first_defect(
     return u, algebra.basis_element(c), law
 
 
-def is_alternative(algebra: Algebra) -> IdentityCheck:
+def is_alternative(algebra: Algebra) -> Verdict:
     """Check x^2 y = x(xy) and y x^2 = (yx)x exactly.
 
     The defects are quadratic in x and linear in y, so vanishing for x over
@@ -451,10 +429,10 @@ def is_alternative(algebra: Algebra) -> IdentityCheck:
     the full identities.
     """
     witness = _first_defect(algebra, [algebra.basis_element(i) for i in range(algebra.dim)])
-    return IdentityCheck(witness is None, witness)
+    return Verdict(witness is None, witness)
 
 
-def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
+def is_super_alternative(algebra: Algebra, grading: Grading) -> Verdict:
     """The alternativity laws with the squared variable homogeneous.
 
     The grading is validated first; u then ranges over homogeneous basis
@@ -464,8 +442,8 @@ def is_super_alternative(algebra: Algebra, grading: Grading) -> IdentityCheck:
     for rows in (grading.even_rows, grading.odd_rows):
         witness = _first_defect(algebra, rows)
         if witness is not None:
-            return IdentityCheck(False, witness)
-    return IdentityCheck(True)
+            return Verdict(False, witness)
+    return Verdict(True)
 
 
 def middle_moufang_on_basis(algebra: Algebra) -> tuple[bool, tuple[int, int, int] | None]:
@@ -515,16 +493,11 @@ def is_nicely_normed(algebra: Algebra) -> bool:
     return commutators_are_imaginary(algebra)
 
 
-@dataclass(frozen=True)
-class CommutativeJnCheck:
-    holds: bool
-    iso: Matrix | None = None  # old coordinates -> spin-factor coordinates
-    witness: tuple[int, int] | None = None  # noncommuting basis pair
-
-
-def is_commutative_jn(algebra: Algebra) -> CommutativeJnCheck:
+def is_commutative_jn(algebra: Algebra) -> Verdict:
     """Commutativity test; for locally complex algebras this pins the algebra
-    down to the spin-factor table, and the normalized basis map is the iso."""
+    down to the spin-factor table, and the normalized basis map, old
+    coordinates to spin-factor coordinates, is the witness of a "yes".  The
+    witness of a "no" is a noncommuting basis pair."""
     res = is_locally_complex(algebra)
     if not res.holds:
         raise NotLocallyComplexError("commutative classification needs local complexity")
@@ -532,24 +505,7 @@ def is_commutative_jn(algebra: Algebra) -> CommutativeJnCheck:
     # [i, j]: the cells of b_i b_j and b_j b_i differ, for i < j.
     bad = np.flatnonzero(np.triu((c != c.transpose(1, 0, 2)).any(axis=2), 1))
     if bad.size:
-        return CommutativeJnCheck(False, witness=divmod(int(bad[0]), algebra.dim))
+        return Verdict(False, divmod(int(bad[0]), algebra.dim))
     iso = coordinate_map(certificate_or_raise(algebra).basis)
-    return CommutativeJnCheck(True, iso=tuple(r.coords for r in iso))
+    return Verdict(True, tuple(r.coords for r in iso))
 
-
-# ---------------------------------------------------------------------------
-# aggregate report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PropertyReport:
-    """Tri-state property flags with witnesses, as emitted by the CLI."""
-
-    flags: dict[str, str] = field(default_factory=dict)  # yes / no / unknown
-    witnesses: dict[str, object] = field(default_factory=dict)
-
-    def set(self, key: str, value: str, witness: object = None) -> None:
-        self.flags[key] = value
-        if witness is not None:
-            self.witnesses[key] = witness

@@ -427,7 +427,7 @@ def claim_property_suite() -> str:
     )
     for k in (3, 4, 5, 6):
         res = is_commutative_jn(named_algebra(f"J{k}").algebra)
-        _require(res.holds and res.iso is not None, f"J{k} not detected commutative")
+        _require(res.holds and res.witness is not None, f"J{k} not detected commutative")
     res = is_commutative_jn(named_algebra("H").algebra)
     _require(not res.holds and res.witness is not None, "quaternions deemed commutative")
     return (

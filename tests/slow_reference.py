@@ -91,8 +91,7 @@ from cdalg.lowdim import Equiv4Result, _cross, _dot, _sym_eigen, skew_axis
 from cdalg.numth import four_squares_fraction, sqrt_fraction
 from cdalg.properties import (
     LocallyComplexCertificate,
-    LocallyComplexCheck,
-    QuadraticCheck,
+    Verdict,
     _dependent_with_unit,
 )
 
@@ -337,7 +336,7 @@ def _quadratic_witness(algebra: Algebra) -> Element | None:
     return None
 
 
-def is_quadratic(algebra: Algebra) -> QuadraticCheck:
+def is_quadratic(algebra: Algebra) -> Verdict:
     """All cubic coefficients of x_i q_j(x) - x_j q_i(x), over non-unit
     index pairs, must vanish."""
     if algebra.unit is None:
@@ -345,7 +344,7 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
     n = algebra.dim
     u = algebra.unit
     if n <= 2:
-        return QuadraticCheck(True)
+        return Verdict(True)
     forms = _square_coefficient_forms(algebra)
     for i in range(n):
         for j in range(i + 1, n):
@@ -362,8 +361,8 @@ def is_quadratic(algebra: Algebra) -> QuadraticCheck:
                 witness = _quadratic_witness(algebra)
                 if witness is None:
                     raise InconsistentInputError("cubic system is nonzero but no witness")
-                return QuadraticCheck(False, witness)
-    return QuadraticCheck(True)
+                return Verdict(False, witness)
+    return Verdict(True)
 
 
 def imaginary_basis(algebra: Algebra) -> list[Element]:
@@ -418,19 +417,14 @@ def orthonormalize(algebra: Algebra, vectors: Sequence[Element]) -> list[Element
     return done
 
 
-def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
+def is_locally_complex(algebra: Algebra) -> Verdict:
     if algebra.unit is None:
         raise NonUnitalError("local complexity is defined for unital algebras")
     if algebra.dim == 1:
-        return LocallyComplexCheck(True, reason="dimension 1")
+        return Verdict(True, reason="dimension 1")
     q = is_quadratic(algebra)
     if not q.holds:
-        return LocallyComplexCheck(
-            False,
-            counterexample=q.witness,
-            counterexample_kind="independent-square",
-            reason="not quadratic",
-        )
+        return Verdict(False, q.witness, "independent-square", "not quadratic")
     imag = imaginary_basis(algebra)
     direction = nonpositive_direction(inner_product_gram(algebra, imag))
     if direction is not None:
@@ -448,13 +442,8 @@ def is_locally_complex(algebra: Algebra) -> LocallyComplexCheck:
             if root is not None:
                 witness = (algebra.one() - bad.scale(F1 / root)).scale(Fraction(1, 2))
                 kind = "idempotent"
-        return LocallyComplexCheck(
-            False,
-            counterexample=witness,
-            counterexample_kind=kind,
-            reason="norm form is not positive definite",
-        )
-    return LocallyComplexCheck(True)
+        return Verdict(False, witness, kind, "norm form is not positive definite")
+    return Verdict(True)
 
 
 def normalized_basis(algebra: Algebra) -> LocallyComplexCertificate | None:

@@ -37,7 +37,7 @@ from cdalg import (
     named_algebra,
     zero_divisor_search,
 )
-from cdalg import analysis, properties
+from cdalg import analysis, core, properties
 from cdalg.analysis import rotated_copy
 from cdalg.errors import UnsupportedRationalClassError
 from cdalg.properties import certificate_or_raise
@@ -165,10 +165,10 @@ def test_local_complexity_is_computed_once():
     # another basis decides it on the first call.
     built = build_4d([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
     algebra = change_of_basis(built, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0], [0, 0, 0, 3]])
-    assert algebra._lc is None
+    assert "locally_complex" not in algebra._facts
     first = is_locally_complex(algebra)
     assert is_locally_complex(algebra) is first
-    assert algebra._lc is first
+    assert algebra._facts["locally_complex"] is first
 
 
 def normalized_basis_tables():
@@ -191,15 +191,44 @@ def test_normalized_basis_tables_keep_the_decided_check(orthonormalize_calls, al
     """The check and certificate that the table writer stores equal the ones
     decided and built from the table: verdict, certificate basis and reason.
     Reading the stored certificate orthonormalizes nothing."""
-    assert certificate_or_raise(algebra) is algebra._certificate
+    seeded = algebra._facts["certificate"]
+    assert certificate_or_raise(algebra) is seeded
     assert orthonormalize_calls == []
-    stored, fresh = algebra._lc, properties._decide_local_complexity(algebra)
+    stored, fresh = algebra._facts["locally_complex"], properties._decide_local_complexity(algebra)
     assert stored is not None and stored.holds and fresh.holds
     built = properties._normalized_basis(Algebra._of_table(scaled_tensor(algebra), algebra.unit))
-    assert algebra._certificate.basis == built.basis
+    assert seeded.basis == built.basis
     assert stored.reason == fresh.reason
-    assert (stored.counterexample, stored.counterexample_kind) == (None, None)
-    ref.validate_certificate(algebra._certificate, algebra)
+    assert (stored.witness, stored.kind) == (None, None)
+    ref.validate_certificate(seeded, algebra)
+
+
+# Each fact kept on an algebra: the reader and the builder behind it.
+DERIVED_FACTS = {
+    "constants": (lambda a: a.constants, core, "_fraction_view"),
+    "quadratic": (is_quadratic, properties, "_decide_quadratic"),
+    "norm_form": (properties._norm_form, properties, "_derive_norm_form"),
+    "locally_complex": (is_locally_complex, properties, "_decide_local_complexity"),
+    "certificate": (certificate_or_raise, properties, "_build_normalized_basis"),
+}
+
+
+@pytest.mark.parametrize("name", ["H", "rotated O"])
+@pytest.mark.parametrize("fact", DERIVED_FACTS)
+def test_each_fact_is_derived_once(fact, name, monkeypatch):
+    """Reading a fact twice runs its builder once and returns the same
+    object, which is what a fresh algebra builds."""
+    read, module, builder = DERIVED_FACTS[fact]
+    build, calls = getattr(module, builder), []
+    monkeypatch.setattr(module, builder, lambda a: calls.append(a) or build(a))
+    algebra = _table(name)
+    algebra = Algebra._of_table(scaled_tensor(algebra), algebra.unit)
+    first = read(algebra)
+    assert read(algebra) is first
+    assert calls == [algebra]
+    assert algebra._facts[fact] is not None
+    fresh = read(Algebra._of_table(scaled_tensor(algebra), algebra.unit))
+    assert fresh == first
 
 
 # -- zero-divisor search ---------------------------------------------------

@@ -89,6 +89,28 @@ def test_check_single_property(capsys):
     assert data["flags"] == {"alternative": "yes"}
 
 
+# The decider behind each --property value; "all" adds the zero-divisor search.
+CHECK_DECIDERS = {"quadratic": "is_quadratic", "lc": "is_locally_complex", "alt": "is_alternative",
+                  "superalt": "is_super_alternative", "nn": "is_nicely_normed",
+                  "all": "zero_divisor_search"}
+
+
+@pytest.mark.parametrize("prop", list(CHECK_DECIDERS))
+def test_check_calls_each_decider_through_the_cli_binding(prop, capsys, monkeypatch):
+    """``check`` reaches every decider through this module's binding, once,
+    so a wrapper installed there (as the benchmark's tracer installs one)
+    sees each call; ``--property X`` reaches X's decider alone."""
+    calls = []
+    for name in CHECK_DECIDERS.values():
+        decide = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _decide=decide, **k:
+                            calls.append(_name) or _decide(*a, **k))
+    code, out, _ = run_cli(capsys, "check", "H", "--property", prop, "--budget", "5")
+    assert code == 0
+    assert calls == (list(CHECK_DECIDERS.values()) if prop == "all" else [CHECK_DECIDERS[prop]])
+    assert len(strict_json(out)["flags"]) == (7 if prop == "all" else 1)
+
+
 def test_check_super_alternative_after_alternativity(tmp_path, capsys, monkeypatch):
     """``check`` decides the super-alternative flag by one super sweep per
     graded file, whether or not the algebra is alternative; an invalid

@@ -112,7 +112,8 @@ def test_spin_factor_iso_is_multiplicative():
 
     res = is_commutative_jn(named_algebra("J6").algebra)
     assert res.holds
-    assert check_homomorphism(res.iso, named_algebra("J6").algebra, jordan_spin_algebra(6)).holds
+    assert check_homomorphism(res.witness, named_algebra("J6").algebra,
+                              jordan_spin_algebra(6)).holds
 
 
 def test_annihilator_multiples_of_four_small_tower():

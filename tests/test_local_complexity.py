@@ -52,8 +52,7 @@ from cdalg.fileio import algebra_from_dict, algebra_to_dict, save_algebra
 from cdalg.kernel import INT64_LIMIT, first_quadratic_defect, scaled_tensor
 from cdalg.linalg import rank
 from cdalg.properties import (
-    LocallyComplexCheck,
-    QuadraticCheck,
+    Verdict,
     certificate_or_raise,
     imaginary_basis,
 )
@@ -84,14 +83,14 @@ def assert_same_verdicts(algebra):
     reference: there both must be valid, and nothing else may differ."""
     q, q_ref = outcome(is_quadratic, algebra), outcome(ref.is_quadratic, algebra)
     lc, lc_ref = outcome(is_locally_complex, algebra), outcome(ref.is_locally_complex, algebra)
-    if isinstance(q_ref, QuadraticCheck) and not q_ref.holds:
+    if isinstance(q_ref, Verdict) and not q_ref.holds:
         assert independent_square(algebra, q_ref.witness)
         assert not q.holds and independent_square(algebra, q.witness)
-        assert lc == dataclasses.replace(lc_ref, counterexample=q.witness)
+        assert lc == dataclasses.replace(lc_ref, witness=q.witness)
     else:
         assert q == q_ref
         assert lc == lc_ref
-        if isinstance(lc, LocallyComplexCheck) and lc.holds:
+        if isinstance(lc, Verdict) and lc.holds:
             cert, cert_ref = properties._normalized_basis(algebra), ref.normalized_basis(algebra)
             if cert_ref is not None:
                 assert cert == cert_ref
@@ -746,6 +745,33 @@ def test_norm_form_is_derived_once_per_algebra(gram_calls, name, grading, count)
     assert classify_super_alternative(algebra, g).tag == name
     assert len(gram_calls) == count and gram_calls[0] is algebra
     assert len(set(map(id, gram_calls))) == count
+
+
+@pytest.mark.parametrize("name", ["O", "TO", "S", "TS"])
+def test_even_part_keeps_the_quadratic_verdict(name, monkeypatch):
+    """A unital subalgebra of a quadratic algebra is quadratic, so the
+    induced even part keeps the input's verdict: a natural-graded
+    classification of a rotated copy decides quadraticity once, on the
+    input.  The kept verdict is the one decided afresh from the even part's
+    table; local complexity is not handed down."""
+    algebra, g = graded_copy(name)
+    classify_super_alternative(*graded_copy(name))  # the named targets
+    calls, decide = [], properties._decide_quadratic
+    monkeypatch.setattr(properties, "_decide_quadratic", lambda a: calls.append(a) or decide(a))
+    assert classify_super_alternative(algebra, g).tag == name
+    assert calls == [algebra]
+    even = analysis._induced_algebra(algebra, analysis._even_part_rows(algebra, g))
+    assert even._facts["quadratic"] is algebra._facts["quadratic"]
+    assert decide(even) == even._facts["quadratic"]
+    assert "locally_complex" not in even._facts
+
+
+def test_even_part_of_an_undecided_algebra_keeps_nothing():
+    """Without a kept verdict on the input, the even part decides its own."""
+    algebra, g = graded_copy("O")
+    even = analysis._induced_algebra(algebra, analysis._even_part_rows(algebra, g))
+    assert even._facts == {}
+    assert is_quadratic(even).holds
 
 
 # -- the constructive quadratic witness ----------------------------------------

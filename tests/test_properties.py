@@ -114,8 +114,8 @@ def test_split_algebra_not_locally_complex():
     alg = split_two_dim_algebra()
     res = is_locally_complex(alg)
     assert not res.holds
-    assert res.counterexample_kind == "idempotent"
-    e = res.counterexample
+    assert res.kind == "idempotent"
+    e = res.witness
     assert alg.multiply(e, e) == e
     assert not e.is_zero() and e != alg.one()
 
@@ -127,8 +127,8 @@ def test_square_zero_counterexample():
     alg = Algebra(c, unit=0)
     res = is_locally_complex(alg)
     assert not res.holds
-    assert res.counterexample_kind == "square-zero"
-    w = res.counterexample
+    assert res.kind == "square-zero"
+    w = res.witness
     assert alg.multiply(w, w).is_zero() and not w.is_zero()
 
 
@@ -267,7 +267,7 @@ def test_spin_factor_detection_with_iso():
     alg = jordan_spin_algebra(5)
     res = is_commutative_jn(alg)
     assert res.holds
-    hom = check_homomorphism(res.iso, alg, jordan_spin_algebra(5))
+    hom = check_homomorphism(res.witness, alg, jordan_spin_algebra(5))
     assert hom.holds
 
 
@@ -276,7 +276,7 @@ def test_rotated_spin_factor_detection():
     alg, _, _ = rotated_copy(jordan_spin_algebra(4), rng)
     res = is_commutative_jn(alg)
     assert res.holds
-    hom = check_homomorphism(res.iso, alg, jordan_spin_algebra(4))
+    hom = check_homomorphism(res.witness, alg, jordan_spin_algebra(4))
     assert hom.holds
 
 
