@@ -48,6 +48,7 @@ from .linalg import (
     Inverse,
     Matrix,
     Subspace,
+    _echelon,
     identity,
     kernel_basis,
     mat,
@@ -79,6 +80,7 @@ from .properties import (
     coordinate_map,
     imaginary_basis,
     imaginary_rows,
+    is_alternative,
     is_locally_complex,
     is_quadratic,
     is_super_alternative,
@@ -809,13 +811,20 @@ def subalgebra_census(
     The candidates are the extra sets, the empty set, each basis vector,
     the sums and differences of two basis vectors and ``budget`` random
     sets of one or two elements, each with the unit; the first candidate
-    of each dimension is kept, and the census stops early once every
-    dimension from 1 to n has appeared.  In a quadratic algebra
-    ``x^2 = t(x) x - N(x)`` lies in ``span(1, x)``, so the unit and at most
-    one element x span the subalgebra they generate: of dimension 1 when x
-    is a rational multiple of 1 (0 included), else 2.  The rule needs the
-    unit, which every candidate holds.  The other sets are closed in
-    batches (:func:`cdalg.kernel.closure_dims`).
+    of each dimension is kept.  In a quadratic algebra
+    ``x^2 = t(x) x - N(x)`` lies in ``span(1, x)``, so the unit and one
+    element x span the subalgebra they generate.  Polarized, ``x y + y x``
+    lies in ``span(1, x, y)``: the unit, x and y span theirs when the
+    algebra is commutative, and with ``x y`` when it is alternative, since
+    x and y then generate an associative subalgebra (Artin's theorem).
+    Such a set is sized by the rank of its spanning rows; the other sets
+    are closed in batches (:func:`cdalg.kernel.closure_dims`).  After the
+    extra sets, the census stops once it has realized every dimension in
+    ``[1, n]`` that these spans can still give: 1, 2 and 3 when the
+    algebra is commutative; 1, 2, 3 and 4 when it is alternative, and 1, 2
+    and 4 when it is also locally complex, a composition division algebra
+    whose two-generated subalgebras are R, C and H; every dimension from
+    1 to n otherwise.
     """
     n = algebra.dim
     # Generator sets as integer rows over one denominator; a set becomes
@@ -834,21 +843,38 @@ def subalgebra_census(
     extra = [(tuple(gens), generator_rows(algebra, gens)) for gens in extra_generator_sets]
     one = generator_rows(algebra, [])[0]
     sets = chain(extra, (((rows, den), [one, *rows]) for rows, den in chain(candidates, drawn)))
-    # Seeds [1] or [1, x] of a quadratic algebra need no closure; the
-    # closure takes the rest in order, a batch at a time as they are read.
     quadratic = is_quadratic(algebra).holds
-    mine, ahead = tee((gens, seeds, quadratic and len(seeds) <= 2) for gens, seeds in sets)
+    commutative = quadratic and algebra.is_commutative()
+    alternative = quadratic and not commutative and is_alternative(algebra).holds
+    # Seed sets of up to this many rows, the unit included, are sized by a rank.
+    spanned = 3 if commutative or alternative else 2 if quadratic else 0
+    reachable = set(range(1, n + 1))
+    if commutative:
+        reachable &= {1, 2, 3}
+    elif alternative:
+        reachable &= {1, 2, 4} if is_locally_complex(algebra).holds else {1, 2, 3, 4}
+
+    def spanned_dim(seeds: list) -> int:
+        if len(seeds) <= 2:
+            return _line_dim(seeds[-1], algebra.unit)
+        if not commutative:
+            seeds = [*seeds, product_table(algebra, [seeds[1]], [seeds[2]])[0][0, 0].tolist()]
+        return len(_echelon(seeds, reduce=False)[1])
+
+    # The closure takes the other sets in order, a batch at a time as they
+    # are read.
+    mine, ahead = tee((gens, seeds, len(seeds) <= spanned) for gens, seeds in sets)
     closed = closure_dims(algebra, (seeds for _, seeds, direct in ahead if not direct))
     realized: dict[int, CensusEntry] = {}
     for b, (gens, seeds, direct) in enumerate(mine):
-        d = _line_dim(seeds[-1], algebra.unit) if direct else next(closed)
+        d = spanned_dim(seeds) if direct else next(closed)
         if d not in realized:
             if b >= len(extra):
                 rows, den = gens
                 gens = tuple(Element.of_ints(r, den) for r in rows)
             realized[d] = CensusEntry(d, gens)
-            if len(realized) == n:
-                break
+        if b + 1 >= len(extra) and realized.keys() >= reachable:
+            break
     return CensusReport(tuple(dims_of_interest), realized)
 
 

@@ -61,20 +61,13 @@ The kernels use them so:
 - the subalgebra closure runs modulo :data:`SCREEN_PRIME` on a batch of
   generator sets and records each basis vector as a word: a seed row or
   the product of two earlier words.  Words independent mod ``p`` are
-  independent over Q, so the dimension is at least their number ``d``;
-  ``d = n`` settles it.  For the census's dimensions
-  (:func:`closure_dims`) it is at most ``d`` below ``n`` when the integer
-  matrix ``[seeds; words; products of two words]`` has rank at most ``d``
-  modulo each of the first primes of :data:`ZERO_TEST_PRIMES` whose
-  product exceeds the Hadamard bound on its ``(d+1)``-minors (from bounds
-  on the words' entries), by the zero-test rule applied to every such
-  minor.  Modulo ``p`` itself the closure has shown it.  A set with no
-  such primes, or with a rank above ``d``, is closed again by an exact
-  loop over Z.  One set's span (:func:`closure_span`) is the whole algebra
-  when ``d = n``, else the exact loop's.  From the census
-  (:func:`cdalg.analysis.subalgebra_census`) no set of the unit and one
-  generator of a quadratic algebra reaches the closure: it spans its
-  subalgebra already.
+  independent over Q, so the dimension is at least their number ``d``,
+  and ``d = n`` settles it.  A set with ``d < n`` is closed again by an
+  exact loop over Z, for the census's dimensions (:func:`closure_dims`)
+  and for one set's span (:func:`closure_span`) alike.  From the census
+  (:func:`cdalg.analysis.subalgebra_census`) no set of the unit and at most
+  two generators of a commutative or alternative quadratic algebra
+  reaches the closure: it is sized by a rank.
 
 Rows (generators, bases, maps, candidates) are Elements, whose integers
 over one denominator every entry point takes as they are, or sequences of
@@ -87,7 +80,7 @@ Only operations numpy 1.24 supports on object arrays are used: ``@``,
 from __future__ import annotations
 
 from itertools import chain, islice
-from math import gcd, isqrt, prod
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -860,18 +853,17 @@ def _seed_ints(seeds: Sequence[Sequence]) -> list[list[int]]:
     return [row for row in map(_primitive, seeds) if row is not None]
 
 
-def _residues(rows: list[list[list[int]]], width: int, n: int, primes: np.ndarray) -> np.ndarray:
-    """``rows[b][s]`` modulo each prime as int64 ``[t, b, s, :]``, zero-padded
-    to ``width`` rows."""
-    out = np.zeros((len(primes), len(rows), width, n), dtype=np.int64)
+def _residues(rows: list[list[list[int]]], width: int, n: int, p: int) -> np.ndarray:
+    """``rows[b][s]`` modulo ``p`` as int64 ``[b, s, :]``, zero-padded to
+    ``width`` rows."""
+    out = np.zeros((len(rows), width, n), dtype=np.int64)
     flat = [row for seeds in rows for row in seeds]
     if flat:
         big = max(map(max, flat)) >= INT64_LIMIT or min(map(min, flat)) < -INT64_LIMIT
         ints = np.array(flat, dtype=object if big else np.int64)
         b = np.repeat(np.arange(len(rows)), [len(seeds) for seeds in rows])
         s = np.concatenate([np.arange(len(seeds)) for seeds in rows])
-        for t, p in enumerate(primes.tolist()):
-            out[t, b, s] = ints % p
+        out[b, s] = ints % p
     return out
 
 
@@ -896,7 +888,7 @@ def _close_mod_p(algebra, seed_sets: list[list[list[int]]], p: int) -> list[tupl
     by_left = c.reshape(n, n * n)  # [i, (j, k)] = C[i, j, k]
     by_right = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)
     width = max((len(s) for s in seed_sets), default=0)
-    seeds = _residues(seed_sets, width, n, np.array([p]))[0]
+    seeds = _residues(seed_sets, width, n, p)
     ids = np.arange(count)
     words = np.zeros((count, n + 1, n), dtype=np.int64)  # row n stays zero
     labels = np.zeros((count, n, 2), dtype=np.int64)
@@ -957,58 +949,6 @@ def _close_mod_p(algebra, seed_sets: list[list[list[int]]], p: int) -> list[tupl
                                 for lo in range(0, len(ids), step)])
 
 
-def _certificate_bound(seeds: list[list[int]], words: list, k: int, n: int) -> int:
-    """A bound on every ``(d+1)``-minor of ``[seeds; words; products of two
-    words]``, the words taken as exact integer rows.
-
-    A seed's entries are its own; a product of words whose entries are at
-    most ``h_a`` and ``h_c`` has entries at most ``k h_a h_c``, where ``k``
-    bounds ``sum_{i, j} |C[i, j, l]|`` over ``l``.  By Hadamard a minor is
-    at most the product of the Euclidean norms of its rows, and a row with
-    entries at most ``h`` has norm at most ``sqrt(n) h``: the ``d + 1``
-    largest ``h`` are taken.
-    """
-    heights: list[int] = []
-    for a, c in words:
-        heights.append(max(map(abs, seeds[c])) if a < 0 else k * heights[a] * heights[c])
-    rows = [max(map(abs, s)) for s in seeds] + heights
-    rows += [k * a * c for a in heights for c in heights]
-    rows.sort(reverse=True)
-    return isqrt(prod(n * h * h for h in rows[:len(words) + 1])) + 1
-
-
-def _certified(algebra, seed_sets: list[list[list[int]]], closed: list[tuple[int, list]],
-               primes: np.ndarray) -> np.ndarray:
-    """Whether ``[seeds; words; all products of two words]`` has rank at most
-    ``d`` modulo every prime, for each seed set and its closure mod ``p``.
-
-    The words are replayed from the exact seeds modulo each prime, so each
-    matrix is the integer matrix of the exact words reduced mod that prime.
-    """
-    n, count, q = algebra.dim, len(seed_sets), len(primes)
-    width = max(len(s) for s in seed_sets)
-    top = max(d for d, _ in closed)
-    c = scaled_tensor(algebra).residues(primes).reshape(-1, n, n * n)
-    seeds = _residues(seed_sets, width, n, primes)
-    dims = np.array([d for d, _ in closed])
-    labels = np.array([words + [[0, 0]] * (top - d) for d, words in closed],
-                      dtype=np.int64).reshape(count, top, 2)
-    words = np.zeros((q, count, top, n), dtype=np.int64)
-    for w in range(top):
-        a, s = labels[:, w, 0], labels[:, w, 1]
-        seeded = np.flatnonzero((w < dims) & (a < 0))
-        words[:, seeded, w] = seeds[:, seeded, s[seeded]]
-        made = np.flatnonzero((w < dims) & (a >= 0))
-        x = _reduce(words[:, made, a[made]] @ c, primes).reshape(q, -1, n, n)
-        words[:, made, w] = _reduce((words[:, made, s[made]][:, :, None] @ x)[:, :, 0], primes)
-    # [t, b, (a, c)]: word a times word c.
-    left = _reduce(words.reshape(q, -1, n) @ c, primes).reshape(q, count, top, n, n)
-    products = _reduce((words[:, :, None] @ left).reshape(q, count, -1, n), primes)
-    stack = np.concatenate([seeds, words, products], axis=2)
-    return np.all([_row_basis_mod(m, p).sum(axis=1) <= dims
-                   for m, p in zip(stack, primes.tolist())], axis=0)
-
-
 def _exact_closure(algebra, seeds: list[list[int]]) -> Subspace:
     """The closure over the rationals, one round at a time.
 
@@ -1048,57 +988,20 @@ def _exact_closure(algebra, seeds: list[list[int]]) -> Subspace:
     return Subspace(basis, n)
 
 
-def _certify(algebra, chunk: list[list[list[int]]], closed: list[tuple[int, list]]) -> set[int]:
-    """The seed sets whose words mod ``p`` span their closure over Q.
-
-    ``d = n`` words settle it.  Below ``n``, words independent mod ``p``
-    give ``dim >= d``, and rank at most ``d`` of ``[seeds; words; products]``
-    over Q gives ``dim <= d``: by :func:`_certified` modulo the primes of
-    :func:`_zero_test_primes` for :func:`_certificate_bound`.  Modulo ``p``
-    itself the closure has reduced every seed and product, so ``p`` is left
-    out.  A set whose bound no prefix exceeds is not certified.
-    """
-    n = algebra.dim
-    ok = {b for b, (d, _) in enumerate(closed) if d == n}
-    if len(ok) == len(closed):
-        return ok
-    st = scaled_tensor(algebra)
-    k = int(abs(st.array(_carrier(n * n * st.max_abs))).sum(axis=(0, 1)).max())
-    checks = {}
-    for b, (d, words) in enumerate(closed):
-        if d < n:
-            primes = _zero_test_primes(_certificate_bound(chunk[b], words, k, n), n)
-            if primes is not None:
-                checks[b] = primes[primes != SCREEN_PRIME]
-    ok.update(b for b, primes in checks.items() if not len(primes))
-    todo = [b for b, primes in checks.items() if len(primes)]
-    if todo:
-        # The longest prefix serves every set: more primes only add checks.
-        primes = max((checks[b] for b in todo), key=len)
-        step = max(1, CLOSURE_CHUNK // (len(primes) * max(closed[b][0] for b in todo) * n * n))
-        for lo in range(0, len(todo), step):
-            group = todo[lo:lo + step]
-            passed = _certified(algebra, [chunk[b] for b in group], [closed[b] for b in group],
-                                primes)
-            ok.update(b for b, good in zip(group, passed.tolist()) if good)
-    return ok
-
-
 def closure_dims(algebra, seed_sets: Iterable[Sequence[Sequence]]) -> Iterator[int]:
     """The dimension of the subalgebra each seed set generates, in order.
 
     Closed in batches modulo :data:`SCREEN_PRIME`, a batch of sets read at a
-    time; a dimension below ``dim(A)`` is certified over Q by the ranks of
-    :func:`_certified` or comes from the exact loop.
+    time: ``dim(A)`` when the closure finds ``dim(A)`` words, else the exact
+    loop's dimension (:func:`_exact_closure`).
     """
     n, seed_sets = algebra.dim, iter(seed_sets)
     while chunk := [_seed_ints(s) for s in islice(seed_sets, CLOSURE_SETS)]:
-        closed, ok = [], set()
+        closed = [(0, None)] * len(chunk)
         if _screen_fits(n, SCREEN_PRIME):
             closed = _close_mod_p(algebra, chunk, SCREEN_PRIME)
-            ok = _certify(algebra, chunk, closed)
-        for b, seeds in enumerate(chunk):
-            yield closed[b][0] if b in ok else _exact_closure(algebra, seeds).dim
+        for (d, _), seeds in zip(closed, chunk):
+            yield d if d == n else _exact_closure(algebra, seeds).dim
 
 
 def closure_span(algebra, seeds: Sequence[Sequence]) -> Subspace:

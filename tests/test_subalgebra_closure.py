@@ -1,17 +1,17 @@
-"""The batched subalgebra closure of cdalg.kernel.
+"""The batched subalgebra closure of cdalg.kernel and the census on it.
 
-Every seed set is closed modulo SCREEN_PRIME; a dimension below dim(A) is
-reported only after the rank certificate modulo the first primes of
-ZERO_TEST_PRIMES, or after the exact loop.  These tests compare closures
-and census reports with the one-candidate-at-a-time references of
-slow_reference on named, rotated, sheared and past-2^63 tables, and on
-inputs built to fool the prime: generators with denominator p, a table
-whose common denominator is divisible by p, a table whose imaginary
-products all vanish mod p, seeds that are dependent mod p but not over Q,
-a closure that needs a second prime, and seeds past every prime.  On a
-quadratic table the census sizes the sets of the unit and at most one
-element without the closure; its output is pinned by digest on the shipped
-tables.
+Every seed set is closed modulo SCREEN_PRIME; a set whose closure there
+spans dim(A) has dimension dim(A), and any other is closed again by the
+exact loop over Z.  These tests compare closures and census reports with
+the one-candidate-at-a-time references of slow_reference on named,
+rotated, sheared and past-2^63 tables, and on inputs built to fool the
+prime: generators with denominator p, a table whose common denominator is
+divisible by p, a table whose imaginary products all vanish mod p, seeds
+that are dependent mod p but not over Q, a closure that is smaller mod p
+than over Q, and seeds past every prime.  On a quadratic table the census
+sizes the sets of the unit and one element without the closure, and the
+sets of the unit and two elements too when the table is commutative or
+alternative; its output is pinned by digest on the shipped tables.
 """
 
 import hashlib
@@ -63,20 +63,15 @@ def structured_sets(algebra, pairs):
 
 @contextmanager
 def recording_paths():
-    """Counts of the seed sets that reached the certificate and the exact loop."""
-    seen = {"certified": 0, "exact": 0}
-    certified, exact = kernel._certified, kernel._exact_closure
-
-    def certifying(algebra, seed_sets, closed, primes):
-        seen["certified"] += len(seed_sets)
-        return certified(algebra, seed_sets, closed, primes)
+    """The count of the seed sets that reached the exact loop."""
+    seen = {"exact": 0}
+    exact = kernel._exact_closure
 
     def exact_loop(algebra, seeds):
         seen["exact"] += 1
         return exact(algebra, seeds)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "_certified", certifying)
         patch.setattr(kernel, "_exact_closure", exact_loop)
         yield seen
 
@@ -172,9 +167,9 @@ def test_rotated_tables_match_reference(name):
 
 
 @pytest.mark.parametrize("name", ["O", "TO", "S", "rotated O", "rotated S", "sheared S"])
-def test_generated_subalgebra_needs_no_certificate(name, monkeypatch):
+def test_generated_subalgebra_needs_no_certificate(name):
     """A span is the whole algebra by the closure mod p, else the exact
-    loop's: ``generated_subalgebra`` never calls :func:`kernel._certify`."""
+    loop's, on structured and random sets."""
     if name == "sheared S":
         algebra = sheared_s()
     elif name.startswith("rotated"):
@@ -183,11 +178,6 @@ def test_generated_subalgebra_needs_no_certificate(name, monkeypatch):
         algebra = named_algebra(name).algebra
     sets = structured_sets(algebra, [(1, 2), (1, algebra.dim - 1), (3, 5)])
     sets += census_sets(algebra, 3, f"span:{name}")
-
-    def refuse(*args):
-        raise AssertionError("generated_subalgebra reached the certificate")
-
-    monkeypatch.setattr(kernel, "_certify", refuse)
     for gens in sets:
         want = ref.generated_subalgebra_rounds(algebra, gens)
         assert generated_subalgebra(algebra, gens).rows == want.rows
@@ -207,7 +197,7 @@ def test_past_int64_table_matches_reference():
     assert scaled_tensor(algebra).max_abs >= INT64_LIMIT
     sets = structured_sets(algebra, [(1, 2), (8, 9), (1, 9)])
     seen = assert_closures_match(algebra, sets + census_sets(algebra, 2, "sheared"))
-    assert seen["certified"] or seen["exact"]
+    assert seen["exact"]
 
 
 @pytest.mark.parametrize("name", ["O", "S"])
@@ -233,15 +223,18 @@ def test_generators_with_denominator_p():
 
 def test_common_denominator_divisible_by_p():
     """O in the basis 1, b_i / p: b_i b_j has constants +-1/p and b_i^2 = -1/p^2,
-    so D = p^2, and 1 x and b_i b_j (i != j) vanish mod p."""
+    so D = p^2, and 1 x and b_i b_j (i != j) vanish mod p.  The census sizes
+    every set of this alternative table by a rank; the closure takes its
+    random sets and the structured ones by the exact loop."""
     o = named_algebra("O").algebra
     rows = [[F(int(i == j) * (1 if i == 0 else F(1, P))) for j in range(8)] for i in range(8)]
     algebra = change_of_basis(o, rows, unit_index=0)
     assert scaled_tensor(algebra).den % P == 0
-    with recording_paths() as seen:
+    with closed_sets() as sizes:
         assert_census_matches(algebra, 10, 2)
-    assert seen["exact"]
-    assert assert_closures_match(algebra, structured_sets(algebra, [(1, 2), (4, 7)]))["exact"]
+    assert sizes == []
+    sets = census_sets(algebra, 10, 2) + structured_sets(algebra, [(1, 2), (4, 7)])
+    assert assert_closures_match(algebra, sets)["exact"]
 
 
 def test_imaginary_products_vanishing_mod_p():
@@ -272,8 +265,8 @@ def test_seeds_dependent_mod_p_reach_the_certificate():
 
 
 def test_closure_that_needs_a_second_prime():
-    """1 + p i is 1 mod p, so modulo p the closure is R; the certificate's
-    bound needs the next prime, which sees that it is C."""
+    """1 + p i is 1 mod p, so modulo p the closure is R; the exact loop sees
+    that it is C."""
     c = named_algebra("C").algebra
     gens = [Element((F(1), F(P)))]
     seeds = generator_rows(c, gens)
@@ -282,21 +275,27 @@ def test_closure_that_needs_a_second_prime():
     assert generated_subalgebra(c, gens).dim == 2
     with recording_paths() as seen:
         assert list(closure_dims(c, [seeds])) == [2]
-    assert seen == {"certified": 1, "exact": 1}
+    assert seen == {"exact": 1}
 
 
 @pytest.mark.parametrize("primes", [kernel.ZERO_TEST_PRIMES, SMALL_PRIMES],
                          ids=["default", "small"])
 def test_certificate_with_many_primes(primes):
-    """O and TO census sets, whose certificates need several primes near 2^28
-    or dozens near 2^10, are certified and match the reference."""
+    """O and TO census sets under the default primes and dozens near 2^10
+    match the reference.  The census closes none of O's sets, which all
+    span proper subalgebras; the closure takes exactly the sets with a
+    proper span by the exact loop."""
     with zero_test_primes(primes):
         for name in ("O", "TO"):
             algebra = named_algebra(name).algebra
+            with closed_sets() as sizes:
+                assert_census_matches(algebra, 12, f"primes:{name}")
+            assert (sizes == []) == (name == "O")
             sets = census_sets(algebra, 12, f"primes:{name}") + structured_sets(algebra, [(1, 2)])
+            dims = [ref.generated_subalgebra_rounds(algebra, gens).dim for gens in sets]
             seen = assert_closures_match(algebra, sets)
-            assert seen["exact"] == 0
-            assert seen["certified"] or name == "TO"
+            assert seen["exact"] == sum(d < algebra.dim for d in dims)
+            assert max(dims) < algebra.dim or name == "TO"
 
 
 def unital_tables(n, entries):
@@ -360,7 +359,7 @@ def test_exact_loop_matches_reference(data):
         patch.setattr(kernel, "_screen_fits", lambda n, p: False)
         for unit in (True, False):
             seen = assert_closures_match(algebra, sets, include_unit=unit)
-            assert seen == {"certified": 0, "exact": len(sets)}
+            assert seen == {"exact": len(sets)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +381,14 @@ def test_census_errors():
                           extra_generator_sets=[[bare.basis_element(0)], [Element((F(1),))]])
 
 
-def test_census_draws_no_random_set_after_its_early_exit(monkeypatch):
+@pytest.mark.parametrize("name", ["C", "H", "O", "J6"])
+def test_census_draws_no_random_set_after_its_early_exit(name, monkeypatch):
     """C realizes dimensions 1 and 2 among the basis sets, so the census
     stops before its first random set, whatever the budget; drawn up front,
-    10^12 sets would exhaust memory first.  Past 1,000 rows the draw fails."""
+    10^12 sets would exhaust memory first.  H and O, locally complex and
+    alternative, can give only 1, 2 and 4, and J6, commutative, only 1, 2
+    and 3: the census stops once its first random sets have realized them.
+    Past 1,000 rows the draw fails."""
     draws = []
 
     def counted(*args):
@@ -395,30 +398,26 @@ def test_census_draws_no_random_set_after_its_early_exit(monkeypatch):
 
     random_row = analysis._random_row
     monkeypatch.setattr(analysis, "_random_row", counted)
-    report = subalgebra_census(named_algebra("C").algebra, [], budget=10**12)
-    assert sorted(report.realized) == [1, 2]
+    report = subalgebra_census(named_algebra(name).algebra, [], budget=10**12)
+    assert sorted(report.realized) == {"C": [1, 2], "J6": [1, 2, 3]}.get(name, [1, 2, 4])
     with redirect_stdout(io.StringIO()):
-        assert main(["subalg", "C", "--budget", str(10**11)]) == 0
-    assert draws == []
+        assert main(["subalg", name, "--budget", "99999999999"]) == 0
+    assert (draws == []) == (name == "C")
 
 
-def test_certificate_rejects_a_closure_claimed_too_small():
+def test_closure_of_a_nilpotent_element():
     """t generates span(t, t^2, t^3) in the algebra with basis t, t^2, t^3
-    and t^4 = 0.  Claiming the words t and t t only is refuted by the
-    product of the second word with the first, t^3, which the replay must
-    build from word 0; t^2 alone is closed."""
+    and t^4 = 0: its third word, t^3, is the product of the second word
+    with the first.  t^2 alone is closed, which the exact loop confirms."""
     c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][0][1] = c[0][1][2] = c[1][0][2] = F(1)
     algebra = Algebra(c)
     t, t2 = [1, 0, 0], [0, 1, 0]
     ((d, words),) = kernel._close_mod_p(algebra, [[t]], P)
     assert (d, words) == (3, [[-1, 0], [0, 0], [1, 0]])
-    claims = [(3, words), (2, words[:2]), (1, [[-1, 0]])]
-    for primes in (kernel.ZERO_TEST_PRIMES[1:2], kernel.ZERO_TEST_PRIMES[1:4], SMALL_PRIMES[:3]):
-        got = kernel._certified(algebra, [[t], [t], [t2]], claims, np.array(primes))
-        assert got.tolist() == [True, False, True]
-    assert [span.dim for span in (ref.generated_subalgebra_rounds(algebra, [Element(r)], False)
-                                  for r in (t, t2))] == [3, 1]
+    assert list(closure_dims(algebra, [[t], [t2]])) == [3, 1]
+    seen = assert_closures_match(algebra, [[Element(t)], [Element(t2)]], include_unit=False)
+    assert seen == {"exact": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +427,22 @@ def test_certificate_rejects_a_closure_claimed_too_small():
 
 def test_certificate_reduces_seeds_past_every_prime_by_each_prime():
     """x = b_1 + a b_2 and w = 1 + 2 x span a copy of C in O.  Their entries
-    pass 2^28, so each prime of the certificate sees its own residues.  With
-    a = q + (q + 1)/2 for the second prime q, 2a = 3q + 1 carries where a
-    does not: reduced by q and read modulo another prime, w is no longer
-    1 + 2x, and the rank passes 2."""
+    pass 2^28, and with a = q + (q + 1)/2 for the prime q after
+    SCREEN_PRIME, 2a = 3q + 1 carries where a does not: reduced by q and
+    read modulo another prime, w is no longer 1 + 2x.  The census sizes the
+    set by a rank, without the closure; the closure takes it by the exact
+    loop."""
     o = named_algebra("O").algebra
     b = [o.basis_element(i) for i in range(8)]
     q = kernel.ZERO_TEST_PRIMES[1]
     x = b[1] + b[2].scale(q + (q + 1) // 2)
     gens = [x, o.one() + x.scale(2)]
     assert min(max(g.num) for g in gens) > 2**28
-    with recording_paths() as seen:
+    with closed_sets() as sizes:
         report = assert_census_matches(o, 0, 0, extra=[gens])
     assert report.realized[2].generators == tuple(gens)
-    assert seen == {"certified": 1, "exact": 0}
+    assert sizes == []
+    assert assert_closures_match(o, [gens]) == {"exact": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +483,16 @@ def two_element_draws(n, budget, seed):
 
 @pytest.mark.parametrize("name,budget,seed", [("H", 20, 0), ("O", 40, 1), ("TO", 40, 2)])
 def test_quadratic_tables_close_only_sets_of_two_elements(name, budget, seed):
+    """TO, quadratic but neither commutative nor alternative, closes each
+    random set of two elements; H and O, alternative, close none."""
     algebra = named_algebra(name).algebra
     with closed_sets() as sizes:
         assert_census_matches(algebra, budget, seed)
-    assert sizes == [3] * two_element_draws(algebra.dim, budget, seed)
-    assert sizes
+    if name == "TO":
+        assert sizes == [3] * two_element_draws(algebra.dim, budget, seed)
+        assert sizes
+    else:
+        assert sizes == []
 
 
 def _table(n, products):
@@ -511,6 +517,75 @@ def test_tables_that_are_not_quadratic_close_every_set(products):
             report = assert_census_matches(algebra, 20, seed)
         assert sizes[:4] == [1, 2, 2, 2]
         assert sorted(report.realized) == [1, 2, 3]
+
+
+def matrices_2x2():
+    """M2(Q) on the basis 1, E11, E12, E21 (unit first): associative and
+    quadratic, but E11 is an idempotent, so not locally complex."""
+    mats = [((1, 0), (0, 1)), ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0))]
+    c = []
+    for a in mats:
+        c.append([])
+        for b in mats:
+            (p, q), (r, s) = [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
+                              for i in range(2)]
+            c[-1].append([F(s), F(p - s), F(q), F(r)])
+    return Algebra(c, unit=0)
+
+
+def rule_tables():
+    """The tables of the span rule and the controls that must be closed."""
+    rotated = {name: rotated_copy(named_algebra(name).algebra, random.Random(f"rule:{name}"))[0]
+               for name in ("O", "TO", "J6")}
+    return {
+        **{name: named_algebra(name).algebra for name in ("C", "H", "O", "J6", "TO", "S", "A5")},
+        **{f"rotated {name}": algebra for name, algebra in rotated.items()},
+        "M2(Q)": matrices_2x2(), "Q^3": _table(3, {(1, 1): 1, (2, 2): 2}),
+    }
+
+
+@pytest.mark.parametrize("name,closed", [
+    ("C", False), ("H", False), ("O", False), ("rotated O", False), ("J6", False),
+    ("rotated J6", False), ("M2(Q)", False),
+    ("TO", True), ("rotated TO", True), ("S", True), ("A5", True), ("Q^3", True),
+])
+def test_span_rule_sizes_pairs_as_the_closure(name, closed):
+    """The unit and two elements of a quadratic table that is commutative
+    (C, J6) or alternative (C, H, O, M2(Q)) span their subalgebra with their
+    product: the census sizes the pair without the closure, and the
+    dimension is the reference closure's.  TO, S and A5 are quadratic but
+    neither, and Q^3 is not quadratic: their pairs still reach the closure."""
+    algebra = rule_tables()[name]
+    n = algebra.dim
+    ends = {(1, n - 1), (min(2, n - 1), n - 1), (n // 2, n - 1)}
+    pairs = [gens for gens in structured_sets(algebra, sorted(ends)) if len(gens) == 2]
+    rng = random.Random(f"rule:{name}")
+    pairs += [[Element(tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)))
+               for _ in range(2)] for _ in range(20)]
+    for gens in pairs:
+        with closed_sets() as sizes:
+            report = subalgebra_census(algebra, [], budget=0, extra_generator_sets=[gens])
+        assert (3 in sizes) == closed
+        if not closed:
+            (d,) = [d for d, entry in report.realized.items() if entry.generators == tuple(gens)]
+            assert d == ref.generated_subalgebra_rounds(algebra, gens).dim
+
+
+def test_census_stops_by_the_dimensions_the_spans_can_give():
+    """M2(Q) is alternative but not locally complex: at seed 1 its census
+    realizes 4 before 3, so stopping at 1, 2 and 4 would miss 3."""
+    algebra = matrices_2x2()
+    report = assert_census_matches(algebra, 40, 1)
+    assert list(report.realized) == [1, 2, 4, 3]
+
+
+def test_census_stops_only_after_the_extra_sets():
+    """The extra sets of O realize 1, 2 and 4, every dimension its pairs can
+    give, before the last one, of three elements, realizes 8."""
+    o = named_algebra("O").algebra
+    b = [o.basis_element(i) for i in range(8)]
+    report = assert_census_matches(o, 0, 0, extra=[[], [b[1]], [b[1], b[2]], [b[1], b[2], b[4]]])
+    assert list(report.realized) == [1, 2, 4, 8]
 
 
 @pytest.mark.parametrize("name", ["H", "O", "J6"])
@@ -554,13 +629,40 @@ SUBALG_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(SUBALG_DIGESTS))
-def test_subalg_output_is_pinned(name, tmp_path):
+# sha256 of the stdout of `cdalg subalg FILE --seed S --budget 10000
+# --dims 1,2,3,4,8`, recorded while the census walked its whole budget on
+# these tables.
+SUBALG_BUDGET_DIGESTS = {
+    "H": ("fa669bb456c648f868511e9640cd290d75f0b9ced6c818165a4d19c8474fc9af",
+          "069d076a0741d72516afb98fae0ff9f3d40f9f57a8c5749efd910ba28f0b04f3",
+          "325698ed5a9abdcb8cce372bffb469bbb8965b35576fc9c21abd50aef51c0cff"),
+    "O": ("9f929fafe0690e1cffaa94c05da9b5db85e773720a23b81d3e43959fafaaf6b3",
+          "e68cf96df52aed78b0ae7d91011da8384937c72c892d365b91e0eff19a49ff82",
+          "eb8e41d476b9d06ff23265d57e7bc2b4c1656b4c50a6e1a97771f3229f236c9c"),
+    "J6": ("44a72e90fe74fc3ef495aad54cf7a42c4be8f1a56dd5ab5511a56ec197e619a1",
+           "471f91f9d382d1f140a542dd31da4e5cc985af3344ca07f79630b4d0d0759ccc",
+           "1a1415dcc649ca6ff7d9f64fd18d814ba46788d3110c2ccfd574976138fbbe11"),
+}
+
+
+def assert_subalg_pinned(name, digests, args, tmp_path):
+    """`cdalg subalg` on the saved named table, seed by seed, against its digests."""
     bundle = named_algebra(name)
     path = str(tmp_path / f"{name}.json")
     save_algebra(path, bundle.algebra, bundle.grading)
-    for seed, digest in enumerate(SUBALG_DIGESTS[name]):
+    for seed, digest in enumerate(digests):
         out = io.StringIO()
         with redirect_stdout(out):
-            assert main(["subalg", path, "--seed", str(seed)]) == 0
+            assert main(["subalg", path, "--seed", str(seed), *args]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(SUBALG_DIGESTS))
+def test_subalg_output_is_pinned(name, tmp_path):
+    assert_subalg_pinned(name, SUBALG_DIGESTS[name], [], tmp_path)
+
+
+@pytest.mark.parametrize("name", list(SUBALG_BUDGET_DIGESTS))
+def test_subalg_output_past_the_early_stop_is_pinned(name, tmp_path):
+    assert_subalg_pinned(name, SUBALG_BUDGET_DIGESTS[name],
+                         ["--budget", "10000", "--dims", "1,2,3,4,8"], tmp_path)
